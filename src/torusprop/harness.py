@@ -32,6 +32,7 @@ from .propkern import graph_compare
 from .specproj import build_fourier_pair, projector_compare
 from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
+    TORUS,
     integrate_flow,
     make_symbol,
     model_cos_symbol,
@@ -80,7 +81,7 @@ def _parse_ks(text: str) -> tuple:
             raise ConfigError(f"k list entry {part!r} is not an integer") from None
         if not 1 <= k <= K_MAX:
             raise ConfigError(f"k={k} outside the supported range 1..{K_MAX} "
-                              "(double-precision theta-series guard)")
+                              "(dense 2k x 2k operator and quadrature-grid guard)")
         ks.append(k)
     if len(set(ks)) != len(ks):
         raise ConfigError(f"duplicate k values in {text!r}")
@@ -367,8 +368,6 @@ _LIFT_HEADER = ["t", "transport_L_phase", "prequantum_phase", "rho_half_re",
 
 
 def _run_lifts(cfg: ExperimentConfig) -> int:
-    from .torusgeo import TORUS
-
     sym = symbol_from_selector(cfg.symbol)
     k = cfg.ks[0]
     x = cfg.points[0]

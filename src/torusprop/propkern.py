@@ -11,8 +11,10 @@ with the amplitude and phases supplied by the geometry module.  Kernel
 values are reported in the global unit trivialization of the k-th bundle
 power: the holomorphic basis values are converted by the factor
 e^{-2 pi k (q_y^2 + q_x^2)} e^{2 pi i k (p_y q_y - p_x q_x)} (second slot
-conjugated).  Off-graph kernel values decay faster than any power of 1/k;
-offgraph_probe measures that local order between consecutive levels.
+conjugated).  The modulus part is already folded into the sections
+(thetaq.sections), so only the phase is applied here.  Off-graph kernel
+values decay faster than any power of 1/k; offgraph_probe measures that
+local order between consecutive levels.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thetaq import HermitianOperator, QuantumSpace, basis_matrix, model_operator, toeplitz_build
+from .thetaq import HermitianOperator, QuantumSpace, model_operator, sections, toeplitz_build
 from .torusgeo import (
     TORUS,
     StepSizeError,
@@ -167,39 +169,32 @@ def _as_pq(point) -> tuple[float, float]:
     return float(arr[0]), float(arr[1])
 
 
-def _scaled_sections(qs: QuantumSpace, z: complex) -> tuple[np.ndarray, float]:
-    """Basis vector at z as (complex values * e^{-peak}, peak log)."""
-
-    vals = basis_matrix(qs, np.array([z]))
-    logs = vals.log_scale[:, 0]
-    peak = float(np.max(logs))
-    return vals.mantissa[:, 0] * np.exp(logs - peak), peak
-
-
-def _gauge_log_and_phase(qs: QuantumSpace, y: tuple[float, float],
-                         x: tuple[float, float]) -> tuple[float, complex]:
-    py, qy = y
-    px, qx = x
-    log_conv = -TWO_PI * qs.k * (qy * qy + qx * qx)
-    phase = np.exp(2j * np.pi * qs.k * (py * qy - px * qx))
-    return log_conv, phase
+def _gauge_phase(qs: QuantumSpace, y: tuple[float, float],
+                 x: tuple[float, float]) -> complex:
+    return complex(np.exp(2j * np.pi * qs.k * (y[0] * y[1] - x[0] * x[1])))
 
 
 def kernel_eval(qs: QuantumSpace, u_matrix: np.ndarray, y, x) -> complex:
     """Kernel sum_{l l'} U_{l l'} Psi_l(y) conj(Psi_l'(x)) at (possibly
-    lifted) points, converted to the unit trivialization.
-
-    The basis double sum is peak-renormalized before the matrix contraction;
-    the conversion factor brings the total exponent back to O(log k).
-    """
+    lifted) points, converted to the unit trivialization."""
 
     yp = _as_pq(y)
     xp = _as_pq(x)
-    a, log_a = _scaled_sections(qs, complex(*yp))
-    b, log_b = _scaled_sections(qs, complex(*xp))
+    a = sections(qs, complex(*yp))
+    b = sections(qs, complex(*xp))
     core = a @ np.asarray(u_matrix, dtype=complex) @ np.conjugate(b)
-    log_conv, phase = _gauge_log_and_phase(qs, yp, xp)
-    return complex(core * np.exp(log_a + log_b + log_conv) * phase)
+    return complex(core * _gauge_phase(qs, yp, xp))
+
+
+def _spectral_weights(qs: QuantumSpace, op: HermitianOperator, y, x) -> np.ndarray:
+    """Per-eigenvector kernel weights at (y, x), unit gauge included: the
+    kernel of g(op) is sum_j g(lambda_j) w_j, an O(k^2) contraction."""
+
+    yp = _as_pq(y)
+    xp = _as_pq(x)
+    a_modes = sections(qs, complex(*yp)) @ op.eigenvectors
+    b_modes = np.conjugate(sections(qs, complex(*xp)) @ op.eigenvectors)
+    return a_modes * b_modes * _gauge_phase(qs, yp, xp)
 
 
 def _graph_predictions(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
@@ -257,8 +252,8 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,
                   op: HermitianOperator | None = None) -> list[KernelSample]:
     """Exact kernel at (phi_t(x), x) versus the predictor, over a time grid.
 
-    The exact values reuse one eigendecomposition: per time only the spectral
-    phases and the moving-point section vector change.
+    The exact values reuse one eigendecomposition; the moving point's
+    sections are evaluated for the whole grid in one call.
     """
 
     tg = np.asarray(tgrid, dtype=float)
@@ -267,16 +262,15 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,
     preds = _graph_predictions(ps, sym, traj, qs.k)
     if op is None:
         op = operator_for(qs, sym)
-    b, log_b = _scaled_sections(qs, complex(*x_pq))
-    b_modes = op.eigenvectors.conj().T @ np.conjugate(b)
+    b_modes = np.conjugate(sections(qs, complex(*x_pq)) @ op.eigenvectors)
+    ys = traj.points_lifted[:, 0] + 1j * traj.points_lifted[:, 1]
+    a_modes = sections(qs, ys).T @ op.eigenvectors
+    spectral = np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues))
+    cores = (a_modes * spectral) @ b_modes
     rows = []
     for i, t in enumerate(tg):
         y_pq = (float(traj.points_lifted[i, 0]), float(traj.points_lifted[i, 1]))
-        a, log_a = _scaled_sections(qs, complex(*y_pq))
-        a_modes = a @ op.eigenvectors
-        core = np.sum(a_modes * np.exp(-1j * qs.k * t * op.eigenvalues) * b_modes)
-        log_conv, phase = _gauge_log_and_phase(qs, y_pq, x_pq)
-        exact = complex(core * np.exp(log_a + log_b + log_conv) * phase)
+        exact = complex(cores[i] * _gauge_phase(qs, y_pq, x_pq))
         rows.append(KernelSample(k=qs.k, t=float(t), x=x_pq, y=y_pq,
                                  exact=exact, predicted=complex(preds[i])))
     return rows

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .propkern import kernel_eval, operator_for
+from .propkern import _spectral_weights, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
     TORUS,
@@ -154,8 +154,7 @@ def projector_kernel_exact(qs: QuantumSpace, op: HermitianOperator,
     """Kernel of f(k(E - T)) at (y, x): spectral sum over the eigenbasis."""
 
     coeffs = _spectral_coefficients(op, pair, float(energy))
-    f_op = (op.eigenvectors * coeffs[None, :]) @ op.eigenvectors.conj().T
-    return kernel_eval(qs, f_op, y, x)
+    return complex(np.sum(coeffs * _spectral_weights(qs, op, y, x)))
 
 
 def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
@@ -167,19 +166,10 @@ def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
     agree with projector_kernel_exact to high accuracy — a wiring check,
     not an asymptotic one."""
 
-    from .propkern import _scaled_sections, _gauge_log_and_phase, _as_pq
-
     t, w = _gl_nodes(pair.support_T, int(nodes))
-    yp, xp = _as_pq(y), _as_pq(x)
-    a, log_a = _scaled_sections(qs, complex(*yp))
-    b, log_b = _scaled_sections(qs, complex(*xp))
-    a_modes = a @ op.eigenvectors
-    b_modes = op.eigenvectors.conj().T @ np.conjugate(b)
-    log_conv, gauge = _gauge_log_and_phase(qs, yp, xp)
-    scale = np.exp(log_a + log_b + log_conv) * gauge
     # kernel of U_{k,t} for every node in one outer product
     spectral = np.exp(np.outer(-1j * qs.k * t, op.eigenvalues))
-    kernels = spectral @ (a_modes * b_modes) * scale
+    kernels = spectral @ _spectral_weights(qs, op, y, x)
     coeff = w * np.asarray(pair.fhat(t), dtype=complex) \
         * np.exp(1j * qs.k * t * float(energy))
     return complex(np.sum(coeff * kernels) / np.sqrt(TWO_PI))

@@ -22,8 +22,18 @@ e^{-2 pi k q^2} is replaced by the derived e^{-4 pi k q^2}, which passes the
 construction-time Gram self-test.  Every QuantumSpace carries this record in
 ``gauge_note``.
 
-All basis values travel in (mantissa, exponent) form: individual theta terms
-reach e^{O(k)} before the metric weight tames them.
+Sections are evaluated with the square root of that weight folded in:
+
+    s_ell(z) = Psi_ell(z) e^{-2 pi k q^2}
+             = (k^{1/4} / sqrt(2 pi)) * sum_{n in Z}
+               exp(-(pi / 2k) (ell + 2 k n + 2 k q)^2) e^{2 pi i (ell + 2 k n) p},
+
+a periodized Gaussian whose terms are all at most 1, so ``sections`` returns
+plain complex values for every row and point at once.  |s_ell|^2 is the
+pointwise density of Psi_ell against the weight, and the kernels carry only
+the unit-gauge phase.  ``theta3``, ``basis_eval`` and ``basis_matrix``, which
+carry (mantissa, exponent) pairs for the unweighted Psi_ell, are kept as the
+reference the tests compare ``sections`` against.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ __all__ = [
     "theta3",
     "basis_eval",
     "basis_matrix",
+    "sections",
     "gram_matrix",
     "model_operator",
     "toeplitz_build",
@@ -55,7 +66,12 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
-K_MAX = 400  # beyond this, double precision headroom for e^{O(k)} terms is gone
+# Sections cannot overflow at any k; the size limit is the dense 2k x 2k
+# operators and the quadrature grid of the expression-symbol route.
+K_MAX = 400
+# Most (row, point) pairs one block of ``sections`` holds, so the grid
+# temporaries stay a few MB however many points are asked for.
+_BLOCK_PAIRS = 1 << 15
 
 GAUGE_NOTE = (
     "basis prefactor exp(2*pi*i*ell*z) (derived from the lattice multipliers); "
@@ -79,7 +95,7 @@ class ConstructionError(RuntimeError):
 
 
 class EvaluationError(RuntimeError):
-    """A basis evaluation produced non-finite values despite scaling."""
+    """A basis evaluation produced non-finite values."""
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +173,12 @@ def _construction_self_test(qs: QuantumSpace) -> None:
         np.concatenate([[0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1],
                         np.linspace(0, qs.dim - 1, 8).astype(int)]))
     p, q, wts = _quad_nodes(qs.quad_order)
-    worst = 0.0
-    rows = []
-    for ell in ells:
-        vals = basis_eval(qs, int(ell), p + 1j * q)
-        log_sq = 2.0 * vals.abs_log() + qs.log_metric_weight(q)
-        rows.append(vals.mantissa * np.exp(vals.abs_log() + 0.5 * qs.log_metric_weight(q)))
-        norm = float(np.sum(np.exp(log_sq) * wts) * FOUR_PI)
-        worst = max(worst, abs(norm - 1.0))
+    # undo the folded e^{-2 pi k q^2} and apply the space's own weight, so a
+    # wrong weight shows up as a norm defect
+    unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
+    rows = sections(qs, p + 1j * q, ells) * unfold
+    norms = np.sum(np.abs(rows) ** 2 * wts, axis=1) * FOUR_PI
+    worst = float(np.max(np.abs(norms - 1.0)))
     # one representative far-off-diagonal inner product
     inner = complex(np.sum(np.conjugate(rows[0]) * rows[-1] * wts) * FOUR_PI)
     worst = max(worst, abs(inner))
@@ -253,6 +267,54 @@ def basis_matrix(qs: QuantumSpace, z) -> ExpComplex:
     return ExpComplex(mant, logs)
 
 
+def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
+    """Weight-folded sections s_ell(z) = Psi_ell(z) e^{-2 pi k q^2} at
+    (possibly lifted) points z = p + i q, as plain complex values of shape
+    (len(ells),) + shape(z); all 2k rows by default.
+
+    For each row and point the series is summed over ``qs.theta_terms``
+    terms on either side of its largest one.  Raises IndexError for rows
+    outside [0, 2k), TruncationError when the window's edge terms exceed
+    1e-16 of its centre term, and EvaluationError on non-finite output.
+    """
+
+    z = np.asarray(z, dtype=complex)
+    rows = np.arange(qs.dim) if ells is None else np.asarray(ells).reshape(-1)
+    if rows.size and not (np.issubdtype(rows.dtype, np.integer)
+                          and rows.min() >= 0 and rows.max() < qs.dim):
+        raise IndexError(f"basis rows {ells!r} outside [0, {qs.dim})")
+    flat = z.reshape(-1)
+    out = np.empty((rows.size, flat.size), dtype=complex)
+    k, radius = qs.k, qs.theta_terms
+    ell = rows.astype(float)[:, None]
+    offsets = 2.0 * k * np.arange(-radius, radius + 1)
+    const = k ** 0.25 / np.sqrt(TWO_PI)
+    block = max(1, _BLOCK_PAIRS // max(1, rows.size))
+    for lo in range(0, flat.size if rows.size else 0, block):
+        p = flat.real[lo:lo + block]
+        q = flat.imag[lo:lo + block]
+        # term n has Gaussian argument ell + 2k(n + q); centre on the
+        # largest, whose argument x satisfies |x| <= k
+        shifted = ell + 2.0 * k * q
+        m_centre = ell - 2.0 * k * np.round(shifted / (2.0 * k))
+        x = shifted + (m_centre - ell)
+        # the edge terms sit at x +- 2k*radius: log ratio to the centre term
+        edge_log = -TWO_PI * radius * (k * radius - float(np.max(np.abs(x))))
+        if edge_log > np.log(1e-16):
+            raise TruncationError(
+                f"theta window edge terms reach {np.exp(edge_log):.2e} of the "
+                f"centre term at k={k}; increase theta_terms")
+        hops = np.exp(2j * np.pi * np.outer(offsets, p))
+        acc = np.zeros_like(x, dtype=complex)
+        for off, hop in zip(offsets, hops):
+            acc += np.exp(-(np.pi / (2.0 * k)) * (x + off) ** 2) * hop
+        acc *= np.exp(2j * np.pi * m_centre * p)
+        out[:, lo:lo + block] = const * acc
+    if not np.all(np.isfinite(out)):
+        raise EvaluationError("section evaluation produced non-finite values")
+    return out.reshape((rows.size,) + z.shape)
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
@@ -277,15 +339,12 @@ def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _weighted_sections(qs: QuantumSpace, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Basis sections at the quadrature grid, pre-multiplied by the square
-    root of (weight x Liouville x quadrature weight); returns (S, p, q, w).
-    S is an ordinary complex matrix: the weighted combination is O(sqrt(k))
-    pointwise, so no exponent management is needed after combination."""
+    """Weight-folded sections at the quadrature grid, times the square root
+    of (Liouville x quadrature weight); returns (S, p, q, w)."""
 
     p, q, wts = _quad_nodes(n_nodes)
-    vals = basis_matrix(qs, p + 1j * q)
-    log_half = 0.5 * (qs.log_metric_weight(q) + np.log(FOUR_PI * wts))
-    s = vals.mantissa * np.exp(vals.log_scale + log_half[None, :])
+    s = sections(qs, p + 1j * q)
+    s *= np.sqrt(FOUR_PI * wts)
     return s, p, q, wts
 
 
@@ -395,8 +454,4 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0,
 def bergman_diag(qs: QuantumSpace, z) -> float:
     """Diagonal of the projector kernel: sum_l |Psi_l(z)|^2 x weight(z)."""
 
-    z = complex(z)
-    vals = basis_matrix(qs, np.array([z]))
-    logs = 2.0 * vals.abs_log()[:, 0] + qs.log_metric_weight(z.imag)
-    peak = float(np.max(logs))
-    return float(np.exp(peak) * np.sum(np.exp(logs - peak)))
+    return float(np.sum(np.abs(sections(qs, complex(z))) ** 2))

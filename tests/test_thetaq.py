@@ -15,6 +15,7 @@ import pytest
 from torusprop.expval import expc
 from torusprop.thetaq import (
     ConstructionError,
+    EvaluationError,
     QuantumSpace,
     ResolutionError,
     TruncationError,
@@ -25,9 +26,11 @@ from torusprop.thetaq import (
     gram_matrix,
     model_operator,
     quantum_space,
+    sections,
     theta3,
     toeplitz_build,
 )
+from torusprop import thetaq
 from torusprop.torusgeo import make_symbol, model_cos_symbol
 
 TWO_PI = 2.0 * np.pi
@@ -235,6 +238,97 @@ def test_basis_matrix_agrees_with_rows():
         row = basis_eval(qs, ell, z)
         assert np.allclose(mat.mantissa[ell], row.mantissa)
         assert np.allclose(mat.log_scale[ell], row.log_scale)
+
+
+# ---------------------------------------------------------------------------
+# weight-folded sections
+# ---------------------------------------------------------------------------
+
+LIFTED = (0.13 + 0.27j, 0.9 - 0.4j, -1.3 + 1.61j, 0.41 - 0.6j, 2.7 + 2.3j)
+
+
+@pytest.mark.parametrize("k", [1, 10])
+def test_sections_match_lattice_sum_oracle(k):
+    qs = quantum_space(k)
+    z = np.array(LIFTED)
+    vals = sections(qs, z)
+    assert vals.shape == (qs.dim, z.size)
+    for ell in range(qs.dim):
+        for j, zj in enumerate(LIFTED):
+            log_ref, phase_ref = mp_basis(k, ell, zj)
+            ref = np.exp(log_ref - TWO_PI * k * zj.imag ** 2) * phase_ref
+            assert abs(vals[ell, j] - ref) <= 1e-11 * abs(ref)
+
+
+def test_sections_match_log_form_at_top_level():
+    qs = quantum_space(400)
+    z = np.array([0.3 + 0.1j, 0.7 - 1.3j, 0.2 + 2.0j, 0.55 + 0.999j, -0.4 - 0.6j])
+    ref = basis_matrix(qs, z)
+    ref = ref.mantissa * np.exp(ref.log_scale - TWO_PI * qs.k * z.imag ** 2)
+    vals = sections(qs, z)
+    assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
+    rows = [0, 1, 399, 400, 799]
+    assert np.max(np.abs(sections(qs, z, rows) - vals[rows])) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_sections_lattice_multipliers():
+    qs = quantum_space(7)
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-1, 2, 6) + 1j * rng.uniform(-1, 2, 6)
+    base = sections(qs, z)
+    scale = np.max(np.abs(base))
+    assert np.max(np.abs(sections(qs, z + 1.0) - base)) <= 1e-12 * scale
+    shifted = np.exp(-4j * np.pi * qs.k * z.real) * base
+    assert np.max(np.abs(sections(qs, z + 1j) - shifted)) <= 1e-12 * scale
+
+
+def test_sections_blocks_match_pointwise():
+    qs = quantum_space(400)
+    per_block = thetaq._BLOCK_PAIRS // qs.dim
+    rng = np.random.default_rng(29)
+    n = 2 * per_block + 3
+    z = rng.uniform(0, 1, n) + 1j * rng.uniform(-1, 2, n)
+    whole = sections(qs, z)
+    pointwise = np.stack([sections(qs, zj) for zj in z], axis=1)
+    assert np.max(np.abs(whole - pointwise)) <= 1e-14 * np.max(np.abs(pointwise))
+
+
+def test_sections_contracts():
+    qs = quantum_space(5)
+    assert sections(qs, 0.1 + 0.2j).shape == (qs.dim,)
+    assert sections(qs, np.zeros((2, 3)), [1, 4]).shape == (2, 2, 3)
+    for bad in ([-1], [qs.dim], [0.5]):
+        with pytest.raises(IndexError):
+            sections(qs, 0.1 + 0.1j, bad)
+    with pytest.raises(TruncationError):
+        sections(QuantumSpace(k=1, theta_terms=1, quad_order=64), 0.3 + 0.2j)
+    with pytest.raises(EvaluationError):
+        sections(qs, complex(np.nan, 0.1))
+
+
+def test_sections_stay_finite_beyond_log_form_range():
+    # no exponent bookkeeping: the Bergman diagonal is k / 2 pi at k = 5000
+    qs = QuantumSpace(k=5000, theta_terms=3, quad_order=64)
+    assert bergman_diag(qs, 0.37 + 0.81j) == pytest.approx(5000 / TWO_PI, rel=1e-12)
+
+
+def test_sections_unfolded_are_holomorphic():
+    # Cauchy-Riemann discriminator on the weight-folded route: undoing the
+    # fold gives a holomorphic section, the folded values are not
+    qs = quantum_space(10)
+    k, ell = qs.k, 7
+
+    def folded(z):
+        return complex(sections(qs, z, [ell])[0])
+
+    def unfolded(z):
+        return folded(z) * np.exp(TWO_PI * k * z.imag ** 2)
+
+    for z0 in (0.3 + 0.4j, 0.72 + 0.11j, -0.2 + 0.9j):
+        dbar, scale = _fd_dbar(unfolded, z0)
+        assert abs(dbar) <= 1e-4 * scale
+        dbar_f, scale_f = _fd_dbar(folded, z0)
+        assert abs(dbar_f) > 0.02 * scale_f
 
 
 # ---------------------------------------------------------------------------
