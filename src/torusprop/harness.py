@@ -33,6 +33,7 @@ from .specproj import build_fourier_pair, projector_compare
 from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
     TORUS,
+    RegularityError,
     integrate_flow,
     make_symbol,
     model_cos_symbol,
@@ -161,7 +162,12 @@ def symbol_from_selector(selector: str):
     if probe.shape != () or not np.isfinite(probe):
         raise ConfigError(f"symbol expression {selector!r} must give a finite "
                           "scalar at a scalar point")
-    return make_symbol(f"expr:{selector}", principal)
+    sym = make_symbol(f"expr:{selector}", principal)
+    try:
+        sym.check_periodicity()
+    except RegularityError as exc:
+        raise ConfigError(f"{exc}: H(p+1, q) and H(p, q+1) must equal H(p, q)") from None
+    return sym
 
 
 _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",

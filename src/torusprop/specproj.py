@@ -150,10 +150,13 @@ def _spectral_coefficients(op: HermitianOperator, pair: FourierPair,
 
 
 def projector_kernel_exact(qs: QuantumSpace, op: HermitianOperator,
-                           pair: FourierPair, energy: float, y, x) -> complex:
-    """Kernel of f(k(E - T)) at (y, x): spectral sum over the eigenbasis."""
+                           pair: FourierPair, energy: float, y, x, *,
+                           coeffs: np.ndarray | None = None) -> complex:
+    """Kernel of f(k(E - T)) at (y, x): spectral sum over the eigenbasis;
+    ``coeffs``, if given, are the precomputed f(k(E - lambda_l))."""
 
-    coeffs = _spectral_coefficients(op, pair, float(energy))
+    if coeffs is None:
+        coeffs = _spectral_coefficients(op, pair, float(energy))
     return complex(np.sum(coeffs * _spectral_weights(qs, op, y, x)))
 
 
@@ -311,11 +314,13 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     rows = []
     spaces = {int(k): quantum_space(int(k)) for k in ks}
     ops = {k: operator_for(qs, sym) for k, qs in spaces.items()}
+    coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
         y_pq, x_pq = _normalize_point_entry(entry)
         for k in sorted(spaces):
             qs = spaces[k]
-            exact = projector_kernel_exact(qs, ops[k], pair, energy, y_pq, x_pq)
+            exact = projector_kernel_exact(qs, ops[k], pair, energy, y_pq, x_pq,
+                                           coeffs=coeffs[k])
             pred = projector_kernel_asymptotic(ps, sym, pair, energy, y_pq, x_pq, k)
             rows.append(ProjectorSample.build(k, energy, x_pq, y_pq, exact, pred))
     return rows

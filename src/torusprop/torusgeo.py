@@ -6,7 +6,14 @@ space at level k has dimension 2k), complex coordinate z = p + i q, and
 prequantum connection one-form alpha = 2*pi (p dq - q dp) with d(alpha) =
 omega.  This module integrates Hamiltonian flows together with their
 linearization and the action/connection integrals, and computes every
-geometric coefficient the kernel predictors need:
+geometric coefficient the kernel predictors need.
+
+Flows come in closed form when the symbol carries one (``model-cos``).
+Otherwise one adaptive Dormand–Prince 5(4) integrator with fourth-order
+dense output serves both ``integrate_flow`` (which documents its error
+norm) and the return-time scan and Newton polish of ``return_times``.
+
+The coefficients are:
 
 * transport phases along lifted paths for the prequantum line bundle L and
   the (flat, trivialized) canonical bundle K;
@@ -78,7 +85,7 @@ class DegenerateError(ValueError):
 
 
 class StepSizeError(RuntimeError):
-    """The flow integrator cannot meet its error target on the given grid."""
+    """The flow integrator cannot meet its error target."""
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +298,6 @@ class Trajectory:
     action_H: np.ndarray
     action_Hsub: np.ndarray
     conn_L: np.ndarray
-    conn_K: np.ndarray
 
     def __post_init__(self) -> None:
         if abs(float(self.times[0])) > 1e-15:
@@ -312,70 +318,114 @@ def hamiltonian_vector_field(sym: SymbolField, t: float, x, ps: TorusPhaseSpace 
 
 
 def _flow_rhs(sym: SymbolField, ps: TorusPhaseSpace, t: float, y: np.ndarray) -> np.ndarray:
+    """Joint field of (point, Jacobian, int H, int H^sub, int alpha(X))."""
     p, q = y[0], y[1]
-    g = sym.grad(t, p, q)
+    xv = hamiltonian_vector_field(sym, t, y[:2], ps)
     h = sym.hess(t, p, q)
-    scale = ps.symplectic_area
-    xp = -g[..., 1] / scale
-    xq = g[..., 0] / scale
     # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/scale
-    dx = np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]]) / scale
-    m = y[2:6].reshape(2, 2)
-    dm = dx @ m
-    d = np.empty(9)
-    d[0], d[1] = xp, xq
-    d[2:6] = dm.ravel()
-    d[6] = sym.principal(t, p, q)
-    d[7] = sym.subprincipal(t, p, q)
-    d[8] = ps.alpha_pairing(p, q, np.array([xp, xq]))
-    return d
+    dx = np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]]) / ps.symplectic_area
+    return np.concatenate([xv, (dx @ y[2:6].reshape(2, 2)).ravel(),
+                           [sym.principal(t, p, q), sym.subprincipal(t, p, q),
+                            ps.alpha_pairing(p, q, xv)]])
 
 
-def _rk4_sweep(sym: SymbolField, ps: TorusPhaseSpace, x, times: np.ndarray,
-               substeps: np.ndarray) -> np.ndarray:
-    """Integrate the joint (point, Jacobian, integrals) system across the
-    requested grid with the given per-interval substep counts; returns the
-    state at every requested time (shape (len(times), 9))."""
+# Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
+# with Shampine's quartic continuous extension (Hairer–Nørsett–Wanner,
+# Solving ODEs I, §II.4–6).  The seventh stage is the next step's first (FSAL).
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+_DP_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+]
+_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+# fifth- minus embedded fourth-order weights over all seven stages
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# y(t0 + s h) = y0 + h K^T P [s, s^2, s^3, s^4] for the step's stages K
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
-    y = np.zeros(9)
-    y[0], y[1] = float(x[0]), float(x[1])
-    y[2], y[5] = 1.0, 1.0
-    out = np.empty((len(times), 9))
-    out[0] = y
-    for i in range(len(times) - 1):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        n = int(substeps[i])
-        h = (t1 - t0) / n
-        t = t0
-        for _ in range(n):
-            k1 = _flow_rhs(sym, ps, t, y)
-            k2 = _flow_rhs(sym, ps, t + 0.5 * h, y + 0.5 * h * k1)
-            k3 = _flow_rhs(sym, ps, t + 0.5 * h, y + 0.5 * h * k2)
-            k4 = _flow_rhs(sym, ps, t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out[i + 1] = y
-    return out
+
+def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
+    """Adaptive DOPRI5 for y' = rhs(t, y) from t = 0 to ``t_end`` (either
+    sign); returns the dense evaluator ``ts -> (len(ts), n)``, Shampine's
+    quartic over each accepted step's stages (y0 exactly at t = 0).  A step
+    is accepted when max_i |err_i| / (1 + |y_i|) <= tol; a rejected step at
+    the floor |t_end| * eps / tol, below which the rounding of the steps
+    alone would exceed tol, raises StepSizeError.
+    """
+
+    y = np.array(y0, dtype=float)
+    span = abs(float(t_end))
+    sign = 1.0 if t_end >= 0 else -1.0
+    h_min = span * np.finfo(float).eps / tol
+    stages = np.empty((7, y.size))
+    stages[0] = rhs(0.0, y)
+    h = tol ** 0.2 / (1e-3 + float(np.max(np.abs(stages[0]) / (1.0 + np.abs(y)))))
+    h = min(span, max(h_min, h))
+    t = 0.0
+    starts, bases, polys = [], [], []
+    while (remaining := sign * (t_end - t)) > 0.0:
+        h = min(h, remaining)
+        dt = sign * h
+        for i in range(1, 6):
+            stages[i] = rhs(t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ stages[:i]))
+        y_new = y + dt * (_DP_B @ stages[:6])
+        stages[6] = rhs(t + dt, y_new)
+        err = float(np.max(np.abs(dt * (_DP_E @ stages)) / (1.0 + np.abs(y_new))))
+        if err <= tol:
+            starts.append(sign * t)
+            bases.append(y)
+            polys.append(dt * (stages.T @ _DP_P))
+            t = t_end if h == remaining else t + dt
+            y = y_new
+            stages[0] = stages[6]
+        elif h <= h_min:
+            raise StepSizeError(f"flow integrator error estimate {err:.2e} exceeds {tol:.0e} "
+                                f"at the step-size floor {h_min:.1e}")
+        h = max(h_min, h * (min(10.0, max(0.2, 0.9 * (tol / err) ** 0.2)) if err > 0.0 else 10.0))
+
+    if not starts:
+        return lambda ts: np.tile(y, (np.size(ts), 1))
+    left, bases, polys = np.array(starts), np.array(bases), np.array(polys)
+    width = np.diff(np.append(left, span))
+
+    def dense(ts) -> np.ndarray:
+        tau = sign * np.asarray(ts, dtype=float).reshape(-1)
+        i = np.clip(np.searchsorted(left, tau, side="right") - 1, 0, left.size - 1)
+        s = (tau - left[i]) / width[i]
+        return bases[i] + np.einsum("mnj,mj->mn", polys[i], s[:, None] ** np.arange(1, 5))
+
+    return dense
 
 
-def _speed_bound(sym: SymbolField, ps: TorusPhaseSpace, t_samples) -> float:
-    grid = np.linspace(0.0, 1.0, 17, endpoint=False)
-    pp, qq = np.meshgrid(grid, grid)
-    worst = 0.0
-    for t in t_samples:
-        g = sym.grad(float(t), pp, qq)
-        worst = max(worst, float(np.max(np.abs(g))) / ps.symplectic_area)
-    return worst
+_FLOW_TOL = 1e-10
 
 
 def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
-                   tol: float = 1e-10) -> Trajectory:
+                   tol: float = _FLOW_TOL) -> Trajectory:
     """Flow trajectory from x over the given time grid (starting at 0).
 
-    Fourth-order fixed-step integration of the flow and variational equation
-    jointly, with a step-doubling (Richardson) error estimate; symbols that
-    carry an exact flow skip the integrator.  Raises StepSizeError when the
-    error estimate cannot be brought below ``tol``.
+    Symbols that carry an exact flow skip the integrator.  Otherwise the flow,
+    its variational equation and the action/connection integrals are
+    integrated jointly in one adaptive Dormand–Prince 5(4) sweep to the last
+    grid time, accepting a step when its embedded error estimate satisfies
+    max_i |err_i| / (1 + |y_i|) <= ``tol``; the grid is read from the
+    fourth-order dense output, so its spacing does not set the step.  For
+    symbols without closed-form derivatives the estimate does not include
+    the finite-difference error of ``grad`` and ``hess``.  Raises
+    StepSizeError when a step at the step-size floor still misses ``tol``,
+    or when the Jacobians lose symplecticity by more than 1e-9.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -390,53 +440,27 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
 
     if sym.exact_flow is not None:
         data = sym.exact_flow(x, times)
-        lifted = np.asarray(data["points_lifted"], dtype=float)
-        traj = Trajectory(
-            start=x,
-            times=times,
-            points=ps.reduce(lifted),
-            points_lifted=lifted,
-            jacobians=np.asarray(data["jacobians"], dtype=float),
-            action_H=np.asarray(data["action_H"], dtype=float),
-            action_Hsub=np.asarray(data["action_Hsub"], dtype=float),
-            conn_L=np.asarray(data["conn_L"], dtype=float),
-            conn_K=np.zeros_like(times),
-        )
     else:
-        vmax = _speed_bound(sym, ps, [times[0], 0.5 * (times[0] + times[-1]), times[-1]])
-        h_max = 1e-3 / (1.0 + vmax)
-        substeps = np.maximum(1, np.ceil(np.abs(steps) / h_max)).astype(int) \
-            if steps.size else np.zeros(0, dtype=int)
-        coarse = _rk4_sweep(sym, ps, x, times, substeps)
-        for _ in range(3):
-            fine = _rk4_sweep(sym, ps, x, times, 2 * substeps)
-            err = float(np.max(np.abs(fine - coarse) / (1.0 + np.abs(fine)))) if steps.size else 0.0
-            if err <= tol:
-                coarse = fine
-                break
-            coarse = fine
-            substeps = 2 * substeps
-        else:
-            raise StepSizeError(
-                f"flow integrator error estimate {err:.2e} exceeds {tol:.0e}; "
-                "the requested grid/symbol needs a smaller step than allowed")
-        lifted = coarse[:, 0:2]
-        traj = Trajectory(
-            start=x,
-            times=times,
-            points=ps.reduce(lifted),
-            points_lifted=lifted,
-            jacobians=coarse[:, 2:6].reshape(-1, 2, 2),
-            action_H=coarse[:, 6],
-            action_Hsub=coarse[:, 7],
-            conn_L=coarse[:, 8],
-            conn_K=np.zeros_like(times),
-        )
+        y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), tol)(times)
+        data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
+                "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]}
+    lifted = np.asarray(data["points_lifted"], dtype=float)
+    traj = Trajectory(
+        start=x,
+        times=times,
+        points=ps.reduce(lifted),
+        points_lifted=lifted,
+        jacobians=np.asarray(data["jacobians"], dtype=float),
+        action_H=np.asarray(data["action_H"], dtype=float),
+        action_Hsub=np.asarray(data["action_Hsub"], dtype=float),
+        conn_L=np.asarray(data["conn_L"], dtype=float),
+    )
 
     defect = traj.symplectic_defect()
     if defect > 1e-9:
         raise StepSizeError(f"flow Jacobians lost symplecticity (defect {defect:.2e}); "
-                            "refine the time grid")
+                            "tighten tol")
     return traj
 
 
@@ -456,7 +480,7 @@ def transport_phase(ps: TorusPhaseSpace, traj: Trajectory, bundle: str) -> np.nd
     if bundle == "L":
         return np.exp(1j * traj.conn_L)
     if bundle == "K":
-        return np.exp(1j * traj.conn_K)  # conn_K == 0 on the flat torus
+        return np.ones(traj.times.shape, dtype=complex)
     raise ValueError(f"unknown bundle tag {bundle!r}; expected 'L' or 'K'")
 
 
@@ -481,17 +505,15 @@ def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
 def rho_graph_half(ps: TorusPhaseSpace, traj: Trajectory) -> list[BranchedPhase]:
     """Branch-continuous [rho_t]^{1/2} along the trajectory.
 
-    rho_t = 1 / (holomorphic determinant of the flow Jacobian) divided by the
-    T^K transport phase (a no-op on the flat torus, kept for structure).
-    Starts at 1; the square root is tracked through branch unwinding.
+    rho_t = 1 / (holomorphic determinant of the flow Jacobian); the T^K
+    transport phase it is divided by is 1 on the flat torus.  Starts at 1;
+    the square root is tracked through branch unwinding.
     """
 
     dets = np.array([
         holomorphic_determinant(LinearSymplectomorphism(m)) for m in traj.jacobians
     ])
-    t_k = transport_phase(ps, traj, "K")
-    rho = 1.0 / (dets * t_k)
-    return branch_sqrt_path(rho)
+    return branch_sqrt_path(1.0 / dets)
 
 
 def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
@@ -501,8 +523,8 @@ def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
     The graph of phi_t is spanned by xi(u) = (M u, u); the form
     Om = c^2 dz_y ^ dzbar_x evaluates to
     c^2 [dz(M u_1) dzbar(u_2) - dz(M u_2) dzbar(u_1)], and
-    rho_t = Om_0 / Om_t times the (trivial) K-transport correction.  Shares
-    no code with the holomorphic-block determinant route.
+    rho_t = Om_0 / Om_t (the K-transport correction is 1 on the flat torus).
+    Shares no code with the holomorphic-block determinant route.
     """
 
     c2 = ps.metric_scale  # constant cancels in the ratio; kept for clarity
@@ -520,8 +542,7 @@ def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
         for m in traj.jacobians
     ])
     omega_0 = c2 * (dz(u1) * dzbar(u2) - dz(u2) * dzbar(u1))  # = -2 i c^2
-    f_k_integral = traj.conn_K  # canonical curvature potential: 0 on the flat torus
-    return (omega_0 / omega_t) * np.exp(-1j * f_k_integral)
+    return omega_0 / omega_t
 
 
 # ---------------------------------------------------------------------------
@@ -650,13 +671,12 @@ def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
     omega_gram = ps.omega_gram()
     cs = np.array([[0.0, -1.0], [1.0, 0.0]])
     x_src = hamiltonian_vector_field(sym, 0.0, traj.start, ps)
-    t_k = transport_phase(ps, traj, "K")
     vals = []
     for i, t in enumerate(traj.times):
         norm_X(ps, sym, float(t), traj.points[i])  # regularity guard
         x_dst = hamiltonian_vector_field(sym, float(t), traj.points_lifted[i], ps)
         rho = level_lift_coefficient(traj.jacobians[i], x_src, x_dst, omega_gram, cs)
-        vals.append(rho / t_k[i])
+        vals.append(rho)  # the T^K transport it is divided by is 1 on the flat torus
     return branch_sqrt_path(np.asarray(vals))
 
 
@@ -722,69 +742,33 @@ def b_coefficient_diagonal(ps: TorusPhaseSpace, sym: SymbolField, x) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _advance_position(sym: SymbolField, ps: TorusPhaseSpace, pt: np.ndarray,
-                      t0: float, t1: float) -> np.ndarray:
-    """Short position-only RK4 hop from a known lifted point (Newton helper)."""
-
-    span = t1 - t0
-    n = max(4, int(np.ceil(abs(span) / 2e-3)))
-    h = span / n
-    y = np.array(pt, dtype=float)
-    t = t0
-    for _ in range(n):
-        k1 = hamiltonian_vector_field(sym, t, y, ps)
-        k2 = hamiltonian_vector_field(sym, t + 0.5 * h, y + 0.5 * h * k1, ps)
-        k3 = hamiltonian_vector_field(sym, t + 0.5 * h, y + 0.5 * h * k2, ps)
-        k4 = hamiltonian_vector_field(sym, t + h, y + h * k3, ps)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-    return y
-
-
-def _position_sampler(sym: SymbolField, ps: TorusPhaseSpace, x: np.ndarray, ts: np.ndarray):
-    """Dense lifted positions over the grid ``ts`` plus a pointwise evaluator.
-
-    Exact-flow symbols evaluate directly; generic symbols integrate the dense
-    grid once (split at t = 0) and refine pointwise from the nearest stored
-    sample, so Newton polishing never re-integrates from scratch.
-    """
+def _lifted_positions(sym: SymbolField, ps: TorusPhaseSpace, x: np.ndarray,
+                      t_lo: float, t_hi: float) -> Callable:
+    """Evaluator ts -> lifted phi_t(x), shape (len(ts), 2), on [min(t_lo, 0),
+    max(t_hi, 0)]: the closed form, or the dense output of one position-only
+    integration on each side of t = 0."""
 
     if sym.exact_flow is not None:
-        dense = np.asarray(sym.exact_flow(x, ts)["points_lifted"])
+        return lambda ts: np.asarray(
+            sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))["points_lifted"])
 
-        def point_at(t: float) -> np.ndarray:
-            return np.asarray(sym.exact_flow(x, np.array([t]))["points_lifted"])[0]
+    neg, pos = (_dopri5(lambda t, pt: hamiltonian_vector_field(sym, t, pt, ps), x, end, _FLOW_TOL)
+                for end in (min(t_lo, 0.0), max(t_hi, 0.0)))
 
-        return dense, point_at
+    def positions(ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        return np.where((ts < 0.0)[:, None], neg(ts), pos(ts))
 
-    dense = np.empty((ts.size, 2))
-    neg = np.nonzero(ts < 0.0)[0]
-    nonneg = np.nonzero(ts >= 0.0)[0]
-    if neg.size:
-        grid = np.concatenate([[0.0], ts[neg][::-1]])  # strictly decreasing past 0
-        traj = integrate_flow(sym, x, grid, ps)
-        dense[neg] = traj.points_lifted[1:][::-1]
-    if nonneg.size:
-        sub = ts[nonneg]
-        if sub[0] == 0.0:
-            dense[nonneg] = integrate_flow(sym, x, sub, ps).points_lifted
-        else:
-            grid = np.concatenate([[0.0], sub])
-            dense[nonneg] = integrate_flow(sym, x, grid, ps).points_lifted[1:]
-
-    def point_at(t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(ts - t)))
-        return _advance_position(sym, ps, dense[i], float(ts[i]), float(t))
-
-    return dense, point_at
+    return positions
 
 
 def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) -> list[tuple[float, tuple[int, int]]]:
     """All t in [window] with phi_t(x) = y mod lattice, with lattice windings.
 
     Dense sampling of the lifted flow followed by Newton refinement of the
-    along-flow coordinate; each root is verified to land on y to 1e-9 in
-    lattice distance.  Requires an autonomous symbol and x, y on a common
+    along-flow coordinate, both on one flow evaluator (for generic symbols,
+    the dense output of one integration on each side of t = 0); each root is
+    verified to land on y to 1e-9 in lattice distance.  Requires an autonomous symbol and x, y on a common
     regular level set.
     """
 
@@ -807,11 +791,13 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
     speed_y = float(np.linalg.norm(x_y))
     u_flow = x_y / speed_y
 
-    vmax = _speed_bound(sym, ps, [0.0])
+    grid = np.linspace(0.0, 1.0, 17, endpoint=False)
+    vmax = float(np.max(np.abs(sym.grad(0.0, *np.meshgrid(grid, grid))))) / ps.symplectic_area
     dt = min(0.02, 0.2 / (1.0 + vmax))
     n_samples = max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1)
     ts = np.linspace(t_lo, t_hi, n_samples)
-    pts, point_at = _position_sampler(sym, ps, x, ts)
+    positions = _lifted_positions(sym, ps, x, t_lo, t_hi)
+    pts = positions(ts)
     diffs = ps.wrap_difference(pts, y[None, :])
     dist = np.linalg.norm(diffs, axis=-1)
     step = float(ts[1] - ts[0]) if n_samples > 1 else dt
@@ -833,7 +819,7 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
         t_cur = t_guess
         converged = False
         for _ in range(60):
-            pt = point_at(t_cur)
+            pt = positions(t_cur)[0]
             g = float(ps.wrap_difference(pt, y) @ u_flow)
             xv = hamiltonian_vector_field(sym, 0.0, pt, ps)
             slope = float(xv @ u_flow)
@@ -847,7 +833,7 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
             t_cur = min(max(t_next, t_guess - clamp_radius), t_guess + clamp_radius)
         if not converged:
             continue
-        final = point_at(t_cur)
+        final = positions(t_cur)[0]
         if float(np.linalg.norm(ps.wrap_difference(final, y))) > 1e-9:
             continue  # a near miss, not a return
         if not (t_lo - 1e-9 <= t_cur <= t_hi + 1e-9):
@@ -864,7 +850,7 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
 
     out: list[tuple[float, tuple[int, int]]] = []
     for r in merged:
-        lifted = point_at(r)
+        lifted = positions(r)[0]
         winding = np.round(lifted - y).astype(int)
         if float(np.linalg.norm(lifted - y - winding)) > 1e-8:
             raise RegularityError("winding bookkeeping failed to close the path")

@@ -133,6 +133,13 @@ def test_symbol_expressions():
         symbol_from_selector("cos(")
 
 
+def test_non_periodic_symbol_is_refused(capsys):
+    assert main(["propagator", "--symbol", "cos(pi*q)", "--k", "5"]) == 2
+    assert "not lattice-periodic" in capsys.readouterr().err
+    readme = "cos(2*pi*q)+0.1*sin(2*pi*p)"
+    assert _cfg(["propagator", "--symbol", readme]).symbol == readme
+
+
 def test_lead_in_helper():
     grid = np.array([0.0, 0.1, 0.2])
     out, skip = _with_lead_in(grid)

@@ -29,6 +29,7 @@ from torusprop.torusgeo import (
     rho_level_half,
     transport_phase,
 )
+from torusprop.torusgeo import _dopri5
 
 TWO_PI = 2.0 * np.pi
 
@@ -178,6 +179,32 @@ def test_grid_must_be_monotone():
 def test_unreachable_tolerance_is_reported():
     with pytest.raises(StepSizeError, match="error estimate"):
         integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]), tol=1e-17)
+
+
+def test_expression_flow_stays_within_call_budget():
+    # finite-difference derivatives: one right-hand side costs ~15 symbol calls
+    calls = [0]
+
+    def principal(t, p, q):
+        calls[0] += 1
+        return np.cos(TWO_PI * np.asarray(q, float)) + 0.0 * np.asarray(p, float)
+
+    traj = integrate_flow(make_symbol("cos-q-fd", principal), (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    assert calls[0] < 2000
+    assert np.allclose(traj.points_lifted[-1], [0.3 + 0.5 * np.sin(0.2 * np.pi), 0.1], atol=1e-9)
+
+
+def test_dense_output_between_steps_matches_shear():
+    sym = model_without_exact_flow()
+    x = np.array([0.3, 0.1])
+    dense = _dopri5(lambda t, pt: hamiltonian_vector_field(sym, t, pt), x, 8.0, 1e-10)
+    ts = np.array([0.123, 6.9])
+    expect = np.column_stack([0.3 + 0.5 * np.sin(0.2 * np.pi) * ts, np.full(2, 0.1)])
+    assert np.max(np.abs(dense(ts) - expect)) < 1e-9
+    got = integrate_flow(sym, x, np.array([0.0, 0.123, 6.9]))
+    ref = integrate_flow(model_cos_symbol(), x, np.array([0.0, 0.123, 6.9]))
+    assert np.max(np.abs(got.points_lifted - ref.points_lifted)) < 1e-9
+    assert np.max(np.abs(got.jacobians - ref.jacobians)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +517,13 @@ def test_returns_generic_symbol():
     y = traj.points[-1]
     rts = return_times(sym, x, y, (0.0, 1.2))
     assert any(abs(t - 0.8) < 1e-7 for t, _ in rts)
+
+
+def test_returns_p_dependent_expression_symbol():
+    # finite-difference derivatives; the orbit through (0.3, 0.1) closes after ~13.6
+    sym = make_symbol("mixed", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, float))
+                      + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
+    assert return_times(sym, (0.3, 0.1), (0.3, 0.1), (-3.0, 3.0)) == [(0.0, (0, 0))]
 
 
 def test_returns_require_common_level():
