@@ -37,6 +37,7 @@ from .torusgeo import (
     integrate_flow,
     make_symbol,
     model_cos_symbol,
+    norm_X,
     rho_graph_half,
     rho_level_half,
 )
@@ -250,11 +251,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"point ({p}, {q}) is not finite")
         if not 0.0 < q < 1.0:
             raise ConfigError(f"q={q:g} outside the fundamental range (0, 1)")
-        if cfg.command in ("projector", "lifts") and (
-                abs(q - 0.5) < 1e-9 or min(q, 1.0 - q) < 1e-9):
-            raise ConfigError(
-                f"q={q:g} sits where sin(2*pi*q)=0: the energy level through "
-                "it is critical, level-set commands need 0 < q < 1, q != 0.5")
     if cfg.command in ("propagator", "lifts") and len(cfg.points) != 1:
         raise ConfigError(f"{cfg.command} takes exactly one point; got "
                           f"{len(cfg.points)}")
@@ -266,7 +262,15 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command == "propagator" and len(cfg.ks) > 1 and cfg.out is None:
         raise ConfigError("multiple k values write one table per k; --out is "
                           "required (files get a _k<N> suffix)")
-    symbol_from_selector(cfg.symbol)  # fail fast on bad expressions
+    sym = symbol_from_selector(cfg.symbol)  # fail fast on bad expressions
+    if cfg.command in ("projector", "lifts"):
+        for p, q in cfg.points:
+            try:
+                norm_X(TORUS, sym, 0.0, (p, q))
+            except RegularityError as exc:
+                raise ConfigError(f"point ({p:g}, {q:g}): {exc}; level-set "
+                                  "commands need a regular point of the "
+                                  "energy level") from None
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="toeplitz-propagator",
         description="Exact vs asymptotic kernel tables for quantized torus "
                     "Hamiltonians.",
-        epilog="Environment: TP_QUAD_SCALE multiplies the position-quadrature "
-               "order (default 1); TP_SEED seeds the randomized self-tests. "
+        epilog="Environment: TP_SEED seeds the randomized self-tests. "
                "Identical configs produce byte-identical tables.")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", metavar="FILE",

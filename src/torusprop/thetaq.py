@@ -148,24 +148,10 @@ def quantum_space(k: int, theta_terms: int | None = None,
         theta_terms = _default_theta_terms(-TWO_PI * k)
     if quad_order is None:
         quad_order = 64 * max(1, int(np.ceil(k / 25)))
-        quad_order = int(quad_order * _quad_scale())
     qs = QuantumSpace(k=int(k), theta_terms=int(theta_terms), quad_order=int(quad_order))
     if validate and k <= 50:
         _construction_self_test(qs)
     return qs
-
-
-def _quad_scale() -> float:
-    import os
-
-    raw = os.environ.get("TP_QUAD_SCALE", "1")
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"TP_QUAD_SCALE must be a number, got {raw!r}") from exc
-    if not 0.25 <= val <= 16:
-        raise ValueError(f"TP_QUAD_SCALE out of range [0.25, 16]: {val}")
-    return val
 
 
 def _construction_self_test(qs: QuantumSpace) -> None:

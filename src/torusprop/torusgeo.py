@@ -19,8 +19,8 @@ The coefficients are:
   the (flat, trivialized) canonical bundle K;
 * the graph amplitude rho_t = 1 / holomorphic determinant of the flow
   Jacobian, with an independent frame-pairing route as a cross-check;
-* the level-set amplitude rho'_t for energy-surface kernels, via a
-  general-dimension adapted-frame reduction;
+* the level-set amplitude rho'_t for energy-surface kernels, in the closed
+  form that the general Phi_F * Phi_G lift takes in real dimension 2;
 * the transversality coefficient B of a Lagrangian line, in both the
   single-copy and kernel (doubled-space) conventions;
 * classical return times with lattice winding bookkeeping.
@@ -62,7 +62,6 @@ __all__ = [
     "rho_graph_half",
     "rho_graph_frame",
     "rho_level_half",
-    "level_lift_coefficient",
     "norm_X",
     "b_coefficient",
     "b_coefficient_diagonal",
@@ -550,116 +549,41 @@ def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _adapted_level_frame(x_vec: np.ndarray, omega_gram: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    """Unitary frame (e_1..e_n, f_1..f_n) for the metric omega(., cs .) with
-    e_1 along the flow direction and f_i = cs e_i."""
-
-    dim = x_vec.size
-    n = dim // 2
-    metric = omega_gram @ cs
-    norm = float(x_vec @ metric @ x_vec)
-    if norm <= 1e-12:
-        raise RegularityError("flow direction has vanishing metric norm")
-    es = [x_vec / np.sqrt(norm)]
-    fs = [cs @ es[0]]
-    for cand in np.eye(dim):
-        if len(es) == n:
-            break
-        v = cand.copy()
-        for w in (*es, *fs):
-            v -= (w @ metric @ v) * w
-        norm2 = float(v @ metric @ v)
-        if norm2 <= 1e-10:
-            continue
-        e = v / np.sqrt(norm2)
-        es.append(e)
-        fs.append(cs @ e)
-    if len(es) != n:
-        raise RegularityError("could not complete an adapted frame")
-    return np.column_stack([*es, *fs])
-
-
-def level_lift_coefficient(jac: np.ndarray, x_src: np.ndarray, x_dst: np.ndarray,
-                           omega_gram: np.ndarray, cs: np.ndarray) -> complex:
-    """The level-set kernel amplitude rho' for one linearized flow map.
-
-    Works in any dimension 2n.  Builds adapted frames (e_1 = X/||X||,
-    f_1 = j e_1, the rest completing unitary frames), drops the flow/energy
-    pair, takes the reciprocal holomorphic determinant of the reduced map on
-    the symplectic complement G (the Phi_G factor), multiplies the
-    2 ||X_src||^{-2} normal-direction factor (Phi_F), and converts the
-    adapted (n,0)-frames back to the global dz-frame via the determinants of
-    their (1,0)-coordinate matrices.  For n = 1 the reduced determinant is
-    empty and rho' = 2 dz(X_src) / (||X_src||^2 dz(X_dst)).
-    """
-
-    jac = np.asarray(jac, dtype=float)
-    dim = jac.shape[0]
-    n = dim // 2
-    x_src = np.asarray(x_src, dtype=float).reshape(dim)
-    x_dst = np.asarray(x_dst, dtype=float).reshape(dim)
-    metric = omega_gram @ cs
-    ns2 = float(x_src @ metric @ x_src)
-    nt2 = float(x_dst @ metric @ x_dst)
-    if min(ns2, nt2) <= 1e-12:
-        raise RegularityError("flow direction degenerates along the trajectory")
-
-    p_src = _adapted_level_frame(x_src, omega_gram, cs)
-    p_dst = _adapted_level_frame(x_dst, omega_gram, cs)
-    w = np.linalg.solve(p_dst, jac @ p_src)
-
-    # the flow direction must map to the flow direction:
-    # jac e_1(src) = (||X_dst|| / ||X_src||) e_1(dst), nothing elsewhere
-    off = np.abs(w[:, 0])
-    off[0] = 0.0
-    if np.max(off) > 1e-6 * max(1.0, abs(w[0, 0])) or \
-            abs(w[0, 0] - np.sqrt(nt2 / ns2)) > 1e-6 * max(1.0, np.sqrt(nt2 / ns2)):
-        raise RegularityError("Jacobian does not carry the source flow direction "
-                              "to the target one; is the symbol autonomous and "
-                              "the energy shared?")
-
-    keep = [*range(1, n), *range(n + 1, dim)]
-    psi = w[np.ix_(keep, keep)]
-    # G-columns may not leak into the energy direction f_1
-    if keep:
-        leak = float(np.max(np.abs(w[np.ix_([n], keep)])))
-        if leak > 1e-6:
-            raise RegularityError("reduced map leaks out of the energy level "
-                                  f"(defect {leak:.2e})")
-    m = n - 1
-    if m:
-        a = psi[:m, :m]
-        b = psi[:m, m:]
-        c = psi[m:, :m]
-        d = psi[m:, m:]
-        det_psi = complex(np.linalg.det(0.5 * ((a + d) + 1j * (c - b))))
-    else:
-        det_psi = 1.0 + 0.0j
-
-    def e_frame_det(frame: np.ndarray) -> complex:
-        ze = frame[:n, :n] + 1j * frame[n:, :n]
-        return complex(np.linalg.det(ze))
-
-    rho_adapted = 2.0 / (np.sqrt(ns2) * np.sqrt(nt2) * det_psi)
-    return rho_adapted * e_frame_det(p_src) / e_frame_det(p_dst)
+def _field_norms(ps: TorusPhaseSpace, sym: SymbolField, t: float, pts) -> np.ndarray:
+    """Metric norms sqrt(omega(X, jX)) of the Hamiltonian field at points
+    (..., 2); raises RegularityError when any of them is below 1e-6."""
+    xv = hamiltonian_vector_field(sym, t, np.asarray(pts, dtype=float), ps)
+    vals = np.sqrt(ps.symplectic_area * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
+    worst = float(np.min(vals))
+    if worst < 1e-6:
+        raise RegularityError(f"Hamiltonian field norm {worst:.2e} below 1e-6: "
+                              "x is (numerically) a critical point")
+    return vals
 
 
 def norm_X(ps: TorusPhaseSpace, sym: SymbolField, t: float, x) -> float:
     """Metric norm sqrt(omega(X, jX)) of the Hamiltonian field at x."""
-    xv = hamiltonian_vector_field(sym, t, np.asarray(x, dtype=float), ps)
-    val = float(np.sqrt(ps.symplectic_area * (xv[0] ** 2 + xv[1] ** 2)))
-    if val < 1e-6:
-        raise RegularityError(f"Hamiltonian field norm {val:.2e} below 1e-6: "
-                              "x is (numerically) a critical point")
-    return val
+    return float(_field_norms(ps, sym, t, x))
 
 
 def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
                    energy: float) -> list[BranchedPhase]:
     """Branch-continuous [rho'_t]^{1/2} along a level-set trajectory.
 
-    Starts at sqrt(2)/||X_x||; every sampled point must be a regular point of
-    the energy level.
+    In real dimension 2n, rho'_t is the canonical-bundle lift on the energy
+    level: in adapted unitary frames (e_1 = X/||X||, f_1 = j e_1, completed)
+    it is the normal factor Phi_F = 2 / (||X_x|| ||X_{phi_t x}||) times
+    Phi_G, the reciprocal holomorphic determinant of the flow map reduced to
+    the symplectic complement G of the flow/energy pair, converted back to
+    the global (n,0)-frame.  On the torus (n = 1) G = {0}, so Phi_G = 1 and
+
+        rho'_t = 2 dz(X_x) / (||X_x||^2 dz(X_{phi_t x})),
+
+    evaluated for the whole trajectory at once (the T^K transport it is
+    divided by is 1 on the flat torus).  Starts at sqrt(2)/||X_x||.  Every
+    sampled point must be a regular point of the energy level, and each
+    Jacobian must carry e_1(x) to (||X_{phi_t x}|| / ||X_x||) e_1(phi_t x)
+    to 1e-6.
     """
 
     if not sym.autonomous:
@@ -668,16 +592,27 @@ def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
     if abs(e0 - energy) > 1e-10 * (1.0 + abs(energy)):
         raise RegularityError(f"trajectory starts at H = {e0!r}, not at the "
                               f"requested energy {energy!r}")
-    omega_gram = ps.omega_gram()
-    cs = np.array([[0.0, -1.0], [1.0, 0.0]])
+    _field_norms(ps, sym, 0.0, traj.points)  # regularity guard
     x_src = hamiltonian_vector_field(sym, 0.0, traj.start, ps)
-    vals = []
-    for i, t in enumerate(traj.times):
-        norm_X(ps, sym, float(t), traj.points[i])  # regularity guard
-        x_dst = hamiltonian_vector_field(sym, float(t), traj.points_lifted[i], ps)
-        rho = level_lift_coefficient(traj.jacobians[i], x_src, x_dst, omega_gram, cs)
-        vals.append(rho)  # the T^K transport it is divided by is 1 on the flat torus
-    return branch_sqrt_path(np.asarray(vals))
+    x_dst = hamiltonian_vector_field(sym, 0.0, traj.points_lifted, ps)
+    ns2 = ps.symplectic_area * (x_src[0] ** 2 + x_src[1] ** 2)
+    nt2 = ps.symplectic_area * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
+    if min(ns2, float(np.min(nt2))) <= 1e-12:
+        raise RegularityError("flow direction degenerates along the trajectory")
+
+    dz_src = complex(x_src[0], x_src[1])
+    dz_dst = x_dst[:, 0] + 1j * x_dst[:, 1]
+    # (w_00, w_10): the adapted (e_1, f_1) components of jac e_1(src) at the
+    # target; with f_1 = j e_1 they are one complex ratio of dz values
+    ratio = np.sqrt(nt2 / ns2)
+    pushed = traj.jacobians @ x_src
+    w = (pushed[:, 0] + 1j * pushed[:, 1]) / dz_dst * ratio
+    if np.any(np.abs(w.imag) > 1e-6 * np.maximum(1.0, np.abs(w.real))) or \
+            np.any(np.abs(w.real - ratio) > 1e-6 * np.maximum(1.0, ratio)):
+        raise RegularityError("Jacobian does not carry the source flow direction "
+                              "to the target one; is the symbol autonomous and "
+                              "the energy shared?")
+    return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,15 @@ def test_level_set_commands_reject_critical_levels(command, q):
         _cfg([command, "--point", f"0.3,{q}"])
 
 
+@pytest.mark.parametrize("command", ["projector", "lifts"])
+def test_level_set_regularity_uses_the_actual_symbol(command):
+    # cos(2 pi p) is regular at q = 0.5 (||X|| = 1.69) and critical at p = 0.5
+    sym = ["--symbol", "cos(2*pi*p)"]
+    assert _cfg([command, "--point", "0.3,0.5", *sym]).points == ((0.3, 0.5),)
+    with pytest.raises(ConfigError, match="critical"):
+        _cfg([command, "--point", "0.5,0.3", *sym])
+
+
 def test_propagator_allows_q_half_but_not_out_of_range():
     assert _cfg(["propagator", "--point", "0.3,0.5"]).points == ((0.3, 0.5),)
     with pytest.raises(ConfigError, match=r"\(0, 1\)"):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from torusprop.torusgeo import (
     geometric_lift,
     hamiltonian_vector_field,
     integrate_flow,
-    level_lift_coefficient,
     make_symbol,
     model_cos_symbol,
     norm_X,
@@ -383,35 +384,61 @@ def test_rho_level_requires_matching_energy():
         rho_level_half(TORUS, sym, traj, 0.123)
 
 
-def test_level_lift_synthetic_product_system():
-    # R^4 local model: free translation in block 1, harmonic rotation in
-    # block 2.  X = d/dq*1, the reduced map is the block-2 rotation, and
-    # rho'(t) = 2 e^{-it} factorizes as (2/||X||^2) * 1/det^{1,0}(rotation).
-    omega4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-    cs4 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-    x_vec = np.array([0.0, 0.0, 1.0, 0.0])  # d/dq_1 in (p1,p2,q1,q2)
-    for t in (0.0, 0.35, 1.2, 2.8):
-        c, s = np.cos(t), np.sin(t)
-        jac = np.eye(4)
-        jac[np.ix_([1, 3], [1, 3])] = np.array([[c, -s], [s, c]])
-        rho = level_lift_coefficient(jac, x_vec, x_vec, omega4, cs4)
-        assert rho == pytest.approx(2.0 * np.exp(-1j * t), abs=1e-12)
-        # independent factor check: Phi_F x Phi_G
-        phi_f = 2.0  # ||X||^2 = omega(X, jX) = 1
-        rot = LinearSymplectomorphism(np.array([[c, -s], [s, c]]))
-        phi_g = 1.0 / holomorphic_determinant(rot)
-        assert rho == pytest.approx(phi_f * phi_g, abs=1e-12)
+def test_rho_level_matches_jacobian_route_on_generic_level():
+    # p-dependent symbol with finite-difference derivatives: rho' moves along
+    # the orbit, and the Jacobian pushes X_x to X_{phi_t x} up to the
+    # finite-difference Hessian's error
+    sym = make_symbol("q-cos-p-sin", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, float))
+                      + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
+    x = (0.3, 0.1)
+    e0 = float(sym.principal(0.0, *x))
+    x_src = hamiltonian_vector_field(sym, 0.0, x)
+    dz_src = complex(x_src[0], x_src[1])
+    norm2 = norm_X(TORUS, sym, 0.0, x) ** 2
+    for t_end in (7.0, -7.0):
+        traj = integrate_flow(sym, x, np.linspace(0.0, t_end, 351))
+        vals = np.array([h.value for h in rho_level_half(TORUS, sym, traj, e0)]) ** 2
+        pushed = traj.jacobians @ x_src
+        jac_route = 2.0 * dz_src / (norm2 * (pushed[:, 0] + 1j * pushed[:, 1]))
+        assert np.max(np.abs(vals - jac_route) / np.abs(jac_route)) < 1e-5
+        assert np.ptp(np.abs(vals)) > 1e-2  # not the constant shear value
 
 
-def test_level_lift_rejects_flow_direction_violation():
-    omega4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
-    cs4 = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
-    x_vec = np.array([0.0, 0.0, 1.0, 0.0])
-    jac = np.eye(4)
-    t = 0.4
-    jac[np.ix_([0, 2], [0, 2])] = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+def test_rho_level_rejects_flow_direction_violation():
+    sym = model_cos_symbol()
+    q0 = 0.1
+    traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 1.0, 11))
+    c, s = np.cos(0.4), np.sin(0.4)
+    rotated = dataclasses.replace(traj, jacobians=np.array([[c, -s], [s, c]]) @ traj.jacobians)
     with pytest.raises(RegularityError, match="flow direction"):
-        level_lift_coefficient(jac, x_vec, x_vec, omega4, cs4)
+        rho_level_half(TORUS, sym, rotated, np.cos(TWO_PI * q0))
+
+
+def test_rho_level_rejects_critical_point_on_trajectory():
+    sym = model_cos_symbol()
+    q0 = 0.1
+    traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 1.0, 11))
+    points = traj.points.copy()
+    points[7] = (0.3, 0.5)  # a critical point of cos(2 pi q)
+    with pytest.raises(RegularityError, match="critical"):
+        rho_level_half(TORUS, sym, dataclasses.replace(traj, points=points),
+                       np.cos(TWO_PI * q0))
+
+
+def test_rho_level_is_vectorised_over_the_grid():
+    base = model_cos_symbol()
+    calls = []
+
+    def grad(t, p, q):
+        calls.append(t)
+        return base.grad(t, p, q)
+
+    sym = dataclasses.replace(base, grad=grad)
+    q0 = 0.1
+    traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 7.0, 351))
+    calls.clear()
+    rho_level_half(TORUS, sym, traj, np.cos(TWO_PI * q0))
+    assert len(calls) <= 3
 
 
 # ---------------------------------------------------------------------------
