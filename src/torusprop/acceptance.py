@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propkern import graph_compare, offgraph_probe
+from .propkern import graph_compare, offgraph_probe, operator_for
 from .specproj import build_fourier_pair, projector_kernel_asymptotic, projector_kernel_exact, projector_kernel_timequad
 from .symplin import LinearSymplectomorphism, holomorphic_determinant, polar_determinant, random_symplectic
-from .thetaq import bergman_diag, gram_matrix, model_operator, quantum_space
+from .thetaq import bergman_diag, gram_matrix, quantum_space
 from .torusgeo import (
     TORUS,
     b_coefficient,
@@ -160,7 +160,7 @@ def _crit_a8() -> CriterionResult:
     errs, exacts = {}, {}
     for k in (100, 200):
         qs = quantum_space(k)
-        exacts[k] = abs(projector_kernel_exact(qs, model_operator(qs), pair,
+        exacts[k] = abs(projector_kernel_exact(qs, operator_for(qs, sym), pair,
                                                _E0, _POINT, _POINT))
         target = (np.sqrt(k) / TWO_PI) * fhat0 * amp
         errs[k] = abs(exacts[k] - target) / target
@@ -189,7 +189,7 @@ def _crit_a9() -> CriterionResult:
     pair = build_fourier_pair("bump", 7.0, 512)
     k = 200
     qs = quantum_space(k)
-    exact = projector_kernel_exact(qs, model_operator(qs), pair, _E0,
+    exact = projector_kernel_exact(qs, operator_for(qs, sym), pair, _E0,
                                    _POINT, _POINT)
     full = projector_kernel_asymptotic(TORUS, sym, pair, _E0, _POINT, _POINT, k)
     stripped = projector_kernel_asymptotic(TORUS, sym, pair, _E0, _POINT,
@@ -209,7 +209,7 @@ def _crit_a9() -> CriterionResult:
 
 def _crit_a10() -> CriterionResult:
     qs = quantum_space(50)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 512)
     pairs = (((0.3, _Q0), (0.3, _Q0)),
              ((0.6, _Q0), (0.6, _Q0)),

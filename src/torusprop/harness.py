@@ -83,7 +83,7 @@ def _parse_ks(text: str) -> tuple:
             raise ConfigError(f"k list entry {part!r} is not an integer") from None
         if not 1 <= k <= K_MAX:
             raise ConfigError(f"k={k} outside the supported range 1..{K_MAX} "
-                              "(dense 2k x 2k operator and quadrature-grid guard)")
+                              "(dense 2k x 2k operator and its eigendecomposition)")
         ks.append(k)
     if len(set(ks)) != len(ks):
         raise ConfigError(f"duplicate k values in {text!r}")
@@ -163,12 +163,11 @@ def symbol_from_selector(selector: str):
     if probe.shape != () or not np.isfinite(probe):
         raise ConfigError(f"symbol expression {selector!r} must give a finite "
                           "scalar at a scalar point")
-    sym = make_symbol(f"expr:{selector}", principal)
     try:
-        sym.check_periodicity()
+        return make_symbol(f"expr:{selector}", principal)
     except RegularityError as exc:
-        raise ConfigError(f"{exc}: H(p+1, q) and H(p, q+1) must equal H(p, q)") from None
-    return sym
+        raise ConfigError(f"{exc}; an expression must be smooth, with "
+                          "H(p+1, q) = H(p, q+1) = H(p, q)") from None
 
 
 _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",

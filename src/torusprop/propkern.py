@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thetaq import HermitianOperator, QuantumSpace, model_operator, sections, toeplitz_build
+from .thetaq import HermitianOperator, QuantumSpace, sections, toeplitz_build
 from .torusgeo import (
     TORUS,
     StepSizeError,
@@ -31,7 +31,6 @@ from .torusgeo import (
     TorusPhaseSpace,
     Trajectory,
     integrate_flow,
-    make_symbol,
     prequantum_phase,
     rho_graph_half,
 )
@@ -221,9 +220,11 @@ def asymptotic_graph_kernel(ps: TorusPhaseSpace, sym: SymbolField, x, t: float,
 def operator_for(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> HermitianOperator:
     """The level-k Hermitian operator quantizing a symbol at time t.
 
-    The model symbol takes the analytic diagonal (plus c/k for a constant
-    subprincipal part); generic symbols are built by quadrature, with the
-    subprincipal part entering at weight 1/k.
+    The model symbol takes the normalized diagonal cos(pi ell / k) plus c/k
+    for a constant subprincipal part c; it is e^{pi/(4k)} T_k(cos 2 pi q),
+    with analytic eigendata.  Every other symbol is T_k(f + g/k), built in
+    closed form from the Fourier modes of its principal part f and
+    subprincipal part g.
     """
 
     if sym.name == "model-cos":
@@ -234,17 +235,7 @@ def operator_for(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> Hermitia
                                  eigenvalues=vals,
                                  eigenvectors=np.eye(qs.dim, dtype=complex),
                                  symbol=sym)
-    base = toeplitz_build(qs, sym, t)
-    probe = np.array([float(np.asarray(sym.subprincipal(t, p, q)).reshape(()))
-                      for p, q in ((0.13, 0.71), (0.5, 0.25), (0.87, 0.94))])
-    if np.max(np.abs(probe)) == 0.0:
-        return HermitianOperator(k=qs.k, matrix=base.matrix, symbol=sym,
-                                 hermiticity_defect=base.hermiticity_defect)
-    sub_sym = make_symbol(sym.name + "-sub", sym.subprincipal,
-                          autonomous=sym.autonomous)
-    sub = toeplitz_build(qs, sub_sym, t)
-    return HermitianOperator(k=qs.k, matrix=base.matrix + sub.matrix / qs.k,
-                             symbol=sym, hermiticity_defect=base.hermiticity_defect)
+    return toeplitz_build(qs, sym, t)
 
 
 def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,

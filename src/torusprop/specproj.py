@@ -222,7 +222,7 @@ def _return_term(ps: TorusPhaseSpace, sym: SymbolField, x, y, t_ret: float,
     steps = max(3, int(np.ceil(abs(t_ret) / _BRANCH_STEP)) + 1)
     traj = integrate_flow(sym, x, np.linspace(0.0, t_ret, steps), ps)
     end = traj.points_lifted[-1]
-    target = np.asarray(y, dtype=float) + ps.lattice @ np.asarray(winding, dtype=float)
+    target = np.asarray(y, dtype=float) + np.asarray(winding, dtype=float)
     if float(np.max(np.abs(end - target))) > 1e-6:
         raise RuntimeError(f"return trajectory missed its lifted target by "
                            f"{float(np.max(np.abs(end - target))):.2e}")

@@ -34,6 +34,10 @@ pointwise density of Psi_ell against the weight, and the kernels carry only
 the unit-gauge phase.  ``theta3``, ``basis_eval`` and ``basis_matrix``, which
 carry (mantissa, exponent) pairs for the unweighted Psi_ell, are kept as the
 reference the tests compare ``sections`` against.
+
+Toeplitz matrices are assembled in closed form from a symbol's Fourier modes
+(``toeplitz_build``), one weighted cyclic shift per mode; quadrature serves
+only the Gram identity and the construction self-test.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expval import ExpComplex, expc
-from .torusgeo import SymbolField, model_cos_symbol
+from .torusgeo import SymbolField
 
 __all__ = [
     "TruncationError",
@@ -59,7 +63,6 @@ __all__ = [
     "basis_matrix",
     "sections",
     "gram_matrix",
-    "model_operator",
     "toeplitz_build",
     "bergman_diag",
 ]
@@ -67,7 +70,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
 # Sections cannot overflow at any k; the size limit is the dense 2k x 2k
-# operators and the quadrature grid of the expression-symbol route.
+# operators and their eigendecomposition.
 K_MAX = 400
 # Most (row, point) pairs one block of ``sections`` holds, so the grid
 # temporaries stay a few MB however many points are asked for.
@@ -108,7 +111,7 @@ class QuantumSpace:
     """Level-k space of theta sections with its numerical parameters.
 
     ``theta_terms`` is the half-width of the shifted theta summation window;
-    ``quad_order`` the node count per axis for Gram/Toeplitz quadrature;
+    ``quad_order`` the node count per axis for the Gram quadrature;
     ``gauge_note`` records which basis/weight gauge passed adjudication.
     """
 
@@ -307,7 +310,7 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _quad_nodes_cached(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # periodic direction: uniform nodes, exact for trigonometric integrands
     p = np.arange(n) / n
     wp = np.full(n, 1.0 / n)
@@ -318,10 +321,6 @@ def _quad_nodes_cached(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pp, qq = np.meshgrid(p, q, indexing="ij")
     ww = np.outer(wp, wq)
     return pp.ravel(), qq.ravel(), ww.ravel()
-
-
-def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _quad_nodes_cached(int(n))
 
 
 def _weighted_sections(qs: QuantumSpace, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -395,44 +394,30 @@ class HermitianOperator:
             raise ValueError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
 
 
-def model_operator(qs: QuantumSpace) -> HermitianOperator:
-    """The diagonal operator with entries cos(pi ell / k): the quantization
-    whose principal symbol is cos(2 pi q) with vanishing subprincipal part.
-    Its eigendecomposition is analytic (standard basis vectors)."""
-
-    ell = np.arange(qs.dim)
-    vals = np.cos(np.pi * ell / qs.k)
-    return HermitianOperator(k=qs.k, matrix=np.diag(vals.astype(complex)),
-                             eigenvalues=vals, eigenvectors=np.eye(qs.dim, dtype=complex),
-                             symbol=model_cos_symbol())
-
-
-def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0,
-                   verify: bool = False) -> HermitianOperator:
-    """Quadrature-built Toeplitz matrix of the symbol's principal part at
-    time t: T[l, l'] = integral of f Psi_l' conj(Psi_l) weight 4 pi dp dq.
-
-    Real symbols must come out Hermitian to 1e-9 before symmetrization (the
-    defect is recorded); the Hermitian average is then eigendecomposed.
+def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> HermitianOperator:
+    """T_k(f + g/k) for the principal part f and subprincipal part g, in
+    closed form from their Fourier modes (sampled at t = 0, so ``t`` does
+    not enter yet).  T_k(e^{2 pi i (m p + n q)}) is a weighted cyclic shift
+    (Bouzouina & De Bievre, CMP 178, 1996): row ell holds
+    e^{-pi (m^2 + n^2) / (4k)} e^{-i pi n (2 ell - m) / (2k)} in column
+    (ell - m) mod 2k.  The sum must come out Hermitian to 1e-9 before
+    symmetrization (the defect is recorded); the Hermitian average is then
+    eigendecomposed.
     """
 
-    s, p, q, _ = _weighted_sections(qs, qs.quad_order)
-    fvals = np.asarray(sym.principal(t, p, q), dtype=float)
-    raw = np.conjugate(s) @ (fvals[:, None] * s.T)
+    k, dim = qs.k, qs.dim
+    freqs = np.concatenate([sym.modes[0], sym.sub_modes[0]])
+    coeffs = np.concatenate([sym.modes[1], sym.sub_modes[1] / k])
+    ell = np.arange(dim)
+    raw = np.zeros((dim, dim), dtype=complex)
+    for (m, n), c in zip(freqs, coeffs):
+        raw[ell, (ell - m) % dim] += c * np.exp(-np.pi * (m * m + n * n) / (4.0 * k)
+                                                - 1j * np.pi * n * (2 * ell - m) / (2.0 * k))
     scale = max(1.0, float(np.max(np.abs(raw))))
     defect = float(np.max(np.abs(raw - raw.conj().T)))
     if defect > 1e-9 * scale:
-        raise ResolutionError(f"Toeplitz quadrature asymmetry {defect:.2e} exceeds "
-                              "1e-9; raise quad_order")
-    if verify:
-        s2, p2, q2, _ = _weighted_sections(qs, 2 * qs.quad_order)
-        f2 = np.asarray(sym.principal(t, p2, q2), dtype=float)
-        raw2 = np.conjugate(s2) @ (f2[:, None] * s2.T)
-        drift = float(np.max(np.abs(raw2 - raw)))
-        if drift > 1e-9:
-            raise ResolutionError(f"Toeplitz quadrature drifted {drift:.2e} under "
-                                  "node doubling; raise quad_order")
-        raw = raw2
+        raise ConstructionError(f"Toeplitz matrix asymmetry {defect:.2e} exceeds 1e-9: "
+                                "the symbol modes are not those of a real function")
     herm = 0.5 * (raw + raw.conj().T)
     return HermitianOperator(k=qs.k, matrix=herm, symbol=sym, hermiticity_defect=defect)
 

@@ -8,10 +8,16 @@ omega.  This module integrates Hamiltonian flows together with their
 linearization and the action/connection integrals, and computes every
 geometric coefficient the kernel predictors need.
 
+A symbol is held as its Fourier modes, read off the FFT of grid samples; a
+symbol whose modes never decay is refused as not lattice-periodic or not
+smooth.  Values, gradients and Hessians are exact mode sums, and the
+Toeplitz matrices are built from the same modes.
+
 Flows come in closed form when the symbol carries one (``model-cos``).
 Otherwise one adaptive Dormand–Prince 5(4) integrator with fourth-order
 dense output serves both ``integrate_flow`` (which documents its error
-norm) and the return-time scan and Newton polish of ``return_times``.
+norm and its symplecticity guard) and the return-time scan and Newton
+polish of ``return_times``.
 
 The coefficients are:
 
@@ -94,26 +100,17 @@ class StepSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorusPhaseSpace:
-    """The torus R^2/(lattice) with omega = 4*pi dp^dq.
+    """The torus R^2/Z^2 with omega = 4*pi dp^dq.
 
-    ``lattice`` holds the two basis vectors as columns; the symplectic cell
-    area is fixed at 4*pi, which pins det(lattice) = 1.  ``metric_scale`` is
-    G = 2*pi in omega = i G dz ^ dzbar; the Kaehler metric is then
+    The unit cell carries symplectic area 4*pi.  ``metric_scale`` is G = 2*pi
+    in omega = i G dz ^ dzbar; the Kaehler metric is then
     omega(., j.) = 4*pi |dz|^2.
     """
 
-    lattice: np.ndarray = field(default_factory=lambda: np.eye(2))
     symplectic_area: float = FOUR_PI
     metric_scale: float = TWO_PI
 
     def __post_init__(self) -> None:
-        lat = np.asarray(self.lattice, dtype=float)
-        object.__setattr__(self, "lattice", lat)
-        if lat.shape != (2, 2):
-            raise RegularityError("lattice must be a 2x2 matrix of basis columns")
-        if abs(np.linalg.det(lat) - 1.0) > 1e-12:
-            raise RegularityError("lattice cell must have unit (p,q) area so the "
-                                  "symplectic cell area is 4*pi")
         if not (self.symplectic_area > 0.0 and self.metric_scale > 0.0):
             raise RegularityError("scales must be positive")
 
@@ -134,20 +131,14 @@ class TorusPhaseSpace:
         return self.symplectic_area * np.array([[0.0, 1.0], [-1.0, 0.0]])
 
     def reduce(self, pts) -> np.ndarray:
-        """Reduce lifted points to the fundamental domain."""
+        """Reduce lifted points to the fundamental domain [0, 1)^2."""
         pts = np.asarray(pts, dtype=float)
-        coords = np.linalg.solve(self.lattice, pts[..., :, None])[..., 0] \
-            if pts.ndim > 1 else np.linalg.solve(self.lattice, pts)
-        frac = coords - np.floor(coords)
-        return (self.lattice @ frac[..., :, None])[..., 0] if pts.ndim > 1 \
-            else self.lattice @ frac
+        return pts - np.floor(pts)
 
     def wrap_difference(self, a, b) -> np.ndarray:
         """Shortest lattice representative of a - b (components in [-1/2, 1/2))."""
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        coords = d if np.allclose(self.lattice, np.eye(2)) else np.linalg.solve(self.lattice, d.T).T
-        wrapped = coords - np.round(coords)
-        return wrapped if np.allclose(self.lattice, np.eye(2)) else (self.lattice @ wrapped.T).T
+        return d - np.round(d)
 
     def check_d_alpha(self, n: int = 7, step: float = 1e-4) -> float:
         """Finite-difference verification of d(alpha) = omega; returns the
@@ -170,15 +161,61 @@ TORUS = TorusPhaseSpace()
 # ---------------------------------------------------------------------------
 
 
+# Mode extraction: grid sizes N = 16, 32, ... up to this limit; modes at or
+# below this share of the largest one are dropped.
+_MODES_GRID_MAX = 1024
+_MODES_TOL = 1e-14
+
+
+def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier modes of a real f(t, p, q) at t = 0: frequencies (M, 2) =
+    (m, n) and coefficients c (M,) with f = sum c e^{2 pi i (m p + n q)},
+    accepted once every mode with |m| or |n| >= N/4 is negligible.  Raises
+    RegularityError when f is not finite or its modes never decay."""
+
+    n_grid = 16
+    while True:
+        axis = np.arange(n_grid) / n_grid
+        pp, qq = np.meshgrid(axis, axis, indexing="ij")
+        vals = np.broadcast_to(np.asarray(f(0.0, pp, qq), dtype=float), pp.shape)
+        if not np.all(np.isfinite(vals)):
+            raise RegularityError(f"symbol {name!r} is not finite on the torus")
+        coeffs = np.fft.fft2(vals) / n_grid ** 2
+        # impose c_{-m,-n} = conj(c_{m,n}) exactly, so every T_k is Hermitian
+        coeffs = 0.5 * (coeffs + np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))))
+        freq = np.rint(np.fft.fftfreq(n_grid, 1.0 / n_grid)).astype(int)
+        mm, nn = np.meshgrid(freq, freq, indexing="ij")
+        mags = np.abs(coeffs)
+        peak = float(np.max(mags))
+        tail = float(np.max(mags[np.maximum(np.abs(mm), np.abs(nn)) >= n_grid // 4]))
+        if tail <= _MODES_TOL * peak:
+            keep = mags > _MODES_TOL * peak
+            return np.stack([mm[keep], nn[keep]], axis=-1), coeffs[keep]
+        if n_grid >= _MODES_GRID_MAX:
+            raise RegularityError(f"symbol {name!r} is not lattice-periodic, or not smooth: "
+                                  f"its Fourier modes with |m| or |n| >= {n_grid // 4} still "
+                                  f"reach {tail / peak:.1e} of the largest at N = {n_grid}")
+        n_grid *= 2
+
+
+def _mode_sum(freqs: np.ndarray, weights: np.ndarray, p, q) -> np.ndarray:
+    """Re sum_j weights[j] e^{2 pi i (m_j p + n_j q)} at broadcast points
+    (p, q), with shape broadcast(p, q).shape + weights.shape[1:]."""
+
+    phases = np.exp(2j * np.pi * (np.multiply.outer(p, freqs[:, 0]) + np.multiply.outer(q, freqs[:, 1])))
+    return np.tensordot(phases, weights, axes=(-1, 0)).real
+
+
 @dataclass(frozen=True)
 class SymbolField:
     """A Hamiltonian (principal + subprincipal symbol) with derivative access.
 
-    All callables take (t, p, q) with p, q broadcastable arrays and return
-    arrays of the broadcast shape; ``grad`` returns (..., 2) = (H_p, H_q),
-    ``hess`` returns (..., 2, 2).  ``exact_flow``, when present, maps
-    (x, times) to the full trajectory data in closed form and is used as a
-    fast path by the integrator.
+    ``modes`` and ``sub_modes`` hold the (frequencies, coefficients) Fourier
+    modes of the two parts.  The callables take (t, p, q) with p, q
+    broadcastable and return the broadcast shape, (..., 2) = (H_p, H_q) for
+    ``grad`` and (..., 2, 2) for ``hess``.  ``exact_flow``, when present,
+    maps (x, times) to the trajectory data in closed form (the integrator's
+    fast path).
     """
 
     name: str
@@ -186,45 +223,29 @@ class SymbolField:
     subprincipal: Callable
     grad: Callable
     hess: Callable
+    modes: tuple = field(repr=False, compare=False)
+    sub_modes: tuple = field(repr=False, compare=False)
     autonomous: bool = True
     exact_flow: Callable | None = None
 
-    def check_periodicity(self, n: int = 16, tol: float = 1e-12) -> None:
-        pts = np.linspace(0.0, 1.0, n, endpoint=False)
-        pp, qq = np.meshgrid(pts, pts)
-        base = self.principal(0.0, pp, qq)
-        for dp, dq in ((1.0, 0.0), (0.0, 1.0)):
-            shifted = self.principal(0.0, pp + dp, qq + dq)
-            if np.max(np.abs(shifted - base)) > tol:
-                raise RegularityError(f"symbol {self.name!r} is not lattice-periodic")
 
+def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> SymbolField:
+    """Build a SymbolField from real callables (t, p, q), sampled at t = 0:
+    both parts become their Fourier modes, and values, gradient and Hessian
+    are exact mode sums.  Raises RegularityError when a part is not smooth
+    and lattice-periodic."""
 
-def make_symbol(name: str, principal, subprincipal=None, grad=None, hess=None,
-                autonomous: bool = True, exact_flow=None, fd_step: float = 1e-5) -> SymbolField:
-    """Build a SymbolField, filling missing derivatives by centered finite
-    differences with the given step."""
-
-    sub = subprincipal if subprincipal is not None else (lambda t, p, q: np.zeros(np.broadcast_shapes(np.shape(p), np.shape(q))))
-
-    if grad is None:
-        def grad(t, p, q, _f=principal, _h=fd_step):  # type: ignore[misc]
-            gp = (_f(t, p + _h, q) - _f(t, p - _h, q)) / (2.0 * _h)
-            gq = (_f(t, p, q + _h) - _f(t, p, q - _h)) / (2.0 * _h)
-            return np.stack(np.broadcast_arrays(gp, gq), axis=-1)
-
-    if hess is None:
-        def hess(t, p, q, _f=principal, _h=fd_step):  # type: ignore[misc]
-            hpp = (_f(t, p + _h, q) - 2.0 * _f(t, p, q) + _f(t, p - _h, q)) / _h ** 2
-            hqq = (_f(t, p, q + _h) - 2.0 * _f(t, p, q) + _f(t, p, q - _h)) / _h ** 2
-            hpq = (_f(t, p + _h, q + _h) - _f(t, p + _h, q - _h)
-                   - _f(t, p - _h, q + _h) + _f(t, p - _h, q - _h)) / (4.0 * _h ** 2)
-            hpp, hpq, hqq = np.broadcast_arrays(hpp, hpq, hqq)
-            return np.stack([np.stack([hpp, hpq], axis=-1),
-                             np.stack([hpq, hqq], axis=-1)], axis=-2)
-
-    return SymbolField(name=name, principal=principal, subprincipal=sub,
-                       grad=grad, hess=hess, autonomous=autonomous,
-                       exact_flow=exact_flow)
+    freqs, coeffs = _fourier_modes(principal, name)
+    sub_modes = _fourier_modes(subprincipal or (lambda t, p, q: 0.0), name)
+    d_coeffs = coeffs[:, None] * (2j * np.pi * freqs)  # d/dp, d/dq of each mode
+    d2_coeffs = d_coeffs[:, :, None] * (2j * np.pi * freqs)[:, None, :]
+    return SymbolField(
+        name=name,
+        principal=lambda t, p, q: _mode_sum(freqs, coeffs, p, q),
+        subprincipal=lambda t, p, q: _mode_sum(*sub_modes, p, q),
+        grad=lambda t, p, q: _mode_sum(freqs, d_coeffs, p, q),
+        hess=lambda t, p, q: _mode_sum(freqs, d2_coeffs, p, q),
+        modes=(freqs, coeffs), sub_modes=sub_modes, exact_flow=exact_flow)
 
 
 def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
@@ -233,23 +254,6 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
     The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q), q); all
     trajectory data has closed forms, installed as the integrator fast path.
     """
-
-    def principal(t, p, q):
-        return np.cos(TWO_PI * np.asarray(q, dtype=float)) + 0.0 * np.asarray(p, dtype=float)
-
-    def subprincipal(t, p, q):
-        return np.full(np.broadcast_shapes(np.shape(p), np.shape(q)), float(sub_const))
-
-    def grad(t, p, q):
-        gq = -TWO_PI * np.sin(TWO_PI * np.asarray(q, dtype=float))
-        gp = np.zeros_like(gq)
-        return np.stack(np.broadcast_arrays(gp, gq), axis=-1)
-
-    def hess(t, p, q):
-        hqq = -TWO_PI ** 2 * np.cos(TWO_PI * np.asarray(q, dtype=float))
-        zero = np.zeros_like(hqq)
-        return np.stack([np.stack([zero, zero], axis=-1),
-                         np.stack([zero, hqq], axis=-1)], axis=-2)
 
     def exact_flow(x, times):
         p0, q0 = float(x[0]), float(x[1])
@@ -270,8 +274,9 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
             "conn_L": -np.pi * times * q0 * s,
         }
 
-    return SymbolField(name="model-cos", principal=principal, subprincipal=subprincipal,
-                       grad=grad, hess=hess, autonomous=True, exact_flow=exact_flow)
+    return make_symbol("model-cos", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, dtype=float)),
+                       lambda t, p, q: np.full(np.shape(p), float(sub_const)),
+                       exact_flow=exact_flow)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +425,11 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
     integrated jointly in one adaptive Dormand–Prince 5(4) sweep to the last
     grid time, accepting a step when its embedded error estimate satisfies
     max_i |err_i| / (1 + |y_i|) <= ``tol``; the grid is read from the
-    fourth-order dense output, so its spacing does not set the step.  For
-    symbols without closed-form derivatives the estimate does not include
-    the finite-difference error of ``grad`` and ``hess``.  Raises
-    StepSizeError when a step at the step-size floor still misses ``tol``,
-    or when the Jacobians lose symplecticity by more than 1e-9.
+    fourth-order dense output, so its spacing does not set the step.  When
+    the Jacobians lose symplecticity by more than 1e-9, the sweep is repeated
+    at tol/10 and then tol/100.  Raises StepSizeError when a step at the
+    step-size floor still misses its tolerance, or when the last sweep still
+    fails the symplecticity guard.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -437,30 +442,22 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
     if steps.size and (np.any(steps == 0.0) or (np.any(steps > 0) and np.any(steps < 0))):
         raise RegularityError("time grids must be strictly monotone")
 
-    if sym.exact_flow is not None:
-        data = sym.exact_flow(x, times)
-    else:
-        y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), tol)(times)
-        data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
-                "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]}
-    lifted = np.asarray(data["points_lifted"], dtype=float)
-    traj = Trajectory(
-        start=x,
-        times=times,
-        points=ps.reduce(lifted),
-        points_lifted=lifted,
-        jacobians=np.asarray(data["jacobians"], dtype=float),
-        action_H=np.asarray(data["action_H"], dtype=float),
-        action_Hsub=np.asarray(data["action_Hsub"], dtype=float),
-        conn_L=np.asarray(data["conn_L"], dtype=float),
-    )
-
-    defect = traj.symplectic_defect()
-    if defect > 1e-9:
-        raise StepSizeError(f"flow Jacobians lost symplecticity (defect {defect:.2e}); "
-                            "tighten tol")
-    return traj
+    y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    for sweep_tol in (tol, tol / 10, tol / 100):
+        if sym.exact_flow is not None:
+            data = sym.exact_flow(x, times)
+        else:
+            states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]),
+                             sweep_tol)(times)
+            data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
+                    "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]}
+        data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
+        traj = Trajectory(start=x, times=times, points=ps.reduce(data["points_lifted"]), **data)
+        defect = traj.symplectic_defect()
+        if defect <= 1e-9:
+            return traj
+    raise StepSizeError(f"flow Jacobians lost symplecticity (defect {defect:.2e}) "
+                        f"even at tol {sweep_tol:.0e}")
 
 
 # ---------------------------------------------------------------------------

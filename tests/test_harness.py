@@ -149,6 +149,20 @@ def test_non_periodic_symbol_is_refused(capsys):
     assert _cfg(["propagator", "--symbol", readme]).symbol == readme
 
 
+def test_non_smooth_symbol_is_refused(capsys):
+    # periodic but only Lipschitz: its Fourier modes decay like 1/n^2
+    assert main(["propagator", "--symbol", "sqrt(sin(2*pi*q)**2)", "--k", "5"]) == 2
+    assert "not smooth" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("symbol", ["exp(2*sin(2*pi*p))*cos(2*pi*q)",
+                                    "exp(3*cos(2*pi*q))*sin(2*pi*p)"])
+def test_propagator_symbols_that_need_a_tighter_flow_sweep(symbol, tmp_path):
+    # the first sweep at the default tolerance misses the symplecticity guard
+    assert main(["propagator", "--symbol", symbol, "--k", "20",
+                 "--tgrid", "0:0.01:1", "--out", str(tmp_path / "t.csv")]) == 0
+
+
 def test_lead_in_helper():
     grid = np.array([0.0, 0.1, 0.2])
     out, skip = _with_lead_in(grid)

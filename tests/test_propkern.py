@@ -23,7 +23,7 @@ from torusprop.propkern import (
     propagate_timedep,
     unwrap_phase_errors,
 )
-from torusprop.thetaq import HermitianOperator, bergman_diag, model_operator, quantum_space, toeplitz_build
+from torusprop.thetaq import HermitianOperator, bergman_diag, quantum_space, toeplitz_build
 from torusprop.torusgeo import TORUS, StepSizeError, make_symbol, model_cos_symbol
 
 TWO_PI = 2.0 * np.pi
@@ -48,7 +48,7 @@ def test_autonomous_identity_at_zero():
 
 def test_autonomous_model_is_diagonal_phase():
     qs = quantum_space(7)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     t = 0.42
     u = propagate_autonomous(op, t)
     ell = np.arange(qs.dim)

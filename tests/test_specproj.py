@@ -23,7 +23,6 @@ from torusprop.thetaq import (
     HermitianOperator,
     ResolutionError,
     basis_matrix,
-    model_operator,
     quantum_space,
 )
 from torusprop.torusgeo import TORUS, RegularityError, model_cos_symbol, norm_X
@@ -105,7 +104,7 @@ def test_scalar_operator_reduces_to_bergman_times_f0():
 
 def test_exact_kernel_hermitian_symmetry():
     qs = quantum_space(15)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 256)
     y, x = (0.42, Q0), (0.3, Q0)
     a = projector_kernel_exact(qs, op, pair, E0, y, x)
@@ -117,7 +116,7 @@ def test_two_route_identity():
     # spectral sum versus time quadrature on an independent coarser grid:
     # pure wiring, must agree to quadrature accuracy at k = 50
     qs = quantum_space(50)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 512)
     for y, x in (((0.3, Q0), (0.3, Q0)),
                  ((0.45, Q0), (0.3, Q0)),
@@ -132,7 +131,7 @@ def test_trace_identity():
     # against 4 pi dp dq (independent quadrature grid)
     k = 30
     qs = quantum_space(k)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 512)
     coeffs = pair.f_eval(k * (E0 - op.eigenvalues))
     trace = float(np.sum(coeffs).real)
@@ -183,7 +182,7 @@ def test_off_image_point_is_tagged_zero():
 
 def test_off_image_exact_kernel_is_tiny():
     qs = quantum_space(200, validate=False)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 512)
     val = projector_kernel_exact(qs, op, pair, E0, (0.3, 0.9), (0.3, Q0))
     assert abs(val) <= 1e-3 * np.sqrt(qs.k / TWO_PI)
@@ -272,7 +271,7 @@ def test_critical_level_rejected():
 
 def test_exact_matches_predictor_at_k200():
     qs = quantum_space(200, validate=False)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0, 512)
     x = (0.3, Q0)

@@ -24,13 +24,13 @@ from torusprop.thetaq import (
     basis_matrix,
     bergman_diag,
     gram_matrix,
-    model_operator,
     quantum_space,
     sections,
     theta3,
     toeplitz_build,
 )
 from torusprop import thetaq
+from torusprop.propkern import operator_for
 from torusprop.torusgeo import make_symbol, model_cos_symbol
 
 TWO_PI = 2.0 * np.pi
@@ -397,7 +397,7 @@ def test_gram_unresolved_quadrature_raises():
 
 def test_model_operator_analytic_eigendata():
     qs = quantum_space(8)
-    op = model_operator(qs)
+    op = operator_for(qs, model_cos_symbol())
     ell = np.arange(qs.dim)
     assert np.allclose(op.eigenvalues, np.cos(np.pi * ell / qs.k))
     assert np.allclose(op.eigenvectors, np.eye(qs.dim))
@@ -427,8 +427,48 @@ def test_toeplitz_of_constant_is_identity():
     qs = quantum_space(10)
     one = make_symbol("one", lambda t, p, q: np.ones(np.broadcast_shapes(
         np.shape(p), np.shape(q))))
-    op = toeplitz_build(qs, one, verify=True)
+    op = toeplitz_build(qs, one)
     assert np.max(np.abs(op.matrix - np.eye(qs.dim))) <= 1e-8
+
+
+def _quadrature_toeplitz(qs, principal, subprincipal=None):
+    """T_k(f + g/k) by quadrature against the weight-folded sections: the
+    oracle for the closed-form build, fed the raw callables."""
+    s, p, q, _ = thetaq._weighted_sections(qs, qs.quad_order)
+    vals = np.asarray(principal(0.0, p, q), dtype=float)
+    if subprincipal is not None:
+        vals = vals + np.asarray(subprincipal(0.0, p, q), dtype=float) / qs.k
+    return np.conjugate(s) @ (vals[:, None] * s.T)
+
+
+_ORACLE_SYMBOLS = {
+    "cos-q-sin-p": (lambda t, p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p), None),
+    "exp-cos-sin": (lambda t, p, q: np.exp(np.cos(TWO_PI * q)) * np.sin(TWO_PI * p)
+                    + 0.3 * np.cos(2.0 * TWO_PI * (p + q)), None),
+    "with-subprincipal": (lambda t, p, q: np.cos(TWO_PI * q) + 0.3 * np.cos(TWO_PI * p),
+                          lambda t, p, q: np.sin(TWO_PI * q) * np.cos(TWO_PI * p) + 0.2),
+}
+
+
+@pytest.mark.parametrize("k", [5, 20, 50])
+@pytest.mark.parametrize("name", sorted(_ORACLE_SYMBOLS))
+def test_closed_form_toeplitz_matches_quadrature(name, k):
+    principal, sub = _ORACLE_SYMBOLS[name]
+    qs = quantum_space(k)
+    op = toeplitz_build(qs, make_symbol(name, principal, subprincipal=sub))
+    assert np.max(np.abs(op.matrix - _quadrature_toeplitz(qs, principal, sub))) <= 1e-12
+    assert op.hermiticity_defect <= 1e-12
+
+
+def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
+    # T_k(f) is the compression of multiplication by f, so its spectrum lies
+    # in [min f, max f] = [-1.1, 1.1]
+    sym = make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0])
+    op = toeplitz_build(quantum_space(400), sym)
+    assert op.hermiticity_defect <= 1e-12
+    assert np.array_equal(op.matrix, op.matrix.conj().T)
+    assert op.eigenvalues.min() >= -1.1 - 1e-12
+    assert op.eigenvalues.max() <= 1.1 + 1e-12
 
 
 def _cos_p_symbol():

@@ -13,7 +13,6 @@ from torusprop.torusgeo import (
     DegenerateError,
     RegularityError,
     StepSizeError,
-    TorusPhaseSpace,
     b_coefficient,
     b_coefficient_diagonal,
     box_operator,
@@ -30,40 +29,27 @@ from torusprop.torusgeo import (
     rho_level_half,
     transport_phase,
 )
-from torusprop.torusgeo import _dopri5
+from torusprop.torusgeo import _dopri5, _flow_rhs
 
 TWO_PI = 2.0 * np.pi
 
 
 def model_without_exact_flow(sub_const: float = 0.0):
-    """The shear Hamiltonian with closed-form derivatives but no closed-form
+    """The shear Hamiltonian with mode-sum derivatives but no closed-form
     flow: forces the generic integrator through an exactly checkable case."""
 
     ref = model_cos_symbol(sub_const)
     return make_symbol("model-cos-generic", ref.principal,
-                       subprincipal=ref.subprincipal, grad=ref.grad, hess=ref.hess)
+                       subprincipal=ref.subprincipal)
 
 
 def generic_symbol():
-    """A two-frequency Hamiltonian with closed-form derivatives (no exact flow)."""
+    """A two-frequency Hamiltonian with mode-sum derivatives (no exact flow)."""
 
     def principal(t, p, q):
         return np.cos(TWO_PI * np.asarray(q, float)) + 0.3 * np.cos(TWO_PI * np.asarray(p, float))
 
-    def grad(t, p, q):
-        gp = -0.3 * TWO_PI * np.sin(TWO_PI * np.asarray(p, float))
-        gq = -TWO_PI * np.sin(TWO_PI * np.asarray(q, float))
-        return np.stack(np.broadcast_arrays(gp, gq), axis=-1)
-
-    def hess(t, p, q):
-        hpp = -0.3 * TWO_PI ** 2 * np.cos(TWO_PI * np.asarray(p, float))
-        hqq = -TWO_PI ** 2 * np.cos(TWO_PI * np.asarray(q, float))
-        zero = np.zeros_like(hpp + hqq)
-        hpp, hqq = np.broadcast_arrays(hpp, hqq)
-        return np.stack([np.stack([hpp, zero], axis=-1),
-                         np.stack([zero, hqq], axis=-1)], axis=-2)
-
-    return make_symbol("two-frequency", principal, grad=grad, hess=hess)
+    return make_symbol("two-frequency", principal)
 
 
 # ---------------------------------------------------------------------------
@@ -73,11 +59,6 @@ def generic_symbol():
 
 def test_d_alpha_equals_omega():
     assert TORUS.check_d_alpha() < 1e-8
-
-
-def test_lattice_area_is_fixed():
-    with pytest.raises(RegularityError, match="4\\*pi"):
-        TorusPhaseSpace(lattice=np.diag([2.0, 1.0]))
 
 
 def test_wrap_difference_is_shortest():
@@ -106,6 +87,39 @@ def test_field_of_cos_p():
     sym = make_symbol("cos-p", lambda t, p, q: np.cos(TWO_PI * np.asarray(p, float)) + 0.0 * np.asarray(q, float))
     x = hamiltonian_vector_field(sym, 0.0, np.array([0.15, 0.4]))
     assert np.allclose(x, [0.0, -0.5 * np.sin(0.3 * np.pi)], atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Fourier-mode symbols
+# ---------------------------------------------------------------------------
+
+
+def test_mode_sums_match_closed_form_derivatives():
+    # f = e^{cos 2 pi q} sin 2 pi p, at points inside and outside the unit cell
+    sym = make_symbol("exp-cos-sin", lambda t, p, q: np.exp(np.cos(TWO_PI * q)) * np.sin(TWO_PI * p))
+    rng = np.random.default_rng(5)
+    p, q = rng.uniform(-2.0, 3.0, size=(2, 40))
+    e, sp, cp = np.exp(np.cos(TWO_PI * q)), np.sin(TWO_PI * p), np.cos(TWO_PI * p)
+    sq, cq = np.sin(TWO_PI * q), np.cos(TWO_PI * q)
+    w = TWO_PI ** 2
+    grad = np.stack([TWO_PI * e * cp, -TWO_PI * sq * e * sp], axis=-1)
+    hess = np.stack([np.stack([-w * e * sp, -w * sq * e * cp], axis=-1),
+                     np.stack([-w * sq * e * cp, w * e * sp * (sq ** 2 - cq)], axis=-1)], axis=-2)
+    assert np.max(np.abs(sym.principal(0.0, p, q) - e * sp)) <= 1e-10
+    assert np.max(np.abs(sym.grad(0.0, p, q) - grad)) <= 1e-10
+    assert np.max(np.abs(sym.hess(0.0, p, q) - hess)) <= 1e-10
+
+
+def test_modes_are_conjugate_closed():
+    freqs, coeffs = generic_symbol().modes
+    assert sorted(map(tuple, freqs)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    pair = {tuple(f): c for f, c in zip(freqs, coeffs)}
+    assert all(pair[(-m, -n)] == np.conj(c) for (m, n), c in pair.items())
+
+
+def test_symbol_that_is_not_periodic_is_refused():
+    with pytest.raises(RegularityError, match="not lattice-periodic"):
+        make_symbol("linear", lambda t, p, q: 0.2 * p + 0.7 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +191,26 @@ def test_grid_must_be_monotone():
         integrate_flow(model_cos_symbol(), (0.3, 0.1), np.array([0.0, 0.2, 0.1]))
 
 
+def test_symplecticity_guard_retries_at_a_tighter_tolerance():
+    # the first sweep at the default tolerance misses the 1e-9 guard
+    sym = make_symbol("exp-sin-cos", lambda t, p, q: np.exp(2.0 * np.sin(TWO_PI * p)) * np.cos(TWO_PI * q))
+    times = np.linspace(0.0, 1.0, 101)
+    y0 = np.array([0.3, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    first = _dopri5(lambda t, y: _flow_rhs(sym, TORUS, t, y), y0, 1.0, 1e-10)(times)
+    j_gram = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    jac = first[:, 2:6].reshape(-1, 2, 2)
+    first_defect = np.max(np.abs(np.einsum("tji,jk,tkl->til", jac, j_gram, jac) - j_gram))
+    assert first_defect > 1e-9
+    assert integrate_flow(sym, (0.3, 0.1), times).symplectic_defect() <= 1e-9
+
+
 def test_unreachable_tolerance_is_reported():
     with pytest.raises(StepSizeError, match="error estimate"):
         integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]), tol=1e-17)
 
 
 def test_expression_flow_stays_within_call_budget():
-    # finite-difference derivatives: one right-hand side costs ~15 symbol calls
+    # the symbol is called only to sample its Fourier modes
     calls = [0]
 
     def principal(t, p, q):
@@ -385,9 +412,9 @@ def test_rho_level_requires_matching_energy():
 
 
 def test_rho_level_matches_jacobian_route_on_generic_level():
-    # p-dependent symbol with finite-difference derivatives: rho' moves along
-    # the orbit, and the Jacobian pushes X_x to X_{phi_t x} up to the
-    # finite-difference Hessian's error
+    # p-dependent symbol with mode-sum derivatives: rho' moves along the
+    # orbit, and the Jacobian pushes X_x to X_{phi_t x} up to the
+    # integrator's error
     sym = make_symbol("q-cos-p-sin", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
     x = (0.3, 0.1)
@@ -547,7 +574,7 @@ def test_returns_generic_symbol():
 
 
 def test_returns_p_dependent_expression_symbol():
-    # finite-difference derivatives; the orbit through (0.3, 0.1) closes after ~13.6
+    # mode-sum derivatives; the orbit through (0.3, 0.1) closes after ~13.6
     sym = make_symbol("mixed", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
     assert return_times(sym, (0.3, 0.1), (0.3, 0.1), (-3.0, 3.0)) == [(0.0, (0, 0))]
@@ -577,14 +604,6 @@ def test_box_of_constant():
     assert box_h == pytest.approx(0.0, abs=1e-6)
     assert theta == pytest.approx(0.0, abs=1e-6)
     assert zeta == pytest.approx(0.3, abs=1e-6)
-
-
-def test_box_of_linear():
-    sym = make_symbol("linear", lambda t, p, q: 0.2 * np.asarray(p, float) + 0.7 * np.asarray(q, float))
-    box_h, theta, zeta = box_operator(TORUS, sym, 0.0, (0.3, 0.1))
-    assert box_h == pytest.approx(0.0, abs=1e-5)
-    assert theta == pytest.approx(0.0, abs=1e-5)
-    assert zeta == pytest.approx(0.0, abs=1e-5)
 
 
 def test_box_of_model_closed_form():
