@@ -410,9 +410,10 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> Hermit
     coeffs = np.concatenate([sym.modes[1], sym.sub_modes[1] / k])
     ell = np.arange(dim)
     raw = np.zeros((dim, dim), dtype=complex)
-    for (m, n), c in zip(freqs, coeffs):
-        raw[ell, (ell - m) % dim] += c * np.exp(-np.pi * (m * m + n * n) / (4.0 * k)
-                                                - 1j * np.pi * n * (2 * ell - m) / (2.0 * k))
+    for m in np.unique(freqs[:, 0]):  # the modes of one m share a shifted diagonal
+        n = freqs[freqs[:, 0] == m, 1]
+        c = coeffs[freqs[:, 0] == m] * np.exp(-np.pi * (m * m + n * n) / (4.0 * k))
+        raw[ell, (ell - m) % dim] += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
     scale = max(1.0, float(np.max(np.abs(raw))))
     defect = float(np.max(np.abs(raw - raw.conj().T)))
     if defect > 1e-9 * scale:

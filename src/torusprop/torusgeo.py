@@ -8,10 +8,12 @@ omega.  This module integrates Hamiltonian flows together with their
 linearization and the action/connection integrals, and computes every
 geometric coefficient the kernel predictors need.
 
-A symbol is held as its Fourier modes, read off the FFT of grid samples; a
-symbol whose modes never decay is refused as not lattice-periodic or not
-smooth.  Values, gradients and Hessians are exact mode sums, and the
-Toeplitz matrices are built from the same modes.
+A symbol is held as its Fourier modes, read off the FFT of grid samples and
+checked against samples off the grid; a symbol whose modes never decay, or
+never reproduce it, is refused as not lattice-periodic or not smooth.
+Values, gradients and Hessians are exact mode sums (the flow takes all of
+them from one set of phases), and the Toeplitz matrices are built from the
+same modes.
 
 Flows come in closed form when the symbol carries one (``model-cos``).
 Otherwise one adaptive Dormand–Prince 5(4) integrator with fourth-order
@@ -162,25 +164,34 @@ TORUS = TorusPhaseSpace()
 
 
 # Mode extraction: grid sizes N = 16, 32, ... up to this limit; modes at or
-# below this share of the largest one are dropped.
+# below this share of the largest one are dropped.  The modes of a grid are
+# accepted only if they also reproduce the symbol at these off-grid points
+# (the first terms of the R2 low-discrepancy sequence): a mode beyond the
+# grid's band folds onto a kept one unseen.
 _MODES_GRID_MAX = 1024
 _MODES_TOL = 1e-14
+_MODES_CHECK_POINTS = np.outer([0.7548776662466927, 0.5698402909980532], np.arange(1, 33)) % 1.0
 
 
 def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
     """Fourier modes of a real f(t, p, q) at t = 0: frequencies (M, 2) =
-    (m, n) and coefficients c (M,) with f = sum c e^{2 pi i (m p + n q)},
-    accepted once every mode with |m| or |n| >= N/4 is negligible.  Raises
-    RegularityError when f is not finite or its modes never decay."""
+    (m, n) and coefficients c (M,) with f = sum c e^{2 pi i (m p + n q)}.
+    The modes of an N x N grid are accepted once every mode with |m| or |n|
+    >= N/4 is negligible and their sum matches f at the off-grid check
+    points to within the dropped modes' weight plus 1e-14 of the total.
+    Raises RegularityError when f is not finite or no grid passes."""
 
+    def samples(p, q):
+        vals = np.broadcast_to(np.asarray(f(0.0, p, q), dtype=float), np.shape(p))
+        if not np.all(np.isfinite(vals)):
+            raise RegularityError(f"symbol {name!r} is not finite on the torus")
+        return vals
+
+    check = samples(*_MODES_CHECK_POINTS)
     n_grid = 16
     while True:
         axis = np.arange(n_grid) / n_grid
-        pp, qq = np.meshgrid(axis, axis, indexing="ij")
-        vals = np.broadcast_to(np.asarray(f(0.0, pp, qq), dtype=float), pp.shape)
-        if not np.all(np.isfinite(vals)):
-            raise RegularityError(f"symbol {name!r} is not finite on the torus")
-        coeffs = np.fft.fft2(vals) / n_grid ** 2
+        coeffs = np.fft.fft2(samples(*np.meshgrid(axis, axis, indexing="ij"))) / n_grid ** 2
         # impose c_{-m,-n} = conj(c_{m,n}) exactly, so every T_k is Hermitian
         coeffs = 0.5 * (coeffs + np.conj(np.roll(coeffs[::-1, ::-1], 1, axis=(0, 1))))
         freq = np.rint(np.fft.fftfreq(n_grid, 1.0 / n_grid)).astype(int)
@@ -188,22 +199,39 @@ def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
         mags = np.abs(coeffs)
         peak = float(np.max(mags))
         tail = float(np.max(mags[np.maximum(np.abs(mm), np.abs(nn)) >= n_grid // 4]))
+        failure = f"its modes with |m| or |n| >= {n_grid // 4} reach {tail / (peak or 1.0):.1e} of the largest"
         if tail <= _MODES_TOL * peak:
             keep = mags > _MODES_TOL * peak
-            return np.stack([mm[keep], nn[keep]], axis=-1), coeffs[keep]
+            freqs, kept = np.stack([mm[keep], nn[keep]], axis=-1), coeffs[keep]
+            series = _mode_sum(freqs, kept)
+            miss = max(abs(series(0.0, p, q) - val) for p, q, val in zip(*_MODES_CHECK_POINTS, check))
+            if miss <= np.sum(mags[~keep]) + _MODES_TOL * np.sum(mags):
+                return freqs, kept
+            failure = f"its modes miss it off the grid by {miss:.1e}"
         if n_grid >= _MODES_GRID_MAX:
             raise RegularityError(f"symbol {name!r} is not lattice-periodic, or not smooth: "
-                                  f"its Fourier modes with |m| or |n| >= {n_grid // 4} still "
-                                  f"reach {tail / peak:.1e} of the largest at N = {n_grid}")
+                                  f"on the {n_grid} x {n_grid} grid {failure}")
         n_grid *= 2
 
 
-def _mode_sum(freqs: np.ndarray, weights: np.ndarray, p, q) -> np.ndarray:
-    """Re sum_j weights[j] e^{2 pi i (m_j p + n_j q)} at broadcast points
-    (p, q), with shape broadcast(p, q).shape + weights.shape[1:]."""
+def _mode_sum(freqs: np.ndarray, weights: np.ndarray) -> Callable:
+    """Evaluator (t, p, q) -> Re sum_j weights[j] e^{2 pi i (m_j p + n_j q)}
+    at broadcast points, with shape broadcast(p, q).shape +
+    weights.shape[1:]; t is unused (modes are sampled at t = 0).  Each phase
+    is a product of e^{2 pi i m p} and e^{2 pi i n q}, so a call takes one
+    exponential per distinct frequency, not per mode."""
 
-    phases = np.exp(2j * np.pi * (np.multiply.outer(p, freqs[:, 0]) + np.multiply.outer(q, freqs[:, 1])))
-    return np.tensordot(phases, weights, axes=(-1, 0)).real
+    lo, hi = freqs.min(axis=0, initial=0), freqs.max(axis=0, initial=0)
+    m_range, n_range = np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)
+    m_index, n_index = freqs[:, 0] - lo[0], freqs[:, 1] - lo[1]
+    weights = np.asfortranarray(weights, dtype=complex)
+
+    def evaluate(t, p, q) -> np.ndarray:
+        e_p = np.exp(2j * np.pi * np.multiply.outer(p, m_range))
+        e_q = np.exp(2j * np.pi * np.multiply.outer(q, n_range))
+        return (e_p[..., m_index] * e_q[..., n_index] @ weights).real
+
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -213,9 +241,10 @@ class SymbolField:
     ``modes`` and ``sub_modes`` hold the (frequencies, coefficients) Fourier
     modes of the two parts.  The callables take (t, p, q) with p, q
     broadcastable and return the broadcast shape, (..., 2) = (H_p, H_q) for
-    ``grad`` and (..., 2, 2) for ``hess``.  ``exact_flow``, when present,
-    maps (x, times) to the trajectory data in closed form (the integrator's
-    fast path).
+    ``grad`` and (..., 2, 2) for ``hess``; ``jet`` returns all of them from
+    one set of phases, (..., 8) = (H, H^sub, H_p, H_q, H_pp, H_pq, H_qp,
+    H_qq).  ``exact_flow``, when present, maps (x, times) to the trajectory
+    data in closed form (the integrator's fast path).
     """
 
     name: str
@@ -223,9 +252,9 @@ class SymbolField:
     subprincipal: Callable
     grad: Callable
     hess: Callable
+    jet: Callable
     modes: tuple = field(repr=False, compare=False)
     sub_modes: tuple = field(repr=False, compare=False)
-    autonomous: bool = True
     exact_flow: Callable | None = None
 
 
@@ -235,17 +264,23 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
     are exact mode sums.  Raises RegularityError when a part is not smooth
     and lattice-periodic."""
 
-    freqs, coeffs = _fourier_modes(principal, name)
+    modes = _fourier_modes(principal, name)
     sub_modes = _fourier_modes(subprincipal or (lambda t, p, q: 0.0), name)
+    freqs = np.concatenate([modes[0], sub_modes[0]])
+    coeffs = np.concatenate([modes[1], np.zeros(len(sub_modes[1]))])
     d_coeffs = coeffs[:, None] * (2j * np.pi * freqs)  # d/dp, d/dq of each mode
     d2_coeffs = d_coeffs[:, :, None] * (2j * np.pi * freqs)[:, None, :]
+    weights = np.column_stack([coeffs, np.concatenate([np.zeros(len(modes[1])), sub_modes[1]]),
+                               d_coeffs, d2_coeffs.reshape(-1, 4)])
+
+    jet = _mode_sum(freqs, weights)
     return SymbolField(
         name=name,
-        principal=lambda t, p, q: _mode_sum(freqs, coeffs, p, q),
-        subprincipal=lambda t, p, q: _mode_sum(*sub_modes, p, q),
-        grad=lambda t, p, q: _mode_sum(freqs, d_coeffs, p, q),
-        hess=lambda t, p, q: _mode_sum(freqs, d2_coeffs, p, q),
-        modes=(freqs, coeffs), sub_modes=sub_modes, exact_flow=exact_flow)
+        principal=lambda t, p, q: jet(t, p, q)[..., 0],
+        subprincipal=lambda t, p, q: jet(t, p, q)[..., 1],
+        grad=lambda t, p, q: jet(t, p, q)[..., 2:4],
+        hess=lambda t, p, q: np.reshape(jet(t, p, q)[..., 4:], np.broadcast(p, q).shape + (2, 2)),
+        jet=jet, modes=modes, sub_modes=sub_modes, exact_flow=exact_flow)
 
 
 def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
@@ -324,13 +359,12 @@ def hamiltonian_vector_field(sym: SymbolField, t: float, x, ps: TorusPhaseSpace 
 def _flow_rhs(sym: SymbolField, ps: TorusPhaseSpace, t: float, y: np.ndarray) -> np.ndarray:
     """Joint field of (point, Jacobian, int H, int H^sub, int alpha(X))."""
     p, q = y[0], y[1]
-    xv = hamiltonian_vector_field(sym, t, y[:2], ps)
-    h = sym.hess(t, p, q)
+    h, h_sub, h_p, h_q, h_pp, h_pq, _, h_qq = sym.jet(t, p, q)
+    xv = np.array([-h_q, h_p]) / ps.symplectic_area
     # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/scale
-    dx = np.array([[-h[0, 1], -h[1, 1]], [h[0, 0], h[0, 1]]]) / ps.symplectic_area
+    dx = np.array([[-h_pq, -h_qq], [h_pp, h_pq]]) / ps.symplectic_area
     return np.concatenate([xv, (dx @ y[2:6].reshape(2, 2)).ravel(),
-                           [sym.principal(t, p, q), sym.subprincipal(t, p, q),
-                            ps.alpha_pairing(p, q, xv)]])
+                           [h, h_sub, ps.alpha_pairing(p, q, xv)]])
 
 
 # Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
@@ -442,19 +476,21 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
     if steps.size and (np.any(steps == 0.0) or (np.any(steps > 0) and np.any(steps < 0))):
         raise RegularityError("time grids must be strictly monotone")
 
+    def trajectory(data) -> Trajectory:
+        data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
+        return Trajectory(start=x, times=times, points=ps.reduce(data["points_lifted"]), **data)
+
+    if sym.exact_flow is not None:
+        traj = trajectory(sym.exact_flow(x, times))
+        if (defect := traj.symplectic_defect()) > 1e-9:
+            raise StepSizeError(f"closed-form flow Jacobians lost symplecticity (defect {defect:.2e})")
+        return traj
     y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     for sweep_tol in (tol, tol / 10, tol / 100):
-        if sym.exact_flow is not None:
-            data = sym.exact_flow(x, times)
-        else:
-            states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]),
-                             sweep_tol)(times)
-            data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
-                    "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]}
-        data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
-        traj = Trajectory(start=x, times=times, points=ps.reduce(data["points_lifted"]), **data)
-        defect = traj.symplectic_defect()
-        if defect <= 1e-9:
+        states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), sweep_tol)(times)
+        traj = trajectory({"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
+                           "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]})
+        if (defect := traj.symplectic_defect()) <= 1e-9:
             return traj
     raise StepSizeError(f"flow Jacobians lost symplecticity (defect {defect:.2e}) "
                         f"even at tol {sweep_tol:.0e}")
@@ -583,8 +619,6 @@ def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
     to 1e-6.
     """
 
-    if not sym.autonomous:
-        raise RegularityError("level-set amplitudes require an autonomous symbol")
     e0 = float(sym.principal(0.0, traj.start[0], traj.start[1]))
     if abs(e0 - energy) > 1e-10 * (1.0 + abs(energy)):
         raise RegularityError(f"trajectory starts at H = {e0!r}, not at the "
@@ -700,12 +734,10 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
     Dense sampling of the lifted flow followed by Newton refinement of the
     along-flow coordinate, both on one flow evaluator (for generic symbols,
     the dense output of one integration on each side of t = 0); each root is
-    verified to land on y to 1e-9 in lattice distance.  Requires an autonomous symbol and x, y on a common
-    regular level set.
+    verified to land on y to 1e-9 in lattice distance.  Requires x, y on a
+    common regular level set.
     """
 
-    if not sym.autonomous:
-        raise RegularityError("return times are defined for autonomous symbols only")
     x = np.asarray(x, dtype=float).reshape(2)
     y = np.asarray(y, dtype=float).reshape(2)
     t_lo, t_hi = float(window[0]), float(window[1])

@@ -122,6 +122,24 @@ def test_symbol_that_is_not_periodic_is_refused():
         make_symbol("linear", lambda t, p, q: 0.2 * p + 0.7 * q)
 
 
+_BEYOND_FIRST_GRID = {
+    "cos-13q": lambda p, q: np.cos(13 * TWO_PI * q),
+    "cos-16q": lambda p, q: np.cos(16 * TWO_PI * q),
+    "cos-q-and-15q": lambda p, q: np.cos(TWO_PI * q) + 0.01 * np.cos(15 * TWO_PI * q),
+    "cos-16p-16q": lambda p, q: np.cos(16 * TWO_PI * (p + q)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND_FIRST_GRID))
+def test_modes_beyond_the_first_grid_are_not_aliased(name):
+    # on the 16 x 16 grid each of these folds onto a mode with |m|, |n| <= 3;
+    # the accepted modes must still reproduce f away from every grid
+    f = _BEYOND_FIRST_GRID[name]
+    sym = make_symbol(name, lambda t, p, q: f(p, q))
+    p, q = np.random.default_rng(7).uniform(-1.0, 2.0, size=(2, 50))
+    assert np.max(np.abs(sym.principal(0.0, p, q) - f(p, q))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # flow integration
 # ---------------------------------------------------------------------------
@@ -133,6 +151,21 @@ def test_shear_flow_point_and_jacobian():
     assert np.allclose(traj.points[-1], [0.3 + 0.5 * np.sin(0.2 * np.pi), 0.1], atol=1e-12)
     expect_jac = np.array([[1.0, np.pi * np.cos(0.2 * np.pi)], [0.0, 1.0]])
     assert np.allclose(traj.jacobians[-1], expect_jac, atol=1e-10)
+
+
+def test_closed_form_flow_is_guarded_once():
+    calls = []
+    base = model_cos_symbol()
+
+    def skewed(x, times):
+        calls.append(1)
+        data = base.exact_flow(x, times)
+        data["jacobians"] = 2.0 * data["jacobians"]
+        return data
+
+    with pytest.raises(StepSizeError, match="closed-form"):
+        integrate_flow(dataclasses.replace(base, exact_flow=skewed), (0.3, 0.1), np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 1
 
 
 def test_time_zero_is_trivial():
