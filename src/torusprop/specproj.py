@@ -20,6 +20,7 @@ decaying and the predictor reports exactly zero, tagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -100,8 +101,17 @@ def _fhat_function(kind: str, support_t: float) -> Callable:
                      "'gaussian-truncated'")
 
 
-def _gl_nodes(support_t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=8)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    (read-only)."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(support_t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     return support_t * x, support_t * w
 
 

@@ -6,7 +6,8 @@ determinant of that block drives every amplitude in the propagator and
 projector predictors.  This module provides:
 
 * ``LinearSymplectomorphism`` — validated container (symplectic to 1e-10,
-  complex structures compatible and tamed);
+  complex structures compatible and tamed; the standard structures are
+  built and checked once per n);
 * ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
   block and its determinant, computed in adapted unitary frames;
 * ``polar_decompose`` / ``polar_determinant`` — metric polar factors and the
@@ -23,6 +24,7 @@ d/dp_i -> d/dq_i.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,18 +54,6 @@ class BranchContinuityError(ValueError):
     """A path of values is sampled too coarsely to track the branch."""
 
 
-def standard_symplectic_gram(n: int) -> np.ndarray:
-    """Gram matrix J of omega_std in (p, q) ordering: omega(u,v) = u^T J v."""
-    eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-
-
-def standard_complex_structure(n: int) -> np.ndarray:
-    """The standard j with j d/dp_i = d/dq_i, j d/dq_i = -d/dp_i."""
-    eye = np.eye(n)
-    return np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
-
-
 def _check_complex_structure(j: np.ndarray, gram: np.ndarray, scale: float) -> None:
     n2 = j.shape[0]
     if not np.allclose(j @ j, -np.eye(n2), atol=_ATOL * scale):
@@ -77,12 +67,35 @@ def _check_complex_structure(j: np.ndarray, gram: np.ndarray, scale: float) -> N
                              "(omega(u, j u) must be positive definite)")
 
 
+@lru_cache(maxsize=None)
+def standard_symplectic_gram(n: int) -> np.ndarray:
+    """Gram matrix J of omega_std in (p, q) ordering: omega(u,v) = u^T J v.
+    Built once per n; the array is read-only."""
+    eye = np.eye(n)
+    gram = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
+    gram.flags.writeable = False
+    return gram
+
+
+@lru_cache(maxsize=None)
+def standard_complex_structure(n: int) -> np.ndarray:
+    """The standard j with j d/dp_i = d/dq_i, j d/dq_i = -d/dp_i.  Built and
+    validated once per n; the array is read-only."""
+    eye = np.eye(n)
+    cs = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
+    _check_complex_structure(cs, standard_symplectic_gram(n), 1.0)
+    cs.flags.writeable = False
+    return cs
+
+
 @dataclass(frozen=True)
 class LinearSymplectomorphism:
     """A validated symplectic matrix with complex structures at both ends.
 
     ``matrix`` maps the source copy of R^{2n} to the target copy;
     ``source_cs`` / ``target_cs`` default to the standard complex structure.
+    The matrix is always checked; a structure is checked unless it equals
+    the standard one, which was checked when it was built.
     """
 
     matrix: np.ndarray
@@ -99,15 +112,16 @@ class LinearSymplectomorphism:
         scale = max(1.0, float(np.linalg.norm(m, np.inf)) ** 2)
         if not np.allclose(m.T @ gram @ m, gram, atol=_ATOL * scale):
             raise StructureError("matrix is not symplectic (M^T J M != J)")
+        j_std = standard_complex_structure(n)
         for name in ("source_cs", "target_cs"):
             cs = getattr(self, name)
-            if cs is None:
-                cs = standard_complex_structure(n)
+            cs = j_std if cs is None else np.asarray(cs, dtype=float)
+            if cs.shape != m.shape:
+                raise StructureError(f"{name} must match the matrix shape")
+            if np.array_equal(cs, j_std):
+                cs = j_std
             else:
-                cs = np.asarray(cs, dtype=float)
-                if cs.shape != m.shape:
-                    raise StructureError(f"{name} must match the matrix shape")
-            _check_complex_structure(cs, gram, max(1.0, float(np.linalg.norm(cs, np.inf)) ** 2))
+                _check_complex_structure(cs, gram, max(1.0, float(np.linalg.norm(cs, np.inf)) ** 2))
             object.__setattr__(self, name, cs)
 
     @property
@@ -155,17 +169,18 @@ def _unitary_frame(cs: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 
 def _block_1_0(mat: np.ndarray) -> np.ndarray:
-    """(1,0)->(1,0) block of a matrix written in standard-j coordinates.
+    """(1,0)->(1,0) block of a matrix written in standard-j coordinates, or
+    of each matrix in a stack (..., 2n, 2n).
 
     For mat = [[A, B], [C, D]] the complexified action on z = p + i q has
     C-linear part ((A + D) + i (C - B)) / 2.
     """
 
-    n = mat.shape[0] // 2
-    a = mat[:n, :n]
-    b = mat[:n, n:]
-    c = mat[n:, :n]
-    d = mat[n:, n:]
+    n = mat.shape[-1] // 2
+    a = mat[..., :n, :n]
+    b = mat[..., :n, n:]
+    c = mat[..., n:, :n]
+    d = mat[..., n:, n:]
     return 0.5 * ((a + d) + 1j * (c - b))
 
 
@@ -183,11 +198,18 @@ def holomorphic_determinant(g: LinearSymplectomorphism) -> complex:
     """det of the (1,0)-block.  Always has modulus >= 1 for valid input;
     a value below 0.5 indicates corrupted data and raises."""
     det = complex(np.linalg.det(holomorphic_block(g)))
-    if abs(det) < 0.5:
-        raise StructureError(
-            f"holomorphic determinant has modulus {abs(det):.3g} < 0.5; "
-            "symplectic data is corrupted (the modulus is >= 1 in exact arithmetic)")
+    _check_modulus(det)
     return det
+
+
+def _check_modulus(dets) -> None:
+    """Raise unless every holomorphic determinant in ``dets`` has modulus
+    >= 0.5 (it is >= 1 in exact arithmetic)."""
+    worst = float(np.min(np.abs(dets)))
+    if worst < 0.5:
+        raise StructureError(
+            f"holomorphic determinant has modulus {worst:.3g} < 0.5; "
+            "symplectic data is corrupted (the modulus is >= 1 in exact arithmetic)")
 
 
 def polar_decompose(

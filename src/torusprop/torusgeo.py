@@ -46,10 +46,12 @@ from typing import Callable
 import numpy as np
 
 from .symplin import (
+    _ATOL,
     BranchedPhase,
-    LinearSymplectomorphism,
+    StructureError,
+    _block_1_0,
+    _check_modulus,
     branch_sqrt_path,
-    holomorphic_determinant,
 )
 
 __all__ = [
@@ -461,9 +463,10 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
     max_i |err_i| / (1 + |y_i|) <= ``tol``; the grid is read from the
     fourth-order dense output, so its spacing does not set the step.  When
     the Jacobians lose symplecticity by more than 1e-9, the sweep is repeated
-    at tol/10 and then tol/100.  Raises StepSizeError when a step at the
-    step-size floor still misses its tolerance, or when the last sweep still
-    fails the symplecticity guard.
+    at tol/10 and then tol/100.  Raises StepSizeError when a step of the
+    first sweep at the step-size floor still misses its tolerance, or with
+    the last guard defect when a repeated sweep stops at that floor or the
+    last sweep still fails the guard.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -486,12 +489,22 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
             raise StepSizeError(f"closed-form flow Jacobians lost symplecticity (defect {defect:.2e})")
         return traj
     y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    failed = None  # (defect, tol) of the last sweep that failed the guard
     for sweep_tol in (tol, tol / 10, tol / 100):
-        states = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), sweep_tol)(times)
+        try:
+            dense = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), sweep_tol)
+        except StepSizeError as floor:
+            if failed is None:
+                raise
+            raise StepSizeError(f"flow Jacobians lost symplecticity (defect {failed[0]:.2e}) at tol "
+                                f"{failed[1]:.0e}, and the tighter sweep at tol {sweep_tol:.0e} "
+                                "stopped at the step-size floor") from floor
+        states = dense(times)
         traj = trajectory({"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
                            "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]})
         if (defect := traj.symplectic_defect()) <= 1e-9:
             return traj
+        failed = defect, sweep_tol
     raise StepSizeError(f"flow Jacobians lost symplecticity (defect {defect:.2e}) "
                         f"even at tol {sweep_tol:.0e}")
 
@@ -540,11 +553,23 @@ def rho_graph_half(ps: TorusPhaseSpace, traj: Trajectory) -> list[BranchedPhase]
     rho_t = 1 / (holomorphic determinant of the flow Jacobian); the T^K
     transport phase it is divided by is 1 on the flat torus.  Starts at 1;
     the square root is tracked through branch unwinding.
+
+    On the torus (n = 1, standard j at both ends) the determinant of
+    M = [[a, b], [c, d]] is ((a + d) + i (c - b)) / 2, evaluated for the
+    whole trajectory at once.  The checks of ``LinearSymplectomorphism`` and
+    ``holomorphic_determinant`` hold for every Jacobian: since
+    M^T J M = det(M) J for 2 x 2 matrices, np.allclose(M^T J M, J, atol=1e-10
+    max(1, ||M||_inf^2)) is |det M - 1| <= that atol + 1e-5 (allclose's
+    default rtol), and every determinant must have modulus >= 0.5.
     """
 
-    dets = np.array([
-        holomorphic_determinant(LinearSymplectomorphism(m)) for m in traj.jacobians
-    ])
+    jac = traj.jacobians
+    scale = np.maximum(1.0, np.linalg.norm(jac, np.inf, axis=(1, 2)) ** 2)
+    det_real = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    if not np.all(np.abs(det_real - 1.0) <= _ATOL * scale + 1e-5):
+        raise StructureError("matrix is not symplectic (M^T J M != J)")
+    dets = _block_1_0(jac)[:, 0, 0]
+    _check_modulus(dets)
     return branch_sqrt_path(1.0 / dets)
 
 

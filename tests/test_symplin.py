@@ -61,6 +61,27 @@ def test_untamed_complex_structure_rejected():
         sp(np.eye(2), src=-j0, dst=-j0)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_standard_structures_are_read_only(n):
+    for built in (standard_complex_structure(n), standard_symplectic_gram(n)):
+        with pytest.raises(ValueError):
+            built[0, 0] = 1.0
+    assert standard_complex_structure(n) is standard_complex_structure(n)
+
+
+def test_invalid_target_next_to_standard_source_is_rejected():
+    # the standard source skips its (cached) check; the target still gets all three
+    s = np.eye(4)
+    s[0, 1] = 0.5
+    j0 = standard_complex_structure(2)
+    with pytest.raises(StructureError, match="not compatible"):
+        sp(np.eye(4), dst=s @ j0 @ np.linalg.inv(s))
+    with pytest.raises(StructureError, match="tamed"):
+        sp(np.eye(2), dst=-standard_complex_structure(1))
+    with pytest.raises(StructureError, match="square to -identity"):
+        sp(np.eye(2), src=standard_complex_structure(1), dst=np.eye(2))
+
+
 # ---------------------------------------------------------------------------
 # holomorphic block: frozen closed-form values
 # ---------------------------------------------------------------------------
@@ -143,6 +164,20 @@ def test_identity_with_matching_cs_gives_unit_determinant():
     cs = _random_tamed_cs(2, rng)
     det = holomorphic_determinant(sp(np.eye(4), src=cs, dst=cs))
     assert det == pytest.approx(1.0 + 0.0j, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conjugated_structure_gives_the_standard_determinant(n):
+    # g = S M S^-1 between the structures S j S^-1 has the determinant of M
+    # between the standard ones: the non-standard frames are fully validated
+    # and built, and agree with the cached standard route
+    rng = np.random.default_rng(31 + n)
+    s = random_symplectic(n, rng, n_factors=4)
+    cs = s @ standard_complex_structure(n) @ np.linalg.inv(s)
+    for _ in range(10):
+        m = random_symplectic(n, rng)
+        det = holomorphic_determinant(sp(s @ m @ np.linalg.inv(s), src=cs, dst=cs))
+        assert det == pytest.approx(holomorphic_determinant(sp(m)), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from torusprop.symplin import LinearSymplectomorphism, holomorphic_determinant
+from torusprop.symplin import LinearSymplectomorphism, StructureError, holomorphic_determinant
 from torusprop.torusgeo import (
     TORUS,
     DegenerateError,
     RegularityError,
     StepSizeError,
+    Trajectory,
     b_coefficient,
     b_coefficient_diagonal,
     box_operator,
@@ -242,6 +243,18 @@ def test_unreachable_tolerance_is_reported():
         integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]), tol=1e-17)
 
 
+def test_retry_sweep_at_the_step_floor_reports_the_guard(monkeypatch):
+    # every sweep fails the guard; at tol 1e-14 the first sweep runs and the
+    # tol/10 retry meets the step-size floor
+    monkeypatch.setattr(Trajectory, "symplectic_defect", lambda self: 1.0)
+    sym = make_symbol("p-dependent", lambda t, p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
+    with pytest.raises(StepSizeError, match=r"defect 1\.00e\+00\) at tol 1e-14, and the tighter "
+                                            r"sweep at tol 1e-15 stopped at the step-size floor") as info:
+        integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 0.1, 11), tol=1e-14)
+    assert isinstance(info.value.__cause__, StepSizeError)
+    assert "error estimate" in str(info.value.__cause__)
+
+
 def test_expression_flow_stays_within_call_budget():
     # the symbol is called only to sample its Fourier modes
     calls = [0]
@@ -377,6 +390,23 @@ def test_rho_definition_closure():
         det = holomorphic_determinant(LinearSymplectomorphism(m))
         closure = half[i].value ** 2 * det * t_k[i]
         assert abs(closure - 1.0) < 1e-10
+
+
+def test_rho_graph_closed_form_matches_the_per_matrix_route():
+    sym = make_symbol("p-dependent", lambda t, p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
+    traj = integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    got = np.array([h.value ** 2 for h in rho_graph_half(TORUS, traj)])
+    dets = np.array([holomorphic_determinant(LinearSymplectomorphism(m)) for m in traj.jacobians])
+    assert np.max(np.abs(got * dets - 1.0)) < 1e-13
+
+
+def test_rho_graph_rejects_non_symplectic_jacobians():
+    traj = integrate_flow(generic_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 11))
+    scaled = dataclasses.replace(traj, jacobians=1.01 * traj.jacobians)
+    with pytest.raises(StructureError, match="not symplectic"):
+        LinearSymplectomorphism(scaled.jacobians[-1])
+    with pytest.raises(StructureError, match="not symplectic"):
+        rho_graph_half(TORUS, scaled)
 
 
 @pytest.mark.parametrize("maker", [model_cos_symbol, generic_symbol])
