@@ -14,7 +14,8 @@ Modules
 -------
 symplin   linear-symplectomorphism bookkeeping: holomorphic blocks, polar
           factors, branch-continuous square roots
-torusgeo  torus phase-space geometry: flows, transport phases, amplitudes
+torusgeo  the fixed torus phase space: symbols, flows, the prequantum
+          phase, amplitudes, return times
 thetaq    quantum spaces: theta-function basis, Gram/Toeplitz matrices
 propkern  propagator kernels, exact and asymptotic, and their comparison
 specproj  smoothed spectral projector kernels, exact and asymptotic

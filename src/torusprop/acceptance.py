@@ -20,7 +20,6 @@ from .specproj import build_fourier_pair, projector_kernel_asymptotic, projector
 from .symplin import LinearSymplectomorphism, holomorphic_determinant, polar_determinant, random_symplectic
 from .thetaq import bergman_diag, gram_matrix, quantum_space
 from .torusgeo import (
-    TORUS,
     b_coefficient,
     b_coefficient_diagonal,
     integrate_flow,
@@ -29,7 +28,6 @@ from .torusgeo import (
     rho_graph_frame,
     rho_graph_half,
     rho_level_half,
-    transport_phase,
 )
 
 __all__ = ["CriterionResult", "REGISTRY", "run_criterion", "run_all"]
@@ -155,7 +153,7 @@ def _crit_a7() -> CriterionResult:
 def _crit_a8() -> CriterionResult:
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0, 512)
-    amp = np.sqrt(2.0) / norm_X(TORUS, sym, 0.0, _POINT)
+    amp = np.sqrt(2.0) / norm_X(sym, 0.0, _POINT)
     fhat0 = float(np.real(pair.fhat(0.0)))
     errs, exacts = {}, {}
     for k in (100, 200):
@@ -191,8 +189,8 @@ def _crit_a9() -> CriterionResult:
     qs = quantum_space(k)
     exact = projector_kernel_exact(qs, operator_for(qs, sym), pair, _E0,
                                    _POINT, _POINT)
-    full = projector_kernel_asymptotic(TORUS, sym, pair, _E0, _POINT, _POINT, k)
-    stripped = projector_kernel_asymptotic(TORUS, sym, pair, _E0, _POINT,
+    full = projector_kernel_asymptotic(sym, pair, _E0, _POINT, _POINT, k)
+    stripped = projector_kernel_asymptotic(sym, pair, _E0, _POINT,
                                            _POINT, k, window=(-3.0, 3.0))
     err_full = abs(abs(exact) - abs(full.value)) / abs(full.value)
     err_stripped = abs(abs(exact) - abs(stripped.value)) / abs(stripped.value)
@@ -232,19 +230,19 @@ def _crit_a11() -> CriterionResult:
     x = _POINT
     tg = np.linspace(0.0, 1.0, 201)
     traj = integrate_flow(sym, x, tg)
-    halves = rho_graph_half(TORUS, traj)
+    halves = rho_graph_half(traj)
     det_route = np.array([b.value for b in halves]) ** 2
-    frame_route = rho_graph_frame(TORUS, traj)
+    frame_route = rho_graph_frame(traj)
     route_gap = float(np.max(np.abs(det_route - frame_route)))
 
-    nx = norm_X(TORUS, sym, 0.0, x)
+    nx = norm_X(sym, 0.0, x)
     short = integrate_flow(sym, x, np.array([0.0, 1e-3]))
-    rho_l0 = complex(rho_level_half(TORUS, sym, short, _E0)[0].value) ** 2
+    rho_l0 = complex(rho_level_half(sym, short, _E0)[0].value) ** 2
     level_gap = abs(rho_l0 - 2.0 / nx ** 2)
 
-    b_diag = b_coefficient_diagonal(TORUS, sym, x)
+    b_diag = b_coefficient_diagonal(sym, x)
     product_gap = abs(rho_l0 * b_diag - 1.0)
-    b_line = b_coefficient(TORUS, sym, x, (0.0, 1.0))
+    b_line = b_coefficient(sym, x, (0.0, 1.0))
 
     worst = max(route_gap / 1e-9, level_gap / 1e-10, product_gap / 1e-10)
     return CriterionResult(
@@ -266,12 +264,12 @@ def _crit_a12() -> CriterionResult:
     sym = model_cos_symbol()
     tg = np.arange(0.0, 1.0 + 1e-9, 1e-3)
     traj = integrate_flow(sym, _POINT, tg)
-    halves = rho_graph_half(TORUS, traj)
+    halves = rho_graph_half(traj)
     args = np.array([b.branch_angle for b in halves])
     max_step = float(np.max(np.abs(np.diff(args))))
     dets = np.array([holomorphic_determinant(LinearSymplectomorphism(m))
                      for m in traj.jacobians])
-    rho = 1.0 / (dets * transport_phase(TORUS, traj, "K"))
+    rho = 1.0 / dets
     sq_gap = float(np.max(np.abs(np.array([b.value for b in halves]) ** 2 - rho)))
     passed = max_step < np.pi / 4 and sq_gap <= 1e-12
     return CriterionResult(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ExpComplex", "expc", "expc_sum"]
+__all__ = ["ExpComplex", "expc"]
 
 _LOG_ZERO = -np.inf
 
@@ -66,20 +66,3 @@ def expc(values) -> ExpComplex:
         mantissa = np.where(mag > 0.0, values / np.where(mag > 0.0, mag, 1.0), 0.0 + 0.0j)
     return ExpComplex(mantissa, log_scale)
 
-
-def expc_sum(value: ExpComplex, axis: int = -1) -> ExpComplex:
-    """Sum an ExpComplex array along ``axis``, renormalizing by the peak.
-
-    All terms are rescaled by the largest log along the axis before the sum,
-    so the result is exact up to float addition even when individual terms
-    span hundreds of orders of magnitude.
-    """
-
-    mant = np.broadcast_arrays(np.asarray(value.mantissa, dtype=complex),
-                               np.asarray(value.log_scale))[0]
-    logs = np.broadcast_arrays(np.asarray(value.mantissa, dtype=complex),
-                               np.asarray(value.log_scale))[1]
-    peak = np.max(logs, axis=axis, keepdims=True)
-    peak_safe = np.where(np.isfinite(peak), peak, 0.0)
-    total = np.sum(mant * np.exp(logs - peak_safe), axis=axis)
-    return expc(total).scaled(np.squeeze(peak_safe, axis=axis))

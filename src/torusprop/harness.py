@@ -32,8 +32,9 @@ from .propkern import graph_compare
 from .specproj import build_fourier_pair, projector_compare
 from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
-    TORUS,
     RegularityError,
+    branch_grid,
+    check_level,
     integrate_flow,
     make_symbol,
     model_cos_symbol,
@@ -263,13 +264,22 @@ def _validate(cfg: ExperimentConfig) -> None:
                           "required (files get a _k<N> suffix)")
     sym = symbol_from_selector(cfg.symbol)  # fail fast on bad expressions
     if cfg.command in ("projector", "lifts"):
+        energy = _level_energy(cfg, sym)
         for p, q in cfg.points:
             try:
-                norm_X(TORUS, sym, 0.0, (p, q))
+                norm_X(sym, 0.0, (p, q))
+                check_level(sym, (p, q), energy)
             except RegularityError as exc:
                 raise ConfigError(f"point ({p:g}, {q:g}): {exc}; level-set "
                                   "commands need a regular point of the "
                                   "energy level") from None
+
+
+def _level_energy(cfg: ExperimentConfig, sym) -> float:
+    """The level-set energy: --energy, or the symbol value at the first point."""
+    if cfg.energy is not None:
+        return cfg.energy
+    return float(np.asarray(sym.principal(0.0, *cfg.points[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +318,6 @@ def _suffixed(out: str, k: int) -> str:
     return f"{stem}_k{k}{ext}"
 
 
-def _with_lead_in(tgrid: np.ndarray) -> tuple:
-    """Grids must run forward from 0 for the action/branch anchoring; a grid
-    starting later gets a silent lead-in whose rows are not emitted."""
-    t0 = float(tgrid[0])
-    if t0 == 0.0:
-        return tgrid, 0
-    lead = np.arange(0.0, t0, min(0.02, t0))
-    return np.concatenate([lead, tgrid]), lead.size
-
-
 _PROP_HEADER = ["t", "re_exact", "im_exact", "re_pred", "im_pred",
                 "abs_exact", "abs_pred", "rel_err_modulus", "phase_err"]
 
@@ -325,10 +325,9 @@ _PROP_HEADER = ["t", "re_exact", "im_exact", "re_pred", "im_pred",
 def _run_propagator(cfg: ExperimentConfig) -> int:
     sym = symbol_from_selector(cfg.symbol)
     x = cfg.points[0]
-    tgrid, skip = _with_lead_in(np.asarray(cfg.tgrid))
 
     def rows_for(k: int) -> list:
-        samples = graph_compare(quantum_space(k), sym, x, tgrid)[skip:]
+        samples = graph_compare(quantum_space(k), sym, x, cfg.tgrid)
         return [[s.t, s.exact.real, s.exact.imag, s.predicted.real,
                  s.predicted.imag, abs(s.exact), abs(s.predicted),
                  s.rel_err_modulus, s.phase_err] for s in samples]
@@ -350,10 +349,7 @@ _PROJ_HEADER = ["k", "p", "q", "re_exact", "im_exact", "re_pred", "im_pred",
 def _run_projector(cfg: ExperimentConfig) -> int:
     sym = symbol_from_selector(cfg.symbol)
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
-    p0, q0 = cfg.points[0]
-    energy = cfg.energy
-    if energy is None:
-        energy = float(np.asarray(sym.principal(0.0, p0, q0)))
+    energy = _level_energy(cfg, sym)
 
     def rows_for(k: int) -> list:
         return projector_compare(sym, pair, energy, list(cfg.points), [k])
@@ -379,19 +375,15 @@ _LIFT_HEADER = ["t", "transport_L_phase", "prequantum_phase", "rho_half_re",
 def _run_lifts(cfg: ExperimentConfig) -> int:
     sym = symbol_from_selector(cfg.symbol)
     k = cfg.ks[0]
-    x = cfg.points[0]
-    tgrid, skip = _with_lead_in(np.asarray(cfg.tgrid))
-    energy = cfg.energy
-    if energy is None:
-        energy = float(np.asarray(sym.principal(0.0, x[0], x[1])))
-    traj = integrate_flow(sym, x, tgrid)
+    grid, keep = branch_grid(cfg.tgrid)
+    traj = integrate_flow(sym, cfg.points[0], grid)
     pre_arg = float(k) * (traj.conn_L - traj.action_H) - traj.action_Hsub
-    graph_halves = rho_graph_half(TORUS, traj)
-    level_halves = rho_level_half(TORUS, sym, traj, energy)
-    rows = [[float(t), float(traj.conn_L[i]), float(pre_arg[i]),
+    graph_halves = rho_graph_half(traj)
+    level_halves = rho_level_half(sym, traj, _level_energy(cfg, sym))
+    rows = [[float(grid[i]), float(traj.conn_L[i]), float(pre_arg[i]),
              graph_halves[i].value.real, graph_halves[i].value.imag,
              level_halves[i].value.real, level_halves[i].value.imag]
-            for i, t in enumerate(tgrid) if i >= skip]
+            for i in keep]
     _write_table(cfg.out, _LIFT_HEADER, rows, cfg.fmt)
     return 0
 

@@ -25,14 +25,14 @@ import numpy as np
 
 from .thetaq import HermitianOperator, QuantumSpace, sections, toeplitz_build
 from .torusgeo import (
-    TORUS,
     StepSizeError,
     SymbolField,
-    TorusPhaseSpace,
     Trajectory,
+    branch_grid,
     integrate_flow,
     prequantum_phase,
     rho_graph_half,
+    wrap_difference,
 )
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "propagate_autonomous",
     "propagate_timedep",
     "kernel_eval",
-    "asymptotic_graph_kernel",
     "graph_compare",
     "offgraph_probe",
     "operator_for",
@@ -50,10 +49,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-# internal time grid spacing used to keep the amplitude's square root on a
-# continuous branch when the caller asks for a single time
-_BRANCH_STEP = 0.02
 
 
 class ProximityError(ValueError):
@@ -196,25 +191,12 @@ def _spectral_weights(qs: QuantumSpace, op: HermitianOperator, y, x) -> np.ndarr
     return a_modes * b_modes * _gauge_phase(qs, yp, xp)
 
 
-def _graph_predictions(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
-                       k: int) -> np.ndarray:
-    rho = np.array([b.value for b in rho_graph_half(ps, traj)])
+def _graph_predictions(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
+    """The leading-order kernel (k/2pi) rho^{1/2} e^{-i int H^sub}
+    [e^{-i int H} T^L]^k at (phi_t(x), x) for every trajectory time; the
+    square root's branch is continued along the trajectory's grid."""
+    rho = np.array([b.value for b in rho_graph_half(traj)])
     return (k / TWO_PI) * rho * prequantum_phase(sym, traj, k)
-
-
-def asymptotic_graph_kernel(ps: TorusPhaseSpace, sym: SymbolField, x, t: float,
-                            k: int) -> complex:
-    """Leading-order kernel value at (phi_t(x), x): amplitude (k/2pi) rho^{1/2}
-    times the transported phases.  The square root's branch is continued from
-    t = 0 along an internal grid."""
-
-    t = float(t)
-    if t == 0.0:
-        return complex(k / TWO_PI)
-    steps = max(2, int(np.ceil(abs(t) / _BRANCH_STEP)) + 1)
-    tg = np.linspace(0.0, t, steps)
-    traj = integrate_flow(sym, _as_pq(x), tg, ps)
-    return complex(_graph_predictions(ps, sym, traj, k)[-1])
 
 
 def operator_for(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> HermitianOperator:
@@ -233,42 +215,42 @@ def operator_for(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> Hermitia
         vals = np.cos(np.pi * ell / qs.k) + c / qs.k
         return HermitianOperator(k=qs.k, matrix=np.diag(vals.astype(complex)),
                                  eigenvalues=vals,
-                                 eigenvectors=np.eye(qs.dim, dtype=complex),
-                                 symbol=sym)
+                                 eigenvectors=np.eye(qs.dim, dtype=complex))
     return toeplitz_build(qs, sym, t)
 
 
 def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,
-                  ps: TorusPhaseSpace = TORUS,
                   op: HermitianOperator | None = None) -> list[KernelSample]:
-    """Exact kernel at (phi_t(x), x) versus the predictor, over a time grid.
+    """Exact kernel at (phi_t(x), x) versus the predictor, over a forward
+    time grid (it need not start at 0).
 
-    The exact values reuse one eigendecomposition; the moving point's
-    sections are evaluated for the whole grid in one call.
+    The flow runs on the branch grid through ``tgrid``; the exact values
+    reuse one eigendecomposition, and the moving point's sections are
+    evaluated at the requested times only, in one call.
     """
 
     tg = np.asarray(tgrid, dtype=float)
     x_pq = _as_pq(x)
-    traj = integrate_flow(sym, x_pq, tg, ps)
-    preds = _graph_predictions(ps, sym, traj, qs.k)
+    grid, rows = branch_grid(tg)
+    traj = integrate_flow(sym, x_pq, grid)
+    preds = _graph_predictions(sym, traj, qs.k)[rows]
+    ys = traj.points_lifted[rows]
     if op is None:
         op = operator_for(qs, sym)
     b_modes = np.conjugate(sections(qs, complex(*x_pq)) @ op.eigenvectors)
-    ys = traj.points_lifted[:, 0] + 1j * traj.points_lifted[:, 1]
-    a_modes = sections(qs, ys).T @ op.eigenvectors
+    a_modes = sections(qs, ys[:, 0] + 1j * ys[:, 1]).T @ op.eigenvectors
     spectral = np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues))
     cores = (a_modes * spectral) @ b_modes
-    rows = []
+    samples = []
     for i, t in enumerate(tg):
-        y_pq = (float(traj.points_lifted[i, 0]), float(traj.points_lifted[i, 1]))
+        y_pq = (float(ys[i, 0]), float(ys[i, 1]))
         exact = complex(cores[i] * _gauge_phase(qs, y_pq, x_pq))
-        rows.append(KernelSample(k=qs.k, t=float(t), x=x_pq, y=y_pq,
-                                 exact=exact, predicted=complex(preds[i])))
-    return rows
+        samples.append(KernelSample(k=qs.k, t=float(t), x=x_pq, y=y_pq,
+                                    exact=exact, predicted=complex(preds[i])))
+    return samples
 
 
-def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset,
-                   ps: TorusPhaseSpace = TORUS) -> DecayReport:
+def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayReport:
     """|kernel| at y = phi_t(x) + offset across levels, with local orders.
 
     The offset must sit at lattice distance >= 0.05 from the graph point;
@@ -277,18 +259,14 @@ def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset,
     """
 
     off = np.asarray(offset, dtype=float).reshape(2)
-    dist = float(np.linalg.norm(ps.wrap_difference(off, np.zeros(2))))
+    dist = float(np.linalg.norm(wrap_difference(off, np.zeros(2))))
     if dist < 0.05:
         raise ProximityError(f"offset at lattice distance {dist:.3g} from the "
                              "graph point; need >= 0.05")
     x_pq = _as_pq(x)
     t = float(t)
-    if t == 0.0:
-        y_lift = np.asarray(x_pq) + off
-    else:
-        steps = max(2, int(np.ceil(abs(t) / _BRANCH_STEP)) + 1)
-        traj = integrate_flow(sym, x_pq, np.linspace(0.0, t, steps), ps)
-        y_lift = traj.points_lifted[-1] + off
+    end = x_pq if t == 0.0 else integrate_flow(sym, x_pq, [0.0, t]).points_lifted[-1]
+    y_lift = np.asarray(end) + off
     moduli = []
     ks = []
     for qs in qs_list:

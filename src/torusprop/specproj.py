@@ -28,9 +28,9 @@ import numpy as np
 from .propkern import _spectral_weights, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
-    TORUS,
     SymbolField,
-    TorusPhaseSpace,
+    branch_grid,
+    check_level,
     integrate_flow,
     norm_X,
     return_times,
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-_BRANCH_STEP = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -218,38 +217,37 @@ class ProjectorPrediction:
     off_image: bool
 
 
-def _return_term(ps: TorusPhaseSpace, sym: SymbolField, x, y, t_ret: float,
-                 winding: tuple[int, int], energy: float, pair: FourierPair,
-                 k: int) -> ReturnTerm:
-    """fhat(t) rho'^{1/2} e^{-i int H^sub} [T^L]^k for one return time; the
-    lifted trajectory endpoint is cross-checked against the winding from the
-    return search."""
+def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
+                 energy: float, pair: FourierPair, k: int) -> ReturnTerm:
+    """fhat(t) rho'^{1/2} e^{-i int H^sub} [T^L]^k for one return time, the
+    square root tracked along the branch grid; the lifted trajectory
+    endpoint is cross-checked against the winding from the return search."""
 
     fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
     if t_ret == 0.0:
-        amp = np.sqrt(2.0) / norm_X(ps, sym, 0.0, x)
+        amp = np.sqrt(2.0) / norm_X(sym, 0.0, x)
         return ReturnTerm(t=0.0, winding=winding, fhat=fh, value=fh * amp)
-    steps = max(3, int(np.ceil(abs(t_ret) / _BRANCH_STEP)) + 1)
-    traj = integrate_flow(sym, x, np.linspace(0.0, t_ret, steps), ps)
+    traj = integrate_flow(sym, x, branch_grid([t_ret])[0])
     end = traj.points_lifted[-1]
     target = np.asarray(y, dtype=float) + np.asarray(winding, dtype=float)
     if float(np.max(np.abs(end - target))) > 1e-6:
         raise RuntimeError(f"return trajectory missed its lifted target by "
                            f"{float(np.max(np.abs(end - target))):.2e}")
-    rho_half = rho_level_half(ps, sym, traj, float(energy))[-1].value
+    rho_half = rho_level_half(sym, traj, float(energy))[-1].value
     phase = float(k) * traj.conn_L[-1] - traj.action_Hsub[-1]
     return ReturnTerm(t=float(t_ret), winding=winding, fhat=fh,
                       value=fh * rho_half * np.exp(1j * phase))
 
 
-def projector_kernel_asymptotic(ps: TorusPhaseSpace, sym: SymbolField,
-                                pair: FourierPair, energy: float, y, x, k: int,
+def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: float,
+                                y, x, k: int,
                                 window: tuple[float, float] | None = None) -> ProjectorPrediction:
     """Return-time predictor for f(k(E - T))(y, x) on a regular level.
 
     ``window`` restricts which return times contribute (default: the full
     support of fhat); shrinking it past a return drops exactly that term,
-    which is how term-removal experiments are run.
+    which is how term-removal experiments are run.  Raises RegularityError
+    when x or y is off the energy level.
     """
 
     t_lo, t_hi = window if window is not None else (-pair.support_T, pair.support_T)
@@ -259,11 +257,13 @@ def projector_kernel_asymptotic(ps: TorusPhaseSpace, sym: SymbolField,
     t_hi = min(t_hi, pair.support_T)
     x_pq = tuple(np.asarray(x, dtype=float).reshape(2))
     y_pq = tuple(np.asarray(y, dtype=float).reshape(2))
-    returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi), ps)
+    for pt in (x_pq, y_pq):
+        check_level(sym, pt, float(energy))
+    returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi))
     if not returns:
         return ProjectorPrediction(value=0j, k=int(k), energy=float(energy),
                                    terms=(), off_image=True)
-    terms = tuple(_return_term(ps, sym, x_pq, y_pq, float(t), w, energy, pair, k)
+    terms = tuple(_return_term(sym, x_pq, y_pq, float(t), w, energy, pair, k)
                   for t, w in returns)
     prefactor = np.sqrt(float(k)) / TWO_PI
     total = sum(term.value for term in terms)
@@ -314,7 +314,7 @@ def _normalize_point_entry(entry):
 
 
 def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
-                      points, ks, ps: TorusPhaseSpace = TORUS) -> list[ProjectorSample]:
+                      points, ks) -> list[ProjectorSample]:
     """Exact versus predicted projector kernels over points x levels.
 
     Entries of ``points`` are diagonal points or (y, x) pairs; rows come out
@@ -331,6 +331,6 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
             qs = spaces[k]
             exact = projector_kernel_exact(qs, ops[k], pair, energy, y_pq, x_pq,
                                            coeffs=coeffs[k])
-            pred = projector_kernel_asymptotic(ps, sym, pair, energy, y_pq, x_pq, k)
+            pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq, k)
             rows.append(ProjectorSample.build(k, energy, x_pq, y_pq, exact, pred))
     return rows

@@ -128,31 +128,25 @@ class QuantumSpace:
         """log of the pointwise weight: -4*pi*k*q^2."""
         return -FOUR_PI * self.k * np.asarray(q, dtype=float) ** 2
 
-    def metric_weight(self, p, q) -> np.ndarray:
-        return np.exp(self.log_metric_weight(q))
-
 
 def _default_theta_terms(nome_log: float) -> int:
     # window wide enough that the edge term sits ~e^{-34} below the peak
     return max(3, int(np.ceil(np.sqrt(34.0 / abs(nome_log)))) + 1)
 
 
-def quantum_space(k: int, theta_terms: int | None = None,
-                  quad_order: int | None = None, validate: bool = True) -> QuantumSpace:
-    """Build a QuantumSpace, self-testing orthonormality at small k.
+def quantum_space(k: int) -> QuantumSpace:
+    """Build the level-k QuantumSpace, self-testing orthonormality at small k.
 
-    The self-test (k <= 50, per-basis-vector norms and a far off-diagonal
-    pair) guards the gauge conventions; the full Gram identity is the
-    gram_matrix contract."""
+    The theta window reaches e^{-34} below its peak, and the Gram quadrature
+    takes 64 nodes per axis per started 25 levels.  The self-test (k <= 50,
+    per-basis-vector norms and a far off-diagonal pair) guards the gauge
+    conventions; the full Gram identity is the gram_matrix contract."""
 
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
         raise ValueError(f"k must be an integer in [1, {K_MAX}], got {k!r}")
-    if theta_terms is None:
-        theta_terms = _default_theta_terms(-TWO_PI * k)
-    if quad_order is None:
-        quad_order = 64 * max(1, int(np.ceil(k / 25)))
-    qs = QuantumSpace(k=int(k), theta_terms=int(theta_terms), quad_order=int(quad_order))
-    if validate and k <= 50:
+    qs = QuantumSpace(k=int(k), theta_terms=_default_theta_terms(-TWO_PI * k),
+                      quad_order=64 * max(1, int(np.ceil(k / 25))))
+    if k <= 50:
         _construction_self_test(qs)
     return qs
 
@@ -362,15 +356,16 @@ def gram_matrix(qs: QuantumSpace, verify: bool = False) -> np.ndarray:
 class HermitianOperator:
     """A Hermitian matrix on the level-k space, with eigendata attached.
 
-    ``symbol`` optionally records the SymbolField the operator quantizes
-    (used by kernel comparisons to integrate the matching classical flow).
+    Without eigendata the matrix is diagonalized; either way the
+    eigendecomposition residual must stay within 1e-9.
+    ``hermiticity_defect`` records how far a built matrix was from
+    Hermitian before symmetrization.
     """
 
     k: int
     matrix: np.ndarray
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    symbol: SymbolField | None = None
     hermiticity_defect: float = 0.0
 
     def __post_init__(self) -> None:
@@ -420,7 +415,7 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> Hermit
         raise ConstructionError(f"Toeplitz matrix asymmetry {defect:.2e} exceeds 1e-9: "
                                 "the symbol modes are not those of a real function")
     herm = 0.5 * (raw + raw.conj().T)
-    return HermitianOperator(k=qs.k, matrix=herm, symbol=sym, hermiticity_defect=defect)
+    return HermitianOperator(k=qs.k, matrix=herm, hermiticity_defect=defect)
 
 
 def bergman_diag(qs: QuantumSpace, z) -> float:

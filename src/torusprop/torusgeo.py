@@ -23,15 +23,19 @@ polish of ``return_times``.
 
 The coefficients are:
 
-* transport phases along lifted paths for the prequantum line bundle L and
-  the (flat, trivialized) canonical bundle K;
+* the prequantum phase: the L-transport along the lifted path is
+  e^{i int alpha(X)}, accumulated by the flow as ``Trajectory.conn_L``; the
+  canonical bundle K is trivialized by dz, which is flat on the torus, so
+  its transport is 1 and no amplitude carries a K factor;
 * the graph amplitude rho_t = 1 / holomorphic determinant of the flow
   Jacobian, with an independent frame-pairing route as a cross-check;
 * the level-set amplitude rho'_t for energy-surface kernels, in the closed
   form that the general Phi_F * Phi_G lift takes in real dimension 2;
-* the transversality coefficient B of a Lagrangian line, in both the
-  single-copy and kernel (doubled-space) conventions;
-* classical return times with lattice winding bookkeeping.
+* the transversality coefficient B of a Lagrangian line on the torus, and
+  the kernel-side B of the diagonal in the doubled space (T^2 x T^2,
+  omega (+) -omega), whose reciprocal is rho'_0;
+* classical return times with lattice winding bookkeeping, and the time
+  grid on which an amplitude's square root is tracked from t = 0.
 
 Paths are always lifted to R^2 before alpha is integrated: alpha is not
 lattice-periodic, and the lift dependence is exactly the bundle holonomy
@@ -58,16 +62,15 @@ __all__ = [
     "RegularityError",
     "DegenerateError",
     "StepSizeError",
-    "TorusPhaseSpace",
-    "TORUS",
     "SymbolField",
     "make_symbol",
     "model_cos_symbol",
     "Trajectory",
-    "GeometricLift",
+    "wrap_difference",
+    "check_level",
+    "branch_grid",
     "hamiltonian_vector_field",
     "integrate_flow",
-    "transport_phase",
     "prequantum_phase",
     "rho_graph_half",
     "rho_graph_frame",
@@ -76,8 +79,6 @@ __all__ = [
     "b_coefficient",
     "b_coefficient_diagonal",
     "return_times",
-    "box_operator",
-    "geometric_lift",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -101,63 +102,22 @@ class StepSizeError(RuntimeError):
 # phase space
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TorusPhaseSpace:
-    """The torus R^2/Z^2 with omega = 4*pi dp^dq.
-
-    The unit cell carries symplectic area 4*pi.  ``metric_scale`` is G = 2*pi
-    in omega = i G dz ^ dzbar; the Kaehler metric is then
-    omega(., j.) = 4*pi |dz|^2.
-    """
-
-    symplectic_area: float = FOUR_PI
-    metric_scale: float = TWO_PI
-
-    def __post_init__(self) -> None:
-        if not (self.symplectic_area > 0.0 and self.metric_scale > 0.0):
-            raise RegularityError("scales must be positive")
-
-    def alpha_coeffs(self, p, q) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients (a_p, a_q) of alpha = a_p dp + a_q dq at (p, q)."""
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        return -TWO_PI * q, TWO_PI * p
-
-    def alpha_pairing(self, p, q, v) -> np.ndarray:
-        """alpha(v) at (p, q) for tangent vectors v with components (...,2)."""
-        a_p, a_q = self.alpha_coeffs(p, q)
-        v = np.asarray(v, dtype=float)
-        return a_p * v[..., 0] + a_q * v[..., 1]
-
-    def omega_gram(self) -> np.ndarray:
-        """Gram matrix of omega: omega(u, v) = u^T Om v."""
-        return self.symplectic_area * np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-    def reduce(self, pts) -> np.ndarray:
-        """Reduce lifted points to the fundamental domain [0, 1)^2."""
-        pts = np.asarray(pts, dtype=float)
-        return pts - np.floor(pts)
-
-    def wrap_difference(self, a, b) -> np.ndarray:
-        """Shortest lattice representative of a - b (components in [-1/2, 1/2))."""
-        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-        return d - np.round(d)
-
-    def check_d_alpha(self, n: int = 7, step: float = 1e-4) -> float:
-        """Finite-difference verification of d(alpha) = omega; returns the
-        worst absolute defect over an n x n sample grid."""
-        worst = 0.0
-        for p in np.linspace(0.05, 0.95, n):
-            for q in np.linspace(0.05, 0.95, n):
-                # d(alpha)(d/dp, d/dq) = d/dp a_q - d/dq a_p
-                aq_p = (self.alpha_coeffs(p + step, q)[1] - self.alpha_coeffs(p - step, q)[1]) / (2 * step)
-                ap_q = (self.alpha_coeffs(p, q + step)[0] - self.alpha_coeffs(p, q - step)[0]) / (2 * step)
-                worst = max(worst, abs(aq_p - ap_q - self.symplectic_area))
-        return worst
+# Gram matrix of omega = 4 pi dp^dq: omega(u, v) = u^T _OMEGA v.  (The metric
+# is then omega(., j.) = 4 pi |dz|^2.)
+_OMEGA = FOUR_PI * np.array([[0.0, 1.0], [-1.0, 0.0]])
+_OMEGA.flags.writeable = False
 
 
-TORUS = TorusPhaseSpace()
+def _alpha(p, q, v) -> np.ndarray:
+    """The connection form alpha = 2 pi (p dq - q dp) at (p, q), paired with
+    tangent vectors v of shape (..., 2)."""
+    return -TWO_PI * q * v[..., 0] + TWO_PI * p * v[..., 1]
+
+
+def wrap_difference(a, b) -> np.ndarray:
+    """Shortest lattice representative of a - b (components in [-1/2, 1/2])."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return d - np.round(d)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +311,22 @@ class Trajectory:
         return float(np.max(np.abs(defect)))
 
 
-def hamiltonian_vector_field(sym: SymbolField, t: float, x, ps: TorusPhaseSpace = TORUS) -> np.ndarray:
+def hamiltonian_vector_field(sym: SymbolField, t: float, x) -> np.ndarray:
     """X solving omega(X, .) = -dH: components (-H_q, H_p) / (4*pi)."""
     x = np.asarray(x, dtype=float)
     g = sym.grad(t, x[..., 0], x[..., 1])
-    return np.stack([-g[..., 1], g[..., 0]], axis=-1) / ps.symplectic_area
+    return np.stack([-g[..., 1], g[..., 0]], axis=-1) / FOUR_PI
 
 
-def _flow_rhs(sym: SymbolField, ps: TorusPhaseSpace, t: float, y: np.ndarray) -> np.ndarray:
+def _flow_rhs(sym: SymbolField, t: float, y: np.ndarray) -> np.ndarray:
     """Joint field of (point, Jacobian, int H, int H^sub, int alpha(X))."""
     p, q = y[0], y[1]
     h, h_sub, h_p, h_q, h_pp, h_pq, _, h_qq = sym.jet(t, p, q)
-    xv = np.array([-h_q, h_p]) / ps.symplectic_area
-    # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/scale
-    dx = np.array([[-h_pq, -h_qq], [h_pp, h_pq]]) / ps.symplectic_area
+    xv = np.array([-h_q, h_p]) / FOUR_PI
+    # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/(4 pi)
+    dx = np.array([[-h_pq, -h_qq], [h_pp, h_pq]]) / FOUR_PI
     return np.concatenate([xv, (dx @ y[2:6].reshape(2, 2)).ravel(),
-                           [h, h_sub, ps.alpha_pairing(p, q, xv)]])
+                           [h, h_sub, _alpha(p, q, xv)]])
 
 
 # Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
@@ -452,8 +412,7 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
 _FLOW_TOL = 1e-10
 
 
-def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
-                   tol: float = _FLOW_TOL) -> Trajectory:
+def integrate_flow(sym: SymbolField, x, times, tol: float = _FLOW_TOL) -> Trajectory:
     """Flow trajectory from x over the given time grid (starting at 0).
 
     Symbols that carry an exact flow skip the integrator.  Otherwise the flow,
@@ -481,7 +440,7 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
 
     def trajectory(data) -> Trajectory:
         data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
-        return Trajectory(start=x, times=times, points=ps.reduce(data["points_lifted"]), **data)
+        return Trajectory(start=x, times=times, points=data["points_lifted"] - np.floor(data["points_lifted"]), **data)
 
     if sym.exact_flow is not None:
         traj = trajectory(sym.exact_flow(x, times))
@@ -492,7 +451,7 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
     failed = None  # (defect, tol) of the last sweep that failed the guard
     for sweep_tol in (tol, tol / 10, tol / 100):
         try:
-            dense = _dopri5(lambda t, y: _flow_rhs(sym, ps, t, y), y0, float(times[-1]), sweep_tol)
+            dense = _dopri5(lambda t, y: _flow_rhs(sym, t, y), y0, float(times[-1]), sweep_tol)
         except StepSizeError as floor:
             if failed is None:
                 raise
@@ -510,27 +469,14 @@ def integrate_flow(sym: SymbolField, x, times, ps: TorusPhaseSpace = TORUS,
 
 
 # ---------------------------------------------------------------------------
-# transport phases and prequantum lift
+# prequantum lift and the branch grid
 # ---------------------------------------------------------------------------
 
 
-def transport_phase(ps: TorusPhaseSpace, traj: Trajectory, bundle: str) -> np.ndarray:
-    """Unit parallel-transport phases along the lifted path.
-
-    For the prequantum bundle L (connection -i alpha) the transport is
-    exp(+i * integral of alpha(X) dt); for the canonical bundle K the global
-    dz-trivialization is flat on the torus and the transport is 1.
-    """
-
-    if bundle == "L":
-        return np.exp(1j * traj.conn_L)
-    if bundle == "K":
-        return np.ones(traj.times.shape, dtype=complex)
-    raise ValueError(f"unknown bundle tag {bundle!r}; expected 'L' or 'K'")
-
-
 def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
-    """e^{-i int H^sub} [e^{-i int H} T^L]^k (times the trivial L' factor).
+    """e^{-i int H^sub} [e^{-i int H} T^L]^k (times the trivial L' factor),
+    where T^L = e^{i int alpha(X)} is the L-transport along the lifted path
+    (connection -i alpha).
 
     The k-th power is taken on the phase accumulator, not by repeated
     multiplication, so large k cannot wrap the argument.
@@ -542,16 +488,36 @@ def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+# Largest step of the grid on which an amplitude's square root is tracked
+# from t = 0 (branch_sqrt_path refuses jumps of pi/2 or more).
+_BRANCH_STEP = 0.02
+
+
+def branch_grid(times) -> tuple[np.ndarray, np.ndarray]:
+    """A grid from 0 through the monotone ``times`` (all on one side of 0),
+    with every gap wider than 0.02 (beyond rounding) split evenly, and the
+    indices of ``times`` in it; a grid that starts at 0 with no wider gap
+    comes back unchanged."""
+
+    times = np.asarray(times, dtype=float).reshape(-1)
+    knots = times if times[0] == 0.0 else np.concatenate([[0.0], times])
+    pieces = [knots[:1]]
+    for a, b in zip(knots[:-1], knots[1:]):
+        pieces.append(np.linspace(a, b, max(1, int(np.ceil(abs(b - a) / _BRANCH_STEP - 1e-9))) + 1)[1:])
+    rows = np.cumsum([piece.size for piece in pieces]) - 1
+    return np.concatenate(pieces), rows[knots.size - times.size:]
+
+
 # ---------------------------------------------------------------------------
 # graph amplitude rho
 # ---------------------------------------------------------------------------
 
 
-def rho_graph_half(ps: TorusPhaseSpace, traj: Trajectory) -> list[BranchedPhase]:
+def rho_graph_half(traj: Trajectory) -> list[BranchedPhase]:
     """Branch-continuous [rho_t]^{1/2} along the trajectory.
 
-    rho_t = 1 / (holomorphic determinant of the flow Jacobian); the T^K
-    transport phase it is divided by is 1 on the flat torus.  Starts at 1;
+    rho_t = 1 / (holomorphic determinant of the flow Jacobian); the
+    K-transport it would be divided by is 1 on the flat torus.  Starts at 1;
     the square root is tracked through branch unwinding.
 
     On the torus (n = 1, standard j at both ends) the determinant of
@@ -573,7 +539,7 @@ def rho_graph_half(ps: TorusPhaseSpace, traj: Trajectory) -> list[BranchedPhase]
     return branch_sqrt_path(1.0 / dets)
 
 
-def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
+def rho_graph_frame(traj: Trajectory) -> np.ndarray:
     """rho_t by the frame route: pair the graph tangent frame against the
     kernel-side (2,0)-form and take the ratio to its t=0 value.
 
@@ -584,7 +550,7 @@ def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
     Shares no code with the holomorphic-block determinant route.
     """
 
-    c2 = ps.metric_scale  # constant cancels in the ratio; kept for clarity
+    c2 = TWO_PI  # G in omega = i G dz ^ dzbar; cancels in the ratio
     u1 = np.array([1.0, 0.0])
     u2 = np.array([0.0, 1.0])
 
@@ -607,11 +573,11 @@ def rho_graph_frame(ps: TorusPhaseSpace, traj: Trajectory) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _field_norms(ps: TorusPhaseSpace, sym: SymbolField, t: float, pts) -> np.ndarray:
+def _field_norms(sym: SymbolField, t: float, pts) -> np.ndarray:
     """Metric norms sqrt(omega(X, jX)) of the Hamiltonian field at points
     (..., 2); raises RegularityError when any of them is below 1e-6."""
-    xv = hamiltonian_vector_field(sym, t, np.asarray(pts, dtype=float), ps)
-    vals = np.sqrt(ps.symplectic_area * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
+    xv = hamiltonian_vector_field(sym, t, np.asarray(pts, dtype=float))
+    vals = np.sqrt(FOUR_PI * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
     worst = float(np.min(vals))
     if worst < 1e-6:
         raise RegularityError(f"Hamiltonian field norm {worst:.2e} below 1e-6: "
@@ -619,13 +585,19 @@ def _field_norms(ps: TorusPhaseSpace, sym: SymbolField, t: float, pts) -> np.nda
     return vals
 
 
-def norm_X(ps: TorusPhaseSpace, sym: SymbolField, t: float, x) -> float:
+def norm_X(sym: SymbolField, t: float, x) -> float:
     """Metric norm sqrt(omega(X, jX)) of the Hamiltonian field at x."""
-    return float(_field_norms(ps, sym, t, x))
+    return float(_field_norms(sym, t, x))
 
 
-def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
-                   energy: float) -> list[BranchedPhase]:
+def check_level(sym: SymbolField, x, energy: float) -> None:
+    """Raise RegularityError unless |H(x) - energy| <= 1e-10 (1 + |energy|)."""
+    h = float(sym.principal(0.0, x[0], x[1]))
+    if abs(h - energy) > 1e-10 * (1.0 + abs(energy)):
+        raise RegularityError(f"H = {h!r} is off the energy level E = {energy!r}")
+
+
+def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> list[BranchedPhase]:
     """Branch-continuous [rho'_t]^{1/2} along a level-set trajectory.
 
     In real dimension 2n, rho'_t is the canonical-bundle lift on the energy
@@ -644,15 +616,12 @@ def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
     to 1e-6.
     """
 
-    e0 = float(sym.principal(0.0, traj.start[0], traj.start[1]))
-    if abs(e0 - energy) > 1e-10 * (1.0 + abs(energy)):
-        raise RegularityError(f"trajectory starts at H = {e0!r}, not at the "
-                              f"requested energy {energy!r}")
-    _field_norms(ps, sym, 0.0, traj.points)  # regularity guard
-    x_src = hamiltonian_vector_field(sym, 0.0, traj.start, ps)
-    x_dst = hamiltonian_vector_field(sym, 0.0, traj.points_lifted, ps)
-    ns2 = ps.symplectic_area * (x_src[0] ** 2 + x_src[1] ** 2)
-    nt2 = ps.symplectic_area * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
+    check_level(sym, traj.start, energy)
+    _field_norms(sym, 0.0, traj.points)  # regularity guard
+    x_src = hamiltonian_vector_field(sym, 0.0, traj.start)
+    x_dst = hamiltonian_vector_field(sym, 0.0, traj.points_lifted)
+    ns2 = FOUR_PI * (x_src[0] ** 2 + x_src[1] ** 2)
+    nt2 = FOUR_PI * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
     if min(ns2, float(np.min(nt2))) <= 1e-12:
         raise RegularityError("flow direction degenerates along the trajectory")
 
@@ -676,7 +645,7 @@ def rho_level_half(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
 # ---------------------------------------------------------------------------
 
 
-def b_coefficient(ps: TorusPhaseSpace, sym: SymbolField, x, tangent) -> complex:
+def b_coefficient(sym: SymbolField, x, tangent) -> complex:
     """B = ||X_1||^2 + i omega(X_1, X_2) for the splitting X = X_1 + X_2 with
     X_1 in j(T Gamma), X_2 in T Gamma, Gamma the Lagrangian line spanned by
     ``tangent`` at x.  Raises DegenerateError when X lies in the line."""
@@ -688,20 +657,19 @@ def b_coefficient(ps: TorusPhaseSpace, sym: SymbolField, x, tangent) -> complex:
         raise RegularityError("tangent direction must be nonzero")
     tau = tau / norm
     cs = np.array([[0.0, -1.0], [1.0, 0.0]])
-    xv = hamiltonian_vector_field(sym, 0.0, x, ps)
+    xv = hamiltonian_vector_field(sym, 0.0, x)
     basis = np.column_stack([cs @ tau, tau])
     coeff = np.linalg.solve(basis, xv)
     x1 = coeff[0] * (cs @ tau)
     x2 = coeff[1] * tau
     if np.linalg.norm(x1) <= 1e-10 * max(np.linalg.norm(xv), 1e-30):
         raise DegenerateError("Hamiltonian field is tangent to the Lagrangian line")
-    omega_gram = ps.omega_gram()
-    norm1_sq = float(x1 @ omega_gram @ (cs @ x1))
-    cross = float(x1 @ omega_gram @ x2)
+    norm1_sq = float(x1 @ _OMEGA @ (cs @ x1))
+    cross = float(x1 @ _OMEGA @ x2)
     return complex(norm1_sq, cross)
 
 
-def b_coefficient_diagonal(ps: TorusPhaseSpace, sym: SymbolField, x) -> complex:
+def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
     """The kernel-side B: same splitting run on the doubled phase space
     (M x M, omega (+) -omega, j (+) -j) against the diagonal Lagrangian, with
     the field (X, 0).  This is the coefficient whose reciprocal is the t=0
@@ -709,11 +677,10 @@ def b_coefficient_diagonal(ps: TorusPhaseSpace, sym: SymbolField, x) -> complex:
     """
 
     x = np.asarray(x, dtype=float)
-    xv = hamiltonian_vector_field(sym, 0.0, x, ps)
-    omega2 = ps.omega_gram()
+    xv = hamiltonian_vector_field(sym, 0.0, x)
     cs2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     zero = np.zeros((2, 2))
-    omega4 = np.block([[omega2, zero], [zero, -omega2]])
+    omega4 = np.block([[_OMEGA, zero], [zero, -_OMEGA]])
     cs4 = np.block([[cs2, zero], [zero, -cs2]])
     diag_basis = np.vstack([np.eye(2), np.eye(2)])  # columns (e_i, e_i)
     basis = np.column_stack([cs4 @ diag_basis, diag_basis])
@@ -733,8 +700,7 @@ def b_coefficient_diagonal(ps: TorusPhaseSpace, sym: SymbolField, x) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_positions(sym: SymbolField, ps: TorusPhaseSpace, x: np.ndarray,
-                      t_lo: float, t_hi: float) -> Callable:
+def _lifted_positions(sym: SymbolField, x: np.ndarray, t_lo: float, t_hi: float) -> Callable:
     """Evaluator ts -> lifted phi_t(x), shape (len(ts), 2), on [min(t_lo, 0),
     max(t_hi, 0)]: the closed form, or the dense output of one position-only
     integration on each side of t = 0."""
@@ -743,7 +709,7 @@ def _lifted_positions(sym: SymbolField, ps: TorusPhaseSpace, x: np.ndarray,
         return lambda ts: np.asarray(
             sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))["points_lifted"])
 
-    neg, pos = (_dopri5(lambda t, pt: hamiltonian_vector_field(sym, t, pt, ps), x, end, _FLOW_TOL)
+    neg, pos = (_dopri5(lambda t, pt: hamiltonian_vector_field(sym, t, pt), x, end, _FLOW_TOL)
                 for end in (min(t_lo, 0.0), max(t_hi, 0.0)))
 
     def positions(ts) -> np.ndarray:
@@ -753,7 +719,7 @@ def _lifted_positions(sym: SymbolField, ps: TorusPhaseSpace, x: np.ndarray,
     return positions
 
 
-def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) -> list[tuple[float, tuple[int, int]]]:
+def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int, int]]]:
     """All t in [window] with phi_t(x) = y mod lattice, with lattice windings.
 
     Dense sampling of the lifted flow followed by Newton refinement of the
@@ -768,26 +734,22 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")
-    e_x = float(sym.principal(0.0, x[0], x[1]))
-    e_y = float(sym.principal(0.0, y[0], y[1]))
-    if abs(e_x - e_y) > 1e-10 * (1.0 + abs(e_x)):
-        raise RegularityError(f"x and y lie on different level sets "
-                              f"(H(x) = {e_x!r}, H(y) = {e_y!r})")
-    norm_X(ps, sym, 0.0, x)
-    norm_X(ps, sym, 0.0, y)
+    check_level(sym, y, float(sym.principal(0.0, x[0], x[1])))
+    norm_X(sym, 0.0, x)
+    norm_X(sym, 0.0, y)
 
-    x_y = hamiltonian_vector_field(sym, 0.0, y, ps)
+    x_y = hamiltonian_vector_field(sym, 0.0, y)
     speed_y = float(np.linalg.norm(x_y))
     u_flow = x_y / speed_y
 
     grid = np.linspace(0.0, 1.0, 17, endpoint=False)
-    vmax = float(np.max(np.abs(sym.grad(0.0, *np.meshgrid(grid, grid))))) / ps.symplectic_area
+    vmax = float(np.max(np.abs(sym.grad(0.0, *np.meshgrid(grid, grid))))) / FOUR_PI
     dt = min(0.02, 0.2 / (1.0 + vmax))
     n_samples = max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1)
     ts = np.linspace(t_lo, t_hi, n_samples)
-    positions = _lifted_positions(sym, ps, x, t_lo, t_hi)
+    positions = _lifted_positions(sym, x, t_lo, t_hi)
     pts = positions(ts)
-    diffs = ps.wrap_difference(pts, y[None, :])
+    diffs = wrap_difference(pts, y[None, :])
     dist = np.linalg.norm(diffs, axis=-1)
     step = float(ts[1] - ts[0]) if n_samples > 1 else dt
     # slow passages near y may need a wider Newton trust region than 2 steps
@@ -809,8 +771,8 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
         converged = False
         for _ in range(60):
             pt = positions(t_cur)[0]
-            g = float(ps.wrap_difference(pt, y) @ u_flow)
-            xv = hamiltonian_vector_field(sym, 0.0, pt, ps)
+            g = float(wrap_difference(pt, y) @ u_flow)
+            xv = hamiltonian_vector_field(sym, 0.0, pt)
             slope = float(xv @ u_flow)
             if abs(slope) < 1e-12:
                 break
@@ -823,7 +785,7 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
         if not converged:
             continue
         final = positions(t_cur)[0]
-        if float(np.linalg.norm(ps.wrap_difference(final, y))) > 1e-9:
+        if float(np.linalg.norm(wrap_difference(final, y))) > 1e-9:
             continue  # a near miss, not a return
         if not (t_lo - 1e-9 <= t_cur <= t_hi + 1e-9):
             continue
@@ -845,70 +807,3 @@ def return_times(sym: SymbolField, x, y, window, ps: TorusPhaseSpace = TORUS) ->
             raise RegularityError("winding bookkeeping failed to close the path")
         out.append((float(r), (int(winding[0]), int(winding[1]))))
     return out
-
-
-# ---------------------------------------------------------------------------
-# normal-coordinate second-order diagnostics
-# ---------------------------------------------------------------------------
-
-
-def box_operator(ps: TorusPhaseSpace, sym: SymbolField, t: float, x):
-    """Second-order symbol data in metric-normalized complex coordinates.
-
-    With w = sqrt(G) z (so the metric has unit coefficient), returns
-
-        box_H = H_{w wbar} + (1/2) H_{wbar wbar}
-        theta = H_{w wbar} + H_{wbar wbar}     (real for the real symbols here)
-        zeta  = theta / 2 + H^sub(x)
-
-    as diagnostics of the second-order kernel expansion coefficients.
-    """
-
-    x = np.asarray(x, dtype=float)
-    h = sym.hess(t, x[0], x[1])
-    hpp, hpq, hqq = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
-    g = ps.metric_scale
-    h_zzbar = 0.25 * (hpp + hqq)
-    h_zbarzbar = 0.25 * complex(hpp - hqq, 2.0 * hpq)
-    h_wwbar = h_zzbar / g
-    h_wbarwbar = h_zbarzbar / g
-    box_h = h_wwbar + 0.5 * h_wbarwbar
-    theta = h_wwbar + h_wbarwbar
-    sub = float(sym.subprincipal(t, x[0], x[1]))
-    zeta = 0.5 * theta + sub
-    if abs(box_h.imag) < 1e-12:
-        box_h = box_h.real
-    if abs(theta.imag) < 1e-12:
-        theta = theta.real
-    return box_h, theta, zeta
-
-
-# ---------------------------------------------------------------------------
-# assembled lift
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GeometricLift:
-    """All predictor ingredients along one trajectory, branch-tracked.
-
-    ``rho_level_half`` is present only when an energy was supplied (level-set
-    trajectories)."""
-
-    transport_L: list[BranchedPhase]
-    prequantum_k: np.ndarray
-    rho_half: list[BranchedPhase]
-    rho_level_half: list[BranchedPhase] | None
-
-
-def geometric_lift(ps: TorusPhaseSpace, sym: SymbolField, traj: Trajectory,
-                   k: int, energy: float | None = None) -> GeometricLift:
-    """Bundle the transport, prequantum, and amplitude data for a trajectory."""
-
-    transport = [BranchedPhase(complex(np.exp(1j * c)), float(c)) for c in traj.conn_L]
-    return GeometricLift(
-        transport_L=transport,
-        prequantum_k=prequantum_phase(sym, traj, k),
-        rho_half=rho_graph_half(ps, traj),
-        rho_level_half=None if energy is None else rho_level_half(ps, sym, traj, energy),
-    )

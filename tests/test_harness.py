@@ -9,11 +9,11 @@ from torusprop.harness import (
     ConfigError,
     _build_parser,
     _suffixed,
-    _with_lead_in,
     main,
     parse_config,
     symbol_from_selector,
 )
+from torusprop.torusgeo import branch_grid
 
 
 def _cfg(argv):
@@ -164,12 +164,27 @@ def test_propagator_symbols_that_need_a_tighter_flow_sweep(symbol, tmp_path):
 
 
 def test_lead_in_helper():
-    grid = np.array([0.0, 0.1, 0.2])
-    out, skip = _with_lead_in(grid)
-    assert skip == 0 and out is grid
-    out, skip = _with_lead_in(np.array([0.8, 0.9]))
-    assert skip == out.size - 2
-    assert out[0] == 0.0 and np.all(np.diff(out) > 0) and out[skip] == 0.8
+    # a grid starting later than 0 gets a lead-in in steps of at most 0.02,
+    # and only the requested rows are emitted
+    out, rows = branch_grid(np.array([0.8, 0.9]))
+    assert out[0] == 0.0 and np.all(np.diff(out) > 0)
+    assert np.max(np.diff(out)) <= 0.02 + 1e-15
+    assert list(out[rows]) == [0.8, 0.9] and rows[0] == 40
+
+
+def test_coarse_propagator_grid_matches_a_fine_one(tmp_path):
+    # the amplitude's branch is tracked on a grid with steps <= 0.02 whatever
+    # the requested spacing, so a 1.0-step grid gives the 0.01-step grid's row
+    symbol = "cos(2*pi*q)+0.1*sin(2*pi*p)"
+    tables = {}
+    for grid in ("0:1:10", "0:0.01:10"):
+        out = tmp_path / "t.csv"
+        assert main(["propagator", "--symbol", symbol, "--k", "20", "--tgrid", grid,
+                     "--out", str(out)]) == 0
+        tables[grid] = np.loadtxt(str(out), delimiter=",", skiprows=1)
+    coarse, fine = tables["0:1:10"], tables["0:0.01:10"]
+    assert coarse.shape == (11, 9) and coarse[-1, 0] == fine[-1, 0] == 10.0
+    assert np.allclose(coarse[-1], fine[-1], rtol=0.0, atol=1e-12)
 
 
 def test_suffixed_paths():
@@ -284,6 +299,27 @@ def test_lifts_table(capsys):
     # rho values stay on the branch-continuous sheet: |value| <= 1, args small
     rho = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     assert np.all(np.abs(rho[:, 3] + 1j * rho[:, 4]) <= 1.0 + 1e-12)
+
+
+def test_projector_refuses_a_point_off_the_energy_level(capsys):
+    argv = ["projector", "--k", "50", "--fhat", "bump:3"]
+    assert main(argv + ["--point", "0.3,0.1", "--energy", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "point (0.3, 0.1)" in err and "E = 0.5" in err and "H = 0.80901699" in err
+    # the default energy is the first point's; the second one is off it
+    assert main(argv + ["--point", "0.3,0.1;0.3,0.2"]) == 2
+    assert "point (0.3, 0.2)" in capsys.readouterr().err
+
+
+def test_lifts_refuses_a_point_off_the_energy_level(capsys):
+    assert main(["lifts", "--k", "20", "--energy", "0.2"]) == 2
+    assert "off the energy level E = 0.2" in capsys.readouterr().err
+
+
+def test_level_points_on_both_level_components_are_accepted():
+    # q = 0.1 and q = 0.9 carry the same energy up to rounding
+    cfg = _cfg(["projector", "--k", "50", "--point", "0.3,0.1;0.7,0.9"])
+    assert cfg.points == ((0.3, 0.1), (0.7, 0.9))
 
 
 def test_cli_error_exits(tmp_path, capsys):

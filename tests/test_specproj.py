@@ -25,7 +25,7 @@ from torusprop.thetaq import (
     basis_matrix,
     quantum_space,
 )
-from torusprop.torusgeo import TORUS, RegularityError, model_cos_symbol, norm_X
+from torusprop.torusgeo import RegularityError, model_cos_symbol, norm_X
 
 TWO_PI = 2.0 * np.pi
 Q0 = 0.1
@@ -159,11 +159,11 @@ def test_single_return_diagonal_closed_form():
     pair = build_fourier_pair("bump", 3.0, 512)
     k = 100
     x = (0.3, Q0)
-    pred = projector_kernel_asymptotic(TORUS, sym, pair, E0, x, x, k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
     assert not pred.off_image
     assert len(pred.terms) == 1
     assert pred.terms[0].t == 0.0
-    amp = np.sqrt(2.0) / norm_X(TORUS, sym, 0.0, x)
+    amp = np.sqrt(2.0) / norm_X(sym, 0.0, x)
     assert amp == pytest.approx(np.sqrt(2.0 / np.pi) / SIN0, rel=1e-12)
     expected = (np.sqrt(k) / TWO_PI) * np.exp(-1.0) * amp
     assert complex(pred.value) == pytest.approx(expected, rel=1e-10)
@@ -174,14 +174,14 @@ def test_off_image_point_is_tagged_zero():
     # the shear never connects the two
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0, 512)
-    pred = projector_kernel_asymptotic(TORUS, sym, pair, E0, (0.3, 0.9), (0.3, Q0), 100)
+    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.9), (0.3, Q0), 100)
     assert pred.off_image
     assert pred.value == 0j
     assert pred.terms == ()
 
 
 def test_off_image_exact_kernel_is_tiny():
-    qs = quantum_space(200, validate=False)
+    qs = quantum_space(200)
     op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0, 512)
     val = projector_kernel_exact(qs, op, pair, E0, (0.3, 0.9), (0.3, Q0))
@@ -196,7 +196,7 @@ def test_triple_return_structure_and_value():
     pair = build_fourier_pair("bump", 7.0, 512)
     k = 100
     x = (0.3, Q0)
-    pred = projector_kernel_asymptotic(TORUS, sym, pair, E0, x, x, k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
     assert len(pred.terms) == 5
     times = sorted(term.t for term in pred.terms)
     assert times == pytest.approx([-2 * T_RETURN, -T_RETURN, 0.0, T_RETURN,
@@ -220,7 +220,7 @@ def test_winding_holonomy_phase():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0, 512)
     k = 37
-    pred = projector_kernel_asymptotic(TORUS, sym, pair, E0, (0.3, Q0), (0.3, Q0), k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, Q0), (0.3, Q0), k)
     by_time = {round(term.t, 6): term for term in pred.terms}
     plus = by_time[round(T_RETURN, 6)]
     minus = by_time[round(-T_RETURN, 6)]
@@ -242,10 +242,10 @@ def test_window_restriction_and_cross_pair_additivity():
     pair3 = build_fourier_pair("bump", 3.0, 512)
     k = 60
     x = (0.3, Q0)
-    full = projector_kernel_asymptotic(TORUS, sym, pair7, E0, x, x, k)
-    windowed = projector_kernel_asymptotic(TORUS, sym, pair7, E0, x, x, k,
+    full = projector_kernel_asymptotic(sym, pair7, E0, x, x, k)
+    windowed = projector_kernel_asymptotic(sym, pair7, E0, x, x, k,
                                            window=(-3.0, 3.0))
-    narrow = projector_kernel_asymptotic(TORUS, sym, pair3, E0, x, x, k)
+    narrow = projector_kernel_asymptotic(sym, pair3, E0, x, x, k)
     assert len(windowed.terms) == 1
     assert complex(windowed.value) == pytest.approx(complex(narrow.value), rel=1e-12)
     # enlarging the window adds exactly the dropped terms, no cross talk
@@ -254,14 +254,24 @@ def test_window_restriction_and_cross_pair_additivity():
     assert complex(full.value - windowed.value) == pytest.approx(
         complex(prefactor * dropped), rel=1e-12)
     with pytest.raises(ValueError):
-        projector_kernel_asymptotic(TORUS, sym, pair7, E0, x, x, k, window=(2.0, -2.0))
+        projector_kernel_asymptotic(sym, pair7, E0, x, x, k, window=(2.0, -2.0))
+
+
+def test_off_level_points_rejected():
+    # the t = 0 term alone would report sqrt(2)/||X|| for any point
+    sym = model_cos_symbol()
+    pair = build_fourier_pair("bump", 3.0, 512)
+    with pytest.raises(RegularityError, match="off the energy level"):
+        projector_kernel_asymptotic(sym, pair, 0.5, (0.3, Q0), (0.3, Q0), 50)
+    with pytest.raises(RegularityError, match="off the energy level"):
+        projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.2), (0.3, Q0), 50)
 
 
 def test_critical_level_rejected():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0, 512)
     with pytest.raises(RegularityError):
-        projector_kernel_asymptotic(TORUS, sym, pair, 1.0, (0.3, 0.0), (0.3, 0.0), 50)
+        projector_kernel_asymptotic(sym, pair, 1.0, (0.3, 0.0), (0.3, 0.0), 50)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +280,13 @@ def test_critical_level_rejected():
 
 
 def test_exact_matches_predictor_at_k200():
-    qs = quantum_space(200, validate=False)
+    qs = quantum_space(200)
     op = operator_for(qs, model_cos_symbol())
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0, 512)
     x = (0.3, Q0)
     exact = projector_kernel_exact(qs, op, pair, E0, x, x)
-    pred = projector_kernel_asymptotic(TORUS, sym, pair, E0, x, x, 200)
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, 200)
     assert abs(exact - pred.value) / abs(pred.value) <= 0.05
 
 

@@ -401,10 +401,6 @@ def test_model_operator_analytic_eigendata():
     ell = np.arange(qs.dim)
     assert np.allclose(op.eigenvalues, np.cos(np.pi * ell / qs.k))
     assert np.allclose(op.eigenvectors, np.eye(qs.dim))
-    assert op.symbol is not None
-    assert float(op.symbol.principal(0.0, 0.3, 0.1)) == pytest.approx(
-        np.cos(TWO_PI * 0.1))
-    assert float(op.symbol.subprincipal(0.0, 0.3, 0.1)) == 0.0
 
 
 def test_toeplitz_of_model_symbol_matches_closed_form():

@@ -9,15 +9,14 @@ import pytest
 
 from torusprop.symplin import LinearSymplectomorphism, StructureError, holomorphic_determinant
 from torusprop.torusgeo import (
-    TORUS,
     DegenerateError,
     RegularityError,
     StepSizeError,
     Trajectory,
     b_coefficient,
     b_coefficient_diagonal,
-    box_operator,
-    geometric_lift,
+    branch_grid,
+    check_level,
     hamiltonian_vector_field,
     integrate_flow,
     make_symbol,
@@ -28,9 +27,9 @@ from torusprop.torusgeo import (
     rho_graph_frame,
     rho_graph_half,
     rho_level_half,
-    transport_phase,
+    wrap_difference,
 )
-from torusprop.torusgeo import _dopri5, _flow_rhs
+from torusprop.torusgeo import _alpha, _dopri5, _flow_rhs
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,11 +58,17 @@ def generic_symbol():
 
 
 def test_d_alpha_equals_omega():
-    assert TORUS.check_d_alpha() < 1e-8
+    # d(alpha)(d/dp, d/dq) = d/dp alpha(d/dq) - d/dq alpha(d/dp) = 4 pi, by
+    # central differences on a 7 x 7 grid
+    e_p, e_q, h = np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1e-4
+    p, q = np.meshgrid(np.linspace(0.05, 0.95, 7), np.linspace(0.05, 0.95, 7))
+    d_alpha = ((_alpha(p + h, q, e_q) - _alpha(p - h, q, e_q))
+               - (_alpha(p, q + h, e_p) - _alpha(p, q - h, e_p))) / (2 * h)
+    assert np.max(np.abs(d_alpha - 4.0 * np.pi)) < 1e-8
 
 
 def test_wrap_difference_is_shortest():
-    d = TORUS.wrap_difference(np.array([0.95, 0.1]), np.array([0.05, 0.1]))
+    d = wrap_difference(np.array([0.95, 0.1]), np.array([0.05, 0.1]))
     assert np.allclose(d, [-0.1, 0.0])
 
 
@@ -230,7 +235,7 @@ def test_symplecticity_guard_retries_at_a_tighter_tolerance():
     sym = make_symbol("exp-sin-cos", lambda t, p, q: np.exp(2.0 * np.sin(TWO_PI * p)) * np.cos(TWO_PI * q))
     times = np.linspace(0.0, 1.0, 101)
     y0 = np.array([0.3, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    first = _dopri5(lambda t, y: _flow_rhs(sym, TORUS, t, y), y0, 1.0, 1e-10)(times)
+    first = _dopri5(lambda t, y: _flow_rhs(sym, t, y), y0, 1.0, 1e-10)(times)
     j_gram = np.array([[0.0, 1.0], [-1.0, 0.0]])
     jac = first[:, 2:6].reshape(-1, 2, 2)
     first_defect = np.max(np.abs(np.einsum("tji,jk,tkl->til", jac, j_gram, jac) - j_gram))
@@ -287,12 +292,13 @@ def test_dense_output_between_steps_matches_shear():
 
 
 def test_shear_transport_closed_form():
-    sym = model_cos_symbol()
+    # the L-transport e^{i conn_L}, on the closed-form and the integrated flow
     times = np.linspace(0.0, 2.0, 9)
-    traj = integrate_flow(sym, (0.3, 0.1), times)
-    got = transport_phase(TORUS, traj, "L")
-    expect = np.exp(-1j * np.pi * times * 0.1 * np.sin(0.2 * np.pi))
-    assert np.max(np.abs(got - expect)) < 1e-12
+    for sym in (model_cos_symbol(), model_without_exact_flow()):
+        traj = integrate_flow(sym, (0.3, 0.1), times)
+        got = np.exp(1j * traj.conn_L)
+        expect = np.exp(-1j * np.pi * times * 0.1 * np.sin(0.2 * np.pi))
+        assert np.max(np.abs(got - expect)) < 1e-12
 
 
 def test_loop_holonomy():
@@ -302,19 +308,8 @@ def test_loop_holonomy():
     t_loop = 2.0 / np.sin(TWO_PI * q0)
     traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, t_loop, 11))
     assert np.allclose(traj.points_lifted[-1], [1.3, q0], atol=1e-12)
-    got = transport_phase(TORUS, traj, "L")[-1]
+    got = np.exp(1j * traj.conn_L[-1])
     assert got == pytest.approx(np.exp(-2j * np.pi * q0), abs=1e-12)
-
-
-def test_canonical_transport_is_trivial():
-    traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 5))
-    assert np.allclose(transport_phase(TORUS, traj, "K"), 1.0)
-
-
-def test_unknown_bundle_rejected():
-    traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), np.array([0.0]))
-    with pytest.raises(ValueError, match="bundle"):
-        transport_phase(TORUS, traj, "L2")
 
 
 def test_prequantum_phase_closed_form():
@@ -349,6 +344,20 @@ def test_prequantum_constant_hamiltonian():
     assert np.max(np.abs(got - np.exp(-11j * c * times))) < 1e-9
 
 
+def test_branch_grid_keeps_a_fine_grid_from_zero():
+    times = np.linspace(0.0, 1.0, 101)
+    grid, rows = branch_grid(times)
+    assert np.array_equal(grid, times) and np.array_equal(rows, np.arange(101))
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.51, 1.5], [0.3], [-0.7], [0.0]])
+def test_branch_grid_splits_gaps_wider_than_the_step(times):
+    grid, rows = branch_grid(times)
+    steps = np.diff(grid)
+    assert grid[0] == 0.0 and np.array_equal(grid[rows], times)
+    assert np.all(steps * np.sign(times[-1] or 1.0) > 0) and np.all(np.abs(steps) <= 0.02 + 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # graph amplitude rho
 # ---------------------------------------------------------------------------
@@ -356,7 +365,7 @@ def test_prequantum_constant_hamiltonian():
 
 def test_rho_graph_starts_at_one():
     traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 51))
-    half = rho_graph_half(TORUS, traj)
+    half = rho_graph_half(traj)
     assert half[0].value == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
@@ -364,7 +373,7 @@ def test_rho_graph_shear_closed_form():
     q0 = 0.1
     times = np.linspace(0.0, 10.0, 501)
     traj = integrate_flow(model_cos_symbol(), (0.3, q0), times)
-    half = rho_graph_half(TORUS, traj)
+    half = rho_graph_half(traj)
     a = 0.5 * np.pi * times * np.cos(TWO_PI * q0)
     expect = 1.0 / np.sqrt(1.0 + a ** 2) ** 0.5 * np.exp(0.5j * np.arctan(a))
     got = np.array([h.value for h in half])
@@ -374,7 +383,7 @@ def test_rho_graph_shear_closed_form():
 def test_rho_graph_frozen_argument_value():
     # q = 0.1, t = 1: arg rho^(1/2) = (1/2) arctan(pi cos(0.2 pi)/2)
     traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 51))
-    half = rho_graph_half(TORUS, traj)
+    half = rho_graph_half(traj)
     expect = 0.5 * np.arctan(0.5 * np.pi * np.cos(0.2 * np.pi))
     assert half[-1].branch_angle == pytest.approx(expect, abs=1e-12)
     assert abs(half[-1].value) == pytest.approx(
@@ -382,20 +391,19 @@ def test_rho_graph_frozen_argument_value():
 
 
 def test_rho_definition_closure():
-    # rho_half^2 * det^{1,0}(jacobian) * K-transport = 1
+    # rho_half^2 * det^{1,0}(jacobian) = 1 (the K-transport is 1 on the flat torus)
     traj = integrate_flow(generic_symbol(), (0.23, 0.31), np.linspace(0.0, 1.5, 76))
-    half = rho_graph_half(TORUS, traj)
-    t_k = transport_phase(TORUS, traj, "K")
+    half = rho_graph_half(traj)
     for i, m in enumerate(traj.jacobians):
         det = holomorphic_determinant(LinearSymplectomorphism(m))
-        closure = half[i].value ** 2 * det * t_k[i]
+        closure = half[i].value ** 2 * det
         assert abs(closure - 1.0) < 1e-10
 
 
 def test_rho_graph_closed_form_matches_the_per_matrix_route():
     sym = make_symbol("p-dependent", lambda t, p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
     traj = integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
-    got = np.array([h.value ** 2 for h in rho_graph_half(TORUS, traj)])
+    got = np.array([h.value ** 2 for h in rho_graph_half(traj)])
     dets = np.array([holomorphic_determinant(LinearSymplectomorphism(m)) for m in traj.jacobians])
     assert np.max(np.abs(got * dets - 1.0)) < 1e-13
 
@@ -406,15 +414,15 @@ def test_rho_graph_rejects_non_symplectic_jacobians():
     with pytest.raises(StructureError, match="not symplectic"):
         LinearSymplectomorphism(scaled.jacobians[-1])
     with pytest.raises(StructureError, match="not symplectic"):
-        rho_graph_half(TORUS, scaled)
+        rho_graph_half(scaled)
 
 
 @pytest.mark.parametrize("maker", [model_cos_symbol, generic_symbol])
 def test_rho_frame_route_agrees(maker):
     traj = integrate_flow(maker(), (0.3, 0.1), np.linspace(0.0, 1.0, 101))
-    half = rho_graph_half(TORUS, traj)
+    half = rho_graph_half(traj)
     via_det = np.array([h.value ** 2 for h in half])
-    via_frame = rho_graph_frame(TORUS, traj)
+    via_frame = rho_graph_frame(traj)
     assert np.max(np.abs(via_det - via_frame)) < 1e-9
 
 
@@ -425,15 +433,15 @@ def test_rho_frame_route_agrees(maker):
 
 def test_norm_x_frozen_values():
     sym = model_cos_symbol()
-    assert norm_X(TORUS, sym, 0.0, (0.3, 0.1)) == pytest.approx(
+    assert norm_X(sym, 0.0, (0.3, 0.1)) == pytest.approx(
         np.sqrt(np.pi) * np.sin(0.2 * np.pi), abs=1e-12)
-    assert norm_X(TORUS, sym, 0.0, (0.3, 0.25)) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+    assert norm_X(sym, 0.0, (0.3, 0.25)) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
 
 
 def test_norm_x_rejects_critical_points():
     sym = make_symbol("const", lambda t, p, q: 1.0 + 0.0 * np.asarray(p, float))
     with pytest.raises(RegularityError, match="critical"):
-        norm_X(TORUS, sym, 0.0, (0.3, 0.1))
+        norm_X(sym, 0.0, (0.3, 0.1))
 
 
 def test_rho_level_starts_at_sqrt2_over_norm():
@@ -441,7 +449,7 @@ def test_rho_level_starts_at_sqrt2_over_norm():
     q0 = 0.1
     e0 = np.cos(TWO_PI * q0)
     traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 1.0, 51))
-    half = rho_level_half(TORUS, sym, traj, e0)
+    half = rho_level_half(sym, traj, e0)
     expect0 = np.sqrt(2.0) / (np.sqrt(np.pi) * np.sin(TWO_PI * q0))
     assert half[0].value == pytest.approx(expect0 + 0.0j, abs=1e-12)
 
@@ -451,7 +459,7 @@ def test_rho_level_constant_for_shear():
     q0 = 0.1
     e0 = np.cos(TWO_PI * q0)
     traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 4.0, 201))
-    half = rho_level_half(TORUS, sym, traj, e0)
+    half = rho_level_half(sym, traj, e0)
     vals = np.array([h.value ** 2 for h in half])
     expect = 2.0 / (np.pi * np.sin(TWO_PI * q0) ** 2)
     assert np.max(np.abs(vals - expect)) < 1e-10
@@ -461,17 +469,26 @@ def test_rho_level_ratio_to_rho_graph_at_zero():
     sym = model_cos_symbol()
     q0 = 0.17
     traj = integrate_flow(sym, (0.3, q0), np.array([0.0]))
-    rho0 = rho_graph_half(TORUS, traj)[0].value ** 2
-    rho_lvl0 = rho_level_half(TORUS, sym, traj, np.cos(TWO_PI * q0))[0].value ** 2
-    nx = norm_X(TORUS, sym, 0.0, (0.3, q0))
+    rho0 = rho_graph_half(traj)[0].value ** 2
+    rho_lvl0 = rho_level_half(sym, traj, np.cos(TWO_PI * q0))[0].value ** 2
+    nx = norm_X(sym, 0.0, (0.3, q0))
     assert rho_lvl0 / rho0 == pytest.approx(2.0 / nx ** 2, abs=1e-12)
+
+
+def test_check_level_tolerance():
+    sym = model_cos_symbol()
+    e0 = float(np.cos(TWO_PI * 0.1))
+    check_level(sym, (0.7, 0.9), e0)  # the other level component, to rounding
+    check_level(sym, (0.3, 0.1), e0 + 1e-11)
+    with pytest.raises(RegularityError, match=r"H = .* is off the energy level E = 0\.5"):
+        check_level(sym, (0.3, 0.1), 0.5)
 
 
 def test_rho_level_requires_matching_energy():
     sym = model_cos_symbol()
     traj = integrate_flow(sym, (0.3, 0.1), np.array([0.0, 0.5]))
     with pytest.raises(RegularityError, match="energy"):
-        rho_level_half(TORUS, sym, traj, 0.123)
+        rho_level_half(sym, traj, 0.123)
 
 
 def test_rho_level_matches_jacobian_route_on_generic_level():
@@ -484,10 +501,10 @@ def test_rho_level_matches_jacobian_route_on_generic_level():
     e0 = float(sym.principal(0.0, *x))
     x_src = hamiltonian_vector_field(sym, 0.0, x)
     dz_src = complex(x_src[0], x_src[1])
-    norm2 = norm_X(TORUS, sym, 0.0, x) ** 2
+    norm2 = norm_X(sym, 0.0, x) ** 2
     for t_end in (7.0, -7.0):
         traj = integrate_flow(sym, x, np.linspace(0.0, t_end, 351))
-        vals = np.array([h.value for h in rho_level_half(TORUS, sym, traj, e0)]) ** 2
+        vals = np.array([h.value for h in rho_level_half(sym, traj, e0)]) ** 2
         pushed = traj.jacobians @ x_src
         jac_route = 2.0 * dz_src / (norm2 * (pushed[:, 0] + 1j * pushed[:, 1]))
         assert np.max(np.abs(vals - jac_route) / np.abs(jac_route)) < 1e-5
@@ -501,7 +518,7 @@ def test_rho_level_rejects_flow_direction_violation():
     c, s = np.cos(0.4), np.sin(0.4)
     rotated = dataclasses.replace(traj, jacobians=np.array([[c, -s], [s, c]]) @ traj.jacobians)
     with pytest.raises(RegularityError, match="flow direction"):
-        rho_level_half(TORUS, sym, rotated, np.cos(TWO_PI * q0))
+        rho_level_half(sym, rotated, np.cos(TWO_PI * q0))
 
 
 def test_rho_level_rejects_critical_point_on_trajectory():
@@ -511,7 +528,7 @@ def test_rho_level_rejects_critical_point_on_trajectory():
     points = traj.points.copy()
     points[7] = (0.3, 0.5)  # a critical point of cos(2 pi q)
     with pytest.raises(RegularityError, match="critical"):
-        rho_level_half(TORUS, sym, dataclasses.replace(traj, points=points),
+        rho_level_half(sym, dataclasses.replace(traj, points=points),
                        np.cos(TWO_PI * q0))
 
 
@@ -527,7 +544,7 @@ def test_rho_level_is_vectorised_over_the_grid():
     q0 = 0.1
     traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 7.0, 351))
     calls.clear()
-    rho_level_half(TORUS, sym, traj, np.cos(TWO_PI * q0))
+    rho_level_half(sym, traj, np.cos(TWO_PI * q0))
     assert len(calls) <= 3
 
 
@@ -539,19 +556,19 @@ def test_rho_level_is_vectorised_over_the_grid():
 def test_b_coefficient_shear_value():
     sym = model_cos_symbol()
     q0 = 0.1
-    b = b_coefficient(TORUS, sym, (0.3, q0), tangent=(0.0, 1.0))
+    b = b_coefficient(sym, (0.3, q0), tangent=(0.0, 1.0))
     assert b == pytest.approx(np.pi * np.sin(TWO_PI * q0) ** 2 + 0.0j, abs=1e-12)
 
 
 def test_b_coefficient_tangent_field_degenerate():
     sym = make_symbol("cos-p", lambda t, p, q: np.cos(TWO_PI * np.asarray(p, float)) + 0.0 * np.asarray(q, float))
     with pytest.raises(DegenerateError, match="tangent"):
-        b_coefficient(TORUS, sym, (0.15, 0.4), tangent=(0.0, 1.0))
+        b_coefficient(sym, (0.15, 0.4), tangent=(0.0, 1.0))
 
 
 def test_b_coefficient_mixed_line_has_imaginary_part():
     sym = model_cos_symbol()
-    b = b_coefficient(TORUS, sym, (0.3, 0.1), tangent=(1.0, 1.0))
+    b = b_coefficient(sym, (0.3, 0.1), tangent=(1.0, 1.0))
     assert b.imag != pytest.approx(0.0, abs=1e-6)
     assert b.real > 0.0
 
@@ -559,11 +576,11 @@ def test_b_coefficient_mixed_line_has_imaginary_part():
 def test_b_diagonal_is_half_norm_squared():
     sym = model_cos_symbol()
     q0 = 0.1
-    b_diag = b_coefficient_diagonal(TORUS, sym, (0.3, q0))
-    nx = norm_X(TORUS, sym, 0.0, (0.3, q0))
+    b_diag = b_coefficient_diagonal(sym, (0.3, q0))
+    nx = norm_X(sym, 0.0, (0.3, q0))
     assert b_diag == pytest.approx(0.5 * nx ** 2 + 0.0j, abs=1e-12)
     # and the M-level coefficient for the transverse line is twice it
-    b_line = b_coefficient(TORUS, sym, (0.3, q0), tangent=(0.0, 1.0))
+    b_line = b_coefficient(sym, (0.3, q0), tangent=(0.0, 1.0))
     assert b_line == pytest.approx(2.0 * b_diag, abs=1e-12)
 
 
@@ -571,8 +588,8 @@ def test_rho_level_zero_is_reciprocal_of_diagonal_b():
     sym = model_cos_symbol()
     q0 = 0.1
     traj = integrate_flow(sym, (0.3, q0), np.array([0.0]))
-    rho_lvl0 = rho_level_half(TORUS, sym, traj, np.cos(TWO_PI * q0))[0].value ** 2
-    b_diag = b_coefficient_diagonal(TORUS, sym, (0.3, q0))
+    rho_lvl0 = rho_level_half(sym, traj, np.cos(TWO_PI * q0))[0].value ** 2
+    b_diag = b_coefficient_diagonal(sym, (0.3, q0))
     assert rho_lvl0 * b_diag == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
 
@@ -653,69 +670,3 @@ def test_returns_require_regular_points():
     sym = model_cos_symbol()
     with pytest.raises(RegularityError, match="critical"):
         return_times(sym, (0.3, 0.5), (0.3, 0.5), (-1.0, 1.0))
-
-
-# ---------------------------------------------------------------------------
-# box operator diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_box_of_constant():
-    sym = make_symbol("const", lambda t, p, q: 2.0 + 0.0 * np.asarray(p, float),
-                      subprincipal=lambda t, p, q: 0.3 + 0.0 * np.asarray(p, float))
-    box_h, theta, zeta = box_operator(TORUS, sym, 0.0, (0.3, 0.1))
-    assert box_h == pytest.approx(0.0, abs=1e-6)
-    assert theta == pytest.approx(0.0, abs=1e-6)
-    assert zeta == pytest.approx(0.3, abs=1e-6)
-
-
-def test_box_of_model_closed_form():
-    sym = model_cos_symbol(sub_const=0.11)
-    q0 = 0.1
-    box_h, theta, zeta = box_operator(TORUS, sym, 0.0, (0.3, q0))
-    assert box_h == pytest.approx(-0.25 * np.pi * np.cos(TWO_PI * q0), abs=1e-12)
-    assert theta == pytest.approx(0.0, abs=1e-12)
-    assert zeta == pytest.approx(0.11 + 0.0j, abs=1e-12)
-
-
-def test_box_finite_difference_oracle():
-    # raw finite differences of the principal symbol, normalized the same way
-    sym = generic_symbol()
-    x = np.array([0.23, 0.37])
-    h = 1e-4
-    f = lambda p, q: float(sym.principal(0.0, p, q))
-    hpp = (f(x[0] + h, x[1]) - 2 * f(*x) + f(x[0] - h, x[1])) / h ** 2
-    hqq = (f(x[0], x[1] + h) - 2 * f(*x) + f(x[0], x[1] - h)) / h ** 2
-    hpq = (f(x[0] + h, x[1] + h) - f(x[0] + h, x[1] - h)
-           - f(x[0] - h, x[1] + h) + f(x[0] - h, x[1] - h)) / (4 * h ** 2)
-    g = TORUS.metric_scale
-    h_zzbar = 0.25 * (hpp + hqq) / g
-    h_zbarzbar = 0.25 * complex(hpp - hqq, 2 * hpq) / g
-    box_h, theta, _ = box_operator(TORUS, sym, 0.0, x)
-    assert box_h == pytest.approx(h_zzbar + 0.5 * h_zbarzbar, abs=1e-6)
-    assert theta == pytest.approx(h_zzbar + h_zbarzbar, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# assembled lift
-# ---------------------------------------------------------------------------
-
-
-def test_geometric_lift_fields():
-    sym = model_cos_symbol()
-    q0 = 0.1
-    traj = integrate_flow(sym, (0.3, q0), np.linspace(0.0, 1.0, 21))
-    lift = geometric_lift(TORUS, sym, traj, k=50, energy=np.cos(TWO_PI * q0))
-    assert len(lift.transport_L) == 21
-    assert all(abs(abs(t.value) - 1.0) < 1e-12 for t in lift.transport_L)
-    assert np.max(np.abs(np.abs(lift.prequantum_k) - 1.0)) < 1e-12
-    assert lift.rho_half[0].value == pytest.approx(1.0 + 0.0j, abs=1e-13)
-    expect0 = np.sqrt(2.0) / (np.sqrt(np.pi) * np.sin(TWO_PI * q0))
-    assert lift.rho_level_half[0].value == pytest.approx(expect0 + 0.0j, abs=1e-12)
-
-
-def test_geometric_lift_without_energy():
-    sym = model_cos_symbol()
-    traj = integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 0.5, 6))
-    lift = geometric_lift(TORUS, sym, traj, k=10)
-    assert lift.rho_level_half is None
