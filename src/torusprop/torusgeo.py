@@ -4,9 +4,11 @@ The phase space is T^2 = R^2/Z^2 with coordinates (p, q), symplectic form
 omega = 4*pi dp^dq (one cell carries symplectic area 4*pi, so the quantum
 space at level k has dimension 2k), complex coordinate z = p + i q, and
 prequantum connection one-form alpha = 2*pi (p dq - q dp) with d(alpha) =
-omega.  This module integrates Hamiltonian flows together with their
-linearization and the action/connection integrals, and computes every
-geometric coefficient the kernel predictors need.
+omega.  These are fixed module constants, not parameters: the quantization
+(thetaq) hard-wires the same ones.  This module integrates Hamiltonian
+flows together with their linearization and the action/connection
+integrals, and computes every geometric coefficient the kernel predictors
+need.
 
 A symbol is held as its Fourier modes, read off the FFT of grid samples and
 checked against samples off the grid; a symbol whose modes never decay, or
