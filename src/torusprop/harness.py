@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .specproj import build_fourier_pair, projector_compare
 from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
     RegularityError,
+    SymbolField,
     branch_grid,
     check_level,
     integrate_flow,
@@ -68,6 +70,7 @@ class ExperimentConfig:
     fhat_T: float
     out: str | None
     fmt: str
+    sym: SymbolField = field(repr=False, compare=False)  # built from ``symbol``
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +115,8 @@ def _parse_tgrid(text: str) -> tuple:
         a, step, b = (float(x) for x in bits)
     except ValueError:
         raise ConfigError(f"tgrid {text!r} has a non-numeric entry") from None
+    if not all(map(math.isfinite, (a, step, b))):
+        raise ConfigError(f"tgrid {text!r} has a non-finite entry")
     if step <= 0:
         raise ConfigError("tgrid step must be positive")
     if b < a:
@@ -136,8 +141,8 @@ def _parse_fhat(text: str) -> tuple:
         support = float(bits[1])
     except ValueError:
         raise ConfigError(f"fhat support {bits[1]!r} is not a number") from None
-    if support <= 0:
-        raise ConfigError("fhat support T must be positive")
+    if not 0.0 < support < math.inf:
+        raise ConfigError(f"fhat support T must be positive and finite, not {support!r}")
     return kind, support
 
 
@@ -155,12 +160,12 @@ def symbol_from_selector(selector: str):
                           f"allowed: {sorted(_EXPR_NAMES)}")
     ns = {name: getattr(np, name) for name in _EXPR_NAMES - {"p", "q"}}
 
-    def principal(t, p, q, _code=code, _ns=ns):
+    def principal(p, q, _code=code, _ns=ns):
         return np.asarray(eval(_code, {"__builtins__": {}},
                                dict(_ns, p=np.asarray(p), q=np.asarray(q))),
                           dtype=float)
 
-    probe = principal(0.0, 0.3, 0.1)
+    probe = principal(0.3, 0.1)
     if probe.shape != () or not np.isfinite(probe):
         raise ConfigError(f"symbol expression {selector!r} must give a finite "
                           "scalar at a scalar point")
@@ -228,6 +233,8 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
             energy = float(values["energy"])
         except ValueError:
             raise ConfigError(f"energy {values['energy']!r} is not a number") from None
+        if not math.isfinite(energy):
+            raise ConfigError(f"energy {values['energy']!r} is not finite")
 
     cfg = ExperimentConfig(
         command=ns.command,
@@ -240,6 +247,7 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         fhat_T=support,
         out=values["out"],
         fmt=values["format"],
+        sym=symbol_from_selector(str(values["symbol"])),  # once, failing fast on bad expressions
     )
     _validate(cfg)
     return cfg
@@ -262,24 +270,23 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.command == "propagator" and len(cfg.ks) > 1 and cfg.out is None:
         raise ConfigError("multiple k values write one table per k; --out is "
                           "required (files get a _k<N> suffix)")
-    sym = symbol_from_selector(cfg.symbol)  # fail fast on bad expressions
     if cfg.command in ("projector", "lifts"):
-        energy = _level_energy(cfg, sym)
+        energy = _level_energy(cfg)
         for p, q in cfg.points:
             try:
-                norm_X(sym, 0.0, (p, q))
-                check_level(sym, (p, q), energy)
+                norm_X(cfg.sym, (p, q))
+                check_level(cfg.sym, (p, q), energy)
             except RegularityError as exc:
                 raise ConfigError(f"point ({p:g}, {q:g}): {exc}; level-set "
                                   "commands need a regular point of the "
                                   "energy level") from None
 
 
-def _level_energy(cfg: ExperimentConfig, sym) -> float:
+def _level_energy(cfg: ExperimentConfig) -> float:
     """The level-set energy: --energy, or the symbol value at the first point."""
     if cfg.energy is not None:
         return cfg.energy
-    return float(np.asarray(sym.principal(0.0, *cfg.points[0])))
+    return float(np.asarray(cfg.sym.principal(*cfg.points[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +330,10 @@ _PROP_HEADER = ["t", "re_exact", "im_exact", "re_pred", "im_pred",
 
 
 def _run_propagator(cfg: ExperimentConfig) -> int:
-    sym = symbol_from_selector(cfg.symbol)
     x = cfg.points[0]
 
     def rows_for(k: int) -> list:
-        samples = graph_compare(quantum_space(k), sym, x, cfg.tgrid)
+        samples = graph_compare(quantum_space(k), cfg.sym, x, cfg.tgrid)
         return [[s.t, s.exact.real, s.exact.imag, s.predicted.real,
                  s.predicted.imag, abs(s.exact), abs(s.predicted),
                  s.rel_err_modulus, s.phase_err] for s in samples]
@@ -347,12 +353,11 @@ _PROJ_HEADER = ["k", "p", "q", "re_exact", "im_exact", "re_pred", "im_pred",
 
 
 def _run_projector(cfg: ExperimentConfig) -> int:
-    sym = symbol_from_selector(cfg.symbol)
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
-    energy = _level_energy(cfg, sym)
+    energy = _level_energy(cfg)
 
     def rows_for(k: int) -> list:
-        return projector_compare(sym, pair, energy, list(cfg.points), [k])
+        return projector_compare(cfg.sym, pair, energy, list(cfg.points), [k])
 
     with ThreadPoolExecutor(max_workers=min(4, len(cfg.ks))) as pool:
         per_k = dict(zip(cfg.ks, pool.map(rows_for, cfg.ks)))
@@ -373,16 +378,15 @@ _LIFT_HEADER = ["t", "transport_L_phase", "prequantum_phase", "rho_half_re",
 
 
 def _run_lifts(cfg: ExperimentConfig) -> int:
-    sym = symbol_from_selector(cfg.symbol)
     k = cfg.ks[0]
     grid, keep = branch_grid(cfg.tgrid)
-    traj = integrate_flow(sym, cfg.points[0], grid)
+    traj = integrate_flow(cfg.sym, cfg.points[0], grid)
     pre_arg = float(k) * (traj.conn_L - traj.action_H) - traj.action_Hsub
     graph_halves = rho_graph_half(traj)
-    level_halves = rho_level_half(sym, traj, _level_energy(cfg, sym))
+    level_halves = rho_level_half(cfg.sym, traj, _level_energy(cfg))
     rows = [[float(grid[i]), float(traj.conn_L[i]), float(pre_arg[i]),
-             graph_halves[i].value.real, graph_halves[i].value.imag,
-             level_halves[i].value.real, level_halves[i].value.imag]
+             graph_halves[i].real, graph_halves[i].imag,
+             level_halves[i].real, level_halves[i].imag]
             for i in keep]
     _write_table(cfg.out, _LIFT_HEADER, rows, cfg.fmt)
     return 0

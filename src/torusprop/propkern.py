@@ -1,8 +1,8 @@
 """Quantum propagators, their Schwartz kernels, and the geometric predictor.
 
-The exact side builds e^{-i k t T} by spectral calculus (or a midpoint
-Magnus product for time-dependent families) and evaluates its kernel in the
-theta basis.  The predicted side is the leading-order kernel on the graph of
+Symbols are autonomous, so the exact side builds e^{-i k t T} by spectral
+calculus from one eigendecomposition and evaluates its kernel in the theta
+basis.  The predicted side is the leading-order kernel on the graph of
 the classical flow,
 
     (k / 2 pi) * [rho_t(x)]^{1/2} * e^{-i int H^sub} [e^{-i int H} T^L]^k,
@@ -25,7 +25,6 @@ import numpy as np
 
 from .thetaq import HermitianOperator, QuantumSpace, sections, toeplitz_build
 from .torusgeo import (
-    StepSizeError,
     SymbolField,
     Trajectory,
     branch_grid,
@@ -40,12 +39,10 @@ __all__ = [
     "KernelSample",
     "DecayReport",
     "propagate_autonomous",
-    "propagate_timedep",
     "kernel_eval",
     "graph_compare",
     "offgraph_probe",
     "operator_for",
-    "unwrap_phase_errors",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -97,13 +94,6 @@ class DecayReport:
     orders: tuple[float, ...]
 
 
-def unwrap_phase_errors(samples: list[KernelSample]) -> np.ndarray:
-    """Phase errors of a time-ordered sample list, unwrapped along the grid
-    (each entry still equals the row's phase_err mod 2 pi)."""
-
-    return np.unwrap(np.array([s.phase_err for s in samples]))
-
-
 # ---------------------------------------------------------------------------
 # propagators
 # ---------------------------------------------------------------------------
@@ -116,37 +106,6 @@ def propagate_autonomous(op: HermitianOperator, t: float) -> np.ndarray:
         raise ValueError("operator carries no eigendecomposition")
     phases = np.exp(-1j * op.k * float(t) * op.eigenvalues)
     return (op.eigenvectors * phases[None, :]) @ op.eigenvectors.conj().T
-
-
-def propagate_timedep(op_at, tgrid) -> list[np.ndarray]:
-    """Evolution operators along tgrid for a time-dependent Hermitian family.
-
-    Midpoint-exponential stepping: each interval applies the exact unitary
-    exponential of the midpoint operator (second-order Magnus).  The product
-    stays unitary to roundoff; a per-step defect above 1e-9 raises
-    StepSizeError.
-    """
-
-    tg = np.asarray(tgrid, dtype=float)
-    if tg.ndim != 1 or tg.size < 2 or not np.all(np.diff(tg) > 0):
-        raise ValueError("tgrid must be strictly increasing with >= 2 points")
-    out: list[np.ndarray] = []
-    acc = None
-    eye = None
-    for j in range(tg.size - 1):
-        mid = op_at(0.5 * (tg[j] + tg[j + 1]))
-        step = propagate_autonomous(mid, tg[j + 1] - tg[j])
-        if acc is None:
-            eye = np.eye(step.shape[0], dtype=complex)
-            acc = eye.copy()
-            out.append(acc)
-        acc = step @ acc
-        defect = float(np.max(np.abs(acc.conj().T @ acc - eye)))
-        if defect > 1e-9:
-            raise StepSizeError(f"unitarity defect {defect:.2e} exceeded 1e-9 at "
-                                f"t = {tg[j + 1]:g}; refine the grid")
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +154,29 @@ def _graph_predictions(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray
     """The leading-order kernel (k/2pi) rho^{1/2} e^{-i int H^sub}
     [e^{-i int H} T^L]^k at (phi_t(x), x) for every trajectory time; the
     square root's branch is continued along the trajectory's grid."""
-    rho = np.array([b.value for b in rho_graph_half(traj)])
-    return (k / TWO_PI) * rho * prequantum_phase(sym, traj, k)
+    return (k / TWO_PI) * rho_graph_half(traj) * prequantum_phase(sym, traj, k)
 
 
-def operator_for(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> HermitianOperator:
-    """The level-k Hermitian operator quantizing a symbol at time t.
+def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
+    """The level-k Hermitian operator quantizing a symbol.
 
     The model symbol takes the normalized diagonal cos(pi ell / k) plus c/k
-    for a constant subprincipal part c; it is e^{pi/(4k)} T_k(cos 2 pi q),
+    for its constant subprincipal part c (the (0, 0) coefficient of its
+    subprincipal modes); it is e^{pi/(4k)} T_k(cos 2 pi q),
     with analytic eigendata.  Every other symbol is T_k(f + g/k), built in
     closed form from the Fourier modes of its principal part f and
     subprincipal part g.
     """
 
     if sym.name == "model-cos":
-        c = float(np.asarray(sym.subprincipal(t, 0.31, 0.17)).reshape(()))
+        freqs, coeffs = sym.sub_modes
+        c = float(np.sum(coeffs[~freqs.any(axis=1)].real))
         ell = np.arange(qs.dim)
         vals = np.cos(np.pi * ell / qs.k) + c / qs.k
         return HermitianOperator(k=qs.k, matrix=np.diag(vals.astype(complex)),
                                  eigenvalues=vals,
                                  eigenvectors=np.eye(qs.dim, dtype=complex))
-    return toeplitz_build(qs, sym, t)
+    return toeplitz_build(qs, sym)
 
 
 def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,

@@ -225,7 +225,7 @@ def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
 
     fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
     if t_ret == 0.0:
-        amp = np.sqrt(2.0) / norm_X(sym, 0.0, x)
+        amp = np.sqrt(2.0) / norm_X(sym, x)
         return ReturnTerm(t=0.0, winding=winding, fhat=fh, value=fh * amp)
     traj = integrate_flow(sym, x, branch_grid([t_ret])[0])
     end = traj.points_lifted[-1]
@@ -233,7 +233,7 @@ def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
     if float(np.max(np.abs(end - target))) > 1e-6:
         raise RuntimeError(f"return trajectory missed its lifted target by "
                            f"{float(np.max(np.abs(end - target))):.2e}")
-    rho_half = rho_level_half(sym, traj, float(energy))[-1].value
+    rho_half = rho_level_half(sym, traj, float(energy))[-1]
     phase = float(k) * traj.conn_L[-1] - traj.action_Hsub[-1]
     return ReturnTerm(t=float(t_ret), winding=winding, fhat=fh,
                       value=fh * rho_half * np.exp(1j * phase))

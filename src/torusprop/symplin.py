@@ -14,7 +14,8 @@ projector predictors.  This module provides:
   product formula prod (sigma + 1/sigma)/2 * det_C(unitary part), an
   independent route to the same determinant;
 * ``branch_sqrt_path`` — branch-continuous square roots along a path of
-  nonzero complex values, tracked through angle unwinding.
+  nonzero complex values, tracked through angle unwinding and returned as
+  one complex array.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n); omega(u, v) = u^T J v with
 J = [[0, I], [-I, 0]], and the standard complex structure sends
@@ -23,7 +24,7 @@ d/dp_i -> d/dq_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,7 +33,6 @@ __all__ = [
     "StructureError",
     "BranchContinuityError",
     "LinearSymplectomorphism",
-    "BranchedPhase",
     "standard_symplectic_gram",
     "standard_complex_structure",
     "holomorphic_block",
@@ -270,35 +270,20 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex:
     return positive_factor * complex(np.linalg.det(holomorphic_block(g1)))
 
 
-@dataclass(frozen=True)
-class BranchedPhase:
-    """A complex value together with its branch-tracked argument.
-
-    ``branch_angle`` is a continuous lift of arg(value): equal to it mod
-    2*pi, chosen continuously along whatever path produced the value.
-    """
-
-    value: complex
-    branch_angle: float
-
-    def __post_init__(self) -> None:
-        expected = abs(self.value) * np.exp(1j * self.branch_angle)
-        if abs(expected - self.value) > 1e-12 * (1.0 + abs(self.value)):
-            raise StructureError("branch_angle is not an argument of value")
-
-
-def branch_sqrt_path(values) -> list[BranchedPhase]:
-    """Continuous square root along a discretely sampled path.
+def branch_sqrt_path(values) -> np.ndarray:
+    """Continuous square root along a discretely sampled path, as a complex
+    array of the path's length.
 
     ``values`` must start with positive real part (the branch anchor) and be
     sampled finely enough that consecutive arguments differ by less than
     pi/2; otherwise the branch cannot be tracked and an error asks for a
-    finer grid.  Output arguments then differ by less than pi/4 step to step.
+    finer grid.  Output arguments then differ by less than pi/4 step to step,
+    so np.unwrap(np.angle(roots)) recovers the tracked branch angles.
     """
 
     vals = np.asarray(values, dtype=complex).ravel()
     if vals.size == 0:
-        return []
+        return vals
     if np.any(np.abs(vals) == 0.0):
         raise BranchContinuityError("branch tracking undefined through a zero value")
     if vals[0].real <= 0.0:
@@ -317,8 +302,7 @@ def branch_sqrt_path(values) -> list[BranchedPhase]:
     theta[0] = args[0]
     if step.size:
         theta[1:] = args[0] + np.cumsum(step)
-    roots = np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
-    return [BranchedPhase(complex(r), float(0.5 * t)) for r, t in zip(roots, theta)]
+    return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 
 def random_symplectic(n: int, rng: np.random.Generator, n_factors: int = 6) -> np.ndarray:

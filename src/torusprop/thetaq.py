@@ -389,11 +389,10 @@ class HermitianOperator:
             raise ValueError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
 
 
-def toeplitz_build(qs: QuantumSpace, sym: SymbolField, t: float = 0.0) -> HermitianOperator:
+def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     """T_k(f + g/k) for the principal part f and subprincipal part g, in
-    closed form from their Fourier modes (sampled at t = 0, so ``t`` does
-    not enter yet).  T_k(e^{2 pi i (m p + n q)}) is a weighted cyclic shift
-    (Bouzouina & De Bievre, CMP 178, 1996): row ell holds
+    closed form from their Fourier modes.  T_k(e^{2 pi i (m p + n q)}) is a
+    weighted cyclic shift (Bouzouina & De Bievre, CMP 178, 1996): row ell holds
     e^{-pi (m^2 + n^2) / (4k)} e^{-i pi n (2 ell - m) / (2k)} in column
     (ell - m) mod 2k.  The sum must come out Hermitian to 1e-9 before
     symmetrization (the defect is recorded); the Hermitian average is then

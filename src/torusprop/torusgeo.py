@@ -10,8 +10,9 @@ flows together with their linearization and the action/connection
 integrals, and computes every geometric coefficient the kernel predictors
 need.
 
-A symbol is held as its Fourier modes, read off the FFT of grid samples and
-checked against samples off the grid; a symbol whose modes never decay, or
+A symbol is a function of (p, q) alone, so every flow is autonomous.  It is
+held as its Fourier modes, read off the FFT of grid samples and checked
+against samples off the grid; a symbol whose modes never decay, or
 never reproduce it, is refused as not lattice-periodic or not smooth.
 Values, gradients and Hessians are exact mode sums (the flow takes all of
 them from one set of phases), and the Toeplitz matrices are built from the
@@ -53,7 +54,6 @@ import numpy as np
 
 from .symplin import (
     _ATOL,
-    BranchedPhase,
     StructureError,
     _block_1_0,
     _check_modulus,
@@ -138,15 +138,15 @@ _MODES_CHECK_POINTS = np.outer([0.7548776662466927, 0.5698402909980532], np.aran
 
 
 def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier modes of a real f(t, p, q) at t = 0: frequencies (M, 2) =
-    (m, n) and coefficients c (M,) with f = sum c e^{2 pi i (m p + n q)}.
+    """Fourier modes of a real f(p, q): frequencies (M, 2) = (m, n) and
+    coefficients c (M,) with f = sum c e^{2 pi i (m p + n q)}.
     The modes of an N x N grid are accepted once every mode with |m| or |n|
     >= N/4 is negligible and their sum matches f at the off-grid check
     points to within the dropped modes' weight plus 1e-14 of the total.
     Raises RegularityError when f is not finite or no grid passes."""
 
     def samples(p, q):
-        vals = np.broadcast_to(np.asarray(f(0.0, p, q), dtype=float), np.shape(p))
+        vals = np.broadcast_to(np.asarray(f(p, q), dtype=float), np.shape(p))
         if not np.all(np.isfinite(vals)):
             raise RegularityError(f"symbol {name!r} is not finite on the torus")
         return vals
@@ -168,7 +168,7 @@ def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
             keep = mags > _MODES_TOL * peak
             freqs, kept = np.stack([mm[keep], nn[keep]], axis=-1), coeffs[keep]
             series = _mode_sum(freqs, kept)
-            miss = max(abs(series(0.0, p, q) - val) for p, q, val in zip(*_MODES_CHECK_POINTS, check))
+            miss = max(abs(series(p, q) - val) for p, q, val in zip(*_MODES_CHECK_POINTS, check))
             if miss <= np.sum(mags[~keep]) + _MODES_TOL * np.sum(mags):
                 return freqs, kept
             failure = f"its modes miss it off the grid by {miss:.1e}"
@@ -179,18 +179,18 @@ def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mode_sum(freqs: np.ndarray, weights: np.ndarray) -> Callable:
-    """Evaluator (t, p, q) -> Re sum_j weights[j] e^{2 pi i (m_j p + n_j q)}
+    """Evaluator (p, q) -> Re sum_j weights[j] e^{2 pi i (m_j p + n_j q)}
     at broadcast points, with shape broadcast(p, q).shape +
-    weights.shape[1:]; t is unused (modes are sampled at t = 0).  Each phase
-    is a product of e^{2 pi i m p} and e^{2 pi i n q}, so a call takes one
-    exponential per distinct frequency, not per mode."""
+    weights.shape[1:].  Each phase is a product of e^{2 pi i m p} and
+    e^{2 pi i n q}, so a call takes one exponential per distinct frequency,
+    not per mode."""
 
     lo, hi = freqs.min(axis=0, initial=0), freqs.max(axis=0, initial=0)
     m_range, n_range = np.arange(lo[0], hi[0] + 1), np.arange(lo[1], hi[1] + 1)
     m_index, n_index = freqs[:, 0] - lo[0], freqs[:, 1] - lo[1]
     weights = np.asfortranarray(weights, dtype=complex)
 
-    def evaluate(t, p, q) -> np.ndarray:
+    def evaluate(p, q) -> np.ndarray:
         e_p = np.exp(2j * np.pi * np.multiply.outer(p, m_range))
         e_q = np.exp(2j * np.pi * np.multiply.outer(q, n_range))
         return (e_p[..., m_index] * e_q[..., n_index] @ weights).real
@@ -203,19 +203,17 @@ class SymbolField:
     """A Hamiltonian (principal + subprincipal symbol) with derivative access.
 
     ``modes`` and ``sub_modes`` hold the (frequencies, coefficients) Fourier
-    modes of the two parts.  The callables take (t, p, q) with p, q
-    broadcastable and return the broadcast shape, (..., 2) = (H_p, H_q) for
-    ``grad`` and (..., 2, 2) for ``hess``; ``jet`` returns all of them from
-    one set of phases, (..., 8) = (H, H^sub, H_p, H_q, H_pp, H_pq, H_qp,
-    H_qq).  ``exact_flow``, when present, maps (x, times) to the trajectory
-    data in closed form (the integrator's fast path).
+    modes of the two parts.  The callables take broadcastable (p, q) and
+    return the broadcast shape, (..., 2) = (H_p, H_q) for ``grad``; ``jet``
+    returns everything from one set of phases, (..., 8) = (H, H^sub, H_p,
+    H_q, H_pp, H_pq, H_qp, H_qq).  ``exact_flow``, when present, maps (x,
+    times) to the trajectory data in closed form (the integrator's fast
+    path).
     """
 
     name: str
     principal: Callable
-    subprincipal: Callable
     grad: Callable
-    hess: Callable
     jet: Callable
     modes: tuple = field(repr=False, compare=False)
     sub_modes: tuple = field(repr=False, compare=False)
@@ -223,13 +221,12 @@ class SymbolField:
 
 
 def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> SymbolField:
-    """Build a SymbolField from real callables (t, p, q), sampled at t = 0:
-    both parts become their Fourier modes, and values, gradient and Hessian
-    are exact mode sums.  Raises RegularityError when a part is not smooth
-    and lattice-periodic."""
+    """Build a SymbolField from real callables (p, q): both parts become
+    their Fourier modes, and values and derivatives are exact mode sums.
+    Raises RegularityError when a part is not smooth and lattice-periodic."""
 
     modes = _fourier_modes(principal, name)
-    sub_modes = _fourier_modes(subprincipal or (lambda t, p, q: 0.0), name)
+    sub_modes = _fourier_modes(subprincipal or (lambda p, q: 0.0), name)
     freqs = np.concatenate([modes[0], sub_modes[0]])
     coeffs = np.concatenate([modes[1], np.zeros(len(sub_modes[1]))])
     d_coeffs = coeffs[:, None] * (2j * np.pi * freqs)  # d/dp, d/dq of each mode
@@ -240,10 +237,8 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
     jet = _mode_sum(freqs, weights)
     return SymbolField(
         name=name,
-        principal=lambda t, p, q: jet(t, p, q)[..., 0],
-        subprincipal=lambda t, p, q: jet(t, p, q)[..., 1],
-        grad=lambda t, p, q: jet(t, p, q)[..., 2:4],
-        hess=lambda t, p, q: np.reshape(jet(t, p, q)[..., 4:], np.broadcast(p, q).shape + (2, 2)),
+        principal=lambda p, q: jet(p, q)[..., 0],
+        grad=lambda p, q: jet(p, q)[..., 2:4],
         jet=jet, modes=modes, sub_modes=sub_modes, exact_flow=exact_flow)
 
 
@@ -273,8 +268,8 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
             "conn_L": -np.pi * times * q0 * s,
         }
 
-    return make_symbol("model-cos", lambda t, p, q: np.cos(TWO_PI * np.asarray(q, dtype=float)),
-                       lambda t, p, q: np.full(np.shape(p), float(sub_const)),
+    return make_symbol("model-cos", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float)),
+                       lambda p, q: np.full(np.shape(p), float(sub_const)),
                        exact_flow=exact_flow)
 
 
@@ -313,17 +308,17 @@ class Trajectory:
         return float(np.max(np.abs(defect)))
 
 
-def hamiltonian_vector_field(sym: SymbolField, t: float, x) -> np.ndarray:
+def hamiltonian_vector_field(sym: SymbolField, x) -> np.ndarray:
     """X solving omega(X, .) = -dH: components (-H_q, H_p) / (4*pi)."""
     x = np.asarray(x, dtype=float)
-    g = sym.grad(t, x[..., 0], x[..., 1])
+    g = sym.grad(x[..., 0], x[..., 1])
     return np.stack([-g[..., 1], g[..., 0]], axis=-1) / FOUR_PI
 
 
-def _flow_rhs(sym: SymbolField, t: float, y: np.ndarray) -> np.ndarray:
+def _flow_rhs(sym: SymbolField, y: np.ndarray) -> np.ndarray:
     """Joint field of (point, Jacobian, int H, int H^sub, int alpha(X))."""
     p, q = y[0], y[1]
-    h, h_sub, h_p, h_q, h_pp, h_pq, _, h_qq = sym.jet(t, p, q)
+    h, h_sub, h_p, h_q, h_pp, h_pq, _, h_qq = sym.jet(p, q)
     xv = np.array([-h_q, h_p]) / FOUR_PI
     # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/(4 pi)
     dx = np.array([[-h_pq, -h_qq], [h_pp, h_pq]]) / FOUR_PI
@@ -334,7 +329,7 @@ def _flow_rhs(sym: SymbolField, t: float, y: np.ndarray) -> np.ndarray:
 # Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
 # with Shampine's quartic continuous extension (Hairer–Nørsett–Wanner,
 # Solving ODEs I, §II.4–6).  The seventh stage is the next step's first (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Every flow here is autonomous, so the stage times c_i never enter.
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -359,12 +354,13 @@ _DP_P = np.array([
 
 
 def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
-    """Adaptive DOPRI5 for y' = rhs(t, y) from t = 0 to ``t_end`` (either
-    sign); returns the dense evaluator ``ts -> (len(ts), n)``, Shampine's
-    quartic over each accepted step's stages (y0 exactly at t = 0).  A step
-    is accepted when max_i |err_i| / (1 + |y_i|) <= tol; a rejected step at
-    the floor |t_end| * eps / tol, below which the rounding of the steps
-    alone would exceed tol, raises StepSizeError.
+    """Adaptive DOPRI5 for the autonomous y' = rhs(y) from t = 0 to
+    ``t_end`` (either sign); returns the dense evaluator
+    ``ts -> (len(ts), n)``, Shampine's quartic over each accepted step's
+    stages (y0 exactly at t = 0).  A step is accepted when
+    max_i |err_i| / (1 + |y_i|) <= tol; a rejected step at the floor
+    |t_end| * eps / tol, below which the rounding of the steps alone would
+    exceed tol, raises StepSizeError.
     """
 
     y = np.array(y0, dtype=float)
@@ -372,7 +368,7 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
     sign = 1.0 if t_end >= 0 else -1.0
     h_min = span * np.finfo(float).eps / tol
     stages = np.empty((7, y.size))
-    stages[0] = rhs(0.0, y)
+    stages[0] = rhs(y)
     h = tol ** 0.2 / (1e-3 + float(np.max(np.abs(stages[0]) / (1.0 + np.abs(y)))))
     h = min(span, max(h_min, h))
     t = 0.0
@@ -381,9 +377,9 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
         h = min(h, remaining)
         dt = sign * h
         for i in range(1, 6):
-            stages[i] = rhs(t + _DP_C[i] * dt, y + dt * (_DP_A[i] @ stages[:i]))
+            stages[i] = rhs(y + dt * (_DP_A[i] @ stages[:i]))
         y_new = y + dt * (_DP_B @ stages[:6])
-        stages[6] = rhs(t + dt, y_new)
+        stages[6] = rhs(y_new)
         err = float(np.max(np.abs(dt * (_DP_E @ stages)) / (1.0 + np.abs(y_new))))
         if err <= tol:
             starts.append(sign * t)
@@ -453,7 +449,7 @@ def integrate_flow(sym: SymbolField, x, times, tol: float = _FLOW_TOL) -> Trajec
     failed = None  # (defect, tol) of the last sweep that failed the guard
     for sweep_tol in (tol, tol / 10, tol / 100):
         try:
-            dense = _dopri5(lambda t, y: _flow_rhs(sym, t, y), y0, float(times[-1]), sweep_tol)
+            dense = _dopri5(lambda y: _flow_rhs(sym, y), y0, float(times[-1]), sweep_tol)
         except StepSizeError as floor:
             if failed is None:
                 raise
@@ -515,8 +511,9 @@ def branch_grid(times) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def rho_graph_half(traj: Trajectory) -> list[BranchedPhase]:
-    """Branch-continuous [rho_t]^{1/2} along the trajectory.
+def rho_graph_half(traj: Trajectory) -> np.ndarray:
+    """Branch-continuous [rho_t]^{1/2} along the trajectory, one complex
+    value per time.
 
     rho_t = 1 / (holomorphic determinant of the flow Jacobian); the
     K-transport it would be divided by is 1 on the flat torus.  Starts at 1;
@@ -575,10 +572,10 @@ def rho_graph_frame(traj: Trajectory) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _field_norms(sym: SymbolField, t: float, pts) -> np.ndarray:
+def _field_norms(sym: SymbolField, pts) -> np.ndarray:
     """Metric norms sqrt(omega(X, jX)) of the Hamiltonian field at points
     (..., 2); raises RegularityError when any of them is below 1e-6."""
-    xv = hamiltonian_vector_field(sym, t, np.asarray(pts, dtype=float))
+    xv = hamiltonian_vector_field(sym, np.asarray(pts, dtype=float))
     vals = np.sqrt(FOUR_PI * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
     worst = float(np.min(vals))
     if worst < 1e-6:
@@ -587,20 +584,22 @@ def _field_norms(sym: SymbolField, t: float, pts) -> np.ndarray:
     return vals
 
 
-def norm_X(sym: SymbolField, t: float, x) -> float:
+def norm_X(sym: SymbolField, x) -> float:
     """Metric norm sqrt(omega(X, jX)) of the Hamiltonian field at x."""
-    return float(_field_norms(sym, t, x))
+    return float(_field_norms(sym, x))
 
 
 def check_level(sym: SymbolField, x, energy: float) -> None:
-    """Raise RegularityError unless |H(x) - energy| <= 1e-10 (1 + |energy|)."""
-    h = float(sym.principal(0.0, x[0], x[1]))
-    if abs(h - energy) > 1e-10 * (1.0 + abs(energy)):
+    """Raise RegularityError unless |H(x) - energy| <= 1e-10 (1 + |energy|);
+    a NaN energy fails."""
+    h = float(sym.principal(x[0], x[1]))
+    if not abs(h - energy) <= 1e-10 * (1.0 + abs(energy)):
         raise RegularityError(f"H = {h!r} is off the energy level E = {energy!r}")
 
 
-def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> list[BranchedPhase]:
-    """Branch-continuous [rho'_t]^{1/2} along a level-set trajectory.
+def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndarray:
+    """Branch-continuous [rho'_t]^{1/2} along a level-set trajectory, one
+    complex value per time.
 
     In real dimension 2n, rho'_t is the canonical-bundle lift on the energy
     level: in adapted unitary frames (e_1 = X/||X||, f_1 = j e_1, completed)
@@ -619,9 +618,9 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> list[Br
     """
 
     check_level(sym, traj.start, energy)
-    _field_norms(sym, 0.0, traj.points)  # regularity guard
-    x_src = hamiltonian_vector_field(sym, 0.0, traj.start)
-    x_dst = hamiltonian_vector_field(sym, 0.0, traj.points_lifted)
+    _field_norms(sym, traj.points)  # regularity guard
+    x_src = hamiltonian_vector_field(sym, traj.start)
+    x_dst = hamiltonian_vector_field(sym, traj.points_lifted)
     ns2 = FOUR_PI * (x_src[0] ** 2 + x_src[1] ** 2)
     nt2 = FOUR_PI * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
     if min(ns2, float(np.min(nt2))) <= 1e-12:
@@ -637,8 +636,7 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> list[Br
     if np.any(np.abs(w.imag) > 1e-6 * np.maximum(1.0, np.abs(w.real))) or \
             np.any(np.abs(w.real - ratio) > 1e-6 * np.maximum(1.0, ratio)):
         raise RegularityError("Jacobian does not carry the source flow direction "
-                              "to the target one; is the symbol autonomous and "
-                              "the energy shared?")
+                              "to the target one; is the energy shared?")
     return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst))
 
 
@@ -659,7 +657,7 @@ def b_coefficient(sym: SymbolField, x, tangent) -> complex:
         raise RegularityError("tangent direction must be nonzero")
     tau = tau / norm
     cs = np.array([[0.0, -1.0], [1.0, 0.0]])
-    xv = hamiltonian_vector_field(sym, 0.0, x)
+    xv = hamiltonian_vector_field(sym, x)
     basis = np.column_stack([cs @ tau, tau])
     coeff = np.linalg.solve(basis, xv)
     x1 = coeff[0] * (cs @ tau)
@@ -679,7 +677,7 @@ def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
     """
 
     x = np.asarray(x, dtype=float)
-    xv = hamiltonian_vector_field(sym, 0.0, x)
+    xv = hamiltonian_vector_field(sym, x)
     cs2 = np.array([[0.0, -1.0], [1.0, 0.0]])
     zero = np.zeros((2, 2))
     omega4 = np.block([[_OMEGA, zero], [zero, -_OMEGA]])
@@ -711,7 +709,7 @@ def _lifted_positions(sym: SymbolField, x: np.ndarray, t_lo: float, t_hi: float)
         return lambda ts: np.asarray(
             sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))["points_lifted"])
 
-    neg, pos = (_dopri5(lambda t, pt: hamiltonian_vector_field(sym, t, pt), x, end, _FLOW_TOL)
+    neg, pos = (_dopri5(lambda pt: hamiltonian_vector_field(sym, pt), x, end, _FLOW_TOL)
                 for end in (min(t_lo, 0.0), max(t_hi, 0.0)))
 
     def positions(ts) -> np.ndarray:
@@ -736,16 +734,16 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")
-    check_level(sym, y, float(sym.principal(0.0, x[0], x[1])))
-    norm_X(sym, 0.0, x)
-    norm_X(sym, 0.0, y)
+    check_level(sym, y, float(sym.principal(x[0], x[1])))
+    norm_X(sym, x)
+    norm_X(sym, y)
 
-    x_y = hamiltonian_vector_field(sym, 0.0, y)
+    x_y = hamiltonian_vector_field(sym, y)
     speed_y = float(np.linalg.norm(x_y))
     u_flow = x_y / speed_y
 
     grid = np.linspace(0.0, 1.0, 17, endpoint=False)
-    vmax = float(np.max(np.abs(sym.grad(0.0, *np.meshgrid(grid, grid))))) / FOUR_PI
+    vmax = float(np.max(np.abs(sym.grad(*np.meshgrid(grid, grid))))) / FOUR_PI
     dt = min(0.02, 0.2 / (1.0 + vmax))
     n_samples = max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1)
     ts = np.linspace(t_lo, t_hi, n_samples)
@@ -774,7 +772,7 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
         for _ in range(60):
             pt = positions(t_cur)[0]
             g = float(wrap_difference(pt, y) @ u_flow)
-            xv = hamiltonian_vector_field(sym, 0.0, pt)
+            xv = hamiltonian_vector_field(sym, pt)
             slope = float(xv @ u_flow)
             if abs(slope) < 1e-12:
                 break

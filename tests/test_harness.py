@@ -1,10 +1,12 @@
 """CLI and config-handling tests: parsing, validation, table formats."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from torusprop import harness, torusgeo
 from torusprop.harness import (
     ConfigError,
     _build_parser,
@@ -132,7 +134,7 @@ def test_shape_constraints():
 
 def test_symbol_expressions():
     sym = symbol_from_selector("cos(2*pi*q) + 0.1*sin(2*pi*p)")
-    val = sym.principal(0.0, 0.25, 0.0)
+    val = sym.principal(0.25, 0.0)
     assert float(val) == pytest.approx(1.1)
     with pytest.raises(ConfigError, match="unknown names"):
         symbol_from_selector("__import__('os')")
@@ -332,6 +334,41 @@ def test_cli_error_exits(tmp_path, capsys):
                "--out", str(tmp_path / "no" / "dir.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--tgrid", "0:0.5:nan"],
+    ["propagator", "--tgrid", "nan:0.5:1"],
+    ["propagator", "--tgrid", "0:0.5:inf"],
+    ["propagator", "--tgrid", "0:inf:1"],
+    ["projector", "--k", "20", "--energy", "nan"],
+    ["projector", "--k", "20", "--energy", "inf"],
+    ["lifts", "--energy", "nan"],
+    ["projector", "--k", "20", "--fhat", "bump:nan"],
+    ["projector", "--k", "20", "--fhat", "bump:inf"],
+])
+def test_non_finite_inputs_are_refused(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("symbol", ["model-cos", "cos(2*pi*q)"])
+@pytest.mark.parametrize("command", [["propagator", "--tgrid", "0:0.1:0.2"], ["projector"],
+                                     ["lifts", "--tgrid", "0:0.1:0.2"]])
+def test_symbol_is_built_once_per_run(command, symbol, monkeypatch, capsys):
+    built, original = [], torusgeo.make_symbol
+
+    def counting_make_symbol(*args, **kwargs):
+        built.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(torusgeo, "make_symbol", counting_make_symbol)
+    monkeypatch.setattr(harness, "make_symbol", counting_make_symbol)
+    assert main(command + ["--symbol", symbol, "--k", "5"]) == 0
+    assert len(built) == 1
 
 
 def test_selftest_report(tmp_path, capsys):

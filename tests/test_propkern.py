@@ -1,10 +1,8 @@
 """Propagator and kernel tests.
 
-The closed-form anchors: the diagonal model propagator, exact global-phase
-behavior of scalar time-dependent families (midpoint stepping is exact for
-a linear-in-t scalar), the Bergman diagonal at t = 0, and the predictor's
-t-derivative of phase at t = 0, -k (cos 2 pi q + pi q sin 2 pi q)
-+ (pi/4) cos 2 pi q for the model symbol.
+The closed-form anchors: the diagonal model propagator, the Bergman
+diagonal at t = 0, and the predictor's t-derivative of phase at t = 0,
+-k (cos 2 pi q + pi q sin 2 pi q) + (pi/4) cos 2 pi q for the model symbol.
 """
 
 import numpy as np
@@ -20,11 +18,9 @@ from torusprop.propkern import (
     offgraph_probe,
     operator_for,
     propagate_autonomous,
-    propagate_timedep,
-    unwrap_phase_errors,
 )
 from torusprop.thetaq import HermitianOperator, bergman_diag, quantum_space, toeplitz_build
-from torusprop.torusgeo import StepSizeError, integrate_flow, make_symbol, model_cos_symbol
+from torusprop.torusgeo import integrate_flow, make_symbol, model_cos_symbol
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,66 +61,6 @@ def test_autonomous_unitary_and_group_law():
     assert np.max(np.abs(us @ u - ust)) <= 1e-10
     # trace(U^H U) equals the dimension 2k
     assert np.trace(u.conj().T @ u).real == pytest.approx(8.0, abs=1e-10)
-
-
-def test_timedep_constant_family_matches_autonomous():
-    op = random_hermitian_op(2, 3)
-    tg = np.linspace(0.2, 0.9, 51)
-    mats = propagate_timedep(lambda t: op, tg)
-    assert len(mats) == tg.size
-    direct = propagate_autonomous(op, tg[-1] - tg[0])
-    assert np.max(np.abs(mats[-1] - direct)) <= 1e-8
-
-
-def test_timedep_scalar_family_global_phase():
-    # T_t = (0.4 + 0.3 t) I: midpoint quadrature is exact for the linear
-    # integrand, so the product equals e^{-i k int c} exactly
-    k = 5
-    eye = np.eye(2 * k, dtype=complex)
-
-    def op_at(t):
-        c = 0.4 + 0.3 * t
-        return HermitianOperator(k=k, matrix=c * eye,
-                                 eigenvalues=np.full(2 * k, c),
-                                 eigenvectors=eye)
-
-    tg = np.linspace(0.0, 1.0, 101)
-    mats = propagate_timedep(op_at, tg)
-    integral = 0.4 * 1.0 + 0.3 * 0.5
-    expected = np.exp(-1j * k * integral)
-    assert np.max(np.abs(mats[-1] - expected * eye)) <= 1e-10
-
-
-def test_timedep_unitarity_over_thousand_steps():
-    op = random_hermitian_op(2, 4)
-    rng = np.random.default_rng(5)
-
-    def op_at(t):
-        return op
-
-    tg = np.linspace(0.0, 2.0, 1001)
-    mats = propagate_timedep(op_at, tg)
-    last = mats[-1]
-    assert np.max(np.abs(last.conj().T @ last - np.eye(4))) <= 1e-9
-    del rng
-
-
-def test_timedep_grid_and_defect_contracts():
-    op = random_hermitian_op(2, 6)
-    with pytest.raises(ValueError):
-        propagate_timedep(lambda t: op, [0.0, 0.5, 0.4])
-    with pytest.raises(ValueError):
-        propagate_timedep(lambda t: op, [0.3])
-
-    # eigenvectors inflated by 3e-10 pass the residual check but break the
-    # unitarity of every step
-    def bad_at(t):
-        return HermitianOperator(k=1, matrix=np.diag([1.0, 2.0]).astype(complex),
-                                 eigenvalues=np.array([1.0, 2.0]),
-                                 eigenvectors=(1.0 + 3e-10) * np.eye(2, dtype=complex))
-
-    with pytest.raises(StepSizeError):
-        propagate_timedep(bad_at, np.linspace(0.0, 1.0, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +105,7 @@ def test_graph_compare_small_time_window():
     first = rows[0]
     assert first.exact.real == pytest.approx(bergman_diag(qs, 0.3 + 0.1j), rel=1e-10)
     assert first.predicted == pytest.approx(qs.k / TWO_PI)
-    phases = unwrap_phase_errors(rows)
+    phases = np.unwrap([r.phase_err for r in rows])
     assert phases.shape == (21,)
     assert np.max(np.abs(phases)) <= 0.05
 
@@ -258,11 +194,11 @@ def test_operator_for_model_fast_path():
 
 
 def test_operator_for_generic_includes_subprincipal_weight():
-    def principal(t, p, q):
+    def principal(p, q):
         return np.cos(TWO_PI * np.asarray(q, dtype=float)) \
             + 0.3 * np.cos(TWO_PI * np.asarray(p, dtype=float))
 
-    def sub(t, p, q):
+    def sub(p, q):
         return np.sin(TWO_PI * np.asarray(q, dtype=float))
 
     qs = quantum_space(8)

@@ -163,7 +163,7 @@ def test_single_return_diagonal_closed_form():
     assert not pred.off_image
     assert len(pred.terms) == 1
     assert pred.terms[0].t == 0.0
-    amp = np.sqrt(2.0) / norm_X(sym, 0.0, x)
+    amp = np.sqrt(2.0) / norm_X(sym, x)
     assert amp == pytest.approx(np.sqrt(2.0 / np.pi) / SIN0, rel=1e-12)
     expected = (np.sqrt(k) / TWO_PI) * np.exp(-1.0) * amp
     assert complex(pred.value) == pytest.approx(expected, rel=1e-10)

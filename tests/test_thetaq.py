@@ -421,7 +421,7 @@ def test_toeplitz_of_model_symbol_matches_closed_form():
 
 def test_toeplitz_of_constant_is_identity():
     qs = quantum_space(10)
-    one = make_symbol("one", lambda t, p, q: np.ones(np.broadcast_shapes(
+    one = make_symbol("one", lambda p, q: np.ones(np.broadcast_shapes(
         np.shape(p), np.shape(q))))
     op = toeplitz_build(qs, one)
     assert np.max(np.abs(op.matrix - np.eye(qs.dim))) <= 1e-8
@@ -431,18 +431,18 @@ def _quadrature_toeplitz(qs, principal, subprincipal=None):
     """T_k(f + g/k) by quadrature against the weight-folded sections: the
     oracle for the closed-form build, fed the raw callables."""
     s, p, q, _ = thetaq._weighted_sections(qs, qs.quad_order)
-    vals = np.asarray(principal(0.0, p, q), dtype=float)
+    vals = np.asarray(principal(p, q), dtype=float)
     if subprincipal is not None:
-        vals = vals + np.asarray(subprincipal(0.0, p, q), dtype=float) / qs.k
+        vals = vals + np.asarray(subprincipal(p, q), dtype=float) / qs.k
     return np.conjugate(s) @ (vals[:, None] * s.T)
 
 
 _ORACLE_SYMBOLS = {
-    "cos-q-sin-p": (lambda t, p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p), None),
-    "exp-cos-sin": (lambda t, p, q: np.exp(np.cos(TWO_PI * q)) * np.sin(TWO_PI * p)
+    "cos-q-sin-p": (lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p), None),
+    "exp-cos-sin": (lambda p, q: np.exp(np.cos(TWO_PI * q)) * np.sin(TWO_PI * p)
                     + 0.3 * np.cos(2.0 * TWO_PI * (p + q)), None),
-    "with-subprincipal": (lambda t, p, q: np.cos(TWO_PI * q) + 0.3 * np.cos(TWO_PI * p),
-                          lambda t, p, q: np.sin(TWO_PI * q) * np.cos(TWO_PI * p) + 0.2),
+    "with-subprincipal": (lambda p, q: np.cos(TWO_PI * q) + 0.3 * np.cos(TWO_PI * p),
+                          lambda p, q: np.sin(TWO_PI * q) * np.cos(TWO_PI * p) + 0.2),
 }
 
 
@@ -468,7 +468,7 @@ def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
 
 
 def _cos_p_symbol():
-    def principal(t, p, q):
+    def principal(p, q):
         return np.cos(TWO_PI * np.asarray(p, dtype=float)) + 0.0 * np.asarray(
             q, dtype=float)
 
@@ -476,7 +476,7 @@ def _cos_p_symbol():
 
 
 def _product_symbol():
-    def principal(t, p, q):
+    def principal(p, q):
         return (np.cos(TWO_PI * np.asarray(q, dtype=float))
                 * np.cos(TWO_PI * np.asarray(p, dtype=float)))
 
@@ -485,7 +485,7 @@ def _product_symbol():
 
 def _bracket_symbol():
     # X_f(g) for f = cos 2 pi q, g = cos 2 pi p with X = (-H_q, H_p)/(4 pi)
-    def principal(t, p, q):
+    def principal(p, q):
         return -np.pi * (np.sin(TWO_PI * np.asarray(p, dtype=float))
                          * np.sin(TWO_PI * np.asarray(q, dtype=float)))
 
