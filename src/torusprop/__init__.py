@@ -12,13 +12,14 @@ form 4*pi dp^dq:
 
 Modules
 -------
-symplin   linear-symplectomorphism bookkeeping: holomorphic blocks, polar
-          factors, branch-continuous square roots (as complex arrays)
+symplin   linear-symplectomorphism bookkeeping on the standard complex
+          structure: holomorphic blocks, polar factors, branch-continuous
+          square roots (as complex arrays)
 torusgeo  the fixed torus phase space: autonomous symbols of (p, q), flows,
           the prequantum phase, amplitudes, return times
 thetaq    quantum spaces: theta-function basis, Gram/Toeplitz matrices
-propkern  propagator kernels of autonomous operators, exact and
-          asymptotic, and their comparison
+propkern  the one exact-kernel contraction (any spectral function of an
+          operator), propagator predictors, and their comparison
 specproj  smoothed spectral projector kernels, exact and asymptotic
 harness   command-line entry point, config handling, CSV/JSON reports
 """

@@ -50,6 +50,8 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 COMMANDS = ("propagator", "projector", "lifts", "selftest")
 _CONFIG_KEYS = ("k", "point", "tgrid", "energy", "symbol", "fhat", "out", "format")
 _FHAT_KINDS = ("bump", "gaussian-truncated")
+# every stage holds all time rows at once, so the row count is capped
+_MAX_TGRID_ROWS = 10_001
 _EXPR_NAMES = {"p", "q", "pi", "cos", "sin", "tan", "exp", "sqrt", "log",
                "cosh", "sinh", "tanh"}
 
@@ -126,6 +128,9 @@ def _parse_tgrid(text: str) -> tuple:
         raise ConfigError(f"tgrid span {b - a:g} is not a whole number of "
                           f"steps {step:g}")
     n = int(round(n))
+    if n + 1 > _MAX_TGRID_ROWS:
+        raise ConfigError(f"tgrid {text!r} has {n + 1} rows; at most "
+                          f"{_MAX_TGRID_ROWS} are allowed")
     return tuple(float(a + step * i) for i in range(n)) + (float(b),)
 
 
@@ -298,12 +303,6 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _phase_err(exact: complex, predicted: complex) -> float:
-    if exact == 0 or predicted == 0:
-        return float("nan")
-    return float(np.angle(exact / predicted))
-
-
 def _write_table(out: str | None, header: list, rows: list, fmt: str) -> None:
     if fmt == "json":
         payload = [dict(zip(header, row)) for row in rows]
@@ -367,8 +366,7 @@ def _run_projector(cfg: ExperimentConfig) -> int:
             s = per_k[k][i]
             rows.append([int(k), s.x[0], s.x[1], s.exact.real, s.exact.imag,
                          s.predicted.real, s.predicted.imag, abs(s.exact),
-                         abs(s.predicted), s.rel_err_modulus,
-                         _phase_err(s.exact, s.predicted)])
+                         abs(s.predicted), s.rel_err_modulus, s.phase_err])
     _write_table(cfg.out, _PROJ_HEADER, rows, cfg.fmt)
     return 0
 

@@ -1,9 +1,12 @@
 """Quantum propagators, their Schwartz kernels, and the geometric predictor.
 
-Symbols are autonomous, so the exact side builds e^{-i k t T} by spectral
-calculus from one eigendecomposition and evaluates its kernel in the theta
-basis.  The predicted side is the leading-order kernel on the graph of
-the classical flow,
+Every exact kernel in the package goes through ``kernel_eval``: the kernel
+of g(T) for a Hermitian operator T with eigenpairs (lambda_j, v_j) is
+sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j), one O(k) contraction per
+point pair and spectral row, with no 2k x 2k matrix formed.  Symbols are
+autonomous, so the propagator e^{-i k t T} is the row g = e^{-i k t lambda}.
+The predicted side is the leading-order kernel on the graph of the
+classical flow,
 
     (k / 2 pi) * [rho_t(x)]^{1/2} * e^{-i int H^sub} [e^{-i int H} T^L]^k,
 
@@ -38,7 +41,6 @@ __all__ = [
     "ProximityError",
     "KernelSample",
     "DecayReport",
-    "propagate_autonomous",
     "kernel_eval",
     "graph_compare",
     "offgraph_probe",
@@ -74,11 +76,14 @@ class KernelSample:
         mod_pred = abs(self.predicted)
         rel = abs(abs(self.exact) - mod_pred) / mod_pred if mod_pred > 0 else np.inf
         object.__setattr__(self, "rel_err_modulus", float(rel))
-        if self.exact == 0 or self.predicted == 0:
-            phase = np.nan
-        else:
-            phase = float(np.angle(self.exact / self.predicted))
-        object.__setattr__(self, "phase_err", phase)
+        object.__setattr__(self, "phase_err", _wrapped_phase(self.exact, self.predicted))
+
+
+def _wrapped_phase(exact: complex, predicted: complex) -> float:
+    """angle(exact / predicted) in (-pi, pi], or NaN when either is 0."""
+    if exact == 0 or predicted == 0:
+        return float("nan")
+    return float(np.angle(exact / predicted))
 
 
 @dataclass(frozen=True)
@@ -95,20 +100,6 @@ class DecayReport:
 
 
 # ---------------------------------------------------------------------------
-# propagators
-# ---------------------------------------------------------------------------
-
-
-def propagate_autonomous(op: HermitianOperator, t: float) -> np.ndarray:
-    """U = e^{-i k t op} through the operator's eigendecomposition."""
-
-    if op.eigenvalues is None or op.eigenvectors is None:
-        raise ValueError("operator carries no eigendecomposition")
-    phases = np.exp(-1j * op.k * float(t) * op.eigenvalues)
-    return (op.eigenvectors * phases[None, :]) @ op.eigenvectors.conj().T
-
-
-# ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
@@ -122,32 +113,23 @@ def _as_pq(point) -> tuple[float, float]:
     return float(arr[0]), float(arr[1])
 
 
-def _gauge_phase(qs: QuantumSpace, y: tuple[float, float],
-                 x: tuple[float, float]) -> complex:
-    return complex(np.exp(2j * np.pi * qs.k * (y[0] * y[1] - x[0] * x[1])))
+def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.ndarray:
+    """Kernels of g_i(op) at (y_i, x) in the unit trivialization, as a
+    complex array with one entry per row of ``spectral``.
 
+    Row i of ``spectral`` holds g_i over op's eigenvalues (a 1-d array is one
+    row); ``ys`` is one (possibly lifted) point, shared by every row, or one
+    point per row.  Entry i is sum_j g_i(lambda_j) (s(y_i) v_j) conj(s(x) v_j)
+    times the gauge phase e^{2 pi i k (p_y q_y - p_x q_x)}.
+    """
 
-def kernel_eval(qs: QuantumSpace, u_matrix: np.ndarray, y, x) -> complex:
-    """Kernel sum_{l l'} U_{l l'} Psi_l(y) conj(Psi_l'(x)) at (possibly
-    lifted) points, converted to the unit trivialization."""
-
-    yp = _as_pq(y)
-    xp = _as_pq(x)
-    a = sections(qs, complex(*yp))
-    b = sections(qs, complex(*xp))
-    core = a @ np.asarray(u_matrix, dtype=complex) @ np.conjugate(b)
-    return complex(core * _gauge_phase(qs, yp, xp))
-
-
-def _spectral_weights(qs: QuantumSpace, op: HermitianOperator, y, x) -> np.ndarray:
-    """Per-eigenvector kernel weights at (y, x), unit gauge included: the
-    kernel of g(op) is sum_j g(lambda_j) w_j, an O(k^2) contraction."""
-
-    yp = _as_pq(y)
-    xp = _as_pq(x)
-    a_modes = sections(qs, complex(*yp)) @ op.eigenvectors
-    b_modes = np.conjugate(sections(qs, complex(*xp)) @ op.eigenvectors)
-    return a_modes * b_modes * _gauge_phase(qs, yp, xp)
+    g = np.atleast_2d(np.asarray(spectral, dtype=complex))
+    y = np.asarray(ys, dtype=float).reshape(-1, 2)
+    xp, xq = _as_pq(x)
+    a_modes = sections(qs, y[:, 0] + 1j * y[:, 1]).T @ op.eigenvectors
+    b_modes = np.conjugate(sections(qs, complex(xp, xq)) @ op.eigenvectors)
+    gauge = np.exp(2j * np.pi * qs.k * (y[:, 0] * y[:, 1] - xp * xq))
+    return ((g * a_modes) @ b_modes) * gauge
 
 
 def _graph_predictions(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
@@ -179,8 +161,7 @@ def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     return toeplitz_build(qs, sym)
 
 
-def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,
-                  op: HermitianOperator | None = None) -> list[KernelSample]:
+def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSample]:
     """Exact kernel at (phi_t(x), x) versus the predictor, over a forward
     time grid (it need not start at 0).
 
@@ -195,19 +176,11 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid,
     traj = integrate_flow(sym, x_pq, grid)
     preds = _graph_predictions(sym, traj, qs.k)[rows]
     ys = traj.points_lifted[rows]
-    if op is None:
-        op = operator_for(qs, sym)
-    b_modes = np.conjugate(sections(qs, complex(*x_pq)) @ op.eigenvectors)
-    a_modes = sections(qs, ys[:, 0] + 1j * ys[:, 1]).T @ op.eigenvectors
-    spectral = np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues))
-    cores = (a_modes * spectral) @ b_modes
-    samples = []
-    for i, t in enumerate(tg):
-        y_pq = (float(ys[i, 0]), float(ys[i, 1]))
-        exact = complex(cores[i] * _gauge_phase(qs, y_pq, x_pq))
-        samples.append(KernelSample(k=qs.k, t=float(t), x=x_pq, y=y_pq,
-                                    exact=exact, predicted=complex(preds[i])))
-    return samples
+    op = operator_for(qs, sym)
+    exact = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x_pq)
+    return [KernelSample(k=qs.k, t=float(t), x=x_pq, y=(float(y[0]), float(y[1])),
+                         exact=complex(e), predicted=complex(p))
+            for t, y, e, p in zip(tg, ys, exact, preds)]
 
 
 def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayReport:
@@ -230,8 +203,9 @@ def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayRepor
     moduli = []
     ks = []
     for qs in qs_list:
-        u = propagate_autonomous(operator_for(qs, sym), t)
-        moduli.append(abs(kernel_eval(qs, u, tuple(y_lift), x_pq)))
+        op = operator_for(qs, sym)
+        spectral = np.exp(-1j * qs.k * t * op.eigenvalues)
+        moduli.append(abs(kernel_eval(qs, op, spectral, y_lift, x_pq)[0]))
         ks.append(qs.k)
     orders = []
     for i in range(len(ks) - 1):

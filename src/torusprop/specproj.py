@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .propkern import _spectral_weights, operator_for
+from .propkern import _wrapped_phase, kernel_eval, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
     SymbolField,
@@ -166,7 +166,7 @@ def projector_kernel_exact(qs: QuantumSpace, op: HermitianOperator,
 
     if coeffs is None:
         coeffs = _spectral_coefficients(op, pair, float(energy))
-    return complex(np.sum(coeffs * _spectral_weights(qs, op, y, x)))
+    return complex(kernel_eval(qs, op, coeffs, y, x)[0])
 
 
 def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
@@ -179,9 +179,8 @@ def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
     not an asymptotic one."""
 
     t, w = _gl_nodes(pair.support_T, int(nodes))
-    # kernel of U_{k,t} for every node in one outer product
-    spectral = np.exp(np.outer(-1j * qs.k * t, op.eigenvalues))
-    kernels = spectral @ _spectral_weights(qs, op, y, x)
+    # kernel of U_{k,t} for every node, one spectral row per node
+    kernels = kernel_eval(qs, op, np.exp(np.outer(-1j * qs.k * t, op.eigenvalues)), y, x)
     coeff = w * np.asarray(pair.fhat(t), dtype=complex) \
         * np.exp(1j * qs.k * t * float(energy))
     return complex(np.sum(coeff * kernels) / np.sqrt(TWO_PI))
@@ -279,7 +278,8 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
 
 @dataclass(frozen=True)
 class ProjectorSample:
-    """Exact vs predicted projector kernel value at one (k, y, x)."""
+    """Exact vs predicted projector kernel value at one (k, y, x); the phase
+    error follows KernelSample's rule (NaN when either value is 0)."""
 
     k: int
     energy: float
@@ -289,6 +289,7 @@ class ProjectorSample:
     predicted: complex
     off_image: bool
     rel_err_modulus: float
+    phase_err: float
 
     @staticmethod
     def build(k, energy, x, y, exact, prediction: ProjectorPrediction) -> "ProjectorSample":
@@ -299,7 +300,8 @@ class ProjectorSample:
             rel = abs(abs(exact) - abs(pred)) / abs(pred) if pred != 0 else np.inf
         return ProjectorSample(k=int(k), energy=float(energy), x=tuple(x), y=tuple(y),
                                exact=complex(exact), predicted=complex(pred),
-                               off_image=prediction.off_image, rel_err_modulus=float(rel))
+                               off_image=prediction.off_image, rel_err_modulus=float(rel),
+                               phase_err=_wrapped_phase(exact, pred))
 
 
 def _normalize_point_entry(entry):

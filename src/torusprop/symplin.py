@@ -1,15 +1,16 @@
 """Linear symplectomorphisms and their holomorphic determinants.
 
-A linear map g of (R^{2n}, omega_std) compatible with complex structures
-j_src, j_dst acts on the (1,0)-subspaces after complexification; the
+A linear symplectic map g of (R^{2n}, omega_std) acts on the (1,0)-subspace
+of the standard complex structure z = p + i q after complexification; the
 determinant of that block drives every amplitude in the propagator and
-projector predictors.  This module provides:
+projector predictors.  The standard structure is the only one the theta
+basis of the quantum spaces is holomorphic for, so it is the only one
+here.  This module provides:
 
-* ``LinearSymplectomorphism`` — validated container (symplectic to 1e-10,
-  complex structures compatible and tamed; the standard structures are
-  built and checked once per n);
+* ``LinearSymplectomorphism`` — validated container (symplectic to 1e-10);
 * ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
-  block and its determinant, computed in adapted unitary frames;
+  block ((A + D) + i (C - B)) / 2 of g = [[A, B], [C, D]] and its
+  determinant;
 * ``polar_decompose`` / ``polar_determinant`` — metric polar factors and the
   product formula prod (sigma + 1/sigma)/2 * det_C(unitary part), an
   independent route to the same determinant;
@@ -18,8 +19,8 @@ projector predictors.  This module provides:
   one complex array.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n); omega(u, v) = u^T J v with
-J = [[0, I], [-I, 0]], and the standard complex structure sends
-d/dp_i -> d/dq_i.
+J = [[0, I], [-I, 0]], and the standard complex structure j sends
+d/dp_i -> d/dq_i, so the metric omega(., j .) is euclidean.
 """
 
 from __future__ import annotations
@@ -47,24 +48,11 @@ _ATOL = 1e-10
 
 
 class StructureError(ValueError):
-    """Matrix data violates the symplectic/complex-structure contracts."""
+    """Matrix data violates the symplectic contract."""
 
 
 class BranchContinuityError(ValueError):
     """A path of values is sampled too coarsely to track the branch."""
-
-
-def _check_complex_structure(j: np.ndarray, gram: np.ndarray, scale: float) -> None:
-    n2 = j.shape[0]
-    if not np.allclose(j @ j, -np.eye(n2), atol=_ATOL * scale):
-        raise StructureError("complex structure does not square to -identity")
-    # Compatibility omega(j., j.) = omega  <=>  j^T J j = J.
-    if not np.allclose(j.T @ gram @ j, gram, atol=_ATOL * scale):
-        raise StructureError("complex structure is not compatible with omega")
-    metric = gram @ j  # symmetric once compatible
-    if np.min(np.linalg.eigvalsh(0.5 * (metric + metric.T))) <= _ATOL:
-        raise StructureError("complex structure is not tamed by omega "
-                             "(omega(u, j u) must be positive definite)")
 
 
 @lru_cache(maxsize=None)
@@ -79,93 +67,35 @@ def standard_symplectic_gram(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def standard_complex_structure(n: int) -> np.ndarray:
-    """The standard j with j d/dp_i = d/dq_i, j d/dq_i = -d/dp_i.  Built and
-    validated once per n; the array is read-only."""
+    """The standard j with j d/dp_i = d/dq_i, j d/dq_i = -d/dp_i, the
+    structure every holomorphic block is taken against.  Built once per n;
+    the array is read-only."""
     eye = np.eye(n)
     cs = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
-    _check_complex_structure(cs, standard_symplectic_gram(n), 1.0)
     cs.flags.writeable = False
     return cs
 
 
 @dataclass(frozen=True)
 class LinearSymplectomorphism:
-    """A validated symplectic matrix with complex structures at both ends.
-
-    ``matrix`` maps the source copy of R^{2n} to the target copy;
-    ``source_cs`` / ``target_cs`` default to the standard complex structure.
-    The matrix is always checked; a structure is checked unless it equals
-    the standard one, which was checked when it was built.
-    """
+    """A validated 2n x 2n symplectic matrix (M^T J M = J to 1e-10 of its
+    squared inf-norm)."""
 
     matrix: np.ndarray
-    source_cs: np.ndarray | None = None
-    target_cs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise StructureError(f"matrix must be 2n x 2n, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        n = m.shape[0] // 2
-        gram = standard_symplectic_gram(n)
+        gram = standard_symplectic_gram(m.shape[0] // 2)
         scale = max(1.0, float(np.linalg.norm(m, np.inf)) ** 2)
         if not np.allclose(m.T @ gram @ m, gram, atol=_ATOL * scale):
             raise StructureError("matrix is not symplectic (M^T J M != J)")
-        j_std = standard_complex_structure(n)
-        for name in ("source_cs", "target_cs"):
-            cs = getattr(self, name)
-            cs = j_std if cs is None else np.asarray(cs, dtype=float)
-            if cs.shape != m.shape:
-                raise StructureError(f"{name} must match the matrix shape")
-            if np.array_equal(cs, j_std):
-                cs = j_std
-            else:
-                _check_complex_structure(cs, gram, max(1.0, float(np.linalg.norm(cs, np.inf)) ** 2))
-            object.__setattr__(self, name, cs)
 
     @property
     def dim_n(self) -> int:
         return self.matrix.shape[0] // 2
-
-    def same_cs(self) -> bool:
-        return np.array_equal(self.source_cs, self.target_cs)
-
-
-def _unitary_frame(cs: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Columns (e_1..e_n, f_1..f_n) orthonormal for g(u,v) = omega(u, cs v),
-    with f_i = cs e_i.  In this frame cs becomes the standard j and omega the
-    standard J, so (1,0)-blocks can be read off positionally.
-    """
-
-    n2 = cs.shape[0]
-    n = n2 // 2
-    if np.array_equal(cs, standard_complex_structure(n)):
-        return np.eye(n2)
-    metric = gram @ cs
-    es: list[np.ndarray] = []
-    fs: list[np.ndarray] = []
-    for cand in np.eye(n2):
-        if len(es) == n:
-            break
-        v = cand.copy()
-        for w in (*es, *fs):
-            v -= (w @ metric @ v) * w
-        norm2 = float(v @ metric @ v)
-        if norm2 <= 1e-8:
-            continue
-        e = v / np.sqrt(norm2)
-        es.append(e)
-        fs.append(cs @ e)
-    if len(es) != n:
-        raise StructureError("failed to build a unitary frame for the "
-                             "complex structure (degenerate metric?)")
-    frame = np.column_stack([*es, *fs])
-    j_std = standard_complex_structure(n)
-    if not (np.allclose(frame.T @ gram @ frame, gram, atol=1e-9)
-            and np.allclose(np.linalg.solve(frame, cs @ frame), j_std, atol=1e-9)):
-        raise StructureError("unitary frame construction lost symplecticity")
-    return frame
 
 
 def _block_1_0(mat: np.ndarray) -> np.ndarray:
@@ -185,13 +115,8 @@ def _block_1_0(mat: np.ndarray) -> np.ndarray:
 
 
 def holomorphic_block(g: LinearSymplectomorphism) -> np.ndarray:
-    """Complex n x n matrix of g acting (1,0)_source -> (1,0)_target."""
-    n = g.dim_n
-    gram = standard_symplectic_gram(n)
-    p_src = _unitary_frame(g.source_cs, gram)
-    p_dst = _unitary_frame(g.target_cs, gram)
-    mat = np.linalg.solve(p_dst, g.matrix @ p_src)
-    return _block_1_0(mat)
+    """Complex n x n matrix of g acting (1,0) -> (1,0)."""
+    return _block_1_0(g.matrix)
 
 
 def holomorphic_determinant(g: LinearSymplectomorphism) -> complex:
@@ -212,34 +137,30 @@ def _check_modulus(dets) -> None:
             "symplectic data is corrupted (the modulus is >= 1 in exact arithmetic)")
 
 
+def _metric_square(m: np.ndarray) -> np.ndarray:
+    """M^T M, symmetrized: the square of g's positive polar factor (the
+    metric omega(., j .) is euclidean)."""
+    sym = m.T @ m
+    return 0.5 * (sym + sym.T)
+
+
 def polar_decompose(
     g: LinearSymplectomorphism,
 ) -> tuple[LinearSymplectomorphism, LinearSymplectomorphism]:
-    """Split g = g1 g2 with g1 unitary (commutes with cs) and g2 positive
-    symmetric for the metric omega(., cs .).  Requires source_cs == target_cs.
-    """
+    """Split g = g1 g2 with g1 unitary (commutes with j) and g2 positive
+    symmetric for the euclidean metric omega(., j .)."""
 
-    if not g.same_cs():
-        raise StructureError("polar decomposition needs matching source and "
-                             "target complex structures")
-    n = g.dim_n
-    gram = standard_symplectic_gram(n)
-    frame = _unitary_frame(g.source_cs, gram)
-    ghat = np.linalg.solve(frame, g.matrix @ frame)
-    sym = ghat.T @ ghat
-    lam, vec = np.linalg.eigh(0.5 * (sym + sym.T))
+    m = g.matrix
+    lam, vec = np.linalg.eigh(_metric_square(m))
     if np.min(lam) <= 0.0:
         raise StructureError("polar decomposition met a non-positive metric square")
     sqrt_lam = np.sqrt(lam)
-    g2_hat = (vec * sqrt_lam) @ vec.T
-    g1_hat = ghat @ (vec / sqrt_lam) @ vec.T
-    resid = float(np.linalg.norm(g1_hat @ g2_hat - ghat, np.inf))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(ghat, np.inf))):
+    g2 = (vec * sqrt_lam) @ vec.T
+    g1 = m @ (vec / sqrt_lam) @ vec.T
+    resid = float(np.linalg.norm(g1 @ g2 - m, np.inf))
+    if resid > 1e-9 * max(1.0, float(np.linalg.norm(m, np.inf))):
         raise StructureError(f"polar factors fail to reconstruct the map (residual {resid:.2e})")
-    inv_frame = np.linalg.inv(frame)
-    g1 = LinearSymplectomorphism(frame @ g1_hat @ inv_frame, g.source_cs, g.source_cs)
-    g2 = LinearSymplectomorphism(frame @ g2_hat @ inv_frame, g.source_cs, g.source_cs)
-    return g1, g2
+    return LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
 
 
 def polar_determinant(g: LinearSymplectomorphism) -> complex:
@@ -253,18 +174,10 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex:
     block formula applied to g itself.
     """
 
-    if not g.same_cs():
-        raise StructureError("polar determinant needs matching source and "
-                             "target complex structures")
-    n = g.dim_n
-    gram = standard_symplectic_gram(n)
-    frame = _unitary_frame(g.source_cs, gram)
-    ghat = np.linalg.solve(frame, g.matrix @ frame)
-    sym = ghat.T @ ghat
-    lam = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    lam = np.linalg.eigvalsh(_metric_square(g.matrix))
     if np.min(lam) <= 0.0:
         raise StructureError("polar determinant met a non-positive metric square")
-    sigma = np.sqrt(lam[:n])  # ascending, so these are the pairs' small halves
+    sigma = np.sqrt(lam[:g.dim_n])  # ascending, so these are the pairs' small halves
     positive_factor = float(np.prod(0.5 * (sigma + 1.0 / sigma)))
     g1, _ = polar_decompose(g)
     return positive_factor * complex(np.linalg.det(holomorphic_block(g1)))

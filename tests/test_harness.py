@@ -50,6 +50,20 @@ def test_tgrid_rejects_malformed(bad):
         _cfg(["propagator", "--tgrid", bad])
 
 
+@pytest.mark.parametrize("grid", ["0:1e-5:1", "0:1e-12:1"])
+def test_tgrid_row_cap_refuses_before_building(grid, capsys):
+    with pytest.raises(ConfigError, match="at most 10001"):
+        harness._parse_tgrid(grid)
+    assert main(["propagator", "--k", "5", "--tgrid", grid]) == 2
+    assert capsys.readouterr().err.startswith("error: tgrid")
+
+
+def test_tgrid_at_the_row_cap_parses():
+    grid = harness._parse_tgrid("0:1e-4:1")
+    assert len(grid) == harness._MAX_TGRID_ROWS == 10_001
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+
+
 def test_k_list_and_guards():
     assert _cfg(["projector", "--k", "50,100,200"]).ks == (50, 100, 200)
     for bad in ("0", "401", "1000", "ten", "50,50"):

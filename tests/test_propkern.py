@@ -17,9 +17,15 @@ from torusprop.propkern import (
     kernel_eval,
     offgraph_probe,
     operator_for,
-    propagate_autonomous,
 )
-from torusprop.thetaq import HermitianOperator, bergman_diag, quantum_space, toeplitz_build
+from torusprop.specproj import ProjectorPrediction, ProjectorSample
+from torusprop.thetaq import (
+    HermitianOperator,
+    bergman_diag,
+    quantum_space,
+    sections,
+    toeplitz_build,
+)
 from torusprop.torusgeo import integrate_flow, make_symbol, model_cos_symbol
 
 TWO_PI = 2.0 * np.pi
@@ -32,35 +38,26 @@ def random_hermitian_op(k: int, seed: int) -> HermitianOperator:
     return HermitianOperator(k=k, matrix=0.5 * (a + a.conj().T))
 
 
-# ---------------------------------------------------------------------------
-# propagators
-# ---------------------------------------------------------------------------
+def identity_op(k: int) -> HermitianOperator:
+    return HermitianOperator(k=k, matrix=np.eye(2 * k, dtype=complex))
 
 
-def test_autonomous_identity_at_zero():
-    op = random_hermitian_op(3, 1)
-    assert np.max(np.abs(propagate_autonomous(op, 0.0) - np.eye(6))) <= 1e-12
+def dense_kernel(qs, vecs, spectral, ys, x) -> np.ndarray:
+    """The kernel of V diag(g_i) V^H at (y_i, x), built as a dense matrix and
+    contracted with the sections, times the unit-gauge phase: an oracle for
+    kernel_eval that shares none of its contraction."""
+    sx = np.conjugate(sections(qs, complex(*x)))
+    out = []
+    for g, y in zip(spectral, ys):
+        u = vecs @ np.diag(g) @ vecs.conj().T
+        gauge = np.exp(2j * np.pi * qs.k * (y[0] * y[1] - x[0] * x[1]))
+        out.append(sections(qs, complex(*y)) @ u @ sx * gauge)
+    return np.array(out)
 
 
-def test_autonomous_model_is_diagonal_phase():
-    qs = quantum_space(7)
-    op = operator_for(qs, model_cos_symbol())
-    t = 0.42
-    u = propagate_autonomous(op, t)
-    ell = np.arange(qs.dim)
-    expected = np.diag(np.exp(-1j * qs.k * t * np.cos(np.pi * ell / qs.k)))
-    assert np.max(np.abs(u - expected)) <= 1e-12
-
-
-def test_autonomous_unitary_and_group_law():
-    op = random_hermitian_op(4, 2)
-    u = propagate_autonomous(op, 0.7)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-10
-    us = propagate_autonomous(op, 0.3)
-    ust = propagate_autonomous(op, 1.0)
-    assert np.max(np.abs(us @ u - ust)) <= 1e-10
-    # trace(U^H U) equals the dimension 2k
-    assert np.trace(u.conj().T @ u).real == pytest.approx(8.0, abs=1e-10)
+def assert_close_to_oracle(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -68,20 +65,70 @@ def test_autonomous_unitary_and_group_law():
 # ---------------------------------------------------------------------------
 
 
+def test_kernel_eval_matches_dense_oracle():
+    # a random Hermitian operator: propagator rows e^{-i k t lambda} at
+    # several t plus the constant row g = 1, at one shared y and at one
+    # (lifted) y per row
+    k = 4
+    qs = quantum_space(k)
+    op = random_hermitian_op(k, 2)
+    ts = np.array([0.0, 0.3, 0.7, 1.0])
+    spectral = np.vstack([np.exp(-1j * k * np.outer(ts, op.eigenvalues)),
+                          np.ones(qs.dim)])
+    x = (0.55, 0.4)
+    y = (0.3, 0.12)
+    shared = kernel_eval(qs, op, spectral, y, x)
+    assert_close_to_oracle(shared, dense_kernel(qs, op.eigenvectors, spectral, [y] * 5, x))
+    ys = np.array([[0.3, 0.12], [0.45, 0.3], [1.2, -0.1], [0.5, 0.45], [0.6, 0.35]])
+    per_row = kernel_eval(qs, op, spectral, ys, x)
+    assert_close_to_oracle(per_row, dense_kernel(qs, op.eigenvectors, spectral, ys, x))
+    # one row at one point comes back as a one-entry array
+    one = kernel_eval(qs, op, spectral[1], y, x)
+    assert one.shape == (1,) and one[0] == pytest.approx(shared[1], rel=1e-12)
+
+
+def test_autonomous_identity_at_zero():
+    # at t = 0 the propagator is the identity, whose kernel is the
+    # reproducing kernel sum_l s_l(y) conj(s_l(x)) for any eigenbasis
+    k = 4
+    qs = quantum_space(k)
+    op = random_hermitian_op(k, 1)
+    y, x = (0.3, 0.12), (0.55, 0.4)
+    got = kernel_eval(qs, op, np.exp(-1j * k * 0.0 * op.eigenvalues), y, x)
+    want = dense_kernel(qs, np.eye(qs.dim), [np.ones(qs.dim)], [y], x)
+    assert_close_to_oracle(got, want)
+
+
+def test_autonomous_model_is_diagonal_phase():
+    # the model operator is diagonal with eigenvalues cos(pi ell / k): its
+    # propagator kernel is sum_l e^{-i k t cos(pi l / k)} s_l(y) conj(s_l(x))
+    qs = quantum_space(7)
+    op = operator_for(qs, model_cos_symbol())
+    ell = np.arange(qs.dim)
+    ts = np.array([0.0, 0.42, 0.9, 1.7])
+    x = (0.3, 0.1)
+    ys = np.array([[0.3, 0.1], [0.34, 0.12], [0.8, 0.2], [0.1, 0.6]])
+    spectral = np.exp(-1j * qs.k * np.outer(ts, op.eigenvalues))
+    closed = np.exp(-1j * qs.k * np.outer(ts, np.cos(np.pi * ell / qs.k)))
+    got = kernel_eval(qs, op, spectral, ys, x)
+    assert_close_to_oracle(got, dense_kernel(qs, np.eye(qs.dim), closed, ys, x))
+
+
 def test_kernel_identity_diagonal_is_bergman():
     qs = quantum_space(12)
-    eye = np.eye(qs.dim, dtype=complex)
-    for z in (0.3 + 0.1j, 0.81 + 0.66j):
-        val = kernel_eval(qs, eye, z, z)
+    op = identity_op(qs.k)
+    for z in ((0.3, 0.1), (0.81, 0.66)):
+        val = kernel_eval(qs, op, np.ones(qs.dim), z, z)[0]
         assert val.imag == pytest.approx(0.0, abs=1e-10 * abs(val))
-        assert val.real == pytest.approx(bergman_diag(qs, z), rel=1e-10)
+        assert val.real == pytest.approx(bergman_diag(qs, complex(*z)), rel=1e-10)
 
 
 def test_kernel_hermitian_symmetry_at_t_zero():
     qs = quantum_space(9)
-    eye = np.eye(qs.dim, dtype=complex)
-    a = kernel_eval(qs, eye, (0.3, 0.12), (0.55, 0.4))
-    b = kernel_eval(qs, eye, (0.55, 0.4), (0.3, 0.12))
+    op = identity_op(qs.k)
+    ones = np.ones(qs.dim)
+    a = kernel_eval(qs, op, ones, (0.3, 0.12), (0.55, 0.4))[0]
+    b = kernel_eval(qs, op, ones, (0.55, 0.4), (0.3, 0.12))[0]
     assert abs(a - np.conjugate(b)) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -126,6 +173,18 @@ def test_kernel_sample_invariants():
     s2 = KernelSample(k=3, t=0.1, x=(0.0, 0.0), y=(0.1, 0.0),
                       exact=1.0j, predicted=1.0 + 0.0j)
     assert s2.phase_err == pytest.approx(np.pi / 2)
+
+
+def test_projector_sample_phase_error_follows_the_kernel_rule():
+    def sample(exact, value, off_image):
+        pred = ProjectorPrediction(value=value, k=3, energy=0.5, terms=(),
+                                   off_image=off_image)
+        return ProjectorSample.build(3, 0.5, (0.3, 0.1), (0.3, 0.1), exact, pred)
+
+    assert sample(1.0j, 1.0 + 0.0j, False).phase_err == pytest.approx(np.pi / 2)
+    assert sample(2.0 + 0.0j, 1.0 + 0.0j, False).phase_err == pytest.approx(0.0)
+    off = sample(1e-9 + 1e-9j, 0j, True)
+    assert np.isnan(off.phase_err) and np.isnan(off.rel_err_modulus)
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_scalar_operator_reduces_to_bergman_times_f0():
     op = HermitianOperator(k=qs.k, matrix=e_val * np.eye(qs.dim, dtype=complex))
     pair = build_fourier_pair("bump", 3.0, 256)
     y, x = (0.22, 0.64), (0.5, 0.31)
-    expect = pair.f0 * kernel_eval(qs, np.eye(qs.dim, dtype=complex), y, x)
+    expect = pair.f0 * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]
     got = projector_kernel_exact(qs, op, pair, e_val, y, x)
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
