@@ -2,8 +2,9 @@
 
 Every exact kernel in the package goes through ``kernel_eval``: the kernel
 of g(T) for a Hermitian operator T with eigenpairs (lambda_j, v_j) is
-sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j), one O(k) contraction per
-point pair and spectral row, with no 2k x 2k matrix formed.  Symbols are
+sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j): the sections at each point
+are projected onto the eigenvectors once (O(k^2) per point), then each
+spectral row costs O(k), and no 2k x 2k matrix is formed.  Symbols are
 autonomous, so the propagator e^{-i k t T} is the row g = e^{-i k t lambda}.
 The predicted side is the leading-order kernel on the graph of the
 classical flow,
