@@ -3,7 +3,8 @@
 Every exact kernel in the package goes through ``kernel_eval``: the kernel
 of g(T) for a Hermitian operator T with eigenpairs (lambda_j, v_j) is
 sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j): the sections at each point
-are projected onto the eigenvectors once (O(k^2) per point), then each
+are projected onto the eigenvectors once (O(k^2) per point; skipped when the
+eigenbasis is the section basis, as for one-diagonal operators), then each
 spectral row costs O(k), and no 2k x 2k matrix is formed.  Symbols are
 autonomous, so the propagator e^{-i k t T} is the row g = e^{-i k t lambda}.
 The predicted side is the leading-order kernel on the graph of the
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# Most time rows graph_compare contracts at once: its rows x 2k temporaries
+# stay a few MB at k = 400 however long the grid.
+_ROW_CHUNK = 256
 
 
 class ProximityError(ValueError):
@@ -127,8 +131,8 @@ def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.
     g = np.atleast_2d(np.asarray(spectral, dtype=complex))
     y = np.asarray(ys, dtype=float).reshape(-1, 2)
     xp, xq = _as_pq(x)
-    a_modes = sections(qs, y[:, 0] + 1j * y[:, 1]).T @ op.eigenvectors
-    b_modes = np.conjugate(sections(qs, complex(xp, xq)) @ op.eigenvectors)
+    a_modes = op.to_eigenbasis(sections(qs, y[:, 0] + 1j * y[:, 1]).T)
+    b_modes = np.conjugate(op.to_eigenbasis(sections(qs, complex(xp, xq))))
     gauge = np.exp(2j * np.pi * qs.k * (y[:, 0] * y[:, 1] - xp * xq))
     return ((g * a_modes) @ b_modes) * gauge
 
@@ -145,20 +149,17 @@ def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
 
     The model symbol takes the normalized diagonal cos(pi ell / k) plus c/k
     for its constant subprincipal part c (the (0, 0) coefficient of its
-    subprincipal modes); it is e^{pi/(4k)} T_k(cos 2 pi q),
-    with analytic eigendata.  Every other symbol is T_k(f + g/k), built in
-    closed form from the Fourier modes of its principal part f and
-    subprincipal part g.
+    subprincipal modes); it is e^{pi/(4k)} T_k(cos 2 pi q), a one-diagonal
+    operator that is its own eigendecomposition.  Every other symbol is
+    T_k(f + g/k), built in closed form from the Fourier modes of its
+    principal part f and subprincipal part g.
     """
 
     if sym.name == "model-cos":
         freqs, coeffs = sym.sub_modes
         c = float(np.sum(coeffs[~freqs.any(axis=1)].real))
-        ell = np.arange(qs.dim)
-        vals = np.cos(np.pi * ell / qs.k) + c / qs.k
-        return HermitianOperator(k=qs.k, matrix=np.diag(vals.astype(complex)),
-                                 eigenvalues=vals,
-                                 eigenvectors=np.eye(qs.dim, dtype=complex))
+        vals = np.cos(np.pi * np.arange(qs.dim) / qs.k) + c / qs.k
+        return HermitianOperator(k=qs.k, diagonals={0: vals})
     return toeplitz_build(qs, sym)
 
 
@@ -167,8 +168,9 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     time grid (it need not start at 0).
 
     The flow runs on the branch grid through ``tgrid``; the exact values
-    reuse one eigendecomposition, and the moving point's sections are
-    evaluated at the requested times only, in one call.
+    reuse one eigendecomposition, and the moving point's sections and the
+    spectral rows e^{-i k t lambda} are built for at most ``_ROW_CHUNK``
+    requested times at once, so memory does not grow with the grid.
     """
 
     tg = np.asarray(tgrid, dtype=float)
@@ -178,7 +180,10 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     preds = _graph_predictions(sym, traj, qs.k)[rows]
     ys = traj.points_lifted[rows]
     op = operator_for(qs, sym)
-    exact = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x_pq)
+    exact = np.concatenate([
+        kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + _ROW_CHUNK], op.eigenvalues)),
+                    ys[lo:lo + _ROW_CHUNK], x_pq)
+        for lo in range(0, tg.size, _ROW_CHUNK)])
     return [KernelSample(k=qs.k, t=float(t), x=x_pq, y=(float(y[0]), float(y[1])),
                          exact=complex(e), predicted=complex(p))
             for t, y, e, p in zip(tg, ys, exact, preds)]

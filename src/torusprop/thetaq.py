@@ -35,9 +35,10 @@ the unit-gauge phase.  ``theta3``, ``basis_eval`` and ``basis_matrix``, which
 carry (mantissa, exponent) pairs for the unweighted Psi_ell, are kept as the
 reference the tests compare ``sections`` against.
 
-Toeplitz matrices are assembled in closed form from a symbol's Fourier modes
-(``toeplitz_build``), one weighted cyclic shift per mode; quadrature serves
-only the Gram identity and the construction self-test.
+Toeplitz operators are assembled in closed form from a symbol's Fourier modes
+(``toeplitz_build``), one weighted cyclic shift per mode, and are held as
+those cyclic diagonals (``HermitianOperator``); quadrature serves only the
+Gram identity and the construction self-test.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
-# Sections cannot overflow at any k; the size limit is the dense 2k x 2k
-# operators and their eigendecomposition.
+# Sections cannot overflow at any k, and operators are held as cyclic
+# diagonals; the size limit is the dense eigh of non-diagonal operators.
 K_MAX = 400
 # Most (row, point) pairs one block of ``sections`` holds, so the grid
 # temporaries stay a few MB however many points are asked for.
@@ -135,16 +136,23 @@ def _default_theta_terms(nome_log: float) -> int:
 
 
 def quantum_space(k: int) -> QuantumSpace:
-    """Build the level-k QuantumSpace, self-testing orthonormality at small k.
+    """The level-k QuantumSpace, self-testing orthonormality at small k.
 
     The theta window reaches e^{-34} below its peak, and the Gram quadrature
     takes 64 nodes per axis per started 25 levels.  The self-test (k <= 50,
     per-basis-vector norms and a far off-diagonal pair) guards the gauge
-    conventions; the full Gram identity is the gram_matrix contract."""
+    conventions; the full Gram identity is the gram_matrix contract.  Each
+    level is built once: later calls return the same (frozen) space, and a
+    failed build is not remembered."""
 
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
         raise ValueError(f"k must be an integer in [1, {K_MAX}], got {k!r}")
-    qs = QuantumSpace(k=int(k), theta_terms=_default_theta_terms(-TWO_PI * k),
+    return _built_space(int(k))
+
+
+@lru_cache(maxsize=None)
+def _built_space(k: int) -> QuantumSpace:
+    qs = QuantumSpace(k=k, theta_terms=_default_theta_terms(-TWO_PI * k),
                       quad_order=64 * max(1, int(np.ceil(k / 25))))
     if k <= 50:
         _construction_self_test(qs)
@@ -317,28 +325,17 @@ def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pp.ravel(), qq.ravel(), ww.ravel()
 
 
-def _weighted_sections(qs: QuantumSpace, n_nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Weight-folded sections at the quadrature grid, times the square root
-    of (Liouville x quadrature weight); returns (S, p, q, w)."""
-
-    p, q, wts = _quad_nodes(n_nodes)
-    s = sections(qs, p + 1j * q)
-    s *= np.sqrt(FOUR_PI * wts)
-    return s, p, q, wts
-
-
 def gram_matrix(qs: QuantumSpace, verify: bool = False) -> np.ndarray:
     """Gram matrix G[l, l'] = integral of Psi_l' conj(Psi_l) x weight x 4 pi dp dq.
 
-    With ``verify=True`` the integral is recomputed on a doubled grid and a
-    drift above 1e-9 raises ResolutionError.
+    The quadrature is summed over blocks of nodes, so no 2k x (all nodes)
+    section array is held.  With ``verify=True`` the integral is recomputed
+    on a doubled grid and a drift above 1e-9 raises ResolutionError.
     """
 
-    s, _, _, _ = _weighted_sections(qs, qs.quad_order)
-    gram = np.conjugate(s) @ s.T
+    gram = _gram_quadrature(qs, qs.quad_order)
     if verify:
-        s2, _, _, _ = _weighted_sections(qs, 2 * qs.quad_order)
-        gram2 = np.conjugate(s2) @ s2.T
+        gram2 = _gram_quadrature(qs, 2 * qs.quad_order)
         drift = float(np.max(np.abs(gram2 - gram)))
         if drift > 1e-9:
             raise ResolutionError(f"Gram quadrature drifted {drift:.2e} under node "
@@ -347,74 +344,161 @@ def gram_matrix(qs: QuantumSpace, verify: bool = False) -> np.ndarray:
     return gram
 
 
+def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
+    """sum_b conj(S_b) S_b^T over node blocks b, where S_b holds the
+    weight-folded sections at the block's nodes times the square root of
+    (Liouville x quadrature weight)."""
+
+    p, q, wts = _quad_nodes(n_nodes)
+    gram = np.zeros((qs.dim, qs.dim), dtype=complex)
+    block = max(1, _BLOCK_PAIRS // qs.dim)
+    for lo in range(0, p.size, block):
+        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block])
+        s *= np.sqrt(FOUR_PI * wts[lo:lo + block])
+        gram += np.conjugate(s) @ s.T
+    return gram
+
+
 # ---------------------------------------------------------------------------
 # operators
 # ---------------------------------------------------------------------------
 
 
+def _adjoint(diagonals: dict) -> dict:
+    """The cyclic diagonals of the adjoint: shift m becomes shift -m, with
+    its row rolled by -m and conjugated."""
+    return {(-s) % d.size: np.conjugate(np.roll(d, -s)) for s, d in diagonals.items()}
+
+
+def _hermitian_parts(diagonals: dict) -> tuple[dict, float]:
+    """(A + A^H) / 2 and max |A - A^H| for A given by its cyclic diagonals."""
+    adj = _adjoint(diagonals)
+    herm, defect = {}, 0.0
+    for s in sorted(diagonals.keys() | adj.keys()):
+        a, b = diagonals.get(s, 0), adj.get(s, 0)
+        herm[s] = 0.5 * (a + b)
+        defect = max(defect, float(np.max(np.abs(a - b))))
+    return herm, defect
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian matrix on the level-k space, with eigendata attached.
+    """A Hermitian operator on the level-k space, held as its cyclic
+    diagonals, with eigendata attached.
 
-    Without eigendata the matrix is diagonalized; either way the
-    eigendecomposition residual must stay within 1e-9.
-    ``hermiticity_defect`` records how far a built matrix was from
+    ``diagonals`` maps a shift m in [0, 2k) to the length-2k row d_m: the
+    operator sends v to sum_m d_m * roll(v, m), i.e. row ell holds d_m[ell]
+    in column (ell - m) mod 2k.  Memory is O(#shifts x k).
+
+    Without eigendata an operator whose only shift is 0 is its own
+    eigendecomposition (eigenvalues the diagonal, in basis order; the
+    standard basis, recorded as ``eigenvectors = None``), and no dense matrix
+    is formed.  Any other operator is expanded to a dense matrix only to
+    feed ``eigh``.  Eigenvalues given without eigenvectors claim the
+    standard basis.  Either way the diagonals must be Hermitian to 1e-12 and
+    the eigendecomposition residual, computed on the diagonals, must stay
+    within 1e-9; both checks raise ConstructionError.
+    ``hermiticity_defect`` records how far a built operator was from
     Hermitian before symmetrization.
     """
 
     k: int
-    matrix: np.ndarray
+    diagonals: dict
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     hermiticity_defect: float = 0.0
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (2 * self.k, 2 * self.k):
-            raise ValueError(f"matrix must be {2 * self.k} x {2 * self.k}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if float(np.max(np.abs(m - m.conj().T))) > 1e-12 * scale:
-            raise ValueError("operator matrix is not Hermitian to 1e-12")
-        if self.eigenvalues is None or self.eigenvectors is None:
-            vals, vecs = np.linalg.eigh(m)
-            object.__setattr__(self, "eigenvalues", vals)
-            object.__setattr__(self, "eigenvectors", vecs)
+        dim = 2 * self.k
+        diags = {}
+        for s, d in self.diagonals.items():
+            d = np.asarray(d, dtype=complex)
+            if not (isinstance(s, (int, np.integer)) and 0 <= s < dim and d.shape == (dim,)):
+                raise ValueError(f"diagonals must map shifts in [0, {dim}) to "
+                                 f"length-{dim} rows, got shift {s!r} of shape {d.shape}")
+            diags[int(s)] = d
+        object.__setattr__(self, "diagonals", diags)
+        scale = max([1.0] + [float(np.max(np.abs(d))) for d in diags.values()])
+        defect = _hermitian_parts(diags)[1]
+        if defect > 1e-12 * scale:
+            raise ConstructionError(f"operator diagonals are not Hermitian to 1e-12 "
+                                    f"(defect {defect:.2e})")
+        vals, vecs = self.eigenvalues, self.eigenvectors
+        if vals is None:
+            if diags.keys() <= {0}:
+                vals, vecs = diags.get(0, np.zeros(dim)).real, None
+            else:
+                vals, vecs = np.linalg.eigh(self.dense())
+        vals = np.array(vals, dtype=float)
+        vecs = None if vecs is None else np.asarray(vecs, dtype=complex)
+        object.__setattr__(self, "eigenvalues", vals)
+        object.__setattr__(self, "eigenvectors", vecs)
+        if vecs is None:
+            # A e_l - lambda_l e_l holds d_0[l] - lambda_l and the other shifts' rows
+            rows = {0: np.zeros(dim), **diags}
+            rows[0] = rows[0] - vals
+            resid = max(float(np.max(np.abs(d))) for d in rows.values())
         else:
-            object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-            object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, dtype=complex))
-        resid = float(np.max(np.abs(self.matrix @ self.eigenvectors
-                                    - self.eigenvectors * self.eigenvalues[None, :])))
-        if resid > 1e-9 * (1.0 + float(np.max(np.abs(self.eigenvalues)))):
-            raise ValueError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
+            resid = float(np.max(np.abs(self.apply(vecs) - vecs * vals[None, :])))
+        if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
+            raise ConstructionError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.k
+
+    def apply(self, v) -> np.ndarray:
+        """The operator applied to v (shape (2k,) or (2k, n)): O(#shifts) per
+        entry of v."""
+        v = np.asarray(v, dtype=complex)
+        out = np.zeros_like(v)
+        for s, d in self.diagonals.items():
+            out += d.reshape((-1,) + (1,) * (v.ndim - 1)) * np.roll(v, s, axis=0)
+        return out
+
+    def to_eigenbasis(self, rows) -> np.ndarray:
+        """rows @ eigenvectors: the coefficients of row vectors against the
+        eigenbasis (the rows themselves when it is the standard basis)."""
+        rows = np.asarray(rows, dtype=complex)
+        return rows if self.eigenvectors is None else rows @ self.eigenvectors
+
+    def dense(self) -> np.ndarray:
+        """The full 2k x 2k matrix, built on demand (for eigh and oracles)."""
+        ell = np.arange(self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for s, d in self.diagonals.items():
+            out[ell, (ell - s) % self.dim] = d
+        return out
 
 
 def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
-    """T_k(f + g/k) for the principal part f and subprincipal part g, in
-    closed form from their Fourier modes.  T_k(e^{2 pi i (m p + n q)}) is a
-    weighted cyclic shift (Bouzouina & De Bievre, CMP 178, 1996): row ell holds
+    """T_k(f + g/k) for the principal part f and subprincipal part g, as
+    cyclic diagonals in closed form from their Fourier modes.
+    T_k(e^{2 pi i (m p + n q)}) is a weighted cyclic shift (Bouzouina &
+    De Bievre, CMP 178, 1996): row ell holds
     e^{-pi (m^2 + n^2) / (4k)} e^{-i pi n (2 ell - m) / (2k)} in column
-    (ell - m) mod 2k.  The sum must come out Hermitian to 1e-9 before
-    symmetrization (the defect is recorded); the Hermitian average is then
-    eigendecomposed.
+    (ell - m) mod 2k, so the modes of one m fill the diagonal of shift
+    m mod 2k in O(#modes x k).  The sum must come out Hermitian to 1e-9
+    before symmetrization (the defect is recorded); both run on the
+    diagonals.  A symbol of q alone gives shift 0 only and needs no eigh.
     """
 
     k, dim = qs.k, qs.dim
     freqs = np.concatenate([sym.modes[0], sym.sub_modes[0]])
     coeffs = np.concatenate([sym.modes[1], sym.sub_modes[1] / k])
     ell = np.arange(dim)
-    raw = np.zeros((dim, dim), dtype=complex)
-    for m in np.unique(freqs[:, 0]):  # the modes of one m share a shifted diagonal
+    raw: dict = {}
+    for m in np.unique(freqs[:, 0]):
         n = freqs[freqs[:, 0] == m, 1]
         c = coeffs[freqs[:, 0] == m] * np.exp(-np.pi * (m * m + n * n) / (4.0 * k))
-        raw[ell, (ell - m) % dim] += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
-    scale = max(1.0, float(np.max(np.abs(raw))))
-    defect = float(np.max(np.abs(raw - raw.conj().T)))
+        row = raw.setdefault(int(m) % dim, np.zeros(dim, dtype=complex))
+        row += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
+    scale = max([1.0] + [float(np.max(np.abs(d))) for d in raw.values()])
+    herm, defect = _hermitian_parts(raw)
     if defect > 1e-9 * scale:
         raise ConstructionError(f"Toeplitz matrix asymmetry {defect:.2e} exceeds 1e-9: "
                                 "the symbol modes are not those of a real function")
-    herm = 0.5 * (raw + raw.conj().T)
-    return HermitianOperator(k=qs.k, matrix=herm, hermiticity_defect=defect)
+    return HermitianOperator(k=qs.k, diagonals=herm, hermiticity_defect=defect)
 
 
 def bergman_diag(qs: QuantumSpace, z) -> float:

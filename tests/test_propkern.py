@@ -18,7 +18,13 @@ from torusprop.propkern import (
     offgraph_probe,
     operator_for,
 )
-from torusprop.specproj import ProjectorPrediction, ProjectorSample
+from torusprop import propkern
+from torusprop.specproj import (
+    ProjectorPrediction,
+    ProjectorSample,
+    build_fourier_pair,
+    projector_kernel_exact,
+)
 from torusprop.thetaq import (
     HermitianOperator,
     bergman_diag,
@@ -31,15 +37,23 @@ from torusprop.torusgeo import integrate_flow, make_symbol, model_cos_symbol
 TWO_PI = 2.0 * np.pi
 
 
+def cyclic_diagonals(matrix) -> dict:
+    """The cyclic diagonals of a dense matrix: shift s holds the entries at
+    (ell, (ell - s) mod dim)."""
+    dim = len(matrix)
+    ell = np.arange(dim)
+    return {s: matrix[ell, (ell - s) % dim] for s in range(dim)}
+
+
 def random_hermitian_op(k: int, seed: int) -> HermitianOperator:
     rng = np.random.default_rng(seed)
     dim = 2 * k
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(k=k, matrix=0.5 * (a + a.conj().T))
+    return HermitianOperator(k=k, diagonals=cyclic_diagonals(0.5 * (a + a.conj().T)))
 
 
 def identity_op(k: int) -> HermitianOperator:
-    return HermitianOperator(k=k, matrix=np.eye(2 * k, dtype=complex))
+    return HermitianOperator(k=k, diagonals={0: np.ones(2 * k)})
 
 
 def dense_kernel(qs, vecs, spectral, ys, x) -> np.ndarray:
@@ -224,6 +238,47 @@ def test_predictor_phase_slope_at_zero():
     assert slope == pytest.approx(expected, rel=1e-6)
 
 
+def test_graph_compare_chunks_match_one_call(monkeypatch):
+    # a generic symbol (dense eigenbasis) on a 31-row grid cut into chunks
+    # of 7 rows against one kernel_eval call over every row
+    qs = quantum_space(20)
+    sym = make_symbol("cos-q-sin-p", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
+                      + 0.1 * np.sin(TWO_PI * np.asarray(p, dtype=float)))
+    x = (0.3, 0.1)
+    tg = np.linspace(0.0, 0.3, 31)
+    monkeypatch.setattr(propkern, "_ROW_CHUNK", 7)
+    rows = graph_compare(qs, sym, x, tg)
+    op = operator_for(qs, sym)
+    ys = np.array([r.y for r in rows])
+    one = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)
+    got = np.array([r.exact for r in rows])
+    assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("k", [50, 400])
+def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
+    # cos 2 pi q is one diagonal, so no eigh runs; its propagator and
+    # projector kernels must match the dense eigendecomposition's
+    qs = quantum_space(k)
+    sym = make_symbol("cos2piq", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
+                      + 0.0 * np.asarray(p, dtype=float))
+    op = operator_for(qs, sym)
+    assert op.eigenvectors is None
+    vals, vecs = np.linalg.eigh(op.dense())
+    x = (0.3, 0.1)
+    rows = graph_compare(qs, sym, x, [0.0, 0.35, 1.0])
+    ts = np.array([r.t for r in rows])
+    ys = [r.y for r in rows]
+    want = dense_kernel(qs, vecs, np.exp(-1j * k * np.outer(ts, vals)), ys, x)
+    assert_close_to_oracle(np.array([r.exact for r in rows]), want)
+    pair = build_fourier_pair("bump", 3.0, 512)
+    energy = float(np.cos(TWO_PI * 0.1))
+    y = (0.45, 0.1)
+    got = projector_kernel_exact(qs, op, pair, energy, y, x)
+    want = dense_kernel(qs, vecs, [pair.f_eval(k * (energy - vals))], [y], x)
+    assert_close_to_oracle(np.array([got]), want)
+
+
 def test_constant_subprincipal_shifts_both_routes_identically():
     # T -> T + (c/k) I multiplies the propagator by e^{-i c t}; the predictor
     # carries the same factor through its subprincipal action integral
@@ -249,7 +304,10 @@ def test_operator_for_model_fast_path():
     op = operator_for(qs, model_cos_symbol(sub_const=0.5))
     ell = np.arange(qs.dim)
     assert np.allclose(op.eigenvalues, np.cos(np.pi * ell / qs.k) + 0.5 / qs.k)
-    assert np.allclose(op.eigenvectors, np.eye(qs.dim))
+    # one diagonal, so the eigenbasis is exactly the standard basis
+    assert op.diagonals.keys() == {0}
+    assert op.eigenvectors is None
+    assert np.array_equal(op.to_eigenbasis(np.eye(qs.dim)), np.eye(qs.dim))
 
 
 def test_operator_for_generic_includes_subprincipal_weight():
@@ -263,9 +321,9 @@ def test_operator_for_generic_includes_subprincipal_weight():
     qs = quantum_space(8)
     plain = make_symbol("generic", principal)
     with_sub = make_symbol("generic", principal, subprincipal=sub)
-    t_plain = operator_for(qs, plain).matrix
-    t_full = operator_for(qs, with_sub).matrix
-    t_sub = toeplitz_build(qs, make_symbol("only-sub", sub)).matrix
+    t_plain = operator_for(qs, plain).dense()
+    t_full = operator_for(qs, with_sub).dense()
+    t_sub = toeplitz_build(qs, make_symbol("only-sub", sub)).dense()
     assert np.max(np.abs(t_plain + t_sub / qs.k - t_full)) <= 1e-12
 
 

@@ -94,7 +94,7 @@ def test_pair_argument_guards():
 def test_scalar_operator_reduces_to_bergman_times_f0():
     qs = quantum_space(10)
     e_val = 0.37
-    op = HermitianOperator(k=qs.k, matrix=e_val * np.eye(qs.dim, dtype=complex))
+    op = HermitianOperator(k=qs.k, diagonals={0: np.full(qs.dim, e_val)})
     pair = build_fourier_pair("bump", 3.0, 256)
     y, x = (0.22, 0.64), (0.5, 0.31)
     expect = pair.f0 * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]

@@ -345,6 +345,31 @@ def test_quantum_space_guards():
         quantum_space(2.5)  # type: ignore[arg-type]
 
 
+def test_quantum_space_is_built_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(thetaq, "_construction_self_test", calls.append)
+    thetaq._built_space.cache_clear()
+    try:
+        first = quantum_space(7)
+        assert quantum_space(7) is first
+        assert quantum_space(np.int64(7)) is first
+        assert calls == [first]
+    finally:
+        thetaq._built_space.cache_clear()
+
+
+def test_failed_space_build_is_not_cached(monkeypatch):
+    def failing(qs):
+        raise ConstructionError("forced")
+
+    thetaq._built_space.cache_clear()
+    monkeypatch.setattr(thetaq, "_construction_self_test", failing)
+    with pytest.raises(ConstructionError):
+        quantum_space(9)
+    monkeypatch.undo()
+    assert quantum_space(9).k == 9
+
+
 def test_gauge_note_records_adjudication():
     qs = quantum_space(5)
     assert "exp(-4*pi*k*q^2)" in qs.gauge_note
@@ -378,6 +403,15 @@ def test_gram_is_identity(k):
     assert np.all(diag.real > 0.9)
 
 
+def test_blocked_gram_matches_one_product():
+    # at k = 5 the 4096 quadrature nodes span two blocks
+    qs = quantum_space(5)
+    p, q, wts = thetaq._quad_nodes(qs.quad_order)
+    assert p.size > thetaq._BLOCK_PAIRS // qs.dim
+    s = sections(qs, p + 1j * q) * np.sqrt(4.0 * np.pi * wts)
+    assert np.max(np.abs(gram_matrix(qs) - np.conjugate(s) @ s.T)) <= 1e-14
+
+
 def test_gram_verified_against_doubling():
     qs = quantum_space(6)
     gram = gram_matrix(qs, verify=True)
@@ -400,7 +434,10 @@ def test_model_operator_analytic_eigendata():
     op = operator_for(qs, model_cos_symbol())
     ell = np.arange(qs.dim)
     assert np.allclose(op.eigenvalues, np.cos(np.pi * ell / qs.k))
-    assert np.allclose(op.eigenvectors, np.eye(qs.dim))
+    # one diagonal, so the eigenbasis is exactly the standard basis
+    assert op.diagonals.keys() == {0}
+    assert op.eigenvectors is None
+    assert np.array_equal(op.to_eigenbasis(np.eye(qs.dim)), np.eye(qs.dim))
 
 
 def test_toeplitz_of_model_symbol_matches_closed_form():
@@ -410,12 +447,12 @@ def test_toeplitz_of_model_symbol_matches_closed_form():
     op = toeplitz_build(qs, model_cos_symbol())
     ell = np.arange(qs.dim)
     expected = np.exp(-np.pi / (4 * qs.k)) * np.cos(np.pi * ell / qs.k)
-    assert np.max(np.abs(op.matrix - np.diag(expected))) <= 1e-10
+    assert np.max(np.abs(op.dense() - np.diag(expected))) <= 1e-10
     assert op.hermiticity_defect <= 1e-9
     # the coarser contracts: diagonal within O(1/k) of cos(pi ell/k), tiny
     # off-diagonal part
-    assert np.max(np.abs(np.diagonal(op.matrix) - np.cos(np.pi * ell / qs.k))) <= 0.05
-    off = op.matrix - np.diag(np.diagonal(op.matrix))
+    assert np.max(np.abs(np.diagonal(op.dense()) - np.cos(np.pi * ell / qs.k))) <= 0.05
+    off = op.dense() - np.diag(np.diagonal(op.dense()))
     assert np.max(np.abs(off)) <= 1e-6
 
 
@@ -424,13 +461,14 @@ def test_toeplitz_of_constant_is_identity():
     one = make_symbol("one", lambda p, q: np.ones(np.broadcast_shapes(
         np.shape(p), np.shape(q))))
     op = toeplitz_build(qs, one)
-    assert np.max(np.abs(op.matrix - np.eye(qs.dim))) <= 1e-8
+    assert np.max(np.abs(op.dense() - np.eye(qs.dim))) <= 1e-8
 
 
 def _quadrature_toeplitz(qs, principal, subprincipal=None):
     """T_k(f + g/k) by quadrature against the weight-folded sections: the
     oracle for the closed-form build, fed the raw callables."""
-    s, p, q, _ = thetaq._weighted_sections(qs, qs.quad_order)
+    p, q, wts = thetaq._quad_nodes(qs.quad_order)
+    s = sections(qs, p + 1j * q) * np.sqrt(4.0 * np.pi * wts)
     vals = np.asarray(principal(p, q), dtype=float)
     if subprincipal is not None:
         vals = vals + np.asarray(subprincipal(p, q), dtype=float) / qs.k
@@ -452,7 +490,7 @@ def test_closed_form_toeplitz_matches_quadrature(name, k):
     principal, sub = _ORACLE_SYMBOLS[name]
     qs = quantum_space(k)
     op = toeplitz_build(qs, make_symbol(name, principal, subprincipal=sub))
-    assert np.max(np.abs(op.matrix - _quadrature_toeplitz(qs, principal, sub))) <= 1e-12
+    assert np.max(np.abs(op.dense() - _quadrature_toeplitz(qs, principal, sub))) <= 1e-12
     assert op.hermiticity_defect <= 1e-12
 
 
@@ -462,9 +500,84 @@ def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
     sym = make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0])
     op = toeplitz_build(quantum_space(400), sym)
     assert op.hermiticity_defect <= 1e-12
-    assert np.array_equal(op.matrix, op.matrix.conj().T)
+    assert np.array_equal(op.dense(), op.dense().conj().T)
     assert op.eigenvalues.min() >= -1.1 - 1e-12
     assert op.eigenvalues.max() <= 1.1 + 1e-12
+
+
+def _cos_q_symbol():
+    return make_symbol("cos2piq", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
+                       + 0.0 * np.asarray(p, dtype=float))
+
+
+def test_operator_apply_matches_dense():
+    rng = np.random.default_rng(3)
+    qs = quantum_space(20)
+    principal, sub = _ORACLE_SYMBOLS["with-subprincipal"]
+    op = toeplitz_build(qs, make_symbol("with-subprincipal", principal, subprincipal=sub))
+    assert len(op.diagonals) < qs.dim
+    for shape in ((qs.dim,), (qs.dim, 3)):
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = op.dense() @ v
+        assert np.max(np.abs(op.apply(v) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_operator_holds_diagonals_not_a_matrix():
+    # cos 2 pi q + 0.1 sin 2 pi p has modes at m = 0 and m = +-1 only
+    qs = quantum_space(400)
+    op = toeplitz_build(qs, make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0]))
+    assert op.diagonals.keys() == {0, 1, qs.dim - 1}
+    assert all(d.shape == (qs.dim,) for d in op.diagonals.values())
+    assert not hasattr(op, "matrix")
+
+
+def test_non_hermitian_diagonals_raise():
+    k, dim = 5, 10
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=k, diagonals={1: np.ones(dim)})  # no shift -1
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=k, diagonals={0: 1j * np.ones(dim)})
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=k, diagonals={1: np.ones(dim), dim - 1: 2.0 * np.ones(dim)})
+    with pytest.raises(ValueError):
+        thetaq.HermitianOperator(k=k, diagonals={dim: np.ones(dim)})
+
+
+def test_wrong_eigendata_fails_the_residual_check():
+    qs = quantum_space(10)
+    op = toeplitz_build(qs, make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0]))
+    # the right eigendata passes again
+    thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals, eigenvalues=op.eigenvalues,
+                             eigenvectors=op.eigenvectors)
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals,
+                                 eigenvalues=op.eigenvalues + 1e-3,
+                                 eigenvectors=op.eigenvectors)
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals,
+                                 eigenvalues=op.eigenvalues,
+                                 eigenvectors=np.roll(op.eigenvectors, 1, axis=1))
+    # the standard basis is claimed by leaving out the eigenvectors: wrong
+    # for an operator with off-diagonal shifts, and for wrong diagonal values
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals,
+                                 eigenvalues=op.diagonals[0].real)
+    diag = toeplitz_build(qs, _cos_q_symbol())
+    with pytest.raises(ConstructionError):
+        thetaq.HermitianOperator(k=qs.k, diagonals=diag.diagonals,
+                                 eigenvalues=diag.eigenvalues[::-1])
+
+
+@pytest.mark.parametrize("k", [5, 50, 400])
+def test_symbol_of_q_alone_takes_the_diagonal_route(k):
+    qs = quantum_space(k)
+    op = toeplitz_build(qs, _cos_q_symbol())
+    assert op.diagonals.keys() == {0}
+    assert op.eigenvectors is None
+    assert np.array_equal(op.eigenvalues, op.diagonals[0].real)
+    assert np.all(op.diagonals[0].imag == 0.0)
+    # the same spectrum as dense eigh, up to order
+    assert np.max(np.abs(np.sort(op.eigenvalues) - np.linalg.eigvalsh(op.dense()))) <= 1e-14
 
 
 def _cos_p_symbol():
@@ -496,9 +609,9 @@ def test_product_rule_error_decays_in_k():
     errs = {}
     for k in (10, 40):
         qs = quantum_space(k)
-        tf = toeplitz_build(qs, model_cos_symbol()).matrix
-        tg = toeplitz_build(qs, _cos_p_symbol()).matrix
-        tfg = toeplitz_build(qs, _product_symbol()).matrix
+        tf = toeplitz_build(qs, model_cos_symbol()).dense()
+        tg = toeplitz_build(qs, _cos_p_symbol()).dense()
+        tfg = toeplitz_build(qs, _product_symbol()).dense()
         errs[k] = float(np.linalg.norm(tf @ tg - tfg, 2))
     assert errs[40] <= 0.5 * errs[10]
     assert errs[40] <= 0.2
@@ -510,9 +623,9 @@ def test_commutator_tracks_poisson_bracket():
     errs = {}
     for k in (10, 40):
         qs = quantum_space(k)
-        tf = toeplitz_build(qs, model_cos_symbol()).matrix
-        tg = toeplitz_build(qs, _cos_p_symbol()).matrix
-        tb = toeplitz_build(qs, _bracket_symbol()).matrix
+        tf = toeplitz_build(qs, model_cos_symbol()).dense()
+        tg = toeplitz_build(qs, _cos_p_symbol()).dense()
+        tb = toeplitz_build(qs, _bracket_symbol()).dense()
         comm = 1j * k * (tf @ tg - tg @ tf)
         errs[k] = {s: float(np.linalg.norm(comm - s * tb, 2)) for s in (1, -1)}
     sign = min(errs[10], key=errs[10].get)
