@@ -443,10 +443,6 @@ class HermitianOperator:
         if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
             raise ConstructionError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.k
-
     def apply(self, v) -> np.ndarray:
         """The operator applied to v (shape (2k,) or (2k, n)): O(#shifts) per
         entry of v."""
@@ -464,10 +460,11 @@ class HermitianOperator:
 
     def dense(self) -> np.ndarray:
         """The full 2k x 2k matrix, built on demand (for eigh and oracles)."""
-        ell = np.arange(self.dim)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        dim = 2 * self.k
+        ell = np.arange(dim)
+        out = np.zeros((dim, dim), dtype=complex)
         for s, d in self.diagonals.items():
-            out[ell, (ell - s) % self.dim] = d
+            out[ell, (ell - s) % dim] = d
         return out
 
 
