@@ -1,8 +1,9 @@
 """Smoothed spectral projectors f(k(E - T)) and their return-time predictor.
 
 The exact kernel is the spectral sum sum_l f(k(E - lambda_l)) times the
-eigenvector kernel; f is produced from a compactly supported f-hat by
-Gauss-Legendre quadrature so that f and f-hat stay exactly dual.  The
+eigenvector kernel; f is produced from a compactly supported f-hat by the
+trapezoid rule, on a node count sized from the largest argument the sum
+needs, so that f and f-hat stay dual to 1e-13 at every eigenvalue.  The
 predictor sums over the classical return times t with phi_t(x) = y inside
 the support window,
 
@@ -19,13 +20,12 @@ decaying and the predictor reports exactly zero, tagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .propkern import _wrapped_phase, kernel_eval, operator_for
+from .propkern import _ROW_CHUNK, _wrapped_phase, kernel_eval, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
     SymbolField,
@@ -57,28 +57,101 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 
 
+# The trapezoid rule starts at this many intervals on [-T, T] and doubles up
+# to the cap; f counts as resolved when one more doubling moves it by at most
+# _F_TOL * max(1, |f(0)|) at every probe argument.
+_START_NODES = 512
+_MAX_NODES = 1 << 16
+_F_TOL = 1e-13
+# Probe arguments as fractions of the largest one: the rule's aliasing error
+# at u is led by f(u - 2 pi / h), so it is largest at the top of the range.
+# The first probe is 0, so the tolerance can scale with f(0).
+_PROBES = np.array([0.0, -1.0, -0.875, -0.75, 0.75, 0.875, 1.0])
+# Most (argument, node) products one block of the sum holds.
+_BLOCK_TERMS = 1 << 16
+
+
 @dataclass(frozen=True)
 class FourierPair:
     """A function f with compactly supported Fourier transform fhat.
 
     f(E) = (2 pi)^{-1/2} * integral over [-T, T] of fhat(t) e^{i t E} dt,
-    evaluated on fixed Gauss-Legendre nodes; ``f0`` caches f(0).
+    by the uniform trapezoid rule, which converges geometrically because
+    fhat is smooth and vanishes to all orders at +-T.  The node count is
+    sized afresh from the largest argument asked for; ``f0`` caches f(0).
     """
 
     kind: str
     support_T: float
-    quad_nodes: int
     fhat: Callable
-    t_nodes: np.ndarray
-    t_weights: np.ndarray
-    f0: float
+    f0: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "f0", float(self.f_eval(0.0).real))
 
     def f_eval(self, energies) -> np.ndarray:
-        """f at the given (array of) arguments, by the stored quadrature."""
+        """f at the given (array of) arguments, on the node count their
+        largest modulus needs; ResolutionError past the node cap."""
         e = np.atleast_1d(np.asarray(energies, dtype=float))
-        coeff = self.t_weights * np.asarray(self.fhat(self.t_nodes), dtype=complex)
-        vals = np.exp(1j * np.outer(e, self.t_nodes)) @ coeff / np.sqrt(TWO_PI)
+        vals = self._trapezoid(self.node_count(float(np.max(np.abs(e), initial=0.0))),
+                               e.ravel())
         return vals.reshape(np.shape(energies)) if np.ndim(energies) else vals[0]
+
+    def node_count(self, u_max: float) -> int:
+        """The smallest doubling of _START_NODES whose trapezoid sum moves by
+        at most _F_TOL * max(1, |f(0)|) under one more doubling at the probes
+        in [-u_max, u_max].
+
+        The sum with step h is periodic in u with period 2 pi / h, so counts
+        whose period does not exceed u_max are skipped unchecked: at u near
+        two periods, a count and its doubling alias to the same wrong value.
+        """
+
+        if not np.isfinite(u_max):
+            raise ValueError(f"f requested at a non-finite argument ({u_max})")
+        probes = u_max * _PROBES
+        n = _START_NODES
+        while np.pi * n / self.support_T <= u_max and n <= _MAX_NODES:
+            n *= 2
+        coarse = self._trapezoid(n, probes)
+        while n <= _MAX_NODES:
+            fine = self._trapezoid(2 * n, probes)
+            if float(np.max(np.abs(fine - coarse))) <= _F_TOL * max(1.0, abs(fine[0])):
+                return n
+            n, coarse = 2 * n, fine
+        raise ResolutionError(
+            f"f is not resolved at |u| = {u_max:.4g} within {_MAX_NODES} trapezoid "
+            f"nodes on [-{self.support_T:g}, {self.support_T:g}]; shrink the fhat "
+            "support or k")
+
+    def _trapezoid(self, n: int, u: np.ndarray) -> np.ndarray:
+        """(2 pi)^{-1/2} times the n-interval trapezoid sum of
+        fhat(t) e^{i u t} over [-T, T], for each entry of u.
+
+        Nodes +-t are paired: the even part of fhat multiplies cos(u t) and
+        the odd part i sin(u t), the latter skipped when fhat is even.  The
+        sum runs over blocks of arguments, so no arguments x nodes array is
+        held.
+        """
+
+        h = 2.0 * self.support_T / n
+        t = h * np.arange(1, n // 2 + 1)
+        plus = np.asarray(self.fhat(t), dtype=complex)
+        minus = np.asarray(self.fhat(-t), dtype=complex)
+        weights = np.full(t.size, h)
+        weights[-1] = 0.5 * h  # the endpoints +-T
+        even = weights * (plus + minus)
+        odd = weights * (plus - minus)
+        has_odd = bool(np.any(odd))
+        centre = h * complex(np.asarray(self.fhat(0.0), dtype=complex))
+        out = np.empty(u.size, dtype=complex)
+        block = max(1, _BLOCK_TERMS // t.size)
+        for lo in range(0, u.size, block):
+            arg = np.outer(u[lo:lo + block], t)
+            out[lo:lo + block] = centre + np.cos(arg) @ even
+            if has_odd:
+                out[lo:lo + block] += 1j * (np.sin(arg) @ odd)
+        return out / np.sqrt(TWO_PI)
 
 
 def _fhat_function(kind: str, support_t: float) -> Callable:
@@ -100,42 +173,18 @@ def _fhat_function(kind: str, support_t: float) -> Callable:
                      "'gaussian-truncated'")
 
 
-@lru_cache(maxsize=8)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
-    (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _gl_nodes(support_t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = _leggauss(n)
-    return support_t * x, support_t * w
-
-
-def build_fourier_pair(kind: str, support_T: float, nodes: int = 512) -> FourierPair:
-    """Construct a FourierPair, verifying compact support, quadrature
-    resolution (node doubling must move f(0) by <= 1e-10), and realness of f
-    for Hermitian-symmetric fhat."""
+def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
+    """Construct a FourierPair, verifying compact support, resolution of
+    f(0) (see FourierPair.node_count), and realness of f for
+    Hermitian-symmetric fhat."""
 
     if not support_T > 0:
         raise ValueError("support_T must be positive")
-    if nodes < 4:
-        raise ValueError("need at least 4 quadrature nodes")
     fhat = _fhat_function(kind, float(support_T))
     edge = max(abs(complex(fhat(support_T))), abs(complex(fhat(-support_T))))
     if edge > 1e-14:
         raise ValueError(f"fhat does not vanish at +-T: {edge:.2e}")
-    t, w = _gl_nodes(float(support_T), int(nodes))
-    f0 = complex(np.sum(w * fhat(t))) / np.sqrt(TWO_PI)
-    t2, w2 = _gl_nodes(float(support_T), 2 * int(nodes))
-    f0_fine = complex(np.sum(w2 * fhat(t2))) / np.sqrt(TWO_PI)
-    if abs(f0 - f0_fine) > 1e-10:
-        raise ResolutionError(f"f(0) moved by {abs(f0 - f0_fine):.2e} under node "
-                              "doubling; increase nodes")
-    pair = FourierPair(kind=kind, support_T=float(support_T), quad_nodes=int(nodes),
-                       fhat=fhat, t_nodes=t, t_weights=w, f0=float(f0.real))
+    pair = FourierPair(kind=kind, support_T=float(support_T), fhat=fhat)
     samples = np.linspace(-0.9 * support_T, 0.9 * support_T, 7)
     sym_defect = float(np.max(np.abs(np.asarray(fhat(-samples), dtype=complex)
                                      - np.conjugate(fhat(samples)))))
@@ -170,20 +219,23 @@ def projector_kernel_exact(qs: QuantumSpace, op: HermitianOperator,
 
 
 def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
-                              pair: FourierPair, energy: float, y, x,
-                              nodes: int = 257) -> complex:
+                              pair: FourierPair, energy: float, y, x) -> complex:
     """The same kernel through the time side: (2 pi)^{-1/2} integral of
-    fhat(t) e^{i k t E} U_{k,t}(y, x) dt on an independent Gauss-Legendre
-    grid.  Exact Fourier inversion up to the two quadratures, so it must
-    agree with projector_kernel_exact to high accuracy — a wiring check,
-    not an asymptotic one."""
+    fhat(t) e^{i k t E} U_{k,t}(y, x) dt by the trapezoid rule on twice the
+    nodes the spectral route resolves f with.  Exact Fourier inversion up to
+    the two quadratures, so it must agree with projector_kernel_exact to
+    high accuracy — a wiring check, not an asymptotic one."""
 
-    t, w = _gl_nodes(pair.support_T, int(nodes))
+    n = 2 * pair.node_count(float(np.max(np.abs(op.k * (energy - op.eigenvalues)))))
+    h = 2.0 * pair.support_T / n
+    t = h * np.arange(1 - n // 2, n // 2)  # |fhat(+-T)| <= 1e-14: endpoints dropped
+    coeff = h * np.asarray(pair.fhat(t), dtype=complex) * np.exp(1j * qs.k * t * float(energy))
     # kernel of U_{k,t} for every node, one spectral row per node
-    kernels = kernel_eval(qs, op, np.exp(np.outer(-1j * qs.k * t, op.eigenvalues)), y, x)
-    coeff = w * np.asarray(pair.fhat(t), dtype=complex) \
-        * np.exp(1j * qs.k * t * float(energy))
-    return complex(np.sum(coeff * kernels) / np.sqrt(TWO_PI))
+    total = sum(coeff[lo:lo + _ROW_CHUNK] @ kernel_eval(
+                    qs, op, np.exp(np.outer(-1j * qs.k * t[lo:lo + _ROW_CHUNK], op.eigenvalues)),
+                    y, x)
+                for lo in range(0, t.size, _ROW_CHUNK))
+    return complex(total / np.sqrt(TWO_PI))
 
 
 # ---------------------------------------------------------------------------

@@ -313,16 +313,12 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # periodic direction: uniform nodes, exact for trigonometric integrands
-    p = np.arange(n) / n
-    wp = np.full(n, 1.0 / n)
-    # q direction: Gauss-Legendre on [0, 1]
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    q = 0.5 * (xg + 1.0)
-    wq = 0.5 * wg
-    pp, qq = np.meshgrid(p, q, indexing="ij")
-    ww = np.outer(wp, wq)
-    return pp.ravel(), qq.ravel(), ww.ravel()
+    # uniform nodes in both directions: the Hermitian product of two sections
+    # (weight included) is lattice-periodic in p and in q, so the trapezoid
+    # rule is spectrally accurate on the whole torus
+    x = np.arange(n) / n
+    pp, qq = np.meshgrid(x, x, indexing="ij")
+    return pp.ravel(), qq.ravel(), np.full(n * n, 1.0 / (n * n))
 
 
 def gram_matrix(qs: QuantumSpace, verify: bool = False) -> np.ndarray:

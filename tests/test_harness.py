@@ -327,6 +327,15 @@ def test_projector_refuses_a_point_off_the_energy_level(capsys):
     assert "point (0.3, 0.2)" in capsys.readouterr().err
 
 
+def test_projector_refuses_an_unresolvable_fhat(capsys):
+    # support 5000 at k = 50 needs ~1.4e5 trapezoid nodes to resolve f at
+    # every eigenvalue, past the node cap: exit 1 and print no table
+    assert main(["projector", "--k", "50", "--fhat", "bump:5000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: f is not resolved")
+
+
 def test_lifts_refuses_a_point_off_the_energy_level(capsys):
     assert main(["lifts", "--k", "20", "--energy", "0.2"]) == 2
     assert "off the energy level E = 0.2" in capsys.readouterr().err

@@ -271,7 +271,7 @@ def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
     ys = [r.y for r in rows]
     want = dense_kernel(qs, vecs, np.exp(-1j * k * np.outer(ts, vals)), ys, x)
     assert_close_to_oracle(np.array([r.exact for r in rows]), want)
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     energy = float(np.cos(TWO_PI * 0.1))
     y = (0.45, 0.1)
     got = projector_kernel_exact(qs, op, pair, energy, y, x)

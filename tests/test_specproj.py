@@ -40,12 +40,14 @@ T_RETURN = 2.0 / SIN0  # first nonzero return time on the q = 0.1 level
 
 
 def test_bump_pair_basics():
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     assert abs(complex(pair.fhat(3.0))) <= 1e-14
     assert abs(complex(pair.fhat(-3.0))) <= 1e-14
     assert float(pair.fhat(0.0)) == pytest.approx(np.exp(-1.0))
-    # f(0) equals the quadrature of fhat over the support
-    direct = float(np.sum(pair.t_weights * pair.fhat(pair.t_nodes))) / np.sqrt(TWO_PI)
+    # f(0) equals an independent (Gauss-Legendre) quadrature of fhat over
+    # the support
+    xg, wg = np.polynomial.legendre.leggauss(256)
+    direct = float(np.sum(3.0 * wg * pair.fhat(3.0 * xg))) / np.sqrt(TWO_PI)
     assert pair.f0 == pytest.approx(direct, rel=1e-14)
     # even real fhat gives a real f
     vals = pair.f_eval(np.linspace(-8.0, 8.0, 33))
@@ -53,28 +55,67 @@ def test_bump_pair_basics():
 
 
 def test_bump_pair_schwartz_decay():
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     assert abs(complex(pair.f_eval(50.0))) <= 1e-4 * pair.f0
 
 
 def test_gaussian_truncated_pair():
-    pair = build_fourier_pair("gaussian-truncated", 7.0, 512)
+    pair = build_fourier_pair("gaussian-truncated", 7.0)
     assert abs(complex(pair.fhat(7.0))) <= 1e-14
     assert float(pair.fhat(0.0)) == pytest.approx(1.0)
     assert pair.f0 > 0.0
 
 
 def test_pair_vectorized_eval_matches_scalar():
-    pair = build_fourier_pair("bump", 3.0, 256)
+    pair = build_fourier_pair("bump", 3.0)
     es = np.array([-3.7, 0.0, 1.2, 11.0])
     vec = pair.f_eval(es)
     for e, v in zip(es, vec):
         assert complex(pair.f_eval(float(e))) == pytest.approx(complex(v), abs=1e-15)
 
 
+def _trapezoid_reference(pair, u, n=16384):
+    """f(u) by the n-interval trapezoid rule on [-T, T], one dense sum."""
+    t = np.linspace(-pair.support_T, pair.support_T, n + 1)
+    w = np.full(n + 1, 2.0 * pair.support_T / n)
+    w[[0, -1]] *= 0.5
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return (np.exp(1j * np.outer(u, t)) @ (w * pair.fhat(t))) / np.sqrt(TWO_PI)
+
+
+@pytest.mark.parametrize("support", [3.0, 7.0])
+def test_pair_resolved_at_large_arguments(support):
+    # a fixed 512-node rule aliases from |u| ~ 200 on (|f(200)| = 4e-2 for
+    # bump:7, where the true value is ~1e-18); at two periods 2 pi / h of the
+    # 512-node rule, it and its doubling alias to the same value f(0)
+    pair = build_fourier_pair("bump", support)
+    us = np.array([200.0, 400.0, 800.0, 4.0 * np.pi * 512 / support])
+    assert np.max(np.abs(pair.f_eval(us) - _trapezoid_reference(pair, us))) <= 1e-13
+    for u in us:
+        assert abs(pair.f_eval(u) - _trapezoid_reference(pair, u)[0]) <= 1e-13
+
+
+def test_smoothed_trace_at_k200_is_resolved():
+    # sum_l f(k(E - lambda_l)) reaches |u| ~ 360; a fixed 512-node rule gives
+    # -1.198 here against the true 0.998
+    k = 200
+    op = operator_for(quantum_space(k), model_cos_symbol())
+    pair = build_fourier_pair("bump", 3.0)
+    u = k * (E0 - op.eigenvalues)
+    trace = complex(np.sum(pair.f_eval(u)))
+    expected = complex(np.sum(_trapezoid_reference(pair, u)))
+    assert abs(trace - expected) <= 1e-12
+    assert expected.real == pytest.approx(0.998, abs=1e-3)
+
+
 def test_pair_under_resolved_nodes_raise():
+    # |u| = 1e6 needs ~1e6 nodes on [-3, 3], past the node cap: refuse
+    # rather than return aliased weights
+    pair = build_fourier_pair("bump", 3.0)
     with pytest.raises(ResolutionError):
-        build_fourier_pair("bump", 3.0, 8)
+        pair.f_eval(1e6)
+    with pytest.raises(ResolutionError):
+        pair.f_eval(np.array([0.0, -1e6]))
 
 
 def test_pair_argument_guards():
@@ -82,8 +123,11 @@ def test_pair_argument_guards():
         build_fourier_pair("triangle", 3.0)
     with pytest.raises(ValueError):
         build_fourier_pair("bump", -1.0)
-    with pytest.raises(ValueError):
+    # the rule sizes itself: there is no node-count argument
+    with pytest.raises(TypeError):
         build_fourier_pair("bump", 3.0, 2)
+    with pytest.raises(ValueError):
+        build_fourier_pair("bump", 3.0).f_eval(np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +139,7 @@ def test_scalar_operator_reduces_to_bergman_times_f0():
     qs = quantum_space(10)
     e_val = 0.37
     op = HermitianOperator(k=qs.k, diagonals={0: np.full(qs.dim, e_val)})
-    pair = build_fourier_pair("bump", 3.0, 256)
+    pair = build_fourier_pair("bump", 3.0)
     y, x = (0.22, 0.64), (0.5, 0.31)
     expect = pair.f0 * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]
     got = projector_kernel_exact(qs, op, pair, e_val, y, x)
@@ -105,7 +149,7 @@ def test_scalar_operator_reduces_to_bergman_times_f0():
 def test_exact_kernel_hermitian_symmetry():
     qs = quantum_space(15)
     op = operator_for(qs, model_cos_symbol())
-    pair = build_fourier_pair("bump", 3.0, 256)
+    pair = build_fourier_pair("bump", 3.0)
     y, x = (0.42, Q0), (0.3, Q0)
     a = projector_kernel_exact(qs, op, pair, E0, y, x)
     b = projector_kernel_exact(qs, op, pair, E0, x, y)
@@ -113,17 +157,29 @@ def test_exact_kernel_hermitian_symmetry():
 
 
 def test_two_route_identity():
-    # spectral sum versus time quadrature on an independent coarser grid:
+    # spectral sum versus time quadrature on twice the nodes:
     # pure wiring, must agree to quadrature accuracy at k = 50
     qs = quantum_space(50)
     op = operator_for(qs, model_cos_symbol())
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     for y, x in (((0.3, Q0), (0.3, Q0)),
                  ((0.45, Q0), (0.3, Q0)),
                  ((0.3, 0.37), (0.61, 0.8))):
         direct = projector_kernel_exact(qs, op, pair, E0, y, x)
-        quad = projector_kernel_timequad(qs, op, pair, E0, y, x, nodes=257)
+        quad = projector_kernel_timequad(qs, op, pair, E0, y, x)
         assert abs(direct - quad) <= 1e-6 * max(1.0, abs(direct))
+
+
+def test_two_route_identity_at_an_aliasing_level():
+    # at k = 200 the spectral sum needs f out to |u| ~ 360, where a fixed
+    # 512-node rule aliases (the two routes then differ by 6.5e-8)
+    qs = quantum_space(200)
+    op = operator_for(qs, model_cos_symbol())
+    pair = build_fourier_pair("bump", 7.0)
+    x = (0.3, Q0)
+    direct = projector_kernel_exact(qs, op, pair, E0, x, x)
+    quad = projector_kernel_timequad(qs, op, pair, E0, x, x)
+    assert abs(direct - quad) <= 1e-12 * abs(direct)
 
 
 def test_trace_identity():
@@ -132,7 +188,7 @@ def test_trace_identity():
     k = 30
     qs = quantum_space(k)
     op = operator_for(qs, model_cos_symbol())
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     coeffs = pair.f_eval(k * (E0 - op.eigenvalues))
     trace = float(np.sum(coeffs).real)
 
@@ -156,7 +212,7 @@ def test_trace_identity():
 
 def test_single_return_diagonal_closed_form():
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     k = 100
     x = (0.3, Q0)
     pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
@@ -173,7 +229,7 @@ def test_off_image_point_is_tagged_zero():
     # (0.3, 0.9) lies on the same energy level but on the other component;
     # the shear never connects the two
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 7.0, 512)
+    pair = build_fourier_pair("bump", 7.0)
     pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.9), (0.3, Q0), 100)
     assert pred.off_image
     assert pred.value == 0j
@@ -183,7 +239,7 @@ def test_off_image_point_is_tagged_zero():
 def test_off_image_exact_kernel_is_tiny():
     qs = quantum_space(200)
     op = operator_for(qs, model_cos_symbol())
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     val = projector_kernel_exact(qs, op, pair, E0, (0.3, 0.9), (0.3, Q0))
     assert abs(val) <= 1e-3 * np.sqrt(qs.k / TWO_PI)
 
@@ -193,7 +249,7 @@ def test_triple_return_structure_and_value():
     # marginal +-6.8052 (fhat there ~ 1e-8); at k q0 integer all holonomy
     # phases are 1 and everything adds on the real axis
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 7.0, 512)
+    pair = build_fourier_pair("bump", 7.0)
     k = 100
     x = (0.3, Q0)
     pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
@@ -218,7 +274,7 @@ def test_winding_holonomy_phase():
     # show up as the phase of the t = +-T_RETURN terms (rho'^{1/2} is real
     # positive for the shear)
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 7.0, 512)
+    pair = build_fourier_pair("bump", 7.0)
     k = 37
     pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, Q0), (0.3, Q0), k)
     by_time = {round(term.t, 6): term for term in pred.terms}
@@ -238,8 +294,8 @@ def test_window_restriction_and_cross_pair_additivity():
     # term, which has the same fhat(0) = e^{-1} as the T = 3 bump: the two
     # single-term predictors coincide exactly
     sym = model_cos_symbol()
-    pair7 = build_fourier_pair("bump", 7.0, 512)
-    pair3 = build_fourier_pair("bump", 3.0, 512)
+    pair7 = build_fourier_pair("bump", 7.0)
+    pair3 = build_fourier_pair("bump", 3.0)
     k = 60
     x = (0.3, Q0)
     full = projector_kernel_asymptotic(sym, pair7, E0, x, x, k)
@@ -260,7 +316,7 @@ def test_window_restriction_and_cross_pair_additivity():
 def test_off_level_points_rejected():
     # the t = 0 term alone would report sqrt(2)/||X|| for any point
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     with pytest.raises(RegularityError, match="off the energy level"):
         projector_kernel_asymptotic(sym, pair, 0.5, (0.3, Q0), (0.3, Q0), 50)
     with pytest.raises(RegularityError, match="off the energy level"):
@@ -269,7 +325,7 @@ def test_off_level_points_rejected():
 
 def test_critical_level_rejected():
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     with pytest.raises(RegularityError):
         projector_kernel_asymptotic(sym, pair, 1.0, (0.3, 0.0), (0.3, 0.0), 50)
 
@@ -283,7 +339,7 @@ def test_exact_matches_predictor_at_k200():
     qs = quantum_space(200)
     op = operator_for(qs, model_cos_symbol())
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     x = (0.3, Q0)
     exact = projector_kernel_exact(qs, op, pair, E0, x, x)
     pred = projector_kernel_asymptotic(sym, pair, E0, x, x, 200)
@@ -292,7 +348,7 @@ def test_exact_matches_predictor_at_k200():
 
 def test_compare_table_error_halves_with_k():
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     rows = projector_compare(sym, pair, E0, [(0.3, Q0)], [100, 200])
     assert [r.k for r in rows] == [100, 200]
     assert all(not r.off_image for r in rows)
@@ -304,7 +360,7 @@ def test_compare_relative_error_smallest_at_widest_level():
     # maximizes ||X|| among the sampled levels (support 1.9 keeps every
     # level single-return so the comparison is like for like)
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 1.9, 512)
+    pair = build_fourier_pair("bump", 1.9)
     errs = {}
     for q0 in (0.08, 0.15, 0.25):
         energy = float(np.cos(TWO_PI * q0))
@@ -315,7 +371,7 @@ def test_compare_relative_error_smallest_at_widest_level():
 
 def test_compare_off_image_row():
     sym = model_cos_symbol()
-    pair = build_fourier_pair("bump", 3.0, 512)
+    pair = build_fourier_pair("bump", 3.0)
     rows = projector_compare(sym, pair, E0, [((0.3, 0.9), (0.3, Q0))], [50])
     assert rows[0].off_image
     assert np.isnan(rows[0].rel_err_modulus)
