@@ -5,9 +5,12 @@ of the standard complex structure z = p + i q after complexification; the
 determinant of that block drives every amplitude in the propagator and
 projector predictors.  The standard structure is the only one the theta
 basis of the quantum spaces is holomorphic for, so it is the only one
-here.  This module provides:
+here.  Every function below takes one 2n x 2n matrix or a stack of them
+(..., 2n, 2n), the way ``numpy.linalg`` does, and checks each matrix of a
+stack against its own scale.  This module provides:
 
-* ``LinearSymplectomorphism`` — validated container (symplectic to 1e-10);
+* ``LinearSymplectomorphism`` — validated container (each matrix symplectic
+  to 1e-10 of its own squared inf-norm);
 * ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
   block ((A + D) + i (C - B)) / 2 of g = [[A, B], [C, D]] and its
   determinant;
@@ -16,7 +19,8 @@ here.  This module provides:
   independent route to the same determinant;
 * ``branch_sqrt_path`` — branch-continuous square roots along a path of
   nonzero complex values, tracked through angle unwinding and returned as
-  one complex array.
+  one complex array;
+* ``random_symplectic`` — random elements of Sp(2n, R), one or a stack.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n); omega(u, v) = u^T J v with
 J = [[0, I], [-I, 0]], and the standard complex structure j sends
@@ -76,26 +80,43 @@ def standard_complex_structure(n: int) -> np.ndarray:
     return cs
 
 
+def _transpose(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _inf_norms(m: np.ndarray) -> np.ndarray:
+    """The inf-norm (largest absolute row sum) of each matrix in a stack."""
+    return np.linalg.norm(m, np.inf, axis=(-2, -1))
+
+
+def _where(ok: np.ndarray) -> str:
+    """' at stack index (i, ...)' naming the first False entry of a
+    per-matrix check, or '' for a single matrix."""
+    return f" at stack index {tuple(int(i) for i in np.argwhere(~ok)[0])}" if ok.ndim else ""
+
+
 @dataclass(frozen=True)
 class LinearSymplectomorphism:
-    """A validated 2n x 2n symplectic matrix (M^T J M = J to 1e-10 of its
-    squared inf-norm)."""
+    """A validated 2n x 2n symplectic matrix, or a stack (..., 2n, 2n) of
+    them: M^T J M = J to 1e-10 of each matrix's own squared inf-norm."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
             raise StructureError(f"matrix must be 2n x 2n, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        gram = standard_symplectic_gram(m.shape[0] // 2)
-        scale = max(1.0, float(np.linalg.norm(m, np.inf)) ** 2)
-        if not np.allclose(m.T @ gram @ m, gram, atol=_ATOL * scale):
-            raise StructureError("matrix is not symplectic (M^T J M != J)")
+        gram = standard_symplectic_gram(m.shape[-1] // 2)
+        atol = _ATOL * np.maximum(1.0, _inf_norms(m) ** 2)
+        ok = np.all(np.isclose(_transpose(m) @ gram @ m, gram, atol=atol[..., None, None]),
+                    axis=(-2, -1))
+        if not np.all(ok):
+            raise StructureError("matrix is not symplectic (M^T J M != J)" + _where(ok))
 
     @property
     def dim_n(self) -> int:
-        return self.matrix.shape[0] // 2
+        return self.matrix.shape[-1] // 2
 
 
 def _block_1_0(mat: np.ndarray) -> np.ndarray:
@@ -115,16 +136,18 @@ def _block_1_0(mat: np.ndarray) -> np.ndarray:
 
 
 def holomorphic_block(g: LinearSymplectomorphism) -> np.ndarray:
-    """Complex n x n matrix of g acting (1,0) -> (1,0)."""
+    """Complex n x n matrix of g acting (1,0) -> (1,0), one per matrix of a
+    stack."""
     return _block_1_0(g.matrix)
 
 
-def holomorphic_determinant(g: LinearSymplectomorphism) -> complex:
-    """det of the (1,0)-block.  Always has modulus >= 1 for valid input;
-    a value below 0.5 indicates corrupted data and raises."""
-    det = complex(np.linalg.det(holomorphic_block(g)))
+def holomorphic_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
+    """det of the (1,0)-block: a complex number, or an array of the stack's
+    shape.  Always has modulus >= 1 for valid input; a value below 0.5
+    indicates corrupted data and raises."""
+    det = np.linalg.det(holomorphic_block(g))
     _check_modulus(det)
-    return det
+    return det if det.ndim else complex(det)
 
 
 def _check_modulus(dets) -> None:
@@ -139,31 +162,35 @@ def _check_modulus(dets) -> None:
 
 def _metric_square(m: np.ndarray) -> np.ndarray:
     """M^T M, symmetrized: the square of g's positive polar factor (the
-    metric omega(., j .) is euclidean)."""
-    sym = m.T @ m
-    return 0.5 * (sym + sym.T)
+    metric omega(., j .) is euclidean), for each matrix of a stack."""
+    sym = _transpose(m) @ m
+    return 0.5 * (sym + _transpose(sym))
 
 
 def polar_decompose(
     g: LinearSymplectomorphism,
 ) -> tuple[LinearSymplectomorphism, LinearSymplectomorphism]:
     """Split g = g1 g2 with g1 unitary (commutes with j) and g2 positive
-    symmetric for the euclidean metric omega(., j .)."""
+    symmetric for the euclidean metric omega(., j .); for a stack, g1 and g2
+    are the stacks of the factors.  Each reconstruction g1 g2 must match its
+    matrix to 1e-9 of max(1, ||M||_inf)."""
 
     m = g.matrix
     lam, vec = np.linalg.eigh(_metric_square(m))
     if np.min(lam) <= 0.0:
         raise StructureError("polar decomposition met a non-positive metric square")
-    sqrt_lam = np.sqrt(lam)
-    g2 = (vec * sqrt_lam) @ vec.T
-    g1 = m @ (vec / sqrt_lam) @ vec.T
-    resid = float(np.linalg.norm(g1 @ g2 - m, np.inf))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(m, np.inf))):
-        raise StructureError(f"polar factors fail to reconstruct the map (residual {resid:.2e})")
+    sqrt_lam = np.sqrt(lam)[..., None, :]
+    g2 = (vec * sqrt_lam) @ _transpose(vec)
+    g1 = m @ (vec / sqrt_lam) @ _transpose(vec)
+    resid = _inf_norms(g1 @ g2 - m)
+    ok = resid <= 1e-9 * np.maximum(1.0, _inf_norms(m))
+    if not np.all(ok):
+        raise StructureError("polar factors fail to reconstruct the map (residual "
+                             f"{float(np.max(resid)):.2e}){_where(ok)}")
     return LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
 
 
-def polar_determinant(g: LinearSymplectomorphism) -> complex:
+def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
     """Holomorphic determinant via polar factors:
 
         prod over singular-value pairs (sigma + 1/sigma)/2   x   det_C(g1).
@@ -171,16 +198,18 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex:
     The positive factor uses the n singular values <= 1 (they come in
     sigma, 1/sigma pairs); the unitary factor contributes the phase.
     Agrees with ``holomorphic_determinant`` but shares no code path with the
-    block formula applied to g itself.
+    block formula applied to g itself.  A stack gives an array of the
+    stack's shape.
     """
 
     lam = np.linalg.eigvalsh(_metric_square(g.matrix))
     if np.min(lam) <= 0.0:
         raise StructureError("polar determinant met a non-positive metric square")
-    sigma = np.sqrt(lam[:g.dim_n])  # ascending, so these are the pairs' small halves
-    positive_factor = float(np.prod(0.5 * (sigma + 1.0 / sigma)))
+    sigma = np.sqrt(lam[..., :g.dim_n])  # ascending, so these are the pairs' small halves
+    positive_factor = np.prod(0.5 * (sigma + 1.0 / sigma), axis=-1)
     g1, _ = polar_decompose(g)
-    return positive_factor * complex(np.linalg.det(holomorphic_block(g1)))
+    det = positive_factor * np.linalg.det(holomorphic_block(g1))
+    return det if det.ndim else complex(det)
 
 
 def branch_sqrt_path(values) -> np.ndarray:
@@ -218,29 +247,37 @@ def branch_sqrt_path(values) -> np.ndarray:
     return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 
-def random_symplectic(n: int, rng: np.random.Generator, n_factors: int = 6) -> np.ndarray:
-    """Random element of Sp(2n, R) as a product of shears and block scalings.
+def random_symplectic(n: int, rng: np.random.Generator, n_factors: int = 6,
+                      size: int | None = None) -> np.ndarray:
+    """Random element of Sp(2n, R) as a product of shears and block scalings,
+    or a stack (size, 2n, 2n) of independent ones drawn in one call.
 
-    Used by tests and the self-check battery; factor scales are kept moderate
-    so products stay well-conditioned.
+    Each factor is, with equal odds, a shear [[I, S], [0, I]] or
+    [[I, 0], [S, I]] with S symmetric, or a block scaling
+    [[A, 0], [0, A^{-T}]] with |det A| >= 0.2.  Used by tests and the
+    self-check battery; factor scales are kept moderate so products stay
+    well-conditioned.  ``size=None`` gives one matrix, drawn exactly as a
+    stack of size 1 would draw it.
     """
 
+    shape = () if size is None else (int(size),)
     dim = 2 * n
-    out = np.eye(dim)
+    eye = np.broadcast_to(np.eye(dim), shape + (dim, dim))
+    out = eye.copy()
     for _ in range(n_factors):
-        kind = rng.integers(0, 3)
-        sym = rng.normal(scale=0.4, size=(n, n))
-        sym = 0.5 * (sym + sym.T)
-        blk = np.eye(dim)
-        if kind == 0:
-            blk[:n, n:] = sym
-        elif kind == 1:
-            blk[n:, :n] = sym
-        else:
-            a = np.eye(n) + rng.normal(scale=0.25, size=(n, n))
-            while abs(np.linalg.det(a)) < 0.2:
-                a = np.eye(n) + rng.normal(scale=0.25, size=(n, n))
-            blk[:n, :n] = a
-            blk[n:, n:] = np.linalg.inv(a).T
+        kind = rng.integers(0, 3, size=shape)
+        sym = rng.normal(scale=0.4, size=shape + (n, n))
+        sym = 0.5 * (sym + _transpose(sym))
+        blk = eye.copy()
+        blk[kind == 0, :n, n:] = sym[kind == 0]
+        blk[kind == 1, n:, :n] = sym[kind == 1]
+        scaling = kind == 2
+        a = np.eye(n) + rng.normal(scale=0.25, size=(np.count_nonzero(scaling), n, n))
+        redraw = np.abs(np.linalg.det(a)) < 0.2
+        while np.any(redraw):
+            a[redraw] = np.eye(n) + rng.normal(scale=0.25, size=(np.count_nonzero(redraw), n, n))
+            redraw = np.abs(np.linalg.det(a)) < 0.2
+        blk[scaling, :n, :n] = a
+        blk[scaling, n:, n:] = _transpose(np.linalg.inv(a))
         out = blk @ out
     return out

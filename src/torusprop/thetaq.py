@@ -43,6 +43,7 @@ Gram identity and the construction self-test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -112,7 +113,9 @@ class QuantumSpace:
     """Level-k space of theta sections with its numerical parameters.
 
     ``theta_terms`` is the half-width of the shifted theta summation window;
-    ``quad_order`` the node count per axis for the Gram quadrature;
+    ``quad_order`` the node count per axis N for the Gram quadrature (a
+    built space takes N^2 >= 60 k, so the aliasing error e^{-pi N^2 / (4k)}
+    stays below e^{-15 pi});
     ``gauge_note`` records which basis/weight gauge passed adjudication.
     """
 
@@ -139,7 +142,10 @@ def quantum_space(k: int) -> QuantumSpace:
     """The level-k QuantumSpace, self-testing orthonormality at small k.
 
     The theta window reaches e^{-34} below its peak, and the Gram quadrature
-    takes 64 nodes per axis per started 25 levels.  The self-test (k <= 50,
+    takes the smallest multiple of 16 nodes per axis, at least 32, with
+    N^2 >= 60 k: its aliasing error e^{-pi N^2 / (4k)} is then at most
+    e^{-15 pi} ~ 3e-21, so the node count grows like sqrt(k) (32 at k = 5,
+    64 at k = 50, 160 at k = 400).  The self-test (k <= 50,
     per-basis-vector norms and a far off-diagonal pair) guards the gauge
     conventions; the full Gram identity is the gram_matrix contract.  Each
     level is built once: later calls return the same (frozen) space, and a
@@ -153,10 +159,20 @@ def quantum_space(k: int) -> QuantumSpace:
 @lru_cache(maxsize=None)
 def _built_space(k: int) -> QuantumSpace:
     qs = QuantumSpace(k=k, theta_terms=_default_theta_terms(-TWO_PI * k),
-                      quad_order=64 * max(1, int(np.ceil(k / 25))))
+                      quad_order=_gram_nodes(k))
     if k <= 50:
         _construction_self_test(qs)
     return qs
+
+
+def _gram_nodes(k: int) -> int:
+    """Nodes per axis of the Gram quadrature: the smallest multiple of 16,
+    at least 32, with N^2 >= 60 k.  The uniform trapezoid rule on the torus
+    misses the Gram integral only by aliasing, of size about
+    e^{-pi N^2 / (4k)} (Trefethen & Weideman, SIAM Rev. 56, 2014), so this
+    N puts the error near e^{-15 pi} ~ 3e-21."""
+    n = math.isqrt(60 * k - 1) + 1
+    return max(32, -(-n // 16) * 16)
 
 
 def _construction_self_test(qs: QuantumSpace) -> None:

@@ -135,6 +135,94 @@ def test_polar_determinant_positive_factor_value():
 
 
 # ---------------------------------------------------------------------------
+# stacks (..., 2n, 2n)
+# ---------------------------------------------------------------------------
+
+
+def _mixed_batch(n, rng):
+    """Random draws next to closed-form members: the identity, a unitary
+    rotation, a large shear and a block scaling, shaped (3, 8, 2n, 2n)."""
+    eye = np.eye(n)
+    th = 0.9
+    rot = np.block([[np.cos(th) * eye, -np.sin(th) * eye], [np.sin(th) * eye, np.cos(th) * eye]])
+    shear = np.block([[eye, 40.0 * eye], [0 * eye, eye]])
+    scale = np.block([[3.0 * eye, 0 * eye], [0 * eye, eye / 3.0]])
+    drawn = random_symplectic(n, rng, size=20)
+    return np.concatenate([np.stack([np.eye(2 * n), rot, shear, scale]), drawn]).reshape(
+        (3, 8, 2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_determinants_match_per_matrix_calls(n):
+    batch = _mixed_batch(n, np.random.default_rng(70 + n))
+    g = sp(batch)
+    assert g.dim_n == n
+    holo, polar = holomorphic_determinant(g), polar_determinant(g)
+    assert holo.shape == polar.shape == (3, 8)
+    for idx in np.ndindex(3, 8):
+        one = sp(batch[idx])
+        assert abs(holo[idx] - holomorphic_determinant(one)) <= 1e-15 * abs(holo[idx])
+        assert abs(polar[idx] - polar_determinant(one)) <= 1e-15 * abs(polar[idx])
+    g1, g2 = polar_decompose(g)
+    assert g1.matrix.shape == g2.matrix.shape == batch.shape
+    assert np.array_equal(g2.matrix[1, 5], polar_decompose(sp(batch[1, 5]))[1].matrix)
+
+
+def test_random_symplectic_stack_is_symplectic():
+    stack = random_symplectic(2, np.random.default_rng(5), size=300)
+    assert stack.shape == (300, 4, 4)
+    sp(stack)
+    # independent draws, not one matrix repeated
+    assert len({m.tobytes() for m in stack}) == 300
+
+
+def test_stack_with_one_non_symplectic_member_raises():
+    stack = random_symplectic(2, np.random.default_rng(6), size=50)
+    stack[31] = stack[31] * 1.01
+    with pytest.raises(StructureError, match=r"not symplectic .* stack index \(31,\)"):
+        sp(stack)
+
+
+def test_symplectic_tolerance_is_per_matrix():
+    # the shear's ||M||_inf^2 ~ 1e8 allows it an atol of ~1e-2; the small
+    # matrix, off by 1e-3 in det, must still meet its own atol of 1e-10
+    big = np.array([[1.0, 1e4], [0.0, 1.0]])
+    small = np.diag([1.0 + 1e-3, 1.0])
+    sp(big)
+    with pytest.raises(StructureError, match="not symplectic"):
+        sp(small)
+    with pytest.raises(StructureError, match=r"stack index \(1,\)"):
+        sp(np.stack([big, small]))
+
+
+def test_stack_with_one_corrupted_block_raises():
+    stack = random_symplectic(1, np.random.default_rng(8), size=40)
+    g = sp(stack)
+    corrupted = stack.copy()
+    corrupted[12] = 0.2 * np.eye(2)  # holomorphic block 0.2, below the 0.5 floor
+    object.__setattr__(g, "matrix", corrupted)
+    with pytest.raises(StructureError, match="modulus 0.2 < 0.5"):
+        holomorphic_determinant(g)
+
+
+def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
+    # eigenvectors that are not orthonormal for one matrix of the stack make
+    # its factors miss g1 g2 = g; that matrix alone must fail
+    stack = random_symplectic(2, np.random.default_rng(9), size=10)
+    real_eigh = np.linalg.eigh
+
+    def one_bad_eigh(a):
+        lam, vec = real_eigh(a)
+        vec = vec.copy()
+        vec[4, 0, 0] += 1e-6
+        return lam, vec
+
+    monkeypatch.setattr(np.linalg, "eigh", one_bad_eigh)
+    with pytest.raises(StructureError, match=r"fail to reconstruct .* stack index \(4,\)"):
+        polar_decompose(sp(stack))
+
+
+# ---------------------------------------------------------------------------
 # branch-continuous square roots
 # ---------------------------------------------------------------------------
 

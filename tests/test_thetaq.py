@@ -404,12 +404,28 @@ def test_gram_is_identity(k):
 
 
 def test_blocked_gram_matches_one_product():
-    # at k = 5 the 4096 quadrature nodes span two blocks
-    qs = quantum_space(5)
+    # at k = 20 the 2304 quadrature nodes span two blocks of 819
+    qs = quantum_space(20)
     p, q, wts = thetaq._quad_nodes(qs.quad_order)
     assert p.size > thetaq._BLOCK_PAIRS // qs.dim
     s = sections(qs, p + 1j * q) * np.sqrt(4.0 * np.pi * wts)
     assert np.max(np.abs(gram_matrix(qs) - np.conjugate(s) @ s.T)) <= 1e-14
+
+
+def test_gram_node_rule_values():
+    # smallest multiple of 16, at least 32, with N^2 >= 60 k
+    assert {k: quantum_space(k).quad_order for k in (1, 5, 10, 20, 50, 100, 400)} == {
+        1: 32, 5: 32, 10: 32, 20: 48, 50: 64, 100: 80, 400: 160}
+
+
+@pytest.mark.parametrize("k", [5, 10, 20, 50, 100])
+def test_gram_node_rule_matches_the_linear_grid(k):
+    # the aliasing bound e^{-pi N^2/(4k)} is far below roundoff, so the
+    # sqrt(k) grid agrees with the old 64 * ceil(k/25) nodes per axis
+    qs = quantum_space(k)
+    old = thetaq._gram_quadrature(qs, 64 * int(np.ceil(k / 25)))
+    assert np.max(np.abs(gram_matrix(qs) - old)) <= 5e-14
+    gram_matrix(qs, verify=True)
 
 
 def test_gram_verified_against_doubling():
