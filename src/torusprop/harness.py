@@ -352,21 +352,13 @@ _PROJ_HEADER = ["k", "p", "q", "re_exact", "im_exact", "re_pred", "im_pred",
 
 
 def _run_projector(cfg: ExperimentConfig) -> int:
+    """One ``projector_compare`` pass over every point and k; its rows come
+    grouped by point with k ascending, which is the table's order."""
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
-    energy = _level_energy(cfg)
-
-    def rows_for(k: int) -> list:
-        return projector_compare(cfg.sym, pair, energy, list(cfg.points), [k])
-
-    with ThreadPoolExecutor(max_workers=min(4, len(cfg.ks))) as pool:
-        per_k = dict(zip(cfg.ks, pool.map(rows_for, cfg.ks)))
-    rows = []
-    for i in range(len(cfg.points)):
-        for k in sorted(cfg.ks):
-            s = per_k[k][i]
-            rows.append([int(k), s.x[0], s.x[1], s.exact.real, s.exact.imag,
-                         s.predicted.real, s.predicted.imag, abs(s.exact),
-                         abs(s.predicted), s.rel_err_modulus, s.phase_err])
+    samples = projector_compare(cfg.sym, pair, _level_energy(cfg), list(cfg.points), cfg.ks)
+    rows = [[s.k, s.x[0], s.x[1], s.exact.real, s.exact.imag, s.predicted.real,
+             s.predicted.imag, abs(s.exact), abs(s.predicted), s.rel_err_modulus,
+             s.phase_err] for s in samples]
     _write_table(cfg.out, _PROJ_HEADER, rows, cfg.fmt)
     return 0
 

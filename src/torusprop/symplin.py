@@ -167,13 +167,9 @@ def _metric_square(m: np.ndarray) -> np.ndarray:
     return 0.5 * (sym + _transpose(sym))
 
 
-def polar_decompose(
-    g: LinearSymplectomorphism,
-) -> tuple[LinearSymplectomorphism, LinearSymplectomorphism]:
-    """Split g = g1 g2 with g1 unitary (commutes with j) and g2 positive
-    symmetric for the euclidean metric omega(., j .); for a stack, g1 and g2
-    are the stacks of the factors.  Each reconstruction g1 g2 must match its
-    matrix to 1e-9 of max(1, ||M||_inf)."""
+def _polar(g: LinearSymplectomorphism):
+    """The eigenvalues (ascending) of each metric square M^T M, and the
+    validated polar factors g1, g2 built from the same ``eigh``."""
 
     m = g.matrix
     lam, vec = np.linalg.eigh(_metric_square(m))
@@ -187,7 +183,19 @@ def polar_decompose(
     if not np.all(ok):
         raise StructureError("polar factors fail to reconstruct the map (residual "
                              f"{float(np.max(resid)):.2e}){_where(ok)}")
-    return LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
+    return lam, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
+
+
+def polar_decompose(
+    g: LinearSymplectomorphism,
+) -> tuple[LinearSymplectomorphism, LinearSymplectomorphism]:
+    """Split g = g1 g2 with g1 unitary (commutes with j) and g2 positive
+    symmetric for the euclidean metric omega(., j .); for a stack, g1 and g2
+    are the stacks of the factors.  Each reconstruction g1 g2 must match its
+    matrix to 1e-9 of max(1, ||M||_inf)."""
+
+    _, g1, g2 = _polar(g)
+    return g1, g2
 
 
 def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
@@ -196,18 +204,16 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
         prod over singular-value pairs (sigma + 1/sigma)/2   x   det_C(g1).
 
     The positive factor uses the n singular values <= 1 (they come in
-    sigma, 1/sigma pairs); the unitary factor contributes the phase.
+    sigma, 1/sigma pairs), taken from the eigendecomposition that also
+    builds the factors; the unitary factor contributes the phase.
     Agrees with ``holomorphic_determinant`` but shares no code path with the
     block formula applied to g itself.  A stack gives an array of the
     stack's shape.
     """
 
-    lam = np.linalg.eigvalsh(_metric_square(g.matrix))
-    if np.min(lam) <= 0.0:
-        raise StructureError("polar determinant met a non-positive metric square")
+    lam, g1, _ = _polar(g)
     sigma = np.sqrt(lam[..., :g.dim_n])  # ascending, so these are the pairs' small halves
     positive_factor = np.prod(0.5 * (sigma + 1.0 / sigma), axis=-1)
-    g1, _ = polar_decompose(g)
     det = positive_factor * np.linalg.det(holomorphic_block(g1))
     return det if det.ndim else complex(det)
 

@@ -53,11 +53,11 @@ from typing import Callable
 import numpy as np
 
 from .symplin import (
-    _ATOL,
-    StructureError,
-    _block_1_0,
-    _check_modulus,
+    LinearSymplectomorphism,
     branch_sqrt_path,
+    holomorphic_determinant,
+    standard_complex_structure,
+    standard_symplectic_gram,
 )
 
 __all__ = [
@@ -106,7 +106,7 @@ class StepSizeError(RuntimeError):
 
 # Gram matrix of omega = 4 pi dp^dq: omega(u, v) = u^T _OMEGA v.  (The metric
 # is then omega(., j.) = 4 pi |dz|^2.)
-_OMEGA = FOUR_PI * np.array([[0.0, 1.0], [-1.0, 0.0]])
+_OMEGA = FOUR_PI * standard_symplectic_gram(1)
 _OMEGA.flags.writeable = False
 
 
@@ -303,7 +303,7 @@ class Trajectory:
 
     def symplectic_defect(self) -> float:
         jac = self.jacobians
-        j_gram = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        j_gram = standard_symplectic_gram(1)
         defect = np.einsum("tji,jk,tkl->til", jac, j_gram, jac) - j_gram
         return float(np.max(np.abs(defect)))
 
@@ -519,22 +519,13 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     K-transport it would be divided by is 1 on the flat torus.  Starts at 1;
     the square root is tracked through branch unwinding.
 
-    On the torus (n = 1, standard j at both ends) the determinant of
-    M = [[a, b], [c, d]] is ((a + d) + i (c - b)) / 2, evaluated for the
-    whole trajectory at once.  The checks of ``LinearSymplectomorphism`` and
-    ``holomorphic_determinant`` hold for every Jacobian: since
-    M^T J M = det(M) J for 2 x 2 matrices, np.allclose(M^T J M, J, atol=1e-10
-    max(1, ||M||_inf^2)) is |det M - 1| <= that atol + 1e-5 (allclose's
-    default rtol), and every determinant must have modulus >= 0.5.
+    The whole trajectory's Jacobians go to ``symplin`` as one stack, so each
+    one passes the same checks as a single matrix would (symplectic to 1e-10
+    of its own squared inf-norm, determinant modulus >= 0.5), under the one
+    implementation of those rules, and a failure names the first bad index.
     """
 
-    jac = traj.jacobians
-    scale = np.maximum(1.0, np.linalg.norm(jac, np.inf, axis=(1, 2)) ** 2)
-    det_real = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    if not np.all(np.abs(det_real - 1.0) <= _ATOL * scale + 1e-5):
-        raise StructureError("matrix is not symplectic (M^T J M != J)")
-    dets = _block_1_0(jac)[:, 0, 0]
-    _check_modulus(dets)
+    dets = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
     return branch_sqrt_path(1.0 / dets)
 
 
@@ -656,7 +647,7 @@ def b_coefficient(sym: SymbolField, x, tangent) -> complex:
     if norm == 0.0:
         raise RegularityError("tangent direction must be nonzero")
     tau = tau / norm
-    cs = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cs = standard_complex_structure(1)
     xv = hamiltonian_vector_field(sym, x)
     basis = np.column_stack([cs @ tau, tau])
     coeff = np.linalg.solve(basis, xv)
@@ -678,7 +669,7 @@ def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
 
     x = np.asarray(x, dtype=float)
     xv = hamiltonian_vector_field(sym, x)
-    cs2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+    cs2 = standard_complex_structure(1)
     zero = np.zeros((2, 2))
     omega4 = np.block([[_OMEGA, zero], [zero, -_OMEGA]])
     cs4 = np.block([[cs2, zero], [zero, -cs2]])

@@ -15,6 +15,7 @@ from torusprop.harness import (
     parse_config,
     symbol_from_selector,
 )
+from torusprop.specproj import build_fourier_pair, projector_compare
 from torusprop.torusgeo import branch_grid
 
 
@@ -289,6 +290,32 @@ def test_projector_table_ordering(capsys):
         (25, 0.3), (50, 0.3), (25, 0.6), (50, 0.6)]
     rels = [float(r[9]) for r in table]
     assert all(np.isfinite(rels)) and max(rels) < 0.1
+
+
+def test_projector_runs_one_pass_without_the_pool(capsys, monkeypatch):
+    # the table must equal the one assembled from per-k passes, regrouped by
+    # point with k ascending
+    argv = ["projector", "--k", "20,10", "--point", "0.3,0.1;0.6,0.1"]
+    cfg = _cfg(argv)
+    pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
+    energy = harness._level_energy(cfg)
+    per_k = {k: projector_compare(cfg.sym, pair, energy, list(cfg.points), [k]) for k in cfg.ks}
+    expect = [",".join(harness._PROJ_HEADER)]
+    for i in range(len(cfg.points)):
+        for k in sorted(cfg.ks):
+            s = per_k[k][i]
+            expect.append(",".join(["%d" % k] + ["%.17g" % v for v in (
+                s.x[0], s.x[1], s.exact.real, s.exact.imag, s.predicted.real,
+                s.predicted.imag, abs(s.exact), abs(s.predicted), s.rel_err_modulus,
+                s.phase_err)]))
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the projector must not start a thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", NoPool)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == expect
 
 
 def test_projector_json_format(capsys):

@@ -134,6 +134,22 @@ def test_polar_determinant_positive_factor_value():
     assert det == pytest.approx(1.25 + 0.0j, abs=1e-12)
 
 
+def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
+    g = sp(random_symplectic(2, np.random.default_rng(11), size=5))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    det = polar_determinant(g)
+    assert det.shape == (5,)
+    assert calls == ["eigh"]
+
+
 # ---------------------------------------------------------------------------
 # stacks (..., 2n, 2n)
 # ---------------------------------------------------------------------------

@@ -416,6 +416,14 @@ def test_rho_graph_rejects_non_symplectic_jacobians():
         rho_graph_half(scaled)
 
 
+def test_rho_graph_names_the_first_bad_jacobian():
+    traj = integrate_flow(generic_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 11))
+    jac = traj.jacobians.copy()
+    jac[7] *= 1.01
+    with pytest.raises(StructureError, match=r"not symplectic .* stack index \(7,\)"):
+        rho_graph_half(dataclasses.replace(traj, jacobians=jac))
+
+
 @pytest.mark.parametrize("maker", [model_cos_symbol, generic_symbol])
 def test_rho_frame_route_agrees(maker):
     traj = integrate_flow(maker(), (0.3, 0.1), np.linspace(0.0, 1.0, 101))
