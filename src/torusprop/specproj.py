@@ -297,8 +297,9 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
 
     ``window`` restricts which return times contribute (default: the full
     support of fhat); shrinking it past a return drops exactly that term,
-    which is how term-removal experiments are run.  Raises RegularityError
-    when x or y is off the energy level.
+    which is how term-removal experiments are run; a window outside that
+    support has no returns and predicts off-image.  Raises ValueError when
+    t_min > t_max, and RegularityError when x or y is off the energy level.
     """
 
     t_lo, t_hi = window if window is not None else (-pair.support_T, pair.support_T)
@@ -310,7 +311,7 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
     y_pq = tuple(np.asarray(y, dtype=float).reshape(2))
     for pt in (x_pq, y_pq):
         check_level(sym, pt, float(energy))
-    returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi))
+    returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi)) if t_lo <= t_hi else []
     if not returns:
         return ProjectorPrediction(value=0j, k=int(k), energy=float(energy),
                                    terms=(), off_image=True)

@@ -9,8 +9,8 @@ here.  Every function below takes one 2n x 2n matrix or a stack of them
 (..., 2n, 2n), the way ``numpy.linalg`` does, and checks each matrix of a
 stack against its own scale.  This module provides:
 
-* ``LinearSymplectomorphism`` — validated container (each matrix symplectic
-  to 1e-10 of its own squared inf-norm);
+* ``LinearSymplectomorphism`` — validated container (M^T J M = J to 1e-10
+  of each matrix's own squared inf-norm plus 1e-9 relative);
 * ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
   block ((A + D) + i (C - B)) / 2 of g = [[A, B], [C, D]] and its
   determinant;
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-10
+_RTOL = 1e-9
 
 
 class StructureError(ValueError):
@@ -98,7 +99,7 @@ def _where(ok: np.ndarray) -> str:
 @dataclass(frozen=True)
 class LinearSymplectomorphism:
     """A validated 2n x 2n symplectic matrix, or a stack (..., 2n, 2n) of
-    them: M^T J M = J to 1e-10 of each matrix's own squared inf-norm."""
+    them: |M^T J M - J| <= 1e-10 max(1, ||M||_inf^2) + 1e-9 |J| entrywise."""
 
     matrix: np.ndarray
 
@@ -109,8 +110,8 @@ class LinearSymplectomorphism:
         object.__setattr__(self, "matrix", m)
         gram = standard_symplectic_gram(m.shape[-1] // 2)
         atol = _ATOL * np.maximum(1.0, _inf_norms(m) ** 2)
-        ok = np.all(np.isclose(_transpose(m) @ gram @ m, gram, atol=atol[..., None, None]),
-                    axis=(-2, -1))
+        ok = np.all(np.isclose(_transpose(m) @ gram @ m, gram, rtol=_RTOL,
+                               atol=atol[..., None, None]), axis=(-2, -1))
         if not np.all(ok):
             raise StructureError("matrix is not symplectic (M^T J M != J)" + _where(ok))
 

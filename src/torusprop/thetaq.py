@@ -7,7 +7,7 @@ f(z+i) = e^{2 pi k (1 - 2 i z)} f(z).  Its standard basis is
     Psi_ell(z) = (k^{1/4} / sqrt(2 pi)) * sum_{n in Z}
                  exp(-pi (ell + 2 k n)^2 / (2k)) exp(2 pi i (ell + 2 k n) z)
                = (k^{1/4} / sqrt(2 pi)) e^{2 pi i ell z} e^{-pi ell^2/(2k)}
-                 theta3(pi (2 k z + i ell), e^{-2 pi k}),
+                 theta_3(pi (2 k z + i ell), e^{-2 pi k}),
 
 orthonormal for the pointwise weight e^{-4 pi k q^2} against the Liouville
 measure 4 pi dp dq.
@@ -31,9 +31,11 @@ Sections are evaluated with the square root of that weight folded in:
 a periodized Gaussian whose terms are all at most 1, so ``sections`` returns
 plain complex values for every row and point at once.  |s_ell|^2 is the
 pointwise density of Psi_ell against the weight, and the kernels carry only
-the unit-gauge phase.  ``theta3``, ``basis_eval`` and ``basis_matrix``, which
-carry (mantissa, exponent) pairs for the unweighted Psi_ell, are kept as the
-reference the tests compare ``sections`` against.
+the unit-gauge phase.  The unweighted Psi_ell grows like e^{2 pi k q^2},
+beyond float range at large k and |q|; ``basis_matrix`` evaluates it from
+the lattice sum above in log form, (unit mantissa, log modulus), as the
+independent reference the tests compare ``sections`` against.  No kernel
+path calls it.
 
 Toeplitz operators are assembled in closed form from a symbol's Fourier modes
 (``toeplitz_build``), one weighted cyclic shift per mode, and are held as
@@ -46,10 +48,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .expval import ExpComplex, expc
 from .torusgeo import SymbolField
 
 __all__ = [
@@ -60,8 +62,7 @@ __all__ = [
     "QuantumSpace",
     "quantum_space",
     "HermitianOperator",
-    "theta3",
-    "basis_eval",
+    "LogForm",
     "basis_matrix",
     "sections",
     "gram_matrix",
@@ -133,11 +134,6 @@ class QuantumSpace:
         return -FOUR_PI * self.k * np.asarray(q, dtype=float) ** 2
 
 
-def _default_theta_terms(nome_log: float) -> int:
-    # window wide enough that the edge term sits ~e^{-34} below the peak
-    return max(3, int(np.ceil(np.sqrt(34.0 / abs(nome_log)))) + 1)
-
-
 def quantum_space(k: int) -> QuantumSpace:
     """The level-k QuantumSpace, self-testing orthonormality at small k.
 
@@ -158,8 +154,9 @@ def quantum_space(k: int) -> QuantumSpace:
 
 @lru_cache(maxsize=None)
 def _built_space(k: int) -> QuantumSpace:
-    qs = QuantumSpace(k=k, theta_terms=_default_theta_terms(-TWO_PI * k),
-                      quad_order=_gram_nodes(k))
+    # a theta window wide enough that its edge terms sit ~e^{-34} below the peak
+    terms = max(3, int(np.ceil(np.sqrt(34.0 / (TWO_PI * k)))) + 1)
+    qs = QuantumSpace(k=k, theta_terms=terms, quad_order=_gram_nodes(k))
     if k <= 50:
         _construction_self_test(qs)
     return qs
@@ -196,82 +193,51 @@ def _construction_self_test(qs: QuantumSpace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# theta function
-# ---------------------------------------------------------------------------
-
-
-def theta3(w, nome_log: float, terms: int | None = None) -> ExpComplex:
-    """theta_3(w, nome) = sum_n nome^{n^2} e^{2 i n w} with nome = e^{nome_log}.
-
-    Summed over the window |n - n*| <= terms around the index n* of maximal
-    term magnitude, in (mantissa, exponent) form; raises TruncationError when
-    the window's edge terms are not negligible against the peak.
-    """
-
-    if not nome_log < 0.0:
-        raise ValueError("nome_log must be negative (|nome| < 1)")
-    w = np.asarray(w, dtype=complex)
-    radius = _default_theta_terms(nome_log) if terms is None else int(terms)
-    if radius < 1:
-        raise ValueError("need at least one theta term on each side")
-    n_star = np.imag(w) / nome_log
-    base = np.round(n_star).astype(int)
-    offsets = np.arange(-radius, radius + 1)
-    n_idx = base[..., None] + offsets
-    # term_n = exp(n^2 nome_log + 2 i n w): split into log-magnitude and phase
-    log_mag = (n_idx.astype(float) ** 2) * nome_log - 2.0 * n_idx * np.imag(w)[..., None]
-    phase = 2.0 * n_idx * np.real(w)[..., None]
-    peak = np.max(log_mag, axis=-1, keepdims=True)
-    terms_scaled = np.exp(log_mag - peak) * np.exp(1j * phase)
-    total = np.sum(terms_scaled, axis=-1)
-    edge = np.maximum(np.exp(log_mag[..., 0] - peak[..., 0]),
-                      np.exp(log_mag[..., -1] - peak[..., 0]))
-    if np.any(edge > 1e-16):
-        raise TruncationError(
-            f"theta window edge terms reach {float(np.max(edge)):.2e} of the peak; "
-            "increase the term count for this nome")
-    return expc(total).scaled(np.squeeze(peak, axis=-1))
-
-
-# ---------------------------------------------------------------------------
 # basis sections
 # ---------------------------------------------------------------------------
 
 
-def basis_eval(qs: QuantumSpace, ell: int, z) -> ExpComplex:
-    """The basis section Psi_ell at (possibly lifted) points z = p + i q.
+class LogForm(NamedTuple):
+    """Values mantissa * exp(log_scale), |mantissa| = 1 (0 at an exact zero)."""
 
-    Entire in z; all prefactors are combined at the log level.  Raises
-    IndexError for ell outside [0, 2k) and EvaluationError on non-finite
-    output (which the scaling should make impossible for k <= 400).
+    mantissa: np.ndarray
+    log_scale: np.ndarray
+
+
+def basis_matrix(qs: QuantumSpace, z) -> LogForm:
+    """All 2k unweighted sections Psi_ell at (possibly lifted) points
+    z = p + i q in log form, shape (2k,) + shape(z).
+
+    Term n of the lattice sum has log modulus -pi m^2 / (2k) - 2 pi m q and
+    phase 2 pi m p, with m = ell + 2 k n.  Each row is summed, one row at a
+    time, over ``qs.theta_terms`` terms on either side of its largest term,
+    relative to that term.  Raises TruncationError when the window's edge
+    terms exceed 1e-16 of the peak, and EvaluationError on non-finite output.
     """
 
-    if not (isinstance(ell, (int, np.integer)) and 0 <= ell < qs.dim):
-        raise IndexError(f"basis index {ell!r} outside [0, {qs.dim})")
     z = np.asarray(z, dtype=complex)
-    k = qs.k
-    th = theta3(np.pi * (2.0 * k * z + 1j * ell), -TWO_PI * k, qs.theta_terms)
-    log_pref = (0.25 * np.log(k) - 0.5 * np.log(TWO_PI)
-                - np.pi * ell ** 2 / (2.0 * k) - TWO_PI * ell * np.imag(z))
-    out = th.scaled(log_pref, np.exp(2j * np.pi * ell * np.real(z)))
-    mant = np.asarray(out.mantissa)
-    logs = np.asarray(out.log_scale)
-    if not (np.all(np.isfinite(mant)) and np.all(np.isfinite(logs) | (logs == -np.inf))):
-        raise EvaluationError("basis evaluation produced non-finite values")
-    return out
-
-
-def basis_matrix(qs: QuantumSpace, z) -> ExpComplex:
-    """All 2k basis sections at the given points: shape (2k,) + shape(z)."""
-
-    z = np.asarray(z, dtype=complex)
-    mant = np.empty((qs.dim,) + z.shape, dtype=complex)
-    logs = np.empty((qs.dim,) + z.shape, dtype=float)
+    p, q, k = z.real.reshape(-1, 1), z.imag.reshape(-1, 1), qs.k
+    mant, logs = np.empty((qs.dim, p.size), dtype=complex), np.empty((qs.dim, p.size))
+    offsets = np.arange(-qs.theta_terms, qs.theta_terms + 1)
     for ell in range(qs.dim):
-        row = basis_eval(qs, ell, z)
-        mant[ell] = row.mantissa
-        logs[ell] = row.log_scale
-    return ExpComplex(mant, logs)
+        # the log modulus peaks at m = -2kq
+        m = ell + 2.0 * k * (np.round(-q - ell / (2.0 * k)) + offsets)
+        log_mag = -np.pi * m ** 2 / (2.0 * k) - TWO_PI * m * q
+        peak = np.max(log_mag, axis=1)
+        rel = np.exp(log_mag - peak[:, None])
+        edge = float(np.max(np.maximum(rel[:, 0], rel[:, -1]), initial=0.0))
+        if edge > 1e-16:
+            raise TruncationError(f"theta window edge terms reach {edge:.2e} of the "
+                                  f"peak at k={k}; increase theta_terms")
+        acc = np.sum(rel * np.exp(TWO_PI * 1j * m * p), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs[ell] = peak + np.log(np.abs(acc))
+            mant[ell] = np.where(acc != 0, acc / np.abs(acc), 0.0)
+    logs += 0.25 * np.log(k) - 0.5 * np.log(TWO_PI)
+    if not (np.all(np.isfinite(mant)) and np.all(logs < np.inf)):
+        raise EvaluationError("basis evaluation produced non-finite values")
+    shape = (qs.dim,) + z.shape
+    return LogForm(mant.reshape(shape), logs.reshape(shape))
 
 
 def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:

@@ -520,9 +520,10 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     the square root is tracked through branch unwinding.
 
     The whole trajectory's Jacobians go to ``symplin`` as one stack, so each
-    one passes the same checks as a single matrix would (symplectic to 1e-10
-    of its own squared inf-norm, determinant modulus >= 0.5), under the one
-    implementation of those rules, and a failure names the first bad index.
+    one passes the same checks as a single matrix would (M^T J M = J to
+    1e-10 of its own squared inf-norm plus 1e-9 relative, determinant
+    modulus >= 0.5), under the one implementation of those rules, and a
+    failure names the first bad index.
     """
 
     dets = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))

@@ -4,7 +4,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from torusprop import harness
+import numpy as np
+
+from torusprop import harness, thetaq
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -29,3 +31,15 @@ def test_tracer_installs_and_records_level_amplitude(tmp_path):
     assert rc == 0
     assert "torusgeo.rho_level_half" in {s.name for s in tracer.spans}
     assert not hasattr(harness.rho_level_half, "__wrapped__")
+
+
+def test_tracer_counts_basis_matrix_sections():
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        thetaq.basis_matrix(thetaq.quantum_space(5), np.array([0.1 + 0.2j, 0.5, 0.7 - 0.3j]))
+    finally:
+        tracer.restore()
+    spans = [s for s in tracer.spans if s.name == "thetaq.basis_matrix"]
+    assert [s.attrs["sections"] for s in spans] == [30]

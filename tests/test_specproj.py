@@ -313,6 +313,18 @@ def test_window_restriction_and_cross_pair_additivity():
         projector_kernel_asymptotic(sym, pair7, E0, x, x, k, window=(2.0, -2.0))
 
 
+def test_window_outside_support_is_off_image():
+    # bump:7 clips (8, 9) to the empty (8, 7): no return, not an ordering error
+    sym = model_cos_symbol()
+    pair7 = build_fourier_pair("bump", 7.0)
+    x = (0.3, Q0)
+    for window in ((8.0, 9.0), (-9.0, -8.0)):
+        pred = projector_kernel_asymptotic(sym, pair7, E0, x, x, 60, window=window)
+        assert pred.off_image and pred.value == 0j and pred.terms == ()
+    with pytest.raises(RegularityError, match="off the energy level"):
+        projector_kernel_asymptotic(sym, pair7, E0, (0.3, 0.2), x, 60, window=(8.0, 9.0))
+
+
 def test_off_level_points_rejected():
     # the t = 0 term alone would report sqrt(2)/||X|| for any point
     sym = model_cos_symbol()

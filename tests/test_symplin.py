@@ -211,6 +211,16 @@ def test_symplectic_tolerance_is_per_matrix():
         sp(np.stack([big, small]))
 
 
+def test_symplectic_tolerance_is_not_numpy_default_rtol():
+    # M^T J M - J is 1e-6 on the +-1 entries: within numpy's default
+    # rtol = 1e-5, far outside the documented 1e-10 + 1e-9 relative
+    with pytest.raises(StructureError, match="not symplectic"):
+        sp(np.diag([1.0 + 1e-6, 1.0]))
+    with pytest.raises(StructureError, match="not symplectic"):
+        sp(np.diag([1.0 + 2e-9, 1.0]))
+    sp(np.diag([1.0 + 5e-10, 1.0]))
+
+
 def test_stack_with_one_corrupted_block_raises():
     stack = random_symplectic(1, np.random.default_rng(8), size=40)
     g = sp(stack)

@@ -1,8 +1,11 @@
-"""Quantum-space tests: theta sums, basis gauge, Gram, Toeplitz matrices.
+"""Quantum-space tests: basis sections, gauge, Gram, Toeplitz matrices.
 
-The theta oracle is mpmath.jtheta at high precision; the basis gauge is
-pinned by a Cauchy-Riemann finite-difference check that the two rejected
-prefactor variants fail; the Toeplitz oracle is the closed form
+The basis oracles are mpmath at high precision, two ways: the lattice sum
+over n and mpmath.jtheta through the theta form of the module docstring;
+the theta identities (period, quasi-period, value at 0, nome -> 0) are
+checked on the basis through the same form.  The basis gauge is pinned by
+a Cauchy-Riemann finite-difference check that the two rejected prefactor
+variants fail; the Toeplitz oracle is the closed form
 T(cos 2 pi q) = e^{-pi/(4k)} diag(cos(pi l / k)), exact because the
 p-integral kills every off-diagonal entry and the q-integral is a complete
 Gaussian.
@@ -12,7 +15,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from torusprop.expval import expc
 from torusprop.thetaq import (
     ConstructionError,
     EvaluationError,
@@ -20,13 +22,11 @@ from torusprop.thetaq import (
     ResolutionError,
     TruncationError,
     _construction_self_test,
-    basis_eval,
     basis_matrix,
     bergman_diag,
     gram_matrix,
     quantum_space,
     sections,
-    theta3,
     toeplitz_build,
 )
 from torusprop import thetaq
@@ -36,102 +36,121 @@ from torusprop.torusgeo import make_symbol, model_cos_symbol
 TWO_PI = 2.0 * np.pi
 
 
-def mp_theta3(w: complex, nome_log: float) -> tuple[float, complex]:
-    """Reference value as (log modulus, unit phase) via mpmath."""
+def basis_value(qs, ell: int, z):
+    """Psi_ell(z) from ``basis_matrix`` as (log modulus, unit phase)."""
+    val = basis_matrix(qs, z)
+    return val.log_scale[ell], val.mantissa[ell]
+
+
+def assert_log_close(value, log_ref, phase_ref, tol=1e-10):
+    log_val, phase = value
+    assert abs(float(log_val) - log_ref) <= tol * (1.0 + abs(log_ref))
+    assert abs(complex(phase) - phase_ref) <= tol
+
+
+# ---------------------------------------------------------------------------
+# basis sections: the theta form
+# ---------------------------------------------------------------------------
+
+
+def mp_theta_form(k: int, ell: int, z: complex) -> tuple[float, complex]:
+    """Psi_ell(z) = (k^{1/4} / sqrt(2 pi)) e^{2 pi i ell z} e^{-pi ell^2/(2k)}
+    theta_3(pi (2 k z + i ell), e^{-2 pi k}) via mpmath.jtheta, as
+    (log modulus, unit phase)."""
     with mpmath.workdps(60):
-        val = mpmath.jtheta(3, mpmath.mpc(w.real, w.imag),
-                            mpmath.e ** mpmath.mpf(nome_log))
+        zc = mpmath.mpc(z.real, z.imag)
+        val = (mpmath.mpf(k) ** mpmath.mpf(0.25) / mpmath.sqrt(2 * mpmath.pi)
+               * mpmath.e ** (2j * mpmath.pi * ell * zc - mpmath.pi * ell * ell / (2 * k))
+               * mpmath.jtheta(3, mpmath.pi * (2 * k * zc + 1j * ell),
+                               mpmath.e ** (-2 * mpmath.pi * k)))
         mag = mpmath.fabs(val)
         return float(mpmath.log(mag)), complex(val / mag)
 
 
-def assert_expc_close(value, log_ref, phase_ref, tol=1e-10):
-    assert abs(float(value.abs_log()) - log_ref) <= tol * (1.0 + abs(log_ref))
-    assert abs(complex(value.mantissa) - phase_ref) <= tol
-
-
-# ---------------------------------------------------------------------------
-# theta3
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("nome_log", [-0.5, -2.0 * np.pi, -20.0])
-def test_theta3_matches_mpmath(nome_log):
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_theta3_matches_mpmath(k):
+    qs = quantum_space(k)
     rng = np.random.default_rng(7)
-    for _ in range(12):
-        w = complex(rng.uniform(-4, 4), rng.uniform(-3, 3))
-        log_ref, phase_ref = mp_theta3(w, nome_log)
-        assert_expc_close(theta3(w, nome_log), log_ref, phase_ref)
+    z = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+    vals = basis_matrix(qs, z)
+    for ell in sorted({0, 1, k, 2 * k - 1}):
+        for j, zj in enumerate(z):
+            log_ref, phase_ref = mp_theta_form(k, ell, zj)
+            assert_log_close((vals.log_scale[ell, j], vals.mantissa[ell, j]),
+                             log_ref, phase_ref)
 
 
 def test_theta3_large_imaginary_part_stays_scaled():
-    # the dominant term alone is e^{~1600}; only the (mantissa, log) split
+    # theta_3 at w = 3 + 100 i and nome e^{-2 pi} (k = 1, ell = 0): the
+    # dominant term alone is e^{~1600}; only the (mantissa, log) split
     # survives, and it must agree with the arbitrary-precision value
-    w = complex(3.0, 100.0)
-    nome_log = -TWO_PI
-    val = theta3(w, nome_log)
-    log_ref, phase_ref = mp_theta3(w, nome_log)
+    z = complex(3.0, 100.0) / TWO_PI
+    log_ref, phase_ref = mp_theta_form(1, 0, z)
     assert log_ref > 1000.0
-    assert_expc_close(val, log_ref, phase_ref)
+    assert_log_close(basis_value(quantum_space(1), 0, z), log_ref, phase_ref)
 
 
 def test_theta3_at_zero_frozen_value():
-    # 1 + 2 e^{-2 pi} + 2 e^{-8 pi} + ...
-    val = theta3(0.0, -TWO_PI)
-    assert complex(val.to_complex()) == pytest.approx(1.0037348854877391, rel=1e-12)
+    # Psi_0(0) at k = 1 is theta_3(0, e^{-2 pi}) / sqrt(2 pi), with
+    # theta_3(0, e^{-2 pi}) = 1 + 2 e^{-2 pi} + 2 e^{-8 pi} + ...
+    log_val, phase = basis_value(quantum_space(1), 0, 0.0)
+    val = complex(phase * np.exp(log_val)) * np.sqrt(TWO_PI)
+    assert val == pytest.approx(1.0037348854877391, rel=1e-12)
 
 
 def test_theta3_nome_to_zero_limit_is_one():
-    val = theta3(0.37 + 0.1j, -700.0)
-    assert complex(val.to_complex()) == pytest.approx(1.0, abs=1e-200)
+    # at k = 400 the nome e^{-800 pi} underflows: Psi_0 at q = 0.1 is
+    # k^{1/4} / sqrt(2 pi) theta_3(800 pi z, e^{-800 pi}), and theta_3 is 1
+    log_val, phase = basis_value(quantum_space(400), 0, 0.37 + 0.1j)
+    val = complex(phase * np.exp(log_val)) * np.sqrt(TWO_PI) / 400 ** 0.25
+    assert val == pytest.approx(1.0, abs=1e-14)
 
 
 def test_theta3_period_pi():
+    # theta_3(w + pi) = theta_3(w) is Psi_ell(z + 1/(2k)) = e^{i pi ell / k} Psi_ell(z)
+    qs = quantum_space(5)
     rng = np.random.default_rng(3)
-    w = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
-    a = theta3(w, -TWO_PI)
-    b = theta3(w + np.pi, -TWO_PI)
-    assert np.max(np.abs(a.mantissa - b.mantissa)) <= 1e-12
+    z = rng.uniform(-2, 2, 5) + 1j * rng.uniform(-2, 2, 5)
+    a = basis_matrix(qs, z)
+    b = basis_matrix(qs, z + 1.0 / (2 * qs.k))
+    twist = np.exp(1j * np.pi * np.arange(qs.dim) / qs.k)[:, None]
+    assert np.max(np.abs(b.mantissa - twist * a.mantissa)) <= 1e-12
     assert np.max(np.abs(a.log_scale - b.log_scale)) <= 1e-12
 
 
 def test_theta3_quasi_period():
-    # theta3(w + i|L|) = e^{-L} e^{-2iw} theta3(w) for nome e^{L}
-    nome_log = -TWO_PI
+    # the theta quasi-period is the lattice multiplier
+    # Psi_ell(z + i) = e^{2 pi k (1 - 2 i z)} Psi_ell(z)
+    qs = quantum_space(5)
+    k = qs.k
     rng = np.random.default_rng(11)
-    for _ in range(6):
-        w = complex(rng.uniform(-3, 3), rng.uniform(-2, 2))
-        lhs = theta3(w + 1j * abs(nome_log), nome_log)
-        rhs = theta3(w, nome_log).scaled(-nome_log + 2.0 * w.imag,
-                                         np.exp(-2j * w.real))
-        assert abs(float(lhs.abs_log()) - float(rhs.abs_log())) <= 1e-10 * (
-            1.0 + abs(float(rhs.abs_log())))
-        assert abs(complex(lhs.mantissa) - complex(rhs.mantissa)) <= 1e-10
+    z = rng.uniform(-3, 3, 6) + 1j * rng.uniform(-2, 2, 6)
+    lhs = basis_matrix(qs, z + 1j)
+    rhs = basis_matrix(qs, z)
+    want_log = rhs.log_scale + TWO_PI * k * (1.0 + 2.0 * z.imag)
+    assert np.max(np.abs(lhs.log_scale - want_log) / (1.0 + np.abs(want_log))) <= 1e-10
+    assert np.max(np.abs(lhs.mantissa - np.exp(-4j * np.pi * k * z.real) * rhs.mantissa)) <= 1e-10
 
 
 def test_theta3_vectorized_matches_scalar():
+    qs = quantum_space(3)
     w = np.array([[0.1 + 0.2j, -1.0 + 3.0j], [2.5 - 0.7j, 0.0 + 0.0j]])
-    vec = theta3(w, -TWO_PI)
+    vec = basis_matrix(qs, w)
+    assert vec.mantissa.shape == vec.log_scale.shape == (qs.dim, 2, 2)
     for idx in np.ndindex(w.shape):
-        one = theta3(w[idx], -TWO_PI)
-        assert abs(vec.mantissa[idx] - complex(one.mantissa)) <= 1e-14
-        assert abs(vec.log_scale[idx] - float(one.log_scale)) <= 1e-12
+        one = basis_matrix(qs, w[idx])
+        assert one.mantissa.shape == (qs.dim,)
+        assert np.max(np.abs(vec.mantissa[(slice(None),) + idx] - one.mantissa)) <= 1e-14
+        assert np.max(np.abs(vec.log_scale[(slice(None),) + idx] - one.log_scale)) <= 1e-12
 
 
 def test_theta3_window_too_small_raises():
     with pytest.raises(TruncationError):
-        theta3(0.3, -TWO_PI, terms=1)
-
-
-def test_theta3_nonnegative_nome_log_rejected():
-    with pytest.raises(ValueError):
-        theta3(0.0, 0.0)
-    with pytest.raises(ValueError):
-        theta3(0.0, 0.2)
+        basis_matrix(QuantumSpace(k=1, theta_terms=1, quad_order=32), 0.3 + 0.2j)
 
 
 # ---------------------------------------------------------------------------
-# basis sections
+# basis sections: the lattice sum
 # ---------------------------------------------------------------------------
 
 
@@ -154,24 +173,17 @@ def test_basis_matches_lattice_sum_oracle(ell):
     qs = quantum_space(10)
     for z in (0.13 + 0.27j, 0.9 - 0.4j, -1.3 + 1.61j):
         log_ref, phase_ref = mp_basis(qs.k, ell, z)
-        assert_expc_close(basis_eval(qs, ell, z), log_ref, phase_ref, tol=1e-11)
-
-
-def test_basis_index_contract():
-    qs = quantum_space(5)
-    with pytest.raises(IndexError):
-        basis_eval(qs, -1, 0.1 + 0.1j)
-    with pytest.raises(IndexError):
-        basis_eval(qs, qs.dim, 0.1 + 0.1j)
+        assert_log_close(basis_value(qs, ell, z), log_ref, phase_ref, tol=1e-11)
 
 
 def test_basis_finite_at_top_level():
     qs = quantum_space(400)
     pts = np.array([0.0 + 0.0j, 0.5 + 0.5j, 0.25 + 0.999j, 0.7 - 1.3j, 0.1 + 2.0j])
-    for ell in (0, 1, 400, 799):
-        vals = basis_eval(qs, ell, pts)  # raises EvaluationError on overflow
-        assert np.all(np.isfinite(vals.mantissa))
-        assert np.all(np.isfinite(vals.log_scale))
+    vals = basis_matrix(qs, pts)  # raises EvaluationError on overflow
+    assert np.all(np.isfinite(vals.mantissa))
+    assert np.all(np.isfinite(vals.log_scale))
+    with pytest.raises(EvaluationError):
+        basis_matrix(quantum_space(5), complex(np.nan, 0.1))
 
 
 def _fd_dbar(eval_fn, z: complex, h: float = 1e-5) -> tuple[complex, float]:
@@ -184,27 +196,27 @@ def _fd_dbar(eval_fn, z: complex, h: float = 1e-5) -> tuple[complex, float]:
 def test_basis_gauge_holomorphic_and_variants_are_not():
     # Cauchy-Riemann discriminator for the gauge adjudication recorded in
     # QuantumSpace.gauge_note: the implemented prefactor e^{2 pi i ell z} is
-    # holomorphic; both rejected prefactor variants carry q-dependence in
-    # their phase and fail decisively.
+    # holomorphic; both rejected prefactor variants, built on the row with
+    # that prefactor divided out, carry q-dependence in their phase and
+    # fail decisively.
     qs = quantum_space(10)
     k, ell = qs.k, 7
-    log_ref = float(basis_eval(qs, ell, 0.3 + 0.4j).abs_log())
+    log_ref = float(basis_value(qs, ell, 0.3 + 0.4j)[0])
 
     def implemented(z):
-        return complex(basis_eval(qs, ell, z).scaled(-log_ref).to_complex())
+        log_val, phase = basis_value(qs, ell, z)
+        return complex(phase * np.exp(log_val - log_ref))
 
     def common(z):
-        th = theta3(np.pi * (2 * k * z + 1j * ell), -TWO_PI * k, qs.theta_terms)
-        pref = 0.25 * np.log(k) - 0.5 * np.log(TWO_PI) - np.pi * ell ** 2 / (2 * k)
-        return th.scaled(pref - log_ref)
+        return implemented(z) * np.exp(-2j * np.pi * ell * z)
 
     def variant_displayed(z):
         # prefactor exp(2 i pi (ell + k Im z))
-        return complex((common(z) * expc(np.exp(2j * np.pi * (ell + k * z.imag)))).to_complex())
+        return common(z) * np.exp(2j * np.pi * (ell + k * z.imag))
 
     def variant_q(z):
         # prefactor exp(2 i pi q (ell + k Im z))
-        return complex((common(z) * expc(np.exp(2j * np.pi * z.imag * (ell + k * z.imag)))).to_complex())
+        return common(z) * np.exp(2j * np.pi * z.imag * (ell + k * z.imag))
 
     for z0 in (0.3 + 0.4j, 0.72 + 0.11j, -0.2 + 0.9j):
         dbar, scale = _fd_dbar(implemented, z0)
@@ -221,23 +233,25 @@ def test_basis_section_norm_is_lattice_periodic():
     rng = np.random.default_rng(5)
     for ell in (0, 5, 23):
         z = complex(rng.uniform(0, 1), rng.uniform(0, 1))
-        base = 2.0 * float(basis_eval(qs, ell, z).abs_log()) + float(
+        base = 2.0 * float(basis_value(qs, ell, z)[0]) + float(
             qs.log_metric_weight(z.imag))
         for shift in (1.0, 1j, 1.0 + 1j, -2j):
             zs = z + shift
-            moved = 2.0 * float(basis_eval(qs, ell, zs).abs_log()) + float(
+            moved = 2.0 * float(basis_value(qs, ell, zs)[0]) + float(
                 qs.log_metric_weight(zs.imag))
             assert abs(moved - base) <= 1e-10 * (1.0 + abs(base))
 
 
 def test_basis_matrix_agrees_with_rows():
+    # each row of the log form is the matching weight-folded row with the
+    # fold undone, at a level where both stay in float range
     qs = quantum_space(4)
-    z = np.array([0.2 + 0.3j, 0.8 + 0.9j])
+    z = np.array([0.2 + 0.3j, 0.8 + 0.9j, 0.45 - 1.2j])
     mat = basis_matrix(qs, z)
+    unfolded = sections(qs, z) * np.exp(TWO_PI * qs.k * z.imag ** 2)
     for ell in range(qs.dim):
-        row = basis_eval(qs, ell, z)
-        assert np.allclose(mat.mantissa[ell], row.mantissa)
-        assert np.allclose(mat.log_scale[ell], row.log_scale)
+        assert np.allclose(mat.mantissa[ell], unfolded[ell] / np.abs(unfolded[ell]))
+        assert np.allclose(mat.log_scale[ell], np.log(np.abs(unfolded[ell])))
 
 
 # ---------------------------------------------------------------------------
