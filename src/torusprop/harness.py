@@ -13,13 +13,14 @@ Four commands cover the toolkit's surface:
 
 Output is deterministic: identical configuration gives byte-identical files
 (17-significant-digit floats, comma separator, LF line endings, header row).
+
+Each runner imports its own compute module, so a process loads only the
+code its command runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import math
 import os
 import sys
@@ -28,9 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .acceptance import run_all
-from .propkern import graph_compare
-from .specproj import build_fourier_pair, projector_compare
 from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
     RegularityError,
@@ -186,6 +184,7 @@ _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",
 
 
 def _read_config_file(path: str) -> dict:
+    import configparser
     cfg = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -305,6 +304,7 @@ def _fmt(x) -> str:
 
 def _write_table(out: str | None, header: list, rows: list, fmt: str) -> None:
     if fmt == "json":
+        import json
         payload = [dict(zip(header, row)) for row in rows]
         text = json.dumps(payload, indent=1) + "\n"
     else:
@@ -329,6 +329,7 @@ _PROP_HEADER = ["t", "re_exact", "im_exact", "re_pred", "im_pred",
 
 
 def _run_propagator(cfg: ExperimentConfig) -> int:
+    from .propkern import graph_compare
     x = cfg.points[0]
 
     def rows_for(k: int) -> list:
@@ -354,6 +355,7 @@ _PROJ_HEADER = ["k", "p", "q", "re_exact", "im_exact", "re_pred", "im_pred",
 def _run_projector(cfg: ExperimentConfig) -> int:
     """One ``projector_compare`` pass over every point and k; its rows come
     grouped by point with k ascending, which is the table's order."""
+    from .specproj import build_fourier_pair, projector_compare
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
     samples = projector_compare(cfg.sym, pair, _level_energy(cfg), list(cfg.points), cfg.ks)
     rows = [[s.k, s.x[0], s.x[1], s.exact.real, s.exact.imag, s.predicted.real,
@@ -399,6 +401,8 @@ def _jsonable(value):
 
 
 def _run_selftest(cfg: ExperimentConfig) -> int:
+    import json
+    from .acceptance import run_all
     results = run_all()
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -254,36 +254,40 @@ def branch_sqrt_path(values) -> np.ndarray:
     return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 
-def random_symplectic(n: int, rng: np.random.Generator, n_factors: int = 6,
+def random_symplectic(n: int, uniform, n_factors: int = 6,
                       size: int | None = None) -> np.ndarray:
     """Random element of Sp(2n, R) as a product of shears and block scalings,
     or a stack (size, 2n, 2n) of independent ones drawn in one call.
 
-    Each factor is, with equal odds, a shear [[I, S], [0, I]] or
-    [[I, 0], [S, I]] with S symmetric, or a block scaling
-    [[A, 0], [0, A^{-T}]] with |det A| >= 0.2.  Used by tests and the
-    self-check battery; factor scales are kept moderate so products stay
-    well-conditioned.  ``size=None`` gives one matrix, drawn exactly as a
-    stack of size 1 would draw it.
+    ``uniform(shape)`` returns an array of that shape drawn from U[0, 1),
+    for example ``np.random.default_rng(seed).random``.  Each factor is,
+    with equal odds, a shear [[I, S], [0, I]] or [[I, 0], [S, I]] with S
+    symmetric, or a block scaling [[A, 0], [0, A^{-T}]] with |det A| >= 0.2,
+    redrawn until it holds.  Normal entries come from Box-Muller pairs.
+    Used by tests and the self-check battery; factor scales are kept
+    moderate so products stay well-conditioned.  ``size=None`` gives one
+    matrix, drawn exactly as a stack of size 1 would draw it.
     """
+
+    def normal(scale, shape):
+        u = uniform((2,) + shape)
+        return scale * np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
 
     shape = () if size is None else (int(size),)
     dim = 2 * n
     eye = np.broadcast_to(np.eye(dim), shape + (dim, dim))
     out = eye.copy()
     for _ in range(n_factors):
-        kind = rng.integers(0, 3, size=shape)
-        sym = rng.normal(scale=0.4, size=shape + (n, n))
+        kind = np.floor(3.0 * uniform(shape))
+        sym = normal(0.4, shape + (n, n))
         sym = 0.5 * (sym + _transpose(sym))
         blk = eye.copy()
         blk[kind == 0, :n, n:] = sym[kind == 0]
         blk[kind == 1, n:, :n] = sym[kind == 1]
         scaling = kind == 2
-        a = np.eye(n) + rng.normal(scale=0.25, size=(np.count_nonzero(scaling), n, n))
-        redraw = np.abs(np.linalg.det(a)) < 0.2
-        while np.any(redraw):
-            a[redraw] = np.eye(n) + rng.normal(scale=0.25, size=(np.count_nonzero(redraw), n, n))
-            redraw = np.abs(np.linalg.det(a)) < 0.2
+        a = np.zeros((np.count_nonzero(scaling), n, n))  # det 0: every block is drawn
+        while np.any(redraw := np.abs(np.linalg.det(a)) < 0.2):
+            a[redraw] = np.eye(n) + normal(0.25, (np.count_nonzero(redraw), n, n))
         blk[scaling, :n, :n] = a
         blk[scaling, n:, n:] = _transpose(np.linalg.inv(a))
         out = blk @ out

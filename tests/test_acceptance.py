@@ -2,7 +2,8 @@
 
 import pytest
 
-from torusprop.acceptance import REGISTRY, run_all, run_criterion
+from torusprop.acceptance import REGISTRY, _uniform, run_all, run_criterion
+from torusprop.harness import main
 
 
 def test_registry_is_complete_and_ordered():
@@ -21,3 +22,28 @@ def test_criterion(criterion_id):
     assert res.passed, (
         f"{criterion_id} failed: measured={res.measured:.6g} "
         f"bound={res.bound:.6g} details={res.details}")
+
+
+def test_seeded_criteria_repeat_under_one_seed(monkeypatch):
+    monkeypatch.setenv("TP_SEED", "1801")
+    for criterion_id in ("A2", "A6"):
+        first, second = run_criterion(criterion_id), run_criterion(criterion_id)
+        assert first.measured == second.measured
+        assert first.details == second.details
+
+
+def test_a2_points_are_the_stdlib_draws_of_its_seed(monkeypatch):
+    points = {}
+    for seed in (1, 2):
+        monkeypatch.setenv("TP_SEED", str(seed))
+        points[seed] = run_criterion("A2").details["points"]
+        assert points[seed] == [tuple(row) for row in _uniform(seed)((5, 2)).tolist()]
+    assert points[1] != points[2]
+
+
+def test_selftest_json_is_byte_identical_under_one_seed(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("TP_SEED", "1801")
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        assert main(["selftest", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from torusprop.acceptance import _uniform
 from torusprop.symplin import (
     BranchContinuityError,
     LinearSymplectomorphism,
@@ -85,10 +86,10 @@ def test_block_composes_under_unitary_factor():
 
 
 def test_modulus_one_iff_commutes_with_j():
-    rng = np.random.default_rng(4021)
+    uniform = np.random.default_rng(4021).random
     j0 = standard_complex_structure(2)
     for _ in range(200):
-        m = random_symplectic(2, rng)
+        m = random_symplectic(2, uniform)
         g = sp(m)
         det = holomorphic_determinant(g)
         commutator = np.linalg.norm(m @ j0 - j0 @ m, np.inf)
@@ -105,9 +106,8 @@ def test_modulus_one_iff_commutes_with_j():
 
 
 def test_polar_factors_reconstruct_and_classify():
-    rng = np.random.default_rng(2024)
     j0 = standard_complex_structure(2)
-    m = random_symplectic(2, rng)
+    m = random_symplectic(2, np.random.default_rng(2024).random)
     g = sp(m)
     g1, g2 = polar_decompose(g)
     assert np.allclose(g1.matrix @ g2.matrix, m, atol=1e-9)
@@ -119,9 +119,9 @@ def test_polar_factors_reconstruct_and_classify():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_polar_determinant_matches_block_determinant(n):
-    rng = np.random.default_rng(900 + n)
+    uniform = np.random.default_rng(900 + n).random
     for _ in range(50):
-        g = sp(random_symplectic(n, rng))
+        g = sp(random_symplectic(n, uniform))
         d_block = holomorphic_determinant(g)
         d_polar = polar_determinant(g)
         assert abs(d_block - d_polar) <= 1e-9 * (1.0 + abs(d_block))
@@ -135,7 +135,7 @@ def test_polar_determinant_positive_factor_value():
 
 
 def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
-    g = sp(random_symplectic(2, np.random.default_rng(11), size=5))
+    g = sp(random_symplectic(2, np.random.default_rng(11).random, size=5))
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -155,7 +155,7 @@ def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _mixed_batch(n, rng):
+def _mixed_batch(n, uniform):
     """Random draws next to closed-form members: the identity, a unitary
     rotation, a large shear and a block scaling, shaped (3, 8, 2n, 2n)."""
     eye = np.eye(n)
@@ -163,14 +163,14 @@ def _mixed_batch(n, rng):
     rot = np.block([[np.cos(th) * eye, -np.sin(th) * eye], [np.sin(th) * eye, np.cos(th) * eye]])
     shear = np.block([[eye, 40.0 * eye], [0 * eye, eye]])
     scale = np.block([[3.0 * eye, 0 * eye], [0 * eye, eye / 3.0]])
-    drawn = random_symplectic(n, rng, size=20)
+    drawn = random_symplectic(n, uniform, size=20)
     return np.concatenate([np.stack([np.eye(2 * n), rot, shear, scale]), drawn]).reshape(
         (3, 8, 2 * n, 2 * n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_determinants_match_per_matrix_calls(n):
-    batch = _mixed_batch(n, np.random.default_rng(70 + n))
+    batch = _mixed_batch(n, np.random.default_rng(70 + n).random)
     g = sp(batch)
     assert g.dim_n == n
     holo, polar = holomorphic_determinant(g), polar_determinant(g)
@@ -185,15 +185,25 @@ def test_stacked_determinants_match_per_matrix_calls(n):
 
 
 def test_random_symplectic_stack_is_symplectic():
-    stack = random_symplectic(2, np.random.default_rng(5), size=300)
+    stack = random_symplectic(2, np.random.default_rng(5).random, size=300)
     assert stack.shape == (300, 4, 4)
     sp(stack)
     # independent draws, not one matrix repeated
     assert len({m.tobytes() for m in stack}) == 300
 
 
+def test_stdlib_sampler_draws_symplectic_stacks_and_single_matrices():
+    # the self-test battery's sampler, backed by random.Random, not numpy.random
+    stack = random_symplectic(3, _uniform(3), size=200)
+    sp(stack)
+    assert len({m.tobytes() for m in stack}) == 200
+    one = random_symplectic(3, _uniform(4))
+    assert one.shape == (6, 6)
+    assert np.array_equal(one, random_symplectic(3, _uniform(4), size=1)[0])
+
+
 def test_stack_with_one_non_symplectic_member_raises():
-    stack = random_symplectic(2, np.random.default_rng(6), size=50)
+    stack = random_symplectic(2, np.random.default_rng(6).random, size=50)
     stack[31] = stack[31] * 1.01
     with pytest.raises(StructureError, match=r"not symplectic .* stack index \(31,\)"):
         sp(stack)
@@ -222,7 +232,7 @@ def test_symplectic_tolerance_is_not_numpy_default_rtol():
 
 
 def test_stack_with_one_corrupted_block_raises():
-    stack = random_symplectic(1, np.random.default_rng(8), size=40)
+    stack = random_symplectic(1, np.random.default_rng(8).random, size=40)
     g = sp(stack)
     corrupted = stack.copy()
     corrupted[12] = 0.2 * np.eye(2)  # holomorphic block 0.2, below the 0.5 floor
@@ -234,7 +244,7 @@ def test_stack_with_one_corrupted_block_raises():
 def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
     # eigenvectors that are not orthonormal for one matrix of the stack make
     # its factors miss g1 g2 = g; that matrix alone must fail
-    stack = random_symplectic(2, np.random.default_rng(9), size=10)
+    stack = random_symplectic(2, np.random.default_rng(9).random, size=10)
     real_eigh = np.linalg.eigh
 
     def one_bad_eigh(a):
