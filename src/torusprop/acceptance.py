@@ -31,7 +31,7 @@ from .torusgeo import (
     rho_level_half,
 )
 
-__all__ = ["CriterionResult", "REGISTRY", "run_criterion", "run_all"]
+__all__ = ["CriterionResult", "REGISTRY", "run_all"]
 
 TWO_PI = 2.0 * np.pi
 _POINT = (0.3, 0.1)
@@ -308,15 +308,6 @@ REGISTRY = {
     "A11": _crit_a11,
     "A12": _crit_a12,
 }
-
-
-def run_criterion(criterion_id: str) -> CriterionResult:
-    try:
-        runner = REGISTRY[criterion_id]
-    except KeyError:
-        raise KeyError(f"unknown criterion {criterion_id!r}; have "
-                       f"{sorted(REGISTRY)}") from None
-    return runner()
 
 
 def run_all() -> list[CriterionResult]:

@@ -185,7 +185,9 @@ _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",
 
 def _read_config_file(path: str) -> dict:
     import configparser
-    cfg = configparser.ConfigParser()
+    # No section header can name the empty section, so [DEFAULT] is read as
+    # an ordinary section and its keys meet the duplicate check too.
+    cfg = configparser.ConfigParser(default_section="")
     try:
         with open(path) as fh:
             cfg.read_file(fh)
@@ -194,14 +196,8 @@ def _read_config_file(path: str) -> dict:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
     values: dict = {}
-    defaults = set(cfg.defaults())
-    for key in defaults:
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} in [DEFAULT]; "
-                              f"allowed: {', '.join(_CONFIG_KEYS)}")
-        values[key] = cfg.defaults()[key]
     for sec in cfg.sections():
-        for key in set(cfg[sec]) - defaults:
+        for key in cfg[sec]:
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in [{sec}]; "
                                   f"allowed: {', '.join(_CONFIG_KEYS)}")
@@ -302,21 +298,41 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _write_table(out: str | None, header: list, rows: list, fmt: str) -> None:
-    if fmt == "json":
-        import json
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=1) + "\n"
-    else:
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) if not isinstance(v, int) else "%d" % v
-                           for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+def _json_default(value):
+    """``json.dumps`` hook for the values plain JSON lacks: numpy bools and
+    integers as themselves, complex values as {"re": ..., "im": ...}."""
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return {"re": float(value.real), "im": float(value.imag)}
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    import json
+    return json.dumps(payload, indent=1, default=_json_default) + "\n"
+
+
+def _emit(out: str | None, text: str) -> None:
+    """Write a finished table to stdout, or to the file ``out``."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+
+
+def _write_table(out: str | None, header: list, rows: list, fmt: str) -> None:
+    if fmt == "json":
+        text = _json_text([dict(zip(header, row)) for row in rows])
+    else:
+        lines = [",".join(header)]
+        lines += [",".join(_fmt(v) if not isinstance(v, int) else "%d" % v
+                           for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(out, text)
 
 
 def _suffixed(out: str, k: int) -> str:
@@ -384,24 +400,7 @@ def _run_lifts(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return {"re": float(value.real), "im": float(value.imag)}
-    return str(value)
-
-
 def _run_selftest(cfg: ExperimentConfig) -> int:
-    import json
     from .acceptance import run_all
     results = run_all()
     for r in results:
@@ -410,14 +409,9 @@ def _run_selftest(cfg: ExperimentConfig) -> int:
               f"bound={r.bound:.6g}")
     payload = [{"criterion_id": r.criterion_id, "description": r.description,
                 "measured": float(r.measured), "bound": float(r.bound),
-                "pass": bool(r.passed), "details": _jsonable(r.details)}
+                "pass": bool(r.passed), "details": r.details}
                for r in results]
-    text = json.dumps(payload, indent=1) + "\n"
-    if cfg.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
+    _emit(cfg.out, _json_text(payload))
     return 0 if all(r.passed for r in results) else 1
 
 

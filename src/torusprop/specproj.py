@@ -20,7 +20,7 @@ decaying and the predictor reports exactly zero, tagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,16 +78,11 @@ class FourierPair:
     f(E) = (2 pi)^{-1/2} * integral over [-T, T] of fhat(t) e^{i t E} dt,
     by the uniform trapezoid rule, which converges geometrically because
     fhat is smooth and vanishes to all orders at +-T.  The node count is
-    sized afresh from the largest argument asked for; ``f0`` caches f(0).
+    sized afresh from the largest argument asked for.
     """
 
-    kind: str
     support_T: float
     fhat: Callable
-    f0: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "f0", float(self.f_eval(0.0).real))
 
     def f_eval(self, energies) -> np.ndarray:
         """f at the given (array of) arguments, on the node count their
@@ -174,9 +169,9 @@ def _fhat_function(kind: str, support_t: float) -> Callable:
 
 
 def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
-    """Construct a FourierPair, verifying compact support, resolution of
-    f(0) (see FourierPair.node_count), and realness of f for
-    Hermitian-symmetric fhat."""
+    """Construct a FourierPair, verifying compact support and, for
+    Hermitian-symmetric fhat, the resolution (see FourierPair.node_count)
+    and realness of f on [-5, 5]."""
 
     if not support_T > 0:
         raise ValueError("support_T must be positive")
@@ -184,7 +179,7 @@ def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
     edge = max(abs(complex(fhat(support_T))), abs(complex(fhat(-support_T))))
     if edge > 1e-14:
         raise ValueError(f"fhat does not vanish at +-T: {edge:.2e}")
-    pair = FourierPair(kind=kind, support_T=float(support_T), fhat=fhat)
+    pair = FourierPair(support_T=float(support_T), fhat=fhat)
     samples = np.linspace(-0.9 * support_T, 0.9 * support_T, 7)
     sym_defect = float(np.max(np.abs(np.asarray(fhat(-samples), dtype=complex)
                                      - np.conjugate(fhat(samples)))))

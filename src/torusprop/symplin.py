@@ -14,9 +14,9 @@ stack against its own scale.  This module provides:
 * ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
   block ((A + D) + i (C - B)) / 2 of g = [[A, B], [C, D]] and its
   determinant;
-* ``polar_decompose`` / ``polar_determinant`` — metric polar factors and the
-  product formula prod (sigma + 1/sigma)/2 * det_C(unitary part), an
-  independent route to the same determinant;
+* ``polar_determinant`` — the product formula
+  prod (sigma + 1/sigma)/2 * det_C(unitary part) over the metric polar
+  factors, an independent route to the same determinant;
 * ``branch_sqrt_path`` — branch-continuous square roots along a path of
   nonzero complex values, tracked through angle unwinding and returned as
   one complex array;
@@ -42,7 +42,6 @@ __all__ = [
     "standard_complex_structure",
     "holomorphic_block",
     "holomorphic_determinant",
-    "polar_decompose",
     "polar_determinant",
     "branch_sqrt_path",
     "random_symplectic",
@@ -50,6 +49,8 @@ __all__ = [
 
 _ATOL = 1e-10
 _RTOL = 1e-9
+# factors in each product ``random_symplectic`` draws
+_N_FACTORS = 6
 
 
 class StructureError(ValueError):
@@ -120,26 +121,20 @@ class LinearSymplectomorphism:
         return self.matrix.shape[-1] // 2
 
 
-def _block_1_0(mat: np.ndarray) -> np.ndarray:
-    """(1,0)->(1,0) block of a matrix written in standard-j coordinates, or
-    of each matrix in a stack (..., 2n, 2n).
+def holomorphic_block(g: LinearSymplectomorphism) -> np.ndarray:
+    """Complex n x n matrix of g acting (1,0) -> (1,0), one per matrix of a
+    stack.
 
-    For mat = [[A, B], [C, D]] the complexified action on z = p + i q has
-    C-linear part ((A + D) + i (C - B)) / 2.
+    For g = [[A, B], [C, D]] in standard-j coordinates the complexified
+    action on z = p + i q has C-linear part ((A + D) + i (C - B)) / 2.
     """
 
-    n = mat.shape[-1] // 2
+    mat, n = g.matrix, g.dim_n
     a = mat[..., :n, :n]
     b = mat[..., :n, n:]
     c = mat[..., n:, :n]
     d = mat[..., n:, n:]
     return 0.5 * ((a + d) + 1j * (c - b))
-
-
-def holomorphic_block(g: LinearSymplectomorphism) -> np.ndarray:
-    """Complex n x n matrix of g acting (1,0) -> (1,0), one per matrix of a
-    stack."""
-    return _block_1_0(g.matrix)
 
 
 def holomorphic_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
@@ -170,7 +165,11 @@ def _metric_square(m: np.ndarray) -> np.ndarray:
 
 def _polar(g: LinearSymplectomorphism):
     """The eigenvalues (ascending) of each metric square M^T M, and the
-    validated polar factors g1, g2 built from the same ``eigh``."""
+    polar factors g = g1 g2 built from the same ``eigh``: g1 unitary
+    (commutes with j), g2 positive symmetric for the euclidean metric
+    omega(., j .); for a stack, the stacks of the factors.  Each
+    reconstruction g1 g2 must match its matrix to 1e-9 of
+    max(1, ||M||_inf)."""
 
     m = g.matrix
     lam, vec = np.linalg.eigh(_metric_square(m))
@@ -185,18 +184,6 @@ def _polar(g: LinearSymplectomorphism):
         raise StructureError("polar factors fail to reconstruct the map (residual "
                              f"{float(np.max(resid)):.2e}){_where(ok)}")
     return lam, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
-
-
-def polar_decompose(
-    g: LinearSymplectomorphism,
-) -> tuple[LinearSymplectomorphism, LinearSymplectomorphism]:
-    """Split g = g1 g2 with g1 unitary (commutes with j) and g2 positive
-    symmetric for the euclidean metric omega(., j .); for a stack, g1 and g2
-    are the stacks of the factors.  Each reconstruction g1 g2 must match its
-    matrix to 1e-9 of max(1, ||M||_inf)."""
-
-    _, g1, g2 = _polar(g)
-    return g1, g2
 
 
 def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
@@ -254,10 +241,10 @@ def branch_sqrt_path(values) -> np.ndarray:
     return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 
-def random_symplectic(n: int, uniform, n_factors: int = 6,
-                      size: int | None = None) -> np.ndarray:
-    """Random element of Sp(2n, R) as a product of shears and block scalings,
-    or a stack (size, 2n, 2n) of independent ones drawn in one call.
+def random_symplectic(n: int, uniform, size: int | None = None) -> np.ndarray:
+    """Random element of Sp(2n, R) as a product of _N_FACTORS shears and
+    block scalings, or a stack (size, 2n, 2n) of independent ones drawn in
+    one call.
 
     ``uniform(shape)`` returns an array of that shape drawn from U[0, 1),
     for example ``np.random.default_rng(seed).random``.  Each factor is,
@@ -277,7 +264,7 @@ def random_symplectic(n: int, uniform, n_factors: int = 6,
     dim = 2 * n
     eye = np.broadcast_to(np.eye(dim), shape + (dim, dim))
     out = eye.copy()
-    for _ in range(n_factors):
+    for _ in range(_N_FACTORS):
         kind = np.floor(3.0 * uniform(shape))
         sym = normal(0.4, shape + (n, n))
         sym = 0.5 * (sym + _transpose(sym))

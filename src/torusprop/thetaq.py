@@ -46,9 +46,9 @@ Gram identity and the construction self-test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -117,13 +117,14 @@ class QuantumSpace:
     ``quad_order`` the node count per axis N for the Gram quadrature (a
     built space takes N^2 >= 60 k, so the aliasing error e^{-pi N^2 / (4k)}
     stays below e^{-15 pi});
-    ``gauge_note`` records which basis/weight gauge passed adjudication.
+    ``gauge_note`` records which basis/weight gauge passed adjudication, the
+    same for every space.
     """
 
     k: int
     theta_terms: int
     quad_order: int
-    gauge_note: str = GAUGE_NOTE
+    gauge_note: ClassVar[str] = GAUGE_NOTE
 
     @property
     def dim(self) -> int:
@@ -303,23 +304,14 @@ def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pp.ravel(), qq.ravel(), np.full(n * n, 1.0 / (n * n))
 
 
-def gram_matrix(qs: QuantumSpace, verify: bool = False) -> np.ndarray:
+def gram_matrix(qs: QuantumSpace) -> np.ndarray:
     """Gram matrix G[l, l'] = integral of Psi_l' conj(Psi_l) x weight x 4 pi dp dq.
 
     The quadrature is summed over blocks of nodes, so no 2k x (all nodes)
-    section array is held.  With ``verify=True`` the integral is recomputed
-    on a doubled grid and a drift above 1e-9 raises ResolutionError.
+    section array is held.
     """
 
-    gram = _gram_quadrature(qs, qs.quad_order)
-    if verify:
-        gram2 = _gram_quadrature(qs, 2 * qs.quad_order)
-        drift = float(np.max(np.abs(gram2 - gram)))
-        if drift > 1e-9:
-            raise ResolutionError(f"Gram quadrature drifted {drift:.2e} under node "
-                                  "doubling; raise quad_order")
-        gram = gram2
-    return gram
+    return _gram_quadrature(qs, qs.quad_order)
 
 
 def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
@@ -368,23 +360,22 @@ class HermitianOperator:
     operator sends v to sum_m d_m * roll(v, m), i.e. row ell holds d_m[ell]
     in column (ell - m) mod 2k.  Memory is O(#shifts x k).
 
-    Without eigendata an operator whose only shift is 0 is its own
-    eigendecomposition (eigenvalues the diagonal, in basis order; the
-    standard basis, recorded as ``eigenvectors = None``), and no dense matrix
-    is formed.  Any other operator is expanded to a dense matrix only to
-    feed ``eigh``.  Eigenvalues given without eigenvectors claim the
-    standard basis.  Either way the diagonals must be Hermitian to 1e-12 and
-    the eigendecomposition residual, computed on the diagonals, must stay
-    within 1e-9; both checks raise ConstructionError.
+    The eigendata is always computed here.  An operator whose only shift is
+    0 is its own eigendecomposition (eigenvalues the diagonal, in basis
+    order; the standard basis, recorded as ``eigenvectors = None``), and no
+    dense matrix is formed.  Any other operator is expanded to a dense
+    matrix only to feed ``eigh``.  The diagonals must be Hermitian to 1e-12
+    and the eigendecomposition residual, computed on the diagonals, must
+    stay within 1e-9; both checks raise ConstructionError.
     ``hermiticity_defect`` records how far a built operator was from
     Hermitian before symmetrization.
     """
 
     k: int
     diagonals: dict
-    eigenvalues: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
     hermiticity_defect: float = 0.0
+    eigenvalues: np.ndarray = field(init=False)
+    eigenvectors: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         dim = 2 * self.k
@@ -401,14 +392,10 @@ class HermitianOperator:
         if defect > 1e-12 * scale:
             raise ConstructionError(f"operator diagonals are not Hermitian to 1e-12 "
                                     f"(defect {defect:.2e})")
-        vals, vecs = self.eigenvalues, self.eigenvectors
-        if vals is None:
-            if diags.keys() <= {0}:
-                vals, vecs = diags.get(0, np.zeros(dim)).real, None
-            else:
-                vals, vecs = np.linalg.eigh(self.dense())
-        vals = np.array(vals, dtype=float)
-        vecs = None if vecs is None else np.asarray(vecs, dtype=complex)
+        if diags.keys() <= {0}:
+            vals, vecs = np.array(diags.get(0, np.zeros(dim)).real), None
+        else:
+            vals, vecs = np.linalg.eigh(self.dense())
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
         if vecs is None:

@@ -410,20 +410,20 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
 _FLOW_TOL = 1e-10
 
 
-def integrate_flow(sym: SymbolField, x, times, tol: float = _FLOW_TOL) -> Trajectory:
+def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     """Flow trajectory from x over the given time grid (starting at 0).
 
     Symbols that carry an exact flow skip the integrator.  Otherwise the flow,
     its variational equation and the action/connection integrals are
     integrated jointly in one adaptive Dormand–Prince 5(4) sweep to the last
     grid time, accepting a step when its embedded error estimate satisfies
-    max_i |err_i| / (1 + |y_i|) <= ``tol``; the grid is read from the
-    fourth-order dense output, so its spacing does not set the step.  When
-    the Jacobians lose symplecticity by more than 1e-9, the sweep is repeated
-    at tol/10 and then tol/100.  Raises StepSizeError when a step of the
-    first sweep at the step-size floor still misses its tolerance, or with
-    the last guard defect when a repeated sweep stops at that floor or the
-    last sweep still fails the guard.
+    max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``; the grid is read from
+    the fourth-order dense output, so its spacing does not set the step.
+    When the Jacobians lose symplecticity by more than 1e-9, the sweep is
+    repeated at tol/10 and then tol/100.  Raises StepSizeError when a step
+    of the first sweep at the step-size floor still misses its tolerance,
+    or with the last guard defect when a repeated sweep stops at that floor
+    or the last sweep still fails the guard.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -447,7 +447,7 @@ def integrate_flow(sym: SymbolField, x, times, tol: float = _FLOW_TOL) -> Trajec
         return traj
     y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
     failed = None  # (defect, tol) of the last sweep that failed the guard
-    for sweep_tol in (tol, tol / 10, tol / 100):
+    for sweep_tol in (_FLOW_TOL, _FLOW_TOL / 10, _FLOW_TOL / 100):
         try:
             dense = _dopri5(lambda y: _flow_rhs(sym, y), y0, float(times[-1]), sweep_tol)
         except StepSizeError as floor:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from torusprop.acceptance import REGISTRY, _uniform, run_all, run_criterion
+from torusprop.acceptance import REGISTRY, _uniform, run_all
 from torusprop.harness import main
 
 
@@ -10,14 +10,9 @@ def test_registry_is_complete_and_ordered():
     assert list(REGISTRY) == [f"A{i}" for i in range(1, 13)]
 
 
-def test_unknown_criterion_rejected():
-    with pytest.raises(KeyError, match="A99"):
-        run_criterion("A99")
-
-
 @pytest.mark.parametrize("criterion_id", list(REGISTRY))
 def test_criterion(criterion_id):
-    res = run_criterion(criterion_id)
+    res = REGISTRY[criterion_id]()
     assert res.criterion_id == criterion_id
     assert res.passed, (
         f"{criterion_id} failed: measured={res.measured:.6g} "
@@ -27,7 +22,7 @@ def test_criterion(criterion_id):
 def test_seeded_criteria_repeat_under_one_seed(monkeypatch):
     monkeypatch.setenv("TP_SEED", "1801")
     for criterion_id in ("A2", "A6"):
-        first, second = run_criterion(criterion_id), run_criterion(criterion_id)
+        first, second = REGISTRY[criterion_id](), REGISTRY[criterion_id]()
         assert first.measured == second.measured
         assert first.details == second.details
 
@@ -36,7 +31,7 @@ def test_a2_points_are_the_stdlib_draws_of_its_seed(monkeypatch):
     points = {}
     for seed in (1, 2):
         monkeypatch.setenv("TP_SEED", str(seed))
-        points[seed] = run_criterion("A2").details["points"]
+        points[seed] = REGISTRY["A2"]().details["points"]
         assert points[seed] == [tuple(row) for row in _uniform(seed)((5, 2)).tolist()]
     assert points[1] != points[2]
 

@@ -107,6 +107,24 @@ def test_config_file_rejects_unknown_and_duplicate_keys(tmp_path):
         _cfg(["propagator", "--config", str(tmp_path / "absent.cfg")])
 
 
+def test_config_default_section_is_one_more_section(tmp_path):
+    f = tmp_path / "exp.cfg"
+    f.write_text("[DEFAULT]\nk = 50\n[run]\npoint = 0.2,0.3\n")
+    cfg = _cfg(["propagator", "--config", str(f)])
+    assert cfg.ks == (50,) and cfg.points == ((0.2, 0.3),)
+    # a key set in [DEFAULT] and in a section is a duplicate, not a silent
+    # choice of the [DEFAULT] value
+    f.write_text("[DEFAULT]\nk = 100\n[run]\nk = 200\n")
+    with pytest.raises(ConfigError, match="'k' given more than once"):
+        _cfg(["propagator", "--config", str(f)])
+    f.write_text("[DEFAULT]\nbanana = 1\n")
+    with pytest.raises(ConfigError, match=r"'banana' in \[DEFAULT\]"):
+        _cfg(["propagator", "--config", str(f)])
+    f.write_text("[]\nk = 50\n")
+    with pytest.raises(ConfigError, match="malformed"):
+        _cfg(["propagator", "--config", str(f)])
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

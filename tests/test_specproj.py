@@ -48,7 +48,7 @@ def test_bump_pair_basics():
     # the support
     xg, wg = np.polynomial.legendre.leggauss(256)
     direct = float(np.sum(3.0 * wg * pair.fhat(3.0 * xg))) / np.sqrt(TWO_PI)
-    assert pair.f0 == pytest.approx(direct, rel=1e-14)
+    assert pair.f_eval(0.0).real == pytest.approx(direct, rel=1e-14)
     # even real fhat gives a real f
     vals = pair.f_eval(np.linspace(-8.0, 8.0, 33))
     assert float(np.max(np.abs(vals.imag))) <= 1e-12 * float(np.max(np.abs(vals)))
@@ -56,14 +56,14 @@ def test_bump_pair_basics():
 
 def test_bump_pair_schwartz_decay():
     pair = build_fourier_pair("bump", 3.0)
-    assert abs(complex(pair.f_eval(50.0))) <= 1e-4 * pair.f0
+    assert abs(complex(pair.f_eval(50.0))) <= 1e-4 * pair.f_eval(0.0).real
 
 
 def test_gaussian_truncated_pair():
     pair = build_fourier_pair("gaussian-truncated", 7.0)
     assert abs(complex(pair.fhat(7.0))) <= 1e-14
     assert float(pair.fhat(0.0)) == pytest.approx(1.0)
-    assert pair.f0 > 0.0
+    assert pair.f_eval(0.0).real > 0.0
 
 
 def test_pair_vectorized_eval_matches_scalar():
@@ -141,7 +141,7 @@ def test_scalar_operator_reduces_to_bergman_times_f0():
     op = HermitianOperator(k=qs.k, diagonals={0: np.full(qs.dim, e_val)})
     pair = build_fourier_pair("bump", 3.0)
     y, x = (0.22, 0.64), (0.5, 0.31)
-    expect = pair.f0 * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]
+    expect = pair.f_eval(0.0).real * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]
     got = projector_kernel_exact(qs, op, pair, e_val, y, x)
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 

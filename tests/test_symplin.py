@@ -13,12 +13,12 @@ from torusprop.symplin import (
     branch_sqrt_path,
     holomorphic_block,
     holomorphic_determinant,
-    polar_decompose,
     polar_determinant,
     random_symplectic,
     standard_complex_structure,
     standard_symplectic_gram,
 )
+from torusprop.symplin import _polar
 
 
 def sp(matrix):
@@ -109,7 +109,7 @@ def test_polar_factors_reconstruct_and_classify():
     j0 = standard_complex_structure(2)
     m = random_symplectic(2, np.random.default_rng(2024).random)
     g = sp(m)
-    g1, g2 = polar_decompose(g)
+    _, g1, g2 = _polar(g)
     assert np.allclose(g1.matrix @ g2.matrix, m, atol=1e-9)
     # unitary part commutes with j, positive part is symmetric w.r.t. it
     assert np.linalg.norm(g1.matrix @ j0 - j0 @ g1.matrix, np.inf) < 1e-9
@@ -179,9 +179,9 @@ def test_stacked_determinants_match_per_matrix_calls(n):
         one = sp(batch[idx])
         assert abs(holo[idx] - holomorphic_determinant(one)) <= 1e-15
         assert abs(polar[idx] - polar_determinant(one)) <= 1e-15
-    g1, g2 = polar_decompose(g)
+    _, g1, g2 = _polar(g)
     assert g1.matrix.shape == g2.matrix.shape == batch.shape
-    assert np.array_equal(g2.matrix[1, 5], polar_decompose(sp(batch[1, 5]))[1].matrix)
+    assert np.array_equal(g2.matrix[1, 5], _polar(sp(batch[1, 5]))[2].matrix)
 
 
 def test_random_symplectic_stack_is_symplectic():
@@ -255,7 +255,7 @@ def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", one_bad_eigh)
     with pytest.raises(StructureError, match=r"fail to reconstruct .* stack index \(4,\)"):
-        polar_decompose(sp(stack))
+        _polar(sp(stack))
 
 
 # ---------------------------------------------------------------------------

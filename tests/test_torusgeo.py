@@ -29,6 +29,7 @@ from torusprop.torusgeo import (
     rho_level_half,
     wrap_difference,
 )
+from torusprop import torusgeo
 from torusprop.torusgeo import _alpha, _dopri5, _flow_rhs
 
 TWO_PI = 2.0 * np.pi
@@ -243,19 +244,21 @@ def test_symplecticity_guard_retries_at_a_tighter_tolerance():
     assert integrate_flow(sym, (0.3, 0.1), times).symplectic_defect() <= 1e-9
 
 
-def test_unreachable_tolerance_is_reported():
+def test_unreachable_tolerance_is_reported(monkeypatch):
+    monkeypatch.setattr(torusgeo, "_FLOW_TOL", 1e-17)
     with pytest.raises(StepSizeError, match="error estimate"):
-        integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]), tol=1e-17)
+        integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]))
 
 
 def test_retry_sweep_at_the_step_floor_reports_the_guard(monkeypatch):
     # every sweep fails the guard; at tol 1e-14 the first sweep runs and the
     # tol/10 retry meets the step-size floor
     monkeypatch.setattr(Trajectory, "symplectic_defect", lambda self: 1.0)
+    monkeypatch.setattr(torusgeo, "_FLOW_TOL", 1e-14)
     sym = make_symbol("p-dependent", lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
     with pytest.raises(StepSizeError, match=r"defect 1\.00e\+00\) at tol 1e-14, and the tighter "
                                             r"sweep at tol 1e-15 stopped at the step-size floor") as info:
-        integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 0.1, 11), tol=1e-14)
+        integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 0.1, 11))
     assert isinstance(info.value.__cause__, StepSizeError)
     assert "error estimate" in str(info.value.__cause__)
 
