@@ -186,8 +186,9 @@ _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",
 def _read_config_file(path: str) -> dict:
     import configparser
     # No section header can name the empty section, so [DEFAULT] is read as
-    # an ordinary section and its keys meet the duplicate check too.
-    cfg = configparser.ConfigParser(default_section="")
+    # an ordinary section and its keys meet the duplicate check too; values
+    # are read verbatim, so a '%' in an expression is not interpolation.
+    cfg = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         with open(path) as fh:
             cfg.read_file(fh)

@@ -32,7 +32,6 @@ from .torusgeo import (
     branch_grid,
     check_level,
     integrate_flow,
-    norm_X,
     return_times,
     rho_level_half,
 )
@@ -270,9 +269,6 @@ def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
     endpoint is cross-checked against the winding from the return search."""
 
     fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
-    if t_ret == 0.0:
-        amp = np.sqrt(2.0) / norm_X(sym, x)
-        return ReturnTerm(t=0.0, winding=winding, fhat=fh, value=fh * amp)
     traj = integrate_flow(sym, x, branch_grid([t_ret])[0])
     end = traj.points_lifted[-1]
     target = np.asarray(y, dtype=float) + np.asarray(winding, dtype=float)

@@ -125,6 +125,17 @@ def test_config_default_section_is_one_more_section(tmp_path):
         _cfg(["propagator", "--config", str(f)])
 
 
+def test_config_values_are_read_verbatim(tmp_path):
+    # '%' is an operator in a symbol expression, not configparser interpolation
+    symbol = "cos(2*pi*(q % 1))"
+    f = tmp_path / "exp.cfg"
+    f.write_text(f"[run]\nsymbol = {symbol}\n")
+    args = ["--k", "5", "--tgrid", "0:0.1:0.2", "--out"]
+    assert main(["propagator", "--config", str(f), *args, str(tmp_path / "cfg.csv")]) == 0
+    assert main(["propagator", "--symbol", symbol, *args, str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -193,7 +204,8 @@ def test_non_smooth_symbol_is_refused(capsys):
 @pytest.mark.parametrize("symbol", ["exp(2*sin(2*pi*p))*cos(2*pi*q)",
                                     "exp(3*cos(2*pi*q))*sin(2*pi*p)"])
 def test_propagator_symbols_that_need_a_tighter_flow_sweep(symbol, tmp_path):
-    # the first sweep at the default tolerance misses the symplecticity guard
+    # the flow sweep's absolute symplecticity defect exceeds 1e-9, which
+    # symplin's rule, scaled by the Jacobian's squared norm, accepts
     assert main(["propagator", "--symbol", symbol, "--k", "20",
                  "--tgrid", "0:0.01:1", "--out", str(tmp_path / "t.csv")]) == 0
 
