@@ -13,8 +13,8 @@ form 4*pi dp^dq:
 Modules
 -------
 symplin   linear-symplectomorphism bookkeeping on the standard complex
-          structure: holomorphic blocks, polar factors, branch-continuous
-          square roots (as complex arrays)
+          structure: holomorphic blocks, polar factors, square roots on
+          the branch an argument estimate picks (as complex arrays)
 torusgeo  the fixed torus phase space: autonomous symbols of (p, q), flows,
           the prequantum phase, amplitudes, return times
 thetaq    quantum spaces: theta-function basis, Gram/Toeplitz matrices

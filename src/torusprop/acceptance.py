@@ -281,8 +281,8 @@ def _crit_a12() -> CriterionResult:
     tg = np.arange(0.0, 1.0 + 1e-9, 1e-3)
     traj = integrate_flow(sym, _POINT, tg)
     halves = rho_graph_half(traj)
-    # each step is below pi/4 by construction, so the principal angle of the
-    # ratio is the step of the tracked branch angle
+    # theta_a picks each branch; on this fine grid the principal angle of
+    # each ratio is the step of the branch angle
     max_step = float(np.max(np.abs(np.angle(halves[1:] / halves[:-1]))))
     rho = 1.0 / holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
     sq_gap = float(np.max(np.abs(halves ** 2 - rho)))

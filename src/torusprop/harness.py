@@ -33,7 +33,6 @@ from .thetaq import K_MAX, quantum_space
 from .torusgeo import (
     RegularityError,
     SymbolField,
-    branch_grid,
     check_level,
     integrate_flow,
     make_symbol,
@@ -258,6 +257,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     for p, q in cfg.points:
         if not (np.isfinite(p) and np.isfinite(q)):
             raise ConfigError(f"point ({p}, {q}) is not finite")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"p={p:g} outside the fundamental range [0, 1]")
         if not 0.0 < q < 1.0:
             raise ConfigError(f"q={q:g} outside the fundamental range (0, 1)")
     if cfg.command in ("propagator", "lifts") and len(cfg.points) != 1:
@@ -388,15 +389,14 @@ _LIFT_HEADER = ["t", "transport_L_phase", "prequantum_phase", "rho_half_re",
 
 def _run_lifts(cfg: ExperimentConfig) -> int:
     k = cfg.ks[0]
-    grid, keep = branch_grid(cfg.tgrid)
-    traj = integrate_flow(cfg.sym, cfg.points[0], grid)
+    traj = integrate_flow(cfg.sym, cfg.points[0], cfg.tgrid)
     pre_arg = float(k) * (traj.conn_L - traj.action_H) - traj.action_Hsub
     graph_halves = rho_graph_half(traj)
     level_halves = rho_level_half(cfg.sym, traj, _level_energy(cfg))
-    rows = [[float(grid[i]), float(traj.conn_L[i]), float(pre_arg[i]),
+    rows = [[t, float(traj.conn_L[i]), float(pre_arg[i]),
              graph_halves[i].real, graph_halves[i].imag,
              level_halves[i].real, level_halves[i].imag]
-            for i in keep]
+            for i, t in enumerate(cfg.tgrid)]
     _write_table(cfg.out, _LIFT_HEADER, rows, cfg.fmt)
     return 0
 

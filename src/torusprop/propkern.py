@@ -32,7 +32,6 @@ from .thetaq import HermitianOperator, QuantumSpace, sections, toeplitz_build
 from .torusgeo import (
     SymbolField,
     Trajectory,
-    branch_grid,
     integrate_flow,
     prequantum_phase,
     rho_graph_half,
@@ -140,7 +139,7 @@ def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.
 def _graph_predictions(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
     """The leading-order kernel (k/2pi) rho^{1/2} e^{-i int H^sub}
     [e^{-i int H} T^L]^k at (phi_t(x), x) for every trajectory time; the
-    square root's branch is continued along the trajectory's grid."""
+    flow's continuous theta_a picks the square root's branch at each time."""
     return (k / TWO_PI) * rho_graph_half(traj) * prequantum_phase(sym, traj, k)
 
 
@@ -167,18 +166,17 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     """Exact kernel at (phi_t(x), x) versus the predictor, over a forward
     time grid (it need not start at 0).
 
-    The flow runs on the branch grid through ``tgrid``; the exact values
-    reuse one eigendecomposition, and the moving point's sections and the
+    The flow is read at the ``tgrid`` times only; the exact values reuse one
+    eigendecomposition, and the moving point's sections and the
     spectral rows e^{-i k t lambda} are built for at most ``_ROW_CHUNK``
     requested times at once, so memory does not grow with the grid.
     """
 
     tg = np.asarray(tgrid, dtype=float)
     x_pq = _as_pq(x)
-    grid, rows = branch_grid(tg)
-    traj = integrate_flow(sym, x_pq, grid)
-    preds = _graph_predictions(sym, traj, qs.k)[rows]
-    ys = traj.points_lifted[rows]
+    traj = integrate_flow(sym, x_pq, tg)
+    preds = _graph_predictions(sym, traj, qs.k)
+    ys = traj.points_lifted
     op = operator_for(qs, sym)
     exact = np.concatenate([
         kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + _ROW_CHUNK], op.eigenvalues)),
@@ -204,7 +202,7 @@ def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayRepor
                              "graph point; need >= 0.05")
     x_pq = _as_pq(x)
     t = float(t)
-    end = x_pq if t == 0.0 else integrate_flow(sym, x_pq, [0.0, t]).points_lifted[-1]
+    end = integrate_flow(sym, x_pq, [t]).points_lifted[-1]
     y_lift = np.asarray(end) + off
     moduli = []
     ks = []

@@ -29,7 +29,6 @@ from .propkern import _ROW_CHUNK, _wrapped_phase, kernel_eval, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
     SymbolField,
-    branch_grid,
     check_level,
     integrate_flow,
     return_times,
@@ -265,11 +264,11 @@ class ProjectorPrediction:
 def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
                  energy: float, pair: FourierPair, k: int) -> ReturnTerm:
     """fhat(t) rho'^{1/2} e^{-i int H^sub} [T^L]^k for one return time, the
-    square root tracked along the branch grid; the lifted trajectory
+    square root's branch picked by the flow's theta_a; the lifted trajectory
     endpoint is cross-checked against the winding from the return search."""
 
     fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
-    traj = integrate_flow(sym, x, branch_grid([t_ret])[0])
+    traj = integrate_flow(sym, x, [t_ret])
     end = traj.points_lifted[-1]
     target = np.asarray(y, dtype=float) + np.asarray(winding, dtype=float)
     if float(np.max(np.abs(end - target))) > 1e-6:

@@ -17,9 +17,9 @@ stack against its own scale.  This module provides:
 * ``polar_determinant`` — the product formula
   prod (sigma + 1/sigma)/2 * det_C(unitary part) over the metric polar
   factors, an independent route to the same determinant;
-* ``branch_sqrt_path`` — branch-continuous square roots along a path of
-  nonzero complex values, tracked through angle unwinding and returned as
-  one complex array;
+* ``branch_sqrt_path`` — square roots of nonzero complex values on the
+  branch a continuous argument estimate picks (the flow integrates one),
+  returned as one complex array;
 * ``random_symplectic`` — random elements of Sp(2n, R), one or a stack.
 
 Coordinates are ordered (p_1..p_n, q_1..q_n); omega(u, v) = u^T J v with
@@ -49,6 +49,8 @@ __all__ = [
 
 _ATOL = 1e-10
 _RTOL = 1e-9
+# largest distance (rad) between a branch_sqrt_path argument and its estimate
+_BRANCH_ATOL = 1e-3
 # factors in each product ``random_symplectic`` draws
 _N_FACTORS = 6
 
@@ -58,7 +60,7 @@ class StructureError(ValueError):
 
 
 class BranchContinuityError(ValueError):
-    """A path of values is sampled too coarsely to track the branch."""
+    """An argument estimate does not pick the branch of its value."""
 
 
 @lru_cache(maxsize=None)
@@ -206,38 +208,32 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
     return det if det.ndim else complex(det)
 
 
-def branch_sqrt_path(values) -> np.ndarray:
-    """Continuous square root along a discretely sampled path, as a complex
-    array of the path's length.
+def branch_sqrt_path(values, arguments) -> np.ndarray:
+    """Square roots sqrt(|v|) e^{i theta/2} of nonzero complex values, as a
+    complex array of the path's length, on the branch that ``arguments``
+    picks.
 
-    ``values`` must start with positive real part (the branch anchor) and be
-    sampled finely enough that consecutive arguments differ by less than
-    pi/2; otherwise the branch cannot be tracked and an error asks for a
-    finer grid.  Output arguments then differ by less than pi/4 step to step,
-    so np.unwrap(np.angle(roots)) recovers the tracked branch angles.
+    ``arguments`` are estimates of the continuous arguments of ``values``
+    (for example integrated along the flow).  Each theta is the principal
+    angle of its value plus the multiple of 2 pi nearest the estimate; it
+    must then agree with the estimate to 1e-3 rad, or the estimate does not
+    belong to the value and BranchContinuityError is raised.  A zero value
+    has no argument and raises too.
     """
 
     vals = np.asarray(values, dtype=complex).ravel()
-    if vals.size == 0:
-        return vals
-    if np.any(np.abs(vals) == 0.0):
-        raise BranchContinuityError("branch tracking undefined through a zero value")
-    if vals[0].real <= 0.0:
+    estimate = np.asarray(arguments, dtype=float).ravel()
+    if np.any(vals == 0.0):
+        raise BranchContinuityError("branch undefined at a zero value")
+    angle = np.angle(vals)
+    theta = angle + 2.0 * np.pi * np.round((estimate - angle) / (2.0 * np.pi))
+    miss = np.abs(theta - estimate)
+    bad = miss > _BRANCH_ATOL
+    if np.any(bad):
+        first = int(np.argmax(bad))
         raise BranchContinuityError(
-            f"first path value {vals[0]:.6g} must have positive real part "
-            "to anchor the principal branch")
-    args = np.angle(vals)
-    step = np.diff(args)
-    step = (step + np.pi) % (2.0 * np.pi) - np.pi
-    worst = float(np.max(np.abs(step))) if step.size else 0.0
-    if worst >= 0.5 * np.pi:
-        raise BranchContinuityError(
-            f"consecutive path values jump by {worst:.3f} rad >= pi/2; "
-            "the sampling grid is too coarse to track the branch — refine it")
-    theta = np.empty_like(args)
-    theta[0] = args[0]
-    if step.size:
-        theta[1:] = args[0] + np.cumsum(step)
+            f"argument estimate misses its value's argument by {miss[first]:.3g} rad "
+            f"(mod 2 pi) at path index {first}")
     return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 

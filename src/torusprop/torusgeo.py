@@ -31,15 +31,16 @@ The coefficients are:
   e^{i int alpha(X)}, accumulated by the flow as ``Trajectory.conn_L``; the
   canonical bundle K is trivialized by dz, which is flat on the torus, so
   its transport is 1 and no amplitude carries a K factor;
-* the graph amplitude rho_t = 1 / holomorphic determinant of the flow
-  Jacobian, with an independent frame-pairing route as a cross-check;
+* the graph amplitude rho_t = 1 / holomorphic determinant a of the flow
+  Jacobian, with an independent frame-pairing route as a cross-check; the
+  flow carries theta_a = arg a continuously (|a| >= 1, so it is smooth), and
+  it alone picks the branch of every amplitude's square root;
 * the level-set amplitude rho'_t for energy-surface kernels, in the closed
   form that the general Phi_F * Phi_G lift takes in real dimension 2;
 * the transversality coefficient B of a Lagrangian line on the torus, and
   the kernel-side B of the diagonal in the doubled space (T^2 x T^2,
   omega (+) -omega), whose reciprocal is rho'_0;
-* classical return times with lattice winding bookkeeping, and the time
-  grid on which an amplitude's square root is tracked from t = 0.
+* classical return times with lattice winding bookkeeping.
 
 Paths are always lifted to R^2 before alpha is integrated: alpha is not
 lattice-periodic, and the lift dependence is exactly the bundle holonomy
@@ -71,7 +72,6 @@ __all__ = [
     "Trajectory",
     "wrap_difference",
     "check_level",
-    "branch_grid",
     "hamiltonian_vector_field",
     "integrate_flow",
     "prequantum_phase",
@@ -267,6 +267,8 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
             "action_Hsub": times * float(sub_const),
             # alpha(X) = 2 pi (p X_q - q X_p) = -pi q sin(2 pi q), constant along the shear
             "conn_L": -np.pi * times * q0 * s,
+            # the holomorphic determinant is 1 - i pi t cos(2 pi q) / 2
+            "theta_a": -np.arctan(0.5 * np.pi * times * c),
         }
 
     return make_symbol("model-cos", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float)),
@@ -283,10 +285,12 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
 class Trajectory:
     """A flow trajectory with linearization and accumulated integrals.
 
-    ``times`` starts at 0 and moves monotonically (decreasing grids are used
-    for negative final times); all integrals are anchored at t = 0.
-    ``points`` is reduced to the fundamental domain, ``points_lifted`` is the
-    continuous lift in R^2 that the connection integrals use.
+    ``times`` moves strictly monotonically away from t = 0 (decreasing grids
+    are used for negative final times) and need not contain 0; all integrals
+    are anchored at t = 0.  ``points`` is reduced to the fundamental domain,
+    ``points_lifted`` is the continuous lift in R^2 that the connection
+    integrals use.  ``theta_a`` is the continuous argument of the holomorphic
+    determinant of each Jacobian, 0 at t = 0.
     """
 
     start: np.ndarray
@@ -297,6 +301,7 @@ class Trajectory:
     action_H: np.ndarray
     action_Hsub: np.ndarray
     conn_L: np.ndarray
+    theta_a: np.ndarray
 
 
 def hamiltonian_vector_field(sym: SymbolField, x) -> np.ndarray:
@@ -307,14 +312,17 @@ def hamiltonian_vector_field(sym: SymbolField, x) -> np.ndarray:
 
 
 def _flow_rhs(sym: SymbolField, y: np.ndarray) -> np.ndarray:
-    """Joint field of (point, Jacobian, int H, int H^sub, int alpha(X))."""
+    """Joint field of (point, Jacobian M, int H, int H^sub, int alpha(X),
+    theta_a), with theta_a' = Im(a'/a) for a = ((M_00 + M_11) + i (M_10 -
+    M_01)) / 2, the holomorphic determinant of M."""
     p, q = y[0], y[1]
     h, h_sub, h_p, h_q, h_pp, h_pq, _, h_qq = sym.jet(p, q)
     xv = np.array([-h_q, h_p]) / FOUR_PI
     # DX = d(X)/d(p,q): rows follow (X_p, X_q) = (-H_q, H_p)/(4 pi)
     dx = np.array([[-h_pq, -h_qq], [h_pp, h_pq]]) / FOUR_PI
-    return np.concatenate([xv, (dx @ y[2:6].reshape(2, 2)).ravel(),
-                           [h, h_sub, _alpha(p, q, xv)]])
+    dm = (dx @ y[2:6].reshape(2, 2)).ravel()
+    theta_rate = (complex(dm[0] + dm[3], dm[2] - dm[1]) / complex(y[2] + y[5], y[4] - y[3])).imag
+    return np.concatenate([xv, dm, [h, h_sub, _alpha(p, q, xv), theta_rate]])
 
 
 # Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 1980)
@@ -402,20 +410,22 @@ _FLOW_TOL = 1e-10
 
 
 def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
-    """Flow trajectory from x over the given time grid (starting at 0).
+    """Flow trajectory from x over the given time grid, which moves strictly
+    monotonically away from t = 0 (it need not start at 0).
 
     Symbols that carry an exact flow skip the integrator.  Otherwise the flow,
-    its variational equation and the action/connection integrals are
-    integrated jointly in one adaptive Dormand–Prince 5(4) sweep to the last
-    grid time, accepting a step when its embedded error estimate satisfies
+    its variational equation, the action/connection integrals and theta_a are
+    integrated jointly in one adaptive Dormand–Prince 5(4) sweep from 0 to the
+    last grid time, accepting a step when its embedded error estimate satisfies
     max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``; the grid is read from
     the fourth-order dense output, so its spacing does not set the step.
     Either way the Jacobian stack is checked once by symplin's rule, the one
     ``rho_graph_half`` applies (``LinearSymplectomorphism``: |M^T J M - J|
     <= 1e-10 max(1, ||M||_inf^2) + 1e-9 |J|), which scales with ||M||^2 as
     the defect of a Jacobian known to a relative accuracy does; no sweep is
-    repeated.  Raises StepSizeError when a step at the step-size floor
-    misses the tolerance, and symplin's StructureError, naming the first
+    repeated.  Raises RegularityError when the grid turns back, repeats a time
+    or crosses 0, StepSizeError when a step at the step-size floor misses the
+    tolerance, and symplin's StructureError, naming the first
     bad time index, when the check fails.
     """
 
@@ -423,26 +433,25 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise RegularityError("times must be a one-dimensional grid")
-    if abs(times[0]) > 1e-15:
-        raise RegularityError("time grids must start at 0")
-    steps = np.diff(times)
-    if steps.size and (np.any(steps == 0.0) or (np.any(steps > 0) and np.any(steps < 0))):
-        raise RegularityError("time grids must be strictly monotone")
+    away = times if times[-1] >= 0.0 else -times  # increasing from >= 0 on a valid grid
+    if not (away[0] >= 0.0 and np.all(np.diff(away) > 0.0)):  # NaN fails too
+        raise RegularityError("time grids must be strictly monotone, moving away from t = 0")
 
     if sym.exact_flow is not None:
         data = sym.exact_flow(x, times)
     else:
-        y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         states = _dopri5(lambda y: _flow_rhs(sym, y), y0, float(times[-1]), _FLOW_TOL)(times)
         data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
-                "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8]}
+                "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8],
+                "theta_a": states[:, 9]}
     data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
     LinearSymplectomorphism(data["jacobians"])
     return Trajectory(start=x, times=times, points=data["points_lifted"] - np.floor(data["points_lifted"]), **data)
 
 
 # ---------------------------------------------------------------------------
-# prequantum lift and the branch grid
+# prequantum lift
 # ---------------------------------------------------------------------------
 
 
@@ -461,26 +470,6 @@ def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-# Largest step of the grid on which an amplitude's square root is tracked
-# from t = 0 (branch_sqrt_path refuses jumps of pi/2 or more).
-_BRANCH_STEP = 0.02
-
-
-def branch_grid(times) -> tuple[np.ndarray, np.ndarray]:
-    """A grid from 0 through the monotone ``times`` (all on one side of 0),
-    with every gap wider than 0.02 (beyond rounding) split evenly, and the
-    indices of ``times`` in it; a grid that starts at 0 with no wider gap
-    comes back unchanged."""
-
-    times = np.asarray(times, dtype=float).reshape(-1)
-    knots = times if times[0] == 0.0 else np.concatenate([[0.0], times])
-    pieces = [knots[:1]]
-    for a, b in zip(knots[:-1], knots[1:]):
-        pieces.append(np.linspace(a, b, max(1, int(np.ceil(abs(b - a) / _BRANCH_STEP - 1e-9))) + 1)[1:])
-    rows = np.cumsum([piece.size for piece in pieces]) - 1
-    return np.concatenate(pieces), rows[knots.size - times.size:]
-
-
 # ---------------------------------------------------------------------------
 # graph amplitude rho
 # ---------------------------------------------------------------------------
@@ -491,8 +480,8 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     value per time.
 
     rho_t = 1 / (holomorphic determinant of the flow Jacobian); the
-    K-transport it would be divided by is 1 on the flat torus.  Starts at 1;
-    the square root is tracked through branch unwinding.
+    K-transport it would be divided by is 1 on the flat torus.  Its argument
+    is -theta_a, which picks the square root's branch (1 at t = 0).
 
     The whole trajectory's Jacobians go to ``symplin`` as one stack, so each
     one passes the same checks as a single matrix would (M^T J M = J to
@@ -502,7 +491,7 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     """
 
     dets = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
-    return branch_sqrt_path(1.0 / dets)
+    return branch_sqrt_path(1.0 / dets, -traj.theta_a)
 
 
 def rho_graph_frame(traj: Trajectory) -> np.ndarray:
@@ -578,10 +567,14 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
         rho'_t = 2 dz(X_x) / (||X_x||^2 dz(X_{phi_t x})),
 
     evaluated for the whole trajectory at once (the T^K transport it is
-    divided by is 1 on the flat torus).  Starts at sqrt(2)/||X_x||.  Every
-    sampled point must be a regular point of the energy level, and each
-    Jacobian must carry e_1(x) to (||X_{phi_t x}|| / ||X_x||) e_1(phi_t x)
-    to 1e-6.
+    divided by is 1 on the flat torus); it is sqrt(2)/||X_x|| at t = 0.
+    Every sampled point must be a regular point of the energy level, and
+    each Jacobian M must carry e_1(x) to (||X_{phi_t x}|| / ||X_x||)
+    e_1(phi_t x) to 1e-6.  The branch: with a, b the holomorphic and
+    antiholomorphic parts of M, dz(M X_x) = a dz(X_x) (1 + (b/a)
+    conj(dz X_x)/dz X_x), and |b| < |a|, so the last factor has positive
+    real part; the argument of rho'_t is -theta_a minus that factor's
+    principal angle.
     """
 
     check_level(sym, traj.start, energy)
@@ -597,12 +590,15 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
     # target; with f_1 = j e_1 they are one complex ratio of dz values
     ratio = np.sqrt(nt2 / ns2)
     pushed = traj.jacobians @ x_src
-    w = (pushed[:, 0] + 1j * pushed[:, 1]) / dz_dst * ratio
+    dz_pushed = pushed[:, 0] + 1j * pushed[:, 1]
+    w = dz_pushed / dz_dst * ratio
     if np.any(np.abs(w.imag) > 1e-6 * np.maximum(1.0, np.abs(w.real))) or \
             np.any(np.abs(w.real - ratio) > 1e-6 * np.maximum(1.0, ratio)):
         raise RegularityError("Jacobian does not carry the source flow direction "
                               "to the target one; is the energy shared?")
-    return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst))
+    a = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
+    return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst),
+                            -traj.theta_a - np.angle(dz_pushed / (a * dz_src)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ from torusprop.harness import (
     symbol_from_selector,
 )
 from torusprop.specproj import build_fourier_pair, projector_compare
-from torusprop.torusgeo import branch_grid
+from torusprop.symplin import LinearSymplectomorphism, holomorphic_determinant
+from torusprop.torusgeo import hamiltonian_vector_field, integrate_flow, rho_graph_half, rho_level_half
 
 
 def _cfg(argv):
@@ -163,6 +164,17 @@ def test_propagator_allows_q_half_but_not_out_of_range():
         _cfg(["propagator", "--point", "0.3,1.2"])
 
 
+@pytest.mark.parametrize("p", ["1e12", "1.5", "-0.1"])
+def test_p_outside_the_fundamental_range_is_refused(p, capsys):
+    # at p = 1e12 the gauge k (p_y q_y - p_x q_x) would lose every digit
+    assert main(["propagator", "--symbol", "cos(2*pi*q)+0.1*sin(2*pi*p)", "--k", "5",
+                 f"--point={p},0.1", "--tgrid", "0:0.1:0.2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"p={float(p):g} outside the fundamental range [0, 1]" in err
+    assert _cfg(["propagator", "--point", "0,0.1"]).points == ((0.0, 0.1),)
+    assert _cfg(["propagator", "--point", "1,0.1"]).points == ((1.0, 0.1),)
+
+
 def test_shape_constraints():
     with pytest.raises(ConfigError, match="single k"):
         _cfg(["lifts", "--k", "50,100"])
@@ -210,18 +222,35 @@ def test_propagator_symbols_that_need_a_tighter_flow_sweep(symbol, tmp_path):
                  "--tgrid", "0:0.01:1", "--out", str(tmp_path / "t.csv")]) == 0
 
 
-def test_lead_in_helper():
-    # a grid starting later than 0 gets a lead-in in steps of at most 0.02,
-    # and only the requested rows are emitted
-    out, rows = branch_grid(np.array([0.8, 0.9]))
-    assert out[0] == 0.0 and np.all(np.diff(out) > 0)
-    assert np.max(np.diff(out)) <= 0.02 + 1e-15
-    assert list(out[rows]) == [0.8, 0.9] and rows[0] == 40
+def test_a_fast_turning_branch_is_kept_on_a_coarse_grid(tmp_path):
+    # arg det^{1,0}(dphi_t) turns by more than pi/2 between some 0.02-spaced
+    # times here, so the branch cannot be read off sampled angles; the
+    # flow's theta_a gives it on any grid
+    symbol, x = "exp(4*cos(2*pi*q))*sin(2*pi*p)", (0.3, 0.1)
+    assert main(["propagator", "--symbol", symbol, "--k", "20", "--point", "0.3,0.1",
+                 "--tgrid", "0:0.01:1", "--out", str(tmp_path / "t.csv")]) == 0
+    sym = symbol_from_selector(symbol)
+    fine = np.linspace(0.0, 1.0, 4001)
+    coarse = integrate_flow(sym, x, fine[::40])
+    dense = integrate_flow(sym, x, fine)
+
+    def unwrapped_half(values):
+        return (np.sqrt(np.abs(values)) * np.exp(0.5j * np.unwrap(np.angle(values))))[::40]
+
+    energy = float(sym.principal(*x))
+    x_src = hamiltonian_vector_field(sym, x)
+    x_dst = hamiltonian_vector_field(sym, dense.points_lifted)
+    level = 2.0 * complex(*x_src) / (4.0 * np.pi * (x_src @ x_src) * (x_dst[:, 0] + 1j * x_dst[:, 1]))
+    graph = 1.0 / holomorphic_determinant(LinearSymplectomorphism(dense.jacobians))
+    for got, ref in ((rho_graph_half(coarse), unwrapped_half(graph)),
+                     (rho_level_half(sym, coarse, energy), unwrapped_half(level))):
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
 
 
 def test_coarse_propagator_grid_matches_a_fine_one(tmp_path):
-    # the amplitude's branch is tracked on a grid with steps <= 0.02 whatever
-    # the requested spacing, so a 1.0-step grid gives the 0.01-step grid's row
+    # the flow is one sweep to the last time and theta_a picks the branch,
+    # whatever the requested spacing, so a 1.0-step grid gives the 0.01-step
+    # grid's row
     symbol = "cos(2*pi*q)+0.1*sin(2*pi*p)"
     tables = {}
     for grid in ("0:1:10", "0:0.01:10"):

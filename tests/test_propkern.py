@@ -350,6 +350,13 @@ def test_offgraph_far_point_is_negligible():
         assert modulus < 1e-6 * (k / TWO_PI)
 
 
+def test_offgraph_at_time_zero_offsets_the_start_point():
+    # the flow runs for no time, so y is x plus the offset, bit for bit
+    sym = make_symbol("p-dependent", lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
+    report = offgraph_probe([quantum_space(5)], sym, (0.3, 0.1), 0.0, (0.2, 0.0))
+    assert report.y == (0.3 + 0.2, 0.1 + 0.0)
+
+
 def test_offgraph_offset_guards():
     sym = model_cos_symbol()
     spaces = [quantum_space(5)]

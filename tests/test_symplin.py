@@ -266,7 +266,7 @@ def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
 def test_branch_sqrt_winds_past_the_cut():
     theta = np.linspace(0.0, 3.0 * np.pi, 400)
     path = np.exp(1j * theta)
-    roots = branch_sqrt_path(path)
+    roots = branch_sqrt_path(path, theta)
     expected = np.exp(0.5j * theta)
     assert np.max(np.abs(roots - expected)) < 1e-12
     # final angle is 3 pi / 2, NOT the principal -pi/2
@@ -275,7 +275,7 @@ def test_branch_sqrt_winds_past_the_cut():
 
 def test_branch_sqrt_consecutive_outputs_stay_close():
     theta = np.linspace(0.0, 3.0 * np.pi, 400)
-    roots = branch_sqrt_path(np.exp(1j * theta))
+    roots = branch_sqrt_path(np.exp(1j * theta), theta)
     angles = np.unwrap(np.angle(roots))
     assert np.max(np.abs(np.diff(angles))) < 0.25 * np.pi
 
@@ -284,7 +284,7 @@ def test_branch_sqrt_of_shear_family():
     # (1 - i a)^(-1/2) along a: squared path must reproduce the input.
     a = np.linspace(0.0, 40.0, 2000)
     vals = 1.0 / (1.0 - 1j * a)
-    roots = branch_sqrt_path(vals)
+    roots = branch_sqrt_path(vals, np.arctan(a))
     sq = roots ** 2
     assert np.max(np.abs(sq - vals) / np.abs(vals)) < 1e-12
     # modulus follows the quarter-power law (1 + a^2)^(-1/4)
@@ -292,20 +292,19 @@ def test_branch_sqrt_of_shear_family():
     assert np.max(np.abs(mods - (1.0 + a ** 2) ** -0.25)) < 1e-12
 
 
-def test_branch_sqrt_rejects_coarse_grids():
-    theta = np.linspace(0.0, 3.0 * np.pi, 5)  # steps of 3pi/4 > pi/2
-    with pytest.raises(BranchContinuityError, match="too coarse"):
-        branch_sqrt_path(np.exp(1j * theta))
-
-
-def test_branch_sqrt_rejects_bad_anchor():
-    with pytest.raises(BranchContinuityError, match="positive real part"):
-        branch_sqrt_path([-1.0 + 0.1j, -1.0 + 0.2j])
+def test_branch_sqrt_follows_its_arguments_on_any_grid():
+    # steps of 3 pi / 4 cannot be unwrapped, but the true arguments pick
+    # the branch: the roots are e^{i theta / 2}
+    theta = np.linspace(0.0, 3.0 * np.pi, 5)
+    roots = branch_sqrt_path(np.exp(1j * theta), theta)
+    assert np.max(np.abs(roots - np.exp(0.5j * theta))) < 1e-15
+    with pytest.raises(BranchContinuityError, match=r"misses .* by 0\.1 rad .* index 0"):
+        branch_sqrt_path(np.exp(1j * theta), theta + 0.1)
 
 
 def test_branch_sqrt_rejects_zero():
     with pytest.raises(BranchContinuityError, match="zero"):
-        branch_sqrt_path([1.0, 0.0, 1.0])
+        branch_sqrt_path([1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from torusprop.torusgeo import (
     StepSizeError,
     b_coefficient,
     b_coefficient_diagonal,
-    branch_grid,
     check_level,
     hamiltonian_vector_field,
     integrate_flow,
@@ -194,6 +193,15 @@ def test_generic_integrator_reproduces_closed_form():
     assert np.max(np.abs(got.action_H - ref.action_H)) < 1e-9
     assert np.max(np.abs(got.action_Hsub - ref.action_Hsub)) < 1e-9
     assert np.max(np.abs(got.conn_L - ref.conn_L)) < 1e-9
+    assert np.max(np.abs(got.theta_a - ref.theta_a)) < 1e-9
+
+
+def test_theta_a_follows_the_holomorphic_determinant():
+    # the integrated argument agrees with the determinant's angle mod 2 pi
+    traj = integrate_flow(generic_symbol(), (0.23, 0.31), np.linspace(0.0, 3.0, 61))
+    dets = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
+    assert traj.theta_a[0] == 0.0
+    assert np.max(np.abs(np.exp(1j * traj.theta_a) - dets / np.abs(dets))) < 1e-9
 
 
 def test_flow_composition_property():
@@ -220,14 +228,27 @@ def test_negative_time_grids_work():
     assert np.allclose(traj.points_lifted[-1], [0.3 - np.sin(0.2 * np.pi), 0.1], atol=1e-12)
 
 
-def test_grid_must_start_at_zero():
-    with pytest.raises(RegularityError, match="start at 0"):
-        integrate_flow(model_cos_symbol(), (0.3, 0.1), np.array([0.1, 0.2]))
+@pytest.mark.parametrize("maker", [model_cos_symbol, generic_symbol])
+@pytest.mark.parametrize("times", [[0.3, 0.7], [-0.3, -1.1], [1.0]])
+def test_grid_may_start_later_than_zero(maker, times):
+    # the sweep runs from 0 to the last time either way, so prepending 0
+    # changes no bit of the rows that were asked for
+    sym = maker()
+    late = integrate_flow(sym, (0.3, 0.1), np.array(times))
+    full = integrate_flow(sym, (0.3, 0.1), np.array([0.0] + times))
+    assert np.array_equal(late.times, times)
+    for name in ("points", "points_lifted", "jacobians", "action_H", "action_Hsub",
+                 "conn_L", "theta_a"):
+        assert np.array_equal(getattr(late, name), getattr(full, name)[-len(times):]), name
 
 
 def test_grid_must_be_monotone():
-    with pytest.raises(RegularityError, match="monotone"):
-        integrate_flow(model_cos_symbol(), (0.3, 0.1), np.array([0.0, 0.2, 0.1]))
+    # a grid that turns back, repeats a time, crosses 0 or holds NaN is refused
+    for sym in (model_cos_symbol(), generic_symbol()):
+        for times in ([0.0, 0.2, 0.1], [0.0, 0.1, 0.1], [0.2, 0.1], [-0.1, 0.1], [0.1, -0.1],
+                      [0.0, -0.2, -0.1], [0.0, np.nan], [np.nan]):
+            with pytest.raises(RegularityError, match="monotone, moving away from t = 0"):
+                integrate_flow(sym, (0.3, 0.1), np.array(times))
 
 
 def test_flow_is_one_sweep_judged_by_the_symplin_rule(monkeypatch):
@@ -235,7 +256,7 @@ def test_flow_is_one_sweep_judged_by_the_symplin_rule(monkeypatch):
     # Jacobians of this size: it is kept as it is, not swept again
     sym = make_symbol("exp-sin-cos", lambda p, q: np.exp(2.0 * np.sin(TWO_PI * p)) * np.cos(TWO_PI * q))
     times = np.linspace(0.0, 1.0, 101)
-    y0 = np.array([0.3, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    y0 = np.array([0.3, 0.1, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     first = _dopri5(lambda y: _flow_rhs(sym, y), y0, 1.0, 1e-10)(times)[:, 2:6].reshape(-1, 2, 2)
     j_gram = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.max(np.abs(np.einsum("tji,jk,tkl->til", first, j_gram, first) - j_gram)) > 1e-9
@@ -340,20 +361,6 @@ def test_prequantum_constant_hamiltonian():
     traj = integrate_flow(sym, (0.3, 0.1), times)
     got = prequantum_phase(sym, traj, 11)
     assert np.max(np.abs(got - np.exp(-11j * c * times))) < 1e-9
-
-
-def test_branch_grid_keeps_a_fine_grid_from_zero():
-    times = np.linspace(0.0, 1.0, 101)
-    grid, rows = branch_grid(times)
-    assert np.array_equal(grid, times) and np.array_equal(rows, np.arange(101))
-
-
-@pytest.mark.parametrize("times", [[0.0, 0.5, 0.51, 1.5], [0.3], [-0.7], [0.0]])
-def test_branch_grid_splits_gaps_wider_than_the_step(times):
-    grid, rows = branch_grid(times)
-    steps = np.diff(grid)
-    assert grid[0] == 0.0 and np.array_equal(grid[rows], times)
-    assert np.all(steps * np.sign(times[-1] or 1.0) > 0) and np.all(np.abs(steps) <= 0.02 + 1e-15)
 
 
 # ---------------------------------------------------------------------------
