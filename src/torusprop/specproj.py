@@ -65,7 +65,7 @@ _F_TOL = 1e-13
 # at u is led by f(u - 2 pi / h), so it is largest at the top of the range.
 # The first probe is 0, so the tolerance can scale with f(0).
 _PROBES = np.array([0.0, -1.0, -0.875, -0.75, 0.75, 0.875, 1.0])
-# Most (argument, node) products one block of the sum holds.
+# Most entries one block's exponential table holds.
 _BLOCK_TERMS = 1 << 16
 
 
@@ -121,29 +121,39 @@ class FourierPair:
         """(2 pi)^{-1/2} times the n-interval trapezoid sum of
         fhat(t) e^{i u t} over [-T, T], for each entry of u.
 
-        Nodes +-t are paired: the even part of fhat multiplies cos(u t) and
-        the odd part i sin(u t), the latter skipped when fhat is even.  The
-        sum runs over blocks of arguments, so no arguments x nodes array is
-        held.
+        With z = e^{i u h} and the nodes t_j = j h, the sum is h fhat(0) plus
+        the polynomials sum_j w_j fhat(t_j) z^j and sum_j w_j fhat(-t_j) z^-j,
+        j = 1 .. n/2, each evaluated by baby and giant steps (Paterson &
+        Stockmeyer, SIAM J. Comput. 2, 1973): with j = a B + b and
+        B = 2^floor(bitlen(n/2) / 2), about sqrt(n/2), z^j = z^{aB} z^b.  A
+        block of arguments then needs two exponential tables of about B
+        columns and one (block x B) @ (B x rows) product per sign, and no
+        arguments x nodes array is held.  The terms are those of the plain
+        sum, added in another order.
         """
 
+        half = n // 2
         h = 2.0 * self.support_T / n
-        t = h * np.arange(1, n // 2 + 1)
-        plus = np.asarray(self.fhat(t), dtype=complex)
-        minus = np.asarray(self.fhat(-t), dtype=complex)
-        weights = np.full(t.size, h)
+        baby = 1 << (half.bit_length() // 2)
+        giant = -(-(half + 1) // baby)
+        t = h * np.arange(1, half + 1)
+        weights = np.full(half, h)
         weights[-1] = 0.5 * h  # the endpoints +-T
-        even = weights * (plus + minus)
-        odd = weights * (plus - minus)
-        has_odd = bool(np.any(odd))
+        coeffs = np.zeros((2, giant * baby), dtype=complex)
+        coeffs[0, 1:half + 1] = weights * np.asarray(self.fhat(t), dtype=complex)
+        coeffs[1, 1:half + 1] = weights * np.asarray(self.fhat(-t), dtype=complex)
+        plus, minus = np.swapaxes(coeffs.reshape(2, giant, baby), 1, 2)  # [b, a] = c_{aB+b}
         centre = h * complex(np.asarray(self.fhat(0.0), dtype=complex))
+        baby_t = h * np.arange(baby)
+        giant_t = h * baby * np.arange(giant)
         out = np.empty(u.size, dtype=complex)
-        block = max(1, _BLOCK_TERMS // t.size)
+        block = max(1, _BLOCK_TERMS // giant)
         for lo in range(0, u.size, block):
-            arg = np.outer(u[lo:lo + block], t)
-            out[lo:lo + block] = centre + np.cos(arg) @ even
-            if has_odd:
-                out[lo:lo + block] += 1j * (np.sin(arg) @ odd)
+            ub = u[lo:lo + block]
+            z_b = np.exp(1j * np.outer(ub, baby_t))
+            z_a = np.exp(1j * np.outer(ub, giant_t))
+            out[lo:lo + block] = centre + np.sum(z_a * (z_b @ plus)
+                                                 + np.conj(z_a) * (np.conj(z_b) @ minus), axis=1)
         return out / np.sqrt(TWO_PI)
 
 
@@ -261,36 +271,26 @@ class ProjectorPrediction:
     off_image: bool
 
 
-def _return_term(sym: SymbolField, x, y, t_ret: float, winding: tuple[int, int],
-                 energy: float, pair: FourierPair, k: int) -> ReturnTerm:
-    """fhat(t) rho'^{1/2} e^{-i int H^sub} [T^L]^k for one return time, the
-    square root's branch picked by the flow's theta_a; the lifted trajectory
-    endpoint is cross-checked against the winding from the return search."""
+@dataclass(frozen=True)
+class _ReturnData:
+    """The k-independent part of one return: fhat(t) rho'^{1/2}
+    e^{-i int H^sub} as ``amplitude``, and the connection integral whose
+    k-th multiple is the transport phase."""
 
-    fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
-    traj = integrate_flow(sym, x, [t_ret])
-    end = traj.points_lifted[-1]
-    target = np.asarray(y, dtype=float) + np.asarray(winding, dtype=float)
-    if float(np.max(np.abs(end - target))) > 1e-6:
-        raise RuntimeError(f"return trajectory missed its lifted target by "
-                           f"{float(np.max(np.abs(end - target))):.2e}")
-    rho_half = rho_level_half(sym, traj, float(energy))[-1]
-    phase = float(k) * traj.conn_L[-1] - traj.action_Hsub[-1]
-    return ReturnTerm(t=float(t_ret), winding=winding, fhat=fh,
-                      value=fh * rho_half * np.exp(1j * phase))
+    t: float
+    winding: tuple[int, int]
+    fhat: complex
+    amplitude: complex
+    conn_L: float
 
 
-def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: float,
-                                y, x, k: int,
-                                window: tuple[float, float] | None = None) -> ProjectorPrediction:
-    """Return-time predictor for f(k(E - T))(y, x) on a regular level.
-
-    ``window`` restricts which return times contribute (default: the full
-    support of fhat); shrinking it past a return drops exactly that term,
-    which is how term-removal experiments are run; a window outside that
-    support has no returns and predicts off-image.  Raises ValueError when
-    t_min > t_max, and RegularityError when x or y is off the energy level.
-    """
+def _return_terms(sym: SymbolField, pair: FourierPair, energy: float, y, x,
+                  window: tuple[float, float] | None = None) -> tuple[_ReturnData, ...]:
+    """Every return of x to y inside the window (clamped to the support of
+    fhat) with its k-independent data, each square root's branch picked by
+    the flow's theta_a; each lifted trajectory endpoint is cross-checked
+    against the winding from the return search.  Raises as
+    ``projector_kernel_asymptotic`` does."""
 
     t_lo, t_hi = window if window is not None else (-pair.support_T, pair.support_T)
     if t_lo > t_hi:
@@ -302,11 +302,46 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
     for pt in (x_pq, y_pq):
         check_level(sym, pt, float(energy))
     returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi)) if t_lo <= t_hi else []
+    out = []
+    for t_ret, winding in returns:
+        fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
+        traj = integrate_flow(sym, x_pq, [t_ret])
+        miss = float(np.max(np.abs(traj.points_lifted[-1] - np.add(y_pq, winding))))
+        if miss > 1e-6:
+            raise RuntimeError(f"return trajectory missed its lifted target by {miss:.2e}")
+        rho_half = rho_level_half(sym, traj, float(energy))[-1]
+        out.append(_ReturnData(t=float(t_ret), winding=winding, fhat=fh,
+                               amplitude=fh * rho_half * np.exp(-1j * traj.action_Hsub[-1]),
+                               conn_L=float(traj.conn_L[-1])))
+    return tuple(out)
+
+
+def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: float,
+                                y, x, k: int,
+                                window: tuple[float, float] | None = None, *,
+                                returns: tuple[_ReturnData, ...] | None = None,
+                                ) -> ProjectorPrediction:
+    """Return-time predictor for f(k(E - T))(y, x) on a regular level.
+
+    ``window`` restricts which return times contribute (default: the full
+    support of fhat); shrinking it past a return drops exactly that term,
+    which is how term-removal experiments are run; a window outside that
+    support has no returns and predicts off-image.  Raises ValueError when
+    t_min > t_max, and RegularityError when x or y is off the energy level.
+    ``returns``, if given, are the precomputed k-independent return data
+    (``_return_terms`` for the same symbol, pair, energy, points and
+    window), so no return is searched or integrated and only the transport
+    phases e^{i k int alpha(X)} are applied.
+    """
+
+    if returns is None:
+        returns = _return_terms(sym, pair, energy, y, x, window)
     if not returns:
         return ProjectorPrediction(value=0j, k=int(k), energy=float(energy),
                                    terms=(), off_image=True)
-    terms = tuple(_return_term(sym, x_pq, y_pq, float(t), w, energy, pair, k)
-                  for t, w in returns)
+    terms = tuple(ReturnTerm(t=r.t, winding=r.winding, fhat=r.fhat,
+                             value=r.amplitude * np.exp(1j * float(k) * r.conn_L))
+                  for r in returns)
     prefactor = np.sqrt(float(k)) / TWO_PI
     total = sum(term.value for term in terms)
     return ProjectorPrediction(value=complex(prefactor * total), k=int(k),
@@ -364,6 +399,7 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
 
     Entries of ``points`` are diagonal points or (y, x) pairs; rows come out
     grouped by point in the order given, with k ascending within a group.
+    The returns and their k-independent data are computed once per point.
     """
 
     rows = []
@@ -372,10 +408,12 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
         y_pq, x_pq = _normalize_point_entry(entry)
+        returns = _return_terms(sym, pair, energy, y_pq, x_pq)
         for k in sorted(spaces):
             qs = spaces[k]
             exact = projector_kernel_exact(qs, ops[k], pair, energy, y_pq, x_pq,
                                            coeffs=coeffs[k])
-            pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq, k)
+            pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq, k,
+                                               returns=returns)
             rows.append(ProjectorSample.build(k, energy, x_pq, y_pq, exact, pred))
     return rows

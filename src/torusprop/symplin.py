@@ -16,7 +16,8 @@ stack against its own scale.  This module provides:
   determinant;
 * ``polar_determinant`` — the product formula
   prod (sigma + 1/sigma)/2 * det_C(unitary part) over the metric polar
-  factors, an independent route to the same determinant;
+  factors, both read from one singular value decomposition of g, an
+  independent route to the same determinant;
 * ``branch_sqrt_path`` — square roots of nonzero complex values on the
   branch a continuous argument estimate picks (the flow integrates one),
   returned as one complex array;
@@ -158,34 +159,28 @@ def _check_modulus(dets) -> None:
             "symplectic data is corrupted (the modulus is >= 1 in exact arithmetic)")
 
 
-def _metric_square(m: np.ndarray) -> np.ndarray:
-    """M^T M, symmetrized: the square of g's positive polar factor (the
-    metric omega(., j .) is euclidean), for each matrix of a stack."""
-    sym = _transpose(m) @ m
-    return 0.5 * (sym + _transpose(sym))
-
-
 def _polar(g: LinearSymplectomorphism):
     """The eigenvalues (ascending) of each metric square M^T M, and the
-    polar factors g = g1 g2 built from the same ``eigh``: g1 unitary
-    (commutes with j), g2 positive symmetric for the euclidean metric
-    omega(., j .); for a stack, the stacks of the factors.  Each
-    reconstruction g1 g2 must match its matrix to 1e-9 of
-    max(1, ||M||_inf)."""
+    polar factors g = g1 g2, all from one singular value decomposition
+    M = U S V^T: the eigenvalues are the squared singular values, g1 = U V^T
+    is unitary (commutes with j) and g2 = V S V^T is positive symmetric for
+    the euclidean metric omega(., j .); for a stack, the stacks of the
+    factors.  Taking them from M itself rather than from M^T M keeps their
+    error at the conditioning of M, not its square.  Each reconstruction
+    g1 g2 must match its matrix to 1e-9 of max(1, ||M||_inf)."""
 
     m = g.matrix
-    lam, vec = np.linalg.eigh(_metric_square(m))
-    if np.min(lam) <= 0.0:
+    u, sigma, vt = np.linalg.svd(m)
+    if np.min(sigma) <= 0.0:
         raise StructureError("polar decomposition met a non-positive metric square")
-    sqrt_lam = np.sqrt(lam)[..., None, :]
-    g2 = (vec * sqrt_lam) @ _transpose(vec)
-    g1 = m @ (vec / sqrt_lam) @ _transpose(vec)
+    g2 = (_transpose(vt) * sigma[..., None, :]) @ vt
+    g1 = u @ vt
     resid = _inf_norms(g1 @ g2 - m)
     ok = resid <= 1e-9 * np.maximum(1.0, _inf_norms(m))
     if not np.all(ok):
         raise StructureError("polar factors fail to reconstruct the map (residual "
                              f"{float(np.max(resid)):.2e}){_where(ok)}")
-    return lam, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
+    return sigma[..., ::-1] ** 2, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
 
 
 def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
@@ -194,8 +189,8 @@ def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
         prod over singular-value pairs (sigma + 1/sigma)/2   x   det_C(g1).
 
     The positive factor uses the n singular values <= 1 (they come in
-    sigma, 1/sigma pairs), taken from the eigendecomposition that also
-    builds the factors; the unitary factor contributes the phase.
+    sigma, 1/sigma pairs), taken from the singular value decomposition that
+    also builds the factors; the unitary factor contributes the phase.
     Agrees with ``holomorphic_determinant`` but shares no code path with the
     block formula applied to g itself.  A stack gives an array of the
     stack's shape.

@@ -685,7 +685,9 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
 
     Dense sampling of the lifted flow followed by Newton refinement of the
     along-flow coordinate, both on one flow evaluator (for generic symbols,
-    the dense output of one integration on each side of t = 0); each root is
+    the dense output of one integration on each side of t = 0).  Newton
+    starts once per passage near y, at each sample below the distance
+    threshold that is a local minimum of the distance to y; each root is
     verified to land on y to 1e-9 in lattice distance.  Requires x, y on a
     common regular level set.
     """
@@ -723,7 +725,8 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
                               "of the flow)")
 
     thresh = max(3.0 * vmax * step, 1e-5)
-    cand_idx = np.nonzero(dist < thresh)[0]
+    padded = np.concatenate([[np.inf], dist, [np.inf]])
+    cand_idx = np.nonzero((dist < thresh) & (dist <= padded[:-2]) & (dist <= padded[2:]))[0]
 
     roots: list[float] = []
     for idx in cand_idx:

@@ -42,3 +42,13 @@ def test_selftest_json_is_byte_identical_under_one_seed(monkeypatch, tmp_path, c
     for out in outs:
         assert main(["selftest", "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("seed", [102, 1448, 1562])
+def test_a6_passes_at_seeds_whose_draws_are_ill_conditioned(monkeypatch, seed):
+    # polar factors read from M^T M lose digits at the square of M's
+    # condition number: at these seeds A6 measured 1.34e-9 > 1e-9 (102) or
+    # a factor failed the symplectic check (1448, 1562)
+    monkeypatch.setenv("TP_SEED", str(seed))
+    res = REGISTRY["A6"]()
+    assert res.passed, f"A6 failed at TP_SEED={seed}: measured={res.measured:.6g}"

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from torusprop.propkern import kernel_eval, operator_for
+from torusprop import specproj
 from torusprop.specproj import (
+    FourierPair,
     ProjectorPrediction,
     build_fourier_pair,
     projector_compare,
@@ -93,6 +95,22 @@ def test_pair_resolved_at_large_arguments(support):
     assert np.max(np.abs(pair.f_eval(us) - _trapezoid_reference(pair, us))) <= 1e-13
     for u in us:
         assert abs(pair.f_eval(u) - _trapezoid_reference(pair, u)[0]) <= 1e-13
+
+
+_bump7 = specproj._fhat_function("bump", 7.0)
+
+
+@pytest.mark.parametrize("fhat", [lambda t: _bump7(t) * (1.0 + 0.3 * np.asarray(t) / 7.0),
+                                  lambda t: np.exp(0.5j * np.asarray(t)) * _bump7(t)],
+                         ids=["tilted", "complex"])
+def test_pair_without_even_symmetry(fhat):
+    # fhat(-t) != fhat(t): the z^{-j} half of the sum carries its own terms
+    pair = FourierPair(7.0, fhat)
+    us = np.array([0.0, 3.7, -3.7, 200.0, -200.0, 800.0, -800.0])
+    ref = _trapezoid_reference(pair, us)
+    assert np.max(np.abs(pair.f_eval(us) - ref)) <= 1e-13
+    for u, r in zip(us, ref):
+        assert abs(pair.f_eval(u) - r) <= 1e-13
 
 
 def test_smoothed_trace_at_k200_is_resolved():
@@ -365,6 +383,29 @@ def test_compare_table_error_halves_with_k():
     assert [r.k for r in rows] == [100, 200]
     assert all(not r.off_image for r in rows)
     assert rows[1].rel_err_modulus <= 0.7 * rows[0].rel_err_modulus
+
+
+def test_compare_searches_returns_once_per_point(monkeypatch):
+    # the returns and their amplitudes do not depend on k: one search per
+    # point serves every k, and each row equals the self-contained predictor
+    sym = model_cos_symbol()
+    pair = build_fourier_pair("bump", 7.0)
+    points = [(0.3, Q0), ((0.55, Q0), (0.3, Q0))]
+    searched = []
+    real = specproj.return_times
+
+    def counted(*args, **kwargs):
+        searched.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specproj, "return_times", counted)
+    rows = projector_compare(sym, pair, E0, points, [60, 120])
+    assert len(searched) == len(points)
+    for row in rows:
+        alone = projector_kernel_asymptotic(sym, pair, E0, row.y, row.x, row.k)
+        assert len(alone.terms) > 1
+        assert abs(row.predicted - alone.value) <= 1e-13 * abs(alone.value)
+    assert len(searched) == len(points) + len(rows)
 
 
 def test_compare_relative_error_smallest_at_widest_level():

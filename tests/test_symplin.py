@@ -135,19 +135,21 @@ def test_polar_determinant_positive_factor_value():
 
 
 def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
+    # one svd of each stack gives the metric square's eigenvalues and both
+    # polar factors
     g = sp(random_symplectic(2, np.random.default_rng(11).random, size=5))
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append((_name, np.shape(a)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     det = polar_determinant(g)
     assert det.shape == (5,)
-    assert calls == ["eigh"]
+    assert calls == [("svd", (5, 4, 4))]
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +244,18 @@ def test_stack_with_one_corrupted_block_raises():
 
 
 def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
-    # eigenvectors that are not orthonormal for one matrix of the stack make
-    # its factors miss g1 g2 = g; that matrix alone must fail
+    # a right singular factor that is not orthogonal for one matrix of the
+    # stack makes its factors miss g1 g2 = g; that matrix alone must fail
     stack = random_symplectic(2, np.random.default_rng(9).random, size=10)
-    real_eigh = np.linalg.eigh
+    real_svd = np.linalg.svd
 
-    def one_bad_eigh(a):
-        lam, vec = real_eigh(a)
-        vec = vec.copy()
-        vec[4, 0, 0] += 1e-6
-        return lam, vec
+    def one_bad_svd(a):
+        u, sigma, vt = real_svd(a)
+        vt = vt.copy()
+        vt[4, 0, 0] += 1e-6
+        return u, sigma, vt
 
-    monkeypatch.setattr(np.linalg, "eigh", one_bad_eigh)
+    monkeypatch.setattr(np.linalg, "svd", one_bad_svd)
     with pytest.raises(StructureError, match=r"fail to reconstruct .* stack index \(4,\)"):
         _polar(sp(stack))
 

@@ -636,6 +636,24 @@ def test_returns_diagonal_wide_window():
     assert np.allclose(sorted(ts), sorted(-t for t in ts), atol=1e-9)
 
 
+def test_returns_start_newton_once_per_passage(monkeypatch):
+    # every Newton start that converges evaluates the field at least twice
+    # (a step and the one that confirms it), and once more for the flow
+    # direction at y, so (calls - 1) // 2 bounds the starts
+    sym = model_cos_symbol()
+    calls = []
+    real = torusgeo.hamiltonian_vector_field
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(torusgeo, "hamiltonian_vector_field", counted)
+    rts = return_times(sym, (0.3, 0.1), (0.3, 0.1), (-7.0, 7.0))
+    assert len(rts) == 5
+    assert (len(calls) - 1) // 2 <= len(rts)
+
+
 def test_returns_offset_target():
     sym = model_cos_symbol()
     q0 = 0.1
