@@ -12,9 +12,9 @@ form 4*pi dp^dq:
 
 Modules
 -------
-symplin   linear-symplectomorphism bookkeeping on the standard complex
-          structure: holomorphic blocks, polar factors, square roots on
-          the branch an argument estimate picks (as complex arrays)
+symplin   the torus's 2 x 2 linear algebra on the standard complex
+          structure: symplecticity, det^{1,0} directly and by polar
+          factors, square roots on the branch an argument estimate picks
 torusgeo  the fixed torus phase space: autonomous symbols of (p, q), flows,
           the prequantum phase, amplitudes, return times
 thetaq    quantum spaces: theta-function basis, Gram/Toeplitz matrices

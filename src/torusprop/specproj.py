@@ -10,11 +10,13 @@ the support window,
     sqrt(k)/(2 pi) * sum_t fhat(t) [rho'_t]^{1/2} e^{-i int H^sub} [T^L_t]^k,
 
 where the transport phase along the lifted path carries the winding
-holonomy.  (Note the prefactor: the inverse semiclassical Fourier transform
-contributes k^{-1/2} (k/2pi)^{1/2} = (2pi)^{-1/2} against the propagator's
-k/2pi, so the constant is sqrt(k)/(2 pi); a (k/2pi)^{1/2} variant that
-sometimes appears differs by sqrt(2 pi) and fails the exact comparison by
-~60%.)  Off the image of the return relation the kernel is rapidly
+holonomy.  A return that winds by w ends at the lift y + w, where the kernel
+is K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so its transport
+phase also carries the inverse of that lattice gauge factor.  (Note the
+prefactor: the inverse semiclassical Fourier transform contributes
+k^{-1/2} (k/2pi)^{1/2} = (2pi)^{-1/2} against the propagator's k/2pi, so the
+constant is sqrt(k)/(2 pi); a (k/2pi)^{1/2} variant that sometimes appears
+differs by sqrt(2 pi) and fails the exact comparison by ~60%.)  Off the image of the return relation the kernel is rapidly
 decaying and the predictor reports exactly zero, tagged.
 """
 
@@ -274,8 +276,9 @@ class ProjectorPrediction:
 @dataclass(frozen=True)
 class _ReturnData:
     """The k-independent part of one return: fhat(t) rho'^{1/2}
-    e^{-i int H^sub} as ``amplitude``, and the connection integral whose
-    k-th multiple is the transport phase."""
+    e^{-i int H^sub} as ``amplitude``, and the connection integral, less the
+    winding's lattice gauge term, whose k-th multiple is the transport
+    phase."""
 
     t: float
     winding: tuple[int, int]
@@ -289,7 +292,11 @@ def _return_terms(sym: SymbolField, pair: FourierPair, energy: float, y, x,
     """Every return of x to y inside the window (clamped to the support of
     fhat) with its k-independent data, each square root's branch picked by
     the flow's theta_a; each lifted trajectory endpoint is cross-checked
-    against the winding from the return search.  Raises as
+    against the winding w from the return search.  The flow transports to
+    the lifted endpoint y + w, and the kernel there is
+    K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so ``conn_L``
+    carries -2 pi (w_p q_y - w_q p_y), the lattice gauge factor that brings
+    the predictor back to y, where the exact kernel is evaluated.  Raises as
     ``projector_kernel_asymptotic`` does."""
 
     t_lo, t_hi = window if window is not None else (-pair.support_T, pair.support_T)
@@ -310,9 +317,10 @@ def _return_terms(sym: SymbolField, pair: FourierPair, energy: float, y, x,
         if miss > 1e-6:
             raise RuntimeError(f"return trajectory missed its lifted target by {miss:.2e}")
         rho_half = rho_level_half(sym, traj, float(energy))[-1]
+        gauge = TWO_PI * (winding[0] * y_pq[1] - winding[1] * y_pq[0])
         out.append(_ReturnData(t=float(t_ret), winding=winding, fhat=fh,
                                amplitude=fh * rho_half * np.exp(-1j * traj.action_Hsub[-1]),
-                               conn_L=float(traj.conn_L[-1])))
+                               conn_L=float(traj.conn_L[-1]) - gauge))
     return tuple(out)
 
 

@@ -1,47 +1,45 @@
-"""Linear symplectomorphisms and their holomorphic determinants.
+"""The torus's 2 x 2 linear algebra: linear symplectomorphisms of the
+tangent plane and their holomorphic determinants.
 
-A linear symplectic map g of (R^{2n}, omega_std) acts on the (1,0)-subspace
-of the standard complex structure z = p + i q after complexification; the
-determinant of that block drives every amplitude in the propagator and
-projector predictors.  The standard structure is the only one the theta
-basis of the quantum spaces is holomorphic for, so it is the only one
-here.  Every function below takes one 2n x 2n matrix or a stack of them
-(..., 2n, 2n), the way ``numpy.linalg`` does, and checks each matrix of a
-stack against its own scale.  This module provides:
+A linear symplectic map g of (R^2, omega_std) acts on the (1,0)-line of the
+standard complex structure z = p + i q, after complexification, as
+multiplication by one complex number det^{1,0}(g); it drives every
+amplitude in the propagator and projector predictors.  The standard
+structure is the only one the theta basis of the quantum spaces is
+holomorphic for, so it is the only one here.  Every function below takes
+one 2 x 2 matrix or a stack of them (..., 2, 2), the way ``numpy.linalg``
+does, and checks each matrix of a stack against its own scale.  This
+module provides:
 
-* ``LinearSymplectomorphism`` — validated container (M^T J M = J to 1e-10
-  of each matrix's own squared inf-norm plus 1e-9 relative);
-* ``holomorphic_block`` / ``holomorphic_determinant`` — the (1,0)->(1,0)
-  block ((A + D) + i (C - B)) / 2 of g = [[A, B], [C, D]] and its
-  determinant;
-* ``polar_determinant`` — the product formula
-  prod (sigma + 1/sigma)/2 * det_C(unitary part) over the metric polar
-  factors, both read from one singular value decomposition of g, an
-  independent route to the same determinant;
+* ``SYMPLECTIC_GRAM`` / ``COMPLEX_STRUCTURE`` — the read-only J and j;
+* ``LinearSymplectomorphism`` — validated container (det M = 1 to 1e-10 of
+  each matrix's own squared inf-norm plus 1e-9; since M^T J M = det(M) J,
+  this is M^T J M = J);
+* ``holomorphic_determinant`` — det^{1,0}(g) = ((a + d) + i (c - b)) / 2 for
+  g = [[a, b], [c, d]];
+* ``polar_determinant`` — the same number as (sigma + 1/sigma)/2 x e^{i theta}
+  from one singular value decomposition of g, an independent route;
 * ``branch_sqrt_path`` — square roots of nonzero complex values on the
-  branch a continuous argument estimate picks (the flow integrates one),
-  returned as one complex array;
-* ``random_symplectic`` — random elements of Sp(2n, R), one or a stack.
+  branch a continuous argument estimate picks (the flow integrates one);
+* ``random_symplectic`` — random elements of Sp(2, R), one or a stack.
 
-Coordinates are ordered (p_1..p_n, q_1..q_n); omega(u, v) = u^T J v with
-J = [[0, I], [-I, 0]], and the standard complex structure j sends
-d/dp_i -> d/dq_i, so the metric omega(., j .) is euclidean.
+Coordinates are ordered (p, q); omega(u, v) = u^T J v with
+J = [[0, 1], [-1, 0]], and j sends d/dp -> d/dq, so the metric
+omega(., j .) is euclidean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "StructureError",
     "BranchContinuityError",
+    "SYMPLECTIC_GRAM",
+    "COMPLEX_STRUCTURE",
     "LinearSymplectomorphism",
-    "standard_symplectic_gram",
-    "standard_complex_structure",
-    "holomorphic_block",
     "holomorphic_determinant",
     "polar_determinant",
     "branch_sqrt_path",
@@ -55,6 +53,11 @@ _BRANCH_ATOL = 1e-3
 # factors in each product ``random_symplectic`` draws
 _N_FACTORS = 6
 
+SYMPLECTIC_GRAM = np.array([[0.0, 1.0], [-1.0, 0.0]])
+SYMPLECTIC_GRAM.flags.writeable = False
+COMPLEX_STRUCTURE = np.array([[0.0, -1.0], [1.0, 0.0]])
+COMPLEX_STRUCTURE.flags.writeable = False
+
 
 class StructureError(ValueError):
     """Matrix data violates the symplectic contract."""
@@ -62,31 +65,6 @@ class StructureError(ValueError):
 
 class BranchContinuityError(ValueError):
     """An argument estimate does not pick the branch of its value."""
-
-
-@lru_cache(maxsize=None)
-def standard_symplectic_gram(n: int) -> np.ndarray:
-    """Gram matrix J of omega_std in (p, q) ordering: omega(u,v) = u^T J v.
-    Built once per n; the array is read-only."""
-    eye = np.eye(n)
-    gram = np.block([[np.zeros((n, n)), eye], [-eye, np.zeros((n, n))]])
-    gram.flags.writeable = False
-    return gram
-
-
-@lru_cache(maxsize=None)
-def standard_complex_structure(n: int) -> np.ndarray:
-    """The standard j with j d/dp_i = d/dq_i, j d/dq_i = -d/dp_i, the
-    structure every holomorphic block is taken against.  Built once per n;
-    the array is read-only."""
-    eye = np.eye(n)
-    cs = np.block([[np.zeros((n, n)), -eye], [eye, np.zeros((n, n))]])
-    cs.flags.writeable = False
-    return cs
-
-
-def _transpose(m: np.ndarray) -> np.ndarray:
-    return np.swapaxes(m, -1, -2)
 
 
 def _inf_norms(m: np.ndarray) -> np.ndarray:
@@ -102,104 +80,77 @@ def _where(ok: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class LinearSymplectomorphism:
-    """A validated 2n x 2n symplectic matrix, or a stack (..., 2n, 2n) of
-    them: |M^T J M - J| <= 1e-10 max(1, ||M||_inf^2) + 1e-9 |J| entrywise."""
+    """A validated 2 x 2 symplectic matrix, or a stack (..., 2, 2) of them:
+    |det M - 1| <= 1e-10 max(1, ||M||_inf^2) + 1e-9."""
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2:
-            raise StructureError(f"matrix must be 2n x 2n, got shape {m.shape}")
+        if m.ndim < 2 or m.shape[-2:] != (2, 2):
+            raise StructureError(f"matrix must be 2 x 2, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-        gram = standard_symplectic_gram(m.shape[-1] // 2)
-        atol = _ATOL * np.maximum(1.0, _inf_norms(m) ** 2)
-        ok = np.all(np.isclose(_transpose(m) @ gram @ m, gram, rtol=_RTOL,
-                               atol=atol[..., None, None]), axis=(-2, -1))
+        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        ok = np.abs(det - 1.0) <= _ATOL * np.maximum(1.0, _inf_norms(m) ** 2) + _RTOL
         if not np.all(ok):
             raise StructureError("matrix is not symplectic (M^T J M != J)" + _where(ok))
 
-    @property
-    def dim_n(self) -> int:
-        return self.matrix.shape[-1] // 2
-
-
-def holomorphic_block(g: LinearSymplectomorphism) -> np.ndarray:
-    """Complex n x n matrix of g acting (1,0) -> (1,0), one per matrix of a
-    stack.
-
-    For g = [[A, B], [C, D]] in standard-j coordinates the complexified
-    action on z = p + i q has C-linear part ((A + D) + i (C - B)) / 2.
-    """
-
-    mat, n = g.matrix, g.dim_n
-    a = mat[..., :n, :n]
-    b = mat[..., :n, n:]
-    c = mat[..., n:, :n]
-    d = mat[..., n:, n:]
-    return 0.5 * ((a + d) + 1j * (c - b))
-
 
 def holomorphic_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
-    """det of the (1,0)-block: a complex number, or an array of the stack's
-    shape.  Always has modulus >= 1 for valid input; a value below 0.5
-    indicates corrupted data and raises."""
-    det = np.linalg.det(holomorphic_block(g))
-    _check_modulus(det)
-    return det if det.ndim else complex(det)
-
-
-def _check_modulus(dets) -> None:
-    """Raise unless every holomorphic determinant in ``dets`` has modulus
-    >= 0.5 (it is >= 1 in exact arithmetic)."""
-    worst = float(np.min(np.abs(dets)))
+    """det^{1,0}(g) = ((a + d) + i (c - b)) / 2 for g = [[a, b], [c, d]]: a
+    complex number, or an array of the stack's shape.  Always has modulus
+    >= 1 for valid input; a value below 0.5 indicates corrupted data and
+    raises."""
+    m = g.matrix
+    det = 0.5 * ((m[..., 0, 0] + m[..., 1, 1]) + 1j * (m[..., 1, 0] - m[..., 0, 1]))
+    worst = float(np.min(np.abs(det)))
     if worst < 0.5:
         raise StructureError(
             f"holomorphic determinant has modulus {worst:.3g} < 0.5; "
             "symplectic data is corrupted (the modulus is >= 1 in exact arithmetic)")
+    return det if det.ndim else complex(det)
 
 
 def _polar(g: LinearSymplectomorphism):
-    """The eigenvalues (ascending) of each metric square M^T M, and the
-    polar factors g = g1 g2, all from one singular value decomposition
-    M = U S V^T: the eigenvalues are the squared singular values, g1 = U V^T
-    is unitary (commutes with j) and g2 = V S V^T is positive symmetric for
-    the euclidean metric omega(., j .); for a stack, the stacks of the
-    factors.  Taking them from M itself rather than from M^T M keeps their
-    error at the conditioning of M, not its square.  Each reconstruction
-    g1 g2 must match its matrix to 1e-9 of max(1, ||M||_inf)."""
+    """The singular values (descending) of each matrix and its polar factors
+    g = g1 g2, all from one singular value decomposition M = U S V^T:
+    g1 = U V^T is a rotation (commutes with j) and g2 = V S V^T is positive
+    symmetric for the euclidean metric omega(., j .); for a stack, the
+    stacks of all three.  Taking them from M itself rather than from M^T M
+    keeps their error at the conditioning of M, not its square.  Each
+    reconstruction g1 g2 must match its matrix to 1e-9 of
+    max(1, ||M||_inf)."""
 
     m = g.matrix
     u, sigma, vt = np.linalg.svd(m)
     if np.min(sigma) <= 0.0:
         raise StructureError("polar decomposition met a non-positive metric square")
-    g2 = (_transpose(vt) * sigma[..., None, :]) @ vt
+    g2 = (np.swapaxes(vt, -1, -2) * sigma[..., None, :]) @ vt
     g1 = u @ vt
     resid = _inf_norms(g1 @ g2 - m)
     ok = resid <= 1e-9 * np.maximum(1.0, _inf_norms(m))
     if not np.all(ok):
         raise StructureError("polar factors fail to reconstruct the map (residual "
                              f"{float(np.max(resid)):.2e}){_where(ok)}")
-    return sigma[..., ::-1] ** 2, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
+    return sigma, LinearSymplectomorphism(g1), LinearSymplectomorphism(g2)
 
 
 def polar_determinant(g: LinearSymplectomorphism) -> complex | np.ndarray:
     """Holomorphic determinant via polar factors:
 
-        prod over singular-value pairs (sigma + 1/sigma)/2   x   det_C(g1).
+        (sigma + 1/sigma)/2   x   e^{i theta},
 
-    The positive factor uses the n singular values <= 1 (they come in
-    sigma, 1/sigma pairs), taken from the singular value decomposition that
-    also builds the factors; the unitary factor contributes the phase.
-    Agrees with ``holomorphic_determinant`` but shares no code path with the
-    block formula applied to g itself.  A stack gives an array of the
-    stack's shape.
+    with sigma <= 1 the smaller singular value of g (the two are sigma and
+    1/sigma) and theta the angle of the rotation g1, both from the singular
+    value decomposition that builds the factors; e^{i theta} is g1's first
+    column read as a complex number.  Agrees with ``holomorphic_determinant``
+    but shares no code path with it.  A stack gives an array of the stack's
+    shape.
     """
 
-    lam, g1, _ = _polar(g)
-    sigma = np.sqrt(lam[..., :g.dim_n])  # ascending, so these are the pairs' small halves
-    positive_factor = np.prod(0.5 * (sigma + 1.0 / sigma), axis=-1)
-    det = positive_factor * np.linalg.det(holomorphic_block(g1))
+    sigma, g1, _ = _polar(g)
+    small = sigma[..., -1]
+    det = 0.5 * (small + 1.0 / small) * (g1.matrix[..., 0, 0] + 1j * g1.matrix[..., 1, 0])
     return det if det.ndim else complex(det)
 
 
@@ -232,19 +183,18 @@ def branch_sqrt_path(values, arguments) -> np.ndarray:
     return np.sqrt(np.abs(vals)) * np.exp(0.5j * theta)
 
 
-def random_symplectic(n: int, uniform, size: int | None = None) -> np.ndarray:
-    """Random element of Sp(2n, R) as a product of _N_FACTORS shears and
-    block scalings, or a stack (size, 2n, 2n) of independent ones drawn in
-    one call.
+def random_symplectic(uniform, size: int | None = None) -> np.ndarray:
+    """Random element of Sp(2, R) as a product of _N_FACTORS shears and
+    scalings, or a stack (size, 2, 2) of independent ones drawn in one call.
 
     ``uniform(shape)`` returns an array of that shape drawn from U[0, 1),
     for example ``np.random.default_rng(seed).random``.  Each factor is,
-    with equal odds, a shear [[I, S], [0, I]] or [[I, 0], [S, I]] with S
-    symmetric, or a block scaling [[A, 0], [0, A^{-T}]] with |det A| >= 0.2,
-    redrawn until it holds.  Normal entries come from Box-Muller pairs.
-    Used by tests and the self-check battery; factor scales are kept
-    moderate so products stay well-conditioned.  ``size=None`` gives one
-    matrix, drawn exactly as a stack of size 1 would draw it.
+    with equal odds, a shear [[1, s], [0, 1]] or [[1, 0], [s, 1]], or a
+    scaling diag(a, 1/a) with |a| >= 0.2, redrawn until it holds.  Normal
+    entries come from Box-Muller pairs.  Used by tests and the self-check
+    battery; factor scales are kept moderate so products stay
+    well-conditioned.  ``size=None`` gives one matrix, drawn exactly as a
+    stack of size 1 would draw it.
     """
 
     def normal(scale, shape):
@@ -252,21 +202,19 @@ def random_symplectic(n: int, uniform, size: int | None = None) -> np.ndarray:
         return scale * np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
 
     shape = () if size is None else (int(size),)
-    dim = 2 * n
-    eye = np.broadcast_to(np.eye(dim), shape + (dim, dim))
+    eye = np.broadcast_to(np.eye(2), shape + (2, 2))
     out = eye.copy()
     for _ in range(_N_FACTORS):
         kind = np.floor(3.0 * uniform(shape))
-        sym = normal(0.4, shape + (n, n))
-        sym = 0.5 * (sym + _transpose(sym))
+        s = normal(0.4, shape)
         blk = eye.copy()
-        blk[kind == 0, :n, n:] = sym[kind == 0]
-        blk[kind == 1, n:, :n] = sym[kind == 1]
+        blk[kind == 0, 0, 1] = s[kind == 0]
+        blk[kind == 1, 1, 0] = s[kind == 1]
         scaling = kind == 2
-        a = np.zeros((np.count_nonzero(scaling), n, n))  # det 0: every block is drawn
-        while np.any(redraw := np.abs(np.linalg.det(a)) < 0.2):
-            a[redraw] = np.eye(n) + normal(0.25, (np.count_nonzero(redraw), n, n))
-        blk[scaling, :n, :n] = a
-        blk[scaling, n:, n:] = _transpose(np.linalg.inv(a))
+        a = np.zeros(np.count_nonzero(scaling))  # 0: every scale is drawn
+        while np.any(redraw := np.abs(a) < 0.2):
+            a[redraw] = 1.0 + normal(0.25, (np.count_nonzero(redraw),))
+        blk[scaling, 0, 0] = a
+        blk[scaling, 1, 1] = 1.0 / a
         out = blk @ out
     return out

@@ -55,11 +55,11 @@ from typing import Callable
 import numpy as np
 
 from .symplin import (
+    COMPLEX_STRUCTURE,
+    SYMPLECTIC_GRAM,
     LinearSymplectomorphism,
     branch_sqrt_path,
     holomorphic_determinant,
-    standard_complex_structure,
-    standard_symplectic_gram,
 )
 
 __all__ = [
@@ -107,7 +107,7 @@ class StepSizeError(RuntimeError):
 
 # Gram matrix of omega = 4 pi dp^dq: omega(u, v) = u^T _OMEGA v.  (The metric
 # is then omega(., j.) = 4 pi |dz|^2.)
-_OMEGA = FOUR_PI * standard_symplectic_gram(1)
+_OMEGA = FOUR_PI * SYMPLECTIC_GRAM
 _OMEGA.flags.writeable = False
 
 
@@ -420,13 +420,13 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``; the grid is read from
     the fourth-order dense output, so its spacing does not set the step.
     Either way the Jacobian stack is checked once by symplin's rule, the one
-    ``rho_graph_half`` applies (``LinearSymplectomorphism``: |M^T J M - J|
-    <= 1e-10 max(1, ||M||_inf^2) + 1e-9 |J|), which scales with ||M||^2 as
-    the defect of a Jacobian known to a relative accuracy does; no sweep is
-    repeated.  Raises RegularityError when the grid turns back, repeats a time
-    or crosses 0, StepSizeError when a step at the step-size floor misses the
-    tolerance, and symplin's StructureError, naming the first
-    bad time index, when the check fails.
+    ``rho_graph_half`` applies (``LinearSymplectomorphism``: |det M - 1|
+    <= 1e-10 max(1, ||M||_inf^2) + 1e-9, that is M^T J M = J), which scales
+    with ||M||^2 as the defect of a Jacobian known to a relative accuracy
+    does; no sweep is repeated.  Raises RegularityError when the grid turns
+    back, repeats a time or crosses 0, StepSizeError when a step at the
+    step-size floor misses the tolerance, and symplin's StructureError,
+    naming the first bad time index, when the check fails.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -484,8 +484,8 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     is -theta_a, which picks the square root's branch (1 at t = 0).
 
     The whole trajectory's Jacobians go to ``symplin`` as one stack, so each
-    one passes the same checks as a single matrix would (M^T J M = J to
-    1e-10 of its own squared inf-norm plus 1e-9 relative, determinant
+    one passes the same checks as a single matrix would (det M = 1 to
+    1e-10 of its own squared inf-norm plus 1e-9, determinant
     modulus >= 0.5), under the one implementation of those rules, and a
     failure names the first bad index.
     """
@@ -617,7 +617,7 @@ def b_coefficient(sym: SymbolField, x, tangent) -> complex:
     if norm == 0.0:
         raise RegularityError("tangent direction must be nonzero")
     tau = tau / norm
-    cs = standard_complex_structure(1)
+    cs = COMPLEX_STRUCTURE
     xv = hamiltonian_vector_field(sym, x)
     basis = np.column_stack([cs @ tau, tau])
     coeff = np.linalg.solve(basis, xv)
@@ -639,10 +639,9 @@ def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
 
     x = np.asarray(x, dtype=float)
     xv = hamiltonian_vector_field(sym, x)
-    cs2 = standard_complex_structure(1)
     zero = np.zeros((2, 2))
     omega4 = np.block([[_OMEGA, zero], [zero, -_OMEGA]])
-    cs4 = np.block([[cs2, zero], [zero, -cs2]])
+    cs4 = np.block([[COMPLEX_STRUCTURE, zero], [zero, -COMPLEX_STRUCTURE]])
     diag_basis = np.vstack([np.eye(2), np.eye(2)])  # columns (e_i, e_i)
     basis = np.column_stack([cs4 @ diag_basis, diag_basis])
     x_d = np.concatenate([xv, np.zeros(2)])

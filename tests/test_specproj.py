@@ -4,7 +4,8 @@ Anchors: exact duality of the Fourier pair (the time-quadrature route is
 Fourier inversion, so the two kernel routes must agree to quadrature
 accuracy, not just asymptotically); the closed-form predictor amplitude
 sqrt(2)/||X|| on the shear level sets; the winding holonomy e^{-2 pi i k q m}
-carried by the transport phase of the lifted return loop.
+carried by the transport phase of the lifted return loop, times the lattice
+gauge factor that takes the lifted endpoint back to y.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from torusprop.propkern import kernel_eval, operator_for
 from torusprop import specproj
+from torusprop.harness import symbol_from_selector
 from torusprop.specproj import (
     FourierPair,
     ProjectorPrediction,
@@ -27,7 +29,7 @@ from torusprop.thetaq import (
     basis_matrix,
     quantum_space,
 )
-from torusprop.torusgeo import RegularityError, model_cos_symbol, norm_X
+from torusprop.torusgeo import RegularityError, integrate_flow, model_cos_symbol, norm_X
 
 TWO_PI = 2.0 * np.pi
 Q0 = 0.1
@@ -288,9 +290,11 @@ def test_triple_return_structure_and_value():
 
 
 def test_winding_holonomy_phase():
-    # at k = 37 the loop holonomy e^{-2 pi i k q m} is far from 1 and must
-    # show up as the phase of the t = +-T_RETURN terms (rho'^{1/2} is real
-    # positive for the shear)
+    # at k = 37 the loop holonomy e^{-2 pi i k q m} is far from 1, and so is
+    # the lattice gauge factor e^{-2 pi i k q m} that takes the lifted
+    # endpoint (p + m, q) back to y = (p, q); their product must show up as
+    # the phase of the t = +-T_RETURN terms (rho'^{1/2} is real positive for
+    # the shear)
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
     k = 37
@@ -298,7 +302,7 @@ def test_winding_holonomy_phase():
     by_time = {round(term.t, 6): term for term in pred.terms}
     plus = by_time[round(T_RETURN, 6)]
     minus = by_time[round(-T_RETURN, 6)]
-    expected = -TWO_PI * k * Q0
+    expected = -2.0 * TWO_PI * k * Q0
     assert np.angle(plus.value) == pytest.approx(
         np.angle(np.exp(1j * expected)), abs=1e-8)
     assert np.angle(minus.value) == pytest.approx(
@@ -406,6 +410,33 @@ def test_compare_searches_returns_once_per_point(monkeypatch):
         assert len(alone.terms) > 1
         assert abs(row.predicted - alone.value) <= 1e-13 * abs(alone.value)
     assert len(searched) == len(points) + len(rows)
+
+
+@pytest.mark.parametrize("k", [49, 50])
+@pytest.mark.parametrize("selector", ["model-cos", "cos(2*pi*q)+0.1*sin(2*pi*p)"])
+def test_kernel_at_a_lattice_translate_carries_the_gauge_factor(selector, k):
+    # K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x): the factor the
+    # predictor applies to a winding return, whose flow ends at y + w
+    qs = quantum_space(k)
+    sym = symbol_from_selector(selector)
+    op = operator_for(qs, sym)
+    x, t = (0.3, Q0), 0.7
+    spectral = np.exp(-1j * k * t * op.eigenvalues)
+    y = integrate_flow(sym, x, [t]).points[-1]  # on the graph, so |K| ~ k / 2 pi
+    base = kernel_eval(qs, op, spectral, y, x)[0]
+    for w in ((1, 0), (0, 1), (1, 1), (-2, 1)):
+        lifted = kernel_eval(qs, op, spectral, y + w, x)[0]
+        factor = np.exp(TWO_PI * 1j * k * (w[0] * y[1] - w[1] * y[0]))
+        assert abs(lifted - factor * base) <= 1e-12 * abs(base)
+
+
+@pytest.mark.parametrize("q, support, k", [(0.1, 7.0, 49), (0.1, 7.0, 51), (0.1, 7.0, 101),
+                                            (0.25, 3.0, 50), (0.25, 3.0, 102)])
+def test_winding_returns_at_points_off_the_k_lattice(q, support, k):
+    # k q_y is not an integer, so each winding return's gauge factor is not 1
+    rows = projector_compare(model_cos_symbol(), build_fourier_pair("bump", support),
+                             float(np.cos(TWO_PI * q)), [(0.3, q)], [k])
+    assert rows[0].rel_err_modulus <= 0.02
 
 
 def test_compare_relative_error_smallest_at_widest_level():

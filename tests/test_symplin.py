@@ -7,16 +7,15 @@ import pytest
 
 from torusprop.acceptance import _uniform
 from torusprop.symplin import (
+    COMPLEX_STRUCTURE,
+    SYMPLECTIC_GRAM,
     BranchContinuityError,
     LinearSymplectomorphism,
     StructureError,
     branch_sqrt_path,
-    holomorphic_block,
     holomorphic_determinant,
     polar_determinant,
     random_symplectic,
-    standard_complex_structure,
-    standard_symplectic_gram,
 )
 from torusprop.symplin import _polar
 
@@ -32,7 +31,13 @@ def sp(matrix):
 
 def test_identity_is_accepted():
     g = sp(np.eye(2))
-    assert g.dim_n == 1
+    assert g.matrix.shape == (2, 2)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 3), (2,), (5, 2, 3)])
+def test_only_2x2_matrices_are_accepted(shape):
+    with pytest.raises(StructureError, match="must be 2 x 2"):
+        sp(np.ones(shape))
 
 
 def test_non_symplectic_matrix_rejected():
@@ -40,16 +45,14 @@ def test_non_symplectic_matrix_rejected():
         sp([[1.0, 0.0], [0.0, 2.0]])
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_standard_structures_are_read_only(n):
-    for built in (standard_complex_structure(n), standard_symplectic_gram(n)):
+def test_standard_structures_are_read_only():
+    for built in (COMPLEX_STRUCTURE, SYMPLECTIC_GRAM):
         with pytest.raises(ValueError):
             built[0, 0] = 1.0
-    assert standard_complex_structure(n) is standard_complex_structure(n)
 
 
 # ---------------------------------------------------------------------------
-# holomorphic block: frozen closed-form values
+# holomorphic determinant: frozen closed-form values
 # ---------------------------------------------------------------------------
 
 
@@ -87,9 +90,9 @@ def test_block_composes_under_unitary_factor():
 
 def test_modulus_one_iff_commutes_with_j():
     uniform = np.random.default_rng(4021).random
-    j0 = standard_complex_structure(2)
+    j0 = COMPLEX_STRUCTURE
     for _ in range(200):
-        m = random_symplectic(2, uniform)
+        m = random_symplectic(uniform)
         g = sp(m)
         det = holomorphic_determinant(g)
         commutator = np.linalg.norm(m @ j0 - j0 @ m, np.inf)
@@ -106,8 +109,8 @@ def test_modulus_one_iff_commutes_with_j():
 
 
 def test_polar_factors_reconstruct_and_classify():
-    j0 = standard_complex_structure(2)
-    m = random_symplectic(2, np.random.default_rng(2024).random)
+    j0 = COMPLEX_STRUCTURE
+    m = random_symplectic(np.random.default_rng(2024).random)
     g = sp(m)
     _, g1, g2 = _polar(g)
     assert np.allclose(g1.matrix @ g2.matrix, m, atol=1e-9)
@@ -117,11 +120,10 @@ def test_polar_factors_reconstruct_and_classify():
     assert np.min(np.linalg.eigvalsh(0.5 * (g2.matrix + g2.matrix.T))) > 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_polar_determinant_matches_block_determinant(n):
-    uniform = np.random.default_rng(900 + n).random
+def test_polar_determinant_matches_block_determinant():
+    uniform = np.random.default_rng(901).random
     for _ in range(50):
-        g = sp(random_symplectic(n, uniform))
+        g = sp(random_symplectic(uniform))
         d_block = holomorphic_determinant(g)
         d_polar = polar_determinant(g)
         assert abs(d_block - d_polar) <= 1e-9 * (1.0 + abs(d_block))
@@ -137,7 +139,7 @@ def test_polar_determinant_positive_factor_value():
 def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
     # one svd of each stack gives the metric square's eigenvalues and both
     # polar factors
-    g = sp(random_symplectic(2, np.random.default_rng(11).random, size=5))
+    g = sp(random_symplectic(np.random.default_rng(11).random, size=5))
     calls = []
     for name in ("svd", "eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -149,32 +151,28 @@ def test_polar_determinant_diagonalizes_each_metric_square_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     det = polar_determinant(g)
     assert det.shape == (5,)
-    assert calls == [("svd", (5, 4, 4))]
+    assert calls == [("svd", (5, 2, 2))]
 
 
 # ---------------------------------------------------------------------------
-# stacks (..., 2n, 2n)
+# stacks (..., 2, 2)
 # ---------------------------------------------------------------------------
 
 
-def _mixed_batch(n, uniform):
-    """Random draws next to closed-form members: the identity, a unitary
-    rotation, a large shear and a block scaling, shaped (3, 8, 2n, 2n)."""
-    eye = np.eye(n)
+def _mixed_batch(uniform):
+    """Random draws next to closed-form members: the identity, a rotation, a
+    large shear and a scaling, shaped (3, 8, 2, 2)."""
     th = 0.9
-    rot = np.block([[np.cos(th) * eye, -np.sin(th) * eye], [np.sin(th) * eye, np.cos(th) * eye]])
-    shear = np.block([[eye, 40.0 * eye], [0 * eye, eye]])
-    scale = np.block([[3.0 * eye, 0 * eye], [0 * eye, eye / 3.0]])
-    drawn = random_symplectic(n, uniform, size=20)
-    return np.concatenate([np.stack([np.eye(2 * n), rot, shear, scale]), drawn]).reshape(
-        (3, 8, 2 * n, 2 * n))
+    rot = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+    shear = [[1.0, 40.0], [0.0, 1.0]]
+    scale = [[3.0, 0.0], [0.0, 1.0 / 3.0]]
+    drawn = random_symplectic(uniform, size=20)
+    return np.concatenate([np.stack([np.eye(2), rot, shear, scale]), drawn]).reshape((3, 8, 2, 2))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_determinants_match_per_matrix_calls(n):
-    batch = _mixed_batch(n, np.random.default_rng(70 + n).random)
+def test_stacked_determinants_match_per_matrix_calls():
+    batch = _mixed_batch(np.random.default_rng(71).random)
     g = sp(batch)
-    assert g.dim_n == n
     holo, polar = holomorphic_determinant(g), polar_determinant(g)
     assert holo.shape == polar.shape == (3, 8)
     for idx in np.ndindex(3, 8):
@@ -187,8 +185,8 @@ def test_stacked_determinants_match_per_matrix_calls(n):
 
 
 def test_random_symplectic_stack_is_symplectic():
-    stack = random_symplectic(2, np.random.default_rng(5).random, size=300)
-    assert stack.shape == (300, 4, 4)
+    stack = random_symplectic(np.random.default_rng(5).random, size=300)
+    assert stack.shape == (300, 2, 2)
     sp(stack)
     # independent draws, not one matrix repeated
     assert len({m.tobytes() for m in stack}) == 300
@@ -196,16 +194,16 @@ def test_random_symplectic_stack_is_symplectic():
 
 def test_stdlib_sampler_draws_symplectic_stacks_and_single_matrices():
     # the self-test battery's sampler, backed by random.Random, not numpy.random
-    stack = random_symplectic(3, _uniform(3), size=200)
+    stack = random_symplectic(_uniform(3), size=200)
     sp(stack)
     assert len({m.tobytes() for m in stack}) == 200
-    one = random_symplectic(3, _uniform(4))
-    assert one.shape == (6, 6)
-    assert np.array_equal(one, random_symplectic(3, _uniform(4), size=1)[0])
+    one = random_symplectic(_uniform(4))
+    assert one.shape == (2, 2)
+    assert np.array_equal(one, random_symplectic(_uniform(4), size=1)[0])
 
 
 def test_stack_with_one_non_symplectic_member_raises():
-    stack = random_symplectic(2, np.random.default_rng(6).random, size=50)
+    stack = random_symplectic(np.random.default_rng(6).random, size=50)
     stack[31] = stack[31] * 1.01
     with pytest.raises(StructureError, match=r"not symplectic .* stack index \(31,\)"):
         sp(stack)
@@ -233,11 +231,33 @@ def test_symplectic_tolerance_is_not_numpy_default_rtol():
     sp(np.diag([1.0 + 5e-10, 1.0]))
 
 
+def test_determinant_rule_decides_as_the_entrywise_gram_rule():
+    # M^T J M = det(M) J for 2 x 2 matrices, so |det M - 1| <= atol + 1e-9
+    # is the entrywise rule |M^T J M - J| <= atol + 1e-9 |J|; scale draws so
+    # that det M - 1 sits at fractions of that tolerance on either side
+    base = random_symplectic(np.random.default_rng(12).random, size=60)
+    atol = 1e-10 * np.maximum(1.0, np.linalg.norm(base, np.inf, axis=(1, 2)) ** 2)
+    for fraction in (0.5, 0.9, 1.1, 2.0, -0.9, -1.1):
+        m = base * np.sqrt(1.0 + fraction * (atol + 1e-9))[:, None, None]
+        gram = np.swapaxes(m, 1, 2) @ SYMPLECTIC_GRAM @ m
+        entrywise = np.all(np.isclose(gram, SYMPLECTIC_GRAM, rtol=1e-9,
+                                      atol=1e-10 * np.maximum(1.0, np.linalg.norm(
+                                          m, np.inf, axis=(1, 2)) ** 2)[:, None, None]),
+                           axis=(1, 2))
+        assert np.all(entrywise) == (abs(fraction) < 1.0)
+        for one, accepted in zip(m, entrywise):
+            if accepted:
+                sp(one)
+            else:
+                with pytest.raises(StructureError, match="not symplectic"):
+                    sp(one)
+
+
 def test_stack_with_one_corrupted_block_raises():
-    stack = random_symplectic(1, np.random.default_rng(8).random, size=40)
+    stack = random_symplectic(np.random.default_rng(8).random, size=40)
     g = sp(stack)
     corrupted = stack.copy()
-    corrupted[12] = 0.2 * np.eye(2)  # holomorphic block 0.2, below the 0.5 floor
+    corrupted[12] = 0.2 * np.eye(2)  # det^{1,0} = 0.2, below the 0.5 floor
     object.__setattr__(g, "matrix", corrupted)
     with pytest.raises(StructureError, match="modulus 0.2 < 0.5"):
         holomorphic_determinant(g)
@@ -246,7 +266,7 @@ def test_stack_with_one_corrupted_block_raises():
 def test_polar_reconstruction_is_checked_per_matrix(monkeypatch):
     # a right singular factor that is not orthogonal for one matrix of the
     # stack makes its factors miss g1 g2 = g; that matrix alone must fail
-    stack = random_symplectic(2, np.random.default_rng(9).random, size=10)
+    stack = random_symplectic(np.random.default_rng(9).random, size=10)
     real_svd = np.linalg.svd
 
     def one_bad_svd(a):
@@ -315,9 +335,8 @@ def test_branch_sqrt_rejects_zero():
 
 
 def test_gram_and_structure_helpers_are_consistent():
-    for n in (1, 2, 3):
-        j = standard_complex_structure(n)
-        gram = standard_symplectic_gram(n)
-        assert np.allclose(j @ j, -np.eye(2 * n))
-        assert np.allclose(j.T @ gram @ j, gram)
-        assert np.allclose(gram @ j, np.eye(2 * n))  # metric is euclidean
+    j, gram = COMPLEX_STRUCTURE, SYMPLECTIC_GRAM
+    assert np.array_equal(j @ j, -np.eye(2))
+    assert np.array_equal(j.T @ gram @ j, gram)
+    assert np.array_equal(gram @ j, np.eye(2))  # metric is euclidean
+    sp(j)
