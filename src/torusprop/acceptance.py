@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .propkern import graph_compare, offgraph_probe, operator_for
-from .specproj import build_fourier_pair, projector_kernel_asymptotic, projector_kernel_exact, projector_kernel_timequad
+from .specproj import (ProjectorPrediction, build_fourier_pair, projector_kernel_asymptotic,
+                       projector_kernel_exact, projector_kernel_timequad)
 from .symplin import LinearSymplectomorphism, holomorphic_determinant, polar_determinant, random_symplectic
 from .thetaq import bergman_diag, gram_matrix, quantum_space
 from .torusgeo import (
@@ -198,11 +199,10 @@ def _crit_a9() -> CriterionResult:
     qs = quantum_space(k)
     exact = projector_kernel_exact(qs, operator_for(qs, sym), pair, _E0,
                                    _POINT, _POINT)
-    full = projector_kernel_asymptotic(sym, pair, _E0, _POINT, _POINT, k)
-    stripped = projector_kernel_asymptotic(sym, pair, _E0, _POINT,
-                                           _POINT, k, window=(-3.0, 3.0))
-    err_full = abs(abs(exact) - abs(full.value)) / abs(full.value)
-    err_stripped = abs(abs(exact) - abs(stripped.value)) / abs(stripped.value)
+    full = projector_kernel_asymptotic(sym, pair, _E0, _POINT, _POINT)
+    stripped = ProjectorPrediction(tuple(t for t in full.terms if abs(t.t) < 3.0))
+    err_full = abs(abs(exact) - abs(full.value(k))) / abs(full.value(k))
+    err_stripped = abs(abs(exact) - abs(stripped.value(k))) / abs(stripped.value(k))
     degradation = err_stripped / err_full if err_full > 0 else np.inf
     passed = err_full <= 0.10 and degradation >= 2.0
     return CriterionResult(

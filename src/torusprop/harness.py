@@ -38,6 +38,7 @@ from .torusgeo import (
     make_symbol,
     model_cos_symbol,
     norm_X,
+    prequantum_phase,
     rho_graph_half,
     rho_level_half,
 )
@@ -390,7 +391,7 @@ _LIFT_HEADER = ["t", "transport_L_phase", "prequantum_phase", "rho_half_re",
 def _run_lifts(cfg: ExperimentConfig) -> int:
     k = cfg.ks[0]
     traj = integrate_flow(cfg.sym, cfg.points[0], cfg.tgrid)
-    pre_arg = float(k) * (traj.conn_L - traj.action_H) - traj.action_Hsub
+    pre_arg = prequantum_phase(traj, k)
     graph_halves = rho_graph_half(traj)
     level_halves = rho_level_half(cfg.sym, traj, _level_energy(cfg))
     rows = [[t, float(traj.conn_L[i]), float(pre_arg[i]),

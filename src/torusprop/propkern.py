@@ -136,11 +136,12 @@ def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.
     return ((g * a_modes) @ b_modes) * gauge
 
 
-def _graph_predictions(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
+def _graph_predictions(traj: Trajectory, k: int) -> np.ndarray:
     """The leading-order kernel (k/2pi) rho^{1/2} e^{-i int H^sub}
-    [e^{-i int H} T^L]^k at (phi_t(x), x) for every trajectory time; the
-    flow's continuous theta_a picks the square root's branch at each time."""
-    return (k / TWO_PI) * rho_graph_half(traj) * prequantum_phase(sym, traj, k)
+    [e^{-i int H} T^L]^k at (phi_t(x), x) for every trajectory time, H^sub
+    being T_k(f + g/k)'s g + Delta f / (16 pi) (make_symbol); the flow's
+    continuous theta_a picks the square root's branch at each time."""
+    return (k / TWO_PI) * rho_graph_half(traj) * np.exp(1j * prequantum_phase(traj, k))
 
 
 def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
@@ -175,7 +176,7 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     tg = np.asarray(tgrid, dtype=float)
     x_pq = _as_pq(x)
     traj = integrate_flow(sym, x_pq, tg)
-    preds = _graph_predictions(sym, traj, qs.k)
+    preds = _graph_predictions(traj, qs.k)
     ys = traj.points_lifted
     op = operator_for(qs, sym)
     exact = np.concatenate([

@@ -4,20 +4,24 @@ The exact kernel is the spectral sum sum_l f(k(E - lambda_l)) times the
 eigenvector kernel; f is produced from a compactly supported f-hat by the
 trapezoid rule, on a node count sized from the largest argument the sum
 needs, so that f and f-hat stay dual to 1e-13 at every eigenvalue.  The
-predictor sums over the classical return times t with phi_t(x) = y inside
-the support window,
+predictor sums over the classical return times t in supp fhat with
+phi_t(x) = y,
 
     sqrt(k)/(2 pi) * sum_t fhat(t) [rho'_t]^{1/2} e^{-i int H^sub} [T^L_t]^k,
 
-where the transport phase along the lifted path carries the winding
-holonomy.  A return that winds by w ends at the lift y + w, where the kernel
-is K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so its transport
-phase also carries the inverse of that lattice gauge factor.  (Note the
-prefactor: the inverse semiclassical Fourier transform contributes
-k^{-1/2} (k/2pi)^{1/2} = (2pi)^{-1/2} against the propagator's k/2pi, so the
-constant is sqrt(k)/(2 pi); a (k/2pi)^{1/2} variant that sometimes appears
-differs by sqrt(2 pi) and fails the exact comparison by ~60%.)  Off the image of the return relation the kernel is rapidly
-decaying and the predictor reports exactly zero, tagged.
+where H^sub is the quantized operator's subprincipal symbol and the
+transport phase along the lifted path carries the winding holonomy.  A
+return that winds by w ends at the lift y + w, where the kernel is
+K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so its transport
+phase also carries the inverse of that lattice gauge factor.  Only T^L's
+power depends on k, so the predictor is one k-free ``ProjectorPrediction``
+per (y, x), which ``value(k)`` quantizes.  (Note the prefactor: the inverse
+semiclassical Fourier transform contributes k^{-1/2} (k/2pi)^{1/2} =
+(2pi)^{-1/2} against the propagator's k/2pi, so the constant is
+sqrt(k)/(2 pi); a (k/2pi)^{1/2} variant that sometimes appears differs by
+sqrt(2 pi) and fails the exact comparison by ~60%.)  Off the image of the
+return relation the kernel is rapidly decaying and the predictor has no
+terms and the value zero, tagged.
 """
 
 from __future__ import annotations
@@ -250,35 +254,10 @@ def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
 
 @dataclass(frozen=True)
 class ReturnTerm:
-    """One return-time contribution to the predictor (prefactor excluded)."""
-
-    t: float
-    winding: tuple[int, int]
-    fhat: complex
-    value: complex
-
-
-@dataclass(frozen=True)
-class ProjectorPrediction:
-    """Predictor value with its per-return breakdown.
-
-    ``off_image``: no classical return connects x to y inside the window, so
-    the true kernel is rapidly decaying and the predicted value is zero.
-    """
-
-    value: complex
-    k: int
-    energy: float
-    terms: tuple[ReturnTerm, ...]
-    off_image: bool
-
-
-@dataclass(frozen=True)
-class _ReturnData:
-    """The k-independent part of one return: fhat(t) rho'^{1/2}
-    e^{-i int H^sub} as ``amplitude``, and the connection integral, less the
-    winding's lattice gauge term, whose k-th multiple is the transport
-    phase."""
+    """One return of x to y: the k-independent ``amplitude``
+    fhat(t) rho'^{1/2} e^{-i int H^sub}, and ``conn_L``, the connection
+    integral less the winding's lattice gauge term, whose k-th multiple is
+    the transport phase."""
 
     t: float
     winding: tuple[int, int]
@@ -286,31 +265,52 @@ class _ReturnData:
     amplitude: complex
     conn_L: float
 
+    def value(self, k: int) -> complex:
+        """The term at level k (prefactor excluded)."""
+        return self.amplitude * np.exp(1j * float(k) * self.conn_L)
 
-def _return_terms(sym: SymbolField, pair: FourierPair, energy: float, y, x,
-                  window: tuple[float, float] | None = None) -> tuple[_ReturnData, ...]:
-    """Every return of x to y inside the window (clamped to the support of
-    fhat) with its k-independent data, each square root's branch picked by
-    the flow's theta_a; each lifted trajectory endpoint is cross-checked
-    against the winding w from the return search.  The flow transports to
-    the lifted endpoint y + w, and the kernel there is
+
+@dataclass(frozen=True)
+class ProjectorPrediction:
+    """The returns of x to y inside supp fhat, a k-independent state on the
+    level curve.  ``off_image``: there are none, so the true kernel is
+    rapidly decaying and the predicted value is zero."""
+
+    terms: tuple[ReturnTerm, ...]
+
+    @property
+    def off_image(self) -> bool:
+        return not self.terms
+
+    def value(self, k: int) -> complex:
+        """sqrt(k)/(2 pi) times the sum of the terms at level k; 0j off the
+        image."""
+        if not self.terms:
+            return 0j
+        return complex(np.sqrt(float(k)) / TWO_PI * sum(term.value(k) for term in self.terms))
+
+
+def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: float,
+                                y, x) -> ProjectorPrediction:
+    """Return-time predictor for f(k(E - T))(y, x) on a regular level: every
+    return of x to y inside supp fhat with its k-independent data, each
+    square root's branch picked by the flow's theta_a.
+
+    Each lifted trajectory endpoint is cross-checked against the winding w
+    from the return search.  The flow transports to the lifted endpoint
+    y + w, and the kernel there is
     K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so ``conn_L``
     carries -2 pi (w_p q_y - w_q p_y), the lattice gauge factor that brings
-    the predictor back to y, where the exact kernel is evaluated.  Raises as
-    ``projector_kernel_asymptotic`` does."""
+    the predictor back to y, where the exact kernel is evaluated.  Raises
+    RegularityError when x or y is off the energy level.
+    """
 
-    t_lo, t_hi = window if window is not None else (-pair.support_T, pair.support_T)
-    if t_lo > t_hi:
-        raise ValueError("empty return window")
-    t_lo = max(t_lo, -pair.support_T)
-    t_hi = min(t_hi, pair.support_T)
     x_pq = tuple(np.asarray(x, dtype=float).reshape(2))
     y_pq = tuple(np.asarray(y, dtype=float).reshape(2))
     for pt in (x_pq, y_pq):
         check_level(sym, pt, float(energy))
-    returns = return_times(sym, x_pq, y_pq, (t_lo, t_hi)) if t_lo <= t_hi else []
-    out = []
-    for t_ret, winding in returns:
+    terms = []
+    for t_ret, winding in return_times(sym, x_pq, y_pq, (-pair.support_T, pair.support_T)):
         fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
         traj = integrate_flow(sym, x_pq, [t_ret])
         miss = float(np.max(np.abs(traj.points_lifted[-1] - np.add(y_pq, winding))))
@@ -318,43 +318,10 @@ def _return_terms(sym: SymbolField, pair: FourierPair, energy: float, y, x,
             raise RuntimeError(f"return trajectory missed its lifted target by {miss:.2e}")
         rho_half = rho_level_half(sym, traj, float(energy))[-1]
         gauge = TWO_PI * (winding[0] * y_pq[1] - winding[1] * y_pq[0])
-        out.append(_ReturnData(t=float(t_ret), winding=winding, fhat=fh,
-                               amplitude=fh * rho_half * np.exp(-1j * traj.action_Hsub[-1]),
-                               conn_L=float(traj.conn_L[-1]) - gauge))
-    return tuple(out)
-
-
-def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: float,
-                                y, x, k: int,
-                                window: tuple[float, float] | None = None, *,
-                                returns: tuple[_ReturnData, ...] | None = None,
-                                ) -> ProjectorPrediction:
-    """Return-time predictor for f(k(E - T))(y, x) on a regular level.
-
-    ``window`` restricts which return times contribute (default: the full
-    support of fhat); shrinking it past a return drops exactly that term,
-    which is how term-removal experiments are run; a window outside that
-    support has no returns and predicts off-image.  Raises ValueError when
-    t_min > t_max, and RegularityError when x or y is off the energy level.
-    ``returns``, if given, are the precomputed k-independent return data
-    (``_return_terms`` for the same symbol, pair, energy, points and
-    window), so no return is searched or integrated and only the transport
-    phases e^{i k int alpha(X)} are applied.
-    """
-
-    if returns is None:
-        returns = _return_terms(sym, pair, energy, y, x, window)
-    if not returns:
-        return ProjectorPrediction(value=0j, k=int(k), energy=float(energy),
-                                   terms=(), off_image=True)
-    terms = tuple(ReturnTerm(t=r.t, winding=r.winding, fhat=r.fhat,
-                             value=r.amplitude * np.exp(1j * float(k) * r.conn_L))
-                  for r in returns)
-    prefactor = np.sqrt(float(k)) / TWO_PI
-    total = sum(term.value for term in terms)
-    return ProjectorPrediction(value=complex(prefactor * total), k=int(k),
-                               energy=float(energy), terms=terms,
-                               off_image=False)
+        terms.append(ReturnTerm(t=float(t_ret), winding=winding, fhat=fh,
+                                amplitude=fh * rho_half * np.exp(-1j * traj.action_Hsub[-1]),
+                                conn_L=float(traj.conn_L[-1]) - gauge))
+    return ProjectorPrediction(tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +346,7 @@ class ProjectorSample:
 
     @staticmethod
     def build(k, energy, x, y, exact, prediction: ProjectorPrediction) -> "ProjectorSample":
-        pred = prediction.value
+        pred = prediction.value(k)
         if prediction.off_image:
             rel = np.nan
         else:
@@ -407,7 +374,7 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
 
     Entries of ``points`` are diagonal points or (y, x) pairs; rows come out
     grouped by point in the order given, with k ascending within a group.
-    The returns and their k-independent data are computed once per point.
+    Each point's prediction is built once and quantized at every k.
     """
 
     rows = []
@@ -416,12 +383,9 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
         y_pq, x_pq = _normalize_point_entry(entry)
-        returns = _return_terms(sym, pair, energy, y_pq, x_pq)
+        pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq)
         for k in sorted(spaces):
-            qs = spaces[k]
-            exact = projector_kernel_exact(qs, ops[k], pair, energy, y_pq, x_pq,
+            exact = projector_kernel_exact(spaces[k], ops[k], pair, energy, y_pq, x_pq,
                                            coeffs=coeffs[k])
-            pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq, k,
-                                               returns=returns)
             rows.append(ProjectorSample.build(k, energy, x_pq, y_pq, exact, pred))
     return rows

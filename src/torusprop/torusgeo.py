@@ -224,7 +224,11 @@ class SymbolField:
 def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> SymbolField:
     """Build a SymbolField from real callables (p, q): both parts become
     their Fourier modes, and values and derivatives are exact mode sums.
-    Raises RegularityError when a part is not smooth and lattice-periodic."""
+    Raises RegularityError when a part is not smooth and lattice-periodic.
+    toeplitz_build damps mode (m, n) of T_k(f + g/k) by e^{-pi (m^2 + n^2)
+    / (4k)}, so the jet's H^sub, which the flow integrates, is that
+    operator's subprincipal symbol g + Delta f / (16 pi) (Charles, CMP 239,
+    2003), while ``sub_modes`` keeps g."""
 
     modes = _fourier_modes(principal, name)
     sub_modes = _fourier_modes(subprincipal or (lambda p, q: 0.0), name)
@@ -232,7 +236,8 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
     coeffs = np.concatenate([modes[1], np.zeros(len(sub_modes[1]))])
     d_coeffs = coeffs[:, None] * (2j * np.pi * freqs)  # d/dp, d/dq of each mode
     d2_coeffs = d_coeffs[:, :, None] * (2j * np.pi * freqs)[:, None, :]
-    weights = np.column_stack([coeffs, np.concatenate([np.zeros(len(modes[1])), sub_modes[1]]),
+    laplace = -0.25 * np.pi * np.sum(modes[0] ** 2, axis=1) * modes[1]  # Delta f / (16 pi)
+    weights = np.column_stack([coeffs, np.concatenate([laplace, sub_modes[1]]),
                                d_coeffs, d2_coeffs.reshape(-1, 4)])
 
     jet = _mode_sum(freqs, weights)
@@ -248,6 +253,9 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
 
     The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q), q); all
     trajectory data has closed forms, installed as the integrator fast path.
+    Its ``action_Hsub`` is t * sub_const, without make_symbol's
+    Delta f / (16 pi): operator_for quantizes it undamped, as
+    cos(pi ell / k) + sub_const / k.
     """
 
     def exact_flow(x, times):
@@ -455,8 +463,9 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
-    """e^{-i int H^sub} [e^{-i int H} T^L]^k (times the trivial L' factor),
+def prequantum_phase(traj: Trajectory, k: int) -> np.ndarray:
+    """The real, unwrapped argument -int H^sub + k (int alpha(X) - int H) of
+    e^{-i int H^sub} [e^{-i int H} T^L]^k (times the trivial L' factor),
     where T^L = e^{i int alpha(X)} is the L-transport along the lifted path
     (connection -i alpha).
 
@@ -466,8 +475,7 @@ def prequantum_phase(sym: SymbolField, traj: Trajectory, k: int) -> np.ndarray:
 
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise ValueError("k must be a positive integer")
-    phase = -traj.action_Hsub + float(k) * (traj.conn_L - traj.action_H)
-    return np.exp(1j * phase)
+    return -traj.action_Hsub + float(k) * (traj.conn_L - traj.action_H)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from torusprop import propkern
 from torusprop.specproj import (
     ProjectorPrediction,
     ProjectorSample,
+    ReturnTerm,
     build_fourier_pair,
     projector_kernel_exact,
 )
@@ -190,14 +191,16 @@ def test_kernel_sample_invariants():
 
 
 def test_projector_sample_phase_error_follows_the_kernel_rule():
-    def sample(exact, value, off_image):
-        pred = ProjectorPrediction(value=value, k=3, energy=0.5, terms=(),
-                                   off_image=off_image)
+    def sample(exact, value):
+        # one t = 0 term whose value at k = 3 is ``value``; none for 0j
+        terms = (ReturnTerm(t=0.0, winding=(0, 0), fhat=1.0 + 0.0j,
+                            amplitude=value * TWO_PI / np.sqrt(3.0), conn_L=0.0),)
+        pred = ProjectorPrediction(terms if value else ())
         return ProjectorSample.build(3, 0.5, (0.3, 0.1), (0.3, 0.1), exact, pred)
 
-    assert sample(1.0j, 1.0 + 0.0j, False).phase_err == pytest.approx(np.pi / 2)
-    assert sample(2.0 + 0.0j, 1.0 + 0.0j, False).phase_err == pytest.approx(0.0)
-    off = sample(1e-9 + 1e-9j, 0j, True)
+    assert sample(1.0j, 1.0 + 0.0j).phase_err == pytest.approx(np.pi / 2)
+    assert sample(2.0 + 0.0j, 1.0 + 0.0j).phase_err == pytest.approx(0.0)
+    off = sample(1e-9 + 1e-9j, 0j)
     assert np.isnan(off.phase_err) and np.isnan(off.rel_err_modulus)
 
 
@@ -208,7 +211,7 @@ def test_projector_sample_phase_error_follows_the_kernel_rule():
 
 def test_predictor_at_zero_is_k_over_2pi():
     traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), [0.0])
-    assert _graph_predictions(model_cos_symbol(), traj, 57)[0] == pytest.approx(57 / TWO_PI)
+    assert _graph_predictions(traj, 57)[0] == pytest.approx(57 / TWO_PI)
 
 
 def test_predictor_matches_model_closed_form():
@@ -230,7 +233,7 @@ def test_predictor_phase_slope_at_zero():
     k, q = 100, 0.1
     sym = model_cos_symbol()
     h = 1e-4
-    up, dn = (_graph_predictions(sym, integrate_flow(sym, (0.3, q), [0.0, s]), k)[-1]
+    up, dn = (_graph_predictions(integrate_flow(sym, (0.3, q), [0.0, s]), k)[-1]
               for s in (h, -h))
     slope = np.angle(up / dn) / (2.0 * h)
     cos, sin = np.cos(TWO_PI * q), np.sin(TWO_PI * q)
@@ -253,6 +256,24 @@ def test_graph_compare_chunks_match_one_call(monkeypatch):
     one = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)
     got = np.array([r.exact for r in rows])
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+@pytest.mark.parametrize("principal", [
+    lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p),
+    lambda p, q: np.cos(TWO_PI * p) + np.cos(TWO_PI * q) + 0.3 * np.sin(TWO_PI * (p + q)),
+], ids=["cos-q-sin-p", "two-mode"])
+def test_generic_propagator_errors_fall_at_the_1_over_k_rate(principal):
+    # T_k(f) has subprincipal symbol Delta f / (16 pi); without it in the
+    # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
+    sym = make_symbol("generic", principal)
+    tg = np.linspace(0.0, 1.0, 101)
+    worst = {}
+    for k in (50, 100):
+        rows = graph_compare(quantum_space(k), sym, (0.3, 0.1), tg)
+        worst[k] = (max(abs(r.phase_err) for r in rows), max(r.rel_err_modulus for r in rows))
+    assert worst[100][0] <= 0.65 * worst[50][0]
+    assert worst[100][1] <= 0.65 * worst[50][1]
+    assert worst[100][0] <= 0.01
 
 
 @pytest.mark.parametrize("k", [50, 400])

@@ -235,14 +235,14 @@ def test_single_return_diagonal_closed_form():
     pair = build_fourier_pair("bump", 3.0)
     k = 100
     x = (0.3, Q0)
-    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x)
     assert not pred.off_image
     assert len(pred.terms) == 1
     assert pred.terms[0].t == 0.0
     amp = np.sqrt(2.0) / norm_X(sym, x)
     assert amp == pytest.approx(np.sqrt(2.0 / np.pi) / SIN0, rel=1e-12)
     expected = (np.sqrt(k) / TWO_PI) * np.exp(-1.0) * amp
-    assert complex(pred.value) == pytest.approx(expected, rel=1e-10)
+    assert pred.value(k) == pytest.approx(expected, rel=1e-10)
 
 
 def test_off_image_point_is_tagged_zero():
@@ -250,9 +250,9 @@ def test_off_image_point_is_tagged_zero():
     # the shear never connects the two
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
-    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.9), (0.3, Q0), 100)
+    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.9), (0.3, Q0))
     assert pred.off_image
-    assert pred.value == 0j
+    assert pred.value(100) == 0j
     assert pred.terms == ()
 
 
@@ -272,7 +272,7 @@ def test_triple_return_structure_and_value():
     pair = build_fourier_pair("bump", 7.0)
     k = 100
     x = (0.3, Q0)
-    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x)
     assert len(pred.terms) == 5
     times = sorted(term.t for term in pred.terms)
     assert times == pytest.approx([-2 * T_RETURN, -T_RETURN, 0.0, T_RETURN,
@@ -286,7 +286,7 @@ def test_triple_return_structure_and_value():
     fh = pair.fhat
     expected = (np.sqrt(k) / TWO_PI) * amp * (
         float(fh(0.0)) + 2.0 * float(fh(T_RETURN)) + 2.0 * float(fh(2 * T_RETURN)))
-    assert complex(pred.value) == pytest.approx(expected, rel=1e-9)
+    assert pred.value(k) == pytest.approx(expected, rel=1e-9)
 
 
 def test_winding_holonomy_phase():
@@ -298,53 +298,39 @@ def test_winding_holonomy_phase():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
     k = 37
-    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, Q0), (0.3, Q0), k)
+    pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, Q0), (0.3, Q0))
     by_time = {round(term.t, 6): term for term in pred.terms}
     plus = by_time[round(T_RETURN, 6)]
     minus = by_time[round(-T_RETURN, 6)]
     expected = -2.0 * TWO_PI * k * Q0
-    assert np.angle(plus.value) == pytest.approx(
+    assert np.angle(plus.value(k)) == pytest.approx(
         np.angle(np.exp(1j * expected)), abs=1e-8)
-    assert np.angle(minus.value) == pytest.approx(
+    assert np.angle(minus.value(k)) == pytest.approx(
         np.angle(np.exp(-1j * expected)), abs=1e-8)
     amp = np.sqrt(2.0 / np.pi) / SIN0
-    assert abs(plus.value) == pytest.approx(float(pair.fhat(T_RETURN)) * amp, rel=1e-9)
+    assert abs(plus.value(k)) == pytest.approx(float(pair.fhat(T_RETURN)) * amp, rel=1e-9)
 
 
 def test_window_restriction_and_cross_pair_additivity():
-    # restricting the T = 7 pair to the window (-3, 3) keeps only the t = 0
+    # keeping the T = 7 pair's returns with |t| < 3 keeps only the t = 0
     # term, which has the same fhat(0) = e^{-1} as the T = 3 bump: the two
-    # single-term predictors coincide exactly
+    # single-term predictors coincide exactly, at every k
     sym = model_cos_symbol()
     pair7 = build_fourier_pair("bump", 7.0)
     pair3 = build_fourier_pair("bump", 3.0)
-    k = 60
     x = (0.3, Q0)
-    full = projector_kernel_asymptotic(sym, pair7, E0, x, x, k)
-    windowed = projector_kernel_asymptotic(sym, pair7, E0, x, x, k,
-                                           window=(-3.0, 3.0))
-    narrow = projector_kernel_asymptotic(sym, pair3, E0, x, x, k)
+    full = projector_kernel_asymptotic(sym, pair7, E0, x, x)
+    windowed = ProjectorPrediction(tuple(t for t in full.terms if abs(t.t) < 3.0))
+    narrow = projector_kernel_asymptotic(sym, pair3, E0, x, x)
     assert len(windowed.terms) == 1
-    assert complex(windowed.value) == pytest.approx(complex(narrow.value), rel=1e-12)
-    # enlarging the window adds exactly the dropped terms, no cross talk
-    dropped = sum(t.value for t in full.terms if abs(t.t) > 3.0)
-    prefactor = np.sqrt(float(k)) / TWO_PI
-    assert complex(full.value - windowed.value) == pytest.approx(
-        complex(prefactor * dropped), rel=1e-12)
-    with pytest.raises(ValueError):
-        projector_kernel_asymptotic(sym, pair7, E0, x, x, k, window=(2.0, -2.0))
-
-
-def test_window_outside_support_is_off_image():
-    # bump:7 clips (8, 9) to the empty (8, 7): no return, not an ordering error
-    sym = model_cos_symbol()
-    pair7 = build_fourier_pair("bump", 7.0)
-    x = (0.3, Q0)
-    for window in ((8.0, 9.0), (-9.0, -8.0)):
-        pred = projector_kernel_asymptotic(sym, pair7, E0, x, x, 60, window=window)
-        assert pred.off_image and pred.value == 0j and pred.terms == ()
-    with pytest.raises(RegularityError, match="off the energy level"):
-        projector_kernel_asymptotic(sym, pair7, E0, (0.3, 0.2), x, 60, window=(8.0, 9.0))
+    for k in (37, 60):
+        assert windowed.value(k) == pytest.approx(narrow.value(k), rel=1e-12)
+        # the dropped terms add back exactly, no cross talk
+        dropped = sum(t.value(k) for t in full.terms if abs(t.t) > 3.0)
+        prefactor = np.sqrt(float(k)) / TWO_PI
+        assert full.value(k) - windowed.value(k) == pytest.approx(
+            complex(prefactor * dropped), rel=1e-12)
+    assert ProjectorPrediction(()).off_image and ProjectorPrediction(()).value(60) == 0j
 
 
 def test_off_level_points_rejected():
@@ -352,16 +338,16 @@ def test_off_level_points_rejected():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
     with pytest.raises(RegularityError, match="off the energy level"):
-        projector_kernel_asymptotic(sym, pair, 0.5, (0.3, Q0), (0.3, Q0), 50)
+        projector_kernel_asymptotic(sym, pair, 0.5, (0.3, Q0), (0.3, Q0))
     with pytest.raises(RegularityError, match="off the energy level"):
-        projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.2), (0.3, Q0), 50)
+        projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.2), (0.3, Q0))
 
 
 def test_critical_level_rejected():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
     with pytest.raises(RegularityError):
-        projector_kernel_asymptotic(sym, pair, 1.0, (0.3, 0.0), (0.3, 0.0), 50)
+        projector_kernel_asymptotic(sym, pair, 1.0, (0.3, 0.0), (0.3, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +362,8 @@ def test_exact_matches_predictor_at_k200():
     pair = build_fourier_pair("bump", 3.0)
     x = (0.3, Q0)
     exact = projector_kernel_exact(qs, op, pair, E0, x, x)
-    pred = projector_kernel_asymptotic(sym, pair, E0, x, x, 200)
-    assert abs(exact - pred.value) / abs(pred.value) <= 0.05
+    pred = projector_kernel_asymptotic(sym, pair, E0, x, x).value(200)
+    assert abs(exact - pred) / abs(pred) <= 0.05
 
 
 def test_compare_table_error_halves_with_k():
@@ -406,9 +392,9 @@ def test_compare_searches_returns_once_per_point(monkeypatch):
     rows = projector_compare(sym, pair, E0, points, [60, 120])
     assert len(searched) == len(points)
     for row in rows:
-        alone = projector_kernel_asymptotic(sym, pair, E0, row.y, row.x, row.k)
+        alone = projector_kernel_asymptotic(sym, pair, E0, row.y, row.x)
         assert len(alone.terms) > 1
-        assert abs(row.predicted - alone.value) <= 1e-13 * abs(alone.value)
+        assert abs(row.predicted - alone.value(row.k)) <= 1e-13 * abs(alone.value(row.k))
     assert len(searched) == len(points) + len(rows)
 
 
@@ -437,6 +423,20 @@ def test_winding_returns_at_points_off_the_k_lattice(q, support, k):
     rows = projector_compare(model_cos_symbol(), build_fourier_pair("bump", support),
                              float(np.cos(TWO_PI * q)), [(0.3, q)], [k])
     assert rows[0].rel_err_modulus <= 0.02
+
+
+def test_expression_projector_carries_the_toeplitz_subprincipal_phase():
+    # T_k(f) has subprincipal symbol Delta f / (16 pi); each return's
+    # e^{-i int H^sub} carries it.  Without it cos(2 pi p) misses by 0.29
+    # at k = 51 and 101, and cos(2 pi q)'s error stays at 0.93 as k grows
+    pair = build_fourier_pair("bump", 7.0)
+    rows = projector_compare(symbol_from_selector("cos(2*pi*p)"), pair, E0, [(Q0, 0.3)],
+                             [51, 101])
+    assert max(r.rel_err_modulus for r in rows) <= 0.02
+    rows = projector_compare(symbol_from_selector("cos(2*pi*q)"), pair, E0, [(0.3, Q0)],
+                             [50, 100, 200])
+    for coarse, fine in zip(rows, rows[1:]):
+        assert fine.rel_err_modulus <= 0.55 * coarse.rel_err_modulus
 
 
 def test_compare_relative_error_smallest_at_widest_level():
