@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propkern import graph_compare, offgraph_probe, operator_for
+from .propkern import KernelSample, graph_compare, offgraph_probe, operator_for
 from .specproj import (ProjectorPrediction, build_fourier_pair, projector_kernel_asymptotic,
                        projector_kernel_exact, projector_kernel_timequad)
 from .symplin import LinearSymplectomorphism, holomorphic_determinant, polar_determinant, random_symplectic
@@ -201,8 +201,8 @@ def _crit_a9() -> CriterionResult:
                                    _POINT, _POINT)
     full = projector_kernel_asymptotic(sym, pair, _E0, _POINT, _POINT)
     stripped = ProjectorPrediction(tuple(t for t in full.terms if abs(t.t) < 3.0))
-    err_full = abs(abs(exact) - abs(full.value(k))) / abs(full.value(k))
-    err_stripped = abs(abs(exact) - abs(stripped.value(k))) / abs(stripped.value(k))
+    err_full, err_stripped = (KernelSample(k, _POINT, _POINT, exact, pred.value(k)).rel_err_modulus
+                              for pred in (full, stripped))
     degradation = err_stripped / err_full if err_full > 0 else np.inf
     passed = err_full <= 0.10 and degradation >= 2.0
     return CriterionResult(

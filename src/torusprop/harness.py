@@ -180,7 +180,7 @@ def symbol_from_selector(selector: str):
 
 
 _DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",
-             "symbol": "model-cos", "fhat": "bump:3", "format": "csv"}
+             "symbol": "model-cos", "fhat": "bump:3"}
 
 
 def _read_config_file(path: str) -> dict:
@@ -210,9 +210,7 @@ def _read_config_file(path: str) -> dict:
 
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config file, and flags (flags win) into a validated config."""
-    values = dict(_DEFAULTS)
-    values["energy"] = None
-    values["out"] = None
+    values = dict(_DEFAULTS, energy=None, out=None, format=None)
     if ns.config is not None:
         values.update(_read_config_file(ns.config))
     for key in _CONFIG_KEYS:
@@ -220,10 +218,10 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         if flag is not None:
             values[key] = flag
 
+    if values["format"] is None:
+        values["format"] = "json" if ns.command == "selftest" else "csv"
     if ns.command == "selftest" and values["format"] == "csv":
-        values["format"] = "json"  # only override the default, not an explicit csv
-        if ns.fmt == "csv":
-            raise ConfigError("selftest emits a JSON summary; use --format json")
+        raise ConfigError("selftest emits a JSON summary; use format json")
     if values["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, not {values['format']!r}")
 
@@ -343,8 +341,16 @@ def _suffixed(out: str, k: int) -> str:
     return f"{stem}_k{k}{ext}"
 
 
-_PROP_HEADER = ["t", "re_exact", "im_exact", "re_pred", "im_pred",
-                "abs_exact", "abs_pred", "rel_err_modulus", "phase_err"]
+_KERNEL_HEADER = ["re_exact", "im_exact", "re_pred", "im_pred", "abs_exact",
+                  "abs_pred", "rel_err_modulus", "phase_err"]
+_PROP_HEADER = ["t"] + _KERNEL_HEADER
+_PROJ_HEADER = ["k", "p", "q"] + _KERNEL_HEADER
+
+
+def _kernel_row(s) -> list:
+    """A KernelSample's columns of _KERNEL_HEADER."""
+    return [s.exact.real, s.exact.imag, s.predicted.real, s.predicted.imag,
+            abs(s.exact), abs(s.predicted), s.rel_err_modulus, s.phase_err]
 
 
 def _run_propagator(cfg: ExperimentConfig) -> int:
@@ -353,9 +359,7 @@ def _run_propagator(cfg: ExperimentConfig) -> int:
 
     def rows_for(k: int) -> list:
         samples = graph_compare(quantum_space(k), cfg.sym, x, cfg.tgrid)
-        return [[s.t, s.exact.real, s.exact.imag, s.predicted.real,
-                 s.predicted.imag, abs(s.exact), abs(s.predicted),
-                 s.rel_err_modulus, s.phase_err] for s in samples]
+        return [[t] + _kernel_row(s) for t, s in zip(cfg.tgrid, samples)]
 
     with ThreadPoolExecutor(max_workers=min(4, len(cfg.ks))) as pool:
         tables = dict(zip(cfg.ks, pool.map(rows_for, cfg.ks)))
@@ -367,19 +371,13 @@ def _run_propagator(cfg: ExperimentConfig) -> int:
     return 0
 
 
-_PROJ_HEADER = ["k", "p", "q", "re_exact", "im_exact", "re_pred", "im_pred",
-                "abs_exact", "abs_pred", "rel_err_modulus", "phase_err"]
-
-
 def _run_projector(cfg: ExperimentConfig) -> int:
     """One ``projector_compare`` pass over every point and k; its rows come
     grouped by point with k ascending, which is the table's order."""
     from .specproj import build_fourier_pair, projector_compare
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
     samples = projector_compare(cfg.sym, pair, _level_energy(cfg), list(cfg.points), cfg.ks)
-    rows = [[s.k, s.x[0], s.x[1], s.exact.real, s.exact.imag, s.predicted.real,
-             s.predicted.imag, abs(s.exact), abs(s.predicted), s.rel_err_modulus,
-             s.phase_err] for s in samples]
+    rows = [[s.k, s.x[0], s.x[1]] + _kernel_row(s) for s in samples]
     _write_table(cfg.out, _PROJ_HEADER, rows, cfg.fmt)
     return 0
 

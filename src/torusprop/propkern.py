@@ -19,12 +19,14 @@ e^{-2 pi k (q_y^2 + q_x^2)} e^{2 pi i k (p_y q_y - p_x q_x)} (second slot
 conjugated).  The modulus part is already folded into the sections
 (thetaq.sections), so only the phase is applied here.  Off-graph kernel
 values decay faster than any power of 1/k; offgraph_probe measures that
-local order between consecutive levels.
+local order between consecutive levels.  ``KernelSample`` is the one record
+of an exact value against a predicted one, for the propagator here and for
+the projector (specproj.projector_compare).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,34 +62,32 @@ class ProximityError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSample:
-    """One (exact, predicted) kernel pair at a fixed level, time and points.
+    """One exact kernel value at (k, y, x) against its predicted value: the
+    comparison record of the propagator and of the smoothed projector.
 
-    ``rel_err_modulus`` and ``phase_err`` are always recomputed from the two
-    complex fields: the modulus error is gauge-independent, the phase error
-    is wrapped to (-pi, pi].
+    Both errors follow from the two complex fields.  The modulus error is
+    gauge-independent; the phase error is angle(exact / predicted), wrapped
+    to (-pi, pi].  Both are NaN where the prediction is 0 (off the image of
+    the return relation), and the phase error also where the exact value is 0.
     """
 
     k: int
-    t: float
     x: tuple[float, float]
     y: tuple[float, float]
     exact: complex
     predicted: complex
-    rel_err_modulus: float = field(init=False)
-    phase_err: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        mod_pred = abs(self.predicted)
-        rel = abs(abs(self.exact) - mod_pred) / mod_pred if mod_pred > 0 else np.inf
-        object.__setattr__(self, "rel_err_modulus", float(rel))
-        object.__setattr__(self, "phase_err", _wrapped_phase(self.exact, self.predicted))
+    @property
+    def rel_err_modulus(self) -> float:
+        if self.predicted == 0:
+            return float("nan")
+        return float(abs(abs(self.exact) - abs(self.predicted)) / abs(self.predicted))
 
-
-def _wrapped_phase(exact: complex, predicted: complex) -> float:
-    """angle(exact / predicted) in (-pi, pi], or NaN when either is 0."""
-    if exact == 0 or predicted == 0:
-        return float("nan")
-    return float(np.angle(exact / predicted))
+    @property
+    def phase_err(self) -> float:
+        if self.exact == 0 or self.predicted == 0:
+            return float("nan")
+        return float(np.angle(self.exact / self.predicted))
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,8 @@ def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
 
 def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSample]:
     """Exact kernel at (phi_t(x), x) versus the predictor, over a forward
-    time grid (it need not start at 0).
+    time grid (it need not start at 0): one KernelSample per time, in grid
+    order.
 
     The flow is read at the ``tgrid`` times only; the exact values reuse one
     eigendecomposition, and the moving point's sections and the
@@ -183,9 +184,9 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
         kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + _ROW_CHUNK], op.eigenvalues)),
                     ys[lo:lo + _ROW_CHUNK], x_pq)
         for lo in range(0, tg.size, _ROW_CHUNK)])
-    return [KernelSample(k=qs.k, t=float(t), x=x_pq, y=(float(y[0]), float(y[1])),
+    return [KernelSample(k=qs.k, x=x_pq, y=(float(y[0]), float(y[1])),
                          exact=complex(e), predicted=complex(p))
-            for t, y, e, p in zip(tg, ys, exact, preds)]
+            for y, e, p in zip(ys, exact, preds)]
 
 
 def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayReport:

@@ -21,7 +21,8 @@ semiclassical Fourier transform contributes k^{-1/2} (k/2pi)^{1/2} =
 sqrt(k)/(2 pi); a (k/2pi)^{1/2} variant that sometimes appears differs by
 sqrt(2 pi) and fails the exact comparison by ~60%.)  Off the image of the
 return relation the kernel is rapidly decaying and the predictor has no
-terms and the value zero, tagged.
+terms and the value zero.  ``projector_compare`` pairs each exact value with
+its prediction in a propkern.KernelSample, the propagator's record.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .propkern import _ROW_CHUNK, _wrapped_phase, kernel_eval, operator_for
+from .propkern import _ROW_CHUNK, KernelSample, kernel_eval, operator_for
 from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
 from .torusgeo import (
     SymbolField,
@@ -46,7 +47,6 @@ __all__ = [
     "build_fourier_pair",
     "ReturnTerm",
     "ProjectorPrediction",
-    "ProjectorSample",
     "projector_kernel_exact",
     "projector_kernel_asymptotic",
     "projector_kernel_timequad",
@@ -273,14 +273,11 @@ class ReturnTerm:
 @dataclass(frozen=True)
 class ProjectorPrediction:
     """The returns of x to y inside supp fhat, a k-independent state on the
-    level curve.  ``off_image``: there are none, so the true kernel is
-    rapidly decaying and the predicted value is zero."""
+    level curve.  With no terms, x and y are off the image of the return
+    relation: the true kernel is rapidly decaying and the predicted value is
+    zero."""
 
     terms: tuple[ReturnTerm, ...]
-
-    @property
-    def off_image(self) -> bool:
-        return not self.terms
 
     def value(self, k: int) -> complex:
         """sqrt(k)/(2 pi) times the sum of the terms at level k; 0j off the
@@ -329,34 +326,6 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectorSample:
-    """Exact vs predicted projector kernel value at one (k, y, x); the phase
-    error follows KernelSample's rule (NaN when either value is 0)."""
-
-    k: int
-    energy: float
-    x: tuple[float, float]
-    y: tuple[float, float]
-    exact: complex
-    predicted: complex
-    off_image: bool
-    rel_err_modulus: float
-    phase_err: float
-
-    @staticmethod
-    def build(k, energy, x, y, exact, prediction: ProjectorPrediction) -> "ProjectorSample":
-        pred = prediction.value(k)
-        if prediction.off_image:
-            rel = np.nan
-        else:
-            rel = abs(abs(exact) - abs(pred)) / abs(pred) if pred != 0 else np.inf
-        return ProjectorSample(k=int(k), energy=float(energy), x=tuple(x), y=tuple(y),
-                               exact=complex(exact), predicted=complex(pred),
-                               off_image=prediction.off_image, rel_err_modulus=float(rel),
-                               phase_err=_wrapped_phase(exact, pred))
-
-
 def _normalize_point_entry(entry):
     arr = np.asarray(entry, dtype=float)
     if arr.shape == (2,):
@@ -369,12 +338,14 @@ def _normalize_point_entry(entry):
 
 
 def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
-                      points, ks) -> list[ProjectorSample]:
-    """Exact versus predicted projector kernels over points x levels.
+                      points, ks) -> list[KernelSample]:
+    """Exact versus predicted projector kernels over points x levels, one
+    KernelSample each.
 
     Entries of ``points`` are diagonal points or (y, x) pairs; rows come out
     grouped by point in the order given, with k ascending within a group.
-    Each point's prediction is built once and quantized at every k.
+    Each point's prediction is built once and quantized at every k; off the
+    image it is 0, so the row's errors are NaN.
     """
 
     rows = []
@@ -387,5 +358,5 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
         for k in sorted(spaces):
             exact = projector_kernel_exact(spaces[k], ops[k], pair, energy, y_pq, x_pq,
                                            coeffs=coeffs[k])
-            rows.append(ProjectorSample.build(k, energy, x_pq, y_pq, exact, pred))
+            rows.append(KernelSample(k, x_pq, y_pq, exact, pred.value(k)))
     return rows

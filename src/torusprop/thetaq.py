@@ -364,18 +364,18 @@ class HermitianOperator:
     0 is its own eigendecomposition (eigenvalues the diagonal, in basis
     order; the standard basis, recorded as ``eigenvectors = None``), and no
     dense matrix is formed.  Any other operator is expanded to a dense
-    matrix only to feed ``eigh``.  The diagonals must be Hermitian to 1e-12,
-    and the ``eigh`` residual, computed on the diagonals, must stay within
-    1e-9 (1 + max |lambda|); both checks raise ConstructionError.  The
-    shift-0 route has no residual check: its residual is max |Im d_0|,
-    which the Hermiticity check already bounds by 0.5e-12 max(1, max |d_0|).
-    ``hermiticity_defect`` records how far a built operator was from
-    Hermitian before symmetrization.
+    matrix only to feed ``eigh``.  The given diagonals A must be Hermitian
+    to 1e-12 (max |A - A^H| against max(1, max |A|)); the operator stores
+    their Hermitian part (A + A^H) / 2 and, as ``hermiticity_defect``,
+    max |A - A^H|.  The ``eigh`` residual, computed on the stored
+    diagonals, must stay within 1e-9 (1 + max |lambda|); both checks raise
+    ConstructionError.  The shift-0 route has no residual check: its
+    stored d_0 is real, so the residual is 0.
     """
 
     k: int
     diagonals: dict
-    hermiticity_defect: float = 0.0
+    hermiticity_defect: float = field(init=False)
     eigenvalues: np.ndarray = field(init=False)
     eigenvectors: np.ndarray | None = field(init=False)
 
@@ -388,12 +388,13 @@ class HermitianOperator:
                 raise ValueError(f"diagonals must map shifts in [0, {dim}) to "
                                  f"length-{dim} rows, got shift {s!r} of shape {d.shape}")
             diags[int(s)] = d
-        object.__setattr__(self, "diagonals", diags)
         scale = max([1.0] + [float(np.max(np.abs(d))) for d in diags.values()])
-        defect = _hermitian_parts(diags)[1]
+        diags, defect = _hermitian_parts(diags)
         if defect > 1e-12 * scale:
             raise ConstructionError(f"operator diagonals are not Hermitian to 1e-12 "
                                     f"(defect {defect:.2e})")
+        object.__setattr__(self, "diagonals", diags)
+        object.__setattr__(self, "hermiticity_defect", defect)
         if diags.keys() <= {0}:
             vals, vecs = np.array(diags.get(0, np.zeros(dim)).real), None
         else:
@@ -436,9 +437,10 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     De Bievre, CMP 178, 1996): row ell holds
     e^{-pi (m^2 + n^2) / (4k)} e^{-i pi n (2 ell - m) / (2k)} in column
     (ell - m) mod 2k, so the modes of one m fill the diagonal of shift
-    m mod 2k in O(#modes x k).  The sum must come out Hermitian to 1e-9
-    before symmetrization (the defect is recorded); both run on the
-    diagonals.  A symbol of q alone gives shift 0 only and needs no eigh.
+    m mod 2k in O(#modes x k).  HermitianOperator symmetrizes the sum and
+    records its Hermiticity defect, refusing one above 1e-12 (the modes are
+    then not those of a real function).  A symbol of q alone gives shift 0
+    only and needs no eigh.
     """
 
     k, dim = qs.k, qs.dim
@@ -451,12 +453,7 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
         c = coeffs[freqs[:, 0] == m] * np.exp(-np.pi * (m * m + n * n) / (4.0 * k))
         row = raw.setdefault(int(m) % dim, np.zeros(dim, dtype=complex))
         row += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
-    scale = max([1.0] + [float(np.max(np.abs(d))) for d in raw.values()])
-    herm, defect = _hermitian_parts(raw)
-    if defect > 1e-9 * scale:
-        raise ConstructionError(f"Toeplitz matrix asymmetry {defect:.2e} exceeds 1e-9: "
-                                "the symbol modes are not those of a real function")
-    return HermitianOperator(k=qs.k, diagonals=herm, hermiticity_defect=defect)
+    return HermitianOperator(k=qs.k, diagonals=raw)
 
 
 def bergman_diag(qs: QuantumSpace, z) -> float:

@@ -96,6 +96,20 @@ def test_config_file_and_flag_override(tmp_path):
     assert cfg.ks == (20,)  # flags win
 
 
+def test_selftest_format_rule_holds_for_config_files(tmp_path, capsys):
+    # selftest writes JSON by default and refuses csv from a flag or a file
+    f = tmp_path / "st.ini"
+    f.write_text("[run]\nformat = csv\n")
+    with pytest.raises(ConfigError, match="JSON summary"):
+        _cfg(["selftest", "--config", str(f)])
+    assert main(["selftest", "--config", str(f), "--out", str(tmp_path / "st.out")]) == 2
+    assert not (tmp_path / "st.out").exists()
+    assert _cfg(["selftest"]).fmt == "json"
+    assert _cfg(["propagator", "--config", str(f)]).fmt == "csv"
+    f.write_text("[run]\nformat = json\n")
+    assert _cfg(["selftest", "--config", str(f)]).fmt == "json"
+
+
 def test_config_file_rejects_unknown_and_duplicate_keys(tmp_path):
     f = tmp_path / "bad.cfg"
     f.write_text("[a]\nbanana = 1\n")

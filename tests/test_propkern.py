@@ -21,7 +21,6 @@ from torusprop.propkern import (
 from torusprop import propkern
 from torusprop.specproj import (
     ProjectorPrediction,
-    ProjectorSample,
     ReturnTerm,
     build_fourier_pair,
     projector_kernel_exact,
@@ -181,13 +180,14 @@ def test_graph_compare_order_one_time():
 
 
 def test_kernel_sample_invariants():
-    s = KernelSample(k=3, t=0.1, x=(0.0, 0.0), y=(0.1, 0.0),
-                     exact=2.0 + 0.0j, predicted=1.0 + 0.0j)
+    s = KernelSample(k=3, x=(0.0, 0.0), y=(0.1, 0.0), exact=2.0 + 0.0j, predicted=1.0 + 0.0j)
     assert s.rel_err_modulus == pytest.approx(1.0)
     assert s.phase_err == pytest.approx(0.0)
-    s2 = KernelSample(k=3, t=0.1, x=(0.0, 0.0), y=(0.1, 0.0),
-                      exact=1.0j, predicted=1.0 + 0.0j)
+    s2 = KernelSample(k=3, x=(0.0, 0.0), y=(0.1, 0.0), exact=1.0j, predicted=1.0 + 0.0j)
     assert s2.phase_err == pytest.approx(np.pi / 2)
+    # a zero exact value has no phase error (a zero prediction: see below)
+    s3 = KernelSample(k=3, x=(0.0, 0.0), y=(0.1, 0.0), exact=0j, predicted=2.0 + 0.0j)
+    assert np.isnan(s3.phase_err) and s3.rel_err_modulus == 1.0
 
 
 def test_projector_sample_phase_error_follows_the_kernel_rule():
@@ -196,7 +196,7 @@ def test_projector_sample_phase_error_follows_the_kernel_rule():
         terms = (ReturnTerm(t=0.0, winding=(0, 0), fhat=1.0 + 0.0j,
                             amplitude=value * TWO_PI / np.sqrt(3.0), conn_L=0.0),)
         pred = ProjectorPrediction(terms if value else ())
-        return ProjectorSample.build(3, 0.5, (0.3, 0.1), (0.3, 0.1), exact, pred)
+        return KernelSample(3, (0.3, 0.1), (0.3, 0.1), exact, pred.value(3))
 
     assert sample(1.0j, 1.0 + 0.0j).phase_err == pytest.approx(np.pi / 2)
     assert sample(2.0 + 0.0j, 1.0 + 0.0j).phase_err == pytest.approx(0.0)
@@ -287,8 +287,8 @@ def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
     assert op.eigenvectors is None
     vals, vecs = np.linalg.eigh(op.dense())
     x = (0.3, 0.1)
-    rows = graph_compare(qs, sym, x, [0.0, 0.35, 1.0])
-    ts = np.array([r.t for r in rows])
+    ts = np.array([0.0, 0.35, 1.0])
+    rows = graph_compare(qs, sym, x, ts)
     ys = [r.y for r in rows]
     want = dense_kernel(qs, vecs, np.exp(-1j * k * np.outer(ts, vals)), ys, x)
     assert_close_to_oracle(np.array([r.exact for r in rows]), want)

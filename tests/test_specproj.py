@@ -5,13 +5,14 @@ Fourier inversion, so the two kernel routes must agree to quadrature
 accuracy, not just asymptotically); the closed-form predictor amplitude
 sqrt(2)/||X|| on the shear level sets; the winding holonomy e^{-2 pi i k q m}
 carried by the transport phase of the lifted return loop, times the lattice
-gauge factor that takes the lifted endpoint back to y.
+gauge factor that takes the lifted endpoint back to y; and each return's own
+piece of the kernel, cut out by a smooth partition of the time axis.
 """
 
 import numpy as np
 import pytest
 
-from torusprop.propkern import kernel_eval, operator_for
+from torusprop.propkern import KernelSample, kernel_eval, operator_for
 from torusprop import specproj
 from torusprop.harness import symbol_from_selector
 from torusprop.specproj import (
@@ -236,7 +237,6 @@ def test_single_return_diagonal_closed_form():
     k = 100
     x = (0.3, Q0)
     pred = projector_kernel_asymptotic(sym, pair, E0, x, x)
-    assert not pred.off_image
     assert len(pred.terms) == 1
     assert pred.terms[0].t == 0.0
     amp = np.sqrt(2.0) / norm_X(sym, x)
@@ -251,9 +251,8 @@ def test_off_image_point_is_tagged_zero():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
     pred = projector_kernel_asymptotic(sym, pair, E0, (0.3, 0.9), (0.3, Q0))
-    assert pred.off_image
-    assert pred.value(100) == 0j
     assert pred.terms == ()
+    assert pred.value(100) == 0j
 
 
 def test_off_image_exact_kernel_is_tiny():
@@ -330,7 +329,7 @@ def test_window_restriction_and_cross_pair_additivity():
         prefactor = np.sqrt(float(k)) / TWO_PI
         assert full.value(k) - windowed.value(k) == pytest.approx(
             complex(prefactor * dropped), rel=1e-12)
-    assert ProjectorPrediction(()).off_image and ProjectorPrediction(()).value(60) == 0j
+    assert ProjectorPrediction(()).value(60) == 0j
 
 
 def test_off_level_points_rejected():
@@ -371,7 +370,7 @@ def test_compare_table_error_halves_with_k():
     pair = build_fourier_pair("bump", 3.0)
     rows = projector_compare(sym, pair, E0, [(0.3, Q0)], [100, 200])
     assert [r.k for r in rows] == [100, 200]
-    assert all(not r.off_image for r in rows)
+    assert all(r.predicted != 0 for r in rows)
     assert rows[1].rel_err_modulus <= 0.7 * rows[0].rel_err_modulus
 
 
@@ -457,6 +456,89 @@ def test_compare_off_image_row():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
     rows = projector_compare(sym, pair, E0, [((0.3, 0.9), (0.3, Q0))], [50])
-    assert rows[0].off_image
-    assert np.isnan(rows[0].rel_err_modulus)
+    assert rows[0].predicted == 0
+    assert np.isnan(rows[0].rel_err_modulus) and np.isnan(rows[0].phase_err)
     assert abs(rows[0].exact) <= 1e-3 * np.sqrt(50 / TWO_PI)
+
+
+# ---------------------------------------------------------------------------
+# per-return pieces through a smooth time partition
+# ---------------------------------------------------------------------------
+
+
+def _smooth_step(u):
+    """0 for u <= 0, 1 for u >= 1, e^{-1/u} / (e^{-1/u} + e^{-1/(1-u)})
+    between: a C-infinity step."""
+    u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        a, b = np.exp(-1.0 / u), np.exp(-1.0 / (1.0 - u))
+    return a / (a + b)
+
+
+def _time_partition(times):
+    """One window per sorted return time.  The windows sum to 1; window j is
+    1 near t_j and steps, over a width of 1, at the midpoints between
+    neighbouring returns."""
+    mids = 0.5 * (np.asarray(times[:-1]) + np.asarray(times[1:]))
+
+    def rises(t):  # 1, the step up at each midpoint, 0
+        t = np.asarray(t, dtype=float)
+        return [np.ones_like(t)] + [_smooth_step(t - m + 0.5) for m in mids] + [np.zeros_like(t)]
+
+    return [lambda t, j=j: rises(t)[j] - rises(t)[j + 1] for j in range(len(times))]
+
+
+def _return_pieces(sym, y, x, ks):
+    """Each return with |fhat(t)| >= 0.1 as one KernelSample per k, keyed by
+    winding: the exact piece is the time-side kernel on fhat times the
+    return's window, the predicted piece is the return's own term."""
+    pair = build_fourier_pair("bump", 7.0)
+    terms = sorted(projector_kernel_asymptotic(sym, pair, E0, y, x).terms, key=lambda r: r.t)
+    windows = _time_partition([term.t for term in terms])
+    grid = np.linspace(-7.0, 7.0, 1401)
+    assert np.max(np.abs(sum(chi(grid) for chi in windows) - 1.0)) <= 1e-15
+    pieces = {}
+    for k in ks:
+        qs = quantum_space(k)
+        op = operator_for(qs, sym)
+        for term, chi in zip(terms, windows):
+            if abs(term.fhat) < 0.1:
+                continue
+            assert chi(term.t) == 1.0
+            windowed = FourierPair(7.0, lambda t, chi=chi: pair.fhat(t) * chi(t))
+            exact = projector_kernel_timequad(qs, op, windowed, E0, y, x)
+            pieces.setdefault(term.winding, []).append(
+                KernelSample(k, x, y, exact, ProjectorPrediction((term,)).value(k)))
+    return pieces
+
+
+def _worst_ratio(errs):
+    return max(abs(fine) / abs(coarse) for coarse, fine in zip(errs, errs[1:]))
+
+
+def test_each_return_piece_of_an_expression_symbol_falls_at_the_1_over_k_rate():
+    # cos(2 pi q) at (0.3, 0.1) returns at t = 0 and +-3.40 inside bump:7,
+    # whose terms nearly cancel in the sum; piece by piece, the modulus
+    # errors (0.019, 0.0094, 0.0047 at t = 0) and the canonical-bundle
+    # phase errors of the returns at +-3.40 (0.033, 0.016, 0.0079) halve
+    pieces = _return_pieces(symbol_from_selector("cos(2*pi*q)"), (0.3, Q0), (0.3, Q0),
+                            [100, 200, 400])
+    assert sorted(pieces) == [(-1, 0), (0, 0), (1, 0)]
+    for w, rows in pieces.items():
+        assert _worst_ratio([r.rel_err_modulus for r in rows]) <= 0.6
+        if w != (0, 0):
+            assert _worst_ratio([r.phase_err for r in rows]) <= 0.6
+        assert rows[-1].rel_err_modulus <= 0.01 and abs(rows[-1].phase_err) <= 0.015
+
+
+def test_each_return_piece_carries_its_lattice_gauge_factor():
+    # y = (0.6, 0.1) from x = (0.3, 0.1) on model-cos: k q_y is not an
+    # integer at k = 51, 101, 201, so the w = (1, 0) return's lattice gauge
+    # factor e^{2 pi i k q_y} is not 1 (without it the phase is off by
+    # 0.63 rad at k = 51).
+    # Its phase error, 0.036, 0.020 and 0.010, halves with k
+    pieces = _return_pieces(model_cos_symbol(), (0.6, Q0), (0.3, Q0), [51, 101, 201])
+    assert sorted(pieces) == [(-1, 0), (0, 0), (1, 0)]
+    assert _worst_ratio([r.phase_err for r in pieces[(1, 0)]]) <= 0.6
+    for rows in pieces.values():
+        assert rows[-1].rel_err_modulus <= 0.01 and abs(rows[-1].phase_err) <= 0.015
