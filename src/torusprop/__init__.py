@@ -22,9 +22,20 @@ propkern  the one exact-kernel contraction (any spectral function of an
           operator), propagator predictors, and their comparison
 specproj  smoothed spectral projector kernels, exact and asymptotic
 harness   command-line entry point, config handling, CSV/JSON reports
+
+Importing the package sets OPENBLAS_THREAD_TIMEOUT=4 unless it is already
+set, before numpy loads, so idle OpenBLAS workers sleep instead of spinning;
+no result depends on it.
 """
 
 from __future__ import annotations
+
+import os
+
+# OpenBLAS reads this once, when numpy first loads it; 4 is its minimum.  At
+# the default (2^28 cycles) an idle worker spins on a second core after
+# every threaded call.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"
 

@@ -113,7 +113,11 @@ class EvaluationError(RuntimeError):
 class QuantumSpace:
     """Level-k space of theta sections with its numerical parameters.
 
-    ``theta_terms`` is the half-width of the shifted theta summation window;
+    ``theta_terms`` is the half-width R of the shifted theta summation
+    window (a built space takes the smallest R >= 2 with
+    2 pi k (R-1)^2 >= 34, so its edge terms sit at most
+    e^{-2 pi k R (R-1)} <= e^{-34} below the centre term: R = 2 from k = 6
+    on, 3 or 4 below);
     ``quad_order`` the node count per axis N for the Gram quadrature (a
     built space takes N^2 >= 60 k, so the aliasing error e^{-pi N^2 / (4k)}
     stays below e^{-15 pi});
@@ -138,7 +142,8 @@ class QuantumSpace:
 def quantum_space(k: int) -> QuantumSpace:
     """The level-k QuantumSpace, self-testing orthonormality at small k.
 
-    The theta window reaches e^{-34} below its peak, and the Gram quadrature
+    The theta window's edge terms sit at most e^{-34} below its centre
+    term (two terms on either side from k = 6 on), and the Gram quadrature
     takes the smallest multiple of 16 nodes per axis, at least 32, with
     N^2 >= 60 k: its aliasing error e^{-pi N^2 / (4k)} is then at most
     e^{-15 pi} ~ 3e-21, so the node count grows like sqrt(k) (32 at k = 5,
@@ -155,8 +160,9 @@ def quantum_space(k: int) -> QuantumSpace:
 
 @lru_cache(maxsize=None)
 def _built_space(k: int) -> QuantumSpace:
-    # a theta window wide enough that its edge terms sit ~e^{-34} below the peak
-    terms = max(3, int(np.ceil(np.sqrt(34.0 / (TWO_PI * k)))) + 1)
+    # the centre term's argument x has |x| <= k, so the edge terms at x +- 2kR
+    # sit at most e^{-2 pi k R (R-1)} <= e^{-34} below it
+    terms = int(np.ceil(np.sqrt(34.0 / (TWO_PI * k)))) + 1
     qs = QuantumSpace(k=k, theta_terms=terms, quad_order=_gram_nodes(k))
     if k <= 50:
         _construction_self_test(qs)

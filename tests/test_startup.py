@@ -1,4 +1,5 @@
-"""Each CLI process loads only the code its command runs.
+"""Each CLI process loads only the code its command runs, and lets idle
+OpenBLAS workers sleep unless the user says otherwise.
 
 Every check runs in a fresh interpreter, because the test session itself
 has long since imported everything.
@@ -14,17 +15,34 @@ import pytest
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _WATCHED = ("numpy.random", "torusprop.acceptance", "torusprop.propkern",
             "torusprop.specproj", "json", "configparser")
+_TIMEOUT = "OPENBLAS_THREAD_TIMEOUT"
+
+
+def _run(code: str, **env) -> str:
+    """The last line a fresh interpreter prints after running ``code``, in
+    this environment less OPENBLAS_THREAD_TIMEOUT (which importing the
+    package here has set), plus ``env``."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    child = {k: v for k, v in os.environ.items() if k != _TIMEOUT}
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(child, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def _loaded(code: str) -> set:
     """The watched modules loaded by a fresh interpreter after running ``code``."""
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     probe = (code + "\nimport sys\n"
              f"print(' '.join(m for m in {_WATCHED!r} if m in sys.modules) or '-')")
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split()) - {"-"}
+    return set(_run(probe).split()) - {"-"}
+
+
+@pytest.mark.parametrize("preset, timeout", [({}, "4"), ({_TIMEOUT: "28"}, "28")])
+def test_the_package_sets_the_blas_timeout_before_numpy_loads(preset, timeout):
+    # every entry path runs the package's __init__ first, so this holds for
+    # the console script and the harness too
+    probe = f"import os, sys, torusprop\nprint('numpy' in sys.modules, os.environ.get({_TIMEOUT!r}))"
+    assert _run(probe, **preset) == f"False {timeout}"
 
 
 def test_importing_the_harness_loads_no_command_code():
