@@ -17,11 +17,10 @@ values are reported in the global unit trivialization of the k-th bundle
 power: the holomorphic basis values are converted by the factor
 e^{-2 pi k (q_y^2 + q_x^2)} e^{2 pi i k (p_y q_y - p_x q_x)} (second slot
 conjugated).  The modulus part is already folded into the sections
-(thetaq.sections), so only the phase is applied here.  Off-graph kernel
-values decay faster than any power of 1/k; offgraph_probe measures that
-local order between consecutive levels.  ``KernelSample`` is the one record
-of an exact value against a predicted one, for the propagator here and for
-the projector (specproj.projector_compare).
+(thetaq.sections), so only the phase is applied here.  ``KernelSample`` is
+the one record of an exact value against a predicted one, for the
+propagator here and for the projector (specproj.projector_compare).  How
+its errors fall with k is read off ``acceptance.Rate``.
 """
 
 from __future__ import annotations
@@ -37,16 +36,12 @@ from .torusgeo import (
     integrate_flow,
     prequantum_phase,
     rho_graph_half,
-    wrap_difference,
 )
 
 __all__ = [
-    "ProximityError",
     "KernelSample",
-    "DecayReport",
     "kernel_eval",
     "graph_compare",
-    "offgraph_probe",
     "operator_for",
 ]
 
@@ -54,10 +49,6 @@ TWO_PI = 2.0 * np.pi
 # Most time rows graph_compare contracts at once: its rows x 2k temporaries
 # stay a few MB at k = 400 however long the grid.
 _ROW_CHUNK = 256
-
-
-class ProximityError(ValueError):
-    """The requested off-graph offset is too close to the graph point."""
 
 
 @dataclass(frozen=True)
@@ -88,19 +79,6 @@ class KernelSample:
         if self.exact == 0 or self.predicted == 0:
             return float("nan")
         return float(np.angle(self.exact / self.predicted))
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """|kernel| at a fixed off-graph point across levels, with the empirical
-    local decay orders log2 |K_k| / |K_2k| between consecutive doublings."""
-
-    ks: tuple[int, ...]
-    t: float
-    x: tuple[float, float]
-    y: tuple[float, float]
-    moduli: tuple[float, ...]
-    orders: tuple[float, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +125,11 @@ def _graph_predictions(traj: Trajectory, k: int) -> np.ndarray:
 def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     """The level-k Hermitian operator quantizing a symbol.
 
-    The model symbol takes the normalized diagonal cos(pi ell / k) plus c/k
-    for its constant subprincipal part c (the (0, 0) coefficient of its
-    subprincipal modes); it is e^{pi/(4k)} T_k(cos 2 pi q), a one-diagonal
-    operator that is its own eigendecomposition.  Every other symbol is
+    The model symbol takes the normalized diagonal cos(pi ell / k) plus c/k,
+    c the (0, 0) coefficient of its subprincipal modes: e^{pi/(4k)}
+    T_k(cos 2 pi q) + c/k, which is T_k(f + g/k) up to O(k^-2)
+    (model_cos_symbol), a one-diagonal operator that is its own
+    eigendecomposition.  Every other symbol is
     T_k(f + g/k), built in closed form from the Fourier modes of its
     principal part f and subprincipal part g.
     """
@@ -188,38 +167,3 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
                          exact=complex(e), predicted=complex(p))
             for y, e, p in zip(ys, exact, preds)]
 
-
-def offgraph_probe(qs_list, sym: SymbolField, x, t: float, offset) -> DecayReport:
-    """|kernel| at y = phi_t(x) + offset across levels, with local orders.
-
-    The offset must sit at lattice distance >= 0.05 from the graph point;
-    below that the Gaussian concentration regime is not separated and the
-    probe refuses to report an order.
-    """
-
-    off = np.asarray(offset, dtype=float).reshape(2)
-    dist = float(np.linalg.norm(wrap_difference(off, np.zeros(2))))
-    if dist < 0.05:
-        raise ProximityError(f"offset at lattice distance {dist:.3g} from the "
-                             "graph point; need >= 0.05")
-    x_pq = _as_pq(x)
-    t = float(t)
-    end = integrate_flow(sym, x_pq, [t]).points_lifted[-1]
-    y_lift = np.asarray(end) + off
-    moduli = []
-    ks = []
-    for qs in qs_list:
-        op = operator_for(qs, sym)
-        spectral = np.exp(-1j * qs.k * t * op.eigenvalues)
-        moduli.append(abs(kernel_eval(qs, op, spectral, y_lift, x_pq)[0]))
-        ks.append(qs.k)
-    orders = []
-    for i in range(len(ks) - 1):
-        if ks[i + 1] == 2 * ks[i]:
-            if moduli[i + 1] == 0.0:
-                orders.append(np.inf)
-            else:
-                orders.append(float(np.log2(moduli[i] / moduli[i + 1])))
-    return DecayReport(ks=tuple(ks), t=t, x=x_pq,
-                       y=(float(y_lift[0]), float(y_lift[1])),
-                       moduli=tuple(moduli), orders=tuple(orders))

@@ -228,7 +228,8 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
     toeplitz_build damps mode (m, n) of T_k(f + g/k) by e^{-pi (m^2 + n^2)
     / (4k)}, so the jet's H^sub, which the flow integrates, is that
     operator's subprincipal symbol g + Delta f / (16 pi) (Charles, CMP 239,
-    2003), while ``sub_modes`` keeps g."""
+    2003), while ``sub_modes`` keeps g.  This holds for every symbol;
+    model_cos_symbol picks its g so that H^sub is its constant."""
 
     modes = _fourier_modes(principal, name)
     sub_modes = _fourier_modes(subprincipal or (lambda p, q: 0.0), name)
@@ -249,13 +250,14 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
 
 
 def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
-    """H(p, q) = cos(2*pi*q) with constant subprincipal part ``sub_const``.
+    """H(p, q) = cos(2*pi*q) with subprincipal part g = c + (pi/4) cos(2*pi*q),
+    c = ``sub_const``.
 
-    The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q), q); all
-    trajectory data has closed forms, installed as the integrator fast path.
-    Its ``action_Hsub`` is t * sub_const, without make_symbol's
-    Delta f / (16 pi): operator_for quantizes it undamped, as
-    cos(pi ell / k) + sub_const / k.
+    operator_for quantizes it undamped, as cos(pi ell / k) + c / k, which is
+    T_k(f + g/k) up to O(k^-2); so the jet's H^sub, g + Delta f / (16 pi),
+    is c.  The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q),
+    q); all trajectory data has closed forms, installed as the integrator
+    fast path.
     """
 
     def exact_flow(x, times):
@@ -279,8 +281,11 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
             "theta_a": -np.arctan(0.5 * np.pi * times * c),
         }
 
-    return make_symbol("model-cos", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float)),
-                       lambda p, q: np.full(np.shape(p), float(sub_const)),
+    def principal(p, q):
+        return np.cos(TWO_PI * np.asarray(q, dtype=float))
+
+    return make_symbol("model-cos", principal,
+                       lambda p, q: float(sub_const) + 0.25 * np.pi * principal(p, q),
                        exact_flow=exact_flow)
 
 

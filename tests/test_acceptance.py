@@ -1,8 +1,11 @@
 """One pass/fail line per self-test criterion, at the stated tolerance."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from torusprop.acceptance import REGISTRY, _uniform, run_all
+from torusprop.acceptance import REGISTRY, Rate, _uniform, run_all
 from torusprop.harness import main
 
 
@@ -52,3 +55,23 @@ def test_a6_passes_at_seeds_whose_draws_are_ill_conditioned(monkeypatch, seed):
     monkeypatch.setenv("TP_SEED", str(seed))
     res = REGISTRY["A6"]()
     assert res.passed, f"A6 failed at TP_SEED={seed}: measured={res.measured:.6g}"
+
+
+def test_rate_order_divides_by_the_level_step():
+    # errors falling like k^-2 over a factor-4 step in k (not a doubling)
+    rate = Rate((50, 200), (1e-2, 1e-2 / 16))
+    assert rate.ratios == (1 / 16,)
+    assert rate.orders[0] == pytest.approx(2.0, rel=1e-14)
+    three = Rate((50, 100, 300), (1.0, 0.5, 0.5 / 3))
+    assert three.orders == pytest.approx((1.0, 1.0), rel=1e-14)
+
+
+def test_rate_order_is_inf_for_a_zero_finer_error_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Rate((50, 100), (1e-3, 0.0)).orders == (np.inf,)
+
+
+def test_a4_measured_is_the_ratio_of_its_errors():
+    res = REGISTRY["A4"]()
+    assert res.measured == res.details["err_k100"] / res.details["err_k50"]

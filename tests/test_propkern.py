@@ -8,14 +8,12 @@ diagonal at t = 0, and the predictor's t-derivative of phase at t = 0,
 import numpy as np
 import pytest
 
+from torusprop.acceptance import Rate
 from torusprop.propkern import (
-    DecayReport,
     KernelSample,
-    ProximityError,
     _graph_predictions,
     graph_compare,
     kernel_eval,
-    offgraph_probe,
     operator_for,
 )
 from torusprop import propkern
@@ -267,13 +265,13 @@ def test_generic_propagator_errors_fall_at_the_1_over_k_rate(principal):
     # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
     sym = make_symbol("generic", principal)
     tg = np.linspace(0.0, 1.0, 101)
-    worst = {}
-    for k in (50, 100):
-        rows = graph_compare(quantum_space(k), sym, (0.3, 0.1), tg)
-        worst[k] = (max(abs(r.phase_err) for r in rows), max(r.rel_err_modulus for r in rows))
-    assert worst[100][0] <= 0.65 * worst[50][0]
-    assert worst[100][1] <= 0.65 * worst[50][1]
-    assert worst[100][0] <= 0.01
+    ks = (50, 100)
+    runs = [graph_compare(quantum_space(k), sym, (0.3, 0.1), tg) for k in ks]
+    phase = Rate(ks, tuple(max(abs(r.phase_err) for r in rows) for rows in runs))
+    modulus = Rate(ks, tuple(max(r.rel_err_modulus for r in rows) for rows in runs))
+    assert phase.ratios[0] <= 0.65
+    assert modulus.ratios[0] <= 0.65
+    assert phase.errors[-1] <= 0.01
 
 
 @pytest.mark.parametrize("k", [50, 400])
@@ -353,38 +351,13 @@ def test_operator_for_generic_includes_subprincipal_weight():
 # ---------------------------------------------------------------------------
 
 
-def test_offgraph_superpolynomial_order():
-    sym = model_cos_symbol()
-    report = offgraph_probe([quantum_space(50), quantum_space(100)], sym,
-                            (0.3, 0.1), 0.5, (0.2, 0.0))
-    assert isinstance(report, DecayReport)
-    assert report.ks == (50, 100)
-    assert len(report.orders) == 1
-    assert report.orders[0] >= 3.0
-
-
 def test_offgraph_far_point_is_negligible():
+    # the kernel at y = phi_t(x) + (0.5, 0), half a period off the graph
     sym = model_cos_symbol()
-    report = offgraph_probe([quantum_space(25), quantum_space(50)], sym,
-                            (0.3, 0.1), 0.1, (0.5, 0.0))
-    for k, modulus in zip(report.ks, report.moduli):
+    x, t = (0.3, 0.1), 0.1
+    y = integrate_flow(sym, x, [t]).points_lifted[-1] + np.array([0.5, 0.0])
+    for k in (25, 50):
+        qs = quantum_space(k)
+        op = operator_for(qs, sym)
+        modulus = abs(kernel_eval(qs, op, np.exp(-1j * k * t * op.eigenvalues), y, x)[0])
         assert modulus < 1e-6 * (k / TWO_PI)
-
-
-def test_offgraph_at_time_zero_offsets_the_start_point():
-    # the flow runs for no time, so y is x plus the offset, bit for bit
-    sym = make_symbol("p-dependent", lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p))
-    report = offgraph_probe([quantum_space(5)], sym, (0.3, 0.1), 0.0, (0.2, 0.0))
-    assert report.y == (0.3 + 0.2, 0.1 + 0.0)
-
-
-def test_offgraph_offset_guards():
-    sym = model_cos_symbol()
-    spaces = [quantum_space(5)]
-    with pytest.raises(ProximityError):
-        offgraph_probe(spaces, sym, (0.3, 0.1), 0.2, (0.0, 0.0))
-    with pytest.raises(ProximityError):
-        offgraph_probe(spaces, sym, (0.3, 0.1), 0.2, (0.03, 0.0))
-    with pytest.raises(ProximityError):
-        # a full lattice translation is distance zero on the torus
-        offgraph_probe(spaces, sym, (0.3, 0.1), 0.2, (1.0, 0.0))

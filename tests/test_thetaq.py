@@ -477,9 +477,10 @@ def test_model_operator_analytic_eigendata():
 
 def test_toeplitz_of_model_symbol_matches_closed_form():
     # p-integration is exactly diagonal; the q-integral is a full Gaussian:
-    # T(cos 2 pi q) = e^{-pi/(4k)} diag(cos(pi ell / k))
+    # T(cos 2 pi q) = e^{-pi/(4k)} diag(cos(pi ell / k)), the model-cos
+    # principal part without its subprincipal part
     qs = quantum_space(20)
-    op = toeplitz_build(qs, model_cos_symbol())
+    op = toeplitz_build(qs, _cos_q_symbol())
     ell = np.arange(qs.dim)
     expected = np.exp(-np.pi / (4 * qs.k)) * np.cos(np.pi * ell / qs.k)
     assert np.max(np.abs(op.dense() - np.diag(expected))) <= 1e-10
@@ -633,7 +634,7 @@ def test_product_rule_error_decays_in_k():
     errs = {}
     for k in (10, 40):
         qs = quantum_space(k)
-        tf = toeplitz_build(qs, model_cos_symbol()).dense()
+        tf = toeplitz_build(qs, _cos_q_symbol()).dense()
         tg = toeplitz_build(qs, _cos_p_symbol()).dense()
         tfg = toeplitz_build(qs, _product_symbol()).dense()
         errs[k] = float(np.linalg.norm(tf @ tg - tfg, 2))
@@ -647,7 +648,7 @@ def test_commutator_tracks_poisson_bracket():
     errs = {}
     for k in (10, 40):
         qs = quantum_space(k)
-        tf = toeplitz_build(qs, model_cos_symbol()).dense()
+        tf = toeplitz_build(qs, _cos_q_symbol()).dense()
         tg = toeplitz_build(qs, _cos_p_symbol()).dense()
         tb = toeplitz_build(qs, _bracket_symbol()).dense()
         comm = 1j * k * (tf @ tg - tg @ tf)

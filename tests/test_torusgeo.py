@@ -33,15 +33,6 @@ from torusprop.torusgeo import _alpha, _dopri5, _flow_rhs
 TWO_PI = 2.0 * np.pi
 
 
-def model_without_exact_flow(sub_const: float = 0.0):
-    """The shear Hamiltonian with mode-sum derivatives but no closed-form
-    flow: forces the generic integrator through an exactly checkable case."""
-
-    ref = model_cos_symbol(sub_const)
-    return make_symbol("model-cos-generic", ref.principal,
-                       subprincipal=lambda p, q: np.full(np.shape(p), float(sub_const)))
-
-
 def generic_symbol():
     """A two-frequency Hamiltonian with mode-sum derivatives (no exact flow)."""
 
@@ -181,23 +172,16 @@ def test_time_zero_is_trivial():
 
 
 def test_generic_integrator_reproduces_closed_form():
-    # Same Hamiltonian, exact-flow fast path stripped: the RK4 path must
-    # reproduce every closed-form trajectory quantity.  Its subprincipal
-    # symbol is T_k's c + Delta f / (16 pi) = c - (pi/4) cos 2 pi q, constant
-    # along the shear; the closed form keeps c alone.
-    sym_num = model_without_exact_flow(sub_const=0.25)
-    sym_ref = model_cos_symbol(sub_const=0.25)
+    # Same symbol, exact-flow fast path stripped: the integrator must
+    # reproduce every closed-form trajectory quantity, action_Hsub included
+    # (the jet's H^sub, c + (pi/4) cos 2 pi q + Delta f / (16 pi), is c)
+    sym = model_cos_symbol(sub_const=0.25)
     times = np.linspace(0.0, 1.5, 16)
-    got = integrate_flow(sym_num, (0.3, 0.1), times)
-    ref = integrate_flow(sym_ref, (0.3, 0.1), times)
-    assert np.max(np.abs(got.points_lifted - ref.points_lifted)) < 1e-9
-    assert np.max(np.abs(got.jacobians - ref.jacobians)) < 1e-9
-    assert np.max(np.abs(got.action_H - ref.action_H)) < 1e-9
-    hsub = 0.25 - 0.25 * np.pi * np.cos(TWO_PI * 0.1)
-    assert np.max(np.abs(got.action_Hsub - times * hsub)) < 1e-9
+    got = integrate_flow(dataclasses.replace(sym, exact_flow=None), (0.3, 0.1), times)
+    ref = integrate_flow(sym, (0.3, 0.1), times)
+    for name in ("points_lifted", "jacobians", "action_H", "action_Hsub", "conn_L", "theta_a"):
+        assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) < 1e-9, name
     assert np.max(np.abs(ref.action_Hsub - times * 0.25)) < 1e-9
-    assert np.max(np.abs(got.conn_L - ref.conn_L)) < 1e-9
-    assert np.max(np.abs(got.theta_a - ref.theta_a)) < 1e-9
 
 
 def test_theta_a_follows_the_holomorphic_determinant():
@@ -297,7 +281,7 @@ def test_expression_flow_stays_within_call_budget():
 
 
 def test_dense_output_between_steps_matches_shear():
-    sym = model_without_exact_flow()
+    sym = dataclasses.replace(model_cos_symbol(), exact_flow=None)
     x = np.array([0.3, 0.1])
     dense = _dopri5(lambda pt: hamiltonian_vector_field(sym, pt), x, 8.0, 1e-10)
     ts = np.array([0.123, 6.9])
@@ -317,7 +301,7 @@ def test_dense_output_between_steps_matches_shear():
 def test_shear_transport_closed_form():
     # the L-transport e^{i conn_L}, on the closed-form and the integrated flow
     times = np.linspace(0.0, 2.0, 9)
-    for sym in (model_cos_symbol(), model_without_exact_flow()):
+    for sym in (model_cos_symbol(), dataclasses.replace(model_cos_symbol(), exact_flow=None)):
         traj = integrate_flow(sym, (0.3, 0.1), times)
         got = np.exp(1j * traj.conn_L)
         expect = np.exp(-1j * np.pi * times * 0.1 * np.sin(0.2 * np.pi))
