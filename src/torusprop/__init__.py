@@ -23,19 +23,20 @@ propkern  the one exact-kernel contraction (any spectral function of an
 specproj  smoothed spectral projector kernels, exact and asymptotic
 harness   command-line entry point, config handling, CSV/JSON reports
 
-Importing the package sets OPENBLAS_THREAD_TIMEOUT=4 unless it is already
-set, before numpy loads, so idle OpenBLAS workers sleep instead of spinning;
-no result depends on it.
+Importing the package sets OPENBLAS_NUM_THREADS=1 unless it is already set,
+before numpy loads, so every BLAS call runs on the calling thread; a table
+depends on the thread count only in the last digits of the eigh routes.
 """
 
 from __future__ import annotations
 
 import os
 
-# OpenBLAS reads this once, when numpy first loads it; 4 is its minimum.  At
-# the default (2^28 cycles) an idle worker spins on a second core after
-# every threaded call.
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+# OpenBLAS reads this once, when numpy first loads it.  Most products here are
+# small: waking a sleeping second worker for one (about 23 ms) costs far more
+# than the product (under 1 ms).  Dense eigh is the one call a second thread
+# speeds up, about 1.5x at dim 400-800 (README, "Environment").
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

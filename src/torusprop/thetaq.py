@@ -180,9 +180,9 @@ def _gram_nodes(k: int) -> int:
 
 
 def _construction_self_test(qs: QuantumSpace) -> None:
-    ells = np.arange(qs.dim) if qs.dim <= 30 else np.unique(
-        np.concatenate([[0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1],
-                        np.linspace(0, qs.dim - 1, 8).astype(int)]))
+    ells = np.arange(qs.dim) if qs.dim <= 30 else np.array(sorted(  # np.unique would import numpy.ma
+        {0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1,
+         *(int(x) for x in np.linspace(0, qs.dim - 1, 8))}))
     p, q, wts = _quad_nodes(qs.quad_order)
     # undo the folded e^{-2 pi k q^2} and apply the space's own weight, so a
     # wrong weight shows up as a norm defect
@@ -454,10 +454,10 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     coeffs = np.concatenate([sym.modes[1], sym.sub_modes[1] / k])
     ell = np.arange(dim)
     raw: dict = {}
-    for m in np.unique(freqs[:, 0]):
+    for m in sorted(set(freqs[:, 0].tolist())):  # np.unique would import numpy.ma
         n = freqs[freqs[:, 0] == m, 1]
         c = coeffs[freqs[:, 0] == m] * np.exp(-np.pi * (m * m + n * n) / (4.0 * k))
-        row = raw.setdefault(int(m) % dim, np.zeros(dim, dtype=complex))
+        row = raw.setdefault(m % dim, np.zeros(dim, dtype=complex))
         row += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
     return HermitianOperator(k=qs.k, diagonals=raw)
 

@@ -168,8 +168,7 @@ def _fourier_modes(f, name: str) -> tuple[np.ndarray, np.ndarray]:
         if tail <= _MODES_TOL * peak:
             keep = mags > _MODES_TOL * peak
             freqs, kept = np.stack([mm[keep], nn[keep]], axis=-1), coeffs[keep]
-            series = _mode_sum(freqs, kept)
-            miss = max(abs(series(p, q) - val) for p, q, val in zip(*_MODES_CHECK_POINTS, check))
+            miss = float(np.max(np.abs(_mode_sum(freqs, kept)(*_MODES_CHECK_POINTS) - check)))
             if miss <= np.sum(mags[~keep]) + _MODES_TOL * np.sum(mags):
                 return freqs, kept
             failure = f"its modes miss it off the grid by {miss:.1e}"

@@ -28,6 +28,7 @@ from torusprop.torusgeo import (
     wrap_difference,
 )
 from torusprop import torusgeo
+from torusprop.harness import symbol_from_selector
 from torusprop.torusgeo import _alpha, _dopri5, _flow_rhs
 
 TWO_PI = 2.0 * np.pi
@@ -111,6 +112,28 @@ def test_modes_are_conjugate_closed():
     assert sorted(map(tuple, freqs)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     pair = {tuple(f): c for f, c in zip(freqs, coeffs)}
     assert all(pair[(-m, -n)] == np.conj(c) for (m, n), c in pair.items())
+
+
+_C1, _C2 = 5.981563237565166e-17, 6.127143617982357e-17
+_RECORDED_MODES = {  # (freqs, coeffs) of the principal and subprincipal parts, as first recorded
+    "model-cos 0.7": (([[0, 1], [0, -1]], [0.5 - _C1 * 1j, 0.5 + _C1 * 1j]),
+                      ([[0, 0], [0, 1], [0, -1]],
+                       [0.7 + 0j, 0.39269908169872414 - 3.7568653482402507e-17j,
+                        0.39269908169872414 + 3.7568653482402507e-17j])),
+    "cos(2*pi*q)": (([[0, 1], [0, -1]], [0.5 - _C1 * 1j, 0.5 + _C1 * 1j]), ([], [])),
+    "cos(2*pi*q)+0.1*sin(2*pi*p)": (
+        ([[0, 1], [0, -1], [1, 0], [-1, 0]],
+         [0.5 - _C2 * 1j, 0.5 + _C2 * 1j, -6.885753687818803e-18 - 0.05j,
+          -6.885753687818803e-18 + 0.05j]), ([], [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED_MODES))
+def test_modes_are_bitwise_the_recorded_ones(name):
+    sym = model_cos_symbol(0.7) if name == "model-cos 0.7" else symbol_from_selector(name)
+    for (freqs, coeffs), (want_f, want_c) in zip((sym.modes, sym.sub_modes), _RECORDED_MODES[name]):
+        assert freqs.reshape(-1, 2).tolist() == want_f
+        assert coeffs.tobytes() == np.array(want_c, dtype=complex).tobytes()
 
 
 def test_symbol_that_is_not_periodic_is_refused():
