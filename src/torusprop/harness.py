@@ -157,6 +157,10 @@ def symbol_from_selector(selector: str):
         code = compile(selector, "<symbol>", "eval")
     except SyntaxError as exc:
         raise ConfigError(f"symbol expression {selector!r}: {exc.msg}") from None
+    # a lambda's or comprehension's names live in its own code object
+    if any(isinstance(c, type(code)) for c in code.co_consts):
+        raise ConfigError(f"symbol expression {selector!r}: functions and "
+                          "comprehensions are not allowed")
     bad = set(code.co_names) - _EXPR_NAMES
     if bad:
         raise ConfigError(f"symbol expression uses unknown names {sorted(bad)}; "
@@ -164,9 +168,13 @@ def symbol_from_selector(selector: str):
     ns = {name: getattr(np, name) for name in _EXPR_NAMES - {"p", "q"}}
 
     def principal(p, q, _code=code, _ns=ns):
-        return np.asarray(eval(_code, {"__builtins__": {}},
-                               dict(_ns, p=np.asarray(p), q=np.asarray(q))),
-                          dtype=float)
+        try:
+            return np.asarray(eval(_code, {"__builtins__": {}},
+                                   dict(_ns, p=np.asarray(p), q=np.asarray(q))),
+                              dtype=float)
+        except Exception as exc:
+            raise ConfigError(f"symbol expression {selector!r} fails: "
+                              f"{type(exc).__name__}: {exc}") from None
 
     probe = principal(0.3, 0.1)
     if probe.shape != () or not np.isfinite(probe):

@@ -21,9 +21,10 @@ same modes.
 Flows come in closed form when the symbol carries one (``model-cos``).
 Otherwise one adaptive Dormand–Prince 5(4) integrator with fourth-order
 dense output serves both ``integrate_flow`` (one sweep per trajectory; its
-docstring gives the error norm) and the return-time scan and Newton polish
-of ``return_times``.  The Jacobians of every trajectory, closed-form or
-integrated, are judged once by symplin's symplecticity rule, with no retry.
+docstring gives the error norm) and ``return_times``, which solves for
+each return inside a bracket of two flow samples.  The Jacobians of every
+trajectory, closed-form or integrated, are judged once by symplin's
+symplecticity rule, with no retry.
 
 The coefficients are:
 
@@ -692,15 +693,18 @@ def _lifted_positions(sym: SymbolField, x: np.ndarray, t_lo: float, t_hi: float)
 
 
 def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int, int]]]:
-    """All t in [window] with phi_t(x) = y mod lattice, with lattice windings.
+    """All t in [window] with phi_t(x) = y mod lattice, in order, with
+    lattice windings.  Requires x, y on a common regular level set.
 
-    Dense sampling of the lifted flow followed by Newton refinement of the
-    along-flow coordinate, both on one flow evaluator (for generic symbols,
-    the dense output of one integration on each side of t = 0).  Newton
-    starts once per passage near y, at each sample below the distance
-    threshold that is a local minimum of the distance to y; each root is
-    verified to land on y to 1e-9 in lattice distance.  Requires x, y on a
-    common regular level set.
+    Each passage through y crosses it along the flow: the offset s(t) =
+    wrap_difference(phi_t(x), y) . X(y)/|X(y)| turns from negative to
+    non-negative between two consecutive flow samples (step at most
+    0.2 / (1 + max|X|), one step past each end of the window), both within
+    3 max|X| step of y.  Inside each such bracket, Newton solves s = 0,
+    shrinking the bracket at every iterate and bisecting where a step would
+    leave it or the slope is zero.  A root is kept when it lands on y to
+    1e-9 and lies in the window to 1e-9 (then clamped into it).  Positions
+    come from the closed form, or from one integration on each side of 0.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -713,72 +717,49 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
     norm_X(sym, y)
 
     x_y = hamiltonian_vector_field(sym, y)
-    speed_y = float(np.linalg.norm(x_y))
-    u_flow = x_y / speed_y
+    u_flow = x_y / float(np.linalg.norm(x_y))
 
     grid = np.linspace(0.0, 1.0, 17, endpoint=False)
     vmax = float(np.max(np.abs(sym.grad(*np.meshgrid(grid, grid))))) / FOUR_PI
     dt = min(0.02, 0.2 / (1.0 + vmax))
-    n_samples = max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1)
-    ts = np.linspace(t_lo, t_hi, n_samples)
-    positions = _lifted_positions(sym, x, t_lo, t_hi)
+    ts = np.linspace(t_lo, t_hi, max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1))
+    step = float(ts[1] - ts[0])
+    ts = np.concatenate([[t_lo - step], ts, [t_hi + step]])
+    positions = _lifted_positions(sym, x, ts[0], ts[-1])
     pts = positions(ts)
-    diffs = wrap_difference(pts, y[None, :])
+    diffs = wrap_difference(pts, y)
     dist = np.linalg.norm(diffs, axis=-1)
-    step = float(ts[1] - ts[0]) if n_samples > 1 else dt
-    # slow passages near y may need a wider Newton trust region than 2 steps
-    clamp_radius = 2.0 * step + 3.0 * max(3.0 * vmax * step, 1e-5) / max(speed_y, 1e-9)
 
     # degenerate (non-isolated) returns: the distance hugs zero over a stretch
-    tiny = dist < 1e-9
-    if tiny.size >= 5 and np.any(np.convolve(tiny.astype(int), np.ones(5, dtype=int), "valid") == 5):
+    if np.any(np.convolve(dist < 1e-9, np.ones(5, dtype=int), "valid") == 5):
         raise DegenerateError("returns are not isolated (y sits on a fixed set "
                               "of the flow)")
 
-    thresh = max(3.0 * vmax * step, 1e-5)
-    padded = np.concatenate([[np.inf], dist, [np.inf]])
-    cand_idx = np.nonzero((dist < thresh) & (dist <= padded[:-2]) & (dist <= padded[2:]))[0]
-
-    roots: list[float] = []
-    for idx in cand_idx:
-        t_guess = float(ts[idx])
-        t_cur = t_guess
-        converged = False
-        for _ in range(60):
-            pt = positions(t_cur)[0]
-            g = float(wrap_difference(pt, y) @ u_flow)
-            xv = hamiltonian_vector_field(sym, pt)
-            slope = float(xv @ u_flow)
-            if abs(slope) < 1e-12:
-                break
-            t_next = t_cur - g / slope
-            if abs(t_next - t_cur) < 1e-14:
-                t_cur = t_next
-                converged = True
-                break
-            t_cur = min(max(t_next, t_guess - clamp_radius), t_guess + clamp_radius)
-        if not converged:
-            continue
-        final = positions(t_cur)[0]
-        if float(np.linalg.norm(wrap_difference(final, y))) > 1e-9:
-            continue  # a near miss, not a return
-        if not (t_lo - 1e-9 <= t_cur <= t_hi + 1e-9):
-            continue
-        roots.append(min(max(t_cur, t_lo), t_hi))
-
-    # the self-return at t = 0 is structural: snap roundoff-sized roots to it
-    roots = [0.0 if abs(r) < 1e-12 else r for r in roots]
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-6:
-            merged.append(r)
-
+    s = diffs @ u_flow
+    near = dist < max(3.0 * vmax * step, 1e-5)
     out: list[tuple[float, tuple[int, int]]] = []
-    for r in merged:
+    for i in np.nonzero((s[:-1] < 0.0) & (s[1:] >= 0.0) & near[:-1] & near[1:])[0]:
+        lo, hi = float(ts[i]), float(ts[i + 1])
+        t, pt = hi, pts[i + 1]
+        while True:
+            g = float(wrap_difference(pt, y) @ u_flow)
+            lo, hi = (t, hi) if g < 0.0 else (lo, t)
+            slope = float(hamiltonian_vector_field(sym, pt) @ u_flow)
+            t_new = t - g / slope if slope != 0.0 else np.inf
+            if not lo <= t_new <= hi:
+                t_new = 0.5 * (lo + hi)
+            if abs(t_new - t) <= 1e-14 * max(1.0, abs(t)):
+                break
+            t, pt = t_new, positions(t_new)[0]
+        if float(np.linalg.norm(wrap_difference(positions(t_new)[0], y))) > 1e-9 or \
+                not t_lo - 1e-9 <= t_new <= t_hi + 1e-9:
+            continue  # a near miss, or a return outside the window
+        r = min(max(t_new, t_lo), t_hi)
+        # the self-return at t = 0 is structural: snap roundoff-sized roots to it
+        r = 0.0 if abs(r) < 1e-12 else r
         lifted = positions(r)[0]
         winding = np.round(lifted - y).astype(int)
         if float(np.linalg.norm(lifted - y - winding)) > 1e-8:
             raise RegularityError("winding bookkeeping failed to close the path")
-        out.append((float(r), (int(winding[0]), int(winding[1]))))
+        out.append((r, (int(winding[0]), int(winding[1]))))
     return out

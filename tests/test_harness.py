@@ -214,6 +214,24 @@ def test_symbol_expressions():
         symbol_from_selector("cos(")
 
 
+@pytest.mark.parametrize("symbol", ["(lambda: ().__class__)() and cos(2*pi*q)",
+                                    "[__import__ for _ in (1,)] and cos(2*pi*q)"])
+def test_symbol_with_nested_code_is_refused(symbol, capsys):
+    # the names of a lambda or a comprehension live in a nested code object
+    with pytest.raises(ConfigError, match="symbol expression"):
+        symbol_from_selector(symbol)
+    assert main(["propagator", "--symbol", symbol, "--k", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: symbol expression")
+
+
+@pytest.mark.parametrize("symbol", ["1/0+cos(2*pi*q)", "p(q)", "q[0]", "cos",
+                                    "cos(2*pi*q) if p else 1"])
+def test_symbol_that_fails_when_evaluated_is_refused(symbol, capsys):
+    assert main(["propagator", "--symbol", symbol, "--k", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: symbol expression") and "Traceback" not in err
+
+
 def test_non_periodic_symbol_is_refused(capsys):
     assert main(["propagator", "--symbol", "cos(pi*q)", "--k", "5"]) == 2
     assert "not lattice-periodic" in capsys.readouterr().err

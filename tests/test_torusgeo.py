@@ -679,6 +679,43 @@ def test_returns_offset_target():
     assert rts[1][1] == (0, 0)
 
 
+@pytest.mark.parametrize("route", ["closed form", "integrated"])
+def test_returns_on_the_ends_of_the_window(route):
+    # a return on an end of the window is bracketed only by the flow sample
+    # one step past that end
+    sym = model_cos_symbol()
+    if route == "integrated":
+        sym = dataclasses.replace(sym, exact_flow=None)
+    x = (0.3, 0.1)
+    t1 = 2.0 / np.sin(TWO_PI * 0.1)
+    assert return_times(sym, x, x, (0.0, 1.2)) == [(0.0, (0, 0))]
+    rts = return_times(sym, x, x, (-t1, 0.0))
+    assert len(rts) == 2
+    assert rts[0][0] == pytest.approx(-t1, abs=1e-9)
+    assert rts[0][1] == (-1, 0)
+    assert rts[1] == (0.0, (0, 0))
+    rts = return_times(sym, x, x, (0.5, t1))
+    assert len(rts) == 1
+    assert rts[0][0] == pytest.approx(t1, abs=1e-9)
+    assert rts[0][1] == (1, 0)
+
+
+@pytest.mark.parametrize("q0", [0.1, 0.3, 0.65, 0.9])
+def test_integrated_returns_match_the_closed_form_shear(q0):
+    closed = model_cos_symbol()
+    integrated = dataclasses.replace(closed, exact_flow=None)
+    count = 0
+    for dp in (0.0, 0.37, 0.81):
+        x, y = (0.3, q0), ((0.3 + dp) % 1.0, q0)
+        for window in ((-7.0, 7.0), (0.0, 5.0), (-4.0, 0.0)):
+            ref = return_times(closed, x, y, window)
+            got = return_times(integrated, x, y, window)
+            assert [w for _, w in got] == [w for _, w in ref], (dp, window)
+            assert np.allclose([t for t, _ in got], [t for t, _ in ref], rtol=0.0, atol=1e-9)
+            count += len(ref)
+    assert count >= 20
+
+
 def test_returns_by_construction():
     sym = model_cos_symbol()
     traj = integrate_flow(sym, (0.3, 0.1), np.array([0.0, 0.5]))
