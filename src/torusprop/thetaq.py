@@ -32,10 +32,10 @@ a periodized Gaussian whose terms are all at most 1, so ``sections`` returns
 plain complex values for every row and point at once.  |s_ell|^2 is the
 pointwise density of Psi_ell against the weight, and the kernels carry only
 the unit-gauge phase.  The unweighted Psi_ell grows like e^{2 pi k q^2},
-beyond float range at large k and |q|; ``basis_matrix`` evaluates it from
-the lattice sum above in log form, (unit mantissa, log modulus), as the
-independent reference the tests compare ``sections`` against.  No kernel
-path calls it.
+beyond float range at large k and |q|; ``basis_matrix`` gives it in log
+form (unit mantissa, log modulus) as a view of the same sections, the fold
+moved back into the log modulus.  No kernel path calls it; the tests
+referee the sections through it against mpmath.
 
 Toeplitz operators are assembled in closed form from a symbol's Fourier modes
 (``toeplitz_build``), one weighted cyclic shift per mode, and are held as
@@ -215,36 +215,19 @@ def basis_matrix(qs: QuantumSpace, z) -> LogForm:
     """All 2k unweighted sections Psi_ell at (possibly lifted) points
     z = p + i q in log form, shape (2k,) + shape(z).
 
-    Term n of the lattice sum has log modulus -pi m^2 / (2k) - 2 pi m q and
-    phase 2 pi m p, with m = ell + 2 k n.  Each row is summed, one row at a
-    time, over ``qs.theta_terms`` terms on either side of its largest term,
-    relative to that term.  Raises TruncationError when the window's edge
-    terms exceed 1e-16 of the peak, and EvaluationError on non-finite output.
+    A view of ``sections``: one call for every row and point, with the
+    folded weight e^{-2 pi k q^2} moved back into the log modulus, where
+    Psi_ell may lie far beyond float range.  The sections stay inside it:
+    the largest term of each is at least e^{-pi k / 2}, e^{-628} at K_MAX.
+    Raises what ``sections`` raises.
     """
 
     z = np.asarray(z, dtype=complex)
-    p, q, k = z.real.reshape(-1, 1), z.imag.reshape(-1, 1), qs.k
-    mant, logs = np.empty((qs.dim, p.size), dtype=complex), np.empty((qs.dim, p.size))
-    offsets = np.arange(-qs.theta_terms, qs.theta_terms + 1)
-    for ell in range(qs.dim):
-        # the log modulus peaks at m = -2kq
-        m = ell + 2.0 * k * (np.round(-q - ell / (2.0 * k)) + offsets)
-        log_mag = -np.pi * m ** 2 / (2.0 * k) - TWO_PI * m * q
-        peak = np.max(log_mag, axis=1)
-        rel = np.exp(log_mag - peak[:, None])
-        edge = float(np.max(np.maximum(rel[:, 0], rel[:, -1]), initial=0.0))
-        if edge > 1e-16:
-            raise TruncationError(f"theta window edge terms reach {edge:.2e} of the "
-                                  f"peak at k={k}; increase theta_terms")
-        acc = np.sum(rel * np.exp(TWO_PI * 1j * m * p), axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs[ell] = peak + np.log(np.abs(acc))
-            mant[ell] = np.where(acc != 0, acc / np.abs(acc), 0.0)
-    logs += 0.25 * np.log(k) - 0.5 * np.log(TWO_PI)
-    if not (np.all(np.isfinite(mant)) and np.all(logs < np.inf)):
-        raise EvaluationError("basis evaluation produced non-finite values")
-    shape = (qs.dim,) + z.shape
-    return LogForm(mant.reshape(shape), logs.reshape(shape))
+    vals = sections(qs, z)
+    mag = np.abs(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return LogForm(np.where(mag != 0, vals / mag, 0.0),
+                       np.log(mag) + TWO_PI * qs.k * z.imag ** 2)
 
 
 def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:

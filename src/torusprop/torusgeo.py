@@ -208,8 +208,8 @@ class SymbolField:
     return the broadcast shape, (..., 2) = (H_p, H_q) for ``grad``; ``jet``
     returns everything from one set of phases, (..., 8) = (H, H^sub, H_p,
     H_q, H_pp, H_pq, H_qp, H_qq).  ``exact_flow``, when present, maps (x,
-    times) to the trajectory data in closed form (the integrator's fast
-    path).
+    times) to the flow state in closed form, in the (len(times), 10) layout
+    the integrator carries (``_flow_rhs``): the integrator's fast path.
     """
 
     name: str
@@ -256,8 +256,10 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
     operator_for quantizes it undamped, as cos(pi ell / k) + c / k, which is
     T_k(f + g/k) up to O(k^-2); so the jet's H^sub, g + Delta f / (16 pi),
     is c.  The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q),
-    q); all trajectory data has closed forms, installed as the integrator
-    fast path.
+    q), and its whole state has closed forms: the lifted point, the
+    Jacobian [[1, pi t cos(2 pi q)], [0, 1]] row-major, int H, int H^sub,
+    int alpha(X) and theta_a, the columns ``_flow_rhs`` integrates.  They
+    are installed as the integrator's fast path.
     """
 
     def exact_flow(x, times):
@@ -265,21 +267,17 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
         times = np.asarray(times, dtype=float)
         s = np.sin(TWO_PI * q0)
         c = np.cos(TWO_PI * q0)
-        pts = np.stack([p0 + 0.5 * s * times, np.full_like(times, q0)], axis=-1)
-        jac = np.zeros(times.shape + (2, 2))
-        jac[..., 0, 0] = 1.0
-        jac[..., 1, 1] = 1.0
-        jac[..., 0, 1] = np.pi * times * c
-        return {
-            "points_lifted": pts,
-            "jacobians": jac,
-            "action_H": times * c,
-            "action_Hsub": times * float(sub_const),
+        one, zero = np.ones_like(times), np.zeros_like(times)
+        return np.column_stack([
+            p0 + 0.5 * s * times, np.full_like(times, q0),
+            one, np.pi * times * c, zero, one,
+            times * c,
+            times * float(sub_const),
             # alpha(X) = 2 pi (p X_q - q X_p) = -pi q sin(2 pi q), constant along the shear
-            "conn_L": -np.pi * times * q0 * s,
+            -np.pi * times * q0 * s,
             # the holomorphic determinant is 1 - i pi t cos(2 pi q) / 2
-            "theta_a": -np.arctan(0.5 * np.pi * times * c),
-        }
+            -np.arctan(0.5 * np.pi * times * c),
+        ])
 
     def principal(p, q):
         return np.cos(TWO_PI * np.asarray(q, dtype=float))
@@ -426,20 +424,22 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     """Flow trajectory from x over the given time grid, which moves strictly
     monotonically away from t = 0 (it need not start at 0).
 
-    Symbols that carry an exact flow skip the integrator.  Otherwise the flow,
-    its variational equation, the action/connection integrals and theta_a are
-    integrated jointly in one adaptive Dormand–Prince 5(4) sweep from 0 to the
-    last grid time, accepting a step when its embedded error estimate satisfies
+    The state is the point, the Jacobian M row-major, int H, int H^sub,
+    int alpha(X) and theta_a (``_flow_rhs``'s columns).  Symbols that carry
+    an exact flow give it in closed form.  Otherwise it is integrated in one
+    adaptive Dormand–Prince 5(4) sweep from 0 to the last grid time,
+    accepting a step when its embedded error estimate satisfies
     max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``; the grid is read from
     the fourth-order dense output, so its spacing does not set the step.
-    Either way the Jacobian stack is checked once by symplin's rule, the one
-    ``rho_graph_half`` applies (``LinearSymplectomorphism``: |det M - 1|
-    <= 1e-10 max(1, ||M||_inf^2) + 1e-9, that is M^T J M = J), which scales
-    with ||M||^2 as the defect of a Jacobian known to a relative accuracy
-    does; no sweep is repeated.  Raises RegularityError when the grid turns
-    back, repeats a time or crosses 0, StepSizeError when a step at the
-    step-size floor misses the tolerance, and symplin's StructureError,
-    naming the first bad time index, when the check fails.
+    Either way one conversion makes the Trajectory, and the Jacobian stack
+    is checked once by symplin's rule, the one ``rho_graph_half`` applies
+    (``LinearSymplectomorphism``: |det M - 1| <= 1e-10 max(1, ||M||_inf^2)
+    + 1e-9, that is M^T J M = J), which scales with ||M||^2 as the defect
+    of a Jacobian known to a relative accuracy does; no sweep is repeated.
+    Raises RegularityError when the grid turns back, repeats a time or
+    crosses 0, StepSizeError when a step at the step-size floor misses the
+    tolerance, and symplin's StructureError, naming the first bad time
+    index, when the check fails.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -451,16 +451,15 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
         raise RegularityError("time grids must be strictly monotone, moving away from t = 0")
 
     if sym.exact_flow is not None:
-        data = sym.exact_flow(x, times)
+        states = sym.exact_flow(x, times)
     else:
         y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
         states = _dopri5(lambda y: _flow_rhs(sym, y), y0, float(times[-1]), _FLOW_TOL)(times)
-        data = {"points_lifted": states[:, 0:2], "jacobians": states[:, 2:6].reshape(-1, 2, 2),
-                "action_H": states[:, 6], "action_Hsub": states[:, 7], "conn_L": states[:, 8],
-                "theta_a": states[:, 9]}
-    data = {key: np.asarray(val, dtype=float) for key, val in data.items()}
-    LinearSymplectomorphism(data["jacobians"])
-    return Trajectory(start=x, times=times, points=data["points_lifted"] - np.floor(data["points_lifted"]), **data)
+    pts, jac = states[:, 0:2], states[:, 2:6].reshape(-1, 2, 2)
+    LinearSymplectomorphism(jac)
+    return Trajectory(start=x, times=times, points=pts - np.floor(pts), points_lifted=pts,
+                      jacobians=jac, action_H=states[:, 6], action_Hsub=states[:, 7],
+                      conn_L=states[:, 8], theta_a=states[:, 9])
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +678,7 @@ def _lifted_positions(sym: SymbolField, x: np.ndarray, t_lo: float, t_hi: float)
     integration on each side of t = 0."""
 
     if sym.exact_flow is not None:
-        return lambda ts: np.asarray(
-            sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))["points_lifted"])
+        return lambda ts: sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))[:, 0:2]
 
     neg, pos = (_dopri5(lambda pt: hamiltonian_vector_field(sym, pt), x, end, _FLOW_TOL)
                 for end in (min(t_lo, 0.0), max(t_hi, 0.0)))
@@ -698,9 +696,12 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
 
     Each passage through y crosses it along the flow: the offset s(t) =
     wrap_difference(phi_t(x), y) . X(y)/|X(y)| turns from negative to
-    non-negative between two consecutive flow samples (step at most
-    0.2 / (1 + max|X|), one step past each end of the window), both within
-    3 max|X| step of y.  Inside each such bracket, Newton solves s = 0,
+    non-negative between two consecutive flow samples, both within
+    3 max|X| h of y.  The samples cover the window on a grid of step at
+    most h = min(0.02, 0.2 / (1 + max|X|)), plus one sample h past each
+    end, so they span a stretch of time even for a zero-width window; a
+    distance to y below 1e-9 at five consecutive samples raises
+    DegenerateError.  Inside each bracket, Newton solves s = 0,
     shrinking the bracket at every iterate and bisecting where a step would
     leave it or the slope is zero.  A root is kept when it lands on y to
     1e-9 and lies in the window to 1e-9 (then clamped into it).  Positions
@@ -721,9 +722,8 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
 
     grid = np.linspace(0.0, 1.0, 17, endpoint=False)
     vmax = float(np.max(np.abs(sym.grad(*np.meshgrid(grid, grid))))) / FOUR_PI
-    dt = min(0.02, 0.2 / (1.0 + vmax))
-    ts = np.linspace(t_lo, t_hi, max(8, int(np.ceil((t_hi - t_lo) / dt)) + 1))
-    step = float(ts[1] - ts[0])
+    step = min(0.02, 0.2 / (1.0 + vmax))
+    ts = np.linspace(t_lo, t_hi, int(np.ceil((t_hi - t_lo) / step)) + 1)
     ts = np.concatenate([[t_lo - step], ts, [t_hi + step]])
     positions = _lifted_positions(sym, x, ts[0], ts[-1])
     pts = positions(ts)

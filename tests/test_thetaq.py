@@ -241,18 +241,6 @@ def test_basis_section_norm_is_lattice_periodic():
             assert abs(moved - base) <= 1e-10 * (1.0 + abs(base))
 
 
-def test_basis_matrix_agrees_with_rows():
-    # each row of the log form is the matching weight-folded row with the
-    # fold undone, at a level where both stay in float range
-    qs = quantum_space(4)
-    z = np.array([0.2 + 0.3j, 0.8 + 0.9j, 0.45 - 1.2j])
-    mat = basis_matrix(qs, z)
-    unfolded = sections(qs, z) * np.exp(TWO_PI * qs.k * z.imag ** 2)
-    for ell in range(qs.dim):
-        assert np.allclose(mat.mantissa[ell], unfolded[ell] / np.abs(unfolded[ell]))
-        assert np.allclose(mat.log_scale[ell], np.log(np.abs(unfolded[ell])))
-
-
 # ---------------------------------------------------------------------------
 # weight-folded sections
 # ---------------------------------------------------------------------------
@@ -273,14 +261,17 @@ def test_sections_match_lattice_sum_oracle(k):
             assert abs(vals[ell, j] - ref) <= 1e-11 * abs(ref)
 
 
-def test_sections_match_log_form_at_top_level():
+def test_sections_match_lattice_sum_oracle_at_top_level():
     qs = quantum_space(400)
     z = np.array([0.3 + 0.1j, 0.7 - 1.3j, 0.2 + 2.0j, 0.55 + 0.999j, -0.4 - 0.6j])
-    ref = basis_matrix(qs, z)
-    ref = ref.mantissa * np.exp(ref.log_scale - TWO_PI * qs.k * z.imag ** 2)
-    vals = sections(qs, z)
-    assert np.max(np.abs(vals - ref)) <= 1e-10 * np.max(np.abs(ref))
     rows = [0, 1, 399, 400, 799]
+    ref = np.empty((len(rows), z.size), dtype=complex)
+    for i, ell in enumerate(rows):
+        for j, zj in enumerate(z):
+            log_ref, phase_ref = mp_basis(qs.k, ell, zj)
+            ref[i, j] = np.exp(log_ref - TWO_PI * qs.k * zj.imag ** 2) * phase_ref
+    vals = sections(qs, z)
+    assert np.max(np.abs(vals[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
     assert np.max(np.abs(sections(qs, z, rows) - vals[rows])) <= 1e-14 * np.max(np.abs(ref))
 
 

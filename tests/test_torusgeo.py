@@ -178,9 +178,9 @@ def test_closed_form_flow_is_guarded_once():
 
     def skewed(x, times):
         calls.append(1)
-        data = base.exact_flow(x, times)
-        data["jacobians"] = 2.0 * data["jacobians"]
-        return data
+        state = base.exact_flow(x, times)
+        state[:, 2:6] *= 2.0  # the Jacobian columns
+        return state
 
     with pytest.raises(StructureError, match=r"not symplectic .* at stack index \(0,\)"):
         integrate_flow(dataclasses.replace(base, exact_flow=skewed), (0.3, 0.1), np.linspace(0.0, 1.0, 5))
@@ -698,6 +698,25 @@ def test_returns_on_the_ends_of_the_window(route):
     assert len(rts) == 1
     assert rts[0][0] == pytest.approx(t1, abs=1e-9)
     assert rts[0][1] == (1, 0)
+
+
+@pytest.mark.parametrize("route", ["closed form", "integrated"])
+def test_returns_in_windows_shorter_than_a_flow_step(route):
+    # the samples span one flow step past each end, so a window of zero or
+    # tiny width still brackets its return instead of looking degenerate
+    sym = model_cos_symbol()
+    if route == "integrated":
+        sym = dataclasses.replace(sym, exact_flow=None)
+    x = (0.3, 0.1)
+    t1 = 2.0 / np.sin(TWO_PI * 0.1)
+    assert return_times(sym, x, x, (0.0, 0.0)) == [(0.0, (0, 0))]
+    assert return_times(sym, x, x, (-1e-7, 1e-7)) == [(0.0, (0, 0))]
+    for window in ((t1, t1), (t1 - 1e-6, t1 + 1e-6)):
+        rts = return_times(sym, x, x, window)
+        assert len(rts) == 1
+        assert rts[0][0] == pytest.approx(t1, abs=1e-9)
+        assert rts[0][1] == (1, 0)
+    assert return_times(sym, x, x, (0.5, 0.5)) == []
 
 
 @pytest.mark.parametrize("q0", [0.1, 0.3, 0.65, 0.9])
