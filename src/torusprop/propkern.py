@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thetaq import HermitianOperator, QuantumSpace, sections, toeplitz_build
+from .thetaq import HermitianOperator, QuantumSpace, _block_len, sections, toeplitz_build
 from .torusgeo import (
     SymbolField,
     Trajectory,
@@ -46,9 +46,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-# Most time rows graph_compare contracts at once: its rows x 2k temporaries
-# stay a few MB at k = 400 however long the grid.
-_ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -105,13 +102,17 @@ def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.
     times the gauge phase e^{2 pi i k (p_y q_y - p_x q_x)}.
     """
 
+    xp, xq = _as_pq(x)
+    return _kernel_rows(qs, op, spectral, ys, (xp, xq),
+                        np.conjugate(op.to_eigenbasis(sections(qs, complex(xp, xq)))))
+
+
+def _kernel_rows(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x_pq, conj_x_modes):
     g = np.atleast_2d(np.asarray(spectral, dtype=complex))
     y = np.asarray(ys, dtype=float).reshape(-1, 2)
-    xp, xq = _as_pq(x)
     a_modes = op.to_eigenbasis(sections(qs, y[:, 0] + 1j * y[:, 1]).T)
-    b_modes = np.conjugate(op.to_eigenbasis(sections(qs, complex(xp, xq))))
-    gauge = np.exp(2j * np.pi * qs.k * (y[:, 0] * y[:, 1] - xp * xq))
-    return ((g * a_modes) @ b_modes) * gauge
+    gauge = np.exp(2j * np.pi * qs.k * (y[:, 0] * y[:, 1] - x_pq[0] * x_pq[1]))
+    return ((g * a_modes) @ conj_x_modes) * gauge
 
 
 def _graph_predictions(traj: Trajectory, k: int) -> np.ndarray:
@@ -148,9 +149,9 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     order.
 
     The flow is read at the ``tgrid`` times only; the exact values reuse one
-    eigendecomposition, and the moving point's sections and the
-    spectral rows e^{-i k t lambda} are built for at most ``_ROW_CHUNK``
-    requested times at once, so memory does not grow with the grid.
+    eigendecomposition; the moving point's sections and the spectral rows
+    e^{-i k t lambda} come in chunks of the thetaq._BLOCK_PAIRS budget, at least
+    2k/4 rows with a dense eigenbasis, so memory does not grow with the grid.
     """
 
     tg = np.asarray(tgrid, dtype=float)
@@ -159,10 +160,12 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     preds = _graph_predictions(traj, qs.k)
     ys = traj.points_lifted
     op = operator_for(qs, sym)
+    chunk = _block_len(qs.dim, 1 if op.eigenvectors is None else qs.dim // 4)
+    conj_x_modes = np.conjugate(op.to_eigenbasis(sections(qs, complex(*x_pq))))  # for every chunk
     exact = np.concatenate([
-        kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + _ROW_CHUNK], op.eigenvalues)),
-                    ys[lo:lo + _ROW_CHUNK], x_pq)
-        for lo in range(0, tg.size, _ROW_CHUNK)])
+        _kernel_rows(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + chunk], op.eigenvalues)),
+                     ys[lo:lo + chunk], x_pq, conj_x_modes)
+        for lo in range(0, tg.size, chunk)])
     return [KernelSample(k=qs.k, x=x_pq, y=(float(y[0]), float(y[1])),
                          exact=complex(e), predicted=complex(p))
             for y, e, p in zip(ys, exact, preds)]

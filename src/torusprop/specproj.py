@@ -32,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .propkern import _ROW_CHUNK, KernelSample, kernel_eval, operator_for
-from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, quantum_space
+from .propkern import KernelSample, kernel_eval, operator_for
+from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, _block_len, quantum_space
 from .torusgeo import (
     SymbolField,
     check_level,
@@ -71,8 +71,6 @@ _F_TOL = 1e-13
 # at u is led by f(u - 2 pi / h), so it is largest at the top of the range.
 # The first probe is 0, so the tolerance can scale with f(0).
 _PROBES = np.array([0.0, -1.0, -0.875, -0.75, 0.75, 0.875, 1.0])
-# Most entries one block's exponential table holds.
-_BLOCK_TERMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,9 @@ class FourierPair:
         Stockmeyer, SIAM J. Comput. 2, 1973): with j = a B + b and
         B = 2^floor(bitlen(n/2) / 2), about sqrt(n/2), z^j = z^{aB} z^b.  A
         block of arguments then needs two exponential tables of about B
-        columns and one (block x B) @ (B x rows) product per sign, and no
-        arguments x nodes array is held.  The terms are those of the plain
-        sum, added in another order.
+        columns, within the budget, and one (block x B) @ (B x rows) product
+        per sign; no arguments x nodes array is held.  The terms are those
+        of the plain sum, added in another order.
         """
 
         half = n // 2
@@ -153,7 +151,7 @@ class FourierPair:
         baby_t = h * np.arange(baby)
         giant_t = h * baby * np.arange(giant)
         out = np.empty(u.size, dtype=complex)
-        block = max(1, _BLOCK_TERMS // giant)
+        block = _block_len(max(baby, giant))
         for lo in range(0, u.size, block):
             ub = u[lo:lo + block]
             z_b = np.exp(1j * np.outer(ub, baby_t))
@@ -233,18 +231,18 @@ def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
     fhat(t) e^{i k t E} U_{k,t}(y, x) dt by the trapezoid rule on twice the
     nodes the spectral route resolves f with.  Exact Fourier inversion up to
     the two quadratures, so it must agree with projector_kernel_exact to
-    high accuracy — a wiring check, not an asymptotic one."""
+    high accuracy — a wiring check, not an asymptotic one.  The time sum
+    w_j = sum_t h fhat(t) e^{ikt(E - lambda_j)} comes first, over node
+    chunks within the budget; one ``kernel_eval`` call then contracts w."""
 
     n = 2 * pair.node_count(float(np.max(np.abs(op.k * (energy - op.eigenvalues)))))
     h = 2.0 * pair.support_T / n
     t = h * np.arange(1 - n // 2, n // 2)  # |fhat(+-T)| <= 1e-14: endpoints dropped
     coeff = h * np.asarray(pair.fhat(t), dtype=complex) * np.exp(1j * qs.k * t * float(energy))
-    # kernel of U_{k,t} for every node, one spectral row per node
-    total = sum(coeff[lo:lo + _ROW_CHUNK] @ kernel_eval(
-                    qs, op, np.exp(np.outer(-1j * qs.k * t[lo:lo + _ROW_CHUNK], op.eigenvalues)),
-                    y, x)
-                for lo in range(0, t.size, _ROW_CHUNK))
-    return complex(total / np.sqrt(TWO_PI))
+    chunk, ikt = _block_len(op.eigenvalues.size), -1j * qs.k * t
+    weights = sum(coeff[lo:lo + chunk] @ np.exp(np.outer(ikt[lo:lo + chunk], op.eigenvalues))
+                  for lo in range(0, t.size, chunk))
+    return complex(kernel_eval(qs, op, weights, y, x)[0] / np.sqrt(TWO_PI))
 
 
 # ---------------------------------------------------------------------------

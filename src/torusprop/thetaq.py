@@ -75,9 +75,9 @@ FOUR_PI = 4.0 * np.pi
 # Sections cannot overflow at any k, and operators are held as cyclic
 # diagonals; the size limit is the dense eigh of non-diagonal operators.
 K_MAX = 400
-# Most (row, point) pairs one block of ``sections`` holds, so the grid
-# temporaries stay a few MB however many points are asked for.
-_BLOCK_PAIRS = 1 << 15
+# The one working-set budget: (row, point) or (row, eigenvalue) pairs per block of every
+# exact-side grid (_block_len); 94 KiB temporaries, under glibc's 128 KiB mmap threshold.
+_BLOCK_PAIRS = 6000
 
 GAUGE_NOTE = (
     "basis prefactor exp(2*pi*i*ell*z) (derived from the lattice multipliers); "
@@ -179,7 +179,13 @@ def _gram_nodes(k: int) -> int:
     return max(32, -(-n // 16) * 16)
 
 
-def _construction_self_test(qs: QuantumSpace) -> None:
+def _block_len(width: int, floor: int = 1) -> int:
+    """Columns per block of a width-row grid: the fewest whole budget shares reaching floor."""
+    share = max(1, _BLOCK_PAIRS // max(1, width))
+    return share * max(1, -(-floor // share))
+
+
+def _construction_self_test(qs: QuantumSpace) -> tuple[np.ndarray, complex]:
     ells = np.arange(qs.dim) if qs.dim <= 30 else np.array(sorted(  # np.unique would import numpy.ma
         {0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1,
          *(int(x) for x in np.linspace(0, qs.dim - 1, 8))}))
@@ -187,16 +193,18 @@ def _construction_self_test(qs: QuantumSpace) -> None:
     # undo the folded e^{-2 pi k q^2} and apply the space's own weight, so a
     # wrong weight shows up as a norm defect
     unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
-    rows = sections(qs, p + 1j * q, ells) * unfold
-    norms = np.sum(np.abs(rows) ** 2 * wts, axis=1) * FOUR_PI
-    worst = float(np.max(np.abs(norms - 1.0)))
-    # one representative far-off-diagonal inner product
-    inner = complex(np.sum(np.conjugate(rows[0]) * rows[-1] * wts) * FOUR_PI)
-    worst = max(worst, abs(inner))
+    norms, inner, block = np.zeros(ells.size), 0j, _block_len(ells.size)
+    for b in (slice(lo, lo + block) for lo in range(0, p.size, block)):
+        rows = sections(qs, p[b] + 1j * q[b], ells) * unfold[b]
+        norms += np.abs(rows) ** 2 @ (FOUR_PI * wts[b])
+        # one representative far-off-diagonal inner product
+        inner += complex(np.conjugate(rows[0]) * rows[-1] @ (FOUR_PI * wts[b]))
+    worst = max(float(np.max(np.abs(norms - 1.0))), abs(inner))
     if worst > 1e-8:
         raise ConstructionError(
             f"basis self-test defect {worst:.2e} > 1e-8 at k={qs.k}: the gauge "
             "conventions or quadrature resolution are wrong")
+    return norms, inner
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,8 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
     (len(ells),) + shape(z); all 2k rows by default.
 
     For each row and point the series is summed over ``qs.theta_terms``
-    terms on either side of its largest one.  Raises IndexError for rows
+    terms on either side of its largest one, in blocks of points holding at
+    most ``_BLOCK_PAIRS`` (row, point) pairs.  Raises IndexError for rows
     outside [0, 2k), TruncationError when the window's edge terms exceed
     1e-16 of its centre term, and EvaluationError on non-finite output.
     """
@@ -252,7 +261,7 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
     ell = rows.astype(float)[:, None]
     offsets = 2.0 * k * np.arange(-radius, radius + 1)
     const = k ** 0.25 / np.sqrt(TWO_PI)
-    block = max(1, _BLOCK_PAIRS // max(1, rows.size))
+    block = _block_len(rows.size)
     for lo in range(0, flat.size if rows.size else 0, block):
         p = flat.real[lo:lo + block]
         q = flat.imag[lo:lo + block]
@@ -296,8 +305,8 @@ def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def gram_matrix(qs: QuantumSpace) -> np.ndarray:
     """Gram matrix G[l, l'] = integral of Psi_l' conj(Psi_l) x weight x 4 pi dp dq.
 
-    The quadrature is summed over blocks of nodes, so no 2k x (all nodes)
-    section array is held.
+    The quadrature is summed over blocks of at least 2k/4 nodes (so the
+    2k x 2k updates do not dominate); no 2k x (all nodes) array is held.
     """
 
     return _gram_quadrature(qs, qs.quad_order)
@@ -310,7 +319,7 @@ def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
 
     p, q, wts = _quad_nodes(n_nodes)
     gram = np.zeros((qs.dim, qs.dim), dtype=complex)
-    block = max(1, _BLOCK_PAIRS // qs.dim)
+    block = _block_len(qs.dim, qs.dim // 4)
     for lo in range(0, p.size, block):
         s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block])
         s *= np.sqrt(FOUR_PI * wts[lo:lo + block])

@@ -1,20 +1,24 @@
 """Memory budgets of the exact side, measured with tracemalloc (numpy
 reports its buffers to it).
 
-A one-diagonal operator is its own eigendecomposition and allocates O(k);
-graph_compare contracts its time rows in fixed-size chunks, so its peak
-does not grow with the grid.  The Fourier pair sums over blocks of
-arguments, and the time-quadrature projector contracts its node rows in
-chunks, so neither holds an arguments x nodes array.
+A one-diagonal operator is its own eigendecomposition and allocates O(k).
+Every exact-side grid walks in blocks of one working-set budget,
+thetaq._BLOCK_PAIRS (row, point) or (row, eigenvalue) pairs: the sections
+of a space's self-test and Gram quadrature, graph_compare's time rows, the
+Fourier pair's arguments and the time-quadrature projector's nodes.  So
+each stage's peak stays near its output, and graph_compare's grows only
+with its O(rows) records.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
+from torusprop import thetaq
 from torusprop.propkern import graph_compare, operator_for
 from torusprop.specproj import build_fourier_pair, projector_kernel_timequad
-from torusprop.thetaq import quantum_space
+from torusprop.thetaq import gram_matrix, quantum_space
 from torusprop.torusgeo import model_cos_symbol
 
 E0 = float(np.cos(2.0 * np.pi * 0.1))
@@ -41,22 +45,66 @@ def test_graph_compare_peak_does_not_grow_with_the_grid():
     sym = model_cos_symbol()
     peaks = {n: traced_peak(lambda: graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, n)))
              for n in (2001, 8001)}
-    assert peaks[8001] <= 1.25 * peaks[2001]
+    # the 6000 more rows add their trajectory and KernelSample records, about
+    # 370 B each; a whole (rows x 2k) spectral matrix would add 77 MB
+    assert peaks[8001] - peaks[2001] <= 2_500_000
+    assert peaks[8001] < 4_000_000
 
 
-def test_fourier_pair_at_k400_stays_under_8mb():
-    # 800 arguments up to |u| ~ 720 on 2048 nodes; unblocked, the angle and
-    # cosine arrays would take 13 MB
-    op = operator_for(quantum_space(400), model_cos_symbol())
+def _stage(name):
+    """A zero-argument call of one exact-side stage, its inputs built
+    outside the traced region."""
+    sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
-    u = 400 * (E0 - op.eigenvalues)
-    assert traced_peak(lambda: pair.f_eval(u)) < 8_000_000
-
-
-def test_timequad_projector_at_k200_stays_under_12mb():
+    if name == "quantum_space-k50":
+        return lambda: thetaq._built_space.__wrapped__(50)  # the uncached build
+    if name == "gram_matrix-k50":
+        qs = quantum_space(50)
+        return lambda: gram_matrix(qs)
+    if name == "graph_compare-k400-101-rows":
+        qs = quantum_space(400)
+        return lambda: graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    if name == "f_eval-k400":
+        # 800 arguments up to |u| ~ 720 on 2048 nodes; unblocked, the angle
+        # and cosine arrays would take 13 MB
+        u = 400 * (E0 - operator_for(quantum_space(400), sym).eigenvalues)
+        return lambda: pair.f_eval(u)
     # 4095 nodes x 400 eigenvalues: the spectral matrix alone would take 26 MB
     qs = quantum_space(200)
-    op = operator_for(qs, model_cos_symbol())
-    pair = build_fourier_pair("bump", 7.0)
+    op = operator_for(qs, sym)
+    return lambda: projector_kernel_timequad(qs, op, pair, E0, (0.3, 0.1), (0.3, 0.1))
+
+
+# each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB
+STAGE_BUDGETS = {"quantum_space-k50": 1_500_000, "gram_matrix-k50": 1_500_000,
+                 "graph_compare-k400-101-rows": 1_500_000, "f_eval-k400": 1_200_000,
+                 "timequad-k200": 1_000_000}
+
+
+@pytest.mark.parametrize("name", STAGE_BUDGETS)
+def test_stage_peak_stays_within_its_budget(name):
+    fn = _stage(name)
+    fn()  # lazy set-up (quadrature nodes) out of the traced call
+    assert traced_peak(fn) < STAGE_BUDGETS[name]
+
+
+def test_results_do_not_depend_on_the_budget(monkeypatch):
+    # the budget moves only block boundaries: at 64 pairs, blocks of 1-5
+    # columns give the default blocks' values up to rounding
+    sym = model_cos_symbol()
+    qs = quantum_space(10)
+    op_qs = quantum_space(20)
+    op = operator_for(op_qs, sym)
+    pair = build_fourier_pair("bump", 3.0)
+    u = 20 * (E0 - op.eigenvalues)
     x = (0.3, 0.1)
-    assert traced_peak(lambda: projector_kernel_timequad(qs, op, pair, E0, x, x)) < 12_000_000
+
+    def results():
+        # the off-diagonal inner product (~1e-16) is held to the norms' scale
+        return [gram_matrix(qs), np.append(*thetaq._construction_self_test(qs)),
+                pair.f_eval(u), np.array([projector_kernel_timequad(op_qs, op, pair, E0, x, x)])]
+
+    default = results()
+    monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 64)
+    for got, want in zip(results(), default):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

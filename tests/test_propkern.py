@@ -16,7 +16,7 @@ from torusprop.propkern import (
     kernel_eval,
     operator_for,
 )
-from torusprop import propkern
+from torusprop import propkern, thetaq
 from torusprop.specproj import (
     ProjectorPrediction,
     ReturnTerm,
@@ -241,14 +241,20 @@ def test_predictor_phase_slope_at_zero():
 
 def test_graph_compare_chunks_match_one_call(monkeypatch):
     # a generic symbol (dense eigenbasis) on a 31-row grid cut into chunks
-    # of 7 rows against one kernel_eval call over every row
-    qs = quantum_space(20)
+    # of 7 rows against one kernel_eval call over every row: at k = 12 the
+    # budget of 7 x 24 pairs sets the chunk, above the dense floor of 24/4
+    qs = quantum_space(12)
     sym = make_symbol("cos-q-sin-p", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, dtype=float)))
     x = (0.3, 0.1)
     tg = np.linspace(0.0, 0.3, 31)
-    monkeypatch.setattr(propkern, "_ROW_CHUNK", 7)
+    monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 7 * qs.dim)
+    chunks = []
+    rows_of = propkern._kernel_rows
+    monkeypatch.setattr(propkern, "_kernel_rows",
+                        lambda *a: chunks.append(len(a[3])) or rows_of(*a))
     rows = graph_compare(qs, sym, x, tg)
+    assert chunks == [7, 7, 7, 7, 3]
     op = operator_for(qs, sym)
     ys = np.array([r.y for r in rows])
     one = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)

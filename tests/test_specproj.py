@@ -204,6 +204,23 @@ def test_two_route_identity_at_an_aliasing_level():
     assert abs(direct - quad) <= 1e-12 * abs(direct)
 
 
+@pytest.mark.parametrize("symbol, k", [("model-cos", 50), ("cos(2*pi*q)+0.1*sin(2*pi*p)", 20)])
+def test_timequad_equals_the_per_node_contraction(symbol, k):
+    # the time sum is taken per eigenvalue before one kernel_eval call; the
+    # node-by-node sum of coeff_t U_{k,t}(y, x) is the same sum reordered
+    qs = quantum_space(k)
+    op = operator_for(qs, symbol_from_selector(symbol))
+    pair = build_fourier_pair("bump", 3.0)
+    y, x = (0.45, Q0), (0.3, Q0)
+    n = 2 * pair.node_count(float(np.max(np.abs(k * (E0 - op.eigenvalues)))))
+    h = 2.0 * pair.support_T / n
+    t = h * np.arange(1 - n // 2, n // 2)
+    coeff = h * pair.fhat(t) * np.exp(1j * k * t * E0)
+    per_node = kernel_eval(qs, op, np.exp(-1j * k * np.outer(t, op.eigenvalues)), y, x)
+    want = complex(coeff @ per_node / np.sqrt(TWO_PI))
+    assert abs(projector_kernel_timequad(qs, op, pair, E0, y, x) - want) <= 1e-13 * abs(want)
+
+
 def test_trace_identity():
     # sum_l f(k(E - lambda_l)) equals the integral of the diagonal kernel
     # against 4 pi dp dq (independent quadrature grid)

@@ -408,7 +408,8 @@ def test_gram_is_identity(k):
 
 
 def test_blocked_gram_matches_one_product():
-    # at k = 20 the 2304 quadrature nodes span two blocks of 819
+    # at k = 20 the 2304 quadrature nodes span 16 blocks of up to 150
+    # (6000 pairs over 2k = 40 rows, above the 2k/4 floor)
     qs = quantum_space(20)
     p, q, wts = thetaq._quad_nodes(qs.quad_order)
     assert p.size > thetaq._BLOCK_PAIRS // qs.dim
