@@ -18,8 +18,9 @@ symplin   the torus's 2 x 2 linear algebra on the standard complex
 torusgeo  the fixed torus phase space: autonomous symbols of (p, q), flows,
           the prequantum phase, amplitudes, return times
 thetaq    quantum spaces: theta-function basis, Gram/Toeplitz matrices
-propkern  the one exact-kernel contraction (any spectral function of an
-          operator), propagator predictors, and their comparison
+propkern  exact kernels (any spectral function of an operator; propagators
+          of multi-diagonal operators matrix-free), propagator
+          predictors, and their comparison
 specproj  smoothed spectral projector kernels, exact and asymptotic
 harness   command-line entry point, config handling, CSV/JSON reports
 
@@ -34,8 +35,8 @@ import os
 
 # OpenBLAS reads this once, when numpy first loads it.  Most products here are
 # small: waking a sleeping second worker for one (about 23 ms) costs far more
-# than the product (under 1 ms).  Dense eigh is the one call a second thread
-# speeds up, about 1.5x at dim 400-800 (README, "Environment").
+# than the product (under 1 ms).  The projector's dense eigh is the one call a
+# second thread speeds up, about 1.5x at dim 400-800 (README, "Environment").
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

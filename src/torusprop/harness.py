@@ -87,7 +87,7 @@ def _parse_ks(text: str) -> tuple:
             raise ConfigError(f"k list entry {part!r} is not an integer") from None
         if not 1 <= k <= K_MAX:
             raise ConfigError(f"k={k} outside the supported range 1..{K_MAX} "
-                              "(dense eigh of non-diagonal operators)")
+                              "(the projector's dense eigh of non-diagonal operators)")
         ks.append(k)
     if len(set(ks)) != len(ks):
         raise ConfigError(f"duplicate k values in {text!r}")

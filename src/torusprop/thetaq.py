@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -72,8 +72,9 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
-# Sections cannot overflow at any k, and operators are held as cyclic
-# diagonals; the size limit is the dense eigh of non-diagonal operators.
+# Sections cannot overflow at any k, operators are held as cyclic diagonals,
+# and propagators never diagonalize them; the size limit is the dense eigh a
+# projector of a non-diagonal operator still runs.
 K_MAX = 400
 # The one working-set budget: (row, point) or (row, eigenvalue) pairs per block of every
 # exact-side grid (_block_len); 94 KiB temporaries, under glibc's 128 KiB mmap threshold.
@@ -352,30 +353,31 @@ def _hermitian_parts(diagonals: dict) -> tuple[dict, float]:
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian operator on the level-k space, held as its cyclic
-    diagonals, with eigendata attached.
+    diagonals, with eigendata computed on first read.
 
     ``diagonals`` maps a shift m in [0, 2k) to the length-2k row d_m: the
     operator sends v to sum_m d_m * roll(v, m), i.e. row ell holds d_m[ell]
-    in column (ell - m) mod 2k.  Memory is O(#shifts x k).
+    in column (ell - m) mod 2k.  Memory is O(#shifts x k), and ``apply``
+    needs nothing more.
 
-    The eigendata is always computed here.  An operator whose only shift is
-    0 is its own eigendecomposition (eigenvalues the diagonal, in basis
-    order; the standard basis, recorded as ``eigenvectors = None``), and no
-    dense matrix is formed.  Any other operator is expanded to a dense
-    matrix only to feed ``eigh``.  The given diagonals A must be Hermitian
-    to 1e-12 (max |A - A^H| against max(1, max |A|)); the operator stores
-    their Hermitian part (A + A^H) / 2 and, as ``hermiticity_defect``,
-    max |A - A^H|.  The ``eigh`` residual, computed on the stored
-    diagonals, must stay within 1e-9 (1 + max |lambda|); both checks raise
-    ConstructionError.  The shift-0 route has no residual check: its
-    stored d_0 is real, so the residual is 0.
+    The given diagonals A must be Hermitian to 1e-12 (max |A - A^H| against
+    max(1, max |A|)), checked at construction: the operator stores their
+    Hermitian part (A + A^H) / 2 and, as ``hermiticity_defect``,
+    max |A - A^H|.  ``eigenvalues`` and ``eigenvectors`` are computed
+    together on the first read of either, never at construction.  An
+    operator whose only shift is 0 is its own eigendecomposition
+    (eigenvalues the diagonal, in basis order; the standard basis, recorded
+    as ``eigenvectors = None``), and no dense matrix is formed.  Any other
+    operator is expanded to a dense matrix only to feed ``eigh``, whose
+    residual, computed on the stored diagonals, must stay within
+    1e-9 (1 + max |lambda|).  Both checks raise ConstructionError, the
+    residual check on every read until it passes.  The shift-0 route has no
+    residual check: its stored d_0 is real, so the residual is 0.
     """
 
     k: int
     diagonals: dict
     hermiticity_defect: float = field(init=False)
-    eigenvalues: np.ndarray = field(init=False)
-    eigenvectors: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         dim = 2 * self.k
@@ -393,24 +395,50 @@ class HermitianOperator:
                                     f"(defect {defect:.2e})")
         object.__setattr__(self, "diagonals", diags)
         object.__setattr__(self, "hermiticity_defect", defect)
-        if diags.keys() <= {0}:
-            vals, vecs = np.array(diags.get(0, np.zeros(dim)).real), None
-        else:
-            vals, vecs = np.linalg.eigh(self.dense())
-            resid = float(np.max(np.abs(self.apply(vecs) - vecs * vals[None, :])))
-            if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
-                raise ConstructionError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+
+    @cached_property
+    def _eigendata(self) -> tuple[np.ndarray, np.ndarray | None]:
+        if self.diagonals.keys() <= {0}:
+            return np.array(self.diagonals.get(0, np.zeros(2 * self.k)).real), None
+        vals, vecs = np.linalg.eigh(self.dense())
+        resid = float(np.max(np.abs(self.apply(vecs) - vecs * vals[None, :])))
+        if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
+            raise ConstructionError(f"eigendecomposition residual {resid:.2e} exceeds 1e-9")
+        return vals, vecs
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigendata[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        return self._eigendata[1]
+
+    @cached_property
+    def _band(self) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonals as one (2k, hi - lo + 1) band, shifts taken in
+        (-k, k] and column j holding shift hi - j, and the cyclic indices
+        ell - hi of v for ell in [0, 2k + hi - lo): row ell of the band meets
+        window ell of v at those indices, v[ell - hi .. ell - lo]."""
+        dim = 2 * self.k
+        signed = {s - dim if s > self.k else s: d for s, d in self.diagonals.items()}
+        lo, hi = (min(signed), max(signed)) if signed else (0, 0)
+        band = np.zeros((dim, hi - lo + 1), dtype=complex)
+        for s, d in signed.items():
+            band[:, hi - s] = d
+        return band, np.arange(-hi, dim - lo) % dim
 
     def apply(self, v) -> np.ndarray:
-        """The operator applied to v (shape (2k,) or (2k, n)): O(#shifts) per
-        entry of v."""
+        """The operator applied to v (shape (2k,) or (2k, n)): one row-by-window
+        product over the band, O(band width) per entry of v."""
         v = np.asarray(v, dtype=complex)
-        out = np.zeros_like(v)
-        for s, d in self.diagonals.items():
-            out += d.reshape((-1,) + (1,) * (v.ndim - 1)) * np.roll(v, s, axis=0)
-        return out
+        band, reach = self._band
+        padded = v[reach]  # a fresh C-ordered copy
+        # windows[ell, ..., j] = padded[ell + j, ...], a view
+        windows = np.ndarray(v.shape + (band.shape[1],), complex, padded, 0,
+                             padded.strides + padded.strides[:1])
+        rows = band.reshape((len(band),) + (1,) * v.ndim + (band.shape[1],))  # (2k, 1, .., width)
+        return (rows @ windows[..., None])[..., 0, 0]
 
     def to_eigenbasis(self, rows) -> np.ndarray:
         """rows @ eigenvectors: the coefficients of row vectors against the

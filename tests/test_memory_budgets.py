@@ -1,7 +1,8 @@
 """Memory budgets of the exact side, measured with tracemalloc (numpy
 reports its buffers to it).
 
-A one-diagonal operator is its own eigendecomposition and allocates O(k).
+A one-diagonal operator is its own eigendecomposition and allocates O(k);
+a multi-diagonal propagator steps O(k) vectors and forms no eigenbasis.
 Every exact-side grid walks in blocks of one working-set budget,
 thetaq._BLOCK_PAIRS (row, point) or (row, eigenvalue) pairs: the sections
 of a space's self-test and Gram quadrature, graph_compare's time rows, the
@@ -19,7 +20,7 @@ from torusprop import thetaq
 from torusprop.propkern import graph_compare, operator_for
 from torusprop.specproj import build_fourier_pair, projector_kernel_timequad
 from torusprop.thetaq import gram_matrix, quantum_space
-from torusprop.torusgeo import model_cos_symbol
+from torusprop.torusgeo import make_symbol, model_cos_symbol
 
 E0 = float(np.cos(2.0 * np.pi * 0.1))
 
@@ -64,6 +65,12 @@ def _stage(name):
     if name == "graph_compare-k400-101-rows":
         qs = quantum_space(400)
         return lambda: graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    if name == "graph_compare-expr-k400-101-rows":
+        # three diagonals: Chebyshev blocks of O(k) vectors, no 800 x 800 eigenbasis (10 MB)
+        qs = quantum_space(400)
+        expr = make_symbol("cos-q-sin-p", lambda p, q: np.cos(2.0 * np.pi * np.asarray(q, dtype=float))
+                           + 0.1 * np.sin(2.0 * np.pi * np.asarray(p, dtype=float)))
+        return lambda: graph_compare(qs, expr, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
     if name == "f_eval-k400":
         # 800 arguments up to |u| ~ 720 on 2048 nodes; unblocked, the angle
         # and cosine arrays would take 13 MB
@@ -77,7 +84,8 @@ def _stage(name):
 
 # each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB
 STAGE_BUDGETS = {"quantum_space-k50": 1_500_000, "gram_matrix-k50": 1_500_000,
-                 "graph_compare-k400-101-rows": 1_500_000, "f_eval-k400": 1_200_000,
+                 "graph_compare-k400-101-rows": 1_500_000,
+                 "graph_compare-expr-k400-101-rows": 1_500_000, "f_eval-k400": 1_200_000,
                  "timequad-k200": 1_000_000}
 
 

@@ -240,9 +240,10 @@ def test_predictor_phase_slope_at_zero():
 
 
 def test_graph_compare_chunks_match_one_call(monkeypatch):
-    # a generic symbol (dense eigenbasis) on a 31-row grid cut into chunks
-    # of 7 rows against one kernel_eval call over every row: at k = 12 the
-    # budget of 7 x 24 pairs sets the chunk, above the dense floor of 24/4
+    # a generic symbol (three diagonals, so Chebyshev blocks) on a 31-row
+    # grid cut into blocks of 7 rows against one dense kernel_eval call over
+    # every row: at k = 12 the budget of 7 x 24 pairs sets the block, and the
+    # grid's span keeps each block to one expansion
     qs = quantum_space(12)
     sym = make_symbol("cos-q-sin-p", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, dtype=float)))
@@ -250,9 +251,9 @@ def test_graph_compare_chunks_match_one_call(monkeypatch):
     tg = np.linspace(0.0, 0.3, 31)
     monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 7 * qs.dim)
     chunks = []
-    rows_of = propkern._kernel_rows
-    monkeypatch.setattr(propkern, "_kernel_rows",
-                        lambda *a: chunks.append(len(a[3])) or rows_of(*a))
+    rows_of = propkern._chebyshev_rows
+    monkeypatch.setattr(propkern, "_chebyshev_rows",
+                        lambda *a: chunks.append(len(a[4])) or rows_of(*a))
     rows = graph_compare(qs, sym, x, tg)
     assert chunks == [7, 7, 7, 7, 3]
     op = operator_for(qs, sym)
@@ -262,14 +263,56 @@ def test_graph_compare_chunks_match_one_call(monkeypatch):
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
 
 
-@pytest.mark.parametrize("principal", [
-    lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p),
-    lambda p, q: np.cos(TWO_PI * p) + np.cos(TWO_PI * q) + 0.3 * np.sin(TWO_PI * (p + q)),
-], ids=["cos-q-sin-p", "two-mode"])
-def test_generic_propagator_errors_fall_at_the_1_over_k_rate(principal):
+_GENERIC = {
+    "cos-q-sin-p": lambda p, q: np.cos(TWO_PI * q) + 0.1 * np.sin(TWO_PI * p),
+    "two-mode": lambda p, q: np.cos(TWO_PI * p) + np.cos(TWO_PI * q) + 0.3 * np.sin(TWO_PI * (p + q)),
+}
+
+
+@pytest.mark.parametrize("name", _GENERIC)
+@pytest.mark.parametrize("k, tgrid", [
+    (12, np.linspace(0.8, 0.9, 101)), (50, np.linspace(0.8, 0.9, 101)),
+    (200, np.linspace(0.8, 0.9, 101)), (400, np.linspace(0.8, 0.9, 101)),
+    (12, np.arange(11.0)), (50, np.arange(11.0)),
+], ids=["k12-zoom", "k50-zoom", "k200-zoom", "k400-zoom", "k12-coarse", "k50-coarse"])
+def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
+    # the Chebyshev route against e^{-i k t lambda} over eigh's eigendata:
+    # gaps up to 0.8 (zoom) and 1.0 (coarse) are crossed in sub-steps.  eigh's
+    # eigenvalues carry rounding near 1e-16 ||T||, so the oracle's own phase
+    # drifts like k t 1e-16; these grids keep k t <= 500
+    qs = quantum_space(k)
+    sym = make_symbol(name, _GENERIC[name])
+    x = (0.3, 0.1)
+    rows = graph_compare(qs, sym, x, tgrid)
+    op = operator_for(qs, sym)
+    ys = np.array([r.y for r in rows])
+    want = np.concatenate([
+        kernel_eval(qs, op, np.exp(-1j * k * np.outer(tgrid[lo:lo + 10], op.eigenvalues)),
+                    ys[lo:lo + 10], x) for lo in range(0, tgrid.size, 10)])
+    got = np.array([r.exact for r in rows])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_multi_diagonal_propagator_runs_no_eigh_and_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the propagator diagonalized or densified its operator")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(HermitianOperator, "dense", refuse)
+    qs = quantum_space(50)
+    sym = make_symbol("two-mode", _GENERIC["two-mode"])
+    assert len(operator_for(qs, sym).diagonals) > 1
+    rows = graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    assert len(rows) == 101 and all(np.isfinite(r.exact) for r in rows)
+    with pytest.raises(AssertionError, match="diagonalized"):
+        operator_for(qs, sym).eigenvalues
+
+
+@pytest.mark.parametrize("name", _GENERIC)
+def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name):
     # T_k(f) has subprincipal symbol Delta f / (16 pi); without it in the
     # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
-    sym = make_symbol("generic", principal)
+    sym = make_symbol("generic", _GENERIC[name])
     tg = np.linspace(0.0, 1.0, 101)
     ks = (50, 100)
     runs = [graph_compare(quantum_space(k), sym, (0.3, 0.1), tg) for k in ks]
@@ -306,17 +349,23 @@ def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
 
 def test_constant_subprincipal_shifts_both_routes_identically():
     # T -> T + (c/k) I multiplies the propagator by e^{-i c t}; the predictor
-    # carries the same factor through its subprincipal action integral
+    # carries the same factor through its subprincipal action integral.  The
+    # model operator takes the spectral route, the expression symbol the
+    # Chebyshev route, where the shift moves the expansion's centre
     qs = quantum_space(30)
     c, t = 0.7, 0.6
     x = (0.3, 0.1)
-    base_rows = graph_compare(qs, model_cos_symbol(), x, [0.0, t])
-    shift_rows = graph_compare(qs, model_cos_symbol(sub_const=c), x, [0.0, t])
-    factor = np.exp(-1j * c * t)
-    assert abs(shift_rows[-1].exact - factor * base_rows[-1].exact) \
-        <= 1e-12 * abs(base_rows[-1].exact)
-    assert abs(shift_rows[-1].predicted - factor * base_rows[-1].predicted) \
-        <= 1e-12 * abs(base_rows[-1].predicted)
+    principal = _GENERIC["cos-q-sin-p"]
+    shifted = lambda p, q: c + 0.0 * np.asarray(p, dtype=float)
+    for base, shift in ((model_cos_symbol(), model_cos_symbol(sub_const=c)),
+                        (make_symbol("e", principal), make_symbol("e", principal, subprincipal=shifted))):
+        base_rows = graph_compare(qs, base, x, [0.0, t])
+        shift_rows = graph_compare(qs, shift, x, [0.0, t])
+        factor = np.exp(-1j * c * t)
+        assert abs(shift_rows[-1].exact - factor * base_rows[-1].exact) \
+            <= 1e-12 * abs(base_rows[-1].exact)
+        assert abs(shift_rows[-1].predicted - factor * base_rows[-1].predicted) \
+            <= 1e-12 * abs(base_rows[-1].predicted)
 
 
 # ---------------------------------------------------------------------------

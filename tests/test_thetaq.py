@@ -11,6 +11,8 @@ p-integral kills every off-diagonal entry and the q-integral is a complete
 Gaussian.
 """
 
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -522,6 +524,42 @@ def test_closed_form_toeplitz_matches_quadrature(name, k):
     assert op.hermiticity_defect <= 1e-12
 
 
+_COVARIANT_MODES = ((1, 0), (0, 1), (1, 1), (2, -1), (3, 2))
+# four points in the unit cell and two lifted ones
+_COVARIANT_POINTS = np.array([0.3 + 0.1j, 0.71 + 0.55j, 0.05 + 0.93j, 0.48 + 0.37j,
+                              1.3 - 0.4j, -2.7 + 3.2j])
+
+
+def _covariant_symbol(qs, m: int, n: int) -> np.ndarray:
+    """s(x)^T T_k(e_mn) conj(s(x)) / sum_l |s_l(x)|^2 at _COVARIANT_POINTS,
+    T_k(e_mn) = T_k(cos) + i T_k(sin) of 2 pi (m p + n q), applied with
+    ``apply`` (no eigendata, no dense matrix)."""
+    phase = lambda p, q: TWO_PI * (m * np.asarray(p, dtype=float) + n * np.asarray(q, dtype=float))
+    cos_op = toeplitz_build(qs, make_symbol("cos", lambda p, q: np.cos(phase(p, q))))
+    sin_op = toeplitz_build(qs, make_symbol("sin", lambda p, q: np.sin(phase(p, q))))
+    s = sections(qs, _COVARIANT_POINTS)
+    pair = lambda op: np.sum(s * op.apply(np.conjugate(s)), axis=0)
+    return (pair(cos_op) + 1j * pair(sin_op)) / np.sum(np.abs(s) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("k", [20, 37, 80, 200, 400])
+def test_covariant_symbol_of_a_toeplitz_mode_is_the_doubly_damped_mode(k):
+    # the Berezin transform of T_k(e_mn) is e^{-pi (m^2 + n^2) / (2k)} e_mn:
+    # toeplitz_build's damping e^{-pi (m^2 + n^2) / (4k)} twice.  With that
+    # single damping in its place the identity misses by about
+    # pi (m^2 + n^2) / (4k) at large k, so it pins the damping and with it
+    # make_symbol's Delta f / (16 pi).  Rounding grows with the lift of the
+    # point.
+    qs = quantum_space(k)
+    z = _COVARIANT_POINTS
+    for m, n in _COVARIANT_MODES:
+        got = _covariant_symbol(qs, m, n)
+        mode = np.exp(2j * np.pi * (m * z.real + n * z.imag))
+        a = np.pi * (m * m + n * n) / (4.0 * k)
+        assert np.all(np.abs(got - np.exp(-2.0 * a) * mode) <= 1e-14 * (1.0 + np.abs(z) ** 2))
+        assert np.all(np.abs(got - np.exp(-a) * mode) >= 0.5 * (np.exp(-a) - np.exp(-2.0 * a)))
+
+
 def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
     # T_k(f) is the compression of multiplication by f, so its spectrum lies
     # in [min f, max f] = [-1.1, 1.1]
@@ -544,7 +582,12 @@ def test_operator_apply_matches_dense():
     principal, sub = _ORACLE_SYMBOLS["with-subprincipal"]
     op = toeplitz_build(qs, make_symbol("with-subprincipal", principal, subprincipal=sub))
     assert len(op.diagonals) < qs.dim
-    for shape in ((qs.dim,), (qs.dim, 3)):
+    # and an operator with every shift, whose band is 2k wide
+    a = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim, qs.dim))
+    ell = np.arange(qs.dim)
+    full = thetaq.HermitianOperator(k=qs.k, diagonals={s: (a + a.conj().T)[ell, (ell - s) % qs.dim]
+                                                       for s in range(qs.dim)})
+    for op, shape in itertools.product((op, full), ((qs.dim,), (qs.dim, 3))):
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = op.dense() @ v
         assert np.max(np.abs(op.apply(v) - want)) <= 1e-13 * np.max(np.abs(want))
@@ -575,14 +618,18 @@ def test_wrong_eigendata_fails_the_residual_check(monkeypatch):
     qs = quantum_space(10)
     op = toeplitz_build(qs, make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0]))
     # the eigendata eigh returns passes again
-    thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals)
+    assert thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals).eigenvalues.size == qs.dim
     real_eigh = np.linalg.eigh
-    # shifted eigenvalues, then eigenvectors paired with the wrong eigenvalues
+    # shifted eigenvalues, then eigenvectors paired with the wrong eigenvalues:
+    # construction runs no eigh, so the first read of the eigendata raises
     for corrupt in (lambda vals, vecs: (vals + 1e-3, vecs),
                     lambda vals, vecs: (vals, np.roll(vecs, 1, axis=1))):
         monkeypatch.setattr(np.linalg, "eigh", lambda a, corrupt=corrupt: corrupt(*real_eigh(a)))
+        bad = thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals)
         with pytest.raises(ConstructionError, match="residual"):
-            thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals)
+            bad.eigenvalues
+        with pytest.raises(ConstructionError, match="residual"):
+            bad.eigenvectors
 
 
 @pytest.mark.parametrize("k", [5, 50, 400])
