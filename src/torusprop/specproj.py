@@ -37,7 +37,6 @@ from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, _block_len
 from .torusgeo import (
     SymbolField,
     check_level,
-    integrate_flow,
     return_times,
     rho_level_half,
 )
@@ -291,9 +290,9 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
     return of x to y inside supp fhat with its k-independent data, each
     square root's branch picked by the flow's theta_a.
 
-    Each lifted trajectory endpoint is cross-checked against the winding w
-    from the return search.  The flow transports to the lifted endpoint
-    y + w, and the kernel there is
+    Each term is built from the flow state ``return_times`` found the
+    return with (no flow is integrated here).  The flow transports to the
+    lifted endpoint y + w of its winding w, and the kernel there is
     K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so ``conn_L``
     carries -2 pi (w_p q_y - w_q p_y), the lattice gauge factor that brings
     the predictor back to y, where the exact kernel is evaluated.  Raises
@@ -305,17 +304,13 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
     for pt in (x_pq, y_pq):
         check_level(sym, pt, float(energy))
     terms = []
-    for t_ret, winding in return_times(sym, x_pq, y_pq, (-pair.support_T, pair.support_T)):
-        fh = complex(np.asarray(pair.fhat(t_ret), dtype=complex).reshape(()))
-        traj = integrate_flow(sym, x_pq, [t_ret])
-        miss = float(np.max(np.abs(traj.points_lifted[-1] - np.add(y_pq, winding))))
-        if miss > 1e-6:
-            raise RuntimeError(f"return trajectory missed its lifted target by {miss:.2e}")
-        rho_half = rho_level_half(sym, traj, float(energy))[-1]
-        gauge = TWO_PI * (winding[0] * y_pq[1] - winding[1] * y_pq[0])
-        terms.append(ReturnTerm(t=float(t_ret), winding=winding, fhat=fh,
-                                amplitude=fh * rho_half * np.exp(-1j * traj.action_Hsub[-1]),
-                                conn_L=float(traj.conn_L[-1]) - gauge))
+    for ret in return_times(sym, x_pq, y_pq, (-pair.support_T, pair.support_T)):
+        fh = complex(np.asarray(pair.fhat(ret.t), dtype=complex).reshape(()))
+        rho_half = rho_level_half(sym, ret.flow, float(energy))[-1]
+        gauge = TWO_PI * (ret.winding[0] * y_pq[1] - ret.winding[1] * y_pq[0])
+        terms.append(ReturnTerm(t=ret.t, winding=ret.winding, fhat=fh,
+                                amplitude=fh * rho_half * np.exp(-1j * ret.flow.action_Hsub[-1]),
+                                conn_L=float(ret.flow.conn_L[-1]) - gauge))
     return ProjectorPrediction(tuple(terms))
 
 

@@ -190,16 +190,9 @@ def _construction_self_test(qs: QuantumSpace) -> tuple[np.ndarray, complex]:
     ells = np.arange(qs.dim) if qs.dim <= 30 else np.array(sorted(  # np.unique would import numpy.ma
         {0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1,
          *(int(x) for x in np.linspace(0, qs.dim - 1, 8))}))
-    p, q, wts = _quad_nodes(qs.quad_order)
-    # undo the folded e^{-2 pi k q^2} and apply the space's own weight, so a
-    # wrong weight shows up as a norm defect
-    unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
-    norms, inner, block = np.zeros(ells.size), 0j, _block_len(ells.size)
-    for b in (slice(lo, lo + block) for lo in range(0, p.size, block)):
-        rows = sections(qs, p[b] + 1j * q[b], ells) * unfold[b]
-        norms += np.abs(rows) ** 2 @ (FOUR_PI * wts[b])
-        # one representative far-off-diagonal inner product
-        inner += complex(np.conjugate(rows[0]) * rows[-1] @ (FOUR_PI * wts[b]))
+    # the rows' norms and a far-off-diagonal entry; a wrong weight moves them
+    gram = _gram_quadrature(qs, qs.quad_order, ells)
+    norms, inner = np.diagonal(gram).real, complex(gram[0, -1])
     worst = max(float(np.max(np.abs(norms - 1.0))), abs(inner))
     if worst > 1e-8:
         raise ConstructionError(
@@ -313,17 +306,20 @@ def gram_matrix(qs: QuantumSpace) -> np.ndarray:
     return _gram_quadrature(qs, qs.quad_order)
 
 
-def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
-    """sum_b conj(S_b) S_b^T over node blocks b, where S_b holds the
-    weight-folded sections at the block's nodes times the square root of
-    (Liouville x quadrature weight)."""
+def _gram_quadrature(qs: QuantumSpace, n_nodes: int, ells=None) -> np.ndarray:
+    """sum_b conj(S_b) S_b^T over node blocks b: S_b holds the sections of
+    rows ``ells`` (all by default) at the block's nodes times the square
+    root of (Liouville x quadrature weight) and the weight's factor
+    e^{2 pi k q^2 + log_metric_weight(q) / 2}, exactly 1.0 for its own."""
 
     p, q, wts = _quad_nodes(n_nodes)
-    gram = np.zeros((qs.dim, qs.dim), dtype=complex)
-    block = _block_len(qs.dim, qs.dim // 4)
+    rows = np.arange(qs.dim) if ells is None else np.asarray(ells)
+    unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
+    gram = np.zeros((rows.size, rows.size), dtype=complex)
+    block = _block_len(rows.size, qs.dim // 4)
     for lo in range(0, p.size, block):
-        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block])
-        s *= np.sqrt(FOUR_PI * wts[lo:lo + block])
+        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block], rows)
+        s *= np.sqrt(FOUR_PI * wts[lo:lo + block]) * unfold[lo:lo + block]
         gram += np.conjugate(s) @ s.T
     return gram
 

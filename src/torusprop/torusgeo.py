@@ -18,13 +18,13 @@ Values, gradients and Hessians are exact mode sums (the flow takes all of
 them from one set of phases), and the Toeplitz matrices are built from the
 same modes.
 
-Flows come in closed form when the symbol carries one (``model-cos``).
-Otherwise one adaptive Dormand–Prince 5(4) integrator with fourth-order
-dense output serves both ``integrate_flow`` (one sweep per trajectory; its
-docstring gives the error norm) and ``return_times``, which solves for
-each return inside a bracket of two flow samples.  The Jacobians of every
-trajectory, closed-form or integrated, are judged once by symplin's
-symplecticity rule, with no retry.
+Every flow state comes from ``_flow_states``: the closed form when the
+symbol carries one (``model-cos``), otherwise one adaptive Dormand–Prince
+5(4) sweep from t = 0 with fourth-order dense output.  ``integrate_flow``
+reads one sweep at its grid; ``return_times`` runs one on each side of 0,
+finds every return on it and hands back each return's state, so the
+projector integrates no flow of its own.  Each Jacobian stack is judged
+once by symplin's symplecticity rule, with no retry.
 
 The coefficients are:
 
@@ -51,7 +51,7 @@ lattice-periodic, and the lift dependence is exactly the bundle holonomy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -82,6 +82,7 @@ __all__ = [
     "norm_X",
     "b_coefficient",
     "b_coefficient_diagonal",
+    "Return",
     "return_times",
 ]
 
@@ -420,22 +421,40 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
 _FLOW_TOL = 1e-10
 
 
+def _flow_states(sym: SymbolField, x: np.ndarray, t_end: float) -> Callable:
+    """Dense flow state from x, ts -> (len(ts), 10) in ``_flow_rhs``'s
+    columns for ts between 0 and ``t_end``: the closed form, or one
+    ``_dopri5`` sweep of ``_flow_rhs`` from 0 to t_end under ``_FLOW_TOL``."""
+    if sym.exact_flow is not None:
+        return lambda ts: sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))
+    y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    return _dopri5(lambda y: _flow_rhs(sym, y), y0, t_end, _FLOW_TOL)
+
+
+def _trajectory(x: np.ndarray, times: np.ndarray, states: np.ndarray) -> Trajectory:
+    """The Trajectory of states (len(times), 10), its Jacobians checked once."""
+    pts, jac = states[:, 0:2], states[:, 2:6].reshape(-1, 2, 2)
+    LinearSymplectomorphism(jac)
+    return Trajectory(start=x, times=times, points=pts - np.floor(pts), points_lifted=pts,
+                      jacobians=jac, action_H=states[:, 6], action_Hsub=states[:, 7],
+                      conn_L=states[:, 8], theta_a=states[:, 9])
+
+
 def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     """Flow trajectory from x over the given time grid, which moves strictly
     monotonically away from t = 0 (it need not start at 0).
 
     The state is the point, the Jacobian M row-major, int H, int H^sub,
-    int alpha(X) and theta_a (``_flow_rhs``'s columns).  Symbols that carry
-    an exact flow give it in closed form.  Otherwise it is integrated in one
-    adaptive Dormand–Prince 5(4) sweep from 0 to the last grid time,
-    accepting a step when its embedded error estimate satisfies
-    max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``; the grid is read from
-    the fourth-order dense output, so its spacing does not set the step.
-    Either way one conversion makes the Trajectory, and the Jacobian stack
-    is checked once by symplin's rule, the one ``rho_graph_half`` applies
-    (``LinearSymplectomorphism``: |det M - 1| <= 1e-10 max(1, ||M||_inf^2)
-    + 1e-9, that is M^T J M = J), which scales with ||M||^2 as the defect
-    of a Jacobian known to a relative accuracy does; no sweep is repeated.
+    int alpha(X) and theta_a (``_flow_rhs``'s columns), from the evaluator
+    ``return_times`` also reads: the closed form when the symbol carries
+    one, otherwise one adaptive Dormand–Prince 5(4) sweep from 0 to the last
+    grid time, accepting a step when its embedded error estimate satisfies
+    max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``, read at the grid
+    from its fourth-order dense output, so the grid does not set the step.
+    The Jacobian stack is checked once by symplin's rule, the one
+    ``rho_graph_half`` applies (|det M - 1| <= 1e-10 max(1, ||M||_inf^2)
+    + 1e-9), which scales with ||M||^2 as the defect of a Jacobian known to
+    a relative accuracy does; no sweep is repeated.
     Raises RegularityError when the grid turns back, repeats a time or
     crosses 0, StepSizeError when a step at the step-size floor misses the
     tolerance, and symplin's StructureError, naming the first bad time
@@ -449,17 +468,7 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     away = times if times[-1] >= 0.0 else -times  # increasing from >= 0 on a valid grid
     if not (away[0] >= 0.0 and np.all(np.diff(away) > 0.0)):  # NaN fails too
         raise RegularityError("time grids must be strictly monotone, moving away from t = 0")
-
-    if sym.exact_flow is not None:
-        states = sym.exact_flow(x, times)
-    else:
-        y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        states = _dopri5(lambda y: _flow_rhs(sym, y), y0, float(times[-1]), _FLOW_TOL)(times)
-    pts, jac = states[:, 0:2], states[:, 2:6].reshape(-1, 2, 2)
-    LinearSymplectomorphism(jac)
-    return Trajectory(start=x, times=times, points=pts - np.floor(pts), points_lifted=pts,
-                      jacobians=jac, action_H=states[:, 6], action_Hsub=states[:, 7],
-                      conn_L=states[:, 8], theta_a=states[:, 9])
+    return _trajectory(x, times, _flow_states(sym, x, float(times[-1]))(times))
 
 
 # ---------------------------------------------------------------------------
@@ -672,40 +681,35 @@ def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _lifted_positions(sym: SymbolField, x: np.ndarray, t_lo: float, t_hi: float) -> Callable:
-    """Evaluator ts -> lifted phi_t(x), shape (len(ts), 2), on [min(t_lo, 0),
-    max(t_hi, 0)]: the closed form, or the dense output of one position-only
-    integration on each side of t = 0."""
+class Return(NamedTuple):
+    """One return: its time, its lattice winding w (the flow ends at the
+    lift y + w), and the one-sample Trajectory from x to it."""
 
-    if sym.exact_flow is not None:
-        return lambda ts: sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))[:, 0:2]
-
-    neg, pos = (_dopri5(lambda pt: hamiltonian_vector_field(sym, pt), x, end, _FLOW_TOL)
-                for end in (min(t_lo, 0.0), max(t_hi, 0.0)))
-
-    def positions(ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        return np.where((ts < 0.0)[:, None], neg(ts), pos(ts))
-
-    return positions
+    t: float
+    winding: tuple[int, int]
+    flow: Trajectory
 
 
-def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int, int]]]:
-    """All t in [window] with phi_t(x) = y mod lattice, in order, with
-    lattice windings.  Requires x, y on a common regular level set.
+def return_times(sym: SymbolField, x, y, window) -> list[Return]:
+    """All t in [window] with phi_t(x) = y mod lattice, in order, each a
+    ``Return`` with its winding and its flow state.  Requires x, y on a
+    common regular level set.
 
-    Each passage through y crosses it along the flow: the offset s(t) =
-    wrap_difference(phi_t(x), y) . X(y)/|X(y)| turns from negative to
-    non-negative between two consecutive flow samples, both within
+    Samples, Newton iterates and returns all read one ``_flow_states``
+    evaluator per side of t = 0.  Each passage through y crosses it along
+    the flow: s(t) = wrap_difference(phi_t(x), y) . X(y)/|X(y)| turns from
+    negative to non-negative between two consecutive samples, both within
     3 max|X| h of y.  The samples cover the window on a grid of step at
     most h = min(0.02, 0.2 / (1 + max|X|)), plus one sample h past each
     end, so they span a stretch of time even for a zero-width window; a
     distance to y below 1e-9 at five consecutive samples raises
-    DegenerateError.  Inside each bracket, Newton solves s = 0,
-    shrinking the bracket at every iterate and bisecting where a step would
-    leave it or the slope is zero.  A root is kept when it lands on y to
-    1e-9 and lies in the window to 1e-9 (then clamped into it).  Positions
-    come from the closed form, or from one integration on each side of 0.
+    DegenerateError.  Inside each bracket, Newton solves s = 0, shrinking
+    the bracket at every iterate and bisecting where a step would leave it
+    or the slope is zero.  A root within 2 _FLOW_TOL / |X(y)| of the
+    window, the time by which two sweeps under _FLOW_TOL may place a
+    passage apart (seen within 0.5 _FLOW_TOL in position), is clamped into
+    it, so a return on a window end by ``integrate_flow``'s reckoning is
+    kept; it is a return when its state lands on y + w to 1e-9.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)
@@ -714,19 +718,24 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")
     check_level(sym, y, float(sym.principal(x[0], x[1])))
-    norm_X(sym, x)
-    norm_X(sym, y)
+    _field_norms(sym, np.array([x, y]))
 
     x_y = hamiltonian_vector_field(sym, y)
-    u_flow = x_y / float(np.linalg.norm(x_y))
+    speed = float(np.linalg.norm(x_y))
+    u_flow, slack = x_y / speed, 2.0 * _FLOW_TOL / speed
 
     grid = np.linspace(0.0, 1.0, 17, endpoint=False)
     vmax = float(np.max(np.abs(sym.grad(*np.meshgrid(grid, grid))))) / FOUR_PI
     step = min(0.02, 0.2 / (1.0 + vmax))
     ts = np.linspace(t_lo, t_hi, int(np.ceil((t_hi - t_lo) / step)) + 1)
     ts = np.concatenate([[t_lo - step], ts, [t_hi + step]])
-    positions = _lifted_positions(sym, x, ts[0], ts[-1])
-    pts = positions(ts)
+    neg, pos = (_flow_states(sym, x, end) for end in (min(ts[0], 0.0), max(ts[-1], 0.0)))
+
+    def states(times) -> np.ndarray:
+        times = np.asarray(times, dtype=float).reshape(-1)
+        return np.where((times < 0.0)[:, None], neg(times), pos(times))
+
+    pts = states(ts)[:, 0:2]
     diffs = wrap_difference(pts, y)
     dist = np.linalg.norm(diffs, axis=-1)
 
@@ -737,7 +746,7 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
 
     s = diffs @ u_flow
     near = dist < max(3.0 * vmax * step, 1e-5)
-    out: list[tuple[float, tuple[int, int]]] = []
+    out: list[Return] = []
     for i in np.nonzero((s[:-1] < 0.0) & (s[1:] >= 0.0) & near[:-1] & near[1:])[0]:
         lo, hi = float(ts[i]), float(ts[i + 1])
         t, pt = hi, pts[i + 1]
@@ -750,16 +759,15 @@ def return_times(sym: SymbolField, x, y, window) -> list[tuple[float, tuple[int,
                 t_new = 0.5 * (lo + hi)
             if abs(t_new - t) <= 1e-14 * max(1.0, abs(t)):
                 break
-            t, pt = t_new, positions(t_new)[0]
-        if float(np.linalg.norm(wrap_difference(positions(t_new)[0], y))) > 1e-9 or \
-                not t_lo - 1e-9 <= t_new <= t_hi + 1e-9:
-            continue  # a near miss, or a return outside the window
+            t, pt = t_new, states(t_new)[0, 0:2]
+        if not t_lo - slack <= t_new <= t_hi + slack:
+            continue  # a return outside the window
         r = min(max(t_new, t_lo), t_hi)
         # the self-return at t = 0 is structural: snap roundoff-sized roots to it
         r = 0.0 if abs(r) < 1e-12 else r
-        lifted = positions(r)[0]
-        winding = np.round(lifted - y).astype(int)
-        if float(np.linalg.norm(lifted - y - winding)) > 1e-8:
-            raise RegularityError("winding bookkeeping failed to close the path")
-        out.append((r, (int(winding[0]), int(winding[1]))))
+        state = states(r)
+        winding = np.round(state[0, 0:2] - y)
+        if float(np.linalg.norm(state[0, 0:2] - y - winding)) > 1e-9:
+            continue  # a near miss
+        out.append(Return(r, tuple(int(w) for w in winding), _trajectory(x, np.array([r]), state)))
     return out

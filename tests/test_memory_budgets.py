@@ -8,7 +8,8 @@ thetaq._BLOCK_PAIRS (row, point) or (row, eigenvalue) pairs: the sections
 of a space's self-test and Gram quadrature, graph_compare's time rows, the
 Fourier pair's arguments and the time-quadrature projector's nodes.  So
 each stage's peak stays near its output, and graph_compare's grows only
-with its O(rows) records.
+with its O(rows) records.  The return-time predictor holds one flow
+sweep's dense output per side of t = 0.
 """
 
 import tracemalloc
@@ -18,7 +19,12 @@ import pytest
 
 from torusprop import thetaq
 from torusprop.propkern import graph_compare, operator_for
-from torusprop.specproj import build_fourier_pair, projector_kernel_timequad
+from torusprop.harness import symbol_from_selector
+from torusprop.specproj import (
+    build_fourier_pair,
+    projector_kernel_asymptotic,
+    projector_kernel_timequad,
+)
 from torusprop.thetaq import gram_matrix, quantum_space
 from torusprop.torusgeo import make_symbol, model_cos_symbol
 
@@ -76,17 +82,23 @@ def _stage(name):
         # and cosine arrays would take 13 MB
         u = 400 * (E0 - operator_for(quantum_space(400), sym).eigenvalues)
         return lambda: pair.f_eval(u)
+    if name == "asymptotic-five-returns-bump7":
+        # two full-state sweeps to -7 and +7, about 50 floats per step held
+        five = symbol_from_selector("cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))")
+        x = (0.3, 0.1)
+        return lambda: projector_kernel_asymptotic(five, pair, float(five.principal(*x)), x, x)
     # 4095 nodes x 400 eigenvalues: the spectral matrix alone would take 26 MB
     qs = quantum_space(200)
     op = operator_for(qs, sym)
     return lambda: projector_kernel_timequad(qs, op, pair, E0, (0.3, 0.1), (0.3, 0.1))
 
 
-# each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB
+# each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB;
+# the five-return predictor reads 0.86 MB
 STAGE_BUDGETS = {"quantum_space-k50": 1_500_000, "gram_matrix-k50": 1_500_000,
                  "graph_compare-k400-101-rows": 1_500_000,
                  "graph_compare-expr-k400-101-rows": 1_500_000, "f_eval-k400": 1_200_000,
-                 "timequad-k200": 1_000_000}
+                 "timequad-k200": 1_000_000, "asymptotic-five-returns-bump7": 1_300_000}
 
 
 @pytest.mark.parametrize("name", STAGE_BUDGETS)

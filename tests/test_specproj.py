@@ -14,7 +14,7 @@ import pytest
 
 from torusprop.acceptance import Rate
 from torusprop.propkern import KernelSample, kernel_eval, operator_for
-from torusprop import specproj
+from torusprop import specproj, torusgeo
 from torusprop.harness import symbol_from_selector
 from torusprop.specproj import (
     FourierPair,
@@ -454,6 +454,21 @@ def test_expression_projector_carries_the_toeplitz_subprincipal_phase():
                              [50, 100, 200])
     for coarse, fine in zip(rows, rows[1:]):
         assert fine.rel_err_modulus <= 0.55 * coarse.rel_err_modulus
+
+
+def test_predictor_integrates_no_flow_of_its_own(monkeypatch):
+    # every term is built from the state return_times found its return with
+    def refused(*args, **kwargs):
+        raise AssertionError("integrate_flow called")
+
+    monkeypatch.setattr(torusgeo, "integrate_flow", refused)
+    sym = symbol_from_selector("cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))")
+    x = (0.3, 0.1)
+    pred = projector_kernel_asymptotic(sym, build_fourier_pair("bump", 7.0),
+                                       float(sym.principal(*x)), x, x)
+    assert len(pred.terms) == 5
+    # x = y: the terms at -t and t are conjugate up to the sweeps' accuracy
+    assert abs(pred.value(101).imag) <= 1e-9 * abs(pred.value(101))
 
 
 def test_compare_relative_error_smallest_at_widest_level():

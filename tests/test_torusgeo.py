@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,11 @@ def generic_symbol():
         return np.cos(TWO_PI * np.asarray(q, float)) + 0.3 * np.cos(TWO_PI * np.asarray(p, float))
 
     return make_symbol("two-frequency", principal)
+
+
+def pairs(returns):
+    """The (t, winding) of each Return."""
+    return [(r.t, r.winding) for r in returns]
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +646,11 @@ def test_returns_diagonal_wide_window():
     expect_times = [-2.0 * t1, -t1, 0.0, t1, 2.0 * t1]
     expect_windings = [(-2, 0), (-1, 0), (0, 0), (1, 0), (2, 0)]
     assert len(rts) == 5
-    for (t, w), te, we in zip(rts, expect_times, expect_windings):
+    for (t, w, _), te, we in zip(rts, expect_times, expect_windings):
         assert t == pytest.approx(te, abs=1e-9)
         assert w == we
     # symmetry t <-> -t on the diagonal
-    ts = [t for t, _ in rts]
+    ts = [r.t for r in rts]
     assert np.allclose(sorted(ts), sorted(-t for t in ts), atol=1e-9)
 
 
@@ -688,12 +695,12 @@ def test_returns_on_the_ends_of_the_window(route):
         sym = dataclasses.replace(sym, exact_flow=None)
     x = (0.3, 0.1)
     t1 = 2.0 / np.sin(TWO_PI * 0.1)
-    assert return_times(sym, x, x, (0.0, 1.2)) == [(0.0, (0, 0))]
+    assert pairs(return_times(sym, x, x, (0.0, 1.2))) == [(0.0, (0, 0))]
     rts = return_times(sym, x, x, (-t1, 0.0))
     assert len(rts) == 2
     assert rts[0][0] == pytest.approx(-t1, abs=1e-9)
     assert rts[0][1] == (-1, 0)
-    assert rts[1] == (0.0, (0, 0))
+    assert rts[1][:2] == (0.0, (0, 0))
     rts = return_times(sym, x, x, (0.5, t1))
     assert len(rts) == 1
     assert rts[0][0] == pytest.approx(t1, abs=1e-9)
@@ -709,14 +716,14 @@ def test_returns_in_windows_shorter_than_a_flow_step(route):
         sym = dataclasses.replace(sym, exact_flow=None)
     x = (0.3, 0.1)
     t1 = 2.0 / np.sin(TWO_PI * 0.1)
-    assert return_times(sym, x, x, (0.0, 0.0)) == [(0.0, (0, 0))]
-    assert return_times(sym, x, x, (-1e-7, 1e-7)) == [(0.0, (0, 0))]
+    assert pairs(return_times(sym, x, x, (0.0, 0.0))) == [(0.0, (0, 0))]
+    assert pairs(return_times(sym, x, x, (-1e-7, 1e-7))) == [(0.0, (0, 0))]
     for window in ((t1, t1), (t1 - 1e-6, t1 + 1e-6)):
         rts = return_times(sym, x, x, window)
         assert len(rts) == 1
         assert rts[0][0] == pytest.approx(t1, abs=1e-9)
         assert rts[0][1] == (1, 0)
-    assert return_times(sym, x, x, (0.5, 0.5)) == []
+    assert pairs(return_times(sym, x, x, (0.5, 0.5))) == []
 
 
 @pytest.mark.parametrize("q0", [0.1, 0.3, 0.65, 0.9])
@@ -729,10 +736,63 @@ def test_integrated_returns_match_the_closed_form_shear(q0):
         for window in ((-7.0, 7.0), (0.0, 5.0), (-4.0, 0.0)):
             ref = return_times(closed, x, y, window)
             got = return_times(integrated, x, y, window)
-            assert [w for _, w in got] == [w for _, w in ref], (dp, window)
-            assert np.allclose([t for t, _ in got], [t for t, _ in ref], rtol=0.0, atol=1e-9)
+            assert [r.winding for r in got] == [r.winding for r in ref], (dp, window)
+            assert np.allclose([r.t for r in got], [r.t for r in ref], rtol=0.0, atol=1e-9)
             count += len(ref)
     assert count >= 20
+
+
+def test_returns_match_a_tight_tolerance_reference():
+    # returns_reference.json holds the returns of 96 cases (model-cos in
+    # closed form and integrated, four expressions; four points each, y = x;
+    # four windows) as the position-only search that preceded the full-state
+    # sweeps found them at _FLOW_TOL = 1e-12.  At 1e-10 that search was off
+    # by up to 8.8e-9 in time, the full-state sweeps by 3.5e-10
+    symbols = {}
+    for case in json.loads(Path(__file__).with_name("returns_reference.json").read_text()):
+        selector = case["symbol"]
+        if selector not in symbols:
+            sym = symbol_from_selector(selector.split("/")[0])
+            symbols[selector] = (dataclasses.replace(sym, exact_flow=None)
+                                 if selector.endswith("/integrated") else sym)
+        got = return_times(symbols[selector], case["x"], case["x"], case["window"])
+        want = case["returns"]
+        assert [list(r.winding) for r in got] == [w for _, w in want], case
+        assert np.allclose([r.t for r in got], [t for t, _ in want], rtol=0.0, atol=1e-9), case
+    assert len(symbols) == 6
+
+
+@pytest.mark.parametrize("selector", ["cos(2*pi*p)+cos(2*pi*q)",
+                                      "cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))"])
+def test_a_return_on_a_zero_width_window_is_kept(selector):
+    # y = phi_t(x) by integrate_flow's sweep, which ends at t; the search's
+    # sweeps run past t and may place the passage 2 _FLOW_TOL / |X(y)| away
+    sym = symbol_from_selector(selector)
+    for x in np.random.default_rng(4).random((3, 2)):
+        for t in (-1.5828, -2.4850, 0.3370):
+            traj = integrate_flow(sym, x, [t])
+            winding = tuple(int(w) for w in np.floor(traj.points_lifted[-1]))
+            assert pairs(return_times(sym, x, traj.points[-1], (t, t))) == [(t, winding)], (x, t)
+
+
+@pytest.mark.parametrize("selector", ["cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))",
+                                      "cos(2*pi*q)"])
+def test_each_return_carries_the_state_a_fresh_sweep_gives(selector):
+    # the five returns inside bump:7's support, each read off the search's
+    # own sweep: a fresh integrate_flow to its time agrees to the flow
+    # tolerance (seen within 2.2 _FLOW_TOL of 1 + |entry|)
+    sym = symbol_from_selector(selector)
+    x = (0.3, 0.1)
+    rts = return_times(sym, x, x, (-7.0, 7.0))
+    assert len(rts) == 5
+    for r in rts:
+        fresh = integrate_flow(sym, x, [r.t])
+        assert r.flow.times.tolist() == [r.t]
+        for name in ("points", "points_lifted", "jacobians", "action_H", "action_Hsub",
+                     "conn_L", "theta_a"):
+            got, want = getattr(r.flow, name), getattr(fresh, name)
+            assert np.all(np.abs(got - want) <= 10 * torusgeo._FLOW_TOL * (1 + np.abs(want))), \
+                (r.t, name)
 
 
 def test_returns_by_construction():
@@ -740,7 +800,7 @@ def test_returns_by_construction():
     traj = integrate_flow(sym, (0.3, 0.1), np.array([0.0, 0.5]))
     y = traj.points[-1]
     rts = return_times(sym, (0.3, 0.1), y, (0.0, 1.0))
-    assert any(abs(t - 0.5) < 1e-9 for t, _ in rts)
+    assert any(abs(t - 0.5) < 1e-9 for t, _, _ in rts)
 
 
 def test_returns_generic_symbol():
@@ -749,14 +809,14 @@ def test_returns_generic_symbol():
     traj = integrate_flow(sym, x, np.linspace(0.0, 0.8, 9))
     y = traj.points[-1]
     rts = return_times(sym, x, y, (0.0, 1.2))
-    assert any(abs(t - 0.8) < 1e-7 for t, _ in rts)
+    assert any(abs(t - 0.8) < 1e-7 for t, _, _ in rts)
 
 
 def test_returns_p_dependent_expression_symbol():
     # mode-sum derivatives; the orbit through (0.3, 0.1) closes after ~13.6
     sym = make_symbol("mixed", lambda p, q: np.cos(TWO_PI * np.asarray(q, float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
-    assert return_times(sym, (0.3, 0.1), (0.3, 0.1), (-3.0, 3.0)) == [(0.0, (0, 0))]
+    assert pairs(return_times(sym, (0.3, 0.1), (0.3, 0.1), (-3.0, 3.0))) == [(0.0, (0, 0))]
 
 
 def test_returns_require_common_level():
