@@ -418,7 +418,11 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
     return dense
 
 
-_FLOW_TOL = 1e-10
+# Sweeps up to |t| = 7 must end within symplin's det rule and check_level's
+# tolerance, which their global error reaches at 1e-10.  The floor
+# |t_end| eps / tol rises as tol falls: at 1e-11 the many-mode symbol
+# 1/((1.1 + cos 2 pi p)(1.1 + cos 2 pi q)) needs steps below it.
+_FLOW_TOL = 3e-11
 
 
 def _flow_states(sym: SymbolField, x: np.ndarray, t_end: float) -> Callable:

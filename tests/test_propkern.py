@@ -293,6 +293,30 @@ def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("taus", [
+    [-1.0, -0.3, 0.0, 1e-13, 0.5, 1.0], [0.0], [1e-13], [-1.0], [1.0, -1.0], [-0.02, 0.02],
+], ids=["both-signs", "zero", "tiny", "negative-cap", "cap-last-negative", "small"])
+def test_chebyshev_rows_match_exact_phases(taus):
+    # a one-diagonal operator spanning its box [-0.6, 2] (centre 0.7) is its
+    # own eigenbasis, so e^{-i tau T} v is e^{-i tau d} v exactly; taus of
+    # +-1 here reach |tau| r = _CHEB_ARG, the largest argument of one
+    # expansion (seen within 8.3e-15 ||v|| over nine draws)
+    k = 10
+    d = 0.7 + 1.3 * np.cos(np.pi * np.arange(2 * k) / (2 * k - 1))
+    op = HermitianOperator(k=k, diagonals={0: d})
+    box = propkern._spectral_box(op)
+    assert box == pytest.approx((0.7, 1.3))
+    taus = np.array(taus) * propkern._CHEB_ARG / box[1]
+    rng = np.random.default_rng(38)
+    v = rng.normal(size=2 * k) + 1j * rng.normal(size=2 * k)
+    s_rows = rng.normal(size=(taus.size, 2 * k)) + 1j * rng.normal(size=(taus.size, 2 * k))
+    s_rows /= np.linalg.norm(s_rows, axis=1, keepdims=True)
+    vals, carried = propkern._chebyshev_rows(op, box, v, taus, s_rows)
+    want = np.einsum("ij,ij->i", s_rows, np.exp(-1j * np.outer(taus, d)) * v)
+    assert np.max(np.abs(vals - want)) <= 2e-14 * np.linalg.norm(v)
+    assert np.max(np.abs(carried - np.exp(-1j * taus[-1] * d) * v)) <= 2e-14 * np.linalg.norm(v)
+
+
 def test_multi_diagonal_propagator_runs_no_eigh_and_no_dense_matrix(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the propagator diagonalized or densified its operator")

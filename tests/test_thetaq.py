@@ -560,6 +560,59 @@ def test_covariant_symbol_of_a_toeplitz_mode_is_the_doubly_damped_mode(k):
         assert np.all(np.abs(got - np.exp(-a) * mode) >= 0.5 * (np.exp(-a) - np.exp(-2.0 * a)))
 
 
+def _bergman_pairs(k: int) -> list:
+    """Pairs (y, x) within about 0.6 / sqrt(k) of each other modulo Z^2:
+    near pairs in the unit cell, pairs that wind across a cell edge once y
+    is reduced to the cell, and pairs whose points are lifted by up to 2."""
+    rng = np.random.default_rng(23 + k)
+    out = []
+    for case in range(9):
+        x = rng.random(2)
+        y = x + rng.normal(size=2) * 0.42 / np.sqrt(k)
+        if case % 3 == 1:
+            x = np.array([0.995, rng.random()]) if case < 6 else np.array([rng.random(), 0.005])
+            y = x + (0.6 / np.sqrt(k)) * np.array([1.0, 0.3] if case < 6 else [0.3, -1.0])
+            y -= np.floor(y)
+        elif case % 3 == 2:
+            x, y = x + rng.integers(-2, 3, size=2), y + rng.integers(-2, 3, size=2)
+        out.append((y, x))
+    return out
+
+
+def _bergman_lattice_sum(k: int, y, x, lattice_sign: float = 1.0) -> complex:
+    """(k / 2 pi) sum_w e^{-pi k |y + w - x|^2} e^{2 pi i k [(p_x (q_y + w_q)
+    - q_x (p_y + w_p)) - (w_p q_y - w_q p_y)]}, w over a 13 x 13 block of
+    Z^2 centred on the nearest image, far past e^{-pi k |w|^2}'s last
+    significant term at k = 1."""
+    centre = np.round(x - y)
+    w = centre + np.stack(np.meshgrid(np.arange(-6, 7), np.arange(-6, 7)), -1).reshape(-1, 2)
+    d = y + w - x
+    phase = (x[0] * (y[1] + w[:, 1]) - x[1] * (y[0] + w[:, 0])
+             - lattice_sign * (w[:, 0] * y[1] - w[:, 1] * y[0]))
+    return k / TWO_PI * np.sum(np.exp(-np.pi * k * np.sum(d * d, axis=1) + 2j * np.pi * k * phase))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 137, 400])
+def test_bergman_kernel_is_the_gauged_gaussian_lattice_sum(k):
+    # sum_l s_l(y) conj(s_l(x)) in the unit gauge e^{2 pi i k (p_y q_y -
+    # p_x q_x)} is the straight-segment transport of alpha times the lattice
+    # gauge factor, summed over the images y + w: no eigh, no quadrature.
+    # Rounding grows like k (1 + |x|^2 + |y|^2), the gauge's phase (seen
+    # within 4e-16 of that over k / 2 pi); a sign flip in either gauge
+    # phase misses by orders more
+    qs = quantum_space(k)
+    for y, x in _bergman_pairs(k):
+        s = sections(qs, np.array([complex(*y), complex(*x)]))
+        bergman = s[:, 0] @ np.conjugate(s[:, 1])
+        unit = np.exp(2j * np.pi * k * (y[0] * y[1] - x[0] * x[1]))
+        want = _bergman_lattice_sum(k, y, x)
+        tol = 2e-15 * k * (1.0 + x @ x + y @ y) * k / TWO_PI
+        assert abs(bergman * unit - want) <= tol, (k, y, x)
+        assert abs(bergman / unit - want) >= 1e3 * tol, (k, y, x)
+        if np.any(np.round(x - y)):
+            assert abs(bergman * unit - _bergman_lattice_sum(k, y, x, -1.0)) >= 1e3 * tol, (k, y, x)
+
+
 def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
     # T_k(f) is the compression of multiplication by f, so its spectrum lies
     # in [min f, max f] = [-1.1, 1.1]
