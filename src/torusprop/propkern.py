@@ -12,7 +12,7 @@ autonomous, so the propagator e^{-i k t T} is the row g = e^{-i k t lambda}.
 other operator is never diagonalized: its propagator kernel is
 s(y) . e^{-i k t T} conj(s(x)), with the vector stepped along the time grid
 by Chebyshev-Bessel expansions that need only ``T.apply`` (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 1984), their coefficients read off one FFT.
+Kosloff, J. Chem. Phys. 81, 1984), their coefficients read off two real FFTs.
 The predicted side is the leading-order kernel on the graph of the
 classical flow,
 
@@ -169,16 +169,17 @@ def _chebyshev_rows(op: HermitianOperator, box: tuple[float, float], v: np.ndarr
     three-term recurrence of ``op.apply`` serves every row, and its last
     row's sum is the vector carried on.  The coefficients (-i)^n J_n(z) are
     the Fourier coefficients of e^{-i z cos theta} (Jacobi-Anger, Abramowitz
-    & Stegun 9.1.44-45), read off one FFT over N = 2 (n_max + 1) angles for
-    either sign of tau and for tau = 0: the nearest alias of order n <= n_max
-    is order N - n >= n_max + 2, past _bessel_terms' bound.
+    & Stegun 9.1.44-45), read off real FFTs of its two parts over
+    N = 2 (n_max + 1) angles, so no temporary outgrows the coefficient block,
+    for either sign of tau and for tau = 0: the nearest alias of order
+    n <= n_max is order N - n >= n_max + 2, past _bessel_terms' bound.
     """
 
     centre, radius = box
     n_max = _bessel_terms(float(np.max(np.abs(taus))) * radius)
-    cos_theta = np.cos(np.pi * np.arange(2 * n_max + 2) / (n_max + 1))
-    coef = np.fft.fft(np.exp(-1j * np.multiply.outer(taus * radius, cos_theta)), axis=1)
-    coef = coef[:, :n_max + 1].T / cos_theta.size
+    phase = np.multiply.outer(taus * radius, np.cos(np.pi * np.arange(2 * n_max + 2) / (n_max + 1)))
+    coef = np.fft.rfft(np.cos(phase)) - 1j * np.fft.rfft(np.sin(phase))
+    coef = coef[:, :n_max + 1].T / phase.shape[1]
     coef[1:] *= 2.0
     coef *= np.exp(-1j * centre * taus)
     prev, cur = v, (op.apply(v) - centre * v) / radius

@@ -369,15 +369,17 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
     ``t_end`` (either sign); returns the dense evaluator
     ``ts -> (len(ts), n)``, Shampine's quartic over each accepted step's
     stages (y0 exactly at t = 0).  A step is accepted when
-    max_i |err_i| / (1 + |y_i|) <= tol; a rejected step at the floor
-    |t_end| * eps / tol, below which the rounding of the steps alone would
-    exceed tol, raises StepSizeError.
+    max_i |err_i| / (1 + |y_i|) <= tol, err never below eps, the rounding of
+    the step's own sum; a rejected step at the floor 10 eps |t_end|, below
+    which it would not advance the time by its own length, raises
+    StepSizeError.
     """
 
     y = np.array(y0, dtype=float)
     span = abs(float(t_end))
     sign = 1.0 if t_end >= 0 else -1.0
-    h_min = span * np.finfo(float).eps / tol
+    eps = np.finfo(float).eps
+    h_min = 10.0 * eps * span
     stages = np.empty((7, y.size))
     stages[0] = rhs(y)
     h = tol ** 0.2 / (1e-3 + float(np.max(np.abs(stages[0]) / (1.0 + np.abs(y)))))
@@ -391,7 +393,7 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
             stages[i] = rhs(y + dt * (_DP_A[i] @ stages[:i]))
         y_new = y + dt * (_DP_B @ stages[:6])
         stages[6] = rhs(y_new)
-        err = float(np.max(np.abs(dt * (_DP_E @ stages)) / (1.0 + np.abs(y_new))))
+        err = max(eps, float(np.max(np.abs(dt * (_DP_E @ stages)) / (1.0 + np.abs(y_new)))))
         if err <= tol:
             starts.append(sign * t)
             bases.append(y)
@@ -402,7 +404,7 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
         elif h <= h_min:
             raise StepSizeError(f"flow integrator error estimate {err:.2e} exceeds {tol:.0e} "
                                 f"at the step-size floor {h_min:.1e}")
-        h = max(h_min, h * (min(10.0, max(0.2, 0.9 * (tol / err) ** 0.2)) if err > 0.0 else 10.0))
+        h = max(h_min, h * min(10.0, max(0.2, 0.9 * (tol / err) ** 0.2)))
 
     if not starts:
         return lambda ts: np.tile(y, (np.size(ts), 1))
@@ -419,10 +421,8 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
 
 
 # Sweeps up to |t| = 7 must end within symplin's det rule and check_level's
-# tolerance, which their global error reaches at 1e-10.  The floor
-# |t_end| eps / tol rises as tol falls: at 1e-11 the many-mode symbol
-# 1/((1.1 + cos 2 pi p)(1.1 + cos 2 pi q)) needs steps below it.
-_FLOW_TOL = 3e-11
+# tolerance, which their global error reaches at 1e-10.
+_FLOW_TOL = 1e-11
 
 
 def _flow_states(sym: SymbolField, x: np.ndarray, t_end: float) -> Callable:

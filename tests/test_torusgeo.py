@@ -299,6 +299,20 @@ def test_unreachable_tolerance_is_reported(monkeypatch):
         integrate_flow(generic_symbol(), (0.3, 0.1), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("eccentricity, t_end", [(0.995, 7.0), (0.998, 7.0), (0.998, -7.0)])
+def test_a_long_sweep_is_not_refused_for_its_short_steps(eccentricity, t_end):
+    # theta' = 1 / (1 - e cos theta) solves Kepler's equation
+    # t = theta - e sin theta.  Each pericentre passage takes steps of 2.1e-5
+    # (e = 0.995) and 5.8e-6 (e = 0.998) under a tolerance of 1e-11, below
+    # |t_end| eps / tol = 1.6e-4, and the sweep keeps its accuracy (seen
+    # within 330 _FLOW_TOL in t)
+    ts = np.linspace(0.0, t_end, 71)
+    dense = _dopri5(lambda th: 1.0 / (1.0 - eccentricity * np.cos(th)), [0.0], t_end,
+                    torusgeo._FLOW_TOL)
+    theta = dense(ts)[:, 0]
+    assert np.max(np.abs(theta - eccentricity * np.sin(theta) - ts)) <= 1000 * torusgeo._FLOW_TOL
+
+
 def test_expression_flow_stays_within_call_budget():
     # the symbol is called only to sample its Fourier modes
     calls = [0]
@@ -749,8 +763,8 @@ def test_returns_match_a_tight_tolerance_reference():
     # closed form and integrated, four expressions; four points each, y = x;
     # four windows) as the position-only search that preceded the full-state
     # sweeps found them at _FLOW_TOL = 1e-12.  At 1e-10 that search was off
-    # by up to 8.8e-9 in time, the full-state sweeps by 3.5e-10; at 3e-11 the
-    # sweeps are off by 7.1e-11
+    # by up to 8.8e-9 in time, the full-state sweeps by 3.5e-10; at 1e-11 the
+    # sweeps are off by 7.4e-11
     symbols = {}
     for case in json.loads(Path(__file__).with_name("returns_reference.json").read_text()):
         selector = case["symbol"]
@@ -802,7 +816,7 @@ def test_a_long_sweep_ends_on_its_energy_level():
 def test_each_return_carries_the_state_a_fresh_sweep_gives(selector):
     # the five returns inside bump:7's support, each read off the search's
     # own sweep: a fresh integrate_flow to its time agrees to the flow
-    # tolerance (seen within 2.9 _FLOW_TOL of 1 + |entry|)
+    # tolerance (seen within 3.9 _FLOW_TOL of 1 + |entry|)
     sym = symbol_from_selector(selector)
     x = (0.3, 0.1)
     rts = return_times(sym, x, x, (-7.0, 7.0))
