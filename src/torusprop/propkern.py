@@ -197,18 +197,19 @@ def _propagated_rows(qs: QuantumSpace, op: HermitianOperator, tg: np.ndarray, ys
     """The propagator kernels at (y_i, t_i; x) for a multi-diagonal operator:
     s(y_i) . e^{-i k t_i T} conj(s(x)) times the unit gauge.
 
-    The time grid is walked in row blocks of the working-set budget; each
-    block's rows share Chebyshev expansions about the last time reached,
-    each reaching at most _CHEB_ARG / (k r) in time, r the radius of
-    _spectral_box, and a gap longer than that is crossed in equal
-    sub-steps first.
+    The time grid is walked in row blocks of the working-set budget, a row
+    being the wider of the 2k sections and the 2 (n_max + 1) Chebyshev
+    angles at the _CHEB_ARG cap; each block's rows share expansions about
+    the last time reached, each reaching at most _CHEB_ARG / (k r) in time,
+    r the radius of _spectral_box, and a gap longer than that is crossed in
+    equal sub-steps first.
     """
 
     box = _spectral_box(op)
     reach = _CHEB_ARG / (qs.k * box[1])
     w, t_ref = np.conjugate(sections(qs, complex(*x_pq))), 0.0
     out = np.empty(tg.size, dtype=complex)
-    block = _block_len(qs.dim, 1)
+    block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
     for lo in range(0, tg.size, block):
         t, y = tg[lo:lo + block], ys[lo:lo + block]
         s_rows = sections(qs, y[:, 0] + 1j * y[:, 1]).T

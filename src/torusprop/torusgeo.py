@@ -18,8 +18,8 @@ Values, gradients and Hessians are exact mode sums (the flow takes all of
 them from one set of phases), and the Toeplitz matrices are built from the
 same modes.
 
-Every flow state comes from ``_flow_states``: the closed form when the
-symbol carries one (``model-cos``), otherwise one adaptive Dormand–Prince
+Every flow state comes from ``_flow_states``: the exact shear for a symbol
+of q alone (``model-cos`` among them), otherwise one adaptive Dormand–Prince
 5(4) sweep from t = 0 with fourth-order dense output.  ``integrate_flow``
 reads one sweep at its grid; ``return_times`` runs one on each side of 0,
 finds every return on it and hands back each return's state, so the
@@ -208,9 +208,8 @@ class SymbolField:
     modes of the two parts.  The callables take broadcastable (p, q) and
     return the broadcast shape, (..., 2) = (H_p, H_q) for ``grad``; ``jet``
     returns everything from one set of phases, (..., 8) = (H, H^sub, H_p,
-    H_q, H_pp, H_pq, H_qp, H_qq).  ``exact_flow``, when present, maps (x,
-    times) to the flow state in closed form, in the (len(times), 10) layout
-    the integrator carries (``_flow_rhs``): the integrator's fast path.
+    H_q, H_pp, H_pq, H_qp, H_qq).  When no mode of either part depends on
+    p, the flow is the exact shear of ``_shear_states``.
     """
 
     name: str
@@ -219,10 +218,9 @@ class SymbolField:
     jet: Callable
     modes: tuple = field(repr=False, compare=False)
     sub_modes: tuple = field(repr=False, compare=False)
-    exact_flow: Callable | None = None
 
 
-def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> SymbolField:
+def make_symbol(name: str, principal, subprincipal=None) -> SymbolField:
     """Build a SymbolField from real callables (p, q): both parts become
     their Fourier modes, and values and derivatives are exact mode sums.
     Raises RegularityError when a part is not smooth and lattice-periodic.
@@ -230,7 +228,8 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
     / (4k)}, so the jet's H^sub, which the flow integrates, is that
     operator's subprincipal symbol g + Delta f / (16 pi) (Charles, CMP 239,
     2003), while ``sub_modes`` keeps g.  This holds for every symbol;
-    model_cos_symbol picks its g so that H^sub is its constant."""
+    model_cos_symbol picks its g so that H^sub is its constant.  Parts with
+    only m = 0 modes flow as the exact shear (``_shear_states``)."""
 
     modes = _fourier_modes(principal, name)
     sub_modes = _fourier_modes(subprincipal or (lambda p, q: 0.0), name)
@@ -247,7 +246,7 @@ def make_symbol(name: str, principal, subprincipal=None, exact_flow=None) -> Sym
         name=name,
         principal=lambda p, q: jet(p, q)[..., 0],
         grad=lambda p, q: jet(p, q)[..., 2:4],
-        jet=jet, modes=modes, sub_modes=sub_modes, exact_flow=exact_flow)
+        jet=jet, modes=modes, sub_modes=sub_modes)
 
 
 def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
@@ -256,36 +255,15 @@ def model_cos_symbol(sub_const: float = 0.0) -> SymbolField:
 
     operator_for quantizes it undamped, as cos(pi ell / k) + c / k, which is
     T_k(f + g/k) up to O(k^-2); so the jet's H^sub, g + Delta f / (16 pi),
-    is c.  The flow is the exact shear phi_t(p, q) = (p + (t/2) sin(2*pi*q),
-    q), and its whole state has closed forms: the lifted point, the
-    Jacobian [[1, pi t cos(2 pi q)], [0, 1]] row-major, int H, int H^sub,
-    int alpha(X) and theta_a, the columns ``_flow_rhs`` integrates.  They
-    are installed as the integrator's fast path.
+    is c.  Like every symbol of q alone, it flows as the exact shear
+    phi_t(p, q) = (p + (t/2) sin(2*pi*q), q) (``_shear_states``).
     """
-
-    def exact_flow(x, times):
-        p0, q0 = float(x[0]), float(x[1])
-        times = np.asarray(times, dtype=float)
-        s = np.sin(TWO_PI * q0)
-        c = np.cos(TWO_PI * q0)
-        one, zero = np.ones_like(times), np.zeros_like(times)
-        return np.column_stack([
-            p0 + 0.5 * s * times, np.full_like(times, q0),
-            one, np.pi * times * c, zero, one,
-            times * c,
-            times * float(sub_const),
-            # alpha(X) = 2 pi (p X_q - q X_p) = -pi q sin(2 pi q), constant along the shear
-            -np.pi * times * q0 * s,
-            # the holomorphic determinant is 1 - i pi t cos(2 pi q) / 2
-            -np.arctan(0.5 * np.pi * times * c),
-        ])
 
     def principal(p, q):
         return np.cos(TWO_PI * np.asarray(q, dtype=float))
 
     return make_symbol("model-cos", principal,
-                       lambda p, q: float(sub_const) + 0.25 * np.pi * principal(p, q),
-                       exact_flow=exact_flow)
+                       lambda p, q: float(sub_const) + 0.25 * np.pi * principal(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +403,35 @@ def _dopri5(rhs: Callable, y0, t_end: float, tol: float) -> Callable:
 _FLOW_TOL = 1e-11
 
 
+def _shear_states(sym: SymbolField, y0: np.ndarray) -> Callable | None:
+    """The exact flow state from y0, ts -> (len(ts), 10) in ``_flow_rhs``'s
+    columns, for a symbol whose principal and subprincipal modes all have
+    m = 0 (None for any other): X = (-H_q, 0) / (4 pi) is constant along
+    q = q0, so phi_t is the shear p -> p + t X_p, with M = [[1, -t H_qq /
+    (4 pi)], [0, 1]], int H = t H, int H^sub = t H^sub, int alpha(X) =
+    -2 pi q0 X_p t and theta_a = arctan(t H_qq / (8 pi)), from one jet."""
+    if sym.modes[0][:, 0].any() or sym.sub_modes[0][:, 0].any():
+        return None
+    h, h_sub, _, h_q, _, _, _, h_qq = sym.jet(y0[0], y0[1])
+    x_p = -h_q / FOUR_PI
+    rate = np.array([x_p, 0.0, 0.0, -h_qq / FOUR_PI, 0.0, 0.0, h, h_sub, -TWO_PI * y0[1] * x_p, 0.0])
+
+    def states(ts) -> np.ndarray:
+        t = np.asarray(ts, dtype=float).reshape(-1, 1)
+        out = y0 + t * rate
+        out[:, 9] = np.arctan(t[:, 0] * h_qq / (8.0 * np.pi))
+        return out
+
+    return states
+
+
 def _flow_states(sym: SymbolField, x: np.ndarray, t_end: float) -> Callable:
     """Dense flow state from x, ts -> (len(ts), 10) in ``_flow_rhs``'s
-    columns for ts between 0 and ``t_end``: the closed form, or one
-    ``_dopri5`` sweep of ``_flow_rhs`` from 0 to t_end under ``_FLOW_TOL``."""
-    if sym.exact_flow is not None:
-        return lambda ts: sym.exact_flow(x, np.asarray(ts, dtype=float).reshape(-1))
+    columns for ts between 0 and ``t_end``: the exact shear for a symbol of
+    q alone (``_shear_states``), otherwise one ``_dopri5`` sweep of
+    ``_flow_rhs`` from 0 to t_end under ``_FLOW_TOL``."""
     y0 = np.array([x[0], x[1], 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    return _dopri5(lambda y: _flow_rhs(sym, y), y0, t_end, _FLOW_TOL)
+    return _shear_states(sym, y0) or _dopri5(lambda y: _flow_rhs(sym, y), y0, t_end, _FLOW_TOL)
 
 
 def _trajectory(x: np.ndarray, times: np.ndarray, states: np.ndarray) -> Trajectory:
@@ -450,19 +449,18 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
 
     The state is the point, the Jacobian M row-major, int H, int H^sub,
     int alpha(X) and theta_a (``_flow_rhs``'s columns), from the evaluator
-    ``return_times`` also reads: the closed form when the symbol carries
-    one, otherwise one adaptive Dormand–Prince 5(4) sweep from 0 to the last
-    grid time, accepting a step when its embedded error estimate satisfies
+    ``return_times`` also reads: the exact shear for a symbol of q alone,
+    otherwise one adaptive Dormand–Prince 5(4) sweep from 0 to the last grid
+    time, accepting a step when its embedded error estimate satisfies
     max_i |err_i| / (1 + |y_i|) <= tol = ``_FLOW_TOL``, read at the grid
     from its fourth-order dense output, so the grid does not set the step.
     The Jacobian stack is checked once by symplin's rule, the one
     ``rho_graph_half`` applies (|det M - 1| <= 1e-10 max(1, ||M||_inf^2)
     + 1e-9), which scales with ||M||^2 as the defect of a Jacobian known to
-    a relative accuracy does; no sweep is repeated.
-    Raises RegularityError when the grid turns back, repeats a time or
-    crosses 0, StepSizeError when a step at the step-size floor misses the
-    tolerance, and symplin's StructureError, naming the first bad time
-    index, when the check fails.
+    a relative accuracy does; no sweep is repeated.  Raises RegularityError
+    when the grid turns back, repeats a time or crosses 0, StepSizeError
+    when a step at the step-size floor misses the tolerance, and symplin's
+    StructureError, naming the first bad time index, when the check fails.
     """
 
     x = np.asarray(x, dtype=float).reshape(2)

@@ -77,6 +77,13 @@ def _stage(name):
         expr = make_symbol("cos-q-sin-p", lambda p, q: np.cos(2.0 * np.pi * np.asarray(q, dtype=float))
                            + 0.1 * np.sin(2.0 * np.pi * np.asarray(p, dtype=float)))
         return lambda: graph_compare(qs, expr, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    if name == "graph_compare-expr-k5-1001-rows":
+        # below k = 87 a row is the 174 Chebyshev angles, not the 2k sections:
+        # blocks sized from 2k = 10 alone held 600 rows, and their angle
+        # arrays took 0.85 MB each
+        qs = quantum_space(5)
+        expr = symbol_from_selector("cos(2*pi*q)+0.1*sin(2*pi*p)")
+        return lambda: graph_compare(qs, expr, (0.3, 0.1), np.linspace(0.0, 1.0, 1001))
     if name == "f_eval-k400":
         # 800 arguments up to |u| ~ 720 on 2048 nodes; unblocked, the angle
         # and cosine arrays would take 13 MB
@@ -94,10 +101,12 @@ def _stage(name):
 
 
 # each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB;
-# the five-return predictor reads 0.86 MB
+# the five-return predictor reads 0.86 MB; the k = 5 propagator reads 0.56 MB
+# (1.19 MB with blocks sized from 2k alone)
 STAGE_BUDGETS = {"quantum_space-k50": 1_500_000, "gram_matrix-k50": 1_500_000,
                  "graph_compare-k400-101-rows": 1_500_000,
-                 "graph_compare-expr-k400-101-rows": 1_500_000, "f_eval-k400": 1_200_000,
+                 "graph_compare-expr-k400-101-rows": 1_500_000,
+                 "graph_compare-expr-k5-1001-rows": 800_000, "f_eval-k400": 1_200_000,
                  "timequad-k200": 1_000_000, "asymptotic-five-returns-bump7": 1_300_000}
 
 

@@ -242,14 +242,15 @@ def test_predictor_phase_slope_at_zero():
 def test_graph_compare_chunks_match_one_call(monkeypatch):
     # a generic symbol (three diagonals, so Chebyshev blocks) on a 31-row
     # grid cut into blocks of 7 rows against one dense kernel_eval call over
-    # every row: at k = 12 the budget of 7 x 24 pairs sets the block, and the
+    # every row: at k = 12 a row is the 174 Chebyshev angles, wider than the
+    # 2k = 24 sections, so a budget of 7 x 174 pairs sets the block, and the
     # grid's span keeps each block to one expansion
     qs = quantum_space(12)
     sym = make_symbol("cos-q-sin-p", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, dtype=float)))
     x = (0.3, 0.1)
     tg = np.linspace(0.0, 0.3, 31)
-    monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 7 * qs.dim)
+    monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 7 * (2 * propkern._bessel_terms(propkern._CHEB_ARG) + 2))
     chunks = []
     rows_of = propkern._chebyshev_rows
     monkeypatch.setattr(propkern, "_chebyshev_rows",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from pathlib import Path
@@ -48,6 +49,27 @@ def generic_symbol():
 def pairs(returns):
     """The (t, winding) of each Return."""
     return [(r.t, r.winding) for r in returns]
+
+
+@contextlib.contextmanager
+def flow_route(route=None):
+    """Run the enclosed flows on one route, yielding the end times of the
+    _dopri5 sweeps that ran: "integrated" refuses the exact shear, so a
+    symbol of q alone is swept too, "closed form" refuses any sweep, and
+    None leaves the choice to _flow_states."""
+    sweeps = []
+
+    def counted(rhs, y0, t_end, tol):
+        if route == "closed form":
+            raise AssertionError("the integrator ran on the closed-form route")
+        sweeps.append(t_end)
+        return _dopri5(rhs, y0, t_end, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "integrated":
+            mp.setattr(torusgeo, "_shear_states", lambda sym, y0: None)
+        mp.setattr(torusgeo, "_dopri5", counted)
+        yield sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +201,25 @@ def test_shear_flow_point_and_jacobian():
     assert np.allclose(traj.jacobians[-1], expect_jac, atol=1e-10)
 
 
-def test_closed_form_flow_is_guarded_once():
+def test_closed_form_flow_is_guarded_once(monkeypatch):
+    # the shear's states meet the same one symplin check as a sweep's
     calls = []
-    base = model_cos_symbol()
+    shear = torusgeo._shear_states
 
-    def skewed(x, times):
-        calls.append(1)
-        state = base.exact_flow(x, times)
-        state[:, 2:6] *= 2.0  # the Jacobian columns
-        return state
+    def skewed(sym, y0):
+        states = shear(sym, y0)
 
+        def doubled(ts):
+            calls.append(1)
+            state = states(ts)
+            state[:, 2:6] *= 2.0  # the Jacobian columns
+            return state
+
+        return doubled
+
+    monkeypatch.setattr(torusgeo, "_shear_states", skewed)
     with pytest.raises(StructureError, match=r"not symplectic .* at stack index \(0,\)"):
-        integrate_flow(dataclasses.replace(base, exact_flow=skewed), (0.3, 0.1), np.linspace(0.0, 1.0, 5))
+        integrate_flow(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 5))
     assert len(calls) == 1
 
 
@@ -202,13 +231,16 @@ def test_time_zero_is_trivial():
 
 
 def test_generic_integrator_reproduces_closed_form():
-    # Same symbol, exact-flow fast path stripped: the integrator must
-    # reproduce every closed-form trajectory quantity, action_Hsub included
-    # (the jet's H^sub, c + (pi/4) cos 2 pi q + Delta f / (16 pi), is c)
+    # Same symbol, exact shear refused: the integrator must reproduce every
+    # closed-form trajectory quantity, action_Hsub included (the jet's
+    # H^sub, c + (pi/4) cos 2 pi q + Delta f / (16 pi), is c)
     sym = model_cos_symbol(sub_const=0.25)
     times = np.linspace(0.0, 1.5, 16)
-    got = integrate_flow(dataclasses.replace(sym, exact_flow=None), (0.3, 0.1), times)
-    ref = integrate_flow(sym, (0.3, 0.1), times)
+    with flow_route("integrated") as sweeps:
+        got = integrate_flow(sym, (0.3, 0.1), times)
+    assert sweeps == [1.5]
+    with flow_route("closed form"):
+        ref = integrate_flow(sym, (0.3, 0.1), times)
     for name in ("points_lifted", "jacobians", "action_H", "action_Hsub", "conn_L", "theta_a"):
         assert np.max(np.abs(getattr(got, name) - getattr(ref, name))) < 1e-9, name
     assert np.max(np.abs(ref.action_Hsub - times * 0.25)) < 1e-9
@@ -321,20 +353,25 @@ def test_expression_flow_stays_within_call_budget():
         calls[0] += 1
         return np.cos(TWO_PI * np.asarray(q, float)) + 0.0 * np.asarray(p, float)
 
-    traj = integrate_flow(make_symbol("cos-q-fd", principal), (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    with flow_route("integrated") as sweeps:
+        traj = integrate_flow(make_symbol("cos-q-fd", principal), (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    assert sweeps == [1.0]
     assert calls[0] < 2000
     assert np.allclose(traj.points_lifted[-1], [0.3 + 0.5 * np.sin(0.2 * np.pi), 0.1], atol=1e-9)
 
 
 def test_dense_output_between_steps_matches_shear():
-    sym = dataclasses.replace(model_cos_symbol(), exact_flow=None)
+    sym = model_cos_symbol()
     x = np.array([0.3, 0.1])
     dense = _dopri5(lambda pt: hamiltonian_vector_field(sym, pt), x, 8.0, 1e-10)
     ts = np.array([0.123, 6.9])
     expect = np.column_stack([0.3 + 0.5 * np.sin(0.2 * np.pi) * ts, np.full(2, 0.1)])
     assert np.max(np.abs(dense(ts) - expect)) < 1e-9
-    got = integrate_flow(sym, x, np.array([0.0, 0.123, 6.9]))
-    ref = integrate_flow(model_cos_symbol(), x, np.array([0.0, 0.123, 6.9]))
+    with flow_route("integrated") as sweeps:
+        got = integrate_flow(sym, x, np.array([0.0, 0.123, 6.9]))
+    assert sweeps == [6.9]
+    with flow_route("closed form"):
+        ref = integrate_flow(sym, x, np.array([0.0, 0.123, 6.9]))
     assert np.max(np.abs(got.points_lifted - ref.points_lifted)) < 1e-9
     assert np.max(np.abs(got.jacobians - ref.jacobians)) < 1e-9
 
@@ -347,8 +384,10 @@ def test_dense_output_between_steps_matches_shear():
 def test_shear_transport_closed_form():
     # the L-transport e^{i conn_L}, on the closed-form and the integrated flow
     times = np.linspace(0.0, 2.0, 9)
-    for sym in (model_cos_symbol(), dataclasses.replace(model_cos_symbol(), exact_flow=None)):
-        traj = integrate_flow(sym, (0.3, 0.1), times)
+    for route in ("closed form", "integrated"):
+        with flow_route(route) as sweeps:
+            traj = integrate_flow(model_cos_symbol(), (0.3, 0.1), times)
+        assert len(sweeps) == (route == "integrated")
         got = np.exp(1j * traj.conn_L)
         expect = np.exp(-1j * np.pi * times * 0.1 * np.sin(0.2 * np.pi))
         assert np.max(np.abs(got - expect)) < 1e-12
@@ -707,20 +746,20 @@ def test_returns_on_the_ends_of_the_window(route):
     # a return on an end of the window is bracketed only by the flow sample
     # one step past that end
     sym = model_cos_symbol()
-    if route == "integrated":
-        sym = dataclasses.replace(sym, exact_flow=None)
     x = (0.3, 0.1)
     t1 = 2.0 / np.sin(TWO_PI * 0.1)
-    assert pairs(return_times(sym, x, x, (0.0, 1.2))) == [(0.0, (0, 0))]
-    rts = return_times(sym, x, x, (-t1, 0.0))
-    assert len(rts) == 2
-    assert rts[0][0] == pytest.approx(-t1, abs=1e-9)
-    assert rts[0][1] == (-1, 0)
-    assert rts[1][:2] == (0.0, (0, 0))
-    rts = return_times(sym, x, x, (0.5, t1))
-    assert len(rts) == 1
-    assert rts[0][0] == pytest.approx(t1, abs=1e-9)
-    assert rts[0][1] == (1, 0)
+    with flow_route(route) as sweeps:
+        assert pairs(return_times(sym, x, x, (0.0, 1.2))) == [(0.0, (0, 0))]
+        rts = return_times(sym, x, x, (-t1, 0.0))
+        assert len(rts) == 2
+        assert rts[0][0] == pytest.approx(-t1, abs=1e-9)
+        assert rts[0][1] == (-1, 0)
+        assert rts[1][:2] == (0.0, (0, 0))
+        rts = return_times(sym, x, x, (0.5, t1))
+        assert len(rts) == 1
+        assert rts[0][0] == pytest.approx(t1, abs=1e-9)
+        assert rts[0][1] == (1, 0)
+    assert bool(sweeps) == (route == "integrated")
 
 
 @pytest.mark.parametrize("route", ["closed form", "integrated"])
@@ -728,30 +767,32 @@ def test_returns_in_windows_shorter_than_a_flow_step(route):
     # the samples span one flow step past each end, so a window of zero or
     # tiny width still brackets its return instead of looking degenerate
     sym = model_cos_symbol()
-    if route == "integrated":
-        sym = dataclasses.replace(sym, exact_flow=None)
     x = (0.3, 0.1)
     t1 = 2.0 / np.sin(TWO_PI * 0.1)
-    assert pairs(return_times(sym, x, x, (0.0, 0.0))) == [(0.0, (0, 0))]
-    assert pairs(return_times(sym, x, x, (-1e-7, 1e-7))) == [(0.0, (0, 0))]
-    for window in ((t1, t1), (t1 - 1e-6, t1 + 1e-6)):
-        rts = return_times(sym, x, x, window)
-        assert len(rts) == 1
-        assert rts[0][0] == pytest.approx(t1, abs=1e-9)
-        assert rts[0][1] == (1, 0)
-    assert pairs(return_times(sym, x, x, (0.5, 0.5))) == []
+    with flow_route(route) as sweeps:
+        assert pairs(return_times(sym, x, x, (0.0, 0.0))) == [(0.0, (0, 0))]
+        assert pairs(return_times(sym, x, x, (-1e-7, 1e-7))) == [(0.0, (0, 0))]
+        for window in ((t1, t1), (t1 - 1e-6, t1 + 1e-6)):
+            rts = return_times(sym, x, x, window)
+            assert len(rts) == 1
+            assert rts[0][0] == pytest.approx(t1, abs=1e-9)
+            assert rts[0][1] == (1, 0)
+        assert pairs(return_times(sym, x, x, (0.5, 0.5))) == []
+    assert bool(sweeps) == (route == "integrated")
 
 
 @pytest.mark.parametrize("q0", [0.1, 0.3, 0.65, 0.9])
 def test_integrated_returns_match_the_closed_form_shear(q0):
-    closed = model_cos_symbol()
-    integrated = dataclasses.replace(closed, exact_flow=None)
+    sym = model_cos_symbol()
     count = 0
     for dp in (0.0, 0.37, 0.81):
         x, y = (0.3, q0), ((0.3 + dp) % 1.0, q0)
         for window in ((-7.0, 7.0), (0.0, 5.0), (-4.0, 0.0)):
-            ref = return_times(closed, x, y, window)
-            got = return_times(integrated, x, y, window)
+            with flow_route("closed form"):
+                ref = return_times(sym, x, y, window)
+            with flow_route("integrated") as sweeps:
+                got = return_times(sym, x, y, window)
+            assert len(sweeps) == 2  # one per side of t = 0
             assert [r.winding for r in got] == [r.winding for r in ref], (dp, window)
             assert np.allclose([r.t for r in got], [r.t for r in ref], rtol=0.0, atol=1e-9)
             count += len(ref)
@@ -764,15 +805,17 @@ def test_returns_match_a_tight_tolerance_reference():
     # four windows) as the position-only search that preceded the full-state
     # sweeps found them at _FLOW_TOL = 1e-12.  At 1e-10 that search was off
     # by up to 8.8e-9 in time, the full-state sweeps by 3.5e-10; at 1e-11 the
-    # sweeps are off by 7.4e-11
+    # sweeps are off by 7.4e-11.  cos(2*pi*q), like model-cos, takes the
+    # exact shear unless the case forces the integrator
     symbols = {}
     for case in json.loads(Path(__file__).with_name("returns_reference.json").read_text()):
         selector = case["symbol"]
         if selector not in symbols:
-            sym = symbol_from_selector(selector.split("/")[0])
-            symbols[selector] = (dataclasses.replace(sym, exact_flow=None)
-                                 if selector.endswith("/integrated") else sym)
-        got = return_times(symbols[selector], case["x"], case["x"], case["window"])
+            symbols[selector] = symbol_from_selector(selector.split("/")[0])
+        forced = selector.endswith("/integrated")
+        with flow_route("integrated" if forced else None) as sweeps:
+            got = return_times(symbols[selector], case["x"], case["x"], case["window"])
+        assert sweeps or not forced, case
         want = case["returns"]
         assert [list(r.winding) for r in got] == [w for _, w in want], case
         assert np.allclose([r.t for r in got], [t for t, _ in want], rtol=0.0, atol=1e-9), case
@@ -817,18 +860,57 @@ def test_each_return_carries_the_state_a_fresh_sweep_gives(selector):
     # the five returns inside bump:7's support, each read off the search's
     # own sweep: a fresh integrate_flow to its time agrees to the flow
     # tolerance (seen within 3.9 _FLOW_TOL of 1 + |entry|)
+    # tolerance (seen within 3.9 _FLOW_TOL of 1 + |entry|); cos(2*pi*q) is
+    # swept too, not sheared
     sym = symbol_from_selector(selector)
     x = (0.3, 0.1)
-    rts = return_times(sym, x, x, (-7.0, 7.0))
-    assert len(rts) == 5
-    for r in rts:
-        fresh = integrate_flow(sym, x, [r.t])
-        assert r.flow.times.tolist() == [r.t]
-        for name in ("points", "points_lifted", "jacobians", "action_H", "action_Hsub",
-                     "conn_L", "theta_a"):
-            got, want = getattr(r.flow, name), getattr(fresh, name)
-            assert np.all(np.abs(got - want) <= 10 * torusgeo._FLOW_TOL * (1 + np.abs(want))), \
-                (r.t, name)
+    with flow_route("integrated") as sweeps:
+        rts = return_times(sym, x, x, (-7.0, 7.0))
+        assert len(rts) == 5
+        for r in rts:
+            fresh = integrate_flow(sym, x, [r.t])
+            assert r.flow.times.tolist() == [r.t]
+            for name in ("points", "points_lifted", "jacobians", "action_H", "action_Hsub",
+                         "conn_L", "theta_a"):
+                got, want = getattr(r.flow, name), getattr(fresh, name)
+                assert np.all(np.abs(got - want) <= 10 * torusgeo._FLOW_TOL * (1 + np.abs(want))), \
+                    (r.t, name)
+    assert len(sweeps) == 2 + 5
+
+
+_Q_ALONE = {"model-cos": model_cos_symbol, "model-cos-c0.7": lambda: model_cos_symbol(0.7),
+            "cos(2*pi*q)": lambda: symbol_from_selector("cos(2*pi*q)"),
+            "cos(2*pi*q)+0.3*sin(4*pi*q)": lambda: symbol_from_selector("cos(2*pi*q)+0.3*sin(4*pi*q)")}
+
+
+@pytest.mark.parametrize("name", _Q_ALONE)
+def test_the_exact_shear_is_the_sweep_of_a_symbol_of_q_alone(name):
+    # every principal and subprincipal mode has m = 0: all ten state columns
+    # of the shear match a forced sweep to t = -7 and 7 within 10 _FLOW_TOL
+    # of 1 + |entry|, and neither the flow nor the return search sweeps
+    sym = _Q_ALONE[name]()
+    for x in ((0.3, 0.1), (0.85, 0.62), (0.1, 0.37)):
+        for t_end in (-7.0, 7.0):
+            ts = np.linspace(0.0, t_end, 141)
+            with flow_route("closed form"):
+                shear = torusgeo._flow_states(sym, np.array(x), t_end)(ts)
+                assert return_times(sym, x, x, (-7.0, 7.0))
+            with flow_route("integrated") as sweeps:
+                swept = torusgeo._flow_states(sym, np.array(x), t_end)(ts)
+            assert sweeps == [t_end]
+            assert np.all(np.abs(shear - swept) <= 10 * torusgeo._FLOW_TOL * (1 + np.abs(swept))), \
+                (x, t_end, np.max(np.abs(shear - swept) / (1 + np.abs(swept)), axis=0))
+
+
+@pytest.mark.parametrize("sym", [
+    symbol_from_selector("cos(2*pi*p)"), symbol_from_selector("cos(2*pi*q)+0.1*sin(2*pi*p)"),
+    symbol_from_selector("cos(2*pi*q)+1e-9*cos(2*pi*p)"),
+    make_symbol("p-in-the-subprincipal-part", lambda p, q: np.cos(TWO_PI * np.asarray(q, float)),
+                lambda p, q: 0.1 * np.cos(TWO_PI * np.asarray(p, float)))], ids=lambda sym: sym.name)
+def test_a_symbol_with_a_p_mode_never_takes_the_shear(sym):
+    with flow_route() as sweeps:
+        integrate_flow(sym, (0.3, 0.1), [0.5])
+    assert sweeps == [0.5]
 
 
 def test_returns_by_construction():
