@@ -307,7 +307,7 @@ def _crit_a12() -> CriterionResult:
     # theta_a picks each branch; on this fine grid the principal angle of
     # each ratio is the step of the branch angle
     max_step = float(np.max(np.abs(np.angle(halves[1:] / halves[:-1]))))
-    rho = 1.0 / holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
+    rho = 1.0 / traj.holomorphic_det
     sq_gap = float(np.max(np.abs(halves ** 2 - rho)))
     passed = max_step < np.pi / 4 and sq_gap <= 1e-12
     return CriterionResult(

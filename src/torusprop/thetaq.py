@@ -79,6 +79,8 @@ K_MAX = 400
 # The one working-set budget: (row, point) or (row, eigenvalue) pairs per block of every
 # exact-side grid (_block_len); 94 KiB temporaries, under glibc's 128 KiB mmap threshold.
 _BLOCK_PAIRS = 6000
+# The theta window's one truncation rule: the first omitted term is <= 2^-60 of the centre term.
+_LOG_TAIL = 60.0 * math.log(2.0)
 
 GAUGE_NOTE = (
     "basis prefactor exp(2*pi*i*ell*z) (derived from the lattice multipliers); "
@@ -112,28 +114,37 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumSpace:
-    """Level-k space of theta sections with its numerical parameters.
+    """Level-k space of theta sections; its numerical parameters follow from k.
 
     ``theta_terms`` is the half-width R of the shifted theta summation
-    window (a built space takes the smallest R >= 2 with
-    2 pi k (R-1)^2 >= 34, so its edge terms sit at most
-    e^{-2 pi k R (R-1)} <= e^{-34} below the centre term: R = 2 from k = 6
-    on, 3 or 4 below);
-    ``quad_order`` the node count per axis N for the Gram quadrature (a
-    built space takes N^2 >= 60 k, so the aliasing error e^{-pi N^2 / (4k)}
-    stays below e^{-15 pi});
-    ``gauge_note`` records which basis/weight gauge passed adjudication, the
-    same for every space.
+    window, the smallest R >= 1 with 2 pi k R (R+1) >= 60 ln 2: the first
+    omitted term, at x +- 2k(R+1) for a centre term at |x| <= k, sits at
+    most 2^-60 below it (R = 3, 2, 2 at k = 1, 2, 3, then 1);
+    ``quad_order`` the Gram quadrature's nodes per axis N, the smallest
+    multiple of 16, at least 32, with N^2 >= 60 k: the trapezoid rule on the
+    torus misses the Gram integral only by aliasing, about e^{-pi N^2/(4k)}
+    <= e^{-15 pi} (Trefethen & Weideman, SIAM Rev. 56, 2014);
+    ``gauge_note`` records which basis/weight gauge passed adjudication.
     """
 
     k: int
-    theta_terms: int
-    quad_order: int
     gauge_note: ClassVar[str] = GAUGE_NOTE
 
     @property
     def dim(self) -> int:
         return 2 * self.k
+
+    @property
+    def theta_terms(self) -> int:
+        r = 1
+        while TWO_PI * self.k * r * (r + 1) < _LOG_TAIL:
+            r += 1
+        return r
+
+    @property
+    def quad_order(self) -> int:
+        n = math.isqrt(60 * self.k - 1) + 1
+        return max(32, -(-n // 16) * 16)
 
     def log_metric_weight(self, q) -> np.ndarray:
         """log of the pointwise weight: -4*pi*k*q^2."""
@@ -143,12 +154,9 @@ class QuantumSpace:
 def quantum_space(k: int) -> QuantumSpace:
     """The level-k QuantumSpace, self-testing orthonormality at small k.
 
-    The theta window's edge terms sit at most e^{-34} below its centre
-    term (two terms on either side from k = 6 on), and the Gram quadrature
-    takes the smallest multiple of 16 nodes per axis, at least 32, with
-    N^2 >= 60 k: its aliasing error e^{-pi N^2 / (4k)} is then at most
-    e^{-15 pi} ~ 3e-21, so the node count grows like sqrt(k) (32 at k = 5,
-    64 at k = 50, 160 at k = 400).  The self-test (k <= 50,
+    Its theta window and Gram nodes follow from k (``QuantumSpace``: one
+    term on either side from k = 4 on; 64 nodes per axis at k = 50, 160 at
+    k = 400).  The self-test (k <= 50,
     per-basis-vector norms and a far off-diagonal pair) guards the gauge
     conventions; the full Gram identity is the gram_matrix contract.  Each
     level is built once: later calls return the same (frozen) space, and a
@@ -161,23 +169,10 @@ def quantum_space(k: int) -> QuantumSpace:
 
 @lru_cache(maxsize=None)
 def _built_space(k: int) -> QuantumSpace:
-    # the centre term's argument x has |x| <= k, so the edge terms at x +- 2kR
-    # sit at most e^{-2 pi k R (R-1)} <= e^{-34} below it
-    terms = int(np.ceil(np.sqrt(34.0 / (TWO_PI * k)))) + 1
-    qs = QuantumSpace(k=k, theta_terms=terms, quad_order=_gram_nodes(k))
+    qs = QuantumSpace(k)
     if k <= 50:
         _construction_self_test(qs)
     return qs
-
-
-def _gram_nodes(k: int) -> int:
-    """Nodes per axis of the Gram quadrature: the smallest multiple of 16,
-    at least 32, with N^2 >= 60 k.  The uniform trapezoid rule on the torus
-    misses the Gram integral only by aliasing, of size about
-    e^{-pi N^2 / (4k)} (Trefethen & Weideman, SIAM Rev. 56, 2014), so this
-    N puts the error near e^{-15 pi} ~ 3e-21."""
-    n = math.isqrt(60 * k - 1) + 1
-    return max(32, -(-n // 16) * 16)
 
 
 def _block_len(width: int, floor: int = 1) -> int:
@@ -240,8 +235,9 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
     For each row and point the series is summed over ``qs.theta_terms``
     terms on either side of its largest one, in blocks of points holding at
     most ``_BLOCK_PAIRS`` (row, point) pairs.  Raises IndexError for rows
-    outside [0, 2k), TruncationError when the window's edge terms exceed
-    1e-16 of its centre term, and EvaluationError on non-finite output.
+    outside [0, 2k), TruncationError when a block's first omitted term,
+    at its largest |x|, exceeds 2^-60 of the centre term, and
+    EvaluationError on non-finite output.
     """
 
     z = np.asarray(z, dtype=complex)
@@ -264,12 +260,12 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
         shifted = ell + 2.0 * k * q
         m_centre = ell - 2.0 * k * np.round(shifted / (2.0 * k))
         x = shifted + (m_centre - ell)
-        # the edge terms sit at x +- 2k*radius: log ratio to the centre term
-        edge_log = -TWO_PI * radius * (k * radius - float(np.max(np.abs(x))))
-        if edge_log > np.log(1e-16):
+        # the first omitted terms sit at x +- 2k(radius + 1): log ratio to the centre term
+        tail_log = -TWO_PI * (radius + 1) * (k * (radius + 1) - float(np.max(np.abs(x))))
+        if tail_log > -_LOG_TAIL:
             raise TruncationError(
-                f"theta window edge terms reach {np.exp(edge_log):.2e} of the "
-                f"centre term at k={k}; increase theta_terms")
+                f"first omitted theta term reaches {np.exp(tail_log):.2e} of the "
+                f"centre term at k={k} with {radius} terms on either side")
         hops = np.exp(2j * np.pi * np.outer(offsets, p))
         acc = np.zeros_like(x, dtype=complex)
         for off, hop in zip(offsets, hops):

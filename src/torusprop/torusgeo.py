@@ -51,6 +51,7 @@ lattice-periodic, and the lift dependence is exactly the bundle holonomy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -280,7 +281,8 @@ class Trajectory:
     are anchored at t = 0.  ``points`` is reduced to the fundamental domain,
     ``points_lifted`` is the continuous lift in R^2 that the connection
     integrals use.  ``theta_a`` is the continuous argument of the holomorphic
-    determinant of each Jacobian, 0 at t = 0.
+    determinant of each Jacobian, 0 at t = 0; ``holomorphic_det`` is that
+    determinant, its stack checked by symplin on the first read (in ``integrate_flow``).
     """
 
     start: np.ndarray
@@ -292,6 +294,10 @@ class Trajectory:
     action_Hsub: np.ndarray
     conn_L: np.ndarray
     theta_a: np.ndarray
+
+    @cached_property
+    def holomorphic_det(self) -> np.ndarray:
+        return holomorphic_determinant(LinearSymplectomorphism(self.jacobians))
 
 
 def hamiltonian_vector_field(sym: SymbolField, x) -> np.ndarray:
@@ -436,11 +442,12 @@ def _flow_states(sym: SymbolField, x: np.ndarray, t_end: float) -> Callable:
 
 def _trajectory(x: np.ndarray, times: np.ndarray, states: np.ndarray) -> Trajectory:
     """The Trajectory of states (len(times), 10), its Jacobians checked once."""
-    pts, jac = states[:, 0:2], states[:, 2:6].reshape(-1, 2, 2)
-    LinearSymplectomorphism(jac)
-    return Trajectory(start=x, times=times, points=pts - np.floor(pts), points_lifted=pts,
-                      jacobians=jac, action_H=states[:, 6], action_Hsub=states[:, 7],
-                      conn_L=states[:, 8], theta_a=states[:, 9])
+    pts = states[:, 0:2]
+    traj = Trajectory(start=x, times=times, points=pts - np.floor(pts), points_lifted=pts,
+                      jacobians=states[:, 2:6].reshape(-1, 2, 2), action_H=states[:, 6],
+                      action_Hsub=states[:, 7], conn_L=states[:, 8], theta_a=states[:, 9])
+    traj.holomorphic_det  # the check
+    return traj
 
 
 def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
@@ -506,15 +513,14 @@ def rho_graph_half(traj: Trajectory) -> np.ndarray:
     K-transport it would be divided by is 1 on the flat torus.  Its argument
     is -theta_a, which picks the square root's branch (1 at t = 0).
 
-    The whole trajectory's Jacobians go to ``symplin`` as one stack, so each
-    one passes the same checks as a single matrix would (det M = 1 to
-    1e-10 of its own squared inf-norm plus 1e-9, determinant
-    modulus >= 0.5), under the one implementation of those rules, and a
-    failure names the first bad index.
+    The determinants are the trajectory's ``holomorphic_det``: its whole
+    Jacobian stack went to ``symplin`` once, so each one passed the same
+    checks as a single matrix would (det M = 1 to 1e-10 of its own squared
+    inf-norm plus 1e-9, determinant modulus >= 0.5), under the one
+    implementation of those rules, and a failure names the first bad index.
     """
 
-    dets = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
-    return branch_sqrt_path(1.0 / dets, -traj.theta_a)
+    return branch_sqrt_path(1.0 / traj.holomorphic_det, -traj.theta_a)
 
 
 def rho_graph_frame(traj: Trajectory) -> np.ndarray:
@@ -551,10 +557,9 @@ def rho_graph_frame(traj: Trajectory) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _field_norms(sym: SymbolField, pts) -> np.ndarray:
-    """Metric norms sqrt(omega(X, jX)) of the Hamiltonian field at points
+def _field_norms(xv: np.ndarray) -> np.ndarray:
+    """Metric norms sqrt(omega(X, jX)) of Hamiltonian field values X
     (..., 2); raises RegularityError when any of them is below 1e-6."""
-    xv = hamiltonian_vector_field(sym, np.asarray(pts, dtype=float))
     vals = np.sqrt(FOUR_PI * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
     worst = float(np.min(vals))
     if worst < 1e-6:
@@ -565,7 +570,7 @@ def _field_norms(sym: SymbolField, pts) -> np.ndarray:
 
 def norm_X(sym: SymbolField, x) -> float:
     """Metric norm sqrt(omega(X, jX)) of the Hamiltonian field at x."""
-    return float(_field_norms(sym, x))
+    return float(_field_norms(hamiltonian_vector_field(sym, x)))
 
 
 def check_level(sym: SymbolField, x, energy: float) -> None:
@@ -601,9 +606,9 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
     """
 
     check_level(sym, traj.start, energy)
-    _field_norms(sym, traj.points)  # regularity guard: ns2, nt2 >= 1e-12 below
     x_src = hamiltonian_vector_field(sym, traj.start)
     x_dst = hamiltonian_vector_field(sym, traj.points_lifted)
+    _field_norms(x_dst)  # regularity guard: ns2, nt2 >= 1e-12 below
     ns2 = FOUR_PI * (x_src[0] ** 2 + x_src[1] ** 2)
     nt2 = FOUR_PI * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
 
@@ -619,9 +624,8 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
             np.any(np.abs(w.real - ratio) > 1e-6 * np.maximum(1.0, ratio)):
         raise RegularityError("Jacobian does not carry the source flow direction "
                               "to the target one; is the energy shared?")
-    a = holomorphic_determinant(LinearSymplectomorphism(traj.jacobians))
     return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst),
-                            -traj.theta_a - np.angle(dz_pushed / (a * dz_src)))
+                            -traj.theta_a - np.angle(dz_pushed / (traj.holomorphic_det * dz_src)))
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +724,7 @@ def return_times(sym: SymbolField, x, y, window) -> list[Return]:
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")
     check_level(sym, y, float(sym.principal(x[0], x[1])))
-    _field_norms(sym, np.array([x, y]))
+    _field_norms(hamiltonian_vector_field(sym, np.array([x, y])))
 
     x_y = hamiltonian_vector_field(sym, y)
     speed = float(np.linalg.norm(x_y))

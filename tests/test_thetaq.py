@@ -12,6 +12,7 @@ Gaussian.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -145,9 +146,21 @@ def test_theta3_vectorized_matches_scalar():
         assert np.max(np.abs(vec.log_scale[(slice(None),) + idx] - one.log_scale)) <= 1e-12
 
 
+@dataclass(frozen=True)
+class _Window(QuantumSpace):
+    """A level-k space summing ``terms`` theta terms on either side of the
+    centre term in place of the truncation rule's window."""
+
+    terms: int = 1
+
+    @property
+    def theta_terms(self) -> int:
+        return self.terms
+
+
 def test_theta3_window_too_small_raises():
     with pytest.raises(TruncationError):
-        basis_matrix(QuantumSpace(k=1, theta_terms=1, quad_order=32), 0.3 + 0.2j)
+        basis_matrix(_Window(1, 1), 0.3 + 0.2j)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +320,40 @@ def test_sections_contracts():
         with pytest.raises(IndexError):
             sections(qs, 0.1 + 0.1j, bad)
     with pytest.raises(TruncationError):
-        sections(QuantumSpace(k=1, theta_terms=1, quad_order=64), 0.3 + 0.2j)
+        sections(_Window(1, 1), 0.3 + 0.2j)
     with pytest.raises(EvaluationError):
         sections(qs, complex(np.nan, 0.1))
 
 
 def test_sections_stay_finite_beyond_log_form_range():
     # no exponent bookkeeping: the Bergman diagonal is k / 2 pi at k = 5000
-    qs = QuantumSpace(k=5000, theta_terms=3, quad_order=64)
+    qs = QuantumSpace(k=5000)
     assert bergman_diag(qs, 0.37 + 0.81j) == pytest.approx(5000 / TWO_PI, rel=1e-12)
+
+
+def _lifted_points(k: int, n: int) -> np.ndarray:
+    """n random points lifted up to 3 cells away, and the worst-centred
+    point q = 1/2, where row 0's centre term has argument |x| = k."""
+    rng = np.random.default_rng(41 + k)
+    z = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    return np.append(z, 0.3 + 0.5j)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 50, 400])
+def test_theta_window_drops_no_bit(k):
+    # three more terms on either side change no bit of any section: the
+    # first omitted term sits at most 2^-60 below the centre term
+    qs = QuantumSpace(k)
+    z = _lifted_points(k, 2000 if k < 100 else 300)
+    assert np.array_equal(sections(qs, z), sections(_Window(k, qs.theta_terms + 3), z))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 50, 400])
+def test_theta_window_one_narrower_is_refused(k):
+    # the rule's window is the smallest one that passes at |x| = k
+    narrow = _Window(k, QuantumSpace(k).theta_terms - 1)
+    with pytest.raises(TruncationError, match=f"at k={k} with {narrow.terms} terms"):
+        sections(narrow, _lifted_points(k, 10))
 
 
 def test_sections_unfolded_are_holomorphic():
@@ -393,8 +431,7 @@ class _WrongWeight(QuantumSpace):
 
 
 def test_rejected_weight_candidate_fails_self_test():
-    good = quantum_space(10)
-    bad = _WrongWeight(k=10, theta_terms=good.theta_terms, quad_order=good.quad_order)
+    bad = _WrongWeight(10)
     with pytest.raises(ConstructionError):
         _construction_self_test(bad)
 
@@ -425,6 +462,12 @@ def test_gram_node_rule_values():
         1: 32, 5: 32, 10: 32, 20: 48, 50: 64, 100: 80, 400: 160}
 
 
+def test_theta_window_rule_values():
+    # smallest R >= 1 with 2 pi k R (R+1) >= 60 ln 2
+    assert {k: QuantumSpace(k).theta_terms for k in (1, 2, 3, 4, 5, 6, 50, 400, 5000)} == {
+        1: 3, 2: 2, 3: 2, 4: 1, 5: 1, 6: 1, 50: 1, 400: 1, 5000: 1}
+
+
 def doubling_drift(qs) -> float:
     """How far the Gram matrix moves when the quadrature nodes double."""
     doubled = thetaq._gram_quadrature(qs, 2 * qs.quad_order)
@@ -449,8 +492,9 @@ def test_gram_verified_against_doubling():
 
 
 def test_gram_unresolved_quadrature_drifts_under_doubling():
-    qs = QuantumSpace(k=10, theta_terms=4, quad_order=12)
-    assert doubling_drift(qs) > 1e-9
+    qs = quantum_space(10)
+    coarse = thetaq._gram_quadrature(qs, 12)
+    assert np.max(np.abs(thetaq._gram_quadrature(qs, 24) - coarse)) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +636,15 @@ def _bergman_lattice_sum(k: int, y, x, lattice_sign: float = 1.0) -> complex:
     return k / TWO_PI * np.sum(np.exp(-np.pi * k * np.sum(d * d, axis=1) + 2j * np.pi * k * phase))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 137, 400])
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 137, 400, 1000, 5000])
 def test_bergman_kernel_is_the_gauged_gaussian_lattice_sum(k):
     # sum_l s_l(y) conj(s_l(x)) in the unit gauge e^{2 pi i k (p_y q_y -
     # p_x q_x)} is the straight-segment transport of alpha times the lattice
     # gauge factor, summed over the images y + w: no eigh, no quadrature.
     # Rounding grows like k (1 + |x|^2 + |y|^2), the gauge's phase (seen
     # within 4e-16 of that over k / 2 pi); a sign flip in either gauge
-    # phase misses by orders more
-    qs = quantum_space(k)
+    # phase misses by orders more.  Past K_MAX the space is built directly
+    qs = quantum_space(k) if k <= thetaq.K_MAX else QuantumSpace(k)
     for y, x in _bergman_pairs(k):
         s = sections(qs, np.array([complex(*y), complex(*x)]))
         bergman = s[:, 0] @ np.conjugate(s[:, 1])

@@ -494,6 +494,26 @@ def test_rho_graph_rejects_non_symplectic_jacobians():
         rho_graph_half(scaled)
 
 
+def test_trajectory_jacobians_are_checked_once(monkeypatch):
+    # integrate_flow checks the stack and keeps its determinants; the
+    # amplitudes read them and check nothing again
+    checks = []
+
+    def counted(m):
+        checks.append(np.shape(m))
+        return LinearSymplectomorphism(m)
+
+    monkeypatch.setattr(torusgeo, "LinearSymplectomorphism", counted)
+    for sym in (model_cos_symbol(), generic_symbol()):
+        checks.clear()
+        traj = integrate_flow(sym, (0.3, 0.1), np.linspace(0.0, 1.0, 11))
+        rho_graph_half(traj)
+        rho_level_half(sym, traj, float(sym.principal(0.3, 0.1)))
+        assert checks == [(11, 2, 2)]
+        assert np.array_equal(traj.holomorphic_det,
+                              holomorphic_determinant(LinearSymplectomorphism(traj.jacobians)))
+
+
 def test_rho_graph_names_the_first_bad_jacobian():
     traj = integrate_flow(generic_symbol(), (0.3, 0.1), np.linspace(0.0, 1.0, 11))
     jac = traj.jacobians.copy()
@@ -615,7 +635,7 @@ def test_rho_level_rejects_critical_point_on_trajectory():
     points = traj.points.copy()
     points[7] = (0.3, 0.5)  # a critical point of cos(2 pi q)
     with pytest.raises(RegularityError, match="critical"):
-        rho_level_half(sym, dataclasses.replace(traj, points=points),
+        rho_level_half(sym, dataclasses.replace(traj, points=points, points_lifted=points),
                        np.cos(TWO_PI * q0))
 
 
