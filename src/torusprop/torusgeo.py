@@ -724,9 +724,8 @@ def return_times(sym: SymbolField, x, y, window) -> list[Return]:
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")
     check_level(sym, y, float(sym.principal(x[0], x[1])))
-    _field_norms(hamiltonian_vector_field(sym, np.array([x, y])))
-
     x_y = hamiltonian_vector_field(sym, y)
+    _field_norms(np.array([hamiltonian_vector_field(sym, x), x_y]))
     speed = float(np.linalg.norm(x_y))
     u_flow, slack = x_y / speed, 2.0 * _FLOW_TOL / speed
 

@@ -1,6 +1,7 @@
 """CLI and config-handling tests: parsing, validation, table formats."""
 
 import json
+import threading
 import warnings
 
 import numpy as np
@@ -345,6 +346,22 @@ def test_propagator_multi_k_files(tmp_path):
     assert rc == 0
     for k in (30, 60):
         assert (tmp_path / f"prop_k{k}.csv").exists()
+
+
+@pytest.mark.parametrize("symbol", ["model-cos", "cos(2*pi*q)+0.1*sin(2*pi*p)"])
+def test_multi_k_propagator_starts_no_thread(symbol, tmp_path, monkeypatch):
+    # each k's file must hold the bytes of that k run alone
+    argv = ["propagator", "--symbol", symbol, "--tgrid", "0:0.1:0.5"]
+    for k in (10, 20):
+        assert main(argv + ["--k", str(k), "--out", str(tmp_path / f"alone_k{k}.csv")]) == 0
+
+    def no_thread(self):
+        raise AssertionError("the propagator must run on the calling thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    assert main(argv + ["--k", "20,10", "--out", str(tmp_path / "multi.csv")]) == 0
+    for k in (10, 20):
+        assert (tmp_path / f"multi_k{k}.csv").read_bytes() == (tmp_path / f"alone_k{k}.csv").read_bytes()
 
 
 def test_propagator_byte_determinism(tmp_path):
