@@ -152,9 +152,8 @@ def _crit_a5() -> CriterionResult:
     y = integrate_flow(sym, _POINT, [t]).points_lifted[-1] + np.array([0.2, 0.0])
     moduli = {}
     for k in (50, 100):
-        qs = quantum_space(k)
-        op = operator_for(qs, sym)
-        moduli[k] = abs(kernel_eval(qs, op, np.exp(-1j * qs.k * t * op.eigenvalues), y, _POINT)[0])
+        op = operator_for(quantum_space(k), sym)
+        moduli[k] = abs(kernel_eval(op, np.exp(-1j * k * t * op.eigenvalues), y, _POINT)[0])
     order = Rate(tuple(moduli), tuple(moduli.values())).orders[0]
     return CriterionResult(
         "A5", "off-graph kernel decay order between k=50 and k=100", order, 3.0,
@@ -195,8 +194,7 @@ def _crit_a8() -> CriterionResult:
     fhat0 = float(np.real(pair.fhat(0.0)))
     errs, exacts = {}, {}
     for k in (100, 200):
-        qs = quantum_space(k)
-        exacts[k] = abs(projector_kernel_exact(qs, operator_for(qs, sym), pair,
+        exacts[k] = abs(projector_kernel_exact(operator_for(quantum_space(k), sym), pair,
                                                _E0, _POINT, _POINT))
         target = (np.sqrt(k) / TWO_PI) * fhat0 * amp
         errs[k] = abs(exacts[k] - target) / target
@@ -224,8 +222,7 @@ def _crit_a9() -> CriterionResult:
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
     k = 200
-    qs = quantum_space(k)
-    exact = projector_kernel_exact(qs, operator_for(qs, sym), pair, _E0,
+    exact = projector_kernel_exact(operator_for(quantum_space(k), sym), pair, _E0,
                                    _POINT, _POINT)
     full = projector_kernel_asymptotic(sym, pair, _E0, _POINT, _POINT)
     stripped = ProjectorPrediction(tuple(t for t in full.terms if abs(t.t) < 3.0))
@@ -243,8 +240,7 @@ def _crit_a9() -> CriterionResult:
 
 
 def _crit_a10() -> CriterionResult:
-    qs = quantum_space(50)
-    op = operator_for(qs, model_cos_symbol())
+    op = operator_for(quantum_space(50), model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0)
     pairs = (((0.3, _Q0), (0.3, _Q0)),
              ((0.6, _Q0), (0.6, _Q0)),
@@ -252,13 +248,13 @@ def _crit_a10() -> CriterionResult:
     worst = 0.0
     per = {}
     for y, x in pairs:
-        a = projector_kernel_exact(qs, op, pair, _E0, y, x)
-        b = projector_kernel_timequad(qs, op, pair, _E0, y, x)
+        a = projector_kernel_exact(op, pair, _E0, y, x)
+        b = projector_kernel_timequad(op, pair, _E0, y, x)
         rel = abs(a - b) / max(1.0, abs(a))
         per[f"{y}<-{x}"] = rel
         worst = max(worst, rel)
     # the time side runs on twice the nodes the spectral side resolves f with
-    n_spectral = pair.node_count(float(np.max(np.abs(qs.k * (_E0 - op.eigenvalues)))))
+    n_spectral = pair.node_count(float(np.max(np.abs(op.space.k * (_E0 - op.eigenvalues)))))
     return CriterionResult(
         "A10", "spectral-sum and time-quadrature projector routes agree, k=50",
         worst, 1e-6, worst <= 1e-6,

@@ -1,18 +1,17 @@
 """Quantum propagators, their Schwartz kernels, and the geometric predictor.
 
-Exact kernels are contractions with the weight-folded sections s of the
-level-k space.  ``kernel_eval`` takes any spectral function: the kernel of
-g(T) for a Hermitian operator T with eigenpairs (lambda_j, v_j) is
+Exact kernels contract an operator T with the weight-folded sections s of
+its own level-k space, ``T.space``.  ``kernel_eval`` takes spectral rows:
+the kernel of g(T) for eigenpairs (lambda_j, v_j) is
 sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j): the sections at each point
 are projected onto the eigenvectors once (O(k^2) per point; skipped when the
 eigenbasis is the section basis, as for one-diagonal operators), then each
 spectral row costs O(k), and no 2k x 2k matrix is formed.  Symbols are
-autonomous, so the propagator e^{-i k t T} is the row g = e^{-i k t lambda}.
-``graph_compare`` takes that route only for one-diagonal operators.  Any
-other operator is never diagonalized: its propagator kernel is
-s(y) . e^{-i k t T} conj(s(x)), with the vector stepped along the time grid
-by Chebyshev-Bessel expansions that need only ``T.apply`` (Tal-Ezer &
-Kosloff, J. Chem. Phys. 81, 1984), their coefficients read off two real FFTs.
+autonomous, and ``_propagated_rows`` walks a propagator's time grid for
+s(y) . e^{-i k t T} conj(s(x)): a one-diagonal operator in exact steps, the
+rows e^{-i k t lambda} over its diagonal; any other, never diagonalized, in
+Chebyshev-Bessel expansions that need only ``T.apply`` (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 1984), their coefficients read off two real FFTs.
 The predicted side is the leading-order kernel on the graph of the
 classical flow,
 
@@ -91,39 +90,34 @@ class KernelSample:
 
 
 def _as_pq(point) -> tuple[float, float]:
-    if isinstance(point, complex):
-        return float(point.real), float(point.imag)
-    arr = np.asarray(point, dtype=float).reshape(-1)
-    if arr.size != 2:
+    if np.iscomplexobj(point) or np.size(point) != 2:
         raise ValueError(f"expected a (p, q) point, got {point!r}")
+    arr = np.asarray(point, dtype=float).reshape(-1)
     return float(arr[0]), float(arr[1])
 
 
-def kernel_eval(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x) -> np.ndarray:
+def kernel_eval(op: HermitianOperator, spectral, ys, x) -> np.ndarray:
     """Kernels of g_i(op) at (y_i, x) in the unit trivialization, as a
     complex array with one entry per row of ``spectral``.
 
     Row i of ``spectral`` holds g_i over op's eigenvalues (a 1-d array is one
     row); ``ys`` is one (possibly lifted) point, shared by every row, or one
     point per row.  Entry i is sum_j g_i(lambda_j) (s(y_i) v_j) conj(s(x) v_j)
-    times the gauge phase e^{2 pi i k (p_y q_y - p_x q_x)}.
+    times the gauge phase e^{2 pi i k (p_y q_y - p_x q_x)}, s the sections
+    of op's space.
     """
 
-    xp, xq = _as_pq(x)
-    return _kernel_rows(qs, op, spectral, ys, (xp, xq),
-                        np.conjugate(op.to_eigenbasis(sections(qs, complex(xp, xq)))))
-
-
-def _kernel_rows(qs: QuantumSpace, op: HermitianOperator, spectral, ys, x_pq, conj_x_modes):
+    x_pq = _as_pq(x)
+    conj_x_modes = np.conjugate(op.to_eigenbasis(sections(op.space, complex(*x_pq))))
     g = np.atleast_2d(np.asarray(spectral, dtype=complex))
     y = np.asarray(ys, dtype=float).reshape(-1, 2)
-    a_modes = op.to_eigenbasis(sections(qs, y[:, 0] + 1j * y[:, 1]).T)
-    return ((g * a_modes) @ conj_x_modes) * _gauge(qs, y, x_pq)
+    a_modes = op.to_eigenbasis(sections(op.space, y[:, 0] + 1j * y[:, 1]).T)
+    return ((g * a_modes) @ conj_x_modes) * _gauge(op.space.k, y, x_pq)
 
 
-def _gauge(qs: QuantumSpace, y: np.ndarray, x_pq) -> np.ndarray:
+def _gauge(k: int, y: np.ndarray, x_pq) -> np.ndarray:
     """The unit-gauge phase e^{2 pi i k (p_y q_y - p_x q_x)} at each row of y."""
-    return np.exp(2j * np.pi * qs.k * (y[:, 0] * y[:, 1] - x_pq[0] * x_pq[1]))
+    return np.exp(2j * np.pi * k * (y[:, 0] * y[:, 1] - x_pq[0] * x_pq[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +147,7 @@ def _spectral_box(op: HermitianOperator) -> tuple[float, float]:
     op's spectrum: each row's diagonal entry plus or minus the moduli of its
     other entries.  r <= sum_m max |d_m|, and r is much less where the
     diagonal sits off 0."""
-    diag = op.diagonals.get(0, np.zeros(2 * op.k)).real
+    diag = op.diagonals.get(0, np.zeros(op.space.dim)).real
     spread = sum(np.abs(d) for s, d in op.diagonals.items() if s)
     lo, hi = float(np.min(diag - spread)), float(np.max(diag + spread))
     return 0.5 * (lo + hi), max(0.5 * (hi - lo), 1e-300)
@@ -192,27 +186,37 @@ def _chebyshev_rows(op: HermitianOperator, box: tuple[float, float], v: np.ndarr
     return vals, carried
 
 
-def _propagated_rows(qs: QuantumSpace, op: HermitianOperator, tg: np.ndarray, ys: np.ndarray,
+def _propagated_rows(op: HermitianOperator, tg: np.ndarray, ys: np.ndarray,
                      x_pq) -> np.ndarray:
-    """The propagator kernels at (y_i, t_i; x) for a multi-diagonal operator:
-    s(y_i) . e^{-i k t_i T} conj(s(x)) times the unit gauge.
+    """The propagator kernels at (y_i, t_i; x): s(y_i) . e^{-i k t_i T}
+    conj(s(x)) times the unit gauge, s the sections of op's space.
 
-    The time grid is walked in row blocks of the working-set budget, a row
-    being the wider of the 2k sections and the 2 (n_max + 1) Chebyshev
-    angles at the _CHEB_ARG cap; each block's rows share expansions about
-    the last time reached, each reaching at most _CHEB_ARG / (k r) in time,
-    r the radius of _spectral_box, and a gap longer than that is crossed in
-    equal sub-steps first.
+    The time grid is walked in row blocks of the working-set budget.  A
+    one-diagonal operator takes a block of _block_len(2k, 1) rows in one
+    exact step, e^{-i k t lambda} over its diagonal.  Otherwise a row is the
+    wider of the 2k sections and the 2 (n_max + 1) Chebyshev angles at the
+    _CHEB_ARG cap; each block's rows share expansions about the last time
+    reached, each reaching at most _CHEB_ARG / (k r) in time, r the radius
+    of _spectral_box, and a gap longer than that is crossed in equal
+    sub-steps first.
     """
 
-    box = _spectral_box(op)
-    reach = _CHEB_ARG / (qs.k * box[1])
+    qs = op.space
+    exact_step = op.diagonals.keys() <= {0}
+    if exact_step:
+        block = _block_len(qs.dim, 1)
+    else:
+        box = _spectral_box(op)
+        reach = _CHEB_ARG / (qs.k * box[1])
+        block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
     w, t_ref = np.conjugate(sections(qs, complex(*x_pq))), 0.0
     out = np.empty(tg.size, dtype=complex)
-    block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
     for lo in range(0, tg.size, block):
         t, y = tg[lo:lo + block], ys[lo:lo + block]
         s_rows = sections(qs, y[:, 0] + 1j * y[:, 1]).T
+        if exact_step:
+            out[lo:lo + t.size] = (np.exp(-1j * qs.k * np.outer(t, op.eigenvalues)) * s_rows) @ w
+            continue
         i = 0
         while i < t.size:
             steps = math.ceil(abs(t[i] - t_ref) / reach)
@@ -226,7 +230,7 @@ def _propagated_rows(qs: QuantumSpace, op: HermitianOperator, tg: np.ndarray, ys
             out[lo + i:lo + j], w = _chebyshev_rows(op, box, w, qs.k * (t[i:j] - t_ref),
                                                     s_rows[i:j])
             t_ref, i = t[j - 1], j
-    return out * _gauge(qs, ys, x_pq)
+    return out * _gauge(qs.k, ys, x_pq)
 
 
 def _graph_predictions(traj: Trajectory, k: int) -> np.ndarray:
@@ -253,7 +257,7 @@ def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
         freqs, coeffs = sym.sub_modes
         c = float(np.sum(coeffs[~freqs.any(axis=1)].real))
         vals = np.cos(np.pi * np.arange(qs.dim) / qs.k) + c / qs.k
-        return HermitianOperator(k=qs.k, diagonals={0: vals})
+        return HermitianOperator(qs, {0: vals})
     return toeplitz_build(qs, sym)
 
 
@@ -264,10 +268,9 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
 
     The flow is read at the ``tgrid`` times only, and the moving point's
     sections come in row blocks of the thetaq._BLOCK_PAIRS budget, so memory
-    does not grow with the grid.  A one-diagonal operator takes the spectral
-    rows e^{-i k t lambda} over its diagonal; any other is never
-    diagonalized: e^{-i k t T} conj(s(x)) is stepped along the grid by
-    Chebyshev-Bessel expansions of ``op.apply`` (_propagated_rows).
+    does not grow with the grid: one walk of the grid (_propagated_rows),
+    in exact steps for a one-diagonal operator and Chebyshev-Bessel
+    expansions of ``op.apply`` for any other, which is never diagonalized.
     """
 
     tg = np.asarray(tgrid, dtype=float)
@@ -275,16 +278,7 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     traj = integrate_flow(sym, x_pq, tg)
     preds = _graph_predictions(traj, qs.k)
     ys = traj.points_lifted
-    op = operator_for(qs, sym)
-    if op.diagonals.keys() <= {0}:
-        chunk = _block_len(qs.dim, 1)
-        conj_x = np.conjugate(sections(qs, complex(*x_pq)))  # for every chunk
-        exact = np.concatenate([
-            _kernel_rows(qs, op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + chunk], op.eigenvalues)),
-                         ys[lo:lo + chunk], x_pq, conj_x)
-            for lo in range(0, tg.size, chunk)])
-    else:
-        exact = _propagated_rows(qs, op, tg, ys, x_pq)
+    exact = _propagated_rows(operator_for(qs, sym), tg, ys, x_pq)
     return [KernelSample(k=qs.k, x=x_pq, y=(float(y[0]), float(y[1])),
                          exact=complex(e), predicted=complex(p))
             for y, e, p in zip(ys, exact, preds)]

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .propkern import KernelSample, kernel_eval, operator_for
-from .thetaq import HermitianOperator, QuantumSpace, ResolutionError, _block_len, quantum_space
+from .thetaq import HermitianOperator, ResolutionError, _block_len, quantum_space
 from .torusgeo import (
     SymbolField,
     check_level,
@@ -210,22 +210,22 @@ def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
 
 def _spectral_coefficients(op: HermitianOperator, pair: FourierPair,
                            energy: float) -> np.ndarray:
-    return np.asarray(pair.f_eval(op.k * (energy - op.eigenvalues)), dtype=complex)
+    return np.asarray(pair.f_eval(op.space.k * (energy - op.eigenvalues)), dtype=complex)
 
 
-def projector_kernel_exact(qs: QuantumSpace, op: HermitianOperator,
-                           pair: FourierPair, energy: float, y, x, *,
+def projector_kernel_exact(op: HermitianOperator, pair: FourierPair, energy: float, y, x, *,
                            coeffs: np.ndarray | None = None) -> complex:
-    """Kernel of f(k(E - T)) at (y, x): spectral sum over the eigenbasis;
-    ``coeffs``, if given, are the precomputed f(k(E - lambda_l))."""
+    """Kernel of f(k(E - T)) at (y, x), k the level of T's space: spectral
+    sum over the eigenbasis; ``coeffs``, if given, are the precomputed
+    f(k(E - lambda_l))."""
 
     if coeffs is None:
         coeffs = _spectral_coefficients(op, pair, float(energy))
-    return complex(kernel_eval(qs, op, coeffs, y, x)[0])
+    return complex(kernel_eval(op, coeffs, y, x)[0])
 
 
-def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
-                              pair: FourierPair, energy: float, y, x) -> complex:
+def projector_kernel_timequad(op: HermitianOperator, pair: FourierPair, energy: float,
+                              y, x) -> complex:
     """The same kernel through the time side: (2 pi)^{-1/2} integral of
     fhat(t) e^{i k t E} U_{k,t}(y, x) dt by the trapezoid rule on twice the
     nodes the spectral route resolves f with.  Exact Fourier inversion up to
@@ -234,14 +234,15 @@ def projector_kernel_timequad(qs: QuantumSpace, op: HermitianOperator,
     w_j = sum_t h fhat(t) e^{ikt(E - lambda_j)} comes first, over node
     chunks within the budget; one ``kernel_eval`` call then contracts w."""
 
-    n = 2 * pair.node_count(float(np.max(np.abs(op.k * (energy - op.eigenvalues)))))
+    k = op.space.k
+    n = 2 * pair.node_count(float(np.max(np.abs(k * (energy - op.eigenvalues)))))
     h = 2.0 * pair.support_T / n
     t = h * np.arange(1 - n // 2, n // 2)  # |fhat(+-T)| <= 1e-14: endpoints dropped
-    coeff = h * np.asarray(pair.fhat(t), dtype=complex) * np.exp(1j * qs.k * t * float(energy))
-    chunk, ikt = _block_len(op.eigenvalues.size), -1j * qs.k * t
+    coeff = h * np.asarray(pair.fhat(t), dtype=complex) * np.exp(1j * k * t * float(energy))
+    chunk, ikt = _block_len(op.eigenvalues.size), -1j * k * t
     weights = sum(coeff[lo:lo + chunk] @ np.exp(np.outer(ikt[lo:lo + chunk], op.eigenvalues))
                   for lo in range(0, t.size, chunk))
-    return complex(kernel_eval(qs, op, weights, y, x)[0] / np.sqrt(TWO_PI))
+    return complex(kernel_eval(op, weights, y, x)[0] / np.sqrt(TWO_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +343,12 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     """
 
     rows = []
-    spaces = {int(k): quantum_space(int(k)) for k in ks}
-    ops = {k: operator_for(qs, sym) for k, qs in spaces.items()}
+    ops = {int(k): operator_for(quantum_space(int(k)), sym) for k in ks}
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
         y_pq, x_pq = _normalize_point_entry(entry)
         pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq)
-        for k in sorted(spaces):
-            exact = projector_kernel_exact(spaces[k], ops[k], pair, energy, y_pq, x_pq,
-                                           coeffs=coeffs[k])
+        for k in sorted(ops):
+            exact = projector_kernel_exact(ops[k], pair, energy, y_pq, x_pq, coeffs=coeffs[k])
             rows.append(KernelSample(k, x_pq, y_pq, exact, pred.value(k)))
     return rows

@@ -344,8 +344,8 @@ def _hermitian_parts(diagonals: dict) -> tuple[dict, float]:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian operator on the level-k space, held as its cyclic
-    diagonals, with eigendata computed on first read.
+    """A Hermitian operator on the level-k ``space`` it acts on, held as its
+    cyclic diagonals, with eigendata computed on first read.
 
     ``diagonals`` maps a shift m in [0, 2k) to the length-2k row d_m: the
     operator sends v to sum_m d_m * roll(v, m), i.e. row ell holds d_m[ell]
@@ -367,12 +367,12 @@ class HermitianOperator:
     residual check: its stored d_0 is real, so the residual is 0.
     """
 
-    k: int
+    space: QuantumSpace
     diagonals: dict
     hermiticity_defect: float = field(init=False)
 
     def __post_init__(self) -> None:
-        dim = 2 * self.k
+        dim = self.space.dim
         diags = {}
         for s, d in self.diagonals.items():
             d = np.asarray(d, dtype=complex)
@@ -391,7 +391,7 @@ class HermitianOperator:
     @cached_property
     def _eigendata(self) -> tuple[np.ndarray, np.ndarray | None]:
         if self.diagonals.keys() <= {0}:
-            return np.array(self.diagonals.get(0, np.zeros(2 * self.k)).real), None
+            return np.array(self.diagonals.get(0, np.zeros(self.space.dim)).real), None
         vals, vecs = np.linalg.eigh(self.dense())
         resid = float(np.max(np.abs(self.apply(vecs) - vecs * vals[None, :])))
         if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):
@@ -412,8 +412,8 @@ class HermitianOperator:
         (-k, k] and column j holding shift hi - j, and the cyclic indices
         ell - hi of v for ell in [0, 2k + hi - lo): row ell of the band meets
         window ell of v at those indices, v[ell - hi .. ell - lo]."""
-        dim = 2 * self.k
-        signed = {s - dim if s > self.k else s: d for s, d in self.diagonals.items()}
+        dim = self.space.dim
+        signed = {s - dim if s > self.space.k else s: d for s, d in self.diagonals.items()}
         lo, hi = (min(signed), max(signed)) if signed else (0, 0)
         band = np.zeros((dim, hi - lo + 1), dtype=complex)
         for s, d in signed.items():
@@ -440,7 +440,7 @@ class HermitianOperator:
 
     def dense(self) -> np.ndarray:
         """The full 2k x 2k matrix, built on demand (for eigh and oracles)."""
-        dim = 2 * self.k
+        dim = self.space.dim
         ell = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
         for s, d in self.diagonals.items():
@@ -471,7 +471,7 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
         c = coeffs[freqs[:, 0] == m] * np.exp(-np.pi * (m * m + n * n) / (4.0 * k))
         row = raw.setdefault(m % dim, np.zeros(dim, dtype=complex))
         row += c @ np.exp(-1j * np.pi * np.multiply.outer(n, 2 * ell - m) / (2.0 * k))
-    return HermitianOperator(k=qs.k, diagonals=raw)
+    return HermitianOperator(qs, raw)
 
 
 def bergman_diag(qs: QuantumSpace, z) -> float:

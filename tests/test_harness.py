@@ -380,10 +380,11 @@ def test_propagator_expression_symbol_matches_model(tmp_path):
     assert main(base + ["--symbol", "cos(2*pi*q)", "--out", str(expr)]) == 0
     ref_rows = np.loadtxt(str(ref), delimiter=",", skiprows=1)
     expr_rows = np.loadtxt(str(expr), delimiter=",", skiprows=1)
-    # same principal symbol, but the expression side is quantized by the
-    # position-integral route while model-cos uses the analytic eigenvalues
-    # cos(pi l / k); the two differ at the 1/k (subprincipal) level, so the
-    # moduli agree only to the next order
+    # same principal symbol, but the expression side is toeplitz_build's
+    # closed-form T_k(cos 2 pi q), the diagonal cos(pi l / k) damped by
+    # e^{-pi/(4k)}, while model-cos takes the undamped diagonal cos(pi l / k);
+    # the two differ at the 1/k (subprincipal) level, so the moduli agree
+    # only to the next order
     assert np.allclose(expr_rows[:, 5], ref_rows[:, 5], rtol=1e-3)
     assert np.all(expr_rows[:, 7] < 2e-2)
 

@@ -97,7 +97,7 @@ def _stage(name):
     # 4095 nodes x 400 eigenvalues: the spectral matrix alone would take 26 MB
     qs = quantum_space(200)
     op = operator_for(qs, sym)
-    return lambda: projector_kernel_timequad(qs, op, pair, E0, (0.3, 0.1), (0.3, 0.1))
+    return lambda: projector_kernel_timequad(op, pair, E0, (0.3, 0.1), (0.3, 0.1))
 
 
 # each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB;
@@ -119,7 +119,8 @@ def test_stage_peak_stays_within_its_budget(name):
 
 def test_results_do_not_depend_on_the_budget(monkeypatch):
     # the budget moves only block boundaries: at 64 pairs, blocks of 1-5
-    # columns give the default blocks' values up to rounding
+    # columns give the default blocks' values up to rounding, and the
+    # one-diagonal propagator walks its 31 rows one per block, not all in one
     sym = model_cos_symbol()
     qs = quantum_space(10)
     op_qs = quantum_space(20)
@@ -131,7 +132,8 @@ def test_results_do_not_depend_on_the_budget(monkeypatch):
     def results():
         # the off-diagonal inner product (~1e-16) is held to the norms' scale
         return [gram_matrix(qs), np.append(*thetaq._construction_self_test(qs)),
-                pair.f_eval(u), np.array([projector_kernel_timequad(op_qs, op, pair, E0, x, x)])]
+                pair.f_eval(u), np.array([projector_kernel_timequad(op, pair, E0, x, x)]),
+                np.array([r.exact for r in graph_compare(op_qs, sym, x, np.linspace(0.0, 1.0, 31))])]
 
     default = results()
     monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 64)

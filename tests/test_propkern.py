@@ -25,6 +25,7 @@ from torusprop.specproj import (
 )
 from torusprop.thetaq import (
     HermitianOperator,
+    QuantumSpace,
     bergman_diag,
     quantum_space,
     sections,
@@ -47,11 +48,12 @@ def random_hermitian_op(k: int, seed: int) -> HermitianOperator:
     rng = np.random.default_rng(seed)
     dim = 2 * k
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return HermitianOperator(k=k, diagonals=cyclic_diagonals(0.5 * (a + a.conj().T)))
+    return HermitianOperator(space=QuantumSpace(k),
+                             diagonals=cyclic_diagonals(0.5 * (a + a.conj().T)))
 
 
 def identity_op(k: int) -> HermitianOperator:
-    return HermitianOperator(k=k, diagonals={0: np.ones(2 * k)})
+    return HermitianOperator(space=QuantumSpace(k), diagonals={0: np.ones(2 * k)})
 
 
 def dense_kernel(qs, vecs, spectral, ys, x) -> np.ndarray:
@@ -89,13 +91,13 @@ def test_kernel_eval_matches_dense_oracle():
                           np.ones(qs.dim)])
     x = (0.55, 0.4)
     y = (0.3, 0.12)
-    shared = kernel_eval(qs, op, spectral, y, x)
+    shared = kernel_eval(op, spectral, y, x)
     assert_close_to_oracle(shared, dense_kernel(qs, op.eigenvectors, spectral, [y] * 5, x))
     ys = np.array([[0.3, 0.12], [0.45, 0.3], [1.2, -0.1], [0.5, 0.45], [0.6, 0.35]])
-    per_row = kernel_eval(qs, op, spectral, ys, x)
+    per_row = kernel_eval(op, spectral, ys, x)
     assert_close_to_oracle(per_row, dense_kernel(qs, op.eigenvectors, spectral, ys, x))
     # one row at one point comes back as a one-entry array
-    one = kernel_eval(qs, op, spectral[1], y, x)
+    one = kernel_eval(op, spectral[1], y, x)
     assert one.shape == (1,) and one[0] == pytest.approx(shared[1], rel=1e-12)
 
 
@@ -106,7 +108,7 @@ def test_autonomous_identity_at_zero():
     qs = quantum_space(k)
     op = random_hermitian_op(k, 1)
     y, x = (0.3, 0.12), (0.55, 0.4)
-    got = kernel_eval(qs, op, np.exp(-1j * k * 0.0 * op.eigenvalues), y, x)
+    got = kernel_eval(op, np.exp(-1j * k * 0.0 * op.eigenvalues), y, x)
     want = dense_kernel(qs, np.eye(qs.dim), [np.ones(qs.dim)], [y], x)
     assert_close_to_oracle(got, want)
 
@@ -122,7 +124,7 @@ def test_autonomous_model_is_diagonal_phase():
     ys = np.array([[0.3, 0.1], [0.34, 0.12], [0.8, 0.2], [0.1, 0.6]])
     spectral = np.exp(-1j * qs.k * np.outer(ts, op.eigenvalues))
     closed = np.exp(-1j * qs.k * np.outer(ts, np.cos(np.pi * ell / qs.k)))
-    got = kernel_eval(qs, op, spectral, ys, x)
+    got = kernel_eval(op, spectral, ys, x)
     assert_close_to_oracle(got, dense_kernel(qs, np.eye(qs.dim), closed, ys, x))
 
 
@@ -130,7 +132,7 @@ def test_kernel_identity_diagonal_is_bergman():
     qs = quantum_space(12)
     op = identity_op(qs.k)
     for z in ((0.3, 0.1), (0.81, 0.66)):
-        val = kernel_eval(qs, op, np.ones(qs.dim), z, z)[0]
+        val = kernel_eval(op, np.ones(qs.dim), z, z)[0]
         assert val.imag == pytest.approx(0.0, abs=1e-10 * abs(val))
         assert val.real == pytest.approx(bergman_diag(qs, complex(*z)), rel=1e-10)
 
@@ -139,9 +141,19 @@ def test_kernel_hermitian_symmetry_at_t_zero():
     qs = quantum_space(9)
     op = identity_op(qs.k)
     ones = np.ones(qs.dim)
-    a = kernel_eval(qs, op, ones, (0.3, 0.12), (0.55, 0.4))[0]
-    b = kernel_eval(qs, op, ones, (0.55, 0.4), (0.3, 0.12))[0]
+    a = kernel_eval(op, ones, (0.3, 0.12), (0.55, 0.4))[0]
+    b = kernel_eval(op, ones, (0.55, 0.4), (0.3, 0.12))[0]
     assert abs(a - np.conjugate(b)) <= 1e-10 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("point", [0.3 + 0.1j, (0.3, 0.1, 0.0)])
+def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
+    qs = quantum_space(4)
+    op = identity_op(qs.k)
+    with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
+        kernel_eval(op, np.ones(qs.dim), (0.3, 0.1), point)
+    with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
+        graph_compare(qs, model_cos_symbol(), point, [0.0, 0.1])
 
 
 def test_exact_kernel_matches_predictor_small_time():
@@ -259,7 +271,7 @@ def test_graph_compare_chunks_match_one_call(monkeypatch):
     assert chunks == [7, 7, 7, 7, 3]
     op = operator_for(qs, sym)
     ys = np.array([r.y for r in rows])
-    one = kernel_eval(qs, op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)
+    one = kernel_eval(op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)
     got = np.array([r.exact for r in rows])
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
 
@@ -288,7 +300,7 @@ def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
     op = operator_for(qs, sym)
     ys = np.array([r.y for r in rows])
     want = np.concatenate([
-        kernel_eval(qs, op, np.exp(-1j * k * np.outer(tgrid[lo:lo + 10], op.eigenvalues)),
+        kernel_eval(op, np.exp(-1j * k * np.outer(tgrid[lo:lo + 10], op.eigenvalues)),
                     ys[lo:lo + 10], x) for lo in range(0, tgrid.size, 10)])
     got = np.array([r.exact for r in rows])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -304,7 +316,7 @@ def test_chebyshev_rows_match_exact_phases(taus):
     # expansion (seen within 8.3e-15 ||v|| over nine draws)
     k = 10
     d = 0.7 + 1.3 * np.cos(np.pi * np.arange(2 * k) / (2 * k - 1))
-    op = HermitianOperator(k=k, diagonals={0: d})
+    op = HermitianOperator(space=QuantumSpace(k), diagonals={0: d})
     box = propkern._spectral_box(op)
     assert box == pytest.approx((0.7, 1.3))
     taus = np.array(taus) * propkern._CHEB_ARG / box[1]
@@ -367,7 +379,7 @@ def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
     pair = build_fourier_pair("bump", 3.0)
     energy = float(np.cos(TWO_PI * 0.1))
     y = (0.45, 0.1)
-    got = projector_kernel_exact(qs, op, pair, energy, y, x)
+    got = projector_kernel_exact(op, pair, energy, y, x)
     want = dense_kernel(qs, vecs, [pair.f_eval(k * (energy - vals))], [y], x)
     assert_close_to_oracle(np.array([got]), want)
 
@@ -439,5 +451,5 @@ def test_offgraph_far_point_is_negligible():
     for k in (25, 50):
         qs = quantum_space(k)
         op = operator_for(qs, sym)
-        modulus = abs(kernel_eval(qs, op, np.exp(-1j * k * t * op.eigenvalues), y, x)[0])
+        modulus = abs(kernel_eval(op, np.exp(-1j * k * t * op.eigenvalues), y, x)[0])
         assert modulus < 1e-6 * (k / TWO_PI)

@@ -160,11 +160,11 @@ def test_pair_argument_guards():
 def test_scalar_operator_reduces_to_bergman_times_f0():
     qs = quantum_space(10)
     e_val = 0.37
-    op = HermitianOperator(k=qs.k, diagonals={0: np.full(qs.dim, e_val)})
+    op = HermitianOperator(space=qs, diagonals={0: np.full(qs.dim, e_val)})
     pair = build_fourier_pair("bump", 3.0)
     y, x = (0.22, 0.64), (0.5, 0.31)
-    expect = pair.f_eval(0.0).real * kernel_eval(qs, op, np.ones(qs.dim), y, x)[0]
-    got = projector_kernel_exact(qs, op, pair, e_val, y, x)
+    expect = pair.f_eval(0.0).real * kernel_eval(op, np.ones(qs.dim), y, x)[0]
+    got = projector_kernel_exact(op, pair, e_val, y, x)
     assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
@@ -173,8 +173,8 @@ def test_exact_kernel_hermitian_symmetry():
     op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0)
     y, x = (0.42, Q0), (0.3, Q0)
-    a = projector_kernel_exact(qs, op, pair, E0, y, x)
-    b = projector_kernel_exact(qs, op, pair, E0, x, y)
+    a = projector_kernel_exact(op, pair, E0, y, x)
+    b = projector_kernel_exact(op, pair, E0, x, y)
     assert abs(a - np.conjugate(b)) <= 1e-10 * max(1.0, abs(a))
 
 
@@ -187,8 +187,8 @@ def test_two_route_identity():
     for y, x in (((0.3, Q0), (0.3, Q0)),
                  ((0.45, Q0), (0.3, Q0)),
                  ((0.3, 0.37), (0.61, 0.8))):
-        direct = projector_kernel_exact(qs, op, pair, E0, y, x)
-        quad = projector_kernel_timequad(qs, op, pair, E0, y, x)
+        direct = projector_kernel_exact(op, pair, E0, y, x)
+        quad = projector_kernel_timequad(op, pair, E0, y, x)
         assert abs(direct - quad) <= 1e-6 * max(1.0, abs(direct))
 
 
@@ -199,8 +199,8 @@ def test_two_route_identity_at_an_aliasing_level():
     op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 7.0)
     x = (0.3, Q0)
-    direct = projector_kernel_exact(qs, op, pair, E0, x, x)
-    quad = projector_kernel_timequad(qs, op, pair, E0, x, x)
+    direct = projector_kernel_exact(op, pair, E0, x, x)
+    quad = projector_kernel_timequad(op, pair, E0, x, x)
     assert abs(direct - quad) <= 1e-12 * abs(direct)
 
 
@@ -216,9 +216,9 @@ def test_timequad_equals_the_per_node_contraction(symbol, k):
     h = 2.0 * pair.support_T / n
     t = h * np.arange(1 - n // 2, n // 2)
     coeff = h * pair.fhat(t) * np.exp(1j * k * t * E0)
-    per_node = kernel_eval(qs, op, np.exp(-1j * k * np.outer(t, op.eigenvalues)), y, x)
+    per_node = kernel_eval(op, np.exp(-1j * k * np.outer(t, op.eigenvalues)), y, x)
     want = complex(coeff @ per_node / np.sqrt(TWO_PI))
-    assert abs(projector_kernel_timequad(qs, op, pair, E0, y, x) - want) <= 1e-13 * abs(want)
+    assert abs(projector_kernel_timequad(op, pair, E0, y, x) - want) <= 1e-13 * abs(want)
 
 
 def test_trace_identity():
@@ -277,7 +277,7 @@ def test_off_image_exact_kernel_is_tiny():
     qs = quantum_space(200)
     op = operator_for(qs, model_cos_symbol())
     pair = build_fourier_pair("bump", 3.0)
-    val = projector_kernel_exact(qs, op, pair, E0, (0.3, 0.9), (0.3, Q0))
+    val = projector_kernel_exact(op, pair, E0, (0.3, 0.9), (0.3, Q0))
     assert abs(val) <= 1e-3 * np.sqrt(qs.k / TWO_PI)
 
 
@@ -378,7 +378,7 @@ def test_exact_matches_predictor_at_k200():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
     x = (0.3, Q0)
-    exact = projector_kernel_exact(qs, op, pair, E0, x, x)
+    exact = projector_kernel_exact(op, pair, E0, x, x)
     pred = projector_kernel_asymptotic(sym, pair, E0, x, x).value(200)
     assert abs(exact - pred) / abs(pred) <= 0.05
 
@@ -426,9 +426,9 @@ def test_kernel_at_a_lattice_translate_carries_the_gauge_factor(selector, k):
     x, t = (0.3, Q0), 0.7
     spectral = np.exp(-1j * k * t * op.eigenvalues)
     y = integrate_flow(sym, x, [t]).points[-1]  # on the graph, so |K| ~ k / 2 pi
-    base = kernel_eval(qs, op, spectral, y, x)[0]
+    base = kernel_eval(op, spectral, y, x)[0]
     for w in ((1, 0), (0, 1), (1, 1), (-2, 1)):
-        lifted = kernel_eval(qs, op, spectral, y + w, x)[0]
+        lifted = kernel_eval(op, spectral, y + w, x)[0]
         factor = np.exp(TWO_PI * 1j * k * (w[0] * y[1] - w[1] * y[0]))
         assert abs(lifted - factor * base) <= 1e-12 * abs(base)
 
@@ -539,7 +539,7 @@ def _return_pieces(sym, y, x, ks):
                 continue
             assert chi(term.t) == 1.0
             windowed = FourierPair(7.0, lambda t, chi=chi: pair.fhat(t) * chi(t))
-            exact = projector_kernel_timequad(qs, op, windowed, E0, y, x)
+            exact = projector_kernel_timequad(op, windowed, E0, y, x)
             pieces.setdefault(term.winding, []).append(
                 KernelSample(k, x, y, exact, ProjectorPrediction((term,)).value(k)))
     return pieces

@@ -682,8 +682,8 @@ def test_operator_apply_matches_dense():
     # and an operator with every shift, whose band is 2k wide
     a = rng.normal(size=(qs.dim, qs.dim)) + 1j * rng.normal(size=(qs.dim, qs.dim))
     ell = np.arange(qs.dim)
-    full = thetaq.HermitianOperator(k=qs.k, diagonals={s: (a + a.conj().T)[ell, (ell - s) % qs.dim]
-                                                       for s in range(qs.dim)})
+    full = thetaq.HermitianOperator(space=qs, diagonals={s: (a + a.conj().T)[ell, (ell - s) % qs.dim]
+                                                         for s in range(qs.dim)})
     for op, shape in itertools.product((op, full), ((qs.dim,), (qs.dim, 3))):
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = op.dense() @ v
@@ -702,27 +702,28 @@ def test_operator_holds_diagonals_not_a_matrix():
 def test_non_hermitian_diagonals_raise():
     k, dim = 5, 10
     with pytest.raises(ConstructionError):
-        thetaq.HermitianOperator(k=k, diagonals={1: np.ones(dim)})  # no shift -1
+        thetaq.HermitianOperator(space=QuantumSpace(k), diagonals={1: np.ones(dim)})  # no shift -1
     with pytest.raises(ConstructionError):
-        thetaq.HermitianOperator(k=k, diagonals={0: 1j * np.ones(dim)})
+        thetaq.HermitianOperator(space=QuantumSpace(k), diagonals={0: 1j * np.ones(dim)})
     with pytest.raises(ConstructionError):
-        thetaq.HermitianOperator(k=k, diagonals={1: np.ones(dim), dim - 1: 2.0 * np.ones(dim)})
+        thetaq.HermitianOperator(space=QuantumSpace(k),
+                                 diagonals={1: np.ones(dim), dim - 1: 2.0 * np.ones(dim)})
     with pytest.raises(ValueError):
-        thetaq.HermitianOperator(k=k, diagonals={dim: np.ones(dim)})
+        thetaq.HermitianOperator(space=QuantumSpace(k), diagonals={dim: np.ones(dim)})
 
 
 def test_wrong_eigendata_fails_the_residual_check(monkeypatch):
     qs = quantum_space(10)
     op = toeplitz_build(qs, make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0]))
     # the eigendata eigh returns passes again
-    assert thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals).eigenvalues.size == qs.dim
+    assert thetaq.HermitianOperator(space=qs, diagonals=op.diagonals).eigenvalues.size == qs.dim
     real_eigh = np.linalg.eigh
     # shifted eigenvalues, then eigenvectors paired with the wrong eigenvalues:
     # construction runs no eigh, so the first read of the eigendata raises
     for corrupt in (lambda vals, vecs: (vals + 1e-3, vecs),
                     lambda vals, vecs: (vals, np.roll(vecs, 1, axis=1))):
         monkeypatch.setattr(np.linalg, "eigh", lambda a, corrupt=corrupt: corrupt(*real_eigh(a)))
-        bad = thetaq.HermitianOperator(k=qs.k, diagonals=op.diagonals)
+        bad = thetaq.HermitianOperator(space=qs, diagonals=op.diagonals)
         with pytest.raises(ConstructionError, match="residual"):
             bad.eigenvalues
         with pytest.raises(ConstructionError, match="residual"):
