@@ -39,6 +39,7 @@ from .thetaq import HermitianOperator, QuantumSpace, _block_len, sections, toepl
 from .torusgeo import (
     SymbolField,
     Trajectory,
+    _as_pq,
     integrate_flow,
     prequantum_phase,
     rho_graph_half,
@@ -87,13 +88,6 @@ class KernelSample:
 # ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
-
-
-def _as_pq(point) -> tuple[float, float]:
-    if np.iscomplexobj(point) or np.size(point) != 2:
-        raise ValueError(f"expected a (p, q) point, got {point!r}")
-    arr = np.asarray(point, dtype=float).reshape(-1)
-    return float(arr[0]), float(arr[1])
 
 
 def kernel_eval(op: HermitianOperator, spectral, ys, x) -> np.ndarray:

@@ -36,6 +36,7 @@ from .propkern import KernelSample, kernel_eval, operator_for
 from .thetaq import HermitianOperator, ResolutionError, _block_len, quantum_space
 from .torusgeo import (
     SymbolField,
+    _as_pq,
     check_level,
     return_times,
     rho_level_half,
@@ -180,9 +181,9 @@ def _fhat_function(kind: str, support_t: float) -> Callable:
 
 
 def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
-    """Construct a FourierPair, verifying compact support and, for
-    Hermitian-symmetric fhat, the resolution (see FourierPair.node_count)
-    and realness of f on [-5, 5]."""
+    """Construct a FourierPair, verifying compact support, the resolution
+    (see FourierPair.node_count) and realness of f on [-5, 5]: both kinds
+    of fhat are real and even, so f is real."""
 
     if not support_T > 0:
         raise ValueError("support_T must be positive")
@@ -191,15 +192,11 @@ def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
     if edge > 1e-14:
         raise ValueError(f"fhat does not vanish at +-T: {edge:.2e}")
     pair = FourierPair(support_T=float(support_T), fhat=fhat)
-    samples = np.linspace(-0.9 * support_T, 0.9 * support_T, 7)
-    sym_defect = float(np.max(np.abs(np.asarray(fhat(-samples), dtype=complex)
-                                     - np.conjugate(fhat(samples)))))
-    if sym_defect <= 1e-12:
-        probe = pair.f_eval(np.linspace(-5.0, 5.0, 11))
-        imag = float(np.max(np.abs(probe.imag)))
-        if imag > 1e-10 * max(1.0, float(np.max(np.abs(probe)))):
-            raise ValueError(f"Hermitian-symmetric fhat produced complex f "
-                             f"(imag {imag:.2e})")
+    probe = pair.f_eval(np.linspace(-5.0, 5.0, 11))
+    imag = float(np.max(np.abs(probe.imag)))
+    if imag > 1e-10 * max(1.0, float(np.max(np.abs(probe)))):
+        raise ValueError(f"Hermitian-symmetric fhat produced complex f "
+                         f"(imag {imag:.2e})")
     return pair
 
 
@@ -280,8 +277,6 @@ class ProjectorPrediction:
     def value(self, k: int) -> complex:
         """sqrt(k)/(2 pi) times the sum of the terms at level k; 0j off the
         image."""
-        if not self.terms:
-            return 0j
         return complex(np.sqrt(float(k)) / TWO_PI * sum(term.value(k) for term in self.terms))
 
 
@@ -297,11 +292,11 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
     K(y + w, x) = e^{2 pi i k (w_p q_y - w_q p_y)} K(y, x), so ``conn_L``
     carries -2 pi (w_p q_y - w_q p_y), the lattice gauge factor that brings
     the predictor back to y, where the exact kernel is evaluated.  Raises
-    RegularityError when x or y is off the energy level.
+    RegularityError when x or y is off the energy level, ValueError when
+    either is not a (p, q) point.
     """
 
-    x_pq = tuple(np.asarray(x, dtype=float).reshape(2))
-    y_pq = tuple(np.asarray(y, dtype=float).reshape(2))
+    x_pq, y_pq = _as_pq(x), _as_pq(y)
     for pt in (x_pq, y_pq):
         check_level(sym, pt, float(energy))
     terms = []
@@ -320,15 +315,14 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
 # ---------------------------------------------------------------------------
 
 
-def _normalize_point_entry(entry):
-    arr = np.asarray(entry, dtype=float)
-    if arr.shape == (2,):
-        pt = (float(arr[0]), float(arr[1]))
-        return pt, pt
-    if arr.shape == (2, 2):
-        return (float(arr[0, 0]), float(arr[0, 1])), (float(arr[1, 0]), float(arr[1, 1]))
-    raise ValueError("each comparison entry must be a point (p, q) or a pair "
-                     "((py, qy), (px, qx))")
+def _entry_points(entry) -> tuple:
+    """A ``projector_compare`` entry as its points (y, x): an entry holding
+    sequences is a (y, x) pair, anything else one point, its own pair."""
+    if np.iterable(entry) and any(np.iterable(e) for e in entry):
+        y, x = entry
+        return _as_pq(y), _as_pq(x)
+    pt = _as_pq(entry)
+    return pt, pt
 
 
 def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
@@ -346,7 +340,7 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     ops = {int(k): operator_for(quantum_space(int(k)), sym) for k in ks}
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
-        y_pq, x_pq = _normalize_point_entry(entry)
+        y_pq, x_pq = _entry_points(entry)
         pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq)
         for k in sorted(ops):
             exact = projector_kernel_exact(ops[k], pair, energy, y_pq, x_pq, coeffs=coeffs[k])

@@ -120,6 +120,15 @@ def _alpha(p, q, v) -> np.ndarray:
     return -TWO_PI * q * v[..., 0] + TWO_PI * p * v[..., 1]
 
 
+def _as_pq(point) -> tuple[float, float]:
+    """A single phase-space point as floats (p, q), for every public function
+    that takes one; ValueError for a complex value or another entry count."""
+    if np.iscomplexobj(point) or np.size(point) != 2:
+        raise ValueError(f"expected a (p, q) point, got {point!r}")
+    arr = np.asarray(point, dtype=float).reshape(-1)
+    return float(arr[0]), float(arr[1])
+
+
 def wrap_difference(a, b) -> np.ndarray:
     """Shortest lattice representative of a - b (components in [-1/2, 1/2])."""
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -415,12 +424,13 @@ def _shear_states(sym: SymbolField, y0: np.ndarray) -> Callable | None:
     m = 0 (None for any other): X = (-H_q, 0) / (4 pi) is constant along
     q = q0, so phi_t is the shear p -> p + t X_p, with M = [[1, -t H_qq /
     (4 pi)], [0, 1]], int H = t H, int H^sub = t H^sub, int alpha(X) =
-    -2 pi q0 X_p t and theta_a = arctan(t H_qq / (8 pi)), from one jet."""
+    alpha(X) t and theta_a = arctan(t H_qq / (8 pi)), from one jet."""
     if sym.modes[0][:, 0].any() or sym.sub_modes[0][:, 0].any():
         return None
     h, h_sub, _, h_q, _, _, _, h_qq = sym.jet(y0[0], y0[1])
     x_p = -h_q / FOUR_PI
-    rate = np.array([x_p, 0.0, 0.0, -h_qq / FOUR_PI, 0.0, 0.0, h, h_sub, -TWO_PI * y0[1] * x_p, 0.0])
+    conn = _alpha(y0[0], y0[1], np.array([x_p, 0.0]))
+    rate = np.array([x_p, 0.0, 0.0, -h_qq / FOUR_PI, 0.0, 0.0, h, h_sub, conn, 0.0])
 
     def states(ts) -> np.ndarray:
         t = np.asarray(ts, dtype=float).reshape(-1, 1)
@@ -468,9 +478,10 @@ def integrate_flow(sym: SymbolField, x, times) -> Trajectory:
     when the grid turns back, repeats a time or crosses 0, StepSizeError
     when a step at the step-size floor misses the tolerance, and symplin's
     StructureError, naming the first bad time index, when the check fails.
+    ValueError when x is not a (p, q) point (``_as_pq``).
     """
 
-    x = np.asarray(x, dtype=float).reshape(2)
+    x = np.array(_as_pq(x))
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise RegularityError("times must be a one-dimensional grid")
@@ -558,10 +569,10 @@ def rho_graph_frame(traj: Trajectory) -> np.ndarray:
 
 
 def _field_norms(xv: np.ndarray) -> np.ndarray:
-    """Metric norms sqrt(omega(X, jX)) of Hamiltonian field values X
-    (..., 2); raises RegularityError when any of them is below 1e-6."""
-    vals = np.sqrt(FOUR_PI * (xv[..., 0] ** 2 + xv[..., 1] ** 2))
-    worst = float(np.min(vals))
+    """Squared metric norms omega(X, jX) = 4 pi |X|^2 of Hamiltonian field
+    values X (..., 2); raises RegularityError when any norm is below 1e-6."""
+    vals = FOUR_PI * (xv[..., 0] ** 2 + xv[..., 1] ** 2)
+    worst = float(np.sqrt(np.min(vals)))
     if worst < 1e-6:
         raise RegularityError(f"Hamiltonian field norm {worst:.2e} below 1e-6: "
                               "x is (numerically) a critical point")
@@ -570,13 +581,13 @@ def _field_norms(xv: np.ndarray) -> np.ndarray:
 
 def norm_X(sym: SymbolField, x) -> float:
     """Metric norm sqrt(omega(X, jX)) of the Hamiltonian field at x."""
-    return float(_field_norms(hamiltonian_vector_field(sym, x)))
+    return float(np.sqrt(_field_norms(hamiltonian_vector_field(sym, _as_pq(x)))))
 
 
 def check_level(sym: SymbolField, x, energy: float) -> None:
     """Raise RegularityError unless |H(x) - energy| <= 1e-10 (1 + |energy|);
-    a NaN energy fails."""
-    h = float(sym.principal(x[0], x[1]))
+    a NaN energy fails; ValueError when x is not a (p, q) point."""
+    h = float(sym.principal(*_as_pq(x)))
     if not abs(h - energy) <= 1e-10 * (1.0 + abs(energy)):
         raise RegularityError(f"H = {h!r} is off the energy level E = {energy!r}")
 
@@ -608,9 +619,7 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
     check_level(sym, traj.start, energy)
     x_src = hamiltonian_vector_field(sym, traj.start)
     x_dst = hamiltonian_vector_field(sym, traj.points_lifted)
-    _field_norms(x_dst)  # regularity guard: ns2, nt2 >= 1e-12 below
-    ns2 = FOUR_PI * (x_src[0] ** 2 + x_src[1] ** 2)
-    nt2 = FOUR_PI * (x_dst[:, 0] ** 2 + x_dst[:, 1] ** 2)
+    ns2, nt2 = _field_norms(x_src), _field_norms(x_dst)
 
     dz_src = complex(x_src[0], x_src[1])
     dz_dst = x_dst[:, 0] + 1j * x_dst[:, 1]
@@ -633,53 +642,50 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def b_coefficient(sym: SymbolField, x, tangent) -> complex:
+def _b_splitting(omega: np.ndarray, cs: np.ndarray, frame: np.ndarray, xv: np.ndarray,
+                 degenerate: str) -> complex:
     """B = ||X_1||^2 + i omega(X_1, X_2) for the splitting X = X_1 + X_2 with
-    X_1 in j(T Gamma), X_2 in T Gamma, Gamma the Lagrangian line spanned by
-    ``tangent`` at x.  Raises DegenerateError when X lies in the line."""
+    X_1 in j(span frame), X_2 in span frame, under the symplectic Gram matrix
+    ``omega`` and complex structure ``cs``.  Raises DegenerateError with the
+    text ``degenerate`` when X lies in the span (|X_1| <= 1e-10 |X|)."""
+    j_frame = cs @ frame
+    coeff = np.linalg.solve(np.column_stack([j_frame, frame]), xv)
+    x1 = j_frame @ coeff[:frame.shape[1]]
+    x2 = frame @ coeff[frame.shape[1]:]
+    if np.linalg.norm(x1) <= 1e-10 * max(np.linalg.norm(xv), 1e-30):
+        raise DegenerateError(degenerate)
+    return complex(float(x1 @ omega @ (cs @ x1)), float(x1 @ omega @ x2))
 
-    x = np.asarray(x, dtype=float)
+
+def b_coefficient(sym: SymbolField, x, tangent) -> complex:
+    """``_b_splitting``'s B on T^2 for the Lagrangian line Gamma spanned by
+    ``tangent`` at x: X_1 in j(T Gamma), X_2 in T Gamma.  Raises
+    DegenerateError when X lies in the line, ValueError for a non-point x."""
+
     tau = np.asarray(tangent, dtype=float).reshape(2)
     norm = np.linalg.norm(tau)
     if norm == 0.0:
         raise RegularityError("tangent direction must be nonzero")
-    tau = tau / norm
-    cs = COMPLEX_STRUCTURE
-    xv = hamiltonian_vector_field(sym, x)
-    basis = np.column_stack([cs @ tau, tau])
-    coeff = np.linalg.solve(basis, xv)
-    x1 = coeff[0] * (cs @ tau)
-    x2 = coeff[1] * tau
-    if np.linalg.norm(x1) <= 1e-10 * max(np.linalg.norm(xv), 1e-30):
-        raise DegenerateError("Hamiltonian field is tangent to the Lagrangian line")
-    norm1_sq = float(x1 @ _OMEGA @ (cs @ x1))
-    cross = float(x1 @ _OMEGA @ x2)
-    return complex(norm1_sq, cross)
+    return _b_splitting(_OMEGA, COMPLEX_STRUCTURE, (tau / norm)[:, None],
+                        hamiltonian_vector_field(sym, _as_pq(x)),
+                        "Hamiltonian field is tangent to the Lagrangian line")
 
 
 def b_coefficient_diagonal(sym: SymbolField, x) -> complex:
-    """The kernel-side B: same splitting run on the doubled phase space
+    """The kernel-side B: ``_b_splitting`` on the doubled phase space
     (M x M, omega (+) -omega, j (+) -j) against the diagonal Lagrangian, with
     the field (X, 0).  This is the coefficient whose reciprocal is the t=0
     level amplitude: rho'_0 * B_diag = 1.  For any X it equals ||X||^2 / 2.
+    Raises ValueError when x is not a (p, q) point.
     """
 
-    x = np.asarray(x, dtype=float)
-    xv = hamiltonian_vector_field(sym, x)
     zero = np.zeros((2, 2))
-    omega4 = np.block([[_OMEGA, zero], [zero, -_OMEGA]])
-    cs4 = np.block([[COMPLEX_STRUCTURE, zero], [zero, -COMPLEX_STRUCTURE]])
-    diag_basis = np.vstack([np.eye(2), np.eye(2)])  # columns (e_i, e_i)
-    basis = np.column_stack([cs4 @ diag_basis, diag_basis])
-    x_d = np.concatenate([xv, np.zeros(2)])
-    coeff = np.linalg.solve(basis, x_d)
-    x1 = (cs4 @ diag_basis) @ coeff[:2]
-    x2 = diag_basis @ coeff[2:]
-    if np.linalg.norm(x1) <= 1e-10 * max(np.linalg.norm(x_d), 1e-30):
-        raise DegenerateError("field is tangent to the diagonal")
-    norm1_sq = float(x1 @ omega4 @ (cs4 @ x1))
-    cross = float(x1 @ omega4 @ x2)
-    return complex(norm1_sq, cross)
+    xv = hamiltonian_vector_field(sym, _as_pq(x))
+    return _b_splitting(np.block([[_OMEGA, zero], [zero, -_OMEGA]]),
+                        np.block([[COMPLEX_STRUCTURE, zero], [zero, -COMPLEX_STRUCTURE]]),
+                        np.vstack([np.eye(2), np.eye(2)]),  # columns (e_i, e_i)
+                        np.concatenate([xv, np.zeros(2)]),
+                        "field is tangent to the diagonal")
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +721,11 @@ def return_times(sym: SymbolField, x, y, window) -> list[Return]:
     window, the time by which two sweeps under _FLOW_TOL may place a
     passage apart (seen within 0.5 _FLOW_TOL in position), is clamped into
     it, so a return on a window end by ``integrate_flow``'s reckoning is
-    kept; it is a return when its state lands on y + w to 1e-9.
+    kept; it is a return when its state lands on y + w to 1e-9.  Raises
+    ValueError when x or y is not a (p, q) point.
     """
 
-    x = np.asarray(x, dtype=float).reshape(2)
-    y = np.asarray(y, dtype=float).reshape(2)
+    x, y = np.array(_as_pq(x)), np.array(_as_pq(y))
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo <= t_hi:
         raise RegularityError("window must be ordered [t_min, t_max]")

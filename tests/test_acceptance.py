@@ -22,6 +22,18 @@ def test_criterion(criterion_id):
         f"bound={res.bound:.6g} details={res.details}")
 
 
+def test_the_selftest_runs_no_dense_eigh(monkeypatch):
+    # only the projector of a multi-diagonal operator diagonalizes densely;
+    # every criterion runs on one-diagonal operators or Chebyshev steps
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    results = run_all()
+    assert [r.criterion_id for r in results] == list(REGISTRY)
+    assert [r.criterion_id for r in results if not r.passed] == []
+
+
 def test_seeded_criteria_repeat_under_one_seed(monkeypatch):
     monkeypatch.setenv("TP_SEED", "1801")
     for criterion_id in ("A2", "A6"):

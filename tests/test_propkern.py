@@ -21,6 +21,8 @@ from torusprop.specproj import (
     ProjectorPrediction,
     ReturnTerm,
     build_fourier_pair,
+    projector_compare,
+    projector_kernel_asymptotic,
     projector_kernel_exact,
 )
 from torusprop.thetaq import (
@@ -31,7 +33,16 @@ from torusprop.thetaq import (
     sections,
     toeplitz_build,
 )
-from torusprop.torusgeo import integrate_flow, make_symbol, model_cos_symbol
+from torusprop.torusgeo import (
+    b_coefficient,
+    b_coefficient_diagonal,
+    check_level,
+    integrate_flow,
+    make_symbol,
+    model_cos_symbol,
+    norm_X,
+    return_times,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -146,14 +157,34 @@ def test_kernel_hermitian_symmetry_at_t_zero():
     assert abs(a - np.conjugate(b)) <= 1e-10 * max(1.0, abs(a))
 
 
-@pytest.mark.parametrize("point", [0.3 + 0.1j, (0.3, 0.1, 0.0)])
+@pytest.mark.parametrize("point", [0.3 + 0.1j, (0.3, 0.1, 0.2), np.array([0.3 + 0.05j, 0.1])])
 def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
+    # every entry that takes one (p, q) point parses it by the one rule; a
+    # complex array must not run with its imaginary part dropped
     qs = quantum_space(4)
-    op = identity_op(qs.k)
-    with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
-        kernel_eval(op, np.ones(qs.dim), (0.3, 0.1), point)
-    with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
-        graph_compare(qs, model_cos_symbol(), point, [0.0, 0.1])
+    sym = model_cos_symbol()
+    pair = build_fourier_pair("bump", 3.0)
+    good = (0.3, 0.1)
+    energy = float(sym.principal(*good))
+    calls = {
+        "kernel_eval": lambda: kernel_eval(identity_op(qs.k), np.ones(qs.dim), good, point),
+        "graph_compare": lambda: graph_compare(qs, sym, point, [0.0, 0.1]),
+        "integrate_flow": lambda: integrate_flow(sym, point, [0.0, 0.1]),
+        "return_times x": lambda: return_times(sym, point, good, (-1.0, 1.0)),
+        "return_times y": lambda: return_times(sym, good, point, (-1.0, 1.0)),
+        "check_level": lambda: check_level(sym, point, energy),
+        "norm_X": lambda: norm_X(sym, point),
+        "b_coefficient": lambda: b_coefficient(sym, point, (0.0, 1.0)),
+        "b_coefficient_diagonal": lambda: b_coefficient_diagonal(sym, point),
+        "asymptotic y": lambda: projector_kernel_asymptotic(sym, pair, energy, point, good),
+        "asymptotic x": lambda: projector_kernel_asymptotic(sym, pair, energy, good, point),
+        "compare point": lambda: projector_compare(sym, pair, energy, [point], [4]),
+        "compare y": lambda: projector_compare(sym, pair, energy, [(point, good)], [4]),
+        "compare x": lambda: projector_compare(sym, pair, energy, [(good, point)], [4]),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
+            call()
 
 
 def test_exact_kernel_matches_predictor_small_time():
