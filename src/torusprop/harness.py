@@ -372,11 +372,9 @@ def _run_propagator(cfg: ExperimentConfig) -> int:
         return [[t] + _kernel_row(s) for t, s in zip(cfg.tgrid, samples)]
 
     tables = {k: rows_for(k) for k in cfg.ks}
-    if len(cfg.ks) == 1:
-        _write_table(cfg.out, _PROP_HEADER, tables[cfg.ks[0]], cfg.fmt)
-    else:
-        for k in sorted(cfg.ks):
-            _write_table(_suffixed(cfg.out, k), _PROP_HEADER, tables[k], cfg.fmt)
+    for k in sorted(tables):
+        out = cfg.out if len(tables) == 1 else _suffixed(cfg.out, k)
+        _write_table(out, _PROP_HEADER, tables[k], cfg.fmt)
     return 0
 
 

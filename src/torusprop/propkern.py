@@ -40,6 +40,7 @@ from .torusgeo import (
     SymbolField,
     Trajectory,
     _as_pq,
+    _as_points,
     integrate_flow,
     prequantum_phase,
     rho_graph_half,
@@ -96,15 +97,15 @@ def kernel_eval(op: HermitianOperator, spectral, ys, x) -> np.ndarray:
 
     Row i of ``spectral`` holds g_i over op's eigenvalues (a 1-d array is one
     row); ``ys`` is one (possibly lifted) point, shared by every row, or one
-    point per row.  Entry i is sum_j g_i(lambda_j) (s(y_i) v_j) conj(s(x) v_j)
-    times the gauge phase e^{2 pi i k (p_y q_y - p_x q_x)}, s the sections
-    of op's space.
+    per row, along its last axis (``_as_points``).  Entry i is
+    sum_j g_i(lambda_j) (s(y_i) v_j) conj(s(x) v_j) times the gauge phase
+    e^{2 pi i k (p_y q_y - p_x q_x)}, s the sections of op's space.
     """
 
     x_pq = _as_pq(x)
     conj_x_modes = np.conjugate(op.to_eigenbasis(sections(op.space, complex(*x_pq))))
     g = np.atleast_2d(np.asarray(spectral, dtype=complex))
-    y = np.asarray(ys, dtype=float).reshape(-1, 2)
+    y = _as_points(ys).reshape(-1, 2)
     a_modes = op.to_eigenbasis(sections(op.space, y[:, 0] + 1j * y[:, 1]).T)
     return ((g * a_modes) @ conj_x_modes) * _gauge(op.space.k, y, x_pq)
 

@@ -19,8 +19,8 @@ Cauchy-Riemann check in the test suite fails for them, and the first also
 fails orthonormality under every weight); the e^{2 pi i ell z} form above is
 the one derived from the lattice multipliers, and the weight candidate
 e^{-2 pi k q^2} is replaced by the derived e^{-4 pi k q^2}, which passes the
-construction-time Gram self-test.  Every QuantumSpace carries this record in
-``gauge_note``.
+Gram identity (``gram_matrix``; A1 and the tests check it).  Every
+QuantumSpace carries this record in ``gauge_note``.
 
 Sections are evaluated with the square root of that weight folded in:
 
@@ -40,7 +40,7 @@ referee the sections through it against mpmath.
 Toeplitz operators are assembled in closed form from a symbol's Fourier modes
 (``toeplitz_build``), one weighted cyclic shift per mode, and are held as
 those cyclic diagonals (``HermitianOperator``); quadrature serves only the
-Gram identity and the construction self-test.
+Gram identity.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class ResolutionError(RuntimeError):
 
 
 class ConstructionError(RuntimeError):
-    """A construction-time self-test failed."""
+    """An operator failed its Hermiticity or eigen-residual check."""
 
 
 class EvaluationError(RuntimeError):
@@ -152,48 +152,20 @@ class QuantumSpace:
 
 
 def quantum_space(k: int) -> QuantumSpace:
-    """The level-k QuantumSpace, self-testing orthonormality at small k.
-
-    Its theta window and Gram nodes follow from k (``QuantumSpace``: one
-    term on either side from k = 4 on; 64 nodes per axis at k = 50, 160 at
-    k = 400).  The self-test (k <= 50,
-    per-basis-vector norms and a far off-diagonal pair) guards the gauge
-    conventions; the full Gram identity is the gram_matrix contract.  Each
-    level is built once: later calls return the same (frozen) space, and a
-    failed build is not remembered."""
+    """The level-k QuantumSpace, for an integer k in [1, K_MAX]; its theta
+    window and Gram nodes follow from k (``QuantumSpace``: one term on either
+    side from k = 4 on; 64 nodes per axis at k = 50, 160 at k = 400).  It runs
+    no quadrature: the Gram identity is the ``gram_matrix`` contract."""
 
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
         raise ValueError(f"k must be an integer in [1, {K_MAX}], got {k!r}")
-    return _built_space(int(k))
-
-
-@lru_cache(maxsize=None)
-def _built_space(k: int) -> QuantumSpace:
-    qs = QuantumSpace(k)
-    if k <= 50:
-        _construction_self_test(qs)
-    return qs
+    return QuantumSpace(int(k))
 
 
 def _block_len(width: int, floor: int = 1) -> int:
     """Columns per block of a width-row grid: the fewest whole budget shares reaching floor."""
     share = max(1, _BLOCK_PAIRS // max(1, width))
     return share * max(1, -(-floor // share))
-
-
-def _construction_self_test(qs: QuantumSpace) -> tuple[np.ndarray, complex]:
-    ells = np.arange(qs.dim) if qs.dim <= 30 else np.array(sorted(  # np.unique would import numpy.ma
-        {0, 1, qs.k - 1, qs.k, qs.dim - 2, qs.dim - 1,
-         *(int(x) for x in np.linspace(0, qs.dim - 1, 8))}))
-    # the rows' norms and a far-off-diagonal entry; a wrong weight moves them
-    gram = _gram_quadrature(qs, qs.quad_order, ells)
-    norms, inner = np.diagonal(gram).real, complex(gram[0, -1])
-    worst = max(float(np.max(np.abs(norms - 1.0))), abs(inner))
-    if worst > 1e-8:
-        raise ConstructionError(
-            f"basis self-test defect {worst:.2e} > 1e-8 at k={qs.k}: the gauge "
-            "conventions or quadrature resolution are wrong")
-    return norms, inner
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +274,18 @@ def gram_matrix(qs: QuantumSpace) -> np.ndarray:
     return _gram_quadrature(qs, qs.quad_order)
 
 
-def _gram_quadrature(qs: QuantumSpace, n_nodes: int, ells=None) -> np.ndarray:
-    """sum_b conj(S_b) S_b^T over node blocks b: S_b holds the sections of
-    rows ``ells`` (all by default) at the block's nodes times the square
-    root of (Liouville x quadrature weight) and the weight's factor
-    e^{2 pi k q^2 + log_metric_weight(q) / 2}, exactly 1.0 for its own."""
+def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
+    """sum_b conj(S_b) S_b^T over node blocks b: S_b holds all 2k sections at
+    the block's nodes times the square root of (Liouville x quadrature
+    weight) and the weight's factor e^{2 pi k q^2 + log_metric_weight(q) / 2},
+    exactly 1.0 for its own."""
 
     p, q, wts = _quad_nodes(n_nodes)
-    rows = np.arange(qs.dim) if ells is None else np.asarray(ells)
     unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
-    gram = np.zeros((rows.size, rows.size), dtype=complex)
-    block = _block_len(rows.size, qs.dim // 4)
+    gram = np.zeros((qs.dim, qs.dim), dtype=complex)
+    block = _block_len(qs.dim, qs.dim // 4)
     for lo in range(0, p.size, block):
-        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block], rows)
+        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block])
         s *= np.sqrt(FOUR_PI * wts[lo:lo + block]) * unfold[lo:lo + block]
         gram += np.conjugate(s) @ s.T
     return gram

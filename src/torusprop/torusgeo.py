@@ -122,11 +122,24 @@ def _alpha(p, q, v) -> np.ndarray:
 
 def _as_pq(point) -> tuple[float, float]:
     """A single phase-space point as floats (p, q), for every public function
-    that takes one; ValueError for a complex value or another entry count."""
-    if np.iscomplexobj(point) or np.size(point) != 2:
-        raise ValueError(f"expected a (p, q) point, got {point!r}")
-    arr = np.asarray(point, dtype=float).reshape(-1)
-    return float(arr[0]), float(arr[1])
+    that takes one; ValueError for a complex or ragged value or another entry count."""
+    try:
+        p, q = _as_points(np.reshape(point, -1))
+    except ValueError:
+        raise ValueError(f"expected a (p, q) point, got {point!r}") from None
+    return float(p), float(q)
+
+
+def _as_points(points) -> np.ndarray:
+    """Phase-space points along the last axis as floats, for the entries that take
+    arrays of them; ValueError for complex or ragged input or another last axis."""
+    try:
+        arr = np.asarray(points)  # a ragged nesting raises here
+        if np.iscomplexobj(arr) or arr.shape[-1:] != (2,):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"expected (p, q) points, got {points!r}") from None
+    return arr.astype(float, copy=False)
 
 
 def wrap_difference(a, b) -> np.ndarray:
@@ -310,8 +323,8 @@ class Trajectory:
 
 
 def hamiltonian_vector_field(sym: SymbolField, x) -> np.ndarray:
-    """X solving omega(X, .) = -dH: components (-H_q, H_p) / (4*pi)."""
-    x = np.asarray(x, dtype=float)
+    """X solving omega(X, .) = -dH at the points x (``_as_points``): (-H_q, H_p) / (4*pi)."""
+    x = _as_points(x)
     g = sym.grad(x[..., 0], x[..., 1])
     return np.stack([-g[..., 1], g[..., 0]], axis=-1) / FOUR_PI
 

@@ -5,7 +5,7 @@ A one-diagonal operator is its own eigendecomposition and allocates O(k);
 a multi-diagonal propagator steps O(k) vectors and forms no eigenbasis.
 Every exact-side grid walks in blocks of one working-set budget,
 thetaq._BLOCK_PAIRS (row, point) or (row, eigenvalue) pairs: the sections
-of a space's self-test and Gram quadrature, graph_compare's time rows, the
+of a Gram quadrature, graph_compare's time rows, the
 Fourier pair's arguments and the time-quadrature projector's nodes.  So
 each stage's peak stays near its output, and graph_compare's grows only
 with its O(rows) records.  The return-time predictor holds one flow
@@ -63,8 +63,6 @@ def _stage(name):
     outside the traced region."""
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
-    if name == "quantum_space-k50":
-        return lambda: thetaq._built_space.__wrapped__(50)  # the uncached build
     if name == "gram_matrix-k50":
         qs = quantum_space(50)
         return lambda: gram_matrix(qs)
@@ -103,7 +101,7 @@ def _stage(name):
 # each stage reads 0.4-0.9 MB; blocks of 2^15 or more pairs read 2.6-5.1 MB;
 # the five-return predictor reads 0.86 MB; the k = 5 propagator reads 0.56 MB
 # (1.19 MB with blocks sized from 2k alone)
-STAGE_BUDGETS = {"quantum_space-k50": 1_500_000, "gram_matrix-k50": 1_500_000,
+STAGE_BUDGETS = {"gram_matrix-k50": 1_500_000,
                  "graph_compare-k400-101-rows": 1_500_000,
                  "graph_compare-expr-k400-101-rows": 1_500_000,
                  "graph_compare-expr-k5-1001-rows": 800_000, "f_eval-k400": 1_200_000,
@@ -130,9 +128,8 @@ def test_results_do_not_depend_on_the_budget(monkeypatch):
     x = (0.3, 0.1)
 
     def results():
-        # the off-diagonal inner product (~1e-16) is held to the norms' scale
-        return [gram_matrix(qs), np.append(*thetaq._construction_self_test(qs)),
-                pair.f_eval(u), np.array([projector_kernel_timequad(op, pair, E0, x, x)]),
+        return [gram_matrix(qs), pair.f_eval(u),
+                np.array([projector_kernel_timequad(op, pair, E0, x, x)]),
                 np.array([r.exact for r in graph_compare(op_qs, sym, x, np.linspace(0.0, 1.0, 31))])]
 
     default = results()

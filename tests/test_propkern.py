@@ -37,6 +37,7 @@ from torusprop.torusgeo import (
     b_coefficient,
     b_coefficient_diagonal,
     check_level,
+    hamiltonian_vector_field,
     integrate_flow,
     make_symbol,
     model_cos_symbol,
@@ -157,10 +158,12 @@ def test_kernel_hermitian_symmetry_at_t_zero():
     assert abs(a - np.conjugate(b)) <= 1e-10 * max(1.0, abs(a))
 
 
-@pytest.mark.parametrize("point", [0.3 + 0.1j, (0.3, 0.1, 0.2), np.array([0.3 + 0.05j, 0.1])])
+@pytest.mark.parametrize("point", [0.3 + 0.1j, (0.3, 0.1, 0.2), np.array([0.3 + 0.05j, 0.1]),
+                                   ((0.3,), 0.1)])
 def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
     # every entry that takes one (p, q) point parses it by the one rule; a
-    # complex array must not run with its imaginary part dropped
+    # complex array must not run with its imaginary part dropped, and a
+    # ragged one gets the rule's message, not numpy's
     qs = quantum_space(4)
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
@@ -184,6 +187,21 @@ def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
+            call()
+
+
+@pytest.mark.parametrize("points", [np.array([0.3 + 0.05j, 0.1]), ((0.3,), 0.1),
+                                    np.array([[0.3, 0.1, 0.2]])])
+def test_an_array_of_points_that_is_not_p_q_pairs_is_refused(points):
+    # the entries that take arrays of points share one rule: no imaginary
+    # part dropped, no ragged nesting, (p, q) along the last axis
+    op = identity_op(4)
+    calls = {
+        "kernel_eval ys": lambda: kernel_eval(op, np.ones(op.space.dim), points, (0.3, 0.1)),
+        "hamiltonian_vector_field": lambda: hamiltonian_vector_field(model_cos_symbol(), points),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"expected \(p, q\) points"):
             call()
 
 
