@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it by name
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class ExperimentConfig:
     ks: tuple
     points: tuple
     tgrid: tuple
-    energy: float | None
+    energy: float | None  # resolved for projector and lifts: --energy, or H at the first point
     symbol: str
     fhat_kind: str
     fhat_T: float
@@ -243,7 +243,7 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         if not math.isfinite(energy):
             raise ConfigError(f"energy {values['energy']!r} is not finite")
 
-    cfg = ExperimentConfig(
+    return _validate(ExperimentConfig(
         command=ns.command,
         ks=_parse_ks(values["k"]),
         points=_parse_points(values["point"]),
@@ -255,12 +255,11 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         out=values["out"],
         fmt=values["format"],
         sym=symbol_from_selector(str(values["symbol"])),  # once, failing fast on bad expressions
-    )
-    _validate(cfg)
-    return cfg
+    ))
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """The checked cfg, with a level command's energy resolved."""
     for p, q in cfg.points:
         if not (np.isfinite(p) and np.isfinite(q)):
             raise ConfigError(f"point ({p}, {q}) is not finite")
@@ -280,22 +279,17 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("multiple k values write one table per k; --out is "
                           "required (files get a _k<N> suffix)")
     if cfg.command in ("projector", "lifts"):
-        energy = _level_energy(cfg)
+        if cfg.energy is None:
+            cfg = replace(cfg, energy=float(np.asarray(cfg.sym.principal(*cfg.points[0]))))
         for p, q in cfg.points:
             try:
                 norm_X(cfg.sym, (p, q))
-                check_level(cfg.sym, (p, q), energy)
+                check_level(cfg.sym, (p, q), cfg.energy)
             except RegularityError as exc:
                 raise ConfigError(f"point ({p:g}, {q:g}): {exc}; level-set "
                                   "commands need a regular point of the "
                                   "energy level") from None
-
-
-def _level_energy(cfg: ExperimentConfig) -> float:
-    """The level-set energy: --energy, or the symbol value at the first point."""
-    if cfg.energy is not None:
-        return cfg.energy
-    return float(np.asarray(cfg.sym.principal(*cfg.points[0])))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +377,7 @@ def _run_projector(cfg: ExperimentConfig) -> int:
     grouped by point with k ascending, which is the table's order."""
     from .specproj import build_fourier_pair, projector_compare
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
-    samples = projector_compare(cfg.sym, pair, _level_energy(cfg), list(cfg.points), cfg.ks)
+    samples = projector_compare(cfg.sym, pair, cfg.energy, list(cfg.points), cfg.ks)
     rows = [[s.k, s.x[0], s.x[1]] + _kernel_row(s) for s in samples]
     _write_table(cfg.out, _PROJ_HEADER, rows, cfg.fmt)
     return 0
@@ -398,7 +392,7 @@ def _run_lifts(cfg: ExperimentConfig) -> int:
     traj = integrate_flow(cfg.sym, cfg.points[0], cfg.tgrid)
     pre_arg = prequantum_phase(traj, k)
     graph_halves = rho_graph_half(traj)
-    level_halves = rho_level_half(cfg.sym, traj, _level_energy(cfg))
+    level_halves = rho_level_half(cfg.sym, traj, cfg.energy)
     rows = [[t, float(traj.conn_L[i]), float(pre_arg[i]),
              graph_halves[i].real, graph_halves[i].imag,
              level_halves[i].real, level_halves[i].imag]

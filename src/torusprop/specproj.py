@@ -78,9 +78,10 @@ class FourierPair:
     """A function f with compactly supported Fourier transform fhat.
 
     f(E) = (2 pi)^{-1/2} * integral over [-T, T] of fhat(t) e^{i t E} dt,
-    by the uniform trapezoid rule, which converges geometrically because
-    fhat is smooth and vanishes to all orders at +-T.  The node count is
-    sized afresh from the largest argument asked for.
+    by the uniform trapezoid rule: geometrically for the bump, which
+    vanishes to all orders at +-T, and down to about 2e-16 for the
+    truncated Gaussian, which is e^{-36.1} there.  The node count is sized
+    afresh from the largest argument asked for.
     """
 
     support_T: float
@@ -181,23 +182,14 @@ def _fhat_function(kind: str, support_t: float) -> Callable:
 
 
 def build_fourier_pair(kind: str, support_T: float) -> FourierPair:
-    """Construct a FourierPair, verifying compact support, the resolution
-    (see FourierPair.node_count) and realness of f on [-5, 5]: both kinds
-    of fhat are real and even, so f is real."""
+    """The FourierPair of a fhat kind on [-T, T], 0 < T < inf, built without
+    evaluating f.  Both kinds of fhat are real, even and vanish at +-T, so f
+    is real; a support too wide to resolve is refused by the first
+    ``f_eval`` (ResolutionError)."""
 
-    if not support_T > 0:
-        raise ValueError("support_T must be positive")
-    fhat = _fhat_function(kind, float(support_T))
-    edge = max(abs(complex(fhat(support_T))), abs(complex(fhat(-support_T))))
-    if edge > 1e-14:
-        raise ValueError(f"fhat does not vanish at +-T: {edge:.2e}")
-    pair = FourierPair(support_T=float(support_T), fhat=fhat)
-    probe = pair.f_eval(np.linspace(-5.0, 5.0, 11))
-    imag = float(np.max(np.abs(probe.imag)))
-    if imag > 1e-10 * max(1.0, float(np.max(np.abs(probe)))):
-        raise ValueError(f"Hermitian-symmetric fhat produced complex f "
-                         f"(imag {imag:.2e})")
-    return pair
+    if not 0.0 < support_T < np.inf:
+        raise ValueError(f"support_T must be positive and finite, got {support_T!r}")
+    return FourierPair(support_T=float(support_T), fhat=_fhat_function(kind, float(support_T)))
 
 
 # ---------------------------------------------------------------------------

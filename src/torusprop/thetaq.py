@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -55,7 +55,6 @@ import numpy as np
 from .torusgeo import SymbolField
 
 __all__ = [
-    "TruncationError",
     "ResolutionError",
     "ConstructionError",
     "EvaluationError",
@@ -91,10 +90,6 @@ GAUGE_NOTE = (
 )
 
 
-class TruncationError(RuntimeError):
-    """The theta series window is too small for the requested accuracy."""
-
-
 class ResolutionError(RuntimeError):
     """Doubling the quadrature nodes moved the result: grid under-resolved."""
 
@@ -114,7 +109,8 @@ class EvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuantumSpace:
-    """Level-k space of theta sections; its numerical parameters follow from k.
+    """Level-k space of theta sections, k an integer >= 1 (stored as an int;
+    ValueError otherwise); its numerical parameters follow from k.
 
     ``theta_terms`` is the half-width R of the shifted theta summation
     window, the smallest R >= 1 with 2 pi k R (R+1) >= 60 ln 2: the first
@@ -129,6 +125,11 @@ class QuantumSpace:
 
     k: int
     gauge_note: ClassVar[str] = GAUGE_NOTE
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        object.__setattr__(self, "k", int(self.k))
 
     @property
     def dim(self) -> int:
@@ -157,9 +158,10 @@ def quantum_space(k: int) -> QuantumSpace:
     side from k = 4 on; 64 nodes per axis at k = 50, 160 at k = 400).  It runs
     no quadrature: the Gram identity is the ``gram_matrix`` contract."""
 
-    if not (isinstance(k, (int, np.integer)) and 1 <= k <= K_MAX):
+    qs = QuantumSpace(k)
+    if qs.k > K_MAX:
         raise ValueError(f"k must be an integer in [1, {K_MAX}], got {k!r}")
-    return QuantumSpace(int(k))
+    return qs
 
 
 def _block_len(width: int, floor: int = 1) -> int:
@@ -199,32 +201,27 @@ def basis_matrix(qs: QuantumSpace, z) -> LogForm:
                        np.log(mag) + TWO_PI * qs.k * z.imag ** 2)
 
 
-def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
+def sections(qs: QuantumSpace, z) -> np.ndarray:
     """Weight-folded sections s_ell(z) = Psi_ell(z) e^{-2 pi k q^2} at
     (possibly lifted) points z = p + i q, as plain complex values of shape
-    (len(ells),) + shape(z); all 2k rows by default.
+    (2k,) + shape(z).
 
     For each row and point the series is summed over ``qs.theta_terms``
-    terms on either side of its largest one, in blocks of points holding at
-    most ``_BLOCK_PAIRS`` (row, point) pairs.  Raises IndexError for rows
-    outside [0, 2k), TruncationError when a block's first omitted term,
-    at its largest |x|, exceeds 2^-60 of the centre term, and
-    EvaluationError on non-finite output.
+    terms on either side of its largest one, whose argument x has |x| <= k,
+    so the first omitted term is at most 2^-60 of it (``QuantumSpace``), in
+    blocks of points holding at most ``_BLOCK_PAIRS`` (row, point) pairs.
+    Raises EvaluationError on non-finite output.
     """
 
     z = np.asarray(z, dtype=complex)
-    rows = np.arange(qs.dim) if ells is None else np.asarray(ells).reshape(-1)
-    if rows.size and not (np.issubdtype(rows.dtype, np.integer)
-                          and rows.min() >= 0 and rows.max() < qs.dim):
-        raise IndexError(f"basis rows {ells!r} outside [0, {qs.dim})")
     flat = z.reshape(-1)
-    out = np.empty((rows.size, flat.size), dtype=complex)
+    out = np.empty((qs.dim, flat.size), dtype=complex)
     k, radius = qs.k, qs.theta_terms
-    ell = rows.astype(float)[:, None]
+    ell = np.arange(qs.dim, dtype=float)[:, None]
     offsets = 2.0 * k * np.arange(-radius, radius + 1)
     const = k ** 0.25 / np.sqrt(TWO_PI)
-    block = _block_len(rows.size)
-    for lo in range(0, flat.size if rows.size else 0, block):
+    block = _block_len(qs.dim)
+    for lo in range(0, flat.size, block):
         p = flat.real[lo:lo + block]
         q = flat.imag[lo:lo + block]
         # term n has Gaussian argument ell + 2k(n + q); centre on the
@@ -232,12 +229,6 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
         shifted = ell + 2.0 * k * q
         m_centre = ell - 2.0 * k * np.round(shifted / (2.0 * k))
         x = shifted + (m_centre - ell)
-        # the first omitted terms sit at x +- 2k(radius + 1): log ratio to the centre term
-        tail_log = -TWO_PI * (radius + 1) * (k * (radius + 1) - float(np.max(np.abs(x))))
-        if tail_log > -_LOG_TAIL:
-            raise TruncationError(
-                f"first omitted theta term reaches {np.exp(tail_log):.2e} of the "
-                f"centre term at k={k} with {radius} terms on either side")
         hops = np.exp(2j * np.pi * np.outer(offsets, p))
         acc = np.zeros_like(x, dtype=complex)
         for off, hop in zip(offsets, hops):
@@ -246,7 +237,7 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
         out[:, lo:lo + block] = const * acc
     if not np.all(np.isfinite(out)):
         raise EvaluationError("section evaluation produced non-finite values")
-    return out.reshape((rows.size,) + z.shape)
+    return out.reshape((qs.dim,) + z.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,6 @@ def sections(qs: QuantumSpace, z, ells=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
 def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # uniform nodes in both directions: the Hermitian product of two sections
     # (weight included) is lattice-periodic in p and in q, so the trapezoid

@@ -407,7 +407,7 @@ def test_projector_runs_one_pass_without_the_pool(capsys, monkeypatch):
     argv = ["projector", "--k", "20,10", "--point", "0.3,0.1;0.6,0.1"]
     cfg = _cfg(argv)
     pair = build_fourier_pair(cfg.fhat_kind, cfg.fhat_T)
-    energy = harness._level_energy(cfg)
+    energy = cfg.energy
     per_k = {k: projector_compare(cfg.sym, pair, energy, list(cfg.points), [k]) for k in cfg.ks}
     expect = [",".join(harness._PROJ_HEADER)]
     for i in range(len(cfg.points)):
@@ -470,6 +470,12 @@ def test_projector_refuses_an_unresolvable_fhat(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: f is not resolved")
+
+
+def test_projector_refuses_an_unresolvable_fhat_support(capsys):
+    # no probe at build time: the spectral sum's own f_eval refuses it
+    assert main(["projector", "--k", "50", "--fhat", "bump:100000"]) == 1
+    assert "not resolved" in capsys.readouterr().err
 
 
 def test_lifts_refuses_a_point_off_the_energy_level(capsys):

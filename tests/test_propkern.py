@@ -502,3 +502,40 @@ def test_offgraph_far_point_is_negligible():
         op = operator_for(qs, sym)
         modulus = abs(kernel_eval(op, np.exp(-1j * k * t * op.eigenvalues), y, x)[0])
         assert modulus < 1e-6 * (k / TWO_PI)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["model-cos"] + list(_GENERIC))
+def test_propagator_transverse_profile_is_the_flow_gaussian(name, t):
+    # Near the graph, K(c + d) K(c - d) / K(c)^2 = e^{-2 pi k d^T Q d} (1 + O(1/k))
+    # with c = phi_t(x), M = d phi_t, G = 2 (I + M M^T)^{-1}, J = [[0, 1], [-1, 0]]
+    # and Q = G + (i/2)(G J + (G J)^T); the product cancels the connection's
+    # linear phase and the odd O(k^{-1/2}) terms.  Q is measured, not derived:
+    # G from the squeezed coherent state, the imaginary part read off the
+    # model shear's symmetric phase (ROADMAP item 25, "Status of the formula").
+    # G alone and Q with its imaginary part's sign flipped must miss at order one.
+    sym = model_cos_symbol() if name == "model-cos" else make_symbol(name, _GENERIC[name])
+    rng = np.random.default_rng(25)  # six fixed directions v, |v| in [0.4, 0.6]
+    radii, angles = rng.uniform(0.4, 0.6, 6), rng.uniform(0.0, TWO_PI, 6)
+    dirs = radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    x = (0.3, 0.1)
+    traj = integrate_flow(sym, x, [t])
+    c, m = traj.points_lifted[-1], traj.jacobians[-1]
+    g = 2.0 * np.linalg.inv(np.eye(2) + m @ m.T)
+    gj = g @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+    q = g + 0.5j * (gj + gj.T)
+    forms = {"Q": q, "G": g, "flipped": np.conjugate(q)}
+    ks = (50, 100, 200)
+    misses = {form: [] for form in forms}
+    for k in ks:
+        d = dirs / np.sqrt(k)
+        ys = np.concatenate([c[None], c + d, c - d])
+        kern = propkern._propagated_rows(operator_for(quantum_space(k), sym), np.full(13, t), ys, x)
+        ratio = kern[1:7] * kern[7:] / kern[0] ** 2
+        for form, f in forms.items():
+            quad = np.einsum("vi,ij,vj->v", d, f, d)
+            misses[form].append(float(np.max(np.abs(ratio * np.exp(TWO_PI * k * quad) - 1.0))))
+    rate = Rate(ks, tuple(misses["Q"]))
+    assert all(r <= 0.6 for r in rate.ratios)
+    assert rate.errors[-1] <= 0.1
+    assert min(misses["G"] + misses["flipped"]) >= 0.5

@@ -143,13 +143,34 @@ def test_pair_under_resolved_nodes_raise():
 def test_pair_argument_guards():
     with pytest.raises(ValueError):
         build_fourier_pair("triangle", 3.0)
-    with pytest.raises(ValueError):
-        build_fourier_pair("bump", -1.0)
+    for bad in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            build_fourier_pair("bump", bad)
     # the rule sizes itself: there is no node-count argument
     with pytest.raises(TypeError):
         build_fourier_pair("bump", 3.0, 2)
     with pytest.raises(ValueError):
         build_fourier_pair("bump", 3.0).f_eval(np.inf)
+
+
+@pytest.mark.parametrize("kind", ["bump", "gaussian-truncated"])
+@pytest.mark.parametrize("support", [1e-3, 0.5, 3.0, 7.0, 40.0])
+def test_both_windows_vanish_at_the_edge_and_give_a_real_f(kind, support):
+    # what build_fourier_pair no longer probes: fhat vanishes at +-T and,
+    # real and even, gives a real f
+    pair = build_fourier_pair(kind, support)
+    assert max(abs(complex(pair.fhat(support))), abs(complex(pair.fhat(-support)))) <= 1e-14
+    probe = pair.f_eval(np.linspace(-5.0, 5.0, 11))
+    assert np.max(np.abs(probe.imag)) <= 1e-10 * max(1.0, float(np.max(np.abs(probe))))
+
+
+def test_building_a_pair_evaluates_no_f(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("building a Fourier pair evaluated f")
+
+    monkeypatch.setattr(FourierPair, "_trapezoid", refuse)
+    for kind in ("bump", "gaussian-truncated"):
+        assert build_fourier_pair(kind, 3.0).support_T == 3.0
 
 
 # ---------------------------------------------------------------------------
