@@ -45,8 +45,18 @@ from .torusgeo import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 
-COMMANDS = ("propagator", "projector", "lifts", "selftest")
-_CONFIG_KEYS = ("k", "point", "tgrid", "energy", "symbol", "fhat", "out", "format")
+# key: (metavar, default, help) of each --<key> flag and config key, in flag
+# order; the help of a setting without a default (None) says what happens instead.
+_SETTINGS = {
+    "k": ("N[,N...]", "100", f"quantum level(s), 1..{K_MAX}"),
+    "point": ("P,Q[;P,Q...]", "0.3,0.1", "phase-space point(s)"),
+    "tgrid": ("A:STEP:B", "0:0.01:1", "time grid, endpoints included"),
+    "energy": ("E", None, "level-set energy (default: symbol value at the first point)"),
+    "fhat": ("KIND:T", "bump:3", "Fourier-side window preset"),
+    "symbol": ("SEL", "model-cos", "model-cos or an expression in p, q"),
+    "out": ("PATH", None, "output file (default: stdout)"),
+    "format": ("{csv,json}", None, "table format (default csv; selftest is json)"),
+}
 _FHAT_KINDS = ("bump", "gaussian-truncated")
 # every stage holds all time rows at once, so the row count is capped
 _MAX_TGRID_ROWS = 10_001
@@ -65,12 +75,11 @@ class ExperimentConfig:
     points: tuple
     tgrid: tuple
     energy: float | None  # resolved for projector and lifts: --energy, or H at the first point
-    symbol: str
     fhat_kind: str
     fhat_T: float
     out: str | None
     fmt: str
-    sym: SymbolField = field(repr=False, compare=False)  # built from ``symbol``
+    sym: SymbolField = field(repr=False, compare=False)  # its name is the selector
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +196,6 @@ def symbol_from_selector(selector: str):
                           "H(p+1, q) = H(p, q+1) = H(p, q)") from None
 
 
-_DEFAULTS = {"k": "100", "point": "0.3,0.1", "tgrid": "0:0.01:1",
-             "symbol": "model-cos", "fhat": "bump:3"}
-
-
 def _read_config_file(path: str) -> dict:
     import configparser
     # No section header can name the empty section, so [DEFAULT] is read as
@@ -207,9 +212,9 @@ def _read_config_file(path: str) -> dict:
     values: dict = {}
     for sec in cfg.sections():
         for key in cfg[sec]:
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"unknown config key {key!r} in [{sec}]; "
-                                  f"allowed: {', '.join(_CONFIG_KEYS)}")
+                                  f"allowed: {', '.join(_SETTINGS)}")
             if key in values:
                 raise ConfigError(f"config key {key!r} given more than once")
             values[key] = cfg[sec][key]
@@ -217,14 +222,14 @@ def _read_config_file(path: str) -> dict:
 
 
 def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
-    """Merge defaults, config file, and flags (flags win) into a validated config."""
-    values = dict(_DEFAULTS, energy=None, out=None, format=None)
+    """Merge the _SETTINGS defaults, the config file and the flags (flags win)
+    into a validated config; a format from a flag or a file is checked here."""
+    values = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if ns.config is not None:
         values.update(_read_config_file(ns.config))
-    for key in _CONFIG_KEYS:
-        flag = getattr(ns, "fmt" if key == "format" else key)
-        if flag is not None:
-            values[key] = flag
+    for key in _SETTINGS:
+        if getattr(ns, key) is not None:
+            values[key] = getattr(ns, key)
 
     if values["format"] is None:
         values["format"] = "json" if ns.command == "selftest" else "csv"
@@ -249,7 +254,6 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         points=_parse_points(values["point"]),
         tgrid=_parse_tgrid(values["tgrid"]),
         energy=energy,
-        symbol=str(values["symbol"]),
         fhat_kind=kind,
         fhat_T=support,
         out=values["out"],
@@ -416,11 +420,13 @@ def _run_selftest(cfg: ExperimentConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+_RUNNERS = {"propagator": _run_propagator, "projector": _run_projector,
+            "lifts": _run_lifts, "selftest": _run_selftest}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute a validated config; returns the process exit status."""
-    runner = {"propagator": _run_propagator, "projector": _run_projector,
-              "lifts": _run_lifts, "selftest": _run_selftest}[cfg.command]
-    return runner(cfg)
+    return _RUNNERS[cfg.command](cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +441,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Hamiltonians.",
         epilog="Environment: TP_SEED seeds the randomized self-tests. "
                "Identical configs produce byte-identical tables.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--config", metavar="FILE",
                         help="key=value config file; flags override it")
-    parser.add_argument("--k", metavar="N[,N...]",
-                        help=f"quantum level(s), 1..{K_MAX} (default 100)")
-    parser.add_argument("--point", metavar="P,Q[;P,Q...]",
-                        help="phase-space point(s) (default 0.3,0.1)")
-    parser.add_argument("--tgrid", metavar="A:STEP:B",
-                        help="time grid, endpoints included (default 0:0.01:1)")
-    parser.add_argument("--energy", metavar="E",
-                        help="level-set energy (default: symbol value at the "
-                             "first point)")
-    parser.add_argument("--fhat", metavar="KIND:T",
-                        help="Fourier-side window preset (default bump:3)")
-    parser.add_argument("--symbol", metavar="SEL",
-                        help="model-cos or an expression in p, q "
-                             "(default model-cos)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output file (default: stdout)")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        help="table format (default csv; selftest is json)")
+    for key, (metavar, default, text) in _SETTINGS.items():
+        parser.add_argument(f"--{key}", metavar=metavar,
+                            help=text if default is None else f"{text} (default {default})")
     return parser
 
 

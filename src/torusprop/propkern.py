@@ -1,17 +1,18 @@
 """Quantum propagators, their Schwartz kernels, and the geometric predictor.
 
 Exact kernels contract an operator T with the weight-folded sections s of
-its own level-k space, ``T.space``.  ``kernel_eval`` takes spectral rows:
-the kernel of g(T) for eigenpairs (lambda_j, v_j) is
+its own level-k space, ``T.space``.  ``kernel_eval`` is the one contraction
+of spectral rows: the kernel of g(T) for eigenpairs (lambda_j, v_j) is
 sum_j g(lambda_j) (s(y) . v_j) conj(s(x) . v_j): the sections at each point
 are projected onto the eigenvectors once (O(k^2) per point; skipped when the
 eigenbasis is the section basis, as for one-diagonal operators), then each
 spectral row costs O(k), and no 2k x 2k matrix is formed.  Symbols are
 autonomous, and ``_propagated_rows`` walks a propagator's time grid for
-s(y) . e^{-i k t T} conj(s(x)): a one-diagonal operator in exact steps, the
-rows e^{-i k t lambda} over its diagonal; any other, never diagonalized, in
-Chebyshev-Bessel expansions that need only ``T.apply`` (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 1984), their coefficients read off two real FFTs.
+s(y) . e^{-i k t T} conj(s(x)): a one-diagonal operator by one
+``kernel_eval`` per row block, on the rows e^{-i k t lambda}; any other,
+never diagonalized, in Chebyshev-Bessel expansions that need only
+``T.apply`` (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 1984), their
+coefficients read off two real FFTs.
 The predicted side is the leading-order kernel on the graph of the
 classical flow,
 
@@ -187,31 +188,28 @@ def _propagated_rows(op: HermitianOperator, tg: np.ndarray, ys: np.ndarray,
     conj(s(x)) times the unit gauge, s the sections of op's space.
 
     The time grid is walked in row blocks of the working-set budget.  A
-    one-diagonal operator takes a block of _block_len(2k, 1) rows in one
-    exact step, e^{-i k t lambda} over its diagonal.  Otherwise a row is the
-    wider of the 2k sections and the 2 (n_max + 1) Chebyshev angles at the
-    _CHEB_ARG cap; each block's rows share expansions about the last time
-    reached, each reaching at most _CHEB_ARG / (k r) in time, r the radius
-    of _spectral_box, and a gap longer than that is crossed in equal
-    sub-steps first.
+    one-diagonal operator's block of _block_len(2k, 1) rows is one
+    ``kernel_eval`` of the spectral rows e^{-i k t lambda}.  Otherwise a row
+    is the wider of the 2k sections and the 2 (n_max + 1) Chebyshev angles at
+    the _CHEB_ARG cap; each block's rows share expansions about the last time
+    reached, each reaching at most _CHEB_ARG / (k r) in time, r the radius of
+    _spectral_box; a longer gap is crossed in equal sub-steps first.
     """
 
     qs = op.space
-    exact_step = op.diagonals.keys() <= {0}
-    if exact_step:
+    if op.diagonals.keys() <= {0}:
         block = _block_len(qs.dim, 1)
-    else:
-        box = _spectral_box(op)
-        reach = _CHEB_ARG / (qs.k * box[1])
-        block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
+        return np.concatenate([
+            kernel_eval(op, np.exp(-1j * qs.k * np.outer(tg[lo:lo + block], op.eigenvalues)),
+                        ys[lo:lo + block], x_pq) for lo in range(0, tg.size, block)])
+    box = _spectral_box(op)
+    reach = _CHEB_ARG / (qs.k * box[1])
+    block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
     w, t_ref = np.conjugate(sections(qs, complex(*x_pq))), 0.0
     out = np.empty(tg.size, dtype=complex)
     for lo in range(0, tg.size, block):
         t, y = tg[lo:lo + block], ys[lo:lo + block]
         s_rows = sections(qs, y[:, 0] + 1j * y[:, 1]).T
-        if exact_step:
-            out[lo:lo + t.size] = (np.exp(-1j * qs.k * np.outer(t, op.eigenvalues)) * s_rows) @ w
-            continue
         i = 0
         while i < t.size:
             steps = math.ceil(abs(t[i] - t_ref) / reach)
@@ -261,10 +259,10 @@ def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSa
     time grid (it need not start at 0): one KernelSample per time, in grid
     order.
 
-    The flow is read at the ``tgrid`` times only, and the moving point's
-    sections come in row blocks of the thetaq._BLOCK_PAIRS budget, so memory
-    does not grow with the grid: one walk of the grid (_propagated_rows),
-    in exact steps for a one-diagonal operator and Chebyshev-Bessel
+    The flow is read at the ``tgrid`` times only, and the exact side is one
+    walk of the grid (_propagated_rows) in row blocks of the
+    thetaq._BLOCK_PAIRS budget, so memory does not grow with the grid:
+    ``kernel_eval`` per block for a one-diagonal operator, Chebyshev-Bessel
     expansions of ``op.apply`` for any other, which is never diagonalized.
     """
 

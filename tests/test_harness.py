@@ -32,7 +32,7 @@ def _cfg(argv):
 
 def test_defaults_match_documented_experiment():
     cfg = _cfg(["propagator"])
-    assert cfg.symbol == "model-cos"
+    assert cfg.sym.name == "model-cos"
     assert cfg.ks == (100,)
     assert cfg.points == ((0.3, 0.1),)
     assert len(cfg.tgrid) == 101 and cfg.tgrid[0] == 0.0 and cfg.tgrid[-1] == 1.0
@@ -109,6 +109,26 @@ def test_selftest_format_rule_holds_for_config_files(tmp_path, capsys):
     assert _cfg(["propagator", "--config", str(f)]).fmt == "csv"
     f.write_text("[run]\nformat = json\n")
     assert _cfg(["selftest", "--config", str(f)]).fmt == "json"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "50"), ("point", "0.2,0.3"), ("tgrid", "0:0.1:1"), ("energy", "0.5"),
+    ("fhat", "gaussian-truncated:2.5"), ("symbol", "cos(2*pi*q)"), ("out", "table.csv"),
+    ("format", "json")])
+def test_each_setting_is_one_flag_and_one_config_key(key, value, tmp_path):
+    # one table gives every flag and config key, so a value means the same
+    # from either; a bad format is refused by the same check from either
+    f = tmp_path / "one.ini"
+    f.write_text(f"[run]\n{key} = {value}\n")
+    from_flag, from_file, default = (
+        (cfg, cfg.sym.name) for cfg in (_cfg(["propagator", f"--{key}", value]),
+                                         _cfg(["propagator", "--config", str(f)]),
+                                         _cfg(["propagator"])))
+    assert from_flag == from_file != default
+    f.write_text("[run]\nformat = xml\n")
+    for argv in (["propagator", "--format", "xml"], ["propagator", "--config", str(f)]):
+        with pytest.raises(ConfigError, match="^format must be csv or json"):
+            _cfg(argv)
 
 
 def test_config_file_rejects_unknown_and_duplicate_keys(tmp_path):
@@ -237,7 +257,7 @@ def test_non_periodic_symbol_is_refused(capsys):
     assert main(["propagator", "--symbol", "cos(pi*q)", "--k", "5"]) == 2
     assert "not lattice-periodic" in capsys.readouterr().err
     readme = "cos(2*pi*q)+0.1*sin(2*pi*p)"
-    assert _cfg(["propagator", "--symbol", readme]).symbol == readme
+    assert _cfg(["propagator", "--symbol", readme]).sym.name == f"expr:{readme}"
 
 
 def test_non_smooth_symbol_is_refused(capsys):

@@ -394,14 +394,16 @@ def test_multi_diagonal_propagator_runs_no_eigh_and_no_dense_matrix(monkeypatch)
         operator_for(qs, sym).eigenvalues
 
 
-@pytest.mark.parametrize("name", _GENERIC)
-def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name):
+@pytest.mark.parametrize("name, ks", [pytest.param(n, ks, id=n + tag) for ks, tag in
+                                      (((50, 100), ""), ((400, 1000), "-k400-1000")) for n in _GENERIC])
+def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name, ks):
     # T_k(f) has subprincipal symbol Delta f / (16 pi); without it in the
-    # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
+    # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k.
+    # Past K_MAX the space is built directly
     sym = make_symbol("generic", _GENERIC[name])
     tg = np.linspace(0.0, 1.0, 101)
-    ks = (50, 100)
-    runs = [graph_compare(quantum_space(k), sym, (0.3, 0.1), tg) for k in ks]
+    runs = [graph_compare(quantum_space(k) if k <= thetaq.K_MAX else QuantumSpace(k), sym, (0.3, 0.1), tg)
+            for k in ks]
     phase = Rate(ks, tuple(max(abs(r.phase_err) for r in rows) for rows in runs))
     modulus = Rate(ks, tuple(max(r.rel_err_modulus for r in rows) for rows in runs))
     assert phase.ratios[0] <= 0.65

@@ -404,6 +404,37 @@ def test_loop_holonomy():
     assert got == pytest.approx(np.exp(-2j * np.pi * q0), abs=1e-12)
 
 
+@pytest.mark.parametrize("selector, x, window_end, winding", [
+    ("cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))", (0.3, 0.1), 4.0, (0, 0)),
+    ("cos(2*pi*p)+cos(2*pi*q)", (0.1, 0.3), 4.0, (0, 0)),
+    ("exp(4*cos(2*pi*q))*sin(2*pi*p)", (0.3, 0.1), 0.05, (0, 0)),
+    ("cos(2*pi*q)+0.1*sin(2*pi*p)", (0.3, 0.25), 2.5, (1, 0)),
+    ("model-cos", (0.3, 0.1), 4.0, (1, 0)),
+    ("cos(2*pi*p)", (0.3, 0.1), 2.5, (0, -1)),
+    ("cos(2*pi*(p-q))", (0.3, 0.1), 2.5, (-1, -1)),
+])
+def test_one_period_level_amplitude_holonomy_is_the_maslov_sign(selector, x, window_end, winding):
+    # Over one period the canonical-bundle half-lift, normalized by its
+    # t = 0 value sqrt(2)/||X_x||, comes back to a sign.  The orbit's tangent
+    # line turns once on a contractible orbit (Maslov index 2), and the
+    # square root of that turn carries -1; on an orbit that winds around the
+    # torus the tangent line does not turn (index 0), so the sign is +1
+    # (Guillemin & Sternberg, "Geometric Asymptotics", ch. IV).  A principal
+    # theta_a loses the turn: every contractible orbit then reads +1.
+    sym = symbol_from_selector(selector)
+    r = return_times(sym, x, x, (1e-3, window_end))[0]
+    assert r.winding == winding
+    energy = float(sym.principal(*x))
+
+    def holonomy(flow):
+        return complex(rho_level_half(sym, flow, energy)[0]) * norm_X(sym, x) / np.sqrt(2.0)
+
+    sign = -1.0 if winding == (0, 0) else 1.0
+    assert abs(holonomy(r.flow) - sign) <= 1e-8
+    principal = dataclasses.replace(r.flow, theta_a=np.angle(np.exp(1j * r.flow.theta_a)))
+    assert abs(holonomy(principal) - 1.0) <= 1e-8
+
+
 def test_prequantum_phase_closed_form():
     sym = model_cos_symbol()
     q0 = 0.1
