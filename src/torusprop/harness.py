@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .thetaq import K_MAX, quantum_space
+from .thetaq import quantum_space
 from .torusgeo import (
     RegularityError,
     SymbolField,
@@ -45,6 +45,7 @@ from .torusgeo import (
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
 
+K_MAX = 5000  # the CLI's one range for k, 1..K_MAX: the 1/k rates are measured to 5000
 # key: (metavar, default, help) of each --<key> flag and config key, in flag
 # order; the help of a setting without a default (None) says what happens instead.
 _SETTINGS = {
@@ -88,6 +89,7 @@ class ExperimentConfig:
 
 
 def _parse_ks(text: str) -> tuple:
+    """Distinct levels in 1..K_MAX; a non-diagonal operator's eigh stops lower (thetaq)."""
     ks = []
     for part in str(text).split(","):
         try:
@@ -95,8 +97,7 @@ def _parse_ks(text: str) -> tuple:
         except ValueError:
             raise ConfigError(f"k list entry {part!r} is not an integer") from None
         if not 1 <= k <= K_MAX:
-            raise ConfigError(f"k={k} outside the supported range 1..{K_MAX} "
-                              "(the projector's dense eigh of non-diagonal operators)")
+            raise ConfigError(f"k={k} outside the supported range 1..{K_MAX}")
         ks.append(k)
     if len(set(ks)) != len(ks):
         raise ConfigError(f"duplicate k values in {text!r}")

@@ -71,10 +71,8 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 FOUR_PI = 4.0 * np.pi
-# Sections cannot overflow at any k, operators are held as cyclic diagonals,
-# and propagators never diagonalize them; the size limit is the dense eigh a
-# projector of a non-diagonal operator still runs.
-K_MAX = 400
+# The one size limit: the dense eigh of a non-diagonal operator (sections hold at any k).
+_EIGH_K_MAX = 400
 # The one working-set budget: (row, point) or (row, eigenvalue) pairs per block of every
 # exact-side grid (_block_len); 94 KiB temporaries, under glibc's 128 KiB mmap threshold.
 _BLOCK_PAIRS = 6000
@@ -95,7 +93,7 @@ class ResolutionError(RuntimeError):
 
 
 class ConstructionError(RuntimeError):
-    """An operator failed its Hermiticity or eigen-residual check."""
+    """An operator failed its Hermiticity or eigen-residual check, or needs a dense eigh above k = 400."""
 
 
 class EvaluationError(RuntimeError):
@@ -153,15 +151,11 @@ class QuantumSpace:
 
 
 def quantum_space(k: int) -> QuantumSpace:
-    """The level-k QuantumSpace, for an integer k in [1, K_MAX]; its theta
-    window and Gram nodes follow from k (``QuantumSpace``: one term on either
-    side from k = 4 on; 64 nodes per axis at k = 50, 160 at k = 400).  It runs
-    no quadrature: the Gram identity is the ``gram_matrix`` contract."""
+    """The level-k QuantumSpace, for any integer k >= 1, with the theta window
+    and Gram nodes ``QuantumSpace`` derives from k.  It runs no quadrature:
+    the Gram identity is the ``gram_matrix`` contract."""
 
-    qs = QuantumSpace(k)
-    if qs.k > K_MAX:
-        raise ValueError(f"k must be an integer in [1, {K_MAX}], got {k!r}")
-    return qs
+    return QuantumSpace(k)
 
 
 def _block_len(width: int, floor: int = 1) -> int:
@@ -188,8 +182,10 @@ def basis_matrix(qs: QuantumSpace, z) -> LogForm:
 
     A view of ``sections``: one call for every row and point, with the
     folded weight e^{-2 pi k q^2} moved back into the log modulus, where
-    Psi_ell may lie far beyond float range.  The sections stay inside it:
-    the largest term of each is at least e^{-pi k / 2}, e^{-628} at K_MAX.
+    Psi_ell may lie far beyond float range.  The sections stay inside it
+    while their largest term, at least e^{-pi k / 2}, does: to k = 451.  Above,
+    a row can underflow and lose its unit mantissa with an overflow RuntimeWarning
+    (one row at (0.3, 0.1) at k = 475); no path calls this above k = 400.
     Raises what ``sections`` raises.
     """
 
@@ -320,12 +316,12 @@ class HermitianOperator:
     together on the first read of either, never at construction.  An
     operator whose only shift is 0 is its own eigendecomposition
     (eigenvalues the diagonal, in basis order; the standard basis, recorded
-    as ``eigenvectors = None``), and no dense matrix is formed.  Any other
-    operator is expanded to a dense matrix only to feed ``eigh``, whose
-    residual, computed on the stored diagonals, must stay within
-    1e-9 (1 + max |lambda|).  Both checks raise ConstructionError, the
-    residual check on every read until it passes.  The shift-0 route has no
-    residual check: its stored d_0 is real, so the residual is 0.
+    as ``eigenvectors = None``) at any k, and no dense matrix is formed.
+    Any other operator is expanded to a dense matrix only to feed ``eigh``,
+    only up to k = 400 (above it a read raises first), and the residual,
+    computed on the stored diagonals, must stay within 1e-9 (1 + max |lambda|).
+    All three checks raise ConstructionError, the last two on every read.  The
+    shift-0 route has no residual check: its stored d_0 is real.
     """
 
     space: QuantumSpace
@@ -353,6 +349,9 @@ class HermitianOperator:
     def _eigendata(self) -> tuple[np.ndarray, np.ndarray | None]:
         if self.diagonals.keys() <= {0}:
             return np.array(self.diagonals.get(0, np.zeros(self.space.dim)).real), None
+        if self.space.k > _EIGH_K_MAX:
+            raise ConstructionError(f"a non-diagonal operator is diagonalized up to "
+                                    f"k = {_EIGH_K_MAX}, not k = {self.space.k}")
         vals, vecs = np.linalg.eigh(self.dense())
         resid = float(np.max(np.abs(self.apply(vecs) - vecs * vals[None, :])))
         if resid > 1e-9 * (1.0 + float(np.max(np.abs(vals)))):

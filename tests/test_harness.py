@@ -69,7 +69,8 @@ def test_tgrid_at_the_row_cap_parses():
 
 def test_k_list_and_guards():
     assert _cfg(["projector", "--k", "50,100,200"]).ks == (50, 100, 200)
-    for bad in ("0", "401", "1000", "ten", "50,50"):
+    assert _cfg(["projector", "--k", "401,1000,5000"]).ks == (401, 1000, 5000)
+    for bad in ("0", "5001", "ten", "50,50"):
         with pytest.raises(ConfigError):
             _cfg(["projector", "--k", bad])
 
@@ -492,6 +493,20 @@ def test_projector_refuses_an_unresolvable_fhat(capsys):
     assert captured.err.startswith("error: f is not resolved")
 
 
+def test_past_k_400_only_a_non_diagonal_eigh_is_refused(capsys):
+    # the one k limit below the CLI's range is the dense eigh of a
+    # non-diagonal operator: exit 1 and no table; the projector of model-cos
+    # (one diagonal) and lifts (no operator) run on
+    argv = ["projector", "--symbol", "cos(2*pi*q)+0.1*sin(2*pi*p)", "--k", "401"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "up to k = 400, not k = 401" in captured.err
+    assert main(["projector", "--k", "1000", "--fhat", "bump:3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert main(["lifts", "--k", "5000"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+
+
 def test_projector_refuses_an_unresolvable_fhat_support(capsys):
     # no probe at build time: the spectral sum's own f_eval refuses it
     assert main(["projector", "--k", "50", "--fhat", "bump:100000"]) == 1
@@ -510,8 +525,8 @@ def test_level_points_on_both_level_components_are_accepted():
 
 
 def test_cli_error_exits(tmp_path, capsys):
-    assert main(["propagator", "--k", "1000"]) == 2
-    assert "1..400" in capsys.readouterr().err
+    assert main(["propagator", "--k", "5001"]) == 2
+    assert "1..5000" in capsys.readouterr().err
     assert main(["projector", "--point", "0.3,0.5"]) == 2
     assert "critical" in capsys.readouterr().err
     # runtime (non-config) failure: unwritable output path

@@ -331,14 +331,19 @@ _GENERIC = {
 }
 
 
-@pytest.mark.parametrize("name", _GENERIC)
-@pytest.mark.parametrize("k, tgrid", [
-    (12, np.linspace(0.8, 0.9, 101)), (50, np.linspace(0.8, 0.9, 101)),
-    (200, np.linspace(0.8, 0.9, 101)), (400, np.linspace(0.8, 0.9, 101)),
-    (12, np.arange(11.0)), (50, np.arange(11.0)),
-], ids=["k12-zoom", "k50-zoom", "k200-zoom", "k400-zoom", "k12-coarse", "k50-coarse"])
+_ZOOM = np.linspace(0.8, 0.9, 101)
+_ORACLE_GRIDS = {"k12-zoom": (12, _ZOOM), "k50-zoom": (50, _ZOOM), "k200-zoom": (200, _ZOOM),
+                 "k400-zoom": (400, _ZOOM), "k12-coarse": (12, np.arange(11.0)),
+                 "k50-coarse": (50, np.arange(11.0))}
+
+
+@pytest.mark.parametrize("name, k, tgrid", [
+    pytest.param(name, k, tgrid, id=f"{grid}-{name}")
+    for name in _GENERIC for grid, (k, tgrid) in _ORACLE_GRIDS.items()
+] + [pytest.param("cos-q-sin-p", 500, _ZOOM, id="k500-zoom-cos-q-sin-p")])
 def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
-    # the Chebyshev route against e^{-i k t lambda} over eigh's eigendata:
+    # the Chebyshev route against e^{-i k t lambda} over the dense matrix's
+    # eigh, taken here because the operator's own eigh stops at k = 400:
     # gaps up to 0.8 (zoom) and 1.0 (coarse) are crossed in sub-steps.  eigh's
     # eigenvalues carry rounding near 1e-16 ||T||, so the oracle's own phase
     # drifts like k t 1e-16; these grids keep k t <= 500
@@ -346,11 +351,12 @@ def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
     sym = make_symbol(name, _GENERIC[name])
     x = (0.3, 0.1)
     rows = graph_compare(qs, sym, x, tgrid)
-    op = operator_for(qs, sym)
+    vals, vecs = np.linalg.eigh(operator_for(qs, sym).dense())
     ys = np.array([r.y for r in rows])
-    want = np.concatenate([
-        kernel_eval(op, np.exp(-1j * k * np.outer(tgrid[lo:lo + 10], op.eigenvalues)),
-                    ys[lo:lo + 10], x) for lo in range(0, tgrid.size, 10)])
+    y_modes = sections(qs, ys[:, 0] + 1j * ys[:, 1]).T @ vecs
+    x_modes = sections(qs, complex(*x)) @ vecs
+    gauge = np.exp(2j * np.pi * k * (ys[:, 0] * ys[:, 1] - x[0] * x[1]))
+    want = (np.exp(-1j * k * np.outer(tgrid, vals)) * y_modes) @ np.conjugate(x_modes) * gauge
     got = np.array([r.exact for r in rows])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -398,12 +404,10 @@ def test_multi_diagonal_propagator_runs_no_eigh_and_no_dense_matrix(monkeypatch)
                                       (((50, 100), ""), ((400, 1000), "-k400-1000")) for n in _GENERIC])
 def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name, ks):
     # T_k(f) has subprincipal symbol Delta f / (16 pi); without it in the
-    # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k.
-    # Past K_MAX the space is built directly
+    # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
     sym = make_symbol("generic", _GENERIC[name])
     tg = np.linspace(0.0, 1.0, 101)
-    runs = [graph_compare(quantum_space(k) if k <= thetaq.K_MAX else QuantumSpace(k), sym, (0.3, 0.1), tg)
-            for k in ks]
+    runs = [graph_compare(quantum_space(k), sym, (0.3, 0.1), tg) for k in ks]
     phase = Rate(ks, tuple(max(abs(r.phase_err) for r in rows) for rows in runs))
     modulus = Rate(ks, tuple(max(r.rel_err_modulus for r in rows) for rows in runs))
     assert phase.ratios[0] <= 0.65

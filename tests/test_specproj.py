@@ -30,8 +30,16 @@ from torusprop.thetaq import (
     ResolutionError,
     basis_matrix,
     quantum_space,
+    toeplitz_build,
 )
-from torusprop.torusgeo import RegularityError, integrate_flow, model_cos_symbol, norm_X
+from torusprop.torusgeo import (
+    RegularityError,
+    integrate_flow,
+    model_cos_symbol,
+    norm_X,
+    return_times,
+    rho_level_half,
+)
 
 TWO_PI = 2.0 * np.pi
 Q0 = 0.1
@@ -597,3 +605,45 @@ def test_each_return_piece_carries_its_lattice_gauge_factor():
     assert _worst_ratio(pieces[(1, 0)], lambda r: r.phase_err) <= 0.6
     for rows in pieces.values():
         assert rows[-1].rel_err_modulus <= 0.01 and abs(rows[-1].phase_err) <= 0.015
+
+
+# ---------------------------------------------------------------------------
+# Bohr-Sommerfeld: the two lifts around one period place the spectrum
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("selector, p0", [
+    ("cos(2*pi*p)+cos(2*pi*q)", 0.0),
+    ("cos(2*pi*p)+cos(2*pi*q)+0.3*sin(2*pi*(p+q))", 0.0425),
+], ids=["harper", "three-mode"])
+def test_two_lifts_over_one_period_place_the_top_eigenvalues(selector, p0):
+    # Bohr-Sommerfeld (Charles, Comm. PDE 28, 2003): E is an eigenvalue of
+    # T_k(f + g/k) where the two lifts around the closed orbit {f = E} close
+    # up, e^{i (k conn_L(tau) - int H^sub)} h = 1, h = rho'^{1/2}(tau)
+    # ||X_x|| / sqrt(2) the canonical-bundle half-lift's holonomy: -1 on a
+    # contractible orbit, the Maslov 1/2 (test_torusgeo's holonomy sign).
+    # x is put on {f = E} by bisection in q down from the maximum at (p0, p0),
+    # located on a 401^2 grid.  The top three levels miss by 1.3e-4..5.5e-4 (Harper)
+    # and 2.4e-3..2.6e-3 (three-mode) at k = 50, falling to 0.24 and 0.48 of
+    # that at k = 100; without h, or without int H^sub, the miss is order one
+    sym = symbol_from_selector(selector)
+    f = lambda q: float(sym.principal(p0, q))
+    worst = []
+    for k in (50, 100):
+        misses = []
+        for energy in np.sort(toeplitz_build(quantum_space(k), sym).eigenvalues)[-3:]:
+            lo, hi = p0, p0 + 0.5  # f falls from its maximum below every energy
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if f(mid) > energy else (lo, mid)
+            x = (p0, lo)
+            flow = return_times(sym, x, x, (1e-3, 8.0))[0].flow
+            h = complex(rho_level_half(sym, flow, f(lo))[0]) * norm_X(sym, x) / np.sqrt(2.0)
+            assert abs(h + 1.0) <= 1e-6
+            transport = np.exp(1j * k * flow.conn_L[-1])
+            misses.append(abs(np.angle(transport * np.exp(-1j * flow.action_Hsub[-1]) * h)))
+            assert abs(np.angle(transport * np.exp(-1j * flow.action_Hsub[-1]))) >= 2.5
+            assert abs(np.angle(transport * h)) >= 2.5
+        assert max(misses) <= 0.2 / k
+        worst.append(max(misses))
+    assert Rate((50, 100), tuple(worst)).ratios[0] <= 0.65

@@ -372,8 +372,6 @@ def test_quantum_space_guards():
     with pytest.raises(ValueError):
         quantum_space(0)
     with pytest.raises(ValueError):
-        quantum_space(401)
-    with pytest.raises(ValueError):
         quantum_space(2.5)  # type: ignore[arg-type]
 
 
@@ -573,8 +571,8 @@ def test_covariant_symbol_of_a_toeplitz_mode_is_the_doubly_damped_mode(k):
     # single damping in its place the identity misses by about
     # pi (m^2 + n^2) / (4k) at large k, so it pins the damping and with it
     # make_symbol's Delta f / (16 pi).  Rounding grows with the lift of the
-    # point.  Past K_MAX the space is built directly
-    qs = quantum_space(k) if k <= thetaq.K_MAX else QuantumSpace(k)
+    # point
+    qs = quantum_space(k)
     z = _COVARIANT_POINTS
     for m, n in _COVARIANT_MODES:
         got = _covariant_symbol(qs, m, n)
@@ -623,8 +621,8 @@ def test_bergman_kernel_is_the_gauged_gaussian_lattice_sum(k):
     # gauge factor, summed over the images y + w: no eigh, no quadrature.
     # Rounding grows like k (1 + |x|^2 + |y|^2), the gauge's phase (seen
     # within 4e-16 of that over k / 2 pi); a sign flip in either gauge
-    # phase misses by orders more.  Past K_MAX the space is built directly
-    qs = quantum_space(k) if k <= thetaq.K_MAX else QuantumSpace(k)
+    # phase misses by orders more
+    qs = quantum_space(k)
     for y, x in _bergman_pairs(k):
         s = sections(qs, np.array([complex(*y), complex(*x)]))
         bergman = s[:, 0] @ np.conjugate(s[:, 1])
@@ -646,6 +644,28 @@ def test_toeplitz_at_k400_is_hermitian_within_symbol_range():
     assert np.array_equal(op.dense(), op.dense().conj().T)
     assert op.eigenvalues.min() >= -1.1 - 1e-12
     assert op.eigenvalues.max() <= 1.1 + 1e-12
+
+
+def test_eigendata_of_a_non_diagonal_operator_stops_at_k_400(monkeypatch):
+    # the one size limit: above k = 400 a non-diagonal operator's eigendata is
+    # refused before a dense matrix or eigh is reached, on every read; apply
+    # needs neither, and a one-diagonal operator is its own eigendata at any k
+    def refuse(*args):
+        raise AssertionError("a dense matrix or eigh was reached")
+
+    monkeypatch.setattr(thetaq.HermitianOperator, "dense", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    qs = quantum_space(401)
+    op = toeplitz_build(qs, make_symbol("cos-q-sin-p", _ORACLE_SYMBOLS["cos-q-sin-p"][0]))
+    for read in ("eigenvalues", "eigenvectors", "eigenvalues"):
+        with pytest.raises(ConstructionError, match="up to k = 400, not k = 401"):
+            getattr(op, read)
+    v = np.random.default_rng(5).normal(size=qs.dim) + 0j
+    want = sum(d * np.roll(v, s) for s, d in op.diagonals.items())
+    assert np.max(np.abs(op.apply(v) - want)) <= 1e-14 * np.max(np.abs(want))
+    model = operator_for(quantum_space(5000), model_cos_symbol())
+    assert model.diagonals.keys() == {0} and model.eigenvectors is None
+    assert np.array_equal(model.eigenvalues, model.diagonals[0].real)
 
 
 def _cos_q_symbol():
