@@ -114,14 +114,14 @@ def _crit_a2() -> CriterionResult:
 
 
 def _crit_a3() -> CriterionResult:
-    qs = quantum_space(100)
+    k = 100
     sym = model_cos_symbol()
     tg = np.linspace(0.0, 0.1, 101)
-    rows = graph_compare(qs, sym, _POINT, tg)
+    rows = graph_compare(sym, _POINT, tg, [k])
     err_quarter = max(r.rel_err_modulus for r in rows)
     # alternative modulus law (1+a^2)^{-1/2} for the same closed-form model
     a = 0.5 * np.pi * tg * np.cos(TWO_PI * _POINT[1])
-    half_mod = (qs.k / TWO_PI) * (1.0 + a * a) ** (-0.5)
+    half_mod = (k / TWO_PI) * (1.0 + a * a) ** (-0.5)
     err_half = float(np.max([abs(abs(r.exact) - m) / m
                              for r, m in zip(rows, half_mod)]))
     winner = "quarter" if err_quarter <= err_half else "half"
@@ -135,10 +135,8 @@ def _crit_a3() -> CriterionResult:
 def _crit_a4() -> CriterionResult:
     sym = model_cos_symbol()
     tg = np.linspace(0.0, 1.0, 101)
-    errs = {}
-    for k in (50, 100):
-        rows = graph_compare(quantum_space(k), sym, _POINT, tg)
-        errs[k] = max(r.rel_err_modulus for r in rows)
+    rows = graph_compare(sym, _POINT, tg, (50, 100))
+    errs = {k: max(r.rel_err_modulus for r in rows if r.k == k) for k in (50, 100)}
     ratio = Rate(tuple(errs), tuple(errs.values())).ratios[0]
     return CriterionResult(
         "A4", "graph-kernel error drops at the 1/k rate from k=50 to k=100",
@@ -171,11 +169,10 @@ def _crit_a6() -> CriterionResult:
 
 
 def _crit_a7() -> CriterionResult:
-    qs = quantum_space(50)
-    c, t = 0.7, 0.5
+    k, c, t = 50, 0.7, 0.5
     tg = [0.0, t]
-    base = graph_compare(qs, model_cos_symbol(), _POINT, tg)[-1]
-    shifted = graph_compare(qs, model_cos_symbol(sub_const=c), _POINT, tg)[-1]
+    base = graph_compare(model_cos_symbol(), _POINT, tg, [k])[-1]
+    shifted = graph_compare(model_cos_symbol(sub_const=c), _POINT, tg, [k])[-1]
     factor = np.exp(-1j * c * t)
     res_exact = abs(shifted.exact - factor * base.exact) / abs(base.exact)
     res_pred = abs(shifted.predicted - factor * base.predicted) / abs(base.predicted)
@@ -184,7 +181,7 @@ def _crit_a7() -> CriterionResult:
         "A7", "constant subprincipal shift acts as exactly exp(-ict) on both routes",
         worst, 1e-12, worst <= 1e-12,
         {"residual_exact": res_exact, "residual_predictor": res_pred,
-         "c": c, "t": t, "k": qs.k})
+         "c": c, "t": t, "k": k})
 
 
 def _crit_a8() -> CriterionResult:

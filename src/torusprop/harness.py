@@ -15,7 +15,8 @@ Output is deterministic: identical configuration gives byte-identical files
 (17-significant-digit floats, comma separator, LF line endings, header row).
 
 Each runner imports its own compute module, so a process loads only the
-code its command runs.
+code its command runs: the front end and ``lifts`` need only the geometry
+(``torusgeo``), and the CLI builds no quantum object itself.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it by name
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
-from .thetaq import quantum_space
 from .torusgeo import (
     RegularityError,
     SymbolField,
@@ -104,16 +105,25 @@ def _parse_ks(text: str) -> tuple:
     return tuple(ks)
 
 
+def _finite(text, what: str) -> float:
+    """The one reader of a CLI number: ``text`` as a finite float, or a
+    ConfigError naming ``what``."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{what} {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} {text!r} is not finite")
+    return value
+
+
 def _parse_points(text: str) -> tuple:
     pts = []
     for part in str(text).split(";"):
         bits = part.split(",")
         if len(bits) != 2:
             raise ConfigError(f"point {part!r} must be P,Q")
-        try:
-            pts.append((float(bits[0]), float(bits[1])))
-        except ValueError:
-            raise ConfigError(f"point {part!r} has a non-numeric entry") from None
+        pts.append(tuple(_finite(b, f"point {part!r} entry") for b in bits))
     return tuple(pts)
 
 
@@ -121,12 +131,7 @@ def _parse_tgrid(text: str) -> tuple:
     bits = str(text).split(":")
     if len(bits) != 3:
         raise ConfigError(f"tgrid {text!r} must be A:STEP:B")
-    try:
-        a, step, b = (float(x) for x in bits)
-    except ValueError:
-        raise ConfigError(f"tgrid {text!r} has a non-numeric entry") from None
-    if not all(map(math.isfinite, (a, step, b))):
-        raise ConfigError(f"tgrid {text!r} has a non-finite entry")
+    a, step, b = (_finite(x, f"tgrid {text!r} entry") for x in bits)
     if step <= 0:
         raise ConfigError("tgrid step must be positive")
     if b < a:
@@ -150,12 +155,9 @@ def _parse_fhat(text: str) -> tuple:
     if kind not in _FHAT_KINDS:
         raise ConfigError(f"unknown fhat kind {kind!r}; choose from "
                           f"{', '.join(_FHAT_KINDS)}")
-    try:
-        support = float(bits[1])
-    except ValueError:
-        raise ConfigError(f"fhat support {bits[1]!r} is not a number") from None
-    if not 0.0 < support < math.inf:
-        raise ConfigError(f"fhat support T must be positive and finite, not {support!r}")
+    support = _finite(bits[1], "fhat support")
+    if support <= 0.0:
+        raise ConfigError(f"fhat support T must be positive, not {support!r}")
     return kind, support
 
 
@@ -240,15 +242,7 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"format must be csv or json, not {values['format']!r}")
 
     kind, support = _parse_fhat(values["fhat"])
-    energy = None
-    if values["energy"] is not None:
-        try:
-            energy = float(values["energy"])
-        except ValueError:
-            raise ConfigError(f"energy {values['energy']!r} is not a number") from None
-        if not math.isfinite(energy):
-            raise ConfigError(f"energy {values['energy']!r} is not finite")
-
+    energy = None if values["energy"] is None else _finite(values["energy"], "energy")
     return _validate(ExperimentConfig(
         command=ns.command,
         ks=_parse_ks(values["k"]),
@@ -266,8 +260,6 @@ def parse_config(ns: argparse.Namespace) -> ExperimentConfig:
 def _validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """The checked cfg, with a level command's energy resolved."""
     for p, q in cfg.points:
-        if not (np.isfinite(p) and np.isfinite(q)):
-            raise ConfigError(f"point ({p}, {q}) is not finite")
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"p={p:g} outside the fundamental range [0, 1]")
         if not 0.0 < q < 1.0:
@@ -361,19 +353,14 @@ def _kernel_row(s) -> list:
 
 
 def _run_propagator(cfg: ExperimentConfig) -> int:
-    """One table per k, in order on the calling thread (a worker thread would allocate from
-    its own malloc arena: more peak RSS, no speed-up); several k write ``_k<N>`` files, k ascending."""
+    """One ``graph_compare`` pass over every k (one flow, on the calling thread); its rows
+    come grouped by k ascending, one table each; several k write ``_k<N>`` files."""
     from .propkern import graph_compare
-    x = cfg.points[0]
-
-    def rows_for(k: int) -> list:
-        samples = graph_compare(quantum_space(k), cfg.sym, x, cfg.tgrid)
-        return [[t] + _kernel_row(s) for t, s in zip(cfg.tgrid, samples)]
-
-    tables = {k: rows_for(k) for k in cfg.ks}
-    for k in sorted(tables):
-        out = cfg.out if len(tables) == 1 else _suffixed(cfg.out, k)
-        _write_table(out, _PROP_HEADER, tables[k], cfg.fmt)
+    samples = graph_compare(cfg.sym, cfg.points[0], cfg.tgrid, cfg.ks)
+    for k, group in groupby(samples, key=lambda s: s.k):
+        out = cfg.out if len(cfg.ks) == 1 else _suffixed(cfg.out, k)
+        rows = [[t] + _kernel_row(s) for t, s in zip(cfg.tgrid, group)]
+        _write_table(out, _PROP_HEADER, rows, cfg.fmt)
     return 0
 
 

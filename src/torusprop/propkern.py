@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .thetaq import HermitianOperator, QuantumSpace, _block_len, sections, toeplitz_build
+from .thetaq import HermitianOperator, QuantumSpace, _block_len, quantum_space, sections, toeplitz_build
 from .torusgeo import (
     SymbolField,
     Trajectory,
@@ -254,24 +254,32 @@ def operator_for(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     return toeplitz_build(qs, sym)
 
 
-def graph_compare(qs: QuantumSpace, sym: SymbolField, x, tgrid) -> list[KernelSample]:
+def graph_compare(sym: SymbolField, x, tgrid, ks) -> list[KernelSample]:
     """Exact kernel at (phi_t(x), x) versus the predictor, over a forward
-    time grid (it need not start at 0): one KernelSample per time, in grid
-    order.
+    time grid (it need not start at 0) and the levels ``ks``: one
+    KernelSample per (k, time), grouped by k ascending, in grid order within
+    a group.
 
-    The flow is read at the ``tgrid`` times only, and the exact side is one
-    walk of the grid (_propagated_rows) in row blocks of the
-    thetaq._BLOCK_PAIRS budget, so memory does not grow with the grid:
-    ``kernel_eval`` per block for a one-diagonal operator, Chebyshev-Bessel
-    expansions of ``op.apply`` for any other, which is never diagonalized.
+    k enters the prediction only as the power of the prequantum transport,
+    so the one trajectory, read at the ``tgrid`` times only, is the k-free
+    prediction, quantized at every k.  Each level's space is built from k as
+    given (``quantum_space``: ValueError unless an integer >= 1) before the
+    flow runs.  The exact side is one walk of the grid per k
+    (_propagated_rows) in row blocks of the thetaq._BLOCK_PAIRS budget, so
+    memory does not grow with the grid: ``kernel_eval`` per block for a
+    one-diagonal operator, Chebyshev-Bessel expansions of ``op.apply`` for
+    any other, which is never diagonalized.
     """
 
+    spaces = sorted(map(quantum_space, ks), key=lambda qs: qs.k)
     tg = np.asarray(tgrid, dtype=float)
     x_pq = _as_pq(x)
     traj = integrate_flow(sym, x_pq, tg)
-    preds = _graph_predictions(traj, qs.k)
     ys = traj.points_lifted
-    exact = _propagated_rows(operator_for(qs, sym), tg, ys, x_pq)
-    return [KernelSample(k=qs.k, x=x_pq, y=(float(y[0]), float(y[1])),
-                         exact=complex(e), predicted=complex(p))
-            for y, e, p in zip(ys, exact, preds)]
+    y_pqs = [(float(y[0]), float(y[1])) for y in ys]
+    rows = []
+    for qs in spaces:
+        exact = _propagated_rows(operator_for(qs, sym), tg, ys, x_pq)
+        rows += [KernelSample(k=qs.k, x=x_pq, y=y, exact=complex(e), predicted=complex(p))
+                 for y, e, p in zip(y_pqs, exact, _graph_predictions(traj, qs.k))]
+    return rows

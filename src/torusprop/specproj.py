@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .propkern import KernelSample, kernel_eval, operator_for
-from .thetaq import HermitianOperator, ResolutionError, _block_len, quantum_space
+from .thetaq import HermitianOperator, _block_len, quantum_space
 from .torusgeo import (
     SymbolField,
     _as_pq,
@@ -43,6 +43,7 @@ from .torusgeo import (
 )
 
 __all__ = [
+    "ResolutionError",
     "FourierPair",
     "build_fourier_pair",
     "ReturnTerm",
@@ -59,6 +60,10 @@ TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # Fourier pairs
 # ---------------------------------------------------------------------------
+
+
+class ResolutionError(RuntimeError):
+    """The trapezoid rule does not resolve f within its node cap."""
 
 
 # The trapezoid rule starts at this many intervals on [-T, T] and doubles up
@@ -329,7 +334,7 @@ def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
     """
 
     rows = []
-    ops = {int(k): operator_for(quantum_space(int(k)), sym) for k in ks}
+    ops = {qs.k: operator_for(qs, sym) for qs in map(quantum_space, ks)}
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
     for entry in points:
         y_pq, x_pq = _entry_points(entry)

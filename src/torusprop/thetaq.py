@@ -55,7 +55,6 @@ import numpy as np
 from .torusgeo import SymbolField
 
 __all__ = [
-    "ResolutionError",
     "ConstructionError",
     "EvaluationError",
     "QuantumSpace",
@@ -86,10 +85,6 @@ GAUGE_NOTE = (
     "weight], prefactor exp(2*i*pi*q*(ell + k Im z)) [not holomorphic], weight "
     "exp(-2*pi*k*q^2) [fails the Gram identity test]."
 )
-
-
-class ResolutionError(RuntimeError):
-    """Doubling the quadrature nodes moved the result: grid under-resolved."""
 
 
 class ConstructionError(RuntimeError):

@@ -546,6 +546,10 @@ def test_cli_error_exits(tmp_path, capsys):
     ["lifts", "--energy", "nan"],
     ["projector", "--k", "20", "--fhat", "bump:nan"],
     ["projector", "--k", "20", "--fhat", "bump:inf"],
+    ["propagator", "--point", "nan,0.1"],
+    ["propagator", "--point", "0.3,nan"],
+    ["lifts", "--point", "inf,0.1"],
+    ["projector", "--k", "20", "--point", "0.3,0.1;0.3,-inf"],
 ])
 def test_non_finite_inputs_are_refused(argv, capsys):
     with warnings.catch_warnings():

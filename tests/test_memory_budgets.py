@@ -50,7 +50,7 @@ def test_model_operator_at_k400_stays_under_1mb():
 def test_graph_compare_peak_does_not_grow_with_the_grid():
     qs = quantum_space(400)
     sym = model_cos_symbol()
-    peaks = {n: traced_peak(lambda: graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, n)))
+    peaks = {n: traced_peak(lambda: graph_compare(sym, (0.3, 0.1), np.linspace(0.0, 1.0, n), [qs.k]))
              for n in (2001, 8001)}
     # the 6000 more rows add their trajectory and KernelSample records, about
     # 370 B each; a whole (rows x 2k) spectral matrix would add 77 MB
@@ -68,20 +68,20 @@ def _stage(name):
         return lambda: gram_matrix(qs)
     if name == "graph_compare-k400-101-rows":
         qs = quantum_space(400)
-        return lambda: graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+        return lambda: graph_compare(sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101), [qs.k])
     if name == "graph_compare-expr-k400-101-rows":
         # three diagonals: Chebyshev blocks of O(k) vectors, no 800 x 800 eigenbasis (10 MB)
         qs = quantum_space(400)
         expr = make_symbol("cos-q-sin-p", lambda p, q: np.cos(2.0 * np.pi * np.asarray(q, dtype=float))
                            + 0.1 * np.sin(2.0 * np.pi * np.asarray(p, dtype=float)))
-        return lambda: graph_compare(qs, expr, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+        return lambda: graph_compare(expr, (0.3, 0.1), np.linspace(0.0, 1.0, 101), [qs.k])
     if name == "graph_compare-expr-k5-1001-rows":
         # below k = 87 a row is the 174 Chebyshev angles, not the 2k sections:
         # blocks sized from 2k = 10 alone held 600 rows, and their angle
         # arrays took 0.85 MB each
         qs = quantum_space(5)
         expr = symbol_from_selector("cos(2*pi*q)+0.1*sin(2*pi*p)")
-        return lambda: graph_compare(qs, expr, (0.3, 0.1), np.linspace(0.0, 1.0, 1001))
+        return lambda: graph_compare(expr, (0.3, 0.1), np.linspace(0.0, 1.0, 1001), [qs.k])
     if name == "f_eval-k400":
         # 800 arguments up to |u| ~ 720 on 2048 nodes; unblocked, the angle
         # and cosine arrays would take 13 MB
@@ -130,7 +130,7 @@ def test_results_do_not_depend_on_the_budget(monkeypatch):
     def results():
         return [gram_matrix(qs), pair.f_eval(u),
                 np.array([projector_kernel_timequad(op, pair, E0, x, x)]),
-                np.array([r.exact for r in graph_compare(op_qs, sym, x, np.linspace(0.0, 1.0, 31))])]
+                np.array([r.exact for r in graph_compare(sym, x, np.linspace(0.0, 1.0, 31), [op_qs.k])])]
 
     default = results()
     monkeypatch.setattr(thetaq, "_BLOCK_PAIRS", 64)

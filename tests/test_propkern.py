@@ -16,7 +16,7 @@ from torusprop.propkern import (
     kernel_eval,
     operator_for,
 )
-from torusprop import propkern, thetaq
+from torusprop import propkern, thetaq, torusgeo
 from torusprop.specproj import (
     ProjectorPrediction,
     ReturnTerm,
@@ -171,7 +171,7 @@ def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
     energy = float(sym.principal(*good))
     calls = {
         "kernel_eval": lambda: kernel_eval(identity_op(qs.k), np.ones(qs.dim), good, point),
-        "graph_compare": lambda: graph_compare(qs, sym, point, [0.0, 0.1]),
+        "graph_compare": lambda: graph_compare(sym, point, [0.0, 0.1], [qs.k]),
         "integrate_flow": lambda: integrate_flow(sym, point, [0.0, 0.1]),
         "return_times x": lambda: return_times(sym, point, good, (-1.0, 1.0)),
         "return_times y": lambda: return_times(sym, good, point, (-1.0, 1.0)),
@@ -213,14 +213,14 @@ def test_exact_kernel_matches_predictor_small_time():
     sym = model_cos_symbol()
     x = (0.3, 0.1)
     t = 0.05
-    rows = graph_compare(qs, sym, x, [0.0, t])
+    rows = graph_compare(sym, x, [0.0, t], [qs.k])
     exact, pred = rows[-1].exact, rows[-1].predicted
     assert abs(exact - pred) / abs(pred) <= 0.02
 
 
 def test_graph_compare_small_time_window():
     qs = quantum_space(100)
-    rows = graph_compare(qs, model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 0.1, 21))
+    rows = graph_compare(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 0.1, 21), [qs.k])
     assert max(r.rel_err_modulus for r in rows) <= 0.02
     first = rows[0]
     assert first.exact.real == pytest.approx(bergman_diag(qs, 0.3 + 0.1j), rel=1e-10)
@@ -234,7 +234,7 @@ def test_graph_compare_order_one_time():
     # longer-time regime at k = 50, generic-looking base point: the error
     # stays at the O(1/k) scale (observed ~2e-2; bound set at twice that)
     qs = quantum_space(50)
-    rows = graph_compare(qs, model_cos_symbol(), (0.5, 0.7), np.linspace(0.0, 1.0, 51))
+    rows = graph_compare(model_cos_symbol(), (0.5, 0.7), np.linspace(0.0, 1.0, 51), [qs.k])
     assert max(r.rel_err_modulus for r in rows) <= 0.08
 
 
@@ -278,7 +278,7 @@ def test_predictor_matches_model_closed_form():
     # with a = (pi t / 2) cos 2 pi q; the grid's one step is split for the
     # branch tracking
     k, t, q = 40, 0.8, 0.1
-    val = graph_compare(quantum_space(k), model_cos_symbol(), (0.3, q), [0.0, t])[-1].predicted
+    val = graph_compare(model_cos_symbol(), (0.3, q), [0.0, t], [k])[-1].predicted
     a = 0.5 * np.pi * t * np.cos(TWO_PI * q)
     smod = (1.0 + a * a) ** (-0.25)
     sphase = 0.5 * np.arctan(a)
@@ -316,13 +316,43 @@ def test_graph_compare_chunks_match_one_call(monkeypatch):
     rows_of = propkern._chebyshev_rows
     monkeypatch.setattr(propkern, "_chebyshev_rows",
                         lambda *a: chunks.append(len(a[4])) or rows_of(*a))
-    rows = graph_compare(qs, sym, x, tg)
+    rows = graph_compare(sym, x, tg, [qs.k])
     assert chunks == [7, 7, 7, 7, 3]
     op = operator_for(qs, sym)
     ys = np.array([r.y for r in rows])
     one = kernel_eval(op, np.exp(-1j * qs.k * np.outer(tg, op.eigenvalues)), ys, x)
     got = np.array([r.exact for r in rows])
     assert np.max(np.abs(got - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_graph_compare_integrates_one_flow_for_every_k(monkeypatch):
+    # k enters the prediction only as a power of the prequantum transport, so
+    # a two-k call sweeps the flow once; its rows come grouped by k ascending,
+    # each group bit for bit a one-k call
+    sym = make_symbol("cos-q-sin-p", lambda p, q: np.cos(TWO_PI * np.asarray(q, dtype=float))
+                      + 0.1 * np.sin(TWO_PI * np.asarray(p, dtype=float)))
+    tg = np.linspace(0.0, 0.2, 21)
+    singles = {k: graph_compare(sym, (0.3, 0.1), tg, [k]) for k in (10, 20)}
+    sweeps, dopri5 = [], torusgeo._dopri5
+    monkeypatch.setattr(torusgeo, "_dopri5", lambda *a: sweeps.append(a[2]) or dopri5(*a))
+    rows = graph_compare(sym, (0.3, 0.1), tg, [20, 10])
+    assert len(sweeps) == 1
+    assert [r.k for r in rows] == [10] * tg.size + [20] * tg.size
+    assert rows == singles[10] + singles[20]
+
+
+@pytest.mark.parametrize("compare", ["graph", "projector"])
+def test_both_comparisons_take_k_as_given(compare):
+    # a non-integer k is refused, not truncated; a numpy integer is a level,
+    # and the rows carry it as a Python int
+    sym = model_cos_symbol()
+    pair = build_fourier_pair("bump", 3.0)
+    run = {"graph": lambda ks: graph_compare(sym, (0.3, 0.1), [0.0, 0.1], ks),
+           "projector": lambda ks: projector_compare(sym, pair, float(np.cos(0.2 * np.pi)),
+                                                     [(0.3, 0.1)], ks)}[compare]
+    with pytest.raises(ValueError):
+        run([20.7])
+    assert all(type(r.k) is int and r.k == 20 for r in run([np.int64(20)]))
 
 
 _GENERIC = {
@@ -350,7 +380,7 @@ def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
     qs = quantum_space(k)
     sym = make_symbol(name, _GENERIC[name])
     x = (0.3, 0.1)
-    rows = graph_compare(qs, sym, x, tgrid)
+    rows = graph_compare(sym, x, tgrid, [qs.k])
     vals, vecs = np.linalg.eigh(operator_for(qs, sym).dense())
     ys = np.array([r.y for r in rows])
     y_modes = sections(qs, ys[:, 0] + 1j * ys[:, 1]).T @ vecs
@@ -394,7 +424,7 @@ def test_multi_diagonal_propagator_runs_no_eigh_and_no_dense_matrix(monkeypatch)
     qs = quantum_space(50)
     sym = make_symbol("two-mode", _GENERIC["two-mode"])
     assert len(operator_for(qs, sym).diagonals) > 1
-    rows = graph_compare(qs, sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101))
+    rows = graph_compare(sym, (0.3, 0.1), np.linspace(0.0, 1.0, 101), [qs.k])
     assert len(rows) == 101 and all(np.isfinite(r.exact) for r in rows)
     with pytest.raises(AssertionError, match="diagonalized"):
         operator_for(qs, sym).eigenvalues
@@ -407,7 +437,7 @@ def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name, ks):
     # flow the phase error stays near 0.6-0.7 rad at t = 1 for every k
     sym = make_symbol("generic", _GENERIC[name])
     tg = np.linspace(0.0, 1.0, 101)
-    runs = [graph_compare(quantum_space(k), sym, (0.3, 0.1), tg) for k in ks]
+    runs = [graph_compare(sym, (0.3, 0.1), tg, [k]) for k in ks]
     phase = Rate(ks, tuple(max(abs(r.phase_err) for r in rows) for rows in runs))
     modulus = Rate(ks, tuple(max(r.rel_err_modulus for r in rows) for rows in runs))
     assert phase.ratios[0] <= 0.65
@@ -427,7 +457,7 @@ def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
     vals, vecs = np.linalg.eigh(op.dense())
     x = (0.3, 0.1)
     ts = np.array([0.0, 0.35, 1.0])
-    rows = graph_compare(qs, sym, x, ts)
+    rows = graph_compare(sym, x, ts, [qs.k])
     ys = [r.y for r in rows]
     want = dense_kernel(qs, vecs, np.exp(-1j * k * np.outer(ts, vals)), ys, x)
     assert_close_to_oracle(np.array([r.exact for r in rows]), want)
@@ -451,8 +481,8 @@ def test_constant_subprincipal_shifts_both_routes_identically():
     shifted = lambda p, q: c + 0.0 * np.asarray(p, dtype=float)
     for base, shift in ((model_cos_symbol(), model_cos_symbol(sub_const=c)),
                         (make_symbol("e", principal), make_symbol("e", principal, subprincipal=shifted))):
-        base_rows = graph_compare(qs, base, x, [0.0, t])
-        shift_rows = graph_compare(qs, shift, x, [0.0, t])
+        base_rows = graph_compare(base, x, [0.0, t], [qs.k])
+        shift_rows = graph_compare(shift, x, [0.0, t], [qs.k])
         factor = np.exp(-1j * c * t)
         assert abs(shift_rows[-1].exact - factor * base_rows[-1].exact) \
             <= 1e-12 * abs(base_rows[-1].exact)

@@ -19,6 +19,7 @@ from torusprop.harness import symbol_from_selector
 from torusprop.specproj import (
     FourierPair,
     ProjectorPrediction,
+    ResolutionError,
     build_fourier_pair,
     projector_compare,
     projector_kernel_asymptotic,
@@ -27,7 +28,6 @@ from torusprop.specproj import (
 )
 from torusprop.thetaq import (
     HermitianOperator,
-    ResolutionError,
     basis_matrix,
     quantum_space,
     toeplitz_build,

@@ -14,7 +14,7 @@ import pytest
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 _WATCHED = ("numpy.random", "torusprop.acceptance", "torusprop.propkern",
-            "torusprop.specproj", "json", "configparser", "numpy.ma")
+            "torusprop.specproj", "torusprop.thetaq", "json", "configparser", "numpy.ma")
 _THREADS = "OPENBLAS_NUM_THREADS"
 
 
@@ -52,7 +52,7 @@ def test_importing_the_harness_loads_no_command_code():
 @pytest.mark.parametrize("command, argv, not_loaded", [
     ("propagator", ["--k", "5"], {"torusprop.acceptance", "torusprop.specproj"}),
     ("projector", ["--k", "5"], {"torusprop.acceptance"}),
-    ("lifts", ["--k", "5"], {"torusprop.acceptance", "torusprop.specproj"}),
+    ("lifts", ["--k", "5"], {"torusprop.acceptance", "torusprop.specproj", "torusprop.thetaq"}),
     ("selftest", [], set()),
     ("propagator", ["--symbol", "cos(2*pi*q)", "--k", "50"],
      {"torusprop.acceptance", "torusprop.specproj", "numpy.ma"}),

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusprop.symplin import LinearSymplectomorphism, StructureError, holomorphic_determinant
+from torusprop.symplin import (BranchContinuityError, LinearSymplectomorphism, StructureError,
+                               branch_sqrt_path, holomorphic_determinant)
 from torusprop.torusgeo import (
     DegenerateError,
     RegularityError,
@@ -433,6 +434,14 @@ def test_one_period_level_amplitude_holonomy_is_the_maslov_sign(selector, x, win
     assert abs(holonomy(r.flow) - sign) <= 1e-8
     principal = dataclasses.replace(r.flow, theta_a=np.angle(np.exp(1j * r.flow.theta_a)))
     assert abs(holonomy(principal) - 1.0) <= 1e-8
+    # -theta_a alone, without the factor's principal angle, misses the
+    # argument of rho'_tau by 0.30-1.41 rad on these orbits: the branch rule
+    # (1e-3 rad) must refuse it rather than pick a branch
+    x_dst = hamiltonian_vector_field(sym, r.flow.points_lifted)
+    rho = 2.0 * complex(*hamiltonian_vector_field(sym, x)) / (
+        norm_X(sym, x) ** 2 * (x_dst[:, 0] + 1j * x_dst[:, 1]))
+    with pytest.raises(BranchContinuityError):
+        branch_sqrt_path(rho, -r.flow.theta_a)
 
 
 def test_prequantum_phase_closed_form():
