@@ -106,7 +106,7 @@ def _crit_a2() -> CriterionResult:
     qs = quantum_space(100)
     target = qs.k / TWO_PI
     pts = [(float(p), float(q)) for p, q in _uniform(_seed())((5, 2))]
-    errs = {pt: abs(bergman_diag(qs, complex(*pt)) - target) / target for pt in pts}
+    errs = {pt: abs(bergman_diag(qs, pt) - target) / target for pt in pts}
     worst = max(errs.values())
     return CriterionResult(
         "A2", "Bergman diagonal approaches k/2pi at k=100", worst, 1e-3,

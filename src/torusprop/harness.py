@@ -136,14 +136,14 @@ def _parse_tgrid(text: str) -> tuple:
         raise ConfigError("tgrid step must be positive")
     if b < a:
         raise ConfigError("tgrid end must not precede its start")
-    n = (b - a) / step
+    n = (b - a) / step  # inf for a subnormal step: the cap comes before any rounding
+    if not n < _MAX_TGRID_ROWS - 0.5:
+        raise ConfigError(f"tgrid {text!r} has more rows than the cap: at most "
+                          f"{_MAX_TGRID_ROWS} are allowed")
     if abs(n - round(n)) > 1e-9:
         raise ConfigError(f"tgrid span {b - a:g} is not a whole number of "
                           f"steps {step:g}")
     n = int(round(n))
-    if n + 1 > _MAX_TGRID_ROWS:
-        raise ConfigError(f"tgrid {text!r} has {n + 1} rows; at most "
-                          f"{_MAX_TGRID_ROWS} are allowed")
     return tuple(float(a + step * i) for i in range(n)) + (float(b),)
 
 

@@ -104,10 +104,10 @@ def kernel_eval(op: HermitianOperator, spectral, ys, x) -> np.ndarray:
     """
 
     x_pq = _as_pq(x)
-    conj_x_modes = np.conjugate(op.to_eigenbasis(sections(op.space, complex(*x_pq))))
+    conj_x_modes = np.conjugate(op.to_eigenbasis(sections(op.space, x_pq)))
     g = np.atleast_2d(np.asarray(spectral, dtype=complex))
     y = _as_points(ys).reshape(-1, 2)
-    a_modes = op.to_eigenbasis(sections(op.space, y[:, 0] + 1j * y[:, 1]).T)
+    a_modes = op.to_eigenbasis(sections(op.space, y).T)
     return ((g * a_modes) @ conj_x_modes) * _gauge(op.space.k, y, x_pq)
 
 
@@ -205,11 +205,11 @@ def _propagated_rows(op: HermitianOperator, tg: np.ndarray, ys: np.ndarray,
     box = _spectral_box(op)
     reach = _CHEB_ARG / (qs.k * box[1])
     block = _block_len(max(qs.dim, 2 * _bessel_terms(_CHEB_ARG) + 2), 1)
-    w, t_ref = np.conjugate(sections(qs, complex(*x_pq))), 0.0
+    w, t_ref = np.conjugate(sections(qs, x_pq)), 0.0
     out = np.empty(tg.size, dtype=complex)
     for lo in range(0, tg.size, block):
         t, y = tg[lo:lo + block], ys[lo:lo + block]
-        s_rows = sections(qs, y[:, 0] + 1j * y[:, 1]).T
+        s_rows = sections(qs, y).T
         i = 0
         while i < t.size:
             steps = math.ceil(abs(t[i] - t_ref) / reach)

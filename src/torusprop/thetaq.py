@@ -22,19 +22,19 @@ e^{-2 pi k q^2} is replaced by the derived e^{-4 pi k q^2}, which passes the
 Gram identity (``gram_matrix``; A1 and the tests check it).  Every
 QuantumSpace carries this record in ``gauge_note``.
 
-Sections are evaluated with the square root of that weight folded in:
+Sections are evaluated at points (p, q), with the weight's square root folded in:
 
-    s_ell(z) = Psi_ell(z) e^{-2 pi k q^2}
-             = (k^{1/4} / sqrt(2 pi)) * sum_{n in Z}
-               exp(-(pi / 2k) (ell + 2 k n + 2 k q)^2) e^{2 pi i (ell + 2 k n) p},
+    s_ell(p, q) = Psi_ell(p + i q) e^{-2 pi k q^2}
+                = (k^{1/4} / sqrt(2 pi)) * sum_{n in Z}
+                  exp(-(pi / 2k) (ell + 2 k n + 2 k q)^2) e^{2 pi i (ell + 2 k n) p},
 
 a periodized Gaussian whose terms are all at most 1, so ``sections`` returns
 plain complex values for every row and point at once.  |s_ell|^2 is the
 pointwise density of Psi_ell against the weight, and the kernels carry only
 the unit-gauge phase.  The unweighted Psi_ell grows like e^{2 pi k q^2},
-beyond float range at large k and |q|; ``basis_matrix`` gives it in log
-form (unit mantissa, log modulus) as a view of the same sections, the fold
-moved back into the log modulus.  No kernel path calls it; the tests
+beyond float range at large k and |q|; ``basis_matrix``, the one entry
+that takes z = p + i q, gives it in log form (unit mantissa, log modulus)
+as a view of the same sections.  No kernel path calls it; the tests
 referee the sections through it against mpmath.
 
 Toeplitz operators are assembled in closed form from a symbol's Fourier modes
@@ -52,7 +52,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .torusgeo import SymbolField
+from .torusgeo import SymbolField, _as_pq, _as_points
 
 __all__ = [
     "ConstructionError",
@@ -172,30 +172,28 @@ class LogForm(NamedTuple):
 
 
 def basis_matrix(qs: QuantumSpace, z) -> LogForm:
-    """All 2k unweighted sections Psi_ell at (possibly lifted) points
-    z = p + i q in log form, shape (2k,) + shape(z).
+    """All 2k unweighted sections Psi_ell at (possibly lifted) complex
+    z = p + i q in log form, shape (2k,) + shape(z): the one entry that takes
+    z, the argument of the holomorphic Psi_ell.
 
-    A view of ``sections``: one call for every row and point, with the
-    folded weight e^{-2 pi k q^2} moved back into the log modulus, where
-    Psi_ell may lie far beyond float range.  The sections stay inside it
-    while their largest term, at least e^{-pi k / 2}, does: to k = 451.  Above,
-    a row can underflow and lose its unit mantissa with an overflow RuntimeWarning
-    (one row at (0.3, 0.1) at k = 475); no path calls this above k = 400.
+    A view of ``sections`` at the points (p, q): one call for every row and
+    point, with the folded weight e^{-2 pi k q^2} moved back into the log
+    modulus, where Psi_ell may lie far beyond float range.  The mantissa is
+    e^{i arg}, unit at any k, even where a section is subnormal.
     Raises what ``sections`` raises.
     """
 
     z = np.asarray(z, dtype=complex)
-    vals = sections(qs, z)
-    mag = np.abs(vals)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return LogForm(np.where(mag != 0, vals / mag, 0.0),
-                       np.log(mag) + TWO_PI * qs.k * z.imag ** 2)
+    vals = sections(qs, np.stack([z.real, z.imag], axis=-1))
+    with np.errstate(divide="ignore"):
+        return LogForm(np.where(vals != 0, np.exp(1j * np.angle(vals)), 0.0),
+                       np.log(np.abs(vals)) + TWO_PI * qs.k * z.imag ** 2)
 
 
-def sections(qs: QuantumSpace, z) -> np.ndarray:
-    """Weight-folded sections s_ell(z) = Psi_ell(z) e^{-2 pi k q^2} at
-    (possibly lifted) points z = p + i q, as plain complex values of shape
-    (2k,) + shape(z).
+def sections(qs: QuantumSpace, points) -> np.ndarray:
+    """Weight-folded sections s_ell = Psi_ell(p + i q) e^{-2 pi k q^2} at
+    (possibly lifted) points (p, q) along the last axis (``_as_points``), as
+    plain complex values of shape (2k,) + points.shape[:-1].
 
     For each row and point the series is summed over ``qs.theta_terms``
     terms on either side of its largest one, whose argument x has |x| <= k,
@@ -204,17 +202,16 @@ def sections(qs: QuantumSpace, z) -> np.ndarray:
     Raises EvaluationError on non-finite output.
     """
 
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.empty((qs.dim, flat.size), dtype=complex)
+    pts = _as_points(points)
+    flat = pts.reshape(-1, 2)
+    out = np.empty((qs.dim, len(flat)), dtype=complex)
     k, radius = qs.k, qs.theta_terms
     ell = np.arange(qs.dim, dtype=float)[:, None]
     offsets = 2.0 * k * np.arange(-radius, radius + 1)
     const = k ** 0.25 / np.sqrt(TWO_PI)
     block = _block_len(qs.dim)
-    for lo in range(0, flat.size, block):
-        p = flat.real[lo:lo + block]
-        q = flat.imag[lo:lo + block]
+    for lo in range(0, len(flat), block):
+        p, q = flat[lo:lo + block].T
         # term n has Gaussian argument ell + 2k(n + q); centre on the
         # largest, whose argument x satisfies |x| <= k
         shifted = ell + 2.0 * k * q
@@ -228,7 +225,7 @@ def sections(qs: QuantumSpace, z) -> np.ndarray:
         out[:, lo:lo + block] = const * acc
     if not np.all(np.isfinite(out)):
         raise EvaluationError("section evaluation produced non-finite values")
-    return out.reshape((qs.dim,) + z.shape)
+    return out.reshape((qs.dim,) + pts.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +233,13 @@ def sections(qs: QuantumSpace, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # uniform nodes in both directions: the Hermitian product of two sections
-    # (weight included) is lattice-periodic in p and in q, so the trapezoid
-    # rule is spectrally accurate on the whole torus
+def _quad_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # uniform nodes (p, q) in both directions: the Hermitian product of two
+    # sections (weight included) is lattice-periodic in p and in q, so the
+    # trapezoid rule is spectrally accurate on the whole torus
     x = np.arange(n) / n
-    pp, qq = np.meshgrid(x, x, indexing="ij")
-    return pp.ravel(), qq.ravel(), np.full(n * n, 1.0 / (n * n))
+    nodes = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    return nodes, np.full(n * n, 1.0 / (n * n))
 
 
 def gram_matrix(qs: QuantumSpace) -> np.ndarray:
@@ -261,12 +258,13 @@ def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
     weight) and the weight's factor e^{2 pi k q^2 + log_metric_weight(q) / 2},
     exactly 1.0 for its own."""
 
-    p, q, wts = _quad_nodes(n_nodes)
+    nodes, wts = _quad_nodes(n_nodes)
+    q = nodes[:, 1]
     unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
     gram = np.zeros((qs.dim, qs.dim), dtype=complex)
     block = _block_len(qs.dim, qs.dim // 4)
-    for lo in range(0, p.size, block):
-        s = sections(qs, p[lo:lo + block] + 1j * q[lo:lo + block])
+    for lo in range(0, len(nodes), block):
+        s = sections(qs, nodes[lo:lo + block])
         s *= np.sqrt(FOUR_PI * wts[lo:lo + block]) * unfold[lo:lo + block]
         gram += np.conjugate(s) @ s.T
     return gram
@@ -429,7 +427,8 @@ def toeplitz_build(qs: QuantumSpace, sym: SymbolField) -> HermitianOperator:
     return HermitianOperator(qs, raw)
 
 
-def bergman_diag(qs: QuantumSpace, z) -> float:
-    """Diagonal of the projector kernel: sum_l |Psi_l(z)|^2 x weight(z)."""
+def bergman_diag(qs: QuantumSpace, x) -> float:
+    """Diagonal of the projector kernel at the point x = (p, q) (``_as_pq``):
+    sum_l |Psi_l(p + i q)|^2 x weight(q)."""
 
-    return float(np.sum(np.abs(sections(qs, complex(z))) ** 2))
+    return float(np.sum(np.abs(sections(qs, _as_pq(x))) ** 2))

@@ -143,8 +143,9 @@ def _as_points(points) -> np.ndarray:
 
 
 def wrap_difference(a, b) -> np.ndarray:
-    """Shortest lattice representative of a - b (components in [-1/2, 1/2])."""
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    """Shortest lattice representative of a - b (components in [-1/2, 1/2]),
+    both points along the last axis (``_as_points``)."""
+    d = _as_points(a) - _as_points(b)
     return d - np.round(d)
 
 

@@ -43,6 +43,7 @@ from torusprop.torusgeo import (
     model_cos_symbol,
     norm_X,
     return_times,
+    wrap_difference,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -72,12 +73,12 @@ def dense_kernel(qs, vecs, spectral, ys, x) -> np.ndarray:
     """The kernel of V diag(g_i) V^H at (y_i, x), built as a dense matrix and
     contracted with the sections, times the unit-gauge phase: an oracle for
     kernel_eval that shares none of its contraction."""
-    sx = np.conjugate(sections(qs, complex(*x)))
+    sx = np.conjugate(sections(qs, x))
     out = []
     for g, y in zip(spectral, ys):
         u = vecs @ np.diag(g) @ vecs.conj().T
         gauge = np.exp(2j * np.pi * qs.k * (y[0] * y[1] - x[0] * x[1]))
-        out.append(sections(qs, complex(*y)) @ u @ sx * gauge)
+        out.append(sections(qs, y) @ u @ sx * gauge)
     return np.array(out)
 
 
@@ -146,7 +147,7 @@ def test_kernel_identity_diagonal_is_bergman():
     for z in ((0.3, 0.1), (0.81, 0.66)):
         val = kernel_eval(op, np.ones(qs.dim), z, z)[0]
         assert val.imag == pytest.approx(0.0, abs=1e-10 * abs(val))
-        assert val.real == pytest.approx(bergman_diag(qs, complex(*z)), rel=1e-10)
+        assert val.real == pytest.approx(bergman_diag(qs, z), rel=1e-10)
 
 
 def test_kernel_hermitian_symmetry_at_t_zero():
@@ -171,6 +172,7 @@ def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
     energy = float(sym.principal(*good))
     calls = {
         "kernel_eval": lambda: kernel_eval(identity_op(qs.k), np.ones(qs.dim), good, point),
+        "bergman_diag": lambda: bergman_diag(qs, point),
         "graph_compare": lambda: graph_compare(sym, point, [0.0, 0.1], [qs.k]),
         "integrate_flow": lambda: integrate_flow(sym, point, [0.0, 0.1]),
         "return_times x": lambda: return_times(sym, point, good, (-1.0, 1.0)),
@@ -199,6 +201,9 @@ def test_an_array_of_points_that_is_not_p_q_pairs_is_refused(points):
     calls = {
         "kernel_eval ys": lambda: kernel_eval(op, np.ones(op.space.dim), points, (0.3, 0.1)),
         "hamiltonian_vector_field": lambda: hamiltonian_vector_field(model_cos_symbol(), points),
+        "sections": lambda: sections(op.space, points),
+        "wrap_difference a": lambda: wrap_difference(points, (0.3, 0.1)),
+        "wrap_difference b": lambda: wrap_difference((0.3, 0.1), points),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=r"expected \(p, q\) points"):
@@ -223,7 +228,7 @@ def test_graph_compare_small_time_window():
     rows = graph_compare(model_cos_symbol(), (0.3, 0.1), np.linspace(0.0, 0.1, 21), [qs.k])
     assert max(r.rel_err_modulus for r in rows) <= 0.02
     first = rows[0]
-    assert first.exact.real == pytest.approx(bergman_diag(qs, 0.3 + 0.1j), rel=1e-10)
+    assert first.exact.real == pytest.approx(bergman_diag(qs, (0.3, 0.1)), rel=1e-10)
     assert first.predicted == pytest.approx(qs.k / TWO_PI)
     phases = np.unwrap([r.phase_err for r in rows])
     assert phases.shape == (21,)
@@ -383,8 +388,8 @@ def test_chebyshev_propagator_matches_the_dense_eigh_oracle(name, k, tgrid):
     rows = graph_compare(sym, x, tgrid, [qs.k])
     vals, vecs = np.linalg.eigh(operator_for(qs, sym).dense())
     ys = np.array([r.y for r in rows])
-    y_modes = sections(qs, ys[:, 0] + 1j * ys[:, 1]).T @ vecs
-    x_modes = sections(qs, complex(*x)) @ vecs
+    y_modes = sections(qs, ys).T @ vecs
+    x_modes = sections(qs, x) @ vecs
     gauge = np.exp(2j * np.pi * k * (ys[:, 0] * ys[:, 1] - x[0] * x[1]))
     want = (np.exp(-1j * k * np.outer(tgrid, vals)) * y_modes) @ np.conjugate(x_modes) * gauge
     got = np.array([r.exact for r in rows])

@@ -36,6 +36,13 @@ from torusprop.torusgeo import make_symbol, model_cos_symbol
 TWO_PI = 2.0 * np.pi
 
 
+def pq(z) -> np.ndarray:
+    """Complex z = p + i q as (p, q) points along the last axis, the form
+    ``sections`` and ``bergman_diag`` take."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
 def basis_value(qs, ell: int, z):
     """Psi_ell(z) from ``basis_matrix`` as (log modulus, unit phase)."""
     val = basis_matrix(qs, z)
@@ -193,6 +200,21 @@ def test_basis_finite_at_top_level():
         basis_matrix(quantum_space(5), complex(np.nan, 0.1))
 
 
+@pytest.mark.parametrize("k", [475, 1000])
+def test_basis_mantissa_stays_unit_where_sections_are_subnormal(k):
+    # past k = 451 some sections at (0.3, 0.1) are subnormal, and one is 0 at
+    # k = 475: the mantissa is e^{i arg}, not the value over its modulus
+    qs = quantum_space(k)
+    vals = basis_matrix(qs, 0.3 + 0.1j)
+    s = sections(qs, (0.3, 0.1))
+    nonzero = s != 0
+    assert np.any(np.abs(s) < np.finfo(float).tiny)
+    assert np.all(vals.mantissa[~nonzero] == 0) and np.all(vals.log_scale[~nonzero] == -np.inf)
+    assert np.max(np.abs(np.abs(vals.mantissa[nonzero]) - 1.0)) <= 2.3e-16
+    turn = np.angle(vals.mantissa[nonzero] * np.exp(-1j * np.angle(s[nonzero])))
+    assert np.max(np.abs(turn)) <= 1e-15
+
+
 def _fd_dbar(eval_fn, z: complex, h: float = 1e-5) -> tuple[complex, float]:
     """Centered-difference dbar = (d/dp + i d/dq)/2 and a derivative scale."""
     fp = (eval_fn(z + h) - eval_fn(z - h)) / (2.0 * h)
@@ -260,7 +282,7 @@ LIFTED = (0.13 + 0.27j, 0.9 - 0.4j, -1.3 + 1.61j, 0.41 - 0.6j, 2.7 + 2.3j)
 def test_sections_match_lattice_sum_oracle(k):
     qs = quantum_space(k)
     z = np.array(LIFTED)
-    vals = sections(qs, z)
+    vals = sections(qs, pq(z))
     assert vals.shape == (qs.dim, z.size)
     for ell in range(qs.dim):
         for j, zj in enumerate(LIFTED):
@@ -278,7 +300,7 @@ def test_sections_match_lattice_sum_oracle_at_top_level():
         for j, zj in enumerate(z):
             log_ref, phase_ref = mp_basis(qs.k, ell, zj)
             ref[i, j] = np.exp(log_ref - TWO_PI * qs.k * zj.imag ** 2) * phase_ref
-    vals = sections(qs, z)
+    vals = sections(qs, pq(z))
     assert np.max(np.abs(vals[rows] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -286,11 +308,11 @@ def test_sections_lattice_multipliers():
     qs = quantum_space(7)
     rng = np.random.default_rng(23)
     z = rng.uniform(-1, 2, 6) + 1j * rng.uniform(-1, 2, 6)
-    base = sections(qs, z)
+    base = sections(qs, pq(z))
     scale = np.max(np.abs(base))
-    assert np.max(np.abs(sections(qs, z + 1.0) - base)) <= 1e-12 * scale
+    assert np.max(np.abs(sections(qs, pq(z + 1.0)) - base)) <= 1e-12 * scale
     shifted = np.exp(-4j * np.pi * qs.k * z.real) * base
-    assert np.max(np.abs(sections(qs, z + 1j) - shifted)) <= 1e-12 * scale
+    assert np.max(np.abs(sections(qs, pq(z + 1j)) - shifted)) <= 1e-12 * scale
 
 
 def test_sections_blocks_match_pointwise():
@@ -299,23 +321,25 @@ def test_sections_blocks_match_pointwise():
     rng = np.random.default_rng(29)
     n = 2 * per_block + 3
     z = rng.uniform(0, 1, n) + 1j * rng.uniform(-1, 2, n)
-    whole = sections(qs, z)
-    pointwise = np.stack([sections(qs, zj) for zj in z], axis=1)
+    whole = sections(qs, pq(z))
+    pointwise = np.stack([sections(qs, pq(zj)) for zj in z], axis=1)
     assert np.max(np.abs(whole - pointwise)) <= 1e-14 * np.max(np.abs(pointwise))
 
 
 def test_sections_contracts():
     qs = quantum_space(5)
-    assert sections(qs, 0.1 + 0.2j).shape == (qs.dim,)
-    assert sections(qs, np.zeros((2, 3))).shape == (qs.dim, 2, 3)
+    assert sections(qs, (0.1, 0.2)).shape == (qs.dim,)
+    # one (p, q) pair is one point, not two complex ones
+    assert np.array_equal(sections(qs, (0.3, 0.1)), sections(qs, [[0.3, 0.1]])[:, 0])
+    assert sections(qs, np.zeros((2, 3, 2))).shape == (qs.dim, 2, 3)
     with pytest.raises(EvaluationError):
-        sections(qs, complex(np.nan, 0.1))
+        sections(qs, (np.nan, 0.1))
 
 
 def test_sections_stay_finite_beyond_log_form_range():
     # no exponent bookkeeping: the Bergman diagonal is k / 2 pi at k = 5000
     qs = QuantumSpace(k=5000)
-    assert bergman_diag(qs, 0.37 + 0.81j) == pytest.approx(5000 / TWO_PI, rel=1e-12)
+    assert bergman_diag(qs, (0.37, 0.81)) == pytest.approx(5000 / TWO_PI, rel=1e-12)
 
 
 def _lifted_points(k: int, n: int) -> np.ndarray:
@@ -331,7 +355,7 @@ def test_theta_window_drops_no_bit(k):
     # three more terms on either side change no bit of any section: the
     # first omitted term sits at most 2^-60 below the centre term
     qs = QuantumSpace(k)
-    z = _lifted_points(k, 2000 if k < 100 else 300)
+    z = pq(_lifted_points(k, 2000 if k < 100 else 300))
     assert np.array_equal(sections(qs, z), sections(_Window(k, qs.theta_terms + 3), z))
 
 
@@ -340,7 +364,7 @@ def test_theta_window_one_narrower_changes_bits(k):
     # the rule's window is the smallest one that drops no bit: one term
     # fewer on either side changes some section at these points
     qs = QuantumSpace(k)
-    z = _lifted_points(k, 2000 if k < 100 else 300)
+    z = pq(_lifted_points(k, 2000 if k < 100 else 300))
     assert not np.array_equal(sections(_Window(k, qs.theta_terms - 1), z), sections(qs, z))
 
 
@@ -351,7 +375,7 @@ def test_sections_unfolded_are_holomorphic():
     k, ell = qs.k, 7
 
     def folded(z):
-        return complex(sections(qs, z)[ell])
+        return complex(sections(qs, pq(z))[ell])
 
     def unfolded(z):
         return folded(z) * np.exp(TWO_PI * k * z.imag ** 2)
@@ -428,9 +452,9 @@ def test_blocked_gram_matches_one_product():
     # at k = 20 the 2304 quadrature nodes span 16 blocks of up to 150
     # (6000 pairs over 2k = 40 rows, above the 2k/4 floor)
     qs = quantum_space(20)
-    p, q, wts = thetaq._quad_nodes(qs.quad_order)
-    assert p.size > thetaq._BLOCK_PAIRS // qs.dim
-    s = sections(qs, p + 1j * q) * np.sqrt(4.0 * np.pi * wts)
+    nodes, wts = thetaq._quad_nodes(qs.quad_order)
+    assert len(nodes) > thetaq._BLOCK_PAIRS // qs.dim
+    s = sections(qs, nodes) * np.sqrt(4.0 * np.pi * wts)
     assert np.max(np.abs(gram_matrix(qs) - np.conjugate(s) @ s.T)) <= 1e-14
 
 
@@ -519,8 +543,9 @@ def test_toeplitz_of_constant_is_identity():
 def _quadrature_toeplitz(qs, principal, subprincipal=None):
     """T_k(f + g/k) by quadrature against the weight-folded sections: the
     oracle for the closed-form build, fed the raw callables."""
-    p, q, wts = thetaq._quad_nodes(qs.quad_order)
-    s = sections(qs, p + 1j * q) * np.sqrt(4.0 * np.pi * wts)
+    nodes, wts = thetaq._quad_nodes(qs.quad_order)
+    s = sections(qs, nodes) * np.sqrt(4.0 * np.pi * wts)
+    p, q = nodes.T
     vals = np.asarray(principal(p, q), dtype=float)
     if subprincipal is not None:
         vals = vals + np.asarray(subprincipal(p, q), dtype=float) / qs.k
@@ -559,7 +584,7 @@ def _covariant_symbol(qs, m: int, n: int) -> np.ndarray:
     phase = lambda p, q: TWO_PI * (m * np.asarray(p, dtype=float) + n * np.asarray(q, dtype=float))
     cos_op = toeplitz_build(qs, make_symbol("cos", lambda p, q: np.cos(phase(p, q))))
     sin_op = toeplitz_build(qs, make_symbol("sin", lambda p, q: np.sin(phase(p, q))))
-    s = sections(qs, _COVARIANT_POINTS)
+    s = sections(qs, pq(_COVARIANT_POINTS))
     pair = lambda op: np.sum(s * op.apply(np.conjugate(s)), axis=0)
     return (pair(cos_op) + 1j * pair(sin_op)) / np.sum(np.abs(s) ** 2, axis=0)
 
@@ -624,7 +649,7 @@ def test_bergman_kernel_is_the_gauged_gaussian_lattice_sum(k):
     # phase misses by orders more
     qs = quantum_space(k)
     for y, x in _bergman_pairs(k):
-        s = sections(qs, np.array([complex(*y), complex(*x)]))
+        s = sections(qs, np.array([y, x]))
         bergman = s[:, 0] @ np.conjugate(s[:, 1])
         unit = np.exp(2j * np.pi * k * (y[0] * y[1] - x[0] * x[1]))
         want = _bergman_lattice_sum(k, y, x)
@@ -804,7 +829,7 @@ def test_commutator_tracks_poisson_bracket():
 
 def test_bergman_diag_approaches_k_over_2pi():
     qs = quantum_space(100)
-    val = bergman_diag(qs, 0.3 + 0.1j)
+    val = bergman_diag(qs, (0.3, 0.1))
     assert val == pytest.approx(100.0 / TWO_PI, rel=1e-3)
 
 
@@ -813,7 +838,7 @@ def test_bergman_diag_positive_and_periodic():
     rng = np.random.default_rng(17)
     for _ in range(4):
         z = complex(rng.uniform(0, 1), rng.uniform(0, 1))
-        base = bergman_diag(qs, z)
+        base = bergman_diag(qs, pq(z))
         assert base > 0.0
         for shift in (1.0, 1j, -1.0 + 1j):
-            assert bergman_diag(qs, z + shift) == pytest.approx(base, rel=1e-10)
+            assert bergman_diag(qs, pq(z + shift)) == pytest.approx(base, rel=1e-10)
