@@ -25,7 +25,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor  # unused; perfbench/tracer.py patches it by name
 from dataclasses import dataclass, field, replace
 from itertools import groupby
 
@@ -45,6 +44,16 @@ from .torusgeo import (
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "run", "main"]
+
+
+def __getattr__(name: str):
+    """``ThreadPoolExecutor``, imported and bound here on first read:
+    perfbench/tracer.py patches it by name, and no command runs a pool."""
+    if name != "ThreadPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ThreadPoolExecutor
+    return globals().setdefault(name, ThreadPoolExecutor)
+
 
 K_MAX = 5000  # the CLI's one range for k, 1..K_MAX: the 1/k rates are measured to 5000
 # key: (metavar, default, help) of each --<key> flag and config key, in flag

@@ -1,5 +1,6 @@
 """CLI and config-handling tests: parsing, validation, table formats."""
 
+import concurrent.futures
 import json
 import threading
 import warnings
@@ -449,6 +450,16 @@ def test_projector_runs_one_pass_without_the_pool(capsys, monkeypatch):
     monkeypatch.setattr(harness, "ThreadPoolExecutor", NoPool)
     assert main(argv) == 0
     assert capsys.readouterr().out.splitlines() == expect
+
+
+def test_the_pool_class_resolves_on_demand():
+    # perfbench/tracer.py and monkeypatch.setattr read and rebind the name;
+    # importing the harness loads no pool (tests/test_startup.py)
+    assert harness.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+    assert hasattr(harness, "ThreadPoolExecutor")
+    with pytest.raises(AttributeError, match="^module 'torusprop.harness' has no attribute "
+                                             "'no_such_name'$"):
+        getattr(harness, "no_such_name")
 
 
 def test_projector_json_format(capsys):
