@@ -32,12 +32,12 @@ The coefficients are:
   e^{i int alpha(X)}, accumulated by the flow as ``Trajectory.conn_L``; the
   canonical bundle K is trivialized by dz, which is flat on the torus, so
   its transport is 1 and no amplitude carries a K factor;
-* the graph amplitude rho_t = 1 / holomorphic determinant a of the flow
-  Jacobian, with an independent frame-pairing route as a cross-check; the
-  flow carries theta_a = arg a continuously (|a| >= 1, so it is smooth), and
-  it alone picks the branch of every amplitude's square root;
-* the level-set amplitude rho'_t for energy-surface kernels, in the closed
-  form that the general Phi_F * Phi_G lift takes in real dimension 2;
+* the half-form transport (dz(u) / dz(M u))^{1/2} of a direction u by the
+  flow Jacobian M (``line_half_form``), the canonical-bundle lift that
+  every amplitude is: the graph's rho_t^{1/2} = a^{-1/2} (a = det^{1,0} M;
+  a frame-pairing route cross-checks rho_t), the level's rho'_t^{1/2}
+  (u = X_x) and a Lagrangian line's; theta_a = arg a, carried continuously
+  by the flow (|a| >= 1), picks the branch of every square root;
 * the transversality coefficient B of a Lagrangian line on the torus, and
   the kernel-side B of the diagonal in the doubled space (T^2 x T^2,
   omega (+) -omega), whose reciprocal is rho'_0;
@@ -77,6 +77,7 @@ __all__ = [
     "hamiltonian_vector_field",
     "integrate_flow",
     "prequantum_phase",
+    "line_half_form",
     "rho_graph_half",
     "rho_graph_frame",
     "rho_level_half",
@@ -526,26 +527,35 @@ def prequantum_phase(traj: Trajectory, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# graph amplitude rho
+# half-form transport and the graph amplitude rho
 # ---------------------------------------------------------------------------
 
 
-def rho_graph_half(traj: Trajectory) -> np.ndarray:
-    """Branch-continuous [rho_t]^{1/2} along the trajectory, one complex
-    value per time.
+def line_half_form(traj: Trajectory, u) -> np.ndarray:
+    """Branch-continuous (dz(u) / dz(M u))^{1/2} along the trajectory, one
+    complex value per time (1 at t = 0): the half-form transport of a real
+    or complexified direction u at the start by the flow Jacobian M (Charles,
+    CMP 239, 2003; Borthwick, Paul & Uribe, Invent. Math. 122, 1995).
 
-    rho_t = 1 / (holomorphic determinant of the flow Jacobian); the
-    K-transport it would be divided by is 1 on the flat torus.  Its argument
-    is -theta_a, which picks the square root's branch (1 at t = 0).
-
-    The determinants are the trajectory's ``holomorphic_det``: its whole
-    Jacobian stack went to ``symplin`` once, so each one passed the same
-    checks as a single matrix would (det M = 1 to 1e-10 of its own squared
-    inf-norm plus 1e-9, determinant modulus >= 0.5), under the one
-    implementation of those rules, and a failure names the first bad index.
+    With a = ``traj.holomorphic_det`` (its stack checked once by symplin)
+    and b the antiholomorphic part of M, dz(M u) = a dz(u) + b dzbar(u).
+    The argument is -theta_a minus the principal angle of dz(M u) / (a dz u)
+    = 1 + (b/a) dzbar(u) / dz(u), which is continuous in t where that
+    factor has positive real part: for real u (|dzbar u| = |dz u| and
+    |b| < |a|), and for the (1, 0)-vector (1, -i), where dzbar(u) = 0.
     """
+    m = traj.jacobians  # dz(M u) = dz(M e_p) u_0 + dz(M e_q) u_1
+    dz_u = complex(u[0] + 1j * u[1])
+    dz_pushed = (m[:, 0, 0] + 1j * m[:, 1, 0]) * u[0] + (m[:, 0, 1] + 1j * m[:, 1, 1]) * u[1]
+    return branch_sqrt_path(dz_u / dz_pushed,
+                            -traj.theta_a - np.angle(dz_pushed / (traj.holomorphic_det * dz_u)))
 
-    return branch_sqrt_path(1.0 / traj.holomorphic_det, -traj.theta_a)
+
+def rho_graph_half(traj: Trajectory) -> np.ndarray:
+    """Branch-continuous [rho_t]^{1/2} = a^{-1/2} along the trajectory, a
+    the holomorphic determinant of the flow Jacobian: ``line_half_form`` of
+    the (1, 0)-vector, whose argument is -theta_a."""
+    return line_half_form(traj, (1.0, -1j))
 
 
 def rho_graph_frame(traj: Trajectory) -> np.ndarray:
@@ -617,38 +627,27 @@ def rho_level_half(sym: SymbolField, traj: Trajectory, energy: float) -> np.ndar
     the symplectic complement G of the flow/energy pair, converted back to
     the global (n,0)-frame.  On the torus (n = 1) G = {0}, so Phi_G = 1 and
 
-        rho'_t = 2 dz(X_x) / (||X_x||^2 dz(X_{phi_t x})),
+        rho'_t = 2 dz(X_x) / (||X_x||^2 dz(M X_x)),
 
-    evaluated for the whole trajectory at once (the T^K transport it is
-    divided by is 1 on the flat torus); it is sqrt(2)/||X_x|| at t = 0.
-    Every sampled point must be a regular point of the energy level, and
-    each Jacobian M must carry e_1(x) to (||X_{phi_t x}|| / ||X_x||)
-    e_1(phi_t x) to 1e-6.  The branch: with a, b the holomorphic and
-    antiholomorphic parts of M, dz(M X_x) = a dz(X_x) (1 + (b/a)
-    conj(dz X_x)/dz X_x), and |b| < |a|, so the last factor has positive
-    real part; the argument of rho'_t is -theta_a minus that factor's
-    principal angle.
+    the half-form transport of u = X_x times sqrt(2)/||X_x||, its value at
+    t = 0.  Every sampled point must be a regular point of the energy level,
+    and each Jacobian M must carry e_1(x) to (||X_{phi_t x}|| / ||X_x||)
+    e_1(phi_t x) to 1e-6, so M X_x is X_{phi_t x} up to the flow's error.
     """
-
     check_level(sym, traj.start, energy)
     x_src = hamiltonian_vector_field(sym, traj.start)
     x_dst = hamiltonian_vector_field(sym, traj.points_lifted)
     ns2, nt2 = _field_norms(x_src), _field_norms(x_dst)
-
-    dz_src = complex(x_src[0], x_src[1])
-    dz_dst = x_dst[:, 0] + 1j * x_dst[:, 1]
     # (w_00, w_10): the adapted (e_1, f_1) components of jac e_1(src) at the
     # target; with f_1 = j e_1 they are one complex ratio of dz values
     ratio = np.sqrt(nt2 / ns2)
     pushed = traj.jacobians @ x_src
-    dz_pushed = pushed[:, 0] + 1j * pushed[:, 1]
-    w = dz_pushed / dz_dst * ratio
+    w = (pushed[:, 0] + 1j * pushed[:, 1]) / (x_dst[:, 0] + 1j * x_dst[:, 1]) * ratio
     if np.any(np.abs(w.imag) > 1e-6 * np.maximum(1.0, np.abs(w.real))) or \
             np.any(np.abs(w.real - ratio) > 1e-6 * np.maximum(1.0, ratio)):
         raise RegularityError("Jacobian does not carry the source flow direction "
                               "to the target one; is the energy shared?")
-    return branch_sqrt_path(2.0 * dz_src / (ns2 * dz_dst),
-                            -traj.theta_a - np.angle(dz_pushed / (traj.holomorphic_det * dz_src)))
+    return np.sqrt(2.0 / ns2) * line_half_form(traj, x_src)
 
 
 # ---------------------------------------------------------------------------

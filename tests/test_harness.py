@@ -297,8 +297,8 @@ def test_a_fast_turning_branch_is_kept_on_a_coarse_grid(tmp_path):
 
     energy = float(sym.principal(*x))
     x_src = hamiltonian_vector_field(sym, x)
-    x_dst = hamiltonian_vector_field(sym, dense.points_lifted)
-    level = 2.0 * complex(*x_src) / (4.0 * np.pi * (x_src @ x_src) * (x_dst[:, 0] + 1j * x_dst[:, 1]))
+    pushed = dense.jacobians @ x_src  # dz(M X_x), which rho' is defined by
+    level = 2.0 * complex(*x_src) / (4.0 * np.pi * (x_src @ x_src) * (pushed[:, 0] + 1j * pushed[:, 1]))
     graph = 1.0 / holomorphic_determinant(LinearSymplectomorphism(dense.jacobians))
     for got, ref in ((rho_graph_half(coarse), unwrapped_half(graph)),
                      (rho_level_half(sym, coarse, energy), unwrapped_half(level))):

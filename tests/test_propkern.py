@@ -5,6 +5,8 @@ diagonal at t = 0, and the predictor's t-derivative of phase at t = 0,
 -k (cos 2 pi q + pi q sin 2 pi q) + (pi/4) cos 2 pi q for the model symbol.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,11 @@ from torusprop.torusgeo import (
     check_level,
     hamiltonian_vector_field,
     integrate_flow,
+    line_half_form,
     make_symbol,
     model_cos_symbol,
     norm_X,
+    prequantum_phase,
     return_times,
     wrap_difference,
 )
@@ -450,6 +454,27 @@ def test_generic_propagator_errors_fall_at_the_1_over_k_rate(name, ks):
     assert phase.errors[-1] <= 0.01
 
 
+@pytest.mark.parametrize("name", list(_GENERIC))
+def test_generic_propagator_error_is_a_series_in_1_over_k(name):
+    # Richardson: with r(k) = exact/pred - 1 = c1/k + c2/k^2 + ..., the
+    # complex D(k) = k r(k) - 2k r(2k) = c2/(2k) + ... halves with each
+    # doubling of k (0.499-0.506 here).  A k^-1/2 term breaks that: the
+    # predictor times (1 + k^-1/2) reads 1.4
+    ks = (500, 1000, 2000)
+    rows = graph_compare(make_symbol(name, _GENERIC[name]), (0.3, 0.1), [0.25, 0.5, 0.75, 1.0], ks)
+    exact = np.array([r.exact for r in rows]).reshape(3, 4)
+    pred = np.array([r.predicted for r in rows]).reshape(3, 4)
+    k = np.array(ks, dtype=float)[:, None]
+
+    def richardson_ratios(predicted):
+        scaled = k * (exact / predicted - 1.0)
+        d = scaled[:-1] - scaled[1:]  # D(500), D(1000) at each t
+        return np.abs(d[1]) / np.abs(d[0])
+
+    assert np.all(richardson_ratios(pred) <= 0.6)
+    assert np.all(richardson_ratios(pred * (1.0 + k ** -0.5)) > 0.6)
+
+
 @pytest.mark.parametrize("k", [50, 400])
 def test_symbol_of_q_alone_matches_dense_eigh_oracle(k):
     # cos 2 pi q is one diagonal, so no eigh runs; its propagator and
@@ -580,3 +605,69 @@ def test_propagator_transverse_profile_is_the_flow_gaussian(name, t):
     assert all(r <= 0.6 for r in rate.ratios)
     assert rate.errors[-1] <= 0.1
     assert min(misses["G"] + misses["flipped"]) >= 0.5
+
+
+_LINE_XS = ((0.3, 0.6), (0.55, 0.6))
+_LINE_TS = np.array([0.5, 1.0, 3.0])
+
+
+def _evolved_line_state(sym, k, ys) -> np.ndarray:
+    """psi_t(y) = s(y) . e^{-i k t T} e_ell times the unit gauge e^{2 pi i k p q},
+    ell = 0.8 k, at the lifted points ys[i] (one row of points per time of
+    _LINE_TS): one walk of Chebyshev-Bessel steps, each of at most _CHEB_ARG."""
+    qs = quantum_space(k)
+    op = operator_for(qs, sym)
+    box = propkern._spectral_box(op)
+    reach = propkern._CHEB_ARG / (k * box[1])
+    v = np.zeros(qs.dim, dtype=complex)
+    v[round(0.8 * k)] = 1.0
+    t_ref, out = 0.0, []
+    for t, y in zip(_LINE_TS, ys):
+        steps = int(np.ceil((t - t_ref) / reach))
+        rows = sections(qs, y).T
+        for i in range(steps):
+            taus = np.full(len(y) if i == steps - 1 else 1, k * (t - t_ref) / steps)
+            vals, v = propkern._chebyshev_rows(op, box, v, taus, rows if i == steps - 1 else rows[:0])
+        out.append(vals * np.exp(2j * np.pi * k * y[:, 0] * y[:, 1]))
+        t_ref = t
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name, t_flip, t_no_half", [("cos-q-sin-p", None, 3.0),
+                                                     ("two-mode", 3.0, 1.0)])
+def test_a_lagrangian_state_follows_the_line_half_form(name, t_flip, t_no_half):
+    # e_ell with ell = 0.8 k is a Lagrangian state on Gamma = {q = 0.6}:
+    # U_t e_ell at phi_t(x) is psi_0(x) (dz(u)/dz(M u))^{1/2} e^{i prequantum
+    # phase} (1 + O(1/k)) for x on Gamma and u = d/dp tangent to it (Charles,
+    # CMP 239, 2003).  Misses fall by 0.46-0.51 from k = 800 to 1600.  A
+    # principal theta_a flips the sign where the half-form's argument has
+    # turned past pi (t = 3 on the two-mode symbol); without the half-form
+    # the modulus misses by 0.25-0.5 at (0.55, 0.6)
+    sym = make_symbol(name, _GENERIC[name])
+    trajs = [integrate_flow(sym, x, _LINE_TS) for x in _LINE_XS]
+    ys = np.stack([tr.points_lifted for tr in trajs], axis=1)  # (time, point, 2)
+
+    def predicted(k, half):
+        qs = quantum_space(k)
+        return np.stack([sections(qs, x)[round(0.8 * k)] * np.exp(2j * np.pi * k * x[0] * x[1])
+                         * half(tr) * np.exp(1j * prequantum_phase(tr, k))
+                         for x, tr in zip(_LINE_XS, trajs)], axis=1)
+
+    forms = {"half-form": lambda tr: line_half_form(tr, (1.0, 0.0)),
+             "principal": lambda tr: line_half_form(
+                 dataclasses.replace(tr, theta_a=np.angle(np.exp(1j * tr.theta_a))), (1.0, 0.0)),
+             "none": lambda tr: 1.0}
+    misses, ratios = {}, {}
+    for k in (400, 800, 1600):
+        got = _evolved_line_state(sym, k, ys)
+        ratios[k] = {form: got / predicted(k, half) for form, half in forms.items()}
+        misses[k] = np.stack([np.abs(np.abs(ratios[k]["half-form"]) - 1.0),
+                              np.abs(np.angle(ratios[k]["half-form"]))])
+    assert np.all(misses[1600] <= 0.6 * misses[800])
+    assert np.all(misses[800] < misses[400])
+    assert np.max(misses[1600]) <= 1e-2
+    if t_flip is not None:
+        flipped = ratios[1600]["principal"][list(_LINE_TS).index(t_flip)]
+        assert np.all(np.abs(np.angle(flipped)) > 3.0)
+    bare = ratios[1600]["none"][list(_LINE_TS).index(t_no_half), 1]
+    assert abs(abs(bare) - 1.0) >= 0.2

@@ -432,6 +432,9 @@ def test_one_period_level_amplitude_holonomy_is_the_maslov_sign(selector, x, win
 
     sign = -1.0 if winding == (0, 0) else 1.0
     assert abs(holonomy(r.flow) - sign) <= 1e-8
+    # the graph amplitude is the line half-form of (1, -i), bit for bit 1/a on -theta_a
+    assert np.array_equal(rho_graph_half(r.flow),
+                          branch_sqrt_path(1.0 / r.flow.holomorphic_det, -r.flow.theta_a))
     principal = dataclasses.replace(r.flow, theta_a=np.angle(np.exp(1j * r.flow.theta_a)))
     assert abs(holonomy(principal) - 1.0) <= 1e-8
     # -theta_a alone, without the factor's principal angle, misses the
@@ -641,7 +644,8 @@ def test_rho_level_requires_matching_energy():
 def test_rho_level_matches_jacobian_route_on_generic_level():
     # p-dependent symbol with mode-sum derivatives: rho' moves along the
     # orbit, and the Jacobian pushes X_x to X_{phi_t x} up to the
-    # integrator's error
+    # integrator's error, so the Jacobian route dz(M X_x) and the field
+    # route dz(X_{phi_t x}) both give rho'
     sym = make_symbol("q-cos-p-sin", lambda p, q: np.cos(TWO_PI * np.asarray(q, float))
                       + 0.1 * np.sin(TWO_PI * np.asarray(p, float)))
     x = (0.3, 0.1)
@@ -655,6 +659,9 @@ def test_rho_level_matches_jacobian_route_on_generic_level():
         pushed = traj.jacobians @ x_src
         jac_route = 2.0 * dz_src / (norm2 * (pushed[:, 0] + 1j * pushed[:, 1]))
         assert np.max(np.abs(vals - jac_route) / np.abs(jac_route)) < 1e-5
+        x_dst = hamiltonian_vector_field(sym, traj.points_lifted)
+        field_route = 2.0 * dz_src / (norm2 * (x_dst[:, 0] + 1j * x_dst[:, 1]))
+        assert np.max(np.abs(vals - field_route) / np.abs(field_route)) < 1e-5
         assert np.ptp(np.abs(vals)) > 1e-2  # not the constant shear value
 
 
