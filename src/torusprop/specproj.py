@@ -312,34 +312,22 @@ def projector_kernel_asymptotic(sym: SymbolField, pair: FourierPair, energy: flo
 # ---------------------------------------------------------------------------
 
 
-def _entry_points(entry) -> tuple:
-    """A ``projector_compare`` entry as its points (y, x): an entry holding
-    sequences is a (y, x) pair, anything else one point, its own pair."""
-    if np.iterable(entry) and any(np.iterable(e) for e in entry):
-        y, x = entry
-        return _as_pq(y), _as_pq(x)
-    pt = _as_pq(entry)
-    return pt, pt
-
-
 def projector_compare(sym: SymbolField, pair: FourierPair, energy: float,
                       points, ks) -> list[KernelSample]:
-    """Exact versus predicted projector kernels over points x levels, one
-    KernelSample each.
+    """Exact versus predicted projector kernels at (x, x) over points x
+    levels, one KernelSample each.
 
-    Entries of ``points`` are diagonal points or (y, x) pairs; rows come out
-    grouped by point in the order given, with k ascending within a group.
-    Each point's prediction is built once and quantized at every k; off the
-    image it is 0, so the row's errors are NaN.
+    Each entry of ``points`` is one point x by the one point rule (``_as_pq``);
+    its t = 0 return keeps every row on the image.  Rows come out grouped by
+    point in the order given, k ascending, each point's prediction built once.
     """
 
     rows = []
     ops = {qs.k: operator_for(qs, sym) for qs in map(quantum_space, ks)}
     coeffs = {k: _spectral_coefficients(op, pair, float(energy)) for k, op in ops.items()}
-    for entry in points:
-        y_pq, x_pq = _entry_points(entry)
-        pred = projector_kernel_asymptotic(sym, pair, energy, y_pq, x_pq)
+    for x_pq in map(_as_pq, points):
+        pred = projector_kernel_asymptotic(sym, pair, energy, x_pq, x_pq)
         for k in sorted(ops):
-            exact = projector_kernel_exact(ops[k], pair, energy, y_pq, x_pq, coeffs=coeffs[k])
-            rows.append(KernelSample(k, x_pq, y_pq, exact, pred.value(k)))
+            exact = projector_kernel_exact(ops[k], pair, energy, x_pq, x_pq, coeffs=coeffs[k])
+            rows.append(KernelSample(k, x_pq, x_pq, exact, pred.value(k)))
     return rows

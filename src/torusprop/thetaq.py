@@ -140,10 +140,6 @@ class QuantumSpace:
         n = math.isqrt(60 * self.k - 1) + 1
         return max(32, -(-n // 16) * 16)
 
-    def log_metric_weight(self, q) -> np.ndarray:
-        """log of the pointwise weight: -4*pi*k*q^2."""
-        return -FOUR_PI * self.k * np.asarray(q, dtype=float) ** 2
-
 
 def quantum_space(k: int) -> QuantumSpace:
     """The level-k QuantumSpace, for any integer k >= 1, with the theta window
@@ -255,17 +251,15 @@ def gram_matrix(qs: QuantumSpace) -> np.ndarray:
 def _gram_quadrature(qs: QuantumSpace, n_nodes: int) -> np.ndarray:
     """sum_b conj(S_b) S_b^T over node blocks b: S_b holds all 2k sections at
     the block's nodes times the square root of (Liouville x quadrature
-    weight) and the weight's factor e^{2 pi k q^2 + log_metric_weight(q) / 2},
-    exactly 1.0 for its own."""
+    weight).  Each section already carries e^{-2 pi k q^2}, the square root
+    of the weight e^{-4 pi k q^2}, so no other factor enters."""
 
     nodes, wts = _quad_nodes(n_nodes)
-    q = nodes[:, 1]
-    unfold = np.exp(TWO_PI * qs.k * q ** 2 + 0.5 * qs.log_metric_weight(q))
     gram = np.zeros((qs.dim, qs.dim), dtype=complex)
     block = _block_len(qs.dim, qs.dim // 4)
     for lo in range(0, len(nodes), block):
         s = sections(qs, nodes[lo:lo + block])
-        s *= np.sqrt(FOUR_PI * wts[lo:lo + block]) * unfold[lo:lo + block]
+        s *= np.sqrt(FOUR_PI * wts[lo:lo + block])
         gram += np.conjugate(s) @ s.T
     return gram
 

@@ -436,21 +436,17 @@ _FLOW_TOL = 1e-11
 def _shear_states(sym: SymbolField, y0: np.ndarray) -> Callable | None:
     """The exact flow state from y0, ts -> (len(ts), 10) in ``_flow_rhs``'s
     columns, for a symbol whose principal and subprincipal modes all have
-    m = 0 (None for any other): X = (-H_q, 0) / (4 pi) is constant along
-    q = q0, so phi_t is the shear p -> p + t X_p, with M = [[1, -t H_qq /
-    (4 pi)], [0, 1]], int H = t H, int H^sub = t H^sub, int alpha(X) =
-    alpha(X) t and theta_a = arctan(t H_qq / (8 pi)), from one jet."""
+    m = 0 (None for any other): there DX is nilpotent and X constant along
+    q = q0, so every column but theta_a moves at its t = 0 rate
+    ``_flow_rhs(sym, y0)``, and tan theta_a = t theta_a'(0)."""
     if sym.modes[0][:, 0].any() or sym.sub_modes[0][:, 0].any():
         return None
-    h, h_sub, _, h_q, _, _, _, h_qq = sym.jet(y0[0], y0[1])
-    x_p = -h_q / FOUR_PI
-    conn = _alpha(y0[0], y0[1], np.array([x_p, 0.0]))
-    rate = np.array([x_p, 0.0, 0.0, -h_qq / FOUR_PI, 0.0, 0.0, h, h_sub, conn, 0.0])
+    rate = _flow_rhs(sym, y0)
 
     def states(ts) -> np.ndarray:
         t = np.asarray(ts, dtype=float).reshape(-1, 1)
         out = y0 + t * rate
-        out[:, 9] = np.arctan(t[:, 0] * h_qq / (8.0 * np.pi))
+        out[:, 9] = np.arctan(t[:, 0] * rate[9])
         return out
 
     return states

@@ -188,8 +188,7 @@ def test_a_point_that_is_not_a_p_q_pair_is_refused(point):
         "asymptotic y": lambda: projector_kernel_asymptotic(sym, pair, energy, point, good),
         "asymptotic x": lambda: projector_kernel_asymptotic(sym, pair, energy, good, point),
         "compare point": lambda: projector_compare(sym, pair, energy, [point], [4]),
-        "compare y": lambda: projector_compare(sym, pair, energy, [(point, good)], [4]),
-        "compare x": lambda: projector_compare(sym, pair, energy, [(good, point)], [4]),
+        "compare (y, x)": lambda: projector_compare(sym, pair, energy, [(good, good)], [4]),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=r"expected a \(p, q\) point"):
@@ -459,9 +458,11 @@ def test_generic_propagator_error_is_a_series_in_1_over_k(name):
     # Richardson: with r(k) = exact/pred - 1 = c1/k + c2/k^2 + ..., the
     # complex D(k) = k r(k) - 2k r(2k) = c2/(2k) + ... halves with each
     # doubling of k (0.499-0.506 here).  A k^-1/2 term breaks that: the
-    # predictor times (1 + k^-1/2) reads 1.4
-    ks = (500, 1000, 2000)
-    rows = graph_compare(make_symbol(name, _GENERIC[name]), (0.3, 0.1), [0.25, 0.5, 0.75, 1.0], ks)
+    # predictor times (1 + k^-1/2) reads 1.4.  So does an order-one phase:
+    # the predictor with its e^{-i int H^sub} undone reads 2.0
+    ks, ts = (500, 1000, 2000), [0.25, 0.5, 0.75, 1.0]
+    sym = make_symbol(name, _GENERIC[name])
+    rows = graph_compare(sym, (0.3, 0.1), ts, ks)
     exact = np.array([r.exact for r in rows]).reshape(3, 4)
     pred = np.array([r.predicted for r in rows]).reshape(3, 4)
     k = np.array(ks, dtype=float)[:, None]
@@ -473,6 +474,8 @@ def test_generic_propagator_error_is_a_series_in_1_over_k(name):
 
     assert np.all(richardson_ratios(pred) <= 0.6)
     assert np.all(richardson_ratios(pred * (1.0 + k ** -0.5)) > 0.6)
+    sub_action = integrate_flow(sym, (0.3, 0.1), ts).action_Hsub
+    assert np.all(richardson_ratios(pred * np.exp(1j * sub_action)) > 0.6)
 
 
 @pytest.mark.parametrize("k", [50, 400])

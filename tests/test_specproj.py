@@ -267,7 +267,7 @@ def test_trace_identity():
     pp, qq = np.meshgrid(p, q, indexing="ij")
     zz = (pp + 1j * qq).ravel()
     vals = basis_matrix(qs, zz)
-    log_sq = 2.0 * vals.log_scale + qs.log_metric_weight(np.imag(zz))[None, :]
+    log_sq = 2.0 * vals.log_scale - 4.0 * np.pi * k * np.imag(zz)[None, :] ** 2
     dens = np.sum(coeffs.real[:, None] * np.exp(log_sq), axis=0)
     integral = float(np.sum(dens.reshape(n, n) @ wq) / n * 4.0 * np.pi)
     assert integral == pytest.approx(trace, rel=1e-8)
@@ -426,7 +426,7 @@ def test_compare_searches_returns_once_per_point(monkeypatch):
     # point serves every k, and each row equals the self-contained predictor
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 7.0)
-    points = [(0.3, Q0), ((0.55, Q0), (0.3, Q0))]
+    points = [(0.3, Q0), (0.55, Q0)]
     searched = []
     real = specproj.return_times
 
@@ -517,10 +517,15 @@ def test_compare_relative_error_smallest_at_widest_level():
 def test_compare_off_image_row():
     sym = model_cos_symbol()
     pair = build_fourier_pair("bump", 3.0)
-    rows = projector_compare(sym, pair, E0, [((0.3, 0.9), (0.3, Q0))], [50])
-    assert rows[0].predicted == 0
-    assert np.isnan(rows[0].rel_err_modulus) and np.isnan(rows[0].phase_err)
-    assert abs(rows[0].exact) <= 1e-3 * np.sqrt(50 / TWO_PI)
+    # projector_compare takes diagonal points, so the off-image pair's row
+    # is built from the two kernels directly
+    k, y, x = 50, (0.3, 0.9), (0.3, Q0)
+    op = operator_for(quantum_space(k), sym)
+    row = KernelSample(k, x, y, projector_kernel_exact(op, pair, E0, y, x),
+                       projector_kernel_asymptotic(sym, pair, E0, y, x).value(k))
+    assert row.predicted == 0
+    assert np.isnan(row.rel_err_modulus) and np.isnan(row.phase_err)
+    assert abs(row.exact) <= 1e-3 * np.sqrt(k / TWO_PI)
 
 
 # ---------------------------------------------------------------------------

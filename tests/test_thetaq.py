@@ -262,12 +262,10 @@ def test_basis_section_norm_is_lattice_periodic():
     rng = np.random.default_rng(5)
     for ell in (0, 5, 23):
         z = complex(rng.uniform(0, 1), rng.uniform(0, 1))
-        base = 2.0 * float(basis_value(qs, ell, z)[0]) + float(
-            qs.log_metric_weight(z.imag))
+        base = 2.0 * float(basis_value(qs, ell, z)[0]) - 4.0 * np.pi * qs.k * z.imag ** 2
         for shift in (1.0, 1j, 1.0 + 1j, -2j):
             zs = z + shift
-            moved = 2.0 * float(basis_value(qs, ell, zs)[0]) + float(
-                qs.log_metric_weight(zs.imag))
+            moved = 2.0 * float(basis_value(qs, ell, zs)[0]) - 4.0 * np.pi * qs.k * zs.imag ** 2
             assert abs(moved - base) <= 1e-10 * (1.0 + abs(base))
 
 
@@ -425,17 +423,14 @@ def test_gauge_note_records_adjudication():
     assert "exp(2*i*pi*q*(ell + k Im z))" in qs.gauge_note
 
 
-class _WrongWeight(QuantumSpace):
-    """The rejected weight candidate e^{-2 pi k q^2}, kept for the test that
-    documents its failure."""
-
-    def log_metric_weight(self, q):
-        return -TWO_PI * self.k * np.asarray(q, dtype=float) ** 2
-
-
 def test_rejected_weight_candidate_fails_the_gram_identity():
-    bad = _WrongWeight(10)
-    assert np.max(np.abs(gram_matrix(bad) - np.eye(bad.dim))) > 1e-8
+    # the rejected weight e^{-2 pi k q^2}: |Psi|^2 times it is |s|^2 e^{2 pi k q^2}
+    # for the weight-folded sections s, so each node's factor is e^{pi k q^2}
+    # (7.9e24 off the identity at k = 10, against 1.2e-15 for the true weight)
+    qs = quantum_space(10)
+    nodes, wts = thetaq._quad_nodes(qs.quad_order)
+    s = sections(qs, nodes) * np.sqrt(4.0 * np.pi * wts) * np.exp(np.pi * qs.k * nodes[:, 1] ** 2)
+    assert np.max(np.abs(np.conjugate(s) @ s.T - np.eye(qs.dim))) > 1e-8
 
 
 @pytest.mark.parametrize("k", range(1, 51))
